@@ -5,21 +5,30 @@ of the class-sum matrices over F_p (p = 1 mod exponent, p > 2 sqrt|G|) give
 the central characters mod p, and discrete-Fourier multiplicity counts lift
 each value to an exact cyclotomic integer.  Both orthogonality relations are
 then verified exactly; a failure is a bug, not a data condition.
+
+Every rational character sum here (the orthogonality checks, inner
+products, Frobenius-Schur indicators) goes through the sparse integer
+kernel in `cyclotomic`: a table keeps each value's nonzero terms, and its
+conjugates and squared norms, computed once per table.
 """
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 
-from . import groups
-from .cyclotomic import Cyclotomic
+from . import cyclotomic, groups
+from .cyclotomic import UNIT, Cyclotomic
 from .errors import (
     InternalInconsistency,
     MismatchedGroup,
     NonIntegral,
     NotNormal,
     OrderLimitExceeded,
+    ParseError,
 )
 from .groups import ConjugacyData, GroupTable, Subgroup
 
@@ -75,6 +84,29 @@ class CharacterTable:
 
     def nonlinear_indices(self):
         return [r for r, lin in enumerate(self.linear_mask) if not lin]
+
+    @cached_property
+    def sparse_rows(self):
+        """Per character and class, the value's nonzero (exponent, coeff) terms."""
+        e = self.exponent
+        return tuple(tuple(cyclotomic.terms(e, v) for v in row)
+                     for row in self.values)
+
+    @cached_property
+    def conjugate_rows(self):
+        """The terms of each value's complex conjugate."""
+        e = self.exponent
+        return tuple(tuple(cyclotomic.conjugate_terms(e, t) for t in row)
+                     for row in self.sparse_rows)
+
+    @cached_property
+    def norm_rows(self):
+        """The terms of |chi_r(g_j)|^2, per character and class."""
+        e = self.exponent
+        return tuple(
+            tuple(cyclotomic.sparse_product_sum(e, [(1, a, b)])
+                  for a, b in zip(row, conj))
+            for row, conj in zip(self.sparse_rows, self.conjugate_rows))
 
 
 # ---------------------------------------------------------------------------
@@ -189,18 +221,9 @@ def _smallest_dixon_prime(order, exponent):
     bound = 2 * math.isqrt(order) + 1
     p = exponent + 1
     while True:
-        if p > bound and _is_prime(p) and (p - 1) % exponent == 0:
+        if p > bound and groups._is_prime(p) and (p - 1) % exponent == 0:
             return p
         p += 1
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    for d in range(2, math.isqrt(n) + 1):
-        if n % d == 0:
-            return False
-    return True
 
 
 def _primitive_root(p):
@@ -278,21 +301,16 @@ def _compute_table(G, classes):
                 nxt.append((B, piv))
                 continue
             # restricted action X with rows: M . b expressed in basis B
-            images = [
-                [sum(M[c][m] * b[m] for m in range(k)) % p for c in range(k)]
-                for b in B
-            ]
+            images = [[sum(map(mul, M[c], b)) % p for c in range(k)]
+                      for b in B]
             X = [_coords(img, B, piv, p) for img in images]
             # transpose convention: b_r -> sum_s X[r][s] b_s; eigenvectors of X^T
             XT = [[X[r][s] for r in range(len(B))] for s in range(len(B))]
             for lam in _poly_roots(_charpoly(XT, p), p):
                 shifted = [[(XT[r][c] - (lam if r == c else 0)) % p
                             for c in range(len(B))] for r in range(len(B))]
-                lifted = [
-                    [sum(kv[r] * B[r][m] for r in range(len(B))) % p
-                     for m in range(k)]
-                    for kv in _kernel(shifted, p)
-                ]
+                lifted = [[sum(map(mul, kv, col)) % p for col in zip(*B)]
+                          for kv in _kernel(shifted, p)]
                 if lifted:
                     nxt.append(_rref(lifted, p))
         if sum(len(B) for B, _ in nxt) != k:
@@ -333,32 +351,53 @@ def _compute_table(G, classes):
             x = G.mul[x][r]
         power_class.append(pc)
 
+    # If h is conjugate to g^a with gcd(a, o(g)) = 1, then chi(h) is chi(g)
+    # with zeta_o^t sent to zeta_o^(ta), so one Fourier lift per cyclic
+    # subgroup class serves every class of generators of that subgroup.
+    lift_plan = []
+    covered = [False] * k
+    for m in range(k):
+        if covered[m]:
+            continue
+        o = rep_order[m]
+        targets = []
+        for a in range(o):
+            c = power_class[m][a]
+            if math.gcd(a, o) == 1 and not covered[c]:
+                covered[c] = True
+                targets.append((c, a))
+        lift_plan.append((m, targets))
+
+    # inverse_roots[o][i] = zeta_o^(-i) mod p
     z = _primitive_root(p)
-    zeta_mod = {o: pow(z, (p - 1) // o, p) for o in set(rep_order)}
+    inverse_roots = {}
+    for o in set(rep_order):
+        zinv = pow(z, (p - 1) - (p - 1) // o, p)
+        inverse_roots[o] = [pow(zinv, i, p) for i in range(o)]
+    inv_orders = {o: pow(o, p - 2, p) for o in inverse_roots}
 
     rows = []
     for om, d in zip(omegas, degrees):
         chi_mod = [(d * om[m] * inv_sizes[m]) % p for m in range(k)]
-        coeffs_by_class = []
-        for m in range(k):
+        coeffs_by_class = [None] * k
+        for m, targets in lift_plan:
             o = rep_order[m]
-            zo = zeta_mod[o]
-            inv_o = pow(o, p - 2, p)
-            coeffs = [0] * e
-            for t in range(o):
-                # mu_t = (1/o) sum_s chi(g^s) zo^(-st)
-                acc = 0
-                zpow = 1
-                step = pow(zo, (o - t) % o, p)
-                for s in range(o):
-                    acc = (acc + chi_mod[power_class[m][s]] * zpow) % p
-                    zpow = (zpow * step) % p
-                mu = (acc * inv_o) % p
-                if mu > d:
-                    raise InternalInconsistency("root multiplicity exceeds degree")
-                if mu:
-                    coeffs[(t * (e // o)) % e] += mu
-            coeffs_by_class.append(Cyclotomic(e, tuple(coeffs)))
+            roots = inverse_roots[o]
+            inv_o = inv_orders[o]
+            powers = [(s, chi_mod[c]) for s, c in enumerate(power_class[m])
+                      if chi_mod[c]]
+            # mu_t = (1/o) sum_s chi(g^s) zeta_o^(-st)
+            mus = [sum([v * roots[s * t % o] for s, v in powers]) * inv_o % p
+                   for t in range(o)]
+            if max(mus) > d:
+                raise InternalInconsistency("root multiplicity exceeds degree")
+            step = e // o
+            for c, a in targets:
+                coeffs = [0] * e
+                for t, mu in enumerate(mus):
+                    if mu:
+                        coeffs[t * a % o * step] += mu
+                coeffs_by_class[c] = Cyclotomic(e, tuple(coeffs))
         rows.append((d, tuple(coeffs_by_class)))
 
     # canonical ordering: by degree, then by reduced value vectors
@@ -372,32 +411,30 @@ def _compute_table(G, classes):
 def _verify_table(G, table):
     n = G.order
     k = table.num_characters
-    classes = table.classes
+    e = table.exponent
+    sizes = table.classes.sizes
+    rows, conj = table.sparse_rows, table.conjugate_rows
     if sum(d * d for d in table.degrees) != n:
         raise InternalInconsistency("sum of squared degrees != |G|")
     for d in table.degrees:
-        if n % d != 0:
+        if d < 1 or n % d != 0:
             raise InternalInconsistency(f"degree {d} does not divide |G|")
-    # row orthogonality
+
+    def holds(products, want):
+        try:
+            return cyclotomic.rational_sum(e, products) == want
+        except NonIntegral:
+            return False
+
     for r in range(k):
         for s in range(r, k):
-            acc = Cyclotomic.zero(table.exponent)
-            for j in range(k):
-                acc = acc + table.values[r][j] * table.values[s][j].conjugate() * classes.sizes[j]
-            got = acc.to_rational()
-            want = n if r == s else 0
-            if got != want:
+            if not holds(zip(sizes, rows[r], conj[s]), n if r == s else 0):
                 raise InternalInconsistency(
                     f"row orthogonality fails for characters {r},{s}")
-    # column orthogonality
     for i in range(k):
         for j in range(i, k):
-            acc = Cyclotomic.zero(table.exponent)
-            for r in range(k):
-                acc = acc + table.values[r][i] * table.values[r][j].conjugate()
-            got = acc.to_rational()
-            want = Fraction(n, classes.sizes[i]) if i == j else 0
-            if got != want:
+            if not holds(((1, rows[r][i], conj[r][j]) for r in range(k)),
+                         Fraction(n, sizes[i]) if i == j else 0):
                 raise InternalInconsistency(
                     f"column orthogonality fails for classes {i},{j}")
     dG = groups.commutator_subgroup(G)
@@ -409,37 +446,30 @@ def _verify_table(G, table):
 # derived operations
 
 
-def _as_class_values(table, phi):
-    """Accept a character index, ClassFunction, or per-class value sequence."""
+def _class_terms(table, phi, conjugate=False):
+    """Per-class kernel terms of a character index, ClassFunction or
+    per-class value sequence, optionally conjugated."""
     if isinstance(phi, int):
-        return table.values[phi]
+        return (table.conjugate_rows if conjugate else table.sparse_rows)[phi]
     if isinstance(phi, ClassFunction):
         if phi.classes is not table.classes and \
                 phi.group.canonical_key() != table.group.canonical_key():
             raise MismatchedGroup("class function belongs to a different group")
-        return phi.values
-    return phi
-
-
-def _conj(v):
-    return v.conjugate() if isinstance(v, Cyclotomic) else v
-
-
-def _to_rational(v):
-    if isinstance(v, Cyclotomic):
-        return v.to_rational()
-    return Fraction(v)
+        phi = phi.values
+    e = table.exponent
+    out = [cyclotomic.terms(e, v) for v in phi]
+    if conjugate:
+        out = [cyclotomic.conjugate_terms(e, t) for t in out]
+    return out
 
 
 def inner_product(table, phi, psi):
     """Exact <phi, psi> over the whole group."""
-    phi = _as_class_values(table, phi)
-    psi = _as_class_values(table, psi)
-    classes = table.classes
-    acc = Cyclotomic.zero(table.exponent)
-    for j in range(classes.num_classes):
-        acc = acc + classes.sizes[j] * (phi[j] * _conj(psi[j]))
-    return acc.to_rational() / table.group.order
+    a = _class_terms(table, phi)
+    b = _class_terms(table, psi, conjugate=True)
+    total = cyclotomic.rational_sum(table.exponent,
+                                    zip(table.classes.sizes, a, b))
+    return total / table.group.order
 
 
 def inner_product_on(table, H, phi, psi):
@@ -447,14 +477,12 @@ def inner_product_on(table, H, phi, psi):
     if not isinstance(H, Subgroup) or \
             H.parent.canonical_key() != table.group.canonical_key():
         raise MismatchedGroup("subgroup belongs to a different group")
-    phi = _as_class_values(table, phi)
-    psi = _as_class_values(table, psi)
-    cls = table.classes.class_of
-    acc = Cyclotomic.zero(table.exponent)
-    for g in H.members:
-        j = cls[g]
-        acc = acc + phi[j] * _conj(psi[j])
-    return acc.to_rational() / H.order
+    a = _class_terms(table, phi)
+    b = _class_terms(table, psi, conjugate=True)
+    per_class = Counter(table.classes.class_of[g] for g in H.members)
+    total = cyclotomic.rational_sum(
+        table.exponent, ((c, a[j], b[j]) for j, c in per_class.items()))
+    return total / H.order
 
 
 def irr_given(G, N, table):
@@ -493,11 +521,11 @@ def frobenius_schur_check(G, table):
     classes = table.classes
     sq_class = [classes.class_of[G.mul[r][r]] for r in classes.reps]
     total = Fraction(0)
-    for r in range(table.num_characters):
-        acc = Cyclotomic.zero(table.exponent)
-        for j in range(classes.num_classes):
-            acc = acc + classes.sizes[j] * table.values[r][sq_class[j]]
-        nu = acc.to_rational() / G.order
+    for r, row in enumerate(table.sparse_rows):
+        nu = cyclotomic.rational_sum(
+            table.exponent,
+            ((size, row[c], UNIT) for size, c in zip(classes.sizes, sq_class)))
+        nu /= G.order
         total += nu * table.degrees[r]
     involutions = sum(1 for a in range(1, G.order) if G.mul[a][a] == 0)
     return total == 1 + involutions
@@ -518,26 +546,42 @@ def dump_table(table):
 
 
 def load_table(G, text, classes=None):
-    """Rebuild a CharacterTable from cache text (verified on load)."""
+    """Rebuild a CharacterTable from cache text (verified on load).
+
+    Malformed text raises ParseError; well-formed text that does not hold
+    this group's table raises InternalInconsistency or NonIntegral.
+    """
     if classes is None:
         classes = groups.conjugacy_classes(G)
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    head = lines[0].split()
-    if head[0] != "chartab":
-        raise InternalInconsistency("bad cache header")
-    e = int(head[1].split("=")[1])
-    k = int(head[2].split("=")[1])
-    for m, ln in enumerate(lines[1:1 + k]):
-        _, rep, size = ln.split()
-        if int(rep) != classes.reps[m] or int(size) != classes.sizes[m]:
-            raise InternalInconsistency("cached classes do not match the group")
+    lines = [(i, ln.strip()) for i, ln in enumerate(text.splitlines(), 1)
+             if ln.strip()]
+    e, k = G.exponent(), classes.num_classes
+    if not lines:
+        raise ParseError("empty cache text", 0)
+    if lines[0][1] != f"chartab e={e} k={k}":
+        raise ParseError("bad cache header", lines[0][0])
+    if len(lines) != 1 + 2 * k:
+        raise ParseError(f"expected {1 + 2 * k} lines, got {len(lines)}",
+                         lines[-1][0])
+    for m, (lineno, ln) in enumerate(lines[1:1 + k]):
+        if ln != f"class {classes.reps[m]} {classes.sizes[m]}":
+            raise InternalInconsistency(
+                f"line {lineno}: cached classes do not match the group")
     values = []
-    for ln in lines[1 + k:1 + 2 * k]:
-        row = tuple(
-            Cyclotomic(e, tuple(int(c) for c in chunk.split(":")))
-            for chunk in ln.split(",")
-        )
-        values.append(row)
+    for lineno, ln in lines[1 + k:]:
+        chunks = ln.split(",")
+        if len(chunks) != k:
+            raise ParseError(f"expected {k} values", lineno)
+        row = []
+        for chunk in chunks:
+            fields = chunk.split(":")
+            if len(fields) != e:
+                raise ParseError(f"expected {e} coefficients", lineno)
+            try:
+                row.append(Cyclotomic(e, tuple(map(int, fields))))
+            except ValueError:
+                raise ParseError("coefficient is not an integer", lineno)
+        values.append(tuple(row))
     degrees = tuple(v[0].to_integer() for v in values)
     linear_mask = tuple(d == 1 for d in degrees)
     table = CharacterTable(G, classes, e, tuple(values), degrees, linear_mask)

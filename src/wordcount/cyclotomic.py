@@ -4,13 +4,23 @@ A value is stored as a length-e coefficient vector over the non-reduced
 spanning set 1, zeta, ..., zeta^(e-1); multiplication is cyclic convolution.
 Equality and rational extraction go through reduction modulo the e-th
 cyclotomic polynomial, which is the only place the relation between the
-powers of zeta is used.
+powers of zeta is used.  The reduction touches only the nonzero terms of
+Phi_e (Phi_100 has 5 of its 41).
+
+Character sums whose value is rational (orthogonality checks, inner
+products, the w_n recursion) go through one sparse integer kernel instead
+of `Cyclotomic` arithmetic: each factor is a tuple of its nonzero
+(exponent, coefficient) terms, `product_sum` accumulates a sum of weighted
+products into one plain list of length e (indices taken mod e, so mod
+x^e - 1), with `Fraction` weights scaled once to a common denominator, and
+`rational_sum` reduces that list once modulo Phi_e.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .errors import NonIntegral
 
@@ -43,17 +53,24 @@ def _exact_div(num, den):
     return out
 
 
+@lru_cache(maxsize=None)
+def _phi_low_terms(order):
+    """Nonzero (j, c) terms of Phi_order below its leading x^deg (Phi is monic)."""
+    phi = cyclotomic_polynomial(order)
+    return tuple((j, c) for j, c in enumerate(phi[:-1]) if c)
+
+
 def _reduce(order, coeffs):
     """Remainder of sum(coeffs[j] x^j) modulo Phi_order, low-to-high tuple."""
-    phi = cyclotomic_polynomial(order)
-    deg = len(phi) - 1
+    low = _phi_low_terms(order)
+    deg = len(cyclotomic_polynomial(order)) - 1
     rem = list(coeffs)
     for i in range(len(rem) - 1, deg - 1, -1):
         c = rem[i]
         if c:
-            rem[i] = 0
-            for j in range(deg):
-                rem[i - deg + j] -= c * phi[j]
+            base = i - deg
+            for j, pj in low:
+                rem[base + j] -= c * pj
     return tuple(rem[:deg])
 
 
@@ -174,3 +191,60 @@ class Cyclotomic:
     def __repr__(self):
         terms = [f"{a}*z{self.order}^{j}" for j, a in enumerate(self.coeffs) if a]
         return "Cyc(" + (" + ".join(terms) or "0") + ")"
+
+
+# ---------------------------------------------------------------------------
+# sparse integer kernel for rational character sums
+
+UNIT = ((0, 1),)
+
+
+def terms(order, value):
+    """Nonzero (exponent, coefficient) terms of a Cyclotomic, int or Fraction."""
+    if isinstance(value, Cyclotomic):
+        if value.order != order:
+            raise ValueError("mixed cyclotomic orders")
+        return tuple((j, c) for j, c in enumerate(value.coeffs) if c)
+    return ((0, value),) if value else ()
+
+
+def conjugate_terms(order, ts):
+    """Terms of the complex conjugate: zeta^j -> zeta^(-j)."""
+    return tuple(((-j) % order, c) for j, c in ts)
+
+
+def product_sum(order, products):
+    """Exact sum of w * a * b over (w, a, b), with a and b term tuples.
+
+    Returns (acc, den): the sum is sum(acc[j] zeta^j) / den, where acc is a
+    plain length-order list and den the least common denominator of the
+    weights, so integer terms and weights accumulate as ints.
+    """
+    products = list(products)
+    den = lcm(*{w.denominator for w, _, _ in products})
+    acc = [0] * order
+    for w, a, b in products:
+        w = w.numerator * (den // w.denominator)
+        for i, x in a:
+            wx = w * x
+            for j, y in b:
+                acc[(i + j) % order] += wx * y
+    return acc, den
+
+
+def sparse_product_sum(order, products):
+    """Terms of product_sum's value; the weights must be integers."""
+    acc, den = product_sum(order, products)
+    if den != 1:
+        raise ValueError("sparse_product_sum needs integer weights")
+    return tuple((j, c) for j, c in enumerate(acc) if c)
+
+
+def rational_sum(order, products):
+    """The rational value of sum(w * a * b) over (w, a, b); NonIntegral if the
+    sum is not rational."""
+    acc, den = product_sum(order, products)
+    red = _reduce(order, acc)
+    if any(red[1:]):
+        raise NonIntegral("character sum is not rational")
+    return Fraction(red[0], den)

@@ -13,7 +13,7 @@ import os
 from pathlib import Path
 
 from . import chartab, groups
-from .errors import ParseError
+from .errors import InternalInconsistency, NonIntegral, ParseError
 
 CACHE_ENV = "WORDCOUNT_CACHE"
 DEFAULT_CACHE_DIR = ".wordcount-cache"
@@ -90,12 +90,31 @@ def cache_dir():
 
 
 def cached_character_table(G):
-    """The character table, loaded from the cache directory if present."""
+    """The character table, loaded from the cache directory if present.
+
+    A cache file that cannot be read, parsed or verified counts as a miss:
+    the table is recomputed and the file rewritten.
+    """
     key = hashlib.sha256(repr(G.canonical_key()).encode()).hexdigest()
     path = cache_dir() / f"{key}.chartab"
     if path.is_file():
-        return chartab.load_table(G, path.read_text(encoding="utf-8"))
+        try:
+            return chartab.load_table(G, path.read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError, ParseError,
+                InternalInconsistency, NonIntegral):
+            pass
     table = chartab.character_table(G)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(chartab.dump_table(table), encoding="utf-8")
+    _write_atomic(path, chartab.dump_table(table))
     return table
+
+
+def _write_atomic(path, text):
+    """Write through a temp file in the same directory and rename it over
+    path, so a reader or a crash never leaves a partial file there."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)

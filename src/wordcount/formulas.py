@@ -8,12 +8,13 @@ that satisfy the forced total-mass identity (see FLAG_* below and the
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import chartab, counting, groups
+from . import chartab, counting, cyclotomic, groups
 from .chartab import ClassFunction
-from .cyclotomic import Cyclotomic
+from .cyclotomic import UNIT
 from .errors import (
     CheckFailed,
     InternalInconsistency,
@@ -69,14 +70,10 @@ def _rational_row_sum(table, terms):
     `terms` is a list of (coef: Fraction, char index); returns per-class
     Fractions.
     """
-    k = table.classes.num_classes
-    out = []
-    for j in range(k):
-        acc = Cyclotomic.zero(table.exponent)
-        for coef, r in terms:
-            acc = acc + table.values[r][j] * coef
-        out.append(acc.to_rational())
-    return out
+    rows = table.sparse_rows
+    return [cyclotomic.rational_sum(
+                table.exponent, ((coef, rows[r][j], UNIT) for coef, r in terms))
+            for j in range(table.classes.num_classes)]
 
 
 def zeta_w2_frobenius(G, table):
@@ -107,14 +104,12 @@ def c_wn(G, table, chi, n, zeta_prev=None):
         return Fraction(G.order ** (n - 2))
     if zeta_prev is None:
         zeta_prev = zeta_wn_char(G, table, n - 1)
-    classes = table.classes
-    acc = Cyclotomic.zero(table.exponent)
-    for j in range(classes.num_classes):
-        zj = zeta_prev.values[j]
-        if zj:
-            row = table.values[chi][j]
-            acc = acc + classes.sizes[j] * zj * (row * row.conjugate())
-    return acc.to_rational() / G.order
+    norms = table.norm_rows[chi]
+    total = cyclotomic.rational_sum(
+        table.exponent,
+        ((size * zj, norms[j], UNIT) for j, (size, zj)
+         in enumerate(zip(table.classes.sizes, zeta_prev.values)) if zj))
+    return total / G.order
 
 
 def zeta_wn_char(G, table, n):
@@ -166,27 +161,25 @@ def zeta_mixed_theorem21(G, H, w1, w2, table=None):
     Htab, _, to_parent = H.materialize()
     zeta1 = counting.zeta_element_counts(Htab, w1)
     cls = table.classes.class_of
-
-    # coefficient of chi: |G|^(m-n-1) |H| / chi(1) * <zeta1 chi, chi>_H,
-    # carried as an exact cyclotomic (it need not be rational per character)
-    per_class = []
-    coefs = []
-    for r in range(table.num_characters):
-        acc = Cyclotomic.zero(table.exponent)
-        for hsub, count in enumerate(zeta1):
-            if count:
-                hg = to_parent[hsub]
-                row = table.values[r][cls[hg]]
-                acc = acc + count * (row * row.conjugate())
-        # acc = |H| <zeta1 chi, chi>_H
-        coefs.append(acc.scale_div(G.order ** (m - w1.arity - 1),
-                                   table.degrees[r]))
+    e = table.exponent
     k = table.classes.num_classes
+
+    # zeta1 summed over each G-class meeting H
+    weights = [0] * k
+    for hsub, count in enumerate(zeta1):
+        weights[cls[to_parent[hsub]]] += count
+    # coefficient of chi: |G|^(m-n-1) / chi(1) * |H| <zeta1 chi, chi>_H, the
+    # last factor carried as exact cyclotomic terms (it need not be rational)
+    scale = G.order ** (m - w1.arity - 1)
+    scales = [Fraction(scale, d) for d in table.degrees]
+    coefs = [cyclotomic.sparse_product_sum(
+                 e, ((w, norms[j], UNIT) for j, w in enumerate(weights) if w))
+             for norms in table.norm_rows]
+    rows = table.sparse_rows
+    per_class = []
     for j in range(k):
-        acc = Cyclotomic.zero(table.exponent)
-        for r in range(table.num_characters):
-            acc = acc + coefs[r] * table.values[r][j]
-        v = acc.to_rational()
+        v = cyclotomic.rational_sum(
+            e, ((s, c, row[j]) for s, c, row in zip(scales, coefs, rows)))
         if v.denominator != 1 or v < 0:
             raise InternalInconsistency("mixed-domain count is not a natural number")
         per_class.append(v.numerator)
@@ -601,4 +594,7 @@ def verify_camina_pair_structure(G, table):
         for g in range(G.order):
             if g not in z and not table.values[r][cls[g]].is_zero():
                 raise CheckFailed(f"character {r} does not vanish off Z(G)")
-    return {"irr_given_center": moved, "degree": int(idx ** 0.5)}
+    degree = math.isqrt(idx)
+    if degree * degree != idx:
+        raise CheckFailed(f"|G:Z(G)| = {idx} is not a square")
+    return {"irr_given_center": moved, "degree": degree}

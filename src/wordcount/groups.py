@@ -13,6 +13,7 @@ from functools import lru_cache
 
 from .errors import (
     BadSubgroup,
+    InternalInconsistency,
     NotAGroup,
     NotAPermutation,
     NotNormal,
@@ -446,7 +447,7 @@ def _extraspecial_minus(p):
 def _is_prime(n):
     if n < 2:
         return False
-    for d in range(2, int(n**0.5) + 1):
+    for d in range(2, math.isqrt(n) + 1):
         if n % d == 0:
             return False
     return True
@@ -717,7 +718,8 @@ def nilpotency_class(G):
     upper_c = len(ucs) - 1 if ucs[-1].order == G.order else None
     lower_c = len(lcs) - 1 if lcs[-1].order == 1 else None
     if upper_c != lower_c:
-        raise AssertionError("central series disagree on nilpotency class")
+        raise InternalInconsistency(
+            "central series disagree on nilpotency class")
     return upper_c
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from wordcount import chartab, groups
 from wordcount.chartab import ClassFunction, character_table
+from wordcount.cyclotomic import Cyclotomic
 
 
 def test_s3_table():
@@ -127,3 +128,66 @@ def test_inner_product_accepts_class_functions():
     for r in range(table.num_characters):
         assert chartab.inner_product(table, zeta, r) == \
             Fraction(6, table.degrees[r])
+
+
+def _perturbed(table, r, j, delta):
+    values = [list(row) for row in table.values]
+    values[r][j] = values[r][j] + delta
+    return chartab.CharacterTable(
+        table.group, table.classes, table.exponent,
+        tuple(tuple(row) for row in values), table.degrees, table.linear_mask)
+
+
+@pytest.mark.parametrize("spec", ["dihedral(20)", "agl1(5)",
+                                  "direct_product(symmetric(3),cyclic(4))"])
+def test_verify_rejects_one_perturbed_entry(spec):
+    from wordcount import cyclotomic
+    from wordcount.errors import InternalInconsistency
+    G = groups.parse_builtin_spec(spec)
+    table = character_table(G)
+    e, k, n = table.exponent, table.num_characters, G.order
+    sizes = table.classes.sizes
+    cases = [(k - 1, 1, Cyclotomic.root(e, 1)), (0, k - 1, 1),
+             (k // 2, k // 2, -Cyclotomic.root(e, e - 1))]
+    for r, j, delta in cases:
+        bad = _perturbed(table, r, j, delta)
+        with pytest.raises(InternalInconsistency,
+                           match="row orthogonality"):
+            chartab._verify_table(G, bad)
+        # For a square table the column relations follow from the row
+        # relations, so the column check can never fire first; check that
+        # it catches the same entry through the same kernel.
+        rows, conj = bad.sparse_rows, bad.conjugate_rows
+        got = cyclotomic.product_sum(
+            e, [(1, rows[s][j], conj[s][j]) for s in range(k)])
+        assert Cyclotomic(e, tuple(got[0])) != Fraction(n, sizes[j])
+
+
+@pytest.mark.parametrize("mangle", [
+    lambda t: "",
+    lambda t: t[:len(t) // 2],
+    lambda t: t.replace("chartab", "chartable", 1),
+    lambda t: t.replace("e=6", "e=12", 1),
+    lambda t: t.rstrip("\n").rsplit(",", 1)[0] + "\n",
+    lambda t: t.rstrip("\n").rsplit(":", 1)[0] + "\n",
+    lambda t: t.rstrip("\n") + "x\n",
+])
+def test_load_rejects_malformed_text(mangle):
+    from wordcount.errors import ParseError
+    G = groups.builtin("symmetric", 3)
+    text = chartab.dump_table(character_table(G))
+    with pytest.raises(ParseError):
+        chartab.load_table(G, mangle(text))
+
+
+def test_load_rejects_negated_character():
+    from wordcount.errors import InternalInconsistency
+    G = groups.builtin("symmetric", 3)
+    lines = chartab.dump_table(character_table(G)).splitlines()
+    # -chi for the degree-2 character keeps both orthogonality relations,
+    # sum chi(1)^2 = |G| and the linear-character count; only its degree
+    # -2 gives it away
+    lines[-1] = ",".join(":".join(str(-int(c)) for c in v.split(":"))
+                         for v in lines[-1].split(","))
+    with pytest.raises(InternalInconsistency, match="degree -2"):
+        chartab.load_table(G, "\n".join(lines))

@@ -130,3 +130,31 @@ def test_chartab_cache(tmp_path, monkeypatch, capsys):
     Q8 = groups.builtin("quaternion", 8)
     table = fileio.cached_character_table(Q8)
     assert table.degrees == chartab.character_table(Q8).degrees
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda t: t[:len(t) // 2],
+    lambda t: "",
+    lambda t: t.replace("2:0:0", "3:0:0", 1),
+], ids=["truncated", "empty", "tampered"])
+def test_corrupt_cache_file_is_a_miss(tmp_path, monkeypatch, capsys, corrupt):
+    monkeypatch.setenv(fileio.CACHE_ENV, str(tmp_path))
+    code, good_out, _ = run(capsys, "chartab", "--group", "builtin:symmetric(3)")
+    assert code == 0
+    (path,) = tmp_path.glob("*.chartab")
+    good = path.read_text(encoding="utf-8")
+    path.write_text(corrupt(good), encoding="utf-8")
+    code, out, err = run(capsys, "chartab", "--group", "builtin:symmetric(3)")
+    assert (code, out, err) == (0, good_out, "")
+    assert path.read_text(encoding="utf-8") == good
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def test_internal_inconsistency_is_one_line(monkeypatch, capsys):
+    # central series that disagree on nilpotency
+    monkeypatch.setattr(groups, "lower_central_series",
+                        lambda G: [groups.whole_subgroup(G)])
+    code, out, err = run(capsys, "info", "--group", "builtin:cyclic(4)")
+    assert code == 1
+    assert err == ("error: InternalInconsistency: central series disagree "
+                   "on nilpotency class\n")

@@ -1,8 +1,11 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from wordcount.cyclotomic import Cyclotomic, cyclotomic_polynomial
+from wordcount import cyclotomic
+from wordcount.cyclotomic import Cyclotomic, _reduce, cyclotomic_polynomial
 from wordcount.errors import NonIntegral
 
 
@@ -68,3 +71,86 @@ def test_gaussian_integers():
     assert i * i == -1
     assert (1 + i) * (1 - i) == 2
     assert (2 + i) * (2 + i).conjugate() == 5
+
+
+KERNEL_ORDERS = [1, 2, 4, 5, 8, 12, 60, 100, 156]
+
+
+def _random_terms(rng, e):
+    exps = rng.sample(range(e), min(e, rng.randint(0, 4)))
+    return tuple((j, rng.choice([-3, -2, -1, 1, 2, 5])) for j in sorted(exps))
+
+
+def _dense(e, ts):
+    c = [0] * e
+    for j, v in ts:
+        c[j] += v
+    return Cyclotomic(e, tuple(c))
+
+
+def _galois(e, ts, k):
+    return tuple((j * k % e, c) for j, c in ts)
+
+
+@pytest.mark.parametrize("e", KERNEL_ORDERS)
+def test_kernel_matches_dense_arithmetic(e):
+    rng = random.Random(1000 + e)
+    for _ in range(12):
+        products = [(rng.choice([1, 3, -2, Fraction(1, 3), Fraction(-5, 6)]),
+                     _random_terms(rng, e), _random_terms(rng, e))
+                    for _ in range(rng.randint(0, 6))]
+        dense = Cyclotomic.zero(e)
+        for w, a, b in products:
+            dense = dense + _dense(e, a) * _dense(e, b).conjugate() * w
+        conj = [(w, a, cyclotomic.conjugate_terms(e, b))
+                for w, a, b in products]
+        acc, den = cyclotomic.product_sum(e, conj)
+        assert all(type(c) is int for c in acc)
+        assert Cyclotomic(e, tuple(acc)).scale_div(1, den) == dense
+        if all(type(w) is int for w, _, _ in products):
+            assert _dense(e, cyclotomic.sparse_product_sum(e, conj)) == dense
+        if dense.is_rational():
+            assert cyclotomic.rational_sum(e, conj) == dense.to_rational()
+        else:
+            with pytest.raises(NonIntegral):
+                cyclotomic.rational_sum(e, conj)
+        # the trace over Gal(Q(zeta_e)/Q) of any such sum is rational
+        units = [k for k in range(1, e + 1) if math.gcd(k, e) == 1]
+        trace = [(w, _galois(e, a, k), _galois(e, b, k))
+                 for k in units for w, a, b in conj]
+        want = Cyclotomic.zero(e)
+        for k in units:
+            want = want + _dense(e, _galois(e, enumerate(dense.coeffs), k))
+        assert cyclotomic.rational_sum(e, trace) == want.to_rational()
+
+
+def test_kernel_terms_of_values():
+    z = Cyclotomic.root(8, 3)
+    assert cyclotomic.terms(8, 2 * z - 1) == ((0, -1), (3, 2))
+    assert cyclotomic.terms(8, Fraction(1, 2)) == ((0, Fraction(1, 2)),)
+    assert cyclotomic.terms(8, 0) == ()
+    assert cyclotomic.conjugate_terms(8, ((0, -1), (3, 2))) == \
+        ((0, -1), (5, 2))
+    with pytest.raises(ValueError):
+        cyclotomic.terms(4, z)
+
+
+def _full_remainder(e, coeffs):
+    """Long division by every coefficient of Phi_e."""
+    phi = cyclotomic_polynomial(e)
+    deg = len(phi) - 1
+    rem = list(coeffs)
+    for i in range(len(rem) - 1, deg - 1, -1):
+        c = rem[i]
+        for j in range(deg + 1):
+            rem[i - deg + j] -= c * phi[j]
+        assert rem[i] == 0
+    return tuple(rem[:deg])
+
+
+@pytest.mark.parametrize("e", KERNEL_ORDERS)
+def test_sparse_phi_reduction_matches_full_remainder(e):
+    rng = random.Random(e)
+    for _ in range(10):
+        coeffs = [rng.randint(-50, 50) for _ in range(e)]
+        assert _reduce(e, coeffs) == _full_remainder(e, coeffs)
