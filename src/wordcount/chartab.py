@@ -260,20 +260,14 @@ def class_mult_coefficients(G, classes):
     return a
 
 
-_TABLE_CACHE = {}
-
-
-def character_table(G, classes=None, order_cap=groups.DEFAULT_ORDER_CAP):
-    key = G.canonical_key()
-    if key in _TABLE_CACHE:
-        return _TABLE_CACHE[key]
-    if G.order > order_cap:
-        raise OrderLimitExceeded(f"|G| = {G.order} exceeds cap {order_cap}")
-    if classes is None:
-        classes = groups.conjugacy_classes(G)
-    table = _compute_table(G, classes)
+@groups.structure_memo
+def character_table(G):
+    """The exactly verified character table of G."""
+    cap = groups.DEFAULT_ORDER_CAP
+    if G.order > cap:
+        raise OrderLimitExceeded(f"|G| = {G.order} exceeds cap {cap}")
+    table = _compute_table(G, groups.conjugacy_classes(G))
     _verify_table(G, table)
-    _TABLE_CACHE[key] = table
     return table
 
 
@@ -545,14 +539,13 @@ def dump_table(table):
     return "\n".join(lines) + "\n"
 
 
-def load_table(G, text, classes=None):
+def load_table(G, text):
     """Rebuild a CharacterTable from cache text (verified on load).
 
     Malformed text raises ParseError; well-formed text that does not hold
     this group's table raises InternalInconsistency or NonIntegral.
     """
-    if classes is None:
-        classes = groups.conjugacy_classes(G)
+    classes = groups.conjugacy_classes(G)
     lines = [(i, ln.strip()) for i, ln in enumerate(text.splitlines(), 1)
              if ln.strip()]
     e, k = G.exponent(), classes.num_classes

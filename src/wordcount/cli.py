@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 
 from . import (chartab, counting, fileio, formulas, groups, isoclinism,
                verification, words)
@@ -29,19 +28,19 @@ def load_group(spec):
 
 
 def _parse_domains(entries, G, arity):
-    named = {"derived": groups.commutator_subgroup(G),
-             "center": groups.center(G)}
+    """Build only the subgroups that the entries name."""
     domains = [None] * arity
     for entry in entries or ():
         var, _, name = entry.partition("=")
         if not var.startswith("x") or not var[1:].isdigit() or \
-                name not in named:
+                name not in ("derived", "center"):
             raise UnsupportedParameter(
                 f"domain must look like x1=derived or x1=center, got {entry!r}")
         i = int(var[1:])
         if not 1 <= i <= arity:
             raise UnsupportedParameter(f"variable {var} out of range")
-        domains[i - 1] = named[name]
+        domains[i - 1] = (groups.commutator_subgroup(G) if name == "derived"
+                          else groups.center(G))
     return counting.DomainSpec(tuple(domains))
 
 
@@ -91,18 +90,19 @@ def cmd_count(args, out):
     G = load_group(args.group)
     word = words.parse(args.word)
     domains = _parse_domains(args.domain, G, word.arity)
-    result = counting.zeta_brute(G, word, domains, workers=args.workers,
-                                 budget=args.budget)
     if domains.all_whole():
+        result = counting.zeta_brute(G, word, budget=args.budget)
         if args.format == "csv":
             counting.export_csv(G, result.classes, result, word.arity, out)
         else:
             _print_class_table(G, result.classes,
                                [("count", result.values)], out)
     else:
+        counts = counting.zeta_element_counts(G, word, domains,
+                                              budget=args.budget)
         out.write("element\tcount\n")
         for g in range(G.order):
-            out.write(f"{G.label(g)}\t{result[g]}\n")
+            out.write(f"{G.label(g)}\t{counts[g]}\n")
     return 0
 
 
@@ -117,9 +117,7 @@ def cmd_zeta(args, out):
     for method in methods:
         if method == "brute":
             zeta = counting.zeta_brute(G, words.wn(args.n),
-                                       workers=args.workers,
-                                       budget=args.budget,
-                                       classes=table.classes)
+                                       budget=args.budget)
         elif method == "char":
             zeta = formulas.zeta_wn_char(G, table, args.n)
         else:
@@ -185,22 +183,6 @@ def cmd_isoclinic(args, out):
     return 0
 
 
-def cmd_bench(args, out):
-    G = load_group(args.group)
-    table = chartab.character_table(G)
-    t0 = time.perf_counter()
-    zb = counting.zeta_brute(G, words.wn(args.n), workers=args.workers,
-                             budget=args.budget, classes=table.classes)
-    t1 = time.perf_counter()
-    zc = formulas.zeta_wn_char(G, table, args.n)
-    t2 = time.perf_counter()
-    agree = zb == zc
-    out.write(f"brute {t1 - t0:.6f}s\n")
-    out.write(f"char {t2 - t1:.6f}s\n")
-    out.write(f"agree {agree}\n")
-    return 0 if agree else 1
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="wordcount",
@@ -217,8 +199,7 @@ def build_parser():
         p.add_argument(name, required=True,
                        help="builtin:NAME(args) or file:PATH")
 
-    def engine_args(p):
-        p.add_argument("--workers", type=int, default=1)
+    def budget_arg(p):
         p.add_argument("--budget", type=int, default=counting.DEFAULT_BUDGET)
 
     p = add("info", cmd_info, help="group structure summary")
@@ -231,24 +212,20 @@ def build_parser():
     p.add_argument("--domain", action="append",
                    help="restrict a variable, e.g. x1=derived")
     p.add_argument("--format", choices=("table", "csv"), default="table")
-    engine_args(p)
+    budget_arg(p)
     p = add("zeta", cmd_zeta, help="iterated-commutator counts by any method")
     group_arg(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--method", choices=("brute", "char", "closed", "all"),
                    default="all")
     p.add_argument("--format", choices=("table", "csv"), default="table")
-    engine_args(p)
+    budget_arg(p)
     p = add("verify", cmd_verify, help="run a verification suite")
     p.add_argument("--suite", choices=verification.SUITES, default="all")
     p = add("isoclinic", cmd_isoclinic, help="search for an n-isoclinism")
     group_arg(p)
     group_arg(p, "--other")
     p.add_argument("--n", type=int, default=1)
-    p = add("bench", cmd_bench, help="time brute vs character paths")
-    group_arg(p)
-    p.add_argument("--n", type=int, default=3)
-    engine_args(p)
     return parser
 
 

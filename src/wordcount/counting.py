@@ -1,14 +1,11 @@
 """Brute-force fiber counting: the ground-truth oracle.
 
-One enumeration pass produces the whole distribution g -> #solutions of
-w(x1..xn) = g.  The assignment space is partitioned by the first variable's
-value, so worker counts never change the result: per-chunk count arrays are
-merged by integer addition.
+One enumeration pass over the assignment space produces the whole
+distribution g -> #solutions of w(x1..xn) = g.
 """
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,25 +43,7 @@ class DomainSpec:
         return all(d is None for d in self.domains)
 
 
-def _count_chunk(G, word, first_values, rest_domains):
-    counts = [0] * G.order
-    mul = G.mul
-    inv = G.inv
-    # precompile: list of (var index 0-based, exponent)
-    letters = [(v - 1, e) for v, e in word.letters]
-    power = G.power
-    for first in first_values:
-        for rest in itertools.product(*rest_domains):
-            assignment = (first, *rest)
-            acc = 0
-            for vi, e in letters:
-                a = assignment[vi]
-                acc = mul[acc][a if e == 1 else power(a, e)]
-            counts[acc] += 1
-    return counts
-
-
-def zeta_element_counts(G, word, domains=None, workers=1, budget=DEFAULT_BUDGET):
+def zeta_element_counts(G, word, domains=None, budget=DEFAULT_BUDGET):
     """Raw per-element fiber counts as a length-|G| integer list."""
     if domains is None:
         domains = DomainSpec.whole(word.arity)
@@ -78,46 +57,34 @@ def zeta_element_counts(G, word, domains=None, workers=1, budget=DEFAULT_BUDGET)
     if total > budget:
         raise BudgetExceeded(f"{total} evaluations exceed budget {budget}")
 
-    first = list(member_lists[0])
-    rest = [list(lst) for lst in member_lists[1:]]
-    workers = max(1, min(workers, len(first) or 1))
-    if workers == 1:
-        counts = _count_chunk(G, word, first, rest)
-    else:
-        chunks = [first[i::workers] for i in range(workers)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                lambda ch: _count_chunk(G, word, ch, rest), chunks))
-        counts = [sum(col) for col in zip(*results)]
+    counts = [0] * G.order
+    mul = G.mul
+    power = G.power
+    # precompile: list of (var index 0-based, exponent)
+    letters = [(v - 1, e) for v, e in word.letters]
+    for assignment in itertools.product(*member_lists):
+        acc = 0
+        for vi, e in letters:
+            a = assignment[vi]
+            acc = mul[acc][a if e == 1 else power(a, e)]
+        counts[acc] += 1
     if sum(counts) != total:
         raise InternalInconsistency("total mass of fiber counts is wrong")
     return counts
 
 
-def zeta_brute(G, word, domains=None, workers=1, budget=DEFAULT_BUDGET,
-               classes=None):
-    """Exact fiber counts.
-
-    With whole-group domains the counts are asserted constant on conjugacy
-    classes and returned as a ClassFunction; with mixed domains the raw
-    element-indexed list is returned.
-    """
-    if domains is None:
-        domains = DomainSpec.whole(word.arity)
-    counts = zeta_element_counts(G, word, domains, workers, budget)
-    if not domains.all_whole():
-        return counts
+def zeta_brute(G, word, budget=DEFAULT_BUDGET, classes=None):
+    """Exact fiber counts over whole-group domains, asserted constant on
+    conjugacy classes and returned as a ClassFunction."""
+    counts = zeta_element_counts(G, word, budget=budget)
     if classes is None:
         classes = groups.conjugacy_classes(G)
-    values = []
-    for m in range(classes.num_classes):
-        rep = classes.reps[m]
-        values.append(counts[rep])
+    values = tuple(counts[rep] for rep in classes.reps)
     for g in range(G.order):
         if counts[g] != values[classes.class_of[g]]:
             raise InternalInconsistency(
                 "fiber counts are not constant on conjugacy classes")
-    return ClassFunction(G, classes, tuple(values))
+    return ClassFunction(G, classes, values)
 
 
 def is_measure_preserving(G, word, budget=DEFAULT_BUDGET):
@@ -146,10 +113,7 @@ def nilpotency_degree(G, n, budget=DEFAULT_BUDGET):
 def export_csv(G, classes, counts, n, stream):
     """One row per class: rep label, size, count, probability num/den."""
     denom = G.order ** n
-    if isinstance(counts, ClassFunction):
-        per_class = counts.values
-    else:
-        per_class = [counts[classes.reps[m]] for m in range(classes.num_classes)]
+    per_class = counts.values
     stream.write("rep_label,class_size,count,probability_numerator,"
                  "probability_denominator\n")
     for m in range(classes.num_classes):

@@ -22,7 +22,7 @@ from .errors import (
     NotNormal,
     PredicateFailed,
 )
-from .words import make_word
+from .words import _invert, make_word
 
 FLAG_CAMINA3_IDENTITY = "camina3-identity-display"
 FLAG_UNIQUE_NL_OFFIDENTITY = "unique-nonlinear-offidentity-display"
@@ -136,8 +136,7 @@ def bracket_word(w1, w2):
     shift = w1.arity
     l1 = list(w1.letters)
     l2 = [(v + shift, e) for v, e in w2.letters]
-    inv = lambda ls: [(v, -e) for v, e in reversed(ls)]
-    return make_word(inv(l1) + inv(l2) + l1 + l2)
+    return make_word(_invert(l1) + _invert(l2) + l1 + l2)
 
 
 def zeta_mixed_theorem21(G, H, w1, w2, table=None):
@@ -203,7 +202,7 @@ def classify(G, table=None):
     is_abelian = z.order == G.order
     nclass = groups.nilpotency_class(G)
 
-    normals = groups.normal_subgroups(G, classes)
+    normals = groups.normal_subgroups(G)
     camina_targets = []
     for H in normals:
         if 1 < H.order < G.order and groups.is_camina_pair(G, H):
@@ -283,28 +282,13 @@ def camina3_parameters(inv):
     mid = inv.derived_order // inv.center_order
     if idx != mid * mid:
         raise PredicateFailed("|G:G'| != |G':Z(G)|^2")
-    pm = _prime_power_decomposition(mid)
+    pm = groups._prime_power(mid)
     if pm is None:
         raise PredicateFailed(f"|G':Z(G)| = {mid} is not a prime power")
     p, m = pm
     if m % 2:
         raise PredicateFailed(f"m = {m} is odd")
     return p, m
-
-
-def _prime_power_decomposition(q):
-    if q < 2:
-        return None
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            m, r = 0, q
-            while r % p == 0:
-                r //= p
-                m += 1
-            return (p, m) if r == 1 else None
-        p += 1
-    return (q, 1)
 
 
 def closed_camina3(inv, n, region):
@@ -440,7 +424,7 @@ def closed_zeta_camina3(G, table, n):
     report = classify(G, table)
     if not (report.is_camina_group and report.nilpotency_class == 3):
         raise PredicateFailed("not a Camina group of nilpotency class 3")
-    if _prime_power_decomposition(G.order) is None:
+    if groups._prime_power(G.order) is None:
         raise PredicateFailed("not a p-group")
     inv = invariants_of(G)
     gamma3 = groups.gamma(G, 3)
@@ -476,7 +460,7 @@ def _unique_nonlinear_setup(G, table):
         raise PredicateFailed("center is not trivial")
     phi = nl[0]
     pm = table.degrees[phi] + 1
-    if _prime_power_decomposition(pm) is None:
+    if groups._prime_power(pm) is None:
         raise PredicateFailed(f"phi(1)+1 = {pm} is not a prime power")
     if G.order != pm * (pm - 1):
         raise PredicateFailed("|G| != p^m (p^m - 1)")

@@ -2,14 +2,17 @@
 
 Everything downstream works with element indices into a Cayley table whose
 identity sits at index 0.  Subgroups are index sets over the parent's
-numbering; conjugacy classes are computed once and shared.
+numbering.  Structure that depends on the group alone (classes, center,
+derived subgroup, central series, normal subgroups, the character table) is
+computed once per group object by `structure_memo` and shared by every
+caller, so callers must not mutate it.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import wraps
 
 from .errors import (
     BadSubgroup,
@@ -30,13 +33,16 @@ class GroupTable:
     """A finite group given by its multiplication table.
 
     Index 0 is always the identity.  `mul` and `inv` are tuples so instances
-    are immutable and safe to share between workers.
+    are immutable.  `structure` holds the results of the `structure_memo`
+    functions for this object; it takes no part in equality or hashing.
     """
 
     order: int
     mul: tuple  # tuple of row tuples
     inv: tuple
     labels: tuple | None = None
+    structure: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
     def op(self, a, b):
         return self.mul[a][b]
@@ -454,15 +460,19 @@ def _is_prime(n):
 
 
 def _prime_power(q):
-    for p in range(2, q + 1):
-        if _is_prime(p) and q > 1:
+    """(p, k) with q = p^k for a prime p and k >= 1, else None."""
+    if q < 2:
+        return None
+    p = 2
+    while p * p <= q:
+        if q % p == 0:
             k, m = 0, q
             while m % p == 0:
                 m //= p
                 k += 1
-            if m == 1:
-                return p, k
-    return None
+            return (p, k) if m == 1 else None
+        p += 1
+    return (q, 1)
 
 
 class _GF:
@@ -631,6 +641,18 @@ def _parse_spec(text, i):
 # structure
 
 
+def structure_memo(fn):
+    """Compute fn(G) once per group object, into G.structure."""
+    @wraps(fn)
+    def memo(G):
+        cache = G.structure
+        if fn not in cache:
+            cache[fn] = fn(G)
+        return cache[fn]
+    return memo
+
+
+@structure_memo
 def conjugacy_classes(G):
     n = G.order
     class_of = [-1] * n
@@ -661,6 +683,7 @@ def conjugacy_classes(G):
     return ConjugacyData(tuple(class_of), reps, sizes, inverse_class)
 
 
+@structure_memo
 def center(G):
     members = [a for a in range(G.order)
                if all(G.mul[a][b] == G.mul[b][a] for b in range(G.order))]
@@ -682,32 +705,36 @@ def commutator_of(G, A, B):
     return subgroup_closure(G, seed)
 
 
+@structure_memo
 def commutator_subgroup(G):
     return commutator_of(G, whole_subgroup(G), whole_subgroup(G))
 
 
+@structure_memo
 def upper_central_series(G):
-    """[Z_0, Z_1, ...] until stabilization."""
+    """(Z_0, Z_1, ...) until stabilization."""
     series = [trivial_subgroup(G)]
     while True:
         nxt = centralizer_of_subgroup_mod(G, series[-1])
         if nxt.members == series[-1].members:
             break
         series.append(nxt)
-    return series
+    return tuple(series)
 
 
+@structure_memo
 def lower_central_series(G):
-    """[gamma_1, gamma_2, ...] until stabilization."""
+    """(gamma_1, gamma_2, ...) until stabilization."""
     series = [whole_subgroup(G)]
     while True:
         nxt = commutator_of(G, series[-1], whole_subgroup(G))
         if nxt.members == series[-1].members:
             break
         series.append(nxt)
-    return series
+    return tuple(series)
 
 
+@structure_memo
 def nilpotency_class(G):
     """Least c with Z_c = G, or None if G is not nilpotent.
 
@@ -783,10 +810,10 @@ def is_camina_pair(G, H):
     return True
 
 
-def normal_subgroups(G, classes=None):
+@structure_memo
+def normal_subgroups(G):
     """All normal subgroups, as joins of normal closures of conjugacy classes."""
-    if classes is None:
-        classes = conjugacy_classes(G)
+    classes = conjugacy_classes(G)
     by_class = {}
     for a in range(G.order):
         by_class.setdefault(classes.class_of[a], []).append(a)
@@ -810,4 +837,4 @@ def normal_subgroups(G, classes=None):
                     found[J.members] = J
                     nxt.append(J)
         frontier = nxt
-    return sorted(found.values(), key=lambda s: (s.order, s.members))
+    return tuple(sorted(found.values(), key=lambda s: (s.order, s.members)))

@@ -181,7 +181,7 @@ def verify_witness(w):
             raise WitnessInvalid("psi is not compatible with phi")
 
 
-def verify_scaling(witness, table_G=None, table_H=None):
+def verify_scaling(witness):
     """Check zeta_G = (|G|/|H|)^(n+1) * zeta_H o psi on gamma_{n+1}(G).
 
     The scaling statement names phi, but the commutator-subgroup map psi is
@@ -189,12 +189,8 @@ def verify_scaling(witness, table_G=None, table_H=None):
     """
     verify_witness(witness)
     G, H, n = witness.G, witness.H, witness.n
-    if table_G is None:
-        table_G = chartab.character_table(G)
-    if table_H is None:
-        table_H = chartab.character_table(H)
-    zeta_G = formulas.zeta_wn_char(G, table_G, n + 1)
-    zeta_H = formulas.zeta_wn_char(H, table_H, n + 1)
+    zeta_G = formulas.zeta_wn_char(G, chartab.character_table(G), n + 1)
+    zeta_H = formulas.zeta_wn_char(H, chartab.character_table(H), n + 1)
     factor = Fraction(G.order, H.order) ** (n + 1)
     checked = []
     for g, h in sorted(witness.psi.items()):

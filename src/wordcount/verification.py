@@ -7,7 +7,7 @@ they never affect the exit code.
 """
 from __future__ import annotations
 
-import io
+import functools
 from collections import namedtuple
 from fractions import Fraction
 
@@ -18,8 +18,10 @@ CheckResult = namedtuple("CheckResult", "status check_id group details")
 SUITES = ("frobenius", "recursion", "closed-forms", "isoclinism", "all")
 
 
+@functools.cache
 def catalog():
-    """The builtin sweep: all small groups the checks run over."""
+    """The builtin sweep: all small groups the checks run over, built once
+    per process so the checks share each group's structure."""
     specs = ([f"cyclic({n})" for n in range(1, 25)]
              + [f"dihedral({n})" for n in range(4, 25, 2)]
              + ["quaternion(8)", "symmetric(3)", "symmetric(4)",
@@ -27,7 +29,7 @@ def catalog():
                 "extraspecial_plus(2)", "extraspecial_minus(2)",
                 "extraspecial_plus(3)", "extraspecial_minus(3)",
                 "heisenberg(3)"])
-    return [(spec, groups.parse_builtin_spec(spec)) for spec in specs]
+    return tuple((spec, groups.parse_builtin_spec(spec)) for spec in specs)
 
 
 def _run(results, check_id, group, fn):
@@ -39,15 +41,14 @@ def _run(results, check_id, group, fn):
             "FAIL", check_id, group, f"{type(exc).__name__}: {exc}"))
 
 
-def check_frobenius_sweep(workers=1):
+def check_frobenius_sweep():
     """zeta_w2_frobenius == zeta_brute on every catalog group."""
     results = []
     for spec, G in catalog():
         def one(G=G):
             table = chartab.character_table(G)
             zf = formulas.zeta_w2_frobenius(G, table)
-            zb = counting.zeta_brute(G, words.wn(2), workers=workers,
-                                     classes=table.classes)
+            zb = counting.zeta_brute(G, words.wn(2))
             assert zf == zb, f"{zf.values} != {zb.values}"
             return f"|G|={G.order} classes={table.classes.num_classes}"
         _run(results, "frobenius-sweep", spec, one)
@@ -67,7 +68,7 @@ def check_chartab_exactness():
     return results
 
 
-def check_recursion_sweep(workers=1):
+def check_recursion_sweep():
     """zeta_wn_char == zeta_brute for n=3 (|G|<=16) and n=4 (|G|<=8)."""
     results = []
     for n, cap in ((3, 16), (4, 8)):
@@ -77,8 +78,7 @@ def check_recursion_sweep(workers=1):
             def one(G=G, n=n):
                 table = chartab.character_table(G)
                 zc = formulas.zeta_wn_char(G, table, n)
-                zb = counting.zeta_brute(G, words.wn(n), workers=workers,
-                                         classes=table.classes)
+                zb = counting.zeta_brute(G, words.wn(n))
                 assert zc == zb, f"{zc.values} != {zb.values}"
                 return f"n={n}"
             _run(results, f"recursion-n{n}", spec, one)
@@ -153,8 +153,7 @@ def check_gcp_closed_form():
             for n, (at_one, at_g) in expected.items():
                 closed = formulas.closed_zeta_gcp_center(G, table, n)
                 char = formulas.zeta_wn_char(G, table, n)
-                brute = counting.zeta_brute(G, words.wn(n),
-                                            classes=table.classes)
+                brute = counting.zeta_brute(G, words.wn(n))
                 assert closed == char == brute
                 assert closed.at_element(0) == at_one
                 assert closed.at_element(nontrivial) == at_g
@@ -175,7 +174,7 @@ def check_unique_nonlinear():
             table = chartab.character_table(G)
             c, zeta = formulas.unique_nonlinear_recursion(G, table, 3)
             assert c == c3, f"C={c}"
-            brute = counting.zeta_brute(G, words.wn(3), classes=table.classes)
+            brute = counting.zeta_brute(G, words.wn(3))
             assert zeta == brute
             inv = formulas.invariants_of(G)
             assert formulas.appl_identity_value(
@@ -257,30 +256,6 @@ def check_isoclinism():
     return results
 
 
-def check_csv_determinism():
-    """Byte-identical CSV from the sweeps with 1 worker and 8 workers."""
-    results = []
-    def render(workers):
-        chunks = []
-        for spec, G in catalog():
-            classes = groups.conjugacy_classes(G)
-            for n, cap in ((2, 24), (3, 16), (4, 8)):
-                if G.order > cap:
-                    continue
-                zeta = counting.zeta_brute(G, words.wn(n), workers=workers,
-                                           classes=classes)
-                out = io.StringIO()
-                counting.export_csv(G, classes, zeta, n, out)
-                chunks.append(f"# {spec} n={n}\n" + out.getvalue())
-        return "".join(chunks)
-    def one():
-        a, b = render(1), render(8)
-        assert a == b, "worker count changed the output"
-        return f"{len(a)} bytes identical"
-    _run(results, "csv-determinism", "catalog", one)
-    return results
-
-
 def run_suite(suite):
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
@@ -301,7 +276,6 @@ def run_suite(suite):
         results += check_isoclinism()
     if suite == "all":
         results += check_mixed_domain()
-        results += check_csv_determinism()
     return results
 
 

@@ -1,0 +1,32 @@
+"""The names and keywords that perfbench/ calls must stay in the package,
+so that a refactor which drops one fails here rather than in a traced
+benchmark run (`perfbench/run.py --trace 1`)."""
+import importlib
+import importlib.util
+from pathlib import Path
+
+from wordcount import counting, groups, words
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def _spans():
+    # spans.py imports only the standard library
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_span_layers_name_existing_functions():
+    for layer, (modname, names) in _spans().SPAN_LAYERS.items():
+        module = importlib.import_module(f"wordcount.{modname}")
+        missing = [n for n in names if not callable(getattr(module, n, None))]
+        assert not missing, f"{layer}: {missing}"
+
+
+def test_zeta_brute_accepts_classes():
+    S3 = groups.builtin("symmetric", 3)
+    classes = groups.conjugacy_classes(S3)
+    zeta = counting.zeta_brute(S3, words.wn(2), classes=classes)
+    assert zeta.classes is classes and zeta.values == (18, 9, 0)

@@ -47,6 +47,24 @@ def test_count_with_domain(capsys):
     assert sorted(counts) == [0, 0, 0, 3, 3, 12]
 
 
+def test_count_builds_only_named_domains(monkeypatch, capsys):
+    def refuse(G):
+        raise AssertionError("built a subgroup no --domain names")
+
+    monkeypatch.setattr(groups, "commutator_subgroup", refuse)
+    code, out, _ = run(capsys, "count", "--group", "builtin:symmetric(3)",
+                       "--word", "[x1,x2]", "--domain", "x1=center")
+    assert code == 0
+    counts = [int(line.split("\t")[1]) for line in out.splitlines()[1:]]
+    assert counts == [6, 0, 0, 0, 0, 0]
+    monkeypatch.setattr(groups, "center", refuse)
+    code, out, _ = run(capsys, "count", "--group", "builtin:symmetric(3)",
+                       "--word", "[x1,x2]")
+    assert code == 0
+    assert [line.split("\t")[2] for line in out.splitlines()[1:]] == \
+        ["18", "9", "0"]
+
+
 def test_verify_closed_forms_suite(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "closed-forms")
     assert code == 0
@@ -65,13 +83,6 @@ def test_isoclinic_command(capsys):
                        "--other", "builtin:cyclic(8)", "--n", "1")
     assert code == 1
     assert "not isoclinic" in out
-
-
-def test_bench(capsys):
-    code, out, _ = run(capsys, "bench", "--group", "builtin:symmetric(3)",
-                       "--n", "3")
-    assert code == 0
-    assert "agree True" in out
 
 
 def test_usage_errors(capsys):
