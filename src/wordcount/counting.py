@@ -1,11 +1,17 @@
 """Brute-force fiber counting: the ground-truth oracle.
 
 One enumeration pass over the assignment space produces the whole
-distribution g -> #solutions of w(x1..xn) = g.
+distribution g -> #solutions of w(x1..xn) = g.  Every assignment is still
+evaluated, but by partial evaluation: the word is held as group constants
+interleaved with the letters of the variables not yet fixed, and fixing a
+variable folds its letters into the neighbouring constants.  Variables are
+fixed in order of falling occurrence count, so the innermost loop touches
+only the few letters of the last variable.  Only associativity of the table
+is used, which `groups.from_cayley_table` checks.
 """
 from __future__ import annotations
 
-import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,7 +39,8 @@ class DomainSpec:
             if d is None:
                 out.append(range(G.order))
             else:
-                if d.parent.canonical_key() != G.canonical_key():
+                if d.parent is not G and \
+                        d.parent.canonical_key() != G.canonical_key():
                     raise MismatchedGroup(
                         "domain subgroup belongs to a different group")
                 out.append(d.members)
@@ -58,19 +65,98 @@ def zeta_element_counts(G, word, domains=None, budget=DEFAULT_BUDGET):
         raise BudgetExceeded(f"{total} evaluations exceed budget {budget}")
 
     counts = [0] * G.order
-    mul = G.mul
-    power = G.power
-    # precompile: list of (var index 0-based, exponent)
-    letters = [(v - 1, e) for v, e in word.letters]
-    for assignment in itertools.product(*member_lists):
-        acc = 0
-        for vi, e in letters:
-            a = assignment[vi]
-            acc = mul[acc][a if e == 1 else power(a, e)]
-        counts[acc] += 1
+    _count_assignments(G, word, member_lists, counts)
     if sum(counts) != total:
         raise InternalInconsistency("total mass of fiber counts is wrong")
     return counts
+
+
+def _fold_plan(letters, var, rows):
+    """Plan for fixing `var` in a word held as c0 L1 c1 ... Lm cm.
+
+    Each maximal run of `var`'s letters merges with the constants around it
+    into one constant.  Returns the letters left and, per new constant, the
+    index of its first old constant and the (power row, next constant index)
+    pair of every letter folded into it.
+    """
+    kept = []
+    plan = [(0, [])]
+    for i, (v, e) in enumerate(letters):
+        if v == var:
+            plan[-1][1].append((rows[e], i + 1))
+        else:
+            kept.append((v, e))
+            plan.append((i + 1, []))
+    return kept, plan
+
+
+def _count_assignments(G, word, member_lists, counts):
+    """Add w(x) to `counts` for every x in the product of `member_lists`.
+
+    The variables are fixed outermost first along an explicit stack:
+    level k holds the word's constants once order[:k] are fixed, so a
+    variable's letters are folded once per value of it and the variables
+    outside it, not once per assignment.
+    """
+    mul = G.mul
+    # A variable confined to the trivial subgroup is the identity.
+    letters = [(v, e) for v, e in word.letters
+               if len(member_lists[v - 1]) > 1]
+    if not letters:
+        counts[0] += 1
+        return
+    rows = {e: tuple(G.power(a, e) for a in range(G.order))
+            for e in {e for _, e in letters}}
+    occurrences = Counter(v for v, _ in letters)
+    order = sorted(occurrences, key=lambda v: (-occurrences[v], v))
+    domains = [member_lists[v - 1] for v in order]
+    constants = [[0] * (len(letters) + 1)]  # nothing fixed yet
+    plans = []
+    for v in order[:-1]:
+        letters, plan = _fold_plan(letters, v, rows)
+        plans.append(plan)
+    inner_rows = [rows[e] for _, e in letters]
+    inner_domain = domains[-1]
+
+    def count_inner(c):
+        """Evaluate c0 L1 c1 ... Lm cm for each value of the last variable."""
+        if len(inner_rows) == 2:  # the last variable of w_n
+            row0 = mul[c[0]]
+            p1, p2 = inner_rows
+            c1, c2 = c[1], c[2]
+            for a in inner_domain:
+                counts[mul[mul[mul[row0[p1[a]]][c1]][p2[a]]][c2]] += 1
+            return
+        c0, steps = c[0], list(zip(inner_rows, c[1:]))
+        for a in inner_domain:
+            acc = c0
+            for row, ci in steps:
+                acc = mul[mul[acc][row[a]]][ci]
+            counts[acc] += 1
+
+    if not plans:
+        count_inner(constants[0])
+        return
+    values = [iter(domains[0])]
+    while values:
+        k = len(values) - 1
+        a = next(values[k], -1)
+        if a < 0:
+            values.pop()
+            constants.pop()
+            continue
+        c = constants[k]
+        folded = []
+        for first, run in plans[k]:
+            acc = c[first]
+            for row, i in run:
+                acc = mul[mul[acc][row[a]]][c[i]]
+            folded.append(acc)
+        if k + 1 == len(plans):
+            count_inner(folded)
+        else:
+            constants.append(folded)
+            values.append(iter(domains[k + 1]))
 
 
 def zeta_brute(G, word, budget=DEFAULT_BUDGET, classes=None):

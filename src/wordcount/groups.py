@@ -94,7 +94,7 @@ class GroupTable:
         for a in range(self.order):
             if a not in reached:
                 gens.append(a)
-                reached = _closure_indices(self, reached | {a})
+                reached = _closure_indices(self, gens)
                 if len(reached) == self.order:
                     break
         return gens
@@ -174,20 +174,29 @@ class ConjugacyData:
 
 def _closure_indices(G, seed):
     """Closure of a set of indices under multiplication (finite group, so
-    inverses come for free)."""
-    members = set(seed)
-    members.add(0)
-    frontier = list(members)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            row = G.mul[a]
-            for b in list(members):
-                for c in (row[b], G.mul[b][a]):
+    inverses come for free).
+
+    A breadth-first search from the identity that multiplies on the right by
+    generators only: the seed elements not already reached, taken in turn.
+    Each new generator restarts the search from everything reached so far.
+    """
+    members = {0}
+    gens = []
+    for g in seed:
+        if g in members:
+            continue
+        gens.append(g)
+        frontier = list(members)
+        while frontier:
+            nxt = []
+            for a in frontier:
+                row = G.mul[a]
+                for b in gens:
+                    c = row[b]
                     if c not in members:
                         members.add(c)
                         nxt.append(c)
-        frontier = nxt
+            frontier = nxt
     return members
 
 
@@ -830,9 +839,9 @@ def normal_subgroups(G):
         nxt = []
         for N in frontier:
             for A in atoms:
-                if set(A.members) <= set(N.members):
+                if A._member_set <= N._member_set:
                     continue
-                J = subgroup_closure(G, set(N.members) | set(A.members))
+                J = subgroup_closure(G, N.members + A.members)
                 if J.members not in found:
                     found[J.members] = J
                     nxt.append(J)

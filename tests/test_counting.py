@@ -1,11 +1,16 @@
 import io
+import itertools
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from wordcount import counting, groups, words
+from wordcount.cli import main
 from wordcount.counting import DomainSpec
-from wordcount.errors import BudgetExceeded, MismatchedGroup
+from wordcount.errors import BudgetExceeded, MismatchedGroup, WordcountError
 
 
 def test_s3_commutator_counts():
@@ -76,3 +81,137 @@ def test_csv_export():
                         "probability_numerator,probability_denominator")
     assert len(lines) == 4
     assert lines[1].endswith(",1,18,1,2")
+
+
+# ---------------------------------------------------------------------------
+# enumeration against a per-assignment reference
+
+
+def reference_counts(G, word, member_lists):
+    """Evaluate the word letter by letter at every assignment."""
+    counts = [0] * G.order
+    for x in itertools.product(*member_lists):
+        counts[words.evaluate(word, G, x)] += 1
+    return counts
+
+
+GROUPS = {
+    "S3": groups.builtin("symmetric", 3),
+    "D8": groups.builtin("dihedral", 8),
+    "Q8": groups.builtin("quaternion", 8),
+    "S4": groups.builtin("symmetric", 4),
+    "AGL(1,5)": groups.builtin("agl1", 5),
+    "trivial": groups.builtin("cyclic", 1),
+}
+DOMAINS = {
+    "whole": lambda G: None,
+    "derived": groups.commutator_subgroup,
+    "center": groups.center,
+}
+
+# Large exponents go on single variables only: a bracket or a parenthesized
+# word raised to e is expanded into |e| copies.
+small_exp = st.sampled_from([-3, -2, -1, 1, 2, 3])
+large_exp = st.one_of(small_exp, st.integers(-words.MAX_EXPONENT,
+                                             words.MAX_EXPONENT))
+variable = st.builds(lambda v, e: f"x{v}^{e}", st.integers(1, 3), large_exp)
+term = st.recursive(variable, lambda inner: st.one_of(
+    st.builds(lambda u, v: f"[{u},{v}]", inner, inner),
+    st.builds(lambda u, e: f"({u})^{e}", inner, small_exp),
+    st.lists(inner, min_size=2, max_size=3).map(" ".join),
+), max_leaves=6)
+word_text = st.lists(term, min_size=1, max_size=3).map(" ".join)
+
+
+def parse_relabelled(text):
+    """Parse `text` after renaming its variables to x1..xk in order of
+    first use; None if the word reduces away or loses a variable."""
+    names = {}
+    text = re.sub(r"x(\d+)", lambda m: "x%d" % names.setdefault(
+        m.group(1), len(names) + 1), text)
+    try:
+        return words.parse(text)
+    except WordcountError:
+        return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=word_text, group=st.sampled_from(sorted(GROUPS)),
+       kinds=st.lists(st.sampled_from(sorted(DOMAINS)), min_size=3,
+                      max_size=3))
+def test_enumeration_matches_reference(text, group, kinds):
+    word = parse_relabelled(text)
+    assume(word is not None)
+    G = GROUPS[group]
+    spec = DomainSpec(tuple(DOMAINS[k](G) for k in kinds[:word.arity]))
+    member_lists = spec.member_lists(G)
+    assume(len(list(itertools.product(*member_lists))) <= 3000)
+    assert counting.zeta_element_counts(G, word, spec) == \
+        reference_counts(G, word, member_lists)
+
+
+@pytest.mark.parametrize("group", ["S3", "D8", "Q8"])
+@pytest.mark.parametrize("kinds", [("whole", "whole"), ("whole", "center"),
+                                   ("derived", "whole")])
+@pytest.mark.parametrize("text", [
+    "x1 x2^-1 x1^3",                        # innermost x2 once
+    "x1^2 x2 x1^-1 x2^-2 x1",               # twice
+    "x1 x2 x1^2 x2^-1 x1^-2 x2^3 x1",       # three times
+])
+def test_innermost_shapes_match_reference(group, kinds, text):
+    G = GROUPS[group]
+    word = words.parse(text)
+    spec = DomainSpec(tuple(DOMAINS[k](G) for k in kinds))
+    assert counting.zeta_element_counts(G, word, spec) == \
+        reference_counts(G, word, spec.member_lists(G))
+
+
+@pytest.mark.parametrize("group", sorted(GROUPS))
+@pytest.mark.parametrize("text", ["x1", "x1^-1", "x1^2 x1^-5",
+                                  "x1^2147483647", "(x1^3 x1^-1)^-4"])
+def test_arity_one_matches_reference(group, text):
+    G = GROUPS[group]
+    word = words.parse(text)
+    assert counting.zeta_element_counts(G, word) == \
+        reference_counts(G, word, [range(G.order)])
+
+
+@pytest.mark.parametrize("text",
+                         ["[x1,x2]", "x1^5 x2^-3 x3 x2", "[[x1,x2],x3]^2"])
+def test_trivial_group(text):
+    word = words.parse(text)
+    assert counting.zeta_element_counts(GROUPS["trivial"], word) == [1]
+
+
+def test_checks_run_before_enumeration(monkeypatch):
+    def enumerate_anyway(*args):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(counting, "_count_assignments", enumerate_anyway)
+    S4 = GROUPS["S4"]
+    with pytest.raises(BudgetExceeded):
+        counting.zeta_element_counts(S4, words.wn(3), budget=1000)
+    other = groups.center(groups.builtin("cyclic", 4))
+    with pytest.raises(MismatchedGroup):
+        counting.zeta_element_counts(S4, words.wn(2),
+                                     DomainSpec((other, None)))
+    with pytest.raises(MismatchedGroup):
+        counting.zeta_element_counts(S4, words.wn(2), DomainSpec((None,)))
+
+
+def test_domain_of_equal_group_built_twice():
+    S3 = groups.builtin("symmetric", 3)
+    S3_again = groups.builtin("symmetric", 3)
+    spec = DomainSpec((groups.commutator_subgroup(S3_again), None))
+    assert counting.zeta_element_counts(S3, words.wn(2), spec) == \
+        [12, 0, 0, 3, 3, 0]
+
+
+def test_many_variables_do_not_recurse(capsys):
+    text = " ".join(f"x{i}" for i in range(1, 1501))
+    C1 = GROUPS["trivial"]
+    assert counting.zeta_element_counts(C1, words.parse(text)) == [1]
+    code = main(["count", "--group", "builtin:cyclic(1)", "--word", text])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[1].split("\t") == \
+        ["0", "1", "1"]

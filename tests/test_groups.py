@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wordcount import groups
 from wordcount.errors import (NotAGroup, OrderLimitExceeded, UnknownFamily,
@@ -131,6 +133,45 @@ def test_normal_subgroups():
     Q8 = groups.builtin("quaternion", 8)
     orders = sorted(N.order for N in groups.normal_subgroups(Q8))
     assert orders == [1, 2, 4, 4, 4, 8]
+
+
+CLOSURE_GROUPS = [groups.builtin("symmetric", 4),
+                  groups.builtin("agl1", 5),
+                  groups.builtin("quaternion", 8),
+                  groups.builtin("elementary_abelian", 2, 3)]
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data(), G=st.sampled_from(CLOSURE_GROUPS))
+def test_subgroup_closure_axioms(data, G):
+    seed = data.draw(st.lists(st.integers(0, G.order - 1), max_size=3))
+    H = groups.subgroup_closure(G, seed)
+    members = set(H.members)
+    assert H.members == tuple(sorted(members))
+    assert 0 in members and members >= set(seed)
+    for a in members:
+        assert G.inv[a] in members
+        assert all(G.mul[a][b] in members for b in members)
+    # Smallest: every member is a product of seed elements.
+    products = {0}
+    while True:
+        grown = products | {G.mul[a][b] for a in products for b in seed}
+        if grown == products:
+            break
+        products = grown
+    assert products == members
+
+
+@pytest.mark.parametrize("spec, count", [
+    ("elementary_abelian(2,5)", 374),
+    ("direct_product(symmetric(4),quaternion(8))", 31),
+    ("agl1(27)", 5),
+])
+def test_normal_subgroup_counts(spec, count):
+    G = groups.parse_builtin_spec(spec)
+    normals = groups.normal_subgroups(G)
+    assert len(normals) == count
+    assert all(N.is_normal() for N in normals)
 
 
 def test_subgroup_materialize():
