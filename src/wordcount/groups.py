@@ -2,10 +2,15 @@
 
 Everything downstream works with element indices into a Cayley table whose
 identity sits at index 0.  Subgroups are index sets over the parent's
-numbering.  Structure that depends on the group alone (classes, center,
-derived subgroup, central series, normal subgroups, the character table) is
-computed once per group object by `structure_memo` and shared by every
-caller, so callers must not mutate it.
+numbering.  A table built from a group law is composed from the rows of a
+small generating set: only those rows call the law, every other row is a
+composition of rows already built, which assumes only that the law is
+associative.  Structure that depends on the group alone (the generating
+set, classes, center, derived subgroup, central series, normal subgroups,
+the character table) is computed once per group object by `structure_memo`
+and shared by every caller, so callers must not mutate it.  Classes, the
+center, G', the central series and normality come from that generating set,
+not from all pairs of elements.
 """
 from __future__ import annotations
 
@@ -13,6 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import wraps
+from operator import itemgetter
 
 from .errors import (
     BadSubgroup,
@@ -26,6 +32,17 @@ from .errors import (
 )
 
 DEFAULT_ORDER_CAP = 20480
+
+
+def structure_memo(fn):
+    """Compute fn(G) once per group object, into G.structure."""
+    @wraps(fn)
+    def memo(G):
+        cache = G.structure
+        if fn not in cache:
+            cache[fn] = fn(G)
+        return cache[fn]
+    return memo
 
 
 @dataclass(frozen=True)
@@ -87,17 +104,12 @@ class GroupTable:
             return self.labels[a]
         return str(a)
 
+    @structure_memo
     def generating_set(self):
-        """A small (greedy) generating set."""
-        gens = []
-        reached = {0}
-        for a in range(self.order):
-            if a not in reached:
-                gens.append(a)
-                reached = _closure_indices(self, gens)
-                if len(reached) == self.order:
-                    break
-        return gens
+        """A greedy generating set: each element, in index order, that the
+        ones before it do not generate.  Each one at least doubles the
+        subgroup generated, so there are at most log2(order) of them."""
+        return tuple(_closure_indices(self, range(self.order))[1])
 
     def canonical_key(self):
         """Hashable fingerprint of the multiplication table."""
@@ -130,12 +142,10 @@ class Subgroup:
         return hash((id(self.parent), self.members))
 
     def is_normal(self):
+        """H^s = H for every s in a generating set of G implies H^g = H."""
         G = self.parent
-        for h in self.members:
-            for g in range(G.order):
-                if G.conjugate(h, g) not in self._member_set:
-                    return False
-        return True
+        return all(G.conjugate(h, s) in self._member_set
+                   for s in G.generating_set() for h in self.members)
 
     def materialize(self):
         """Standalone GroupTable on this subgroup plus index maps.
@@ -174,11 +184,12 @@ class ConjugacyData:
 
 def _closure_indices(G, seed):
     """Closure of a set of indices under multiplication (finite group, so
-    inverses come for free).
+    inverses come for free), and the seed elements that generate it.
 
     A breadth-first search from the identity that multiplies on the right by
     generators only: the seed elements not already reached, taken in turn.
     Each new generator restarts the search from everything reached so far.
+    Returns (members, generators).
     """
     members = {0}
     gens = []
@@ -197,12 +208,12 @@ def _closure_indices(G, seed):
                         members.add(c)
                         nxt.append(c)
             frontier = nxt
-    return members
+    return members, gens
 
 
 def subgroup_closure(G, seed):
     """Smallest subgroup of G containing `seed`."""
-    return Subgroup(G, tuple(sorted(_closure_indices(G, seed))))
+    return Subgroup(G, tuple(sorted(_closure_indices(G, seed)[0])))
 
 
 def trivial_subgroup(G):
@@ -257,50 +268,48 @@ def from_cayley_table(table, labels=None):
             labels = [labels[p] for p in perm]
 
     mul = tuple(tuple(row) for row in table)
-    G = GroupTable(n, mul, _inverses(mul, n), tuple(labels) if labels else None)
+    G = GroupTable(n, mul, _inverses(mul), tuple(labels) if labels else None)
     _check_associativity(G)
     return G
 
 
-def _inverses(mul, n):
-    inv = [None] * n
-    for a in range(n):
-        for b in range(n):
-            if mul[a][b] == 0:
-                inv[a] = b
-                break
-        if inv[a] is None or mul[inv[a]][a] != 0:
+def _inverses(mul):
+    inv = []
+    for a, row in enumerate(mul):
+        try:
+            b = row.index(0)
+        except ValueError:
+            b = None
+        if b is None or mul[b][a] != 0:
             raise NotAGroup(f"element {a} has no two-sided inverse")
+        inv.append(b)
     return tuple(inv)
 
 
 def _check_associativity(G):
-    n = G.order
+    """Light's test over the generating set.
+
+    The elements g with (x*g)*y = x*(g*y) for all x, y are closed under
+    products, and every element is a product of generators, so checking the
+    generators checks the whole table.  For one g the test is a row
+    identity: row(x*g) = row(x) composed with row(g).
+    """
     mul = G.mul
-    if n <= 512:
-        for a in range(n):
-            ra = mul[a]
-            for b in range(n):
-                ab = ra[b]
-                rb = mul[b]
-                rab = mul[ab]
-                for c in range(n):
-                    if rab[c] != ra[rb[c]]:
-                        raise NotAGroup(
-                            f"associativity fails at ({a},{b},{c}): "
-                            f"({a}*{b})*{c} != {a}*({b}*{c})")
-    else:
-        # Light's test: checking against a generating set suffices.
-        gens = G.generating_set()
-        for g in gens:
-            rg = mul[g]
-            for a in range(n):
-                ag = mul[a][g]
-                ra, rag = mul[a], mul[ag]
-                for c in range(n):
-                    if rag[c] != ra[rg[c]]:
-                        raise NotAGroup(
-                            f"associativity fails at ({a},{g},{c})")
+    for g in G.generating_set():
+        rg = mul[g]
+        times_g = itemgetter(*rg)  # row(x) -> row(x) o row(g)
+        for a, ra in enumerate(mul):
+            rag = mul[ra[g]]
+            if rag != times_g(ra):
+                c = next(c for c, d in enumerate(rg) if rag[c] != ra[d])
+                raise NotAGroup(
+                    f"associativity fails at ({a},{g},{c}): "
+                    f"({a}*{g})*{c} != {a}*({g}*{c})")
+
+
+def _compose(p, q):
+    """Permutation product: (p*q)(i) = p(q(i))."""
+    return tuple(map(p.__getitem__, q))
 
 
 def from_permutation_generators(degree, gens, order_cap=DEFAULT_ORDER_CAP):
@@ -324,7 +333,7 @@ def from_permutation_generators(degree, gens, order_cap=DEFAULT_ORDER_CAP):
         nxt = []
         for p in frontier:
             for g in checked:
-                q = tuple(p[g[i]] for i in range(degree))
+                q = _compose(p, g)
                 if q not in index:
                     if len(elements) >= order_cap:
                         raise OrderLimitExceeded(
@@ -333,33 +342,70 @@ def from_permutation_generators(degree, gens, order_cap=DEFAULT_ORDER_CAP):
                     elements.append(q)
                     nxt.append(q)
         frontier = nxt
-
-    n = len(elements)
-    mul = tuple(
-        tuple(index[tuple(p[q[i]] for i in range(degree))] for q in elements)
-        for p in elements
-    )
-    labels = tuple(str(p) for p in elements)
-    return GroupTable(n, mul, _inverses(mul, n), labels)
+    return _table_from_elements(elements, _compose)
 
 
 def _table_from_elements(elements, combine, label=str):
-    """Cayley table over an explicit element list (identity must be first)."""
+    """Cayley table over an explicit element list (identity must be first).
+
+    `combine` is called only for the rows of the generating set picked
+    greedily (each element, in list order, not yet reached), |G| calls per
+    row and at most log2|G| rows.  Every other row is composed from rows
+    already built, row(a*s) = row(a) o row(s), which assumes only that
+    `combine` is associative.  Entries are references to the index ints, so
+    a table costs no int objects beyond its n indices.
+    """
     index = {e: i for i, e in enumerate(elements)}
     n = len(elements)
-    mul = tuple(
-        tuple(index[combine(a, b)] for b in elements) for a in elements
-    )
-    return GroupTable(n, mul, _inverses(mul, n), tuple(label(e) for e in elements))
+    rows = [None] * n
+    rows[0] = tuple(index.values())
+    reached = [0]
+    gens = []  # (generator, row(a) -> row(a * generator))
+    for g in range(n):
+        if rows[g] is not None:
+            continue
+        x = elements[g]
+        rows[g] = tuple([index[combine(x, y)] for y in elements])
+        gens.append((g, itemgetter(*rows[g])))
+        reached.append(g)
+        frontier = reached[:]
+        while frontier:
+            nxt = []
+            for a in frontier:
+                row = rows[a]
+                for s, times_s in gens:
+                    c = row[s]
+                    if rows[c] is None:
+                        rows[c] = times_s(row)
+                        nxt.append(c)
+            reached += nxt
+            frontier = nxt
+    mul = tuple(rows)
+    return GroupTable(n, mul, _inverses(mul), tuple(map(label, elements)))
 
 
 # ---------------------------------------------------------------------------
 # builtin families
 
 
+def _refuse_oversize(base, exp=1):
+    """Refuse a group of order base**exp above DEFAULT_ORDER_CAP before
+    anything is built, and before a primality test of a huge parameter.
+
+    The exponent is clipped at the cap's bit length, where base >= 2 is
+    already over the cap.  `symmetric` and `agl1` need no check: their
+    parameter limits keep them at 720 and 992 elements.
+    """
+    cap = DEFAULT_ORDER_CAP
+    if base > 1 and base ** min(exp, cap.bit_length()) > cap:
+        order = f"{base}^{exp}" if exp > 1 else str(base)
+        raise OrderLimitExceeded(f"order {order} exceeds order cap {cap}")
+
+
 def _cyclic(n):
     if n < 1:
         raise UnsupportedParameter("cyclic order must be >= 1")
+    _refuse_oversize(n)
     return _table_from_elements(list(range(n)), lambda a, b: (a + b) % n)
 
 
@@ -367,6 +413,7 @@ def _dihedral(order):
     # parameter is the group order: rotations r^i and reflections r^i s
     if order < 4 or order % 2:
         raise UnsupportedParameter("dihedral order must be even and >= 4")
+    _refuse_oversize(order)
     m = order // 2
     elements = [(i, s) for s in (0, 1) for i in range(m)]
 
@@ -384,6 +431,7 @@ def _quaternion(order):
     # generalized quaternion: a of order m = order/2, b^2 = a^(m/2), a^b = a^-1
     if order < 8 or order & (order - 1):
         raise UnsupportedParameter("quaternion order must be a power of 2, >= 8")
+    _refuse_oversize(order)
     m = order // 2
     elements = [(i, s) for s in (0, 1) for i in range(m)]
 
@@ -410,6 +458,7 @@ def _symmetric(n):
 
 
 def _elementary_abelian(p, k):
+    _refuse_oversize(p, k)
     if not _is_prime(p) or k < 1:
         raise UnsupportedParameter("need a prime p and k >= 1")
     elements = list(itertools.product(range(p), repeat=k))
@@ -421,6 +470,7 @@ def _elementary_abelian(p, k):
 
 
 def _heisenberg(p):
+    _refuse_oversize(p, 3)
     if not _is_prime(p):
         raise UnsupportedParameter("heisenberg parameter must be prime")
     elements = list(itertools.product(range(p), repeat=3))
@@ -442,6 +492,7 @@ def _extraspecial_plus(p):
 def _extraspecial_minus(p):
     if p == 2:
         return _quaternion(8)
+    _refuse_oversize(p, 3)
     if not _is_prime(p):
         raise UnsupportedParameter("extraspecial parameter must be prime")
     # exponent p^2 group of order p^3: a of order p^2, b of order p, a^b = a^(1+p)
@@ -568,6 +619,7 @@ def _agl1(q):
 
 
 def direct_product(A, B):
+    _refuse_oversize(A.order * B.order)
     elements = [(a, b) for a in range(A.order) for b in range(B.order)]
 
     def combine(x, y):
@@ -650,20 +702,14 @@ def _parse_spec(text, i):
 # structure
 
 
-def structure_memo(fn):
-    """Compute fn(G) once per group object, into G.structure."""
-    @wraps(fn)
-    def memo(G):
-        cache = G.structure
-        if fn not in cache:
-            cache[fn] = fn(G)
-        return cache[fn]
-    return memo
-
-
 @structure_memo
 def conjugacy_classes(G):
+    """Orbits of conjugation by the generating set, which are the classes."""
     n = G.order
+    mul = G.mul
+    # conj[i][x] = s^-1 x s for the i-th generator s
+    conj = [tuple(mul[y][s] for y in mul[G.inv[s]])
+            for s in G.generating_set()]
     class_of = [-1] * n
     classes = []
     for a in range(n):
@@ -673,8 +719,8 @@ def conjugacy_classes(G):
         frontier = [a]
         while frontier:
             x = frontier.pop()
-            for g in range(n):
-                y = G.conjugate(x, g)
+            for c in conj:
+                y = c[x]
                 if y not in orbit:
                     orbit.add(y)
                     frontier.append(y)
@@ -694,24 +740,53 @@ def conjugacy_classes(G):
 
 @structure_memo
 def center(G):
+    """The elements that commute with every generator."""
+    gens = G.generating_set()
     members = [a for a in range(G.order)
-               if all(G.mul[a][b] == G.mul[b][a] for b in range(G.order))]
+               if all(G.mul[a][s] == G.mul[s][a] for s in gens)]
     return Subgroup(G, tuple(members))
 
 
 def centralizer_of_subgroup_mod(G, lower):
     """Elements g with [g, x] in `lower` for every x (preimage of the center
-    of G / lower).  `lower` must be normal."""
-    lset = frozenset(lower.members)
+    of G / lower).  `lower` must be normal: then [g, xy] = [g, y][g, x]^y,
+    so the x with [g, x] in `lower` form a subgroup, and testing the
+    generators is enough."""
+    lset = lower._member_set
+    gens = G.generating_set()
     members = [g for g in range(G.order)
-               if all(G.commutator(g, x) in lset for x in range(G.order))]
+               if all(G.commutator(g, s) in lset for s in gens)]
     return Subgroup(G, tuple(members))
 
 
+def _normal_closure(G, seed):
+    """Members of the smallest normal subgroup containing `seed`.
+
+    A subgroup is normal once its generators' conjugates by the generating
+    set of G lie in it, so conjugates outside it join the generators until
+    none is left.
+    """
+    gens_G = G.generating_set()
+    members, gens = _closure_indices(G, seed)
+    while True:
+        new = [y for x in gens for s in gens_G
+               if (y := G.conjugate(x, s)) not in members]
+        if not new:
+            return members
+        members, gens = _closure_indices(G, gens + new)
+
+
 def commutator_of(G, A, B):
-    """Subgroup generated by [a, b] for a in A, b in B."""
-    seed = {G.commutator(a, b) for a in A.members for b in B.members}
-    return subgroup_closure(G, seed)
+    """[A, B] for normal subgroups A and B of G.
+
+    It is the normal closure of the commutators of a generating set of A
+    with one of B: that closure lies in [A, B], which is normal, and
+    contains the closure in <A, B>, which is [A, B].
+    """
+    gens_B = _closure_indices(G, B.members)[1]
+    seed = [G.commutator(a, b)
+            for a in _closure_indices(G, A.members)[1] for b in gens_B]
+    return Subgroup(G, tuple(sorted(_normal_closure(G, seed))))
 
 
 @structure_memo
@@ -795,7 +870,7 @@ def quotient(G, N):
         for i in range(k)
     )
     labels = tuple(G.label(r) + "N" for r in reps)
-    Q = GroupTable(k, mul, _inverses(mul, k), labels)
+    Q = GroupTable(k, mul, _inverses(mul), labels)
     proj = tuple(rep_index[coset_rep[a]] for a in range(n))
     return Q, proj
 

@@ -1,0 +1,252 @@
+"""The generator-based table builder and structure functions against the
+per-entry and all-pairs definitions they replace, kept here as references."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wordcount import groups
+from wordcount.cli import main
+from wordcount.errors import NotAGroup, OrderLimitExceeded
+
+# ---------------------------------------------------------------------------
+# references: one combine call per Cayley entry, all pairs of elements
+
+
+def per_entry_table(elements, combine, label=str):
+    index = {e: i for i, e in enumerate(elements)}
+    mul = tuple(tuple(index[combine(a, b)] for b in elements)
+                for a in elements)
+    inv = tuple(row.index(0) for row in mul)
+    return groups.GroupTable(len(elements), mul, inv,
+                             tuple(label(e) for e in elements))
+
+
+def ref_classes(G):
+    classes = {frozenset(G.conjugate(a, g) for g in range(G.order))
+               for a in range(G.order)}
+    return sorted((sorted(c) for c in classes),
+                  key=lambda c: (0 not in c, len(c), c[0]))
+
+
+def ref_center(G):
+    return tuple(a for a in range(G.order)
+                 if all(G.mul[a][b] == G.mul[b][a] for b in range(G.order)))
+
+
+def ref_centralizer_mod(G, lower):
+    return tuple(g for g in range(G.order)
+                 if all(G.commutator(g, x) in lower for x in range(G.order)))
+
+
+def ref_commutator_of(G, A, B):
+    seed = {G.commutator(a, b) for a in A for b in B}
+    return groups.subgroup_closure(G, seed).members
+
+
+def ref_upper_series(G):
+    series = [(0,)]
+    while True:
+        nxt = ref_centralizer_mod(G, set(series[-1]))
+        if nxt == series[-1]:
+            return series
+        series.append(nxt)
+
+
+def ref_lower_series(G):
+    series = [tuple(range(G.order))]
+    while True:
+        nxt = ref_commutator_of(G, series[-1], range(G.order))
+        if nxt == series[-1]:
+            return series
+        series.append(nxt)
+
+
+def ref_is_normal(H):
+    G = H.parent
+    return all(G.conjugate(h, g) in H
+               for h in H.members for g in range(G.order))
+
+
+def build_by_reference(monkeypatch, build):
+    with monkeypatch.context() as m:
+        m.setattr(groups, "_table_from_elements", per_entry_table)
+        return build()
+
+
+def check_structure(G):
+    classes = groups.conjugacy_classes(G)
+    by_class = [[] for _ in range(classes.num_classes)]
+    for a, c in enumerate(classes.class_of):
+        by_class[c].append(a)
+    assert by_class == ref_classes(G)
+    assert groups.center(G).members == ref_center(G)
+    lower = ref_lower_series(G)
+    assert [s.members for s in groups.lower_central_series(G)] == lower
+    derived = lower[1] if len(lower) > 1 else lower[0]
+    assert groups.commutator_subgroup(G).members == derived
+    assert [s.members for s in groups.upper_central_series(G)] == \
+        ref_upper_series(G)
+    normals = groups.normal_subgroups(G)
+    for L in normals[:-1]:  # G itself is normals[-1], trivially all of G
+        assert groups.centralizer_of_subgroup_mod(G, L).members == \
+            ref_centralizer_mod(G, L)
+    # normal and non-normal subgroups: cyclic ones and joins of two, on a
+    # sample of about a dozen elements
+    sample = range(0, G.order, max(1, G.order // 12))
+    subgroups = {groups.subgroup_closure(G, [a, b])
+                 for a in sample for b in sample}
+    for H in subgroups | set(normals[:-1]):
+        if H.order < G.order:
+            assert H.is_normal() == ref_is_normal(H)
+
+
+SMALL_BUILTINS = [
+    "cyclic(1)", "cyclic(6)", "dihedral(4)", "dihedral(12)",
+    "quaternion(8)", "quaternion(16)", "symmetric(1)", "symmetric(3)",
+    "symmetric(4)", "elementary_abelian(2,3)", "elementary_abelian(3,2)",
+    "heisenberg(3)", "extraspecial_plus(2)", "extraspecial_plus(3)",
+    "extraspecial_minus(2)", "extraspecial_minus(3)", "agl1(2)", "agl1(5)",
+    "agl1(8)", "agl1(9)", "agl1(16)",
+    "direct_product(symmetric(3),cyclic(4))",
+    "direct_product(quaternion(8),elementary_abelian(2,2))",
+    "direct_product(agl1(4),dihedral(6))",
+]
+
+
+@pytest.mark.parametrize("spec", SMALL_BUILTINS)
+def test_builtins_match_references(spec, monkeypatch):
+    G = groups.parse_builtin_spec(spec)
+    R = build_by_reference(monkeypatch,
+                           lambda: groups.parse_builtin_spec(spec))
+    assert (G.mul, G.inv, G.labels) == (R.mul, R.inv, R.labels)
+    check_structure(G)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), degree=st.integers(1, 6))
+def test_permutation_groups_match_references(data, degree):
+    gens = data.draw(st.lists(st.permutations(range(degree)),
+                              min_size=1, max_size=3))
+    G = groups.from_permutation_generators(degree, gens)
+    with pytest.MonkeyPatch.context() as m:
+        R = build_by_reference(
+            m, lambda: groups.from_permutation_generators(degree, gens))
+    assert (G.mul, G.inv, G.labels) == (R.mul, R.inv, R.labels)
+    check_structure(G)
+
+
+def test_transposition_is_not_normal_in_s3():
+    S3 = groups.builtin("symmetric", 3)
+    H = groups.subgroup_closure(S3, [S3.labels.index("(1, 0, 2)")])
+    assert H.order == 2
+    assert not H.is_normal() and not ref_is_normal(H)
+    assert groups.commutator_subgroup(S3).is_normal()
+
+
+def test_agl1_27_build_calls_combine_at_most_n_log_n_times(monkeypatch):
+    calls = 0
+    build = groups._table_from_elements
+
+    def counting_build(elements, combine, label=str):
+        def counted(a, b):
+            nonlocal calls
+            calls += 1
+            return combine(a, b)
+        return build(elements, counted, label)
+
+    monkeypatch.setattr(groups, "_table_from_elements", counting_build)
+    G = groups.builtin("agl1", 27)
+    assert G.order == 702
+    assert 0 < calls <= G.order * (G.order - 1).bit_length()
+
+
+# ---------------------------------------------------------------------------
+# oversize builtins are refused before anything is built
+
+
+def _refuse_to_build(*args, **kwargs):
+    raise AssertionError("an oversize group reached the table builder")
+
+
+@pytest.mark.parametrize("family, params", [
+    ("cyclic", (20481,)), ("dihedral", (20482,)), ("quaternion", (32768,)),
+    ("elementary_abelian", (2, 15)), ("elementary_abelian", (3, 10**9)),
+    ("heisenberg", (29,)), ("extraspecial_plus", (29,)),
+    ("extraspecial_minus", (29,)), ("heisenberg", (10**30 + 57,)),
+])
+def test_oversize_builtins_are_refused_up_front(family, params, monkeypatch):
+    monkeypatch.setattr(groups, "_table_from_elements", _refuse_to_build)
+    with pytest.raises(OrderLimitExceeded):
+        groups.builtin(family, *params)
+
+
+def test_oversize_direct_product_is_refused_up_front(monkeypatch):
+    C200 = groups.builtin("cyclic", 200)
+    monkeypatch.setattr(groups, "_table_from_elements", _refuse_to_build)
+    with pytest.raises(OrderLimitExceeded):
+        groups.direct_product(C200, C200)
+    with pytest.raises(OrderLimitExceeded):
+        groups.builtin("direct_product", C200, C200)
+
+
+def test_cap_itself_is_allowed(monkeypatch):
+    monkeypatch.setattr(groups, "_table_from_elements", _refuse_to_build)
+    with pytest.raises(AssertionError, match="reached the table builder"):
+        groups.builtin("cyclic", groups.DEFAULT_ORDER_CAP)
+
+
+def test_cli_refuses_oversize_builtin(monkeypatch, capsys):
+    monkeypatch.setattr(groups, "_table_from_elements", _refuse_to_build)
+    assert main(["info", "--group", "builtin:cyclic(100000)"]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: OrderLimitExceeded: "
+                   "order 100000 exceeds order cap 20480\n")
+
+
+# ---------------------------------------------------------------------------
+# associativity
+
+
+def octonion_unit_table():
+    """The 16 octonion units as the Cayley-Dickson double of Q8:
+    (a, b)(c, d) = (ac - d*b, da + bc*), with q* = q^-1 for a unit q."""
+    Q8 = groups.builtin("quaternion", 8)
+    minus = next(z for z in groups.center(Q8).members if z)
+    mul, inv = Q8.mul, Q8.inv
+    elements = [(q, 0) for q in range(8)] + [(q, 1) for q in range(8)]
+
+    def times(x, y):
+        (a, s), (c, t) = x, y
+        if not s and not t:
+            return (mul[a][c], 0)
+        if not s:
+            return (mul[c][a], 1)                 # (a,0)(0,d) = (0, da)
+        if not t:
+            return (mul[a][inv[c]], 1)            # (0,b)(c,0) = (0, bc*)
+        return (mul[minus][mul[inv[c]][a]], 0)    # (0,b)(0,d) = (-d*b, 0)
+
+    index = {e: i for i, e in enumerate(elements)}
+    return [[index[times(x, y)] for y in elements] for x in elements]
+
+
+def test_octonion_units_are_rejected():
+    O = octonion_unit_table()
+    # O x C2, numbered so that the first generator, (1, c) with c central,
+    # associates with everything: only a later generator shows the failure
+    pairs = [(x, c) for x in range(16) for c in range(2)]
+    index = {p: i for i, p in enumerate(pairs)}
+    OxC2 = [[index[(O[x][y], c ^ d)] for y, d in pairs] for x, c in pairs]
+    for table in (O, OxC2):
+        n = len(table)
+        assert all(sorted(row) == list(range(n)) for row in table)
+        assert all(sorted(col) == list(range(n)) for col in zip(*table))
+        with pytest.raises(NotAGroup, match="associativity fails"):
+            groups.from_cayley_table(table)
+
+
+def test_light_test_accepts_groups_of_every_size():
+    for spec in ("symmetric(4)", "agl1(16)", "dihedral(600)"):
+        G = groups.parse_builtin_spec(spec)
+        H = groups.from_cayley_table([list(row) for row in G.mul])
+        assert H.mul == G.mul and H.inv == G.inv

@@ -5,7 +5,8 @@ from wordcount import chartab, counting, groups, words
 from wordcount.cli import main
 
 # (module, name) of every function memoized on the group object
-STRUCTURE = [(groups, "conjugacy_classes"), (groups, "center"),
+STRUCTURE = [(groups.GroupTable, "generating_set"),
+             (groups, "conjugacy_classes"), (groups, "center"),
              (groups, "commutator_subgroup"),
              (groups, "upper_central_series"),
              (groups, "lower_central_series"), (groups, "nilpotency_class"),
@@ -14,6 +15,7 @@ STRUCTURE = [(groups, "conjugacy_classes"), (groups, "center"),
 
 def test_structure_is_shared():
     G = groups.builtin("agl1", 5)
+    assert G.generating_set() is G.generating_set()
     assert groups.conjugacy_classes(G) is groups.conjugacy_classes(G)
     assert chartab.character_table(G) is chartab.character_table(G)
     for fn in (groups.upper_central_series, groups.lower_central_series,
