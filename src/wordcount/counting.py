@@ -18,7 +18,6 @@ from fractions import Fraction
 from . import groups
 from .chartab import ClassFunction
 from .errors import BudgetExceeded, InternalInconsistency, MismatchedGroup
-from .groups import GroupTable, Subgroup
 
 DEFAULT_BUDGET = 2**30
 
@@ -39,10 +38,7 @@ class DomainSpec:
             if d is None:
                 out.append(range(G.order))
             else:
-                if d.parent is not G and \
-                        d.parent.canonical_key() != G.canonical_key():
-                    raise MismatchedGroup(
-                        "domain subgroup belongs to a different group")
+                groups.require_subgroup_of(G, d)
                 out.append(d.members)
         return out
 

@@ -13,7 +13,8 @@ import os
 from pathlib import Path
 
 from . import chartab, groups
-from .errors import InternalInconsistency, NonIntegral, ParseError
+from .errors import (InternalInconsistency, NonIntegral, OrderLimitExceeded,
+                     ParseError)
 
 CACHE_ENV = "WORDCOUNT_CACHE"
 DEFAULT_CACHE_DIR = ".wordcount-cache"
@@ -38,6 +39,9 @@ def parse_group(text):
         if len(fields) != 2 or not fields[1].isdigit():
             raise ParseError("expected 'cayley <n>'", lineno)
         n = int(fields[1])
+        cap = groups.DEFAULT_ORDER_CAP
+        if n > cap:
+            raise OrderLimitExceeded(f"order {n} exceeds order cap {cap}")
         rows = _int_rows(lines[1:], n, n, "cayley row")
         if len(lines) > 1 + n:
             raise ParseError("trailing input", lines[1 + n][0])
@@ -95,7 +99,7 @@ def cached_character_table(G):
     A cache file that cannot be read, parsed or verified counts as a miss:
     the table is recomputed and the file rewritten.
     """
-    key = hashlib.sha256(repr(G.canonical_key()).encode()).hexdigest()
+    key = hashlib.sha256(repr((G.order, G.mul)).encode()).hexdigest()
     path = cache_dir() / f"{key}.chartab"
     if path.is_file():
         try:

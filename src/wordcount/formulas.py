@@ -145,9 +145,7 @@ def zeta_mixed_theorem21(G, H, w1, w2, table=None):
     Returns a per-element integer list over G.  Requires H normal and w2
     measure preserving with respect to G.
     """
-    if not isinstance(H, groups.Subgroup) or \
-            H.parent.canonical_key() != G.canonical_key():
-        raise NotNormal("subgroup belongs to a different group")
+    groups.require_subgroup_of(G, H)
     if not H.is_normal():
         raise NotNormal("H must be normal in G")
     if not counting.is_measure_preserving(G, w2):
@@ -157,16 +155,16 @@ def zeta_mixed_theorem21(G, H, w1, w2, table=None):
         table = chartab.character_table(G)
 
     m = w1.arity + w2.arity
-    Htab, _, to_parent = H.materialize()
-    zeta1 = counting.zeta_element_counts(Htab, w1)
+    zeta1 = counting.zeta_element_counts(
+        G, w1, counting.DomainSpec((H,) * w1.arity))
     cls = table.classes.class_of
     e = table.exponent
     k = table.classes.num_classes
 
     # zeta1 summed over each G-class meeting H
     weights = [0] * k
-    for hsub, count in enumerate(zeta1):
-        weights[cls[to_parent[hsub]]] += count
+    for g in H.members:
+        weights[cls[g]] += zeta1[g]
     # coefficient of chi: |G|^(m-n-1) / chi(1) * |H| <zeta1 chi, chi>_H, the
     # last factor carried as exact cyclotomic terms (it need not be rational)
     scale = G.order ** (m - w1.arity - 1)
@@ -467,8 +465,9 @@ def _unique_nonlinear_setup(G, table):
     return phi, pm
 
 
-def unique_nonlinear_recursion(G, table, n, verify=True):
-    """(C^{w_n}(phi), zeta^{w_n}) by the one-character recursion."""
+def unique_nonlinear_recursion(G, table, n):
+    """(C^{w_n}(phi), zeta^{w_n}) by the one-character recursion, checked
+    against the general recursion."""
     if n < 2:
         raise PredicateFailed("recursion starts at n = 2")
     phi, pm = _unique_nonlinear_setup(G, table)
@@ -483,7 +482,7 @@ def unique_nonlinear_recursion(G, table, n, verify=True):
     terms.append((Fraction(G.order * c, pm - 1), phi))
     values = _rational_row_sum(table, terms)
     zeta = _as_integer_class_function(G, table, values, n)
-    if verify and zeta != zeta_wn_char(G, table, n):
+    if zeta != zeta_wn_char(G, table, n):
         raise InternalInconsistency(
             "unique-nonlinear recursion disagrees with the general recursion")
     return c, zeta
@@ -529,6 +528,7 @@ def cd2_bound_check(G, table, N, n):
     normal, and every nonlinear character induced from N (verified through
     vanishing off N and <chi|N, chi|N>_N = m).
     """
+    groups.require_subgroup_of(G, N)
     if n < 3:
         raise PredicateFailed("the bound is stated for n >= 3")
     m = G.order // N.order
@@ -536,8 +536,7 @@ def cd2_bound_check(G, table, N, n):
         raise PredicateFailed(f"cd(G) != {{1, {m}}}")
     if not N.is_normal():
         raise PredicateFailed("N is not normal")
-    sub, _, _ = N.materialize()
-    if groups.center(sub).order != sub.order:
+    if any(G.mul[a][b] != G.mul[b][a] for a in N.members for b in N.members):
         raise PredicateFailed("N is not abelian")
     cls = table.classes.class_of
     for r in table.nonlinear_indices():

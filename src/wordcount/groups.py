@@ -2,15 +2,22 @@
 
 Everything downstream works with element indices into a Cayley table whose
 identity sits at index 0.  Subgroups are index sets over the parent's
-numbering.  A table built from a group law is composed from the rows of a
-small generating set: only those rows call the law, every other row is a
+numbering.  Two tables are the same group exactly when they have the same
+order and multiplication table; labels do not count.  `GroupTable.__eq__`
+and `__hash__` are the only place that decides it, so a subgroup or class
+function built over a separately built but equal table is accepted, and
+one over any other table raises `MismatchedGroup`.
+
+Every table built from a group law, quotients included, goes through
+`_table_from_elements`, which composes it from the rows of a small
+generating set: only those rows call the law, every other row is a
 composition of rows already built, which assumes only that the law is
 associative.  Structure that depends on the group alone (the generating
 set, classes, center, derived subgroup, central series, normal subgroups,
-the character table) is computed once per group object by `structure_memo`
-and shared by every caller, so callers must not mutate it.  Classes, the
-center, G', the central series and normality come from that generating set,
-not from all pairs of elements.
+the character table, the hash) is computed once per group object by
+`structure_memo` and shared by every caller, so callers must not mutate
+it.  Classes, the center, G', the central series and normality come from
+that generating set, not from all pairs of elements.
 """
 from __future__ import annotations
 
@@ -23,6 +30,7 @@ from operator import itemgetter
 from .errors import (
     BadSubgroup,
     InternalInconsistency,
+    MismatchedGroup,
     NotAGroup,
     NotAPermutation,
     NotNormal,
@@ -51,7 +59,9 @@ class GroupTable:
 
     Index 0 is always the identity.  `mul` and `inv` are tuples so instances
     are immutable.  `structure` holds the results of the `structure_memo`
-    functions for this object; it takes no part in equality or hashing.
+    functions for this object.  Equality is the group's identity: the same
+    order and multiplication table (`inv` follows from `mul`; `labels` and
+    `structure` take no part).
     """
 
     order: int
@@ -111,9 +121,16 @@ class GroupTable:
         subgroup generated, so there are at most log2(order) of them."""
         return tuple(_closure_indices(self, range(self.order))[1])
 
-    def canonical_key(self):
-        """Hashable fingerprint of the multiplication table."""
-        return (self.order, self.mul)
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, GroupTable):
+            return NotImplemented
+        return self.order == other.order and self.mul == other.mul
+
+    @structure_memo
+    def __hash__(self):
+        return hash((self.order, self.mul))
 
 
 @dataclass(frozen=True)
@@ -135,37 +152,17 @@ class Subgroup:
 
     def __eq__(self, other):
         return (isinstance(other, Subgroup)
-                and self.parent is other.parent
-                and self.members == other.members)
+                and self.members == other.members
+                and self.parent == other.parent)
 
     def __hash__(self):
-        return hash((id(self.parent), self.members))
+        return hash((self.parent, self.members))
 
     def is_normal(self):
         """H^s = H for every s in a generating set of G implies H^g = H."""
         G = self.parent
         return all(G.conjugate(h, s) in self._member_set
                    for s in G.generating_set() for h in self.members)
-
-    def materialize(self):
-        """Standalone GroupTable on this subgroup plus index maps.
-
-        Returns (table, to_sub, to_parent): to_sub maps parent index ->
-        subgroup index (members only), to_parent the reverse.
-        """
-        G = self.parent
-        to_parent = list(self.members)  # sorted, so identity 0 comes first
-        to_sub = {p: i for i, p in enumerate(to_parent)}
-        n = len(to_parent)
-        mul = tuple(
-            tuple(to_sub[G.mul[to_parent[i]][to_parent[j]]] for j in range(n))
-            for i in range(n)
-        )
-        inv = tuple(to_sub[G.inv[p]] for p in to_parent)
-        labels = None
-        if G.labels is not None:
-            labels = tuple(G.labels[p] for p in to_parent)
-        return GroupTable(n, mul, inv, labels), to_sub, to_parent
 
 
 @dataclass(frozen=True)
@@ -214,6 +211,12 @@ def _closure_indices(G, seed):
 def subgroup_closure(G, seed):
     """Smallest subgroup of G containing `seed`."""
     return Subgroup(G, tuple(sorted(_closure_indices(G, seed)[0])))
+
+
+def require_subgroup_of(G, H):
+    """Refuse H unless it is a subgroup of G, or of a table equal to G."""
+    if not isinstance(H, Subgroup) or H.parent != G:
+        raise MismatchedGroup("subgroup belongs to a different group")
 
 
 def trivial_subgroup(G):
@@ -312,11 +315,13 @@ def _compose(p, q):
     return tuple(map(p.__getitem__, q))
 
 
-def from_permutation_generators(degree, gens, order_cap=DEFAULT_ORDER_CAP):
+def from_permutation_generators(degree, gens):
     """Closure of permutation generators, as a GroupTable.
 
     Element 0 is the identity permutation; the rest appear in BFS order,
-    which makes the numbering deterministic.
+    which makes the numbering deterministic.  A closure that outgrows
+    DEFAULT_ORDER_CAP is refused as soon as it does, before any table is
+    built.
     """
     ident = tuple(range(degree))
     checked = []
@@ -335,9 +340,9 @@ def from_permutation_generators(degree, gens, order_cap=DEFAULT_ORDER_CAP):
             for g in checked:
                 q = _compose(p, g)
                 if q not in index:
-                    if len(elements) >= order_cap:
-                        raise OrderLimitExceeded(
-                            f"closure exceeds order cap {order_cap}")
+                    if len(elements) >= DEFAULT_ORDER_CAP:
+                        raise OrderLimitExceeded("closure exceeds order cap "
+                                                 f"{DEFAULT_ORDER_CAP}")
                     index[q] = len(elements)
                     elements.append(q)
                     nxt.append(q)
@@ -847,50 +852,48 @@ def gamma(G, i):
 
 
 def quotient(G, N):
-    """Quotient group on coset representatives plus the projection map."""
-    if not isinstance(N, Subgroup) or N.parent is not G:
-        raise NotNormal("subgroup belongs to a different group")
+    """Quotient group on coset representatives plus the projection map.
+
+    Each coset is represented by its least element, and Q numbers the
+    cosets by representative, so the identity coset comes first.
+    """
+    require_subgroup_of(G, N)
     if not N.is_normal():
         raise NotNormal("subgroup is not normal")
-    n = G.order
-    coset_rep = [None] * n
-    reps = []
-    for a in range(n):
+    coset_rep = [None] * G.order
+    for a in range(G.order):
         if coset_rep[a] is None:
-            coset = sorted(G.mul[a][h] for h in N.members)
-            rep = coset[0]
+            coset = [G.mul[a][h] for h in N.members]
+            rep = min(coset)
             for x in coset:
                 coset_rep[x] = rep
-            reps.append(rep)
-    reps.sort()  # identity coset has rep 0, stays first
+    reps = sorted(set(coset_rep))
+    Q = _table_from_elements(reps, lambda a, b: coset_rep[G.mul[a][b]],
+                             lambda r: G.label(r) + "N")
     rep_index = {r: i for i, r in enumerate(reps)}
-    k = len(reps)
-    mul = tuple(
-        tuple(rep_index[coset_rep[G.mul[reps[i]][reps[j]]]] for j in range(k))
-        for i in range(k)
-    )
-    labels = tuple(G.label(r) + "N" for r in reps)
-    Q = GroupTable(k, mul, _inverses(mul), labels)
-    proj = tuple(rep_index[coset_rep[a]] for a in range(n))
-    return Q, proj
+    return Q, tuple(rep_index[r] for r in coset_rep)
 
 
 def is_camina_pair(G, H):
-    """True iff gH is contained in the conjugacy class of g for all g not in H."""
-    if not isinstance(H, Subgroup) or H.parent is not G:
-        raise BadSubgroup("subgroup belongs to a different group")
+    """True iff gH is contained in the conjugacy class of g for all g not in H.
+
+    H is normal, so (gH)^x = g^x H and the condition holds for g exactly
+    when it holds for its conjugates: one representative per class outside
+    H is enough.
+    """
+    require_subgroup_of(G, H)
     if H.order <= 1 or H.order >= G.order:
         raise BadSubgroup("Camina pair needs 1 < H < G")
     if not H.is_normal():
         raise BadSubgroup("Camina pair needs H normal in G")
     classes = conjugacy_classes(G)
-    for g in range(G.order):
+    class_of = classes.class_of
+    for cg, g in enumerate(classes.reps):
         if g in H:
             continue
-        cg = classes.class_of[g]
-        for h in H.members:
-            if classes.class_of[G.mul[g][h]] != cg:
-                return False
+        row = G.mul[g]
+        if any(class_of[row[h]] != cg for h in H.members):
+            return False
     return True
 
 

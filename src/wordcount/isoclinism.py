@@ -154,7 +154,7 @@ def verify_witness(w):
     gammaG, gammaH = groups.gamma(G, n + 1), groups.gamma(H, n + 1)
     QG, projG = groups.quotient(G, ZG)
     QH, projH = groups.quotient(H, ZH)
-    if QG.mul != w.quotient_G.mul or QH.mul != w.quotient_H.mul:
+    if QG != w.quotient_G or QH != w.quotient_H:
         raise WitnessInvalid("witness quotients do not match the groups")
     phi, psi = w.phi, w.psi
     if sorted(phi) != list(range(QH.order)):

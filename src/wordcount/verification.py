@@ -56,7 +56,8 @@ def check_frobenius_sweep():
 
 
 def check_chartab_exactness():
-    """Both orthogonality relations and the degree identity, re-verified."""
+    """Row orthogonality (which implies column orthogonality for the square
+    table), the degree checks and the linear-character count, re-verified."""
     results = []
     for spec, G in catalog():
         def one(G=G):

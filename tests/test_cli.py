@@ -4,7 +4,7 @@ import pytest
 
 from wordcount import chartab, fileio, groups
 from wordcount.cli import main
-from wordcount.errors import ParseError
+from wordcount.errors import OrderLimitExceeded, ParseError
 
 
 def run(capsys, *argv):
@@ -127,6 +127,17 @@ def test_parse_errors_have_line_numbers(tmp_path):
     assert err.value.line == 3
     with pytest.raises(ParseError):
         fileio.parse_group("widget 3\n")
+
+
+def test_oversize_cayley_header_is_refused_before_any_row(tmp_path, capsys):
+    with pytest.raises(OrderLimitExceeded):
+        fileio.parse_group("cayley 20481\n")
+    path = tmp_path / "big.group"
+    path.write_text("cayley 20481\n0 1\n")
+    code, out, err = run(capsys, "info", "--group", f"file:{path}")
+    assert (code, out) == (1, "")
+    assert err == ("error: OrderLimitExceeded: "
+                   "order 20481 exceeds order cap 20480\n")
 
 
 def test_chartab_cache(tmp_path, monkeypatch, capsys):

@@ -197,6 +197,12 @@ def test_cd2_bound():
     assert report == [(2, Fraction(15), Fraction(24))]
     with pytest.raises(PredicateFailed):
         formulas.cd2_bound_check(S3, _table(S3), A3, 2)
+    # D8 x C2 has cd = {1, 2}, and D8 x 1 is normal of index 2 but not abelian
+    G = groups.parse_builtin_spec("direct_product(dihedral(8),cyclic(2))")
+    D8 = groups.subgroup_closure(G, range(0, 16, 2))
+    assert D8.order == 8 and set(_table(G).degrees) == {1, 2}
+    with pytest.raises(PredicateFailed, match="N is not abelian"):
+        formulas.cd2_bound_check(G, _table(G), D8, 3)
 
 
 def test_verify_camina_pair_structure():

@@ -1,0 +1,119 @@
+"""One rule for "same group": equal order and multiplication table.
+
+A subgroup or class function over a separately built but equal table is
+accepted everywhere; one over any other table raises MismatchedGroup.
+"""
+from fractions import Fraction
+
+import pytest
+
+from wordcount import chartab, counting, fileio, formulas, groups, words
+from wordcount.chartab import ClassFunction
+from wordcount.counting import DomainSpec
+from wordcount.errors import MismatchedGroup
+
+X = words.parse("x1")
+
+# every function that takes a subgroup of G, called on (G, H)
+TAKES_SUBGROUP = {
+    "quotient": lambda G, H: groups.quotient(G, H),
+    "is_camina_pair": lambda G, H: groups.is_camina_pair(G, H),
+    "irr_given": lambda G, H: chartab.irr_given(
+        G, H, chartab.character_table(G)),
+    "inner_product_on": lambda G, H: chartab.inner_product_on(
+        chartab.character_table(G), H, 2, 2),
+    "zeta_mixed_theorem21": lambda G, H: formulas.zeta_mixed_theorem21(
+        G, H, X, X),
+    "DomainSpec": lambda G, H: counting.zeta_element_counts(
+        G, words.wn(2), DomainSpec((H, None))),
+    "cd2_bound_check": lambda G, H: formulas.cd2_bound_check(
+        G, chartab.character_table(G), H, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAKES_SUBGROUP))
+def test_subgroup_of_an_equal_group_is_accepted(name):
+    call = TAKES_SUBGROUP[name]
+    S3 = groups.builtin("symmetric", 3)
+    S3_again = groups.builtin("symmetric", 3)
+    assert S3_again is not S3
+    A3 = groups.commutator_subgroup(S3)
+    A3_again = groups.commutator_subgroup(S3_again)
+    assert A3_again == A3 and hash(A3_again) == hash(A3)
+    assert call(S3, A3_again) == call(S3, A3)
+
+
+@pytest.mark.parametrize("name", sorted(TAKES_SUBGROUP))
+def test_subgroup_of_another_group_is_refused(name):
+    S3 = groups.builtin("symmetric", 3)
+    # S3 renumbered by swapping two transpositions: not an automorphism, so
+    # another table, but A3 keeps its indices
+    swap = (0, 2, 1, 3, 4, 5)
+    other = groups.from_cayley_table(
+        [[swap[S3.mul[swap[a]][swap[b]]] for b in range(6)]
+         for a in range(6)])
+    assert other != S3
+    A3 = groups.commutator_subgroup(other)
+    assert A3.members == groups.commutator_subgroup(S3).members
+    with pytest.raises(MismatchedGroup,
+                       match="subgroup belongs to a different group"):
+        TAKES_SUBGROUP[name](S3, A3)
+
+
+def test_class_function_of_another_group_is_refused():
+    S3 = groups.builtin("symmetric", 3)
+    C3 = groups.builtin("cyclic", 3)
+    zeta = counting.zeta_brute(C3, words.wn(2))
+    assert len(zeta.values) == groups.conjugacy_classes(S3).num_classes
+    with pytest.raises(MismatchedGroup):
+        chartab.inner_product(chartab.character_table(S3), zeta, 0)
+
+
+def test_groups_that_differ_only_in_labels_are_one_group(tmp_path,
+                                                         monkeypatch):
+    G = groups.builtin("symmetric", 3)
+    H = groups.GroupTable(G.order, G.mul, G.inv,
+                          tuple(f"s{a}" for a in range(G.order)))
+    assert H.labels != G.labels
+    assert H == G and hash(H) == hash(G) and len({G, H}) == 1
+    monkeypatch.setenv(fileio.CACHE_ENV, str(tmp_path))
+    table = fileio.cached_character_table(G)
+
+    def recompute(G):
+        raise AssertionError("the cache file was not shared")
+
+    monkeypatch.setattr(chartab, "character_table", recompute)
+    assert fileio.cached_character_table(H).values == table.values
+    assert len(list(tmp_path.glob("*.chartab"))) == 1
+
+
+def test_different_tables_are_different_groups():
+    S3, C6 = groups.builtin("symmetric", 3), groups.builtin("cyclic", 6)
+    assert S3 != C6 and S3.order == C6.order
+    assert S3 != groups.builtin("symmetric", 4)
+    assert S3 != S3.mul and S3 != "symmetric(3)"
+
+
+def test_cache_file_names_are_unchanged(tmp_path, monkeypatch):
+    # pinned: sha256 of repr((order, mul)), so existing caches stay valid
+    monkeypatch.setenv(fileio.CACHE_ENV, str(tmp_path))
+    names = {"cyclic(3)": "ab1715b61dfa33ae79732bcc4910785f"
+                          "a499c269f693e27127397a80e31591f5",
+             "quaternion(8)": "7f9f2d7b58292920f7a1c6693f5500ab"
+                              "88d649784af4d483c98c6ce7850366de"}
+    for spec in names:
+        fileio.cached_character_table(groups.parse_builtin_spec(spec))
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        sorted(f"{name}.chartab" for name in names.values())
+
+
+def test_class_function_prefix_is_not_equal():
+    S3 = groups.builtin("symmetric", 3)
+    classes = groups.conjugacy_classes(S3)
+    full = ClassFunction(S3, classes, (18, 9, 0))
+    assert full != ClassFunction(S3, classes, (18, 9))
+    as_fractions = ClassFunction(S3, classes, tuple(map(Fraction, (18, 9, 0))))
+    assert full == as_fractions and hash(full) == hash(as_fractions)
+    again = groups.builtin("symmetric", 3)
+    assert full == ClassFunction(again, groups.conjugacy_classes(again),
+                                 (18, 9, 0))

@@ -22,6 +22,15 @@ def per_entry_table(elements, combine, label=str):
                              tuple(label(e) for e in elements))
 
 
+def ref_quotient(G, N):
+    """G/N on the sorted least coset elements, one lookup per entry."""
+    coset_rep = [min(G.mul[a][h] for h in N.members) for a in range(G.order)]
+    reps = sorted(set(coset_rep))
+    Q = per_entry_table(reps, lambda a, b: coset_rep[G.mul[a][b]],
+                        lambda r: G.label(r) + "N")
+    return Q, tuple(reps.index(r) for r in coset_rep)
+
+
 def ref_classes(G):
     classes = {frozenset(G.conjugate(a, g) for g in range(G.order))
                for a in range(G.order)}
@@ -68,6 +77,12 @@ def ref_is_normal(H):
                for h in H.members for g in range(G.order))
 
 
+def ref_is_camina_pair(G, H):
+    class_of = groups.conjugacy_classes(G).class_of
+    return all(class_of[G.mul[g][h]] == class_of[g]
+               for g in range(G.order) if g not in H for h in H.members)
+
+
 def build_by_reference(monkeypatch, build):
     with monkeypatch.context() as m:
         m.setattr(groups, "_table_from_elements", per_entry_table)
@@ -91,6 +106,8 @@ def check_structure(G):
     for L in normals[:-1]:  # G itself is normals[-1], trivially all of G
         assert groups.centralizer_of_subgroup_mod(G, L).members == \
             ref_centralizer_mod(G, L)
+        if L.order > 1:
+            assert groups.is_camina_pair(G, L) == ref_is_camina_pair(G, L)
     # normal and non-normal subgroups: cyclic ones and joins of two, on a
     # sample of about a dozen elements
     sample = range(0, G.order, max(1, G.order // 12))
@@ -121,6 +138,16 @@ def test_builtins_match_references(spec, monkeypatch):
                            lambda: groups.parse_builtin_spec(spec))
     assert (G.mul, G.inv, G.labels) == (R.mul, R.inv, R.labels)
     check_structure(G)
+
+
+@pytest.mark.parametrize("spec", SMALL_BUILTINS)
+def test_quotients_match_reference(spec):
+    G = groups.parse_builtin_spec(spec)
+    for N in groups.normal_subgroups(G):
+        Q, proj = groups.quotient(G, N)
+        R, ref_proj = ref_quotient(G, N)
+        assert (Q.mul, Q.inv, Q.labels, proj) == \
+            (R.mul, R.inv, R.labels, ref_proj)
 
 
 @settings(max_examples=25, deadline=None)

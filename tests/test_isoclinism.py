@@ -81,3 +81,15 @@ def test_level_2_isoclinism():
     assert w is not None
     report = isoclinism.verify_scaling(w)
     assert report["factor"] == Fraction(27)
+
+
+def test_witness_with_another_quotient_rejected():
+    D8 = groups.builtin("dihedral", 8)
+    Q8 = groups.builtin("quaternion", 8)
+    w = isoclinism.find_isoclinism(D8, Q8, 1)
+    C4 = groups.builtin("cyclic", 4)  # D8 / Z(D8) is the Klein group
+    assert C4.order == w.quotient_G.order
+    bad = isoclinism.IsoclinismWitness(
+        w.n, w.G, w.H, w.phi, w.psi, C4, w.quotient_H, w.proj_G, w.proj_H)
+    with pytest.raises(WitnessInvalid, match="quotients do not match"):
+        isoclinism.verify_witness(bad)
