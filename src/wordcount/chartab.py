@@ -32,33 +32,7 @@ from .errors import (
     OrderLimitExceeded,
     ParseError,
 )
-from .groups import ConjugacyData, GroupTable
-
-
-@dataclass(frozen=True)
-class ClassFunction:
-    """Exact rational values, one per conjugacy class."""
-
-    group: GroupTable
-    classes: ConjugacyData
-    values: tuple  # Fractions or ints
-
-    def at_element(self, g):
-        return self.values[self.classes.class_of[g]]
-
-    def as_element_array(self):
-        return [self.values[self.classes.class_of[g]] for g in range(self.group.order)]
-
-    def total_mass(self):
-        return sum(s * v for s, v in zip(self.classes.sizes, self.values))
-
-    def __eq__(self, other):
-        return (isinstance(other, ClassFunction)
-                and self.group == other.group
-                and self.values == other.values)
-
-    def __hash__(self):
-        return hash((self.group, self.values))
+from .groups import ClassFunction, ConjugacyData, GroupTable
 
 
 @dataclass(frozen=True)

@@ -2,14 +2,19 @@
 
 Exit codes: 0 all checks pass, 1 a computation or verification failed,
 2 usage error.  FLAGGED verification lines never affect the exit code.
+
+Each command imports the modules it runs inside its function, and nothing
+but `errors` is imported here: with bytecode caching off, every process
+compiles each module it imports, which would otherwise cost a short
+request more than its answer.  Modules are imported whole (`from . import
+chartab`), never as bound functions, so a function patched on its module
+is the one called.
 """
 from __future__ import annotations
 
 import argparse
 import sys
 
-from . import (chartab, counting, fileio, formulas, groups, isoclinism,
-               verification, words)
 from .errors import (ParseError, PredicateFailed, UnknownFamily,
                      UnsupportedParameter, WordcountError, WordSyntaxError)
 
@@ -20,8 +25,10 @@ MAX_N = 8
 
 def load_group(spec):
     if spec.startswith("builtin:"):
+        from . import groups
         return groups.parse_builtin_spec(spec[len("builtin:"):])
     if spec.startswith("file:"):
+        from . import fileio
         return fileio.import_group(spec[len("file:"):])
     raise UnsupportedParameter(
         f"group spec must be builtin:NAME(args) or file:PATH, got {spec!r}")
@@ -29,6 +36,8 @@ def load_group(spec):
 
 def _parse_domains(entries, G, arity):
     """Build only the subgroups that the entries name."""
+    from . import counting, groups
+
     domains = [None] * arity
     for entry in entries or ():
         var, _, name = entry.partition("=")
@@ -54,6 +63,8 @@ def _print_class_table(G, classes, columns, out):
 
 
 def cmd_info(args, out):
+    from . import formulas, groups
+
     G = load_group(args.group)
     classes = groups.conjugacy_classes(G)
     report = formulas.classify(G) if G.order > 1 else None
@@ -80,6 +91,8 @@ def cmd_info(args, out):
 
 
 def cmd_chartab(args, out):
+    from . import chartab, fileio
+
     G = load_group(args.group)
     table = fileio.cached_character_table(G)
     out.write(chartab.dump_table(table))
@@ -87,6 +100,8 @@ def cmd_chartab(args, out):
 
 
 def cmd_count(args, out):
+    from . import counting, words
+
     G = load_group(args.group)
     word = words.parse(args.word)
     domains = _parse_domains(args.domain, G, word.arity)
@@ -107,12 +122,19 @@ def cmd_count(args, out):
 
 
 def cmd_zeta(args, out):
+    from . import counting, groups, words
+
     if not 2 <= args.n <= MAX_N:
         raise UnsupportedParameter(f"--n must be in 2..{MAX_N}")
     G = load_group(args.group)
-    table = chartab.character_table(G)
     methods = ["brute", "char", "closed"] if args.method == "all" \
         else [args.method]
+    if methods == ["brute"]:
+        table, classes = None, groups.conjugacy_classes(G)
+    else:
+        from . import chartab, formulas
+        table = chartab.character_table(G)
+        classes = table.classes
     columns = []
     for method in methods:
         if method == "brute":
@@ -132,16 +154,18 @@ def cmd_zeta(args, out):
         sys.stderr.write("methods disagree\n")
         return 1
     if args.format == "csv":
-        counting.export_csv(G, table.classes, columns[0][1], args.n, out)
+        counting.export_csv(G, classes, columns[0][1], args.n, out)
     else:
         _print_class_table(
-            G, table.classes,
+            G, classes,
             [(name, zeta.values) for name, zeta in columns], out)
     return 0
 
 
 def closed_form_zeta(G, table, n):
     """Dispatch to the first closed form whose predicate the group passes."""
+    from . import formulas
+
     attempts = (formulas.closed_zeta_gcp_center,
                 lambda *a: formulas.unique_nonlinear_recursion(*a)[1],
                 formulas.closed_zeta_camina3,
@@ -156,6 +180,8 @@ def closed_form_zeta(G, table, n):
 
 
 def cmd_verify(args, out):
+    from . import verification
+
     results = verification.run_suite(args.suite)
     for line in verification.format_results(results):
         out.write(line + "\n")
@@ -167,6 +193,8 @@ def cmd_verify(args, out):
 
 
 def cmd_isoclinic(args, out):
+    from . import isoclinism
+
     G = load_group(args.group)
     H = load_group(args.other)
     witness = isoclinism.find_isoclinism(G, H, args.n)
@@ -184,6 +212,8 @@ def cmd_isoclinic(args, out):
 
 
 def build_parser():
+    from .groups import DEFAULT_BUDGET
+
     parser = argparse.ArgumentParser(
         prog="wordcount",
         description="Exact solution counts of commutator word equations "
@@ -200,7 +230,7 @@ def build_parser():
                        help="builtin:NAME(args) or file:PATH")
 
     def budget_arg(p):
-        p.add_argument("--budget", type=int, default=counting.DEFAULT_BUDGET)
+        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
     p = add("info", cmd_info, help="group structure summary")
     group_arg(p)
@@ -221,7 +251,8 @@ def build_parser():
     p.add_argument("--format", choices=("table", "csv"), default="table")
     budget_arg(p)
     p = add("verify", cmd_verify, help="run a verification suite")
-    p.add_argument("--suite", choices=verification.SUITES, default="all")
+    p.add_argument("--suite", default="all",
+                   help="one suite, or all (the default)")
     p = add("isoclinic", cmd_isoclinic, help="search for an n-isoclinism")
     group_arg(p)
     group_arg(p, "--other")

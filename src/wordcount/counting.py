@@ -16,10 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import groups
-from .chartab import ClassFunction
 from .errors import BudgetExceeded, InternalInconsistency, MismatchedGroup
-
-DEFAULT_BUDGET = 2**30
+from .groups import DEFAULT_BUDGET, ClassFunction
 
 
 @dataclass(frozen=True)

@@ -5,14 +5,16 @@ Group files are UTF-8 text.  The first non-comment line is either
 followed by k permutations given as images.  Lines starting with `#` are
 comments.  Cayley input need not put the identity at index 0; it is
 relabeled on load.
+
+Only `cached_character_table` needs the table engine, so it imports
+`chartab` itself and reading a group file does not load it.
 """
 from __future__ import annotations
 
-import hashlib
 import os
 from pathlib import Path
 
-from . import chartab, groups
+from . import groups
 from .errors import (InternalInconsistency, NonIntegral, OrderLimitExceeded,
                      ParseError)
 
@@ -99,6 +101,10 @@ def cached_character_table(G):
     A cache file that cannot be read, parsed or verified counts as a miss:
     the table is recomputed and the file rewritten.
     """
+    import hashlib
+
+    from . import chartab
+
     key = hashlib.sha256(repr((G.order, G.mul)).encode()).hexdigest()
     path = cache_dir() / f"{key}.chartab"
     if path.is_file():

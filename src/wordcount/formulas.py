@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import chartab, counting, cyclotomic, groups
-from .chartab import ClassFunction
 from .cyclotomic import UNIT
 from .errors import (
     CheckFailed,
@@ -22,6 +21,7 @@ from .errors import (
     NotNormal,
     PredicateFailed,
 )
+from .groups import ClassFunction
 from .words import _invert, make_word
 
 FLAG_CAMINA3_IDENTITY = "camina3-identity-display"

@@ -40,6 +40,7 @@ from .errors import (
 )
 
 DEFAULT_ORDER_CAP = 20480
+DEFAULT_BUDGET = 2**30   # most word evaluations brute force may make
 
 
 def structure_memo(fn):
@@ -177,6 +178,32 @@ class ConjugacyData:
     @property
     def num_classes(self):
         return len(self.reps)
+
+
+@dataclass(frozen=True)
+class ClassFunction:
+    """Exact rational values, one per conjugacy class."""
+
+    group: GroupTable
+    classes: ConjugacyData
+    values: tuple  # Fractions or ints
+
+    def at_element(self, g):
+        return self.values[self.classes.class_of[g]]
+
+    def as_element_array(self):
+        return [self.values[self.classes.class_of[g]] for g in range(self.group.order)]
+
+    def total_mass(self):
+        return sum(s * v for s, v in zip(self.classes.sizes, self.values))
+
+    def __eq__(self, other):
+        return (isinstance(other, ClassFunction)
+                and self.group == other.group
+                and self.values == other.values)
+
+    def __hash__(self):
+        return hash((self.group, self.values))
 
 
 def _closure_indices(G, seed):
@@ -897,6 +924,17 @@ def is_camina_pair(G, H):
     return True
 
 
+def _join_normal(G, N, A):
+    """Sorted members of N·A for normal subgroups N and A: N, then the coset
+    aN for each a in A not yet reached, so about |NA| table lookups and no
+    closure search."""
+    members = set(N.members)
+    for a in A.members:
+        if a not in members:
+            members.update(map(G.mul[a].__getitem__, N.members))
+    return tuple(sorted(members))
+
+
 @structure_memo
 def normal_subgroups(G):
     """All normal subgroups, as joins of normal closures of conjugacy classes."""
@@ -919,9 +957,9 @@ def normal_subgroups(G):
             for A in atoms:
                 if A._member_set <= N._member_set:
                     continue
-                J = subgroup_closure(G, N.members + A.members)
-                if J.members not in found:
-                    found[J.members] = J
+                members = _join_normal(G, N, A)
+                if members not in found:
+                    J = found[members] = Subgroup(G, members)
                     nxt.append(J)
         frontier = nxt
     return tuple(sorted(found.values(), key=lambda s: (s.order, s.members)))

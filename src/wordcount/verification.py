@@ -12,6 +12,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import chartab, counting, formulas, groups, isoclinism, words
+from .errors import UnsupportedParameter
 
 CheckResult = namedtuple("CheckResult", "status check_id group details")
 
@@ -259,7 +260,8 @@ def check_isoclinism():
 
 def run_suite(suite):
     if suite not in SUITES:
-        raise ValueError(f"unknown suite {suite!r}")
+        raise UnsupportedParameter(
+            f"unknown suite {suite!r}; valid suites: {', '.join(SUITES)}")
     results = []
     if suite in ("frobenius", "all"):
         results += check_frobenius_sweep()

@@ -2,9 +2,10 @@ import io
 
 import pytest
 
-from wordcount import chartab, fileio, groups
+from wordcount import chartab, fileio, groups, verification
 from wordcount.cli import main
-from wordcount.errors import OrderLimitExceeded, ParseError
+from wordcount.errors import (OrderLimitExceeded, ParseError,
+                              UnsupportedParameter)
 
 
 def run(capsys, *argv):
@@ -37,6 +38,26 @@ def test_zeta_csv(capsys):
                        "--n", "2", "--method", "brute", "--format", "csv")
     assert code == 0
     assert out.splitlines()[1].endswith(",1,18,1,2")
+
+
+def test_zeta_brute_builds_no_character_table(monkeypatch, capsys):
+    argv = ["zeta", "--group", "builtin:symmetric(4)", "--n", "3"]
+    code, all_table, _ = run(capsys, *argv, "--method", "all")
+    assert code == 0
+    code, char_csv, _ = run(capsys, *argv, "--method", "char",
+                            "--format", "csv")
+    assert code == 0
+
+    def refuse(G):
+        raise AssertionError("built a character table for brute force")
+
+    monkeypatch.setattr(chartab, "character_table", refuse)
+    code, out, err = run(capsys, *argv, "--method", "brute")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["\t".join(line.split("\t")[:3])
+                                for line in all_table.splitlines()]
+    code, out, err = run(capsys, *argv, "--method", "brute", "--format", "csv")
+    assert (code, out, err) == (0, char_csv, "")
 
 
 def test_count_with_domain(capsys):
@@ -72,6 +93,15 @@ def test_verify_closed_forms_suite(capsys):
     assert "FLAGGED" in out
     assert "display=-18 recomputed=27" in out
     assert "display=1490944 class-function=1359872" in out
+
+
+def test_unknown_suite_is_a_one_line_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "bogus")
+    assert (code, out) == (2, "")
+    assert err == ("error: unknown suite 'bogus'; valid suites: frobenius, "
+                   "recursion, closed-forms, isoclinism, all\n")
+    with pytest.raises(UnsupportedParameter, match="valid suites: frobenius"):
+        verification.run_suite("bogus")
 
 
 def test_isoclinic_command(capsys):

@@ -83,6 +83,24 @@ def ref_is_camina_pair(G, H):
                for g in range(G.order) if g not in H for h in H.members)
 
 
+def ref_normal_subgroups(G):
+    """Every normal subgroup: the closures of unions of conjugacy classes,
+    which are normal since the union is closed under conjugation."""
+    classes = ref_classes(G)
+    found = {(0,)}
+    frontier = [(0,)]
+    while frontier:
+        nxt = []
+        for N in frontier:
+            for c in classes[1:]:
+                J = groups.subgroup_closure(G, N + tuple(c)).members
+                if J not in found:
+                    found.add(J)
+                    nxt.append(J)
+        frontier = nxt
+    return sorted(found, key=lambda m: (len(m), m))
+
+
 def build_by_reference(monkeypatch, build):
     with monkeypatch.context() as m:
         m.setattr(groups, "_table_from_elements", per_entry_table)
@@ -103,6 +121,11 @@ def check_structure(G):
     assert [s.members for s in groups.upper_central_series(G)] == \
         ref_upper_series(G)
     normals = groups.normal_subgroups(G)
+    assert [N.members for N in normals] == ref_normal_subgroups(G)
+    for N in normals:
+        for A in normals:
+            assert groups._join_normal(G, N, A) == \
+                groups.subgroup_closure(G, N.members + A.members).members
     for L in normals[:-1]:  # G itself is normals[-1], trivially all of G
         assert groups.centralizer_of_subgroup_mod(G, L).members == \
             ref_centralizer_mod(G, L)
