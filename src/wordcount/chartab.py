@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
@@ -32,17 +31,35 @@ from .errors import (
     OrderLimitExceeded,
     ParseError,
 )
-from .groups import ClassFunction, ConjugacyData, GroupTable
+from .groups import ClassFunction
 
 
-@dataclass(frozen=True)
 class CharacterTable:
-    group: GroupTable
-    classes: ConjugacyData
-    exponent: int
-    values: tuple  # k x k of Cyclotomic, character x class
-    degrees: tuple
-    linear_mask: tuple  # booleans
+    """Values are character x class; equal tables agree in every field.
+
+    No `__slots__`: the `cached_property` rows live in the instance dict.
+    """
+
+    def __init__(self, group, classes, exponent, values, degrees,
+                 linear_mask):
+        self.group = group
+        self.classes = classes
+        self.exponent = exponent
+        self.values = values  # k x k of Cyclotomic
+        self.degrees = degrees
+        self.linear_mask = linear_mask  # booleans
+
+    def _fields(self):
+        return (self.group, self.classes, self.exponent, self.values,
+                self.degrees, self.linear_mask)
+
+    def __eq__(self, other):
+        if not isinstance(other, CharacterTable):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
 
     @property
     def num_characters(self):

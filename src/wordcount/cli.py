@@ -99,9 +99,20 @@ def cmd_chartab(args, out):
     return 0
 
 
+def _check_budget(args):
+    if args.budget <= 0:
+        raise UnsupportedParameter(
+            f"--budget must be positive, got {args.budget}")
+
+
 def cmd_count(args, out):
     from . import counting, words
 
+    _check_budget(args)
+    if args.domain and args.format == "csv":
+        raise UnsupportedParameter(
+            "--format csv needs whole-group domains; with --domain, count "
+            "prints per-element counts")
     G = load_group(args.group)
     word = words.parse(args.word)
     domains = _parse_domains(args.domain, G, word.arity)
@@ -126,9 +137,12 @@ def cmd_zeta(args, out):
 
     if not 2 <= args.n <= MAX_N:
         raise UnsupportedParameter(f"--n must be in 2..{MAX_N}")
+    _check_budget(args)
     G = load_group(args.group)
     methods = ["brute", "char", "closed"] if args.method == "all" \
         else [args.method]
+    if "brute" in methods:  # refuse before building classes or a table
+        counting.require_budget(G.order ** args.n, args.budget)
     if methods == ["brute"]:
         table, classes = None, groups.conjugacy_classes(G)
     else:

@@ -11,20 +11,18 @@ is used, which `groups.from_cayley_table` checks.
 """
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import Counter, namedtuple
 
 from . import groups
 from .errors import BudgetExceeded, InternalInconsistency, MismatchedGroup
 from .groups import DEFAULT_BUDGET, ClassFunction
 
 
-@dataclass(frozen=True)
-class DomainSpec:
-    """Per-variable domains: None means the whole group."""
+class DomainSpec(namedtuple("DomainSpec", "domains")):
+    """Per-variable domains: a tuple of entries None (the whole group) or
+    Subgroup."""
 
-    domains: tuple  # entries None or Subgroup
+    __slots__ = ()
 
     @staticmethod
     def whole(arity):
@@ -44,6 +42,16 @@ class DomainSpec:
         return all(d is None for d in self.domains)
 
 
+def require_budget(evals, budget):
+    """Refuse `evals` word evaluations over `budget`, stating how long they
+    would take at the measured brute-force rate."""
+    if evals > budget:
+        slow, fast = groups.BRUTE_EVALS_PER_S
+        raise BudgetExceeded(
+            f"{evals} evaluations exceed budget {budget}: an estimated "
+            f"{evals / fast:.1f}-{evals / slow:.1f} s of brute force")
+
+
 def zeta_element_counts(G, word, domains=None, budget=DEFAULT_BUDGET):
     """Raw per-element fiber counts as a length-|G| integer list."""
     if domains is None:
@@ -55,8 +63,7 @@ def zeta_element_counts(G, word, domains=None, budget=DEFAULT_BUDGET):
     total = 1
     for lst in member_lists:
         total *= len(lst)
-    if total > budget:
-        raise BudgetExceeded(f"{total} evaluations exceed budget {budget}")
+    require_budget(total, budget)
 
     counts = [0] * G.order
     _count_assignments(G, word, member_lists, counts)
@@ -176,6 +183,8 @@ def is_measure_preserving(G, word, budget=DEFAULT_BUDGET):
 
 def probability(zeta, n):
     """The distribution P(g) = zeta(g) / |G|^n as exact rationals."""
+    from fractions import Fraction
+
     denom = zeta.group.order ** n
     return ClassFunction(
         zeta.group, zeta.classes,
@@ -184,6 +193,8 @@ def probability(zeta, n):
 
 def nilpotency_degree(G, n, budget=DEFAULT_BUDGET):
     """Probability that a random left-normed n-fold commutator is trivial."""
+    from fractions import Fraction
+
     from .words import wn
 
     zeta = zeta_brute(G, wn(n), budget=budget)
@@ -192,6 +203,8 @@ def nilpotency_degree(G, n, budget=DEFAULT_BUDGET):
 
 def export_csv(G, classes, counts, n, stream):
     """One row per class: rep label, size, count, probability num/den."""
+    from fractions import Fraction
+
     denom = G.order ** n
     per_class = counts.values
     stream.write("rep_label,class_size,count,probability_numerator,"

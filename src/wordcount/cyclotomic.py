@@ -17,7 +17,6 @@ x^e - 1), with `Fraction` weights scaled once to a common denominator, and
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -74,12 +73,14 @@ def _reduce(order, coeffs):
     return tuple(rem[:deg])
 
 
-@dataclass(frozen=True)
 class Cyclotomic:
     """An element of Q[zeta_order]; character values keep integer coeffs."""
 
-    order: int
-    coeffs: tuple
+    __slots__ = ("order", "coeffs")
+
+    def __init__(self, order, coeffs):
+        self.order = order
+        self.coeffs = coeffs
 
     @staticmethod
     def zero(order):

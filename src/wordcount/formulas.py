@@ -9,7 +9,7 @@ that satisfy the forced total-mass identity (see FLAG_* below and the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import chartab, counting, cyclotomic, groups
@@ -28,26 +28,21 @@ FLAG_CAMINA3_IDENTITY = "camina3-identity-display"
 FLAG_UNIQUE_NL_OFFIDENTITY = "unique-nonlinear-offidentity-display"
 
 
-@dataclass
-class GroupClassReport:
-    is_abelian: bool
-    nilpotency_class: int | None
-    camina_pair_targets: list
-    is_camina_group: bool
-    cd: set
-    gcp_targets: list
-    is_vz: bool
-    unique_nonlinear: bool
+class GroupClassReport(namedtuple("GroupClassReport", (
+        "is_abelian nilpotency_class camina_pair_targets is_camina_group "
+        "cd gcp_targets is_vz unique_nonlinear"))):
+    """What `classify` finds: `nilpotency_class` is None for a group that is
+    not nilpotent, `cd` is the set of character degrees, and the two target
+    fields are lists."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CaminaInvariants:
+class CaminaInvariants(namedtuple(
+        "CaminaInvariants", "order derived_order center_order z2_order")):
     """The order data |G|, |G'|, |Z(G)|, |Z_2(G)| driving the closed forms."""
 
-    order: int
-    derived_order: int
-    center_order: int
-    z2_order: int
+    __slots__ = ()
 
     def index_center(self):
         return self.order // self.center_order

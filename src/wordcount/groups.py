@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import wraps
 from operator import itemgetter
 
@@ -40,7 +40,10 @@ from .errors import (
 )
 
 DEFAULT_ORDER_CAP = 20480
-DEFAULT_BUDGET = 2**30   # most word evaluations brute force may make
+# Brute force makes about 6-11M word evaluations per CPU second on w_n over
+# small groups (Python 3.11), so the default budget is about 6-11 s of it.
+BRUTE_EVALS_PER_S = (6_000_000, 11_000_000)
+DEFAULT_BUDGET = 2**26   # most word evaluations brute force may make
 
 
 def structure_memo(fn):
@@ -54,23 +57,28 @@ def structure_memo(fn):
     return memo
 
 
-@dataclass(frozen=True)
 class GroupTable:
     """A finite group given by its multiplication table.
 
-    Index 0 is always the identity.  `mul` and `inv` are tuples so instances
-    are immutable.  `structure` holds the results of the `structure_memo`
-    functions for this object.  Equality is the group's identity: the same
-    order and multiplication table (`inv` follows from `mul`; `labels` and
-    `structure` take no part).
+    Index 0 is always the identity.  `mul` (a tuple of row tuples) and `inv`
+    are tuples, and no attribute is reassigned after construction.
+    `structure` holds the results of the `structure_memo` functions for this
+    object.  Equality is the group's identity: the same order and
+    multiplication table (`inv` follows from `mul`; `labels` and `structure`
+    take no part).
     """
 
-    order: int
-    mul: tuple  # tuple of row tuples
-    inv: tuple
-    labels: tuple | None = None
-    structure: dict = field(default_factory=dict, init=False, repr=False,
-                            compare=False)
+    __slots__ = ("order", "mul", "inv", "labels", "structure")
+
+    def __init__(self, order, mul, inv, labels=None):
+        self.order = order
+        self.mul = mul
+        self.inv = inv
+        self.labels = labels
+        self.structure = {}
+
+    def __repr__(self):
+        return f"GroupTable(order={self.order})"
 
     def op(self, a, b):
         return self.mul[a][b]
@@ -134,15 +142,18 @@ class GroupTable:
         return hash((self.order, self.mul))
 
 
-@dataclass(frozen=True)
 class Subgroup:
     """An index set inside a parent group, closed under product and inverse."""
 
-    parent: GroupTable
-    members: tuple  # sorted element indices
+    __slots__ = ("parent", "members", "_member_set")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_member_set", frozenset(self.members))
+    def __init__(self, parent, members):
+        self.parent = parent
+        self.members = members  # sorted element indices
+        self._member_set = frozenset(members)
+
+    def __repr__(self):
+        return f"Subgroup(order={self.order}, members={self.members!r})"
 
     @property
     def order(self):
@@ -166,27 +177,33 @@ class Subgroup:
                    for s in G.generating_set() for h in self.members)
 
 
-@dataclass(frozen=True)
-class ConjugacyData:
-    """Conjugacy class partition: identity class first, then by (size, min)."""
+class ConjugacyData(namedtuple("ConjugacyData",
+                               "class_of reps sizes inverse_class")):
+    """Conjugacy class partition: identity class first, then by (size, min).
 
-    class_of: tuple  # element -> class index
-    reps: tuple  # class index -> representative element
-    sizes: tuple
-    inverse_class: tuple
+    `class_of` maps element -> class index, `reps` class index ->
+    representative element; `sizes` and `inverse_class` are per class.
+    """
+
+    __slots__ = ()
 
     @property
     def num_classes(self):
         return len(self.reps)
 
 
-@dataclass(frozen=True)
 class ClassFunction:
     """Exact rational values, one per conjugacy class."""
 
-    group: GroupTable
-    classes: ConjugacyData
-    values: tuple  # Fractions or ints
+    __slots__ = ("group", "classes", "values")
+
+    def __init__(self, group, classes, values):
+        self.group = group
+        self.classes = classes
+        self.values = values  # Fractions or ints
+
+    def __repr__(self):
+        return f"ClassFunction(values={self.values!r})"
 
     def at_element(self, g):
         return self.values[self.classes.class_of[g]]

@@ -10,7 +10,7 @@ word scale by (|G|/|H|)^(n+1) along psi.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import chartab, formulas, groups
@@ -19,17 +19,14 @@ from .errors import SearchBoundExceeded, WitnessInvalid
 SEARCH_BOUND = 64
 
 
-@dataclass
-class IsoclinismWitness:
-    n: int
-    G: groups.GroupTable
-    H: groups.GroupTable
-    phi: tuple   # quotient_G index -> quotient_H index
-    psi: dict    # gamma_{n+1}(G) element -> gamma_{n+1}(H) element
-    quotient_G: groups.GroupTable
-    quotient_H: groups.GroupTable
-    proj_G: tuple
-    proj_H: tuple
+class IsoclinismWitness(namedtuple("IsoclinismWitness", (
+        "n G H phi psi quotient_G quotient_H proj_G proj_H"))):
+    """An n-isoclinism from G to H.  `phi` maps quotient_G indices to
+    quotient_H indices, `psi` (a dict) gamma_{n+1}(G) elements to
+    gamma_{n+1}(H) elements, and `proj_G`, `proj_H` each group onto its
+    quotient by Z_n."""
+
+    __slots__ = ()
 
 
 def _coset_reps(Q, proj, order):

@@ -12,7 +12,7 @@ contiguous range x1..xn so the arity is unambiguous.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .errors import ArityMismatch, ArityTooSmall, EmptyWord, WordSyntaxError
@@ -20,10 +20,10 @@ from .errors import ArityMismatch, ArityTooSmall, EmptyWord, WordSyntaxError
 MAX_EXPONENT = 2**31 - 1
 
 
-@dataclass(frozen=True)
-class Word:
-    arity: int
-    letters: tuple  # (variable 1..arity, nonzero exponent)
+class Word(namedtuple("Word", "arity letters")):
+    """`letters` is a tuple of (variable 1..arity, nonzero exponent)."""
+
+    __slots__ = ()
 
     def __str__(self):
         return " ".join(

@@ -86,6 +86,45 @@ def test_count_builds_only_named_domains(monkeypatch, capsys):
         ["18", "9", "0"]
 
 
+def test_over_budget_zeta_is_refused_before_any_table(monkeypatch, capsys):
+    def refuse(G):
+        raise AssertionError("built classes or a table for a refused request")
+
+    monkeypatch.setattr(chartab, "character_table", refuse)
+    monkeypatch.setattr(groups, "conjugacy_classes", refuse)
+    code, out, err = run(capsys, "zeta", "--group", "builtin:agl1(27)",
+                         "--n", "3", "--method", "all")
+    assert (code, out) == (1, "")
+    assert err == ("error: BudgetExceeded: 345948408 evaluations exceed "
+                   "budget 67108864: an estimated 31.4-57.7 s of brute "
+                   "force\n")
+    monkeypatch.undo()
+    # the budget bounds brute force only
+    code, out, err = run(capsys, "zeta", "--group", "builtin:symmetric(3)",
+                         "--n", "3", "--method", "char", "--budget", "1")
+    assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("budget", ["0", "-1"])
+@pytest.mark.parametrize("argv", [
+    ("count", "--group", "builtin:symmetric(3)", "--word", "[x1,x2]"),
+    ("zeta", "--group", "builtin:symmetric(3)", "--n", "2"),
+], ids=["count", "zeta"])
+def test_budget_must_be_positive(capsys, argv, budget):
+    code, out, err = run(capsys, *argv, "--budget", budget)
+    assert (code, out) == (2, "")
+    assert err == f"error: --budget must be positive, got {budget}\n"
+
+
+def test_count_csv_with_domain_is_refused(capsys):
+    code, out, err = run(capsys, "count", "--group", "builtin:symmetric(3)",
+                         "--word", "[x1,x2]", "--domain", "x1=center",
+                         "--format", "csv")
+    assert (code, out) == (2, "")
+    assert err == ("error: --format csv needs whole-group domains; with "
+                   "--domain, count prints per-element counts\n")
+
+
 def test_verify_closed_forms_suite(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "closed-forms")
     assert code == 0

@@ -1,9 +1,10 @@
 """What each kind of process imports.
 
 Every case runs in a fresh interpreter, since this test session has long
-since imported the whole package, and reports the `wordcount.*` modules it
-loaded.  With bytecode caching off a process compiles each module it
-imports, so a short CLI request should load only what its command runs.
+since imported the whole package, and reports the modules it loaded.  With
+bytecode caching off a process compiles each module it imports, so a short
+CLI request should load only what its command runs, and nothing pulls in
+`dataclasses` with the `inspect` chain behind it.
 """
 
 import json
@@ -18,20 +19,28 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 TABLE_ENGINE = {"chartab", "cyclotomic", "formulas", "isoclinism",
                 "verification", "fileio"}
+SLOW_STDLIB = {"dataclasses", "inspect"}
 
 
-def loaded_after(code):
-    """The wordcount submodules loaded by running `code` in a new process."""
-    probe = code + (
-        "\nimport json, sys\n"
-        "print(json.dumps(sorted(m.split('.', 1)[1] for m in sys.modules\n"
-        "                        if m.startswith('wordcount.'))))\n")
-    env = dict(os.environ,
+def modules_after(code, **env):
+    """Every module loaded by running `code` in a new process."""
+    probe = code + ("\nimport json, sys\n"
+                    "print(json.dumps(sorted(sys.modules)))\n")
+    env = dict(os.environ, **env,
                PYTHONPATH=os.pathsep.join(
                    [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run([sys.executable, "-c", probe], env=env, cwd=ROOT,
                           capture_output=True, text=True, check=True)
     return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+def package_modules(modules):
+    return {m.split(".", 1)[1] for m in modules if m.startswith("wordcount.")}
+
+
+def loaded_after(code):
+    """The wordcount submodules loaded by running `code` in a new process."""
+    return package_modules(modules_after(code))
 
 
 def cli_call(*argv):
@@ -53,9 +62,42 @@ def test_import_wordcount_loads_no_submodule():
      "--method", "brute", "--format", "csv"),
 ], ids=["count", "zeta-brute", "zeta-brute-csv"])
 def test_brute_force_commands_load_no_table_engine(argv):
-    loaded = loaded_after(cli_call(*argv))
+    modules = modules_after(cli_call(*argv))
+    loaded = package_modules(modules)
     assert {"cli", "groups", "counting", "words"} <= loaded
     assert not loaded & TABLE_ENGINE
+    assert not modules & SLOW_STDLIB
+    if "csv" not in argv:  # only the csv export writes rationals
+        assert not modules & {"fractions", "decimal"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("info", "--group", "builtin:symmetric(4)"),
+    ("chartab", "--group", "builtin:symmetric(4)"),
+    ("count", "--group", "builtin:dihedral(8)", "--word", "[x1,x2]",
+     "--domain", "x1=center"),
+    ("count", "--group", "builtin:symmetric(3)", "--word", "[x1,x2]",
+     "--format", "csv"),
+    ("zeta", "--group", "builtin:symmetric(4)", "--n", "3"),
+    ("verify", "--suite", "isoclinism"),
+    ("isoclinic", "--group", "builtin:dihedral(8)",
+     "--other", "builtin:quaternion(8)"),
+], ids=["info", "chartab", "count-domain", "count-csv", "zeta-all",
+        "verify", "isoclinic"])
+def test_no_command_loads_dataclasses_or_inspect(argv, tmp_path):
+    loaded = modules_after(cli_call(*argv), WORDCOUNT_CACHE=str(tmp_path))
+    assert {"wordcount.cli", "wordcount.groups"} <= loaded
+    assert not loaded & SLOW_STDLIB
+
+
+def test_no_module_loads_dataclasses_or_inspect():
+    names = sorted(p.stem for p in (ROOT / "src" / "wordcount").glob("*.py")
+                   if p.stem != "__init__")
+    assert "verification" in names
+    code = "".join(f"import wordcount.{name}\n" for name in names)
+    loaded = modules_after(code)
+    assert {f"wordcount.{name}" for name in names} <= loaded
+    assert not loaded & SLOW_STDLIB
 
 
 def test_group_file_loads_no_table_engine(tmp_path):
