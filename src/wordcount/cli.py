@@ -244,7 +244,8 @@ def build_parser():
                        help="builtin:NAME(args) or file:PATH")
 
     def budget_arg(p):
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                       help="most assignments brute force may count")
 
     p = add("info", cmd_info, help="group structure summary")
     group_arg(p)

@@ -1,13 +1,14 @@
 """Brute-force fiber counting: the ground-truth oracle.
 
 One enumeration pass over the assignment space produces the whole
-distribution g -> #solutions of w(x1..xn) = g.  Every assignment is still
-evaluated, but by partial evaluation: the word is held as group constants
-interleaved with the letters of the variables not yet fixed, and fixing a
-variable folds its letters into the neighbouring constants.  Variables are
-fixed in order of falling occurrence count, so the innermost loop touches
-only the few letters of the last variable.  Only associativity of the table
-is used, which `groups.from_cayley_table` checks.
+distribution g -> #solutions of w(x1..xn) = g.  Every assignment is
+counted, once per distinct residual word: the word is held as group
+constants interleaved with the letters of the variables not yet fixed,
+fixing a variable folds its letters into the neighbouring constants, and
+assignments of the fixed variables that leave the same constants are
+merged and carried on as one state with a multiplicity.  Variables are
+fixed in order of falling occurrence count.  Only associativity of the
+table is used, which `groups.from_cayley_table` checks.
 """
 from __future__ import annotations
 
@@ -42,14 +43,11 @@ class DomainSpec(namedtuple("DomainSpec", "domains")):
         return all(d is None for d in self.domains)
 
 
-def require_budget(evals, budget):
-    """Refuse `evals` word evaluations over `budget`, stating how long they
-    would take at the measured brute-force rate."""
-    if evals > budget:
-        slow, fast = groups.BRUTE_EVALS_PER_S
+def require_budget(assignments, budget):
+    """Refuse to count more than `budget` assignments."""
+    if assignments > budget:
         raise BudgetExceeded(
-            f"{evals} evaluations exceed budget {budget}: an estimated "
-            f"{evals / fast:.1f}-{evals / slow:.1f} s of brute force")
+            f"{assignments} assignments exceed budget {budget}")
 
 
 def zeta_element_counts(G, word, domains=None, budget=DEFAULT_BUDGET):
@@ -94,10 +92,12 @@ def _fold_plan(letters, var, rows):
 def _count_assignments(G, word, member_lists, counts):
     """Add w(x) to `counts` for every x in the product of `member_lists`.
 
-    The variables are fixed outermost first along an explicit stack:
-    level k holds the word's constants once order[:k] are fixed, so a
-    variable's letters are folded once per value of it and the variables
-    outside it, not once per assignment.
+    The variables are fixed one level at a time.  `states` maps each tuple
+    of constants the word holds once the variables so far are fixed to the
+    number of their assignments that leave it.  Fixing the next variable
+    folds every (state, value) pair once, so assignments that leave the
+    same residual word share all later work.  The last variable's folds
+    give the word's value, which takes the state's multiplicity.
     """
     mul = G.mul
     # A variable confined to the trivial subgroup is the identity.
@@ -110,54 +110,29 @@ def _count_assignments(G, word, member_lists, counts):
             for e in {e for _, e in letters}}
     occurrences = Counter(v for v, _ in letters)
     order = sorted(occurrences, key=lambda v: (-occurrences[v], v))
-    domains = [member_lists[v - 1] for v in order]
-    constants = [[0] * (len(letters) + 1)]  # nothing fixed yet
-    plans = []
+    states = {(0,) * (len(letters) + 1): 1}
     for v in order[:-1]:
         letters, plan = _fold_plan(letters, v, rows)
-        plans.append(plan)
-    inner_rows = [rows[e] for _, e in letters]
-    inner_domain = domains[-1]
-
-    def count_inner(c):
-        """Evaluate c0 L1 c1 ... Lm cm for each value of the last variable."""
-        if len(inner_rows) == 2:  # the last variable of w_n
-            row0 = mul[c[0]]
-            p1, p2 = inner_rows
-            c1, c2 = c[1], c[2]
-            for a in inner_domain:
-                counts[mul[mul[mul[row0[p1[a]]][c1]][p2[a]]][c2]] += 1
-            return
-        c0, steps = c[0], list(zip(inner_rows, c[1:]))
-        for a in inner_domain:
-            acc = c0
+        folded = Counter()
+        for c, mult in states.items():
+            steps = [(c[first], [(row, c[i]) for row, i in run])
+                     for first, run in plan]
+            for a in member_lists[v - 1]:
+                state = []
+                for acc, run in steps:
+                    for row, ci in run:
+                        acc = mul[mul[acc][row[a]]][ci]
+                    state.append(acc)
+                folded[tuple(state)] += mult
+        states = folded
+    last_rows = [rows[e] for _, e in letters]
+    for c, mult in states.items():
+        steps = list(zip(last_rows, c[1:]))
+        for a in member_lists[order[-1] - 1]:
+            acc = c[0]
             for row, ci in steps:
                 acc = mul[mul[acc][row[a]]][ci]
-            counts[acc] += 1
-
-    if not plans:
-        count_inner(constants[0])
-        return
-    values = [iter(domains[0])]
-    while values:
-        k = len(values) - 1
-        a = next(values[k], -1)
-        if a < 0:
-            values.pop()
-            constants.pop()
-            continue
-        c = constants[k]
-        folded = []
-        for first, run in plans[k]:
-            acc = c[first]
-            for row, i in run:
-                acc = mul[mul[acc][row[a]]][c[i]]
-            folded.append(acc)
-        if k + 1 == len(plans):
-            count_inner(folded)
-        else:
-            constants.append(folded)
-            values.append(iter(domains[k + 1]))
+            counts[acc] += mult
 
 
 def zeta_brute(G, word, budget=DEFAULT_BUDGET, classes=None):

@@ -40,10 +40,7 @@ from .errors import (
 )
 
 DEFAULT_ORDER_CAP = 20480
-# Brute force makes about 6-11M word evaluations per CPU second on w_n over
-# small groups (Python 3.11), so the default budget is about 6-11 s of it.
-BRUTE_EVALS_PER_S = (6_000_000, 11_000_000)
-DEFAULT_BUDGET = 2**26   # most word evaluations brute force may make
+DEFAULT_BUDGET = 2**26   # most assignments brute force may count
 
 
 def structure_memo(fn):
@@ -954,14 +951,31 @@ def _join_normal(G, N, A):
 
 @structure_memo
 def normal_subgroups(G):
-    """All normal subgroups, as joins of normal closures of conjugacy classes."""
+    """All normal subgroups, as joins of normal closures of conjugacy classes.
+
+    g and g^a with gcd(a, o(g)) = 1 generate the same cyclic subgroup, so
+    their classes have the same normal closure: one closure is taken per
+    class of cyclic subgroups, and the classes of its generators skipped.
+    """
     classes = conjugacy_classes(G)
+    class_of = classes.class_of
     by_class = {}
     for a in range(G.order):
-        by_class.setdefault(classes.class_of[a], []).append(a)
+        by_class.setdefault(class_of[a], []).append(a)
+    covered = [False] * classes.num_classes
     atoms = []
     seen = set()
     for idx in range(1, classes.num_classes):
+        if covered[idx]:
+            continue
+        g = classes.reps[idx]
+        powers = [g]
+        while powers[-1] != 0:
+            powers.append(G.mul[powers[-1]][g])
+        o = len(powers)
+        for a, x in enumerate(powers, 1):
+            if math.gcd(a, o) == 1:
+                covered[class_of[x]] = True
         sg = subgroup_closure(G, by_class[idx])
         if sg.members not in seen:
             seen.add(sg.members)

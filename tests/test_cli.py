@@ -95,9 +95,8 @@ def test_over_budget_zeta_is_refused_before_any_table(monkeypatch, capsys):
     code, out, err = run(capsys, "zeta", "--group", "builtin:agl1(27)",
                          "--n", "3", "--method", "all")
     assert (code, out) == (1, "")
-    assert err == ("error: BudgetExceeded: 345948408 evaluations exceed "
-                   "budget 67108864: an estimated 31.4-57.7 s of brute "
-                   "force\n")
+    assert err == ("error: BudgetExceeded: 345948408 assignments exceed "
+                   "budget 67108864\n")
     monkeypatch.undo()
     # the budget bounds brute force only
     code, out, err = run(capsys, "zeta", "--group", "builtin:symmetric(3)",

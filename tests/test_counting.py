@@ -183,6 +183,59 @@ def test_trivial_group(text):
     assert counting.zeta_element_counts(GROUPS["trivial"], word) == [1]
 
 
+def drawing_domains(order, arity, limit):
+    """Whole-group domains that count the values drawn from them all and
+    fail once more than `limit` are drawn; returns (domains, drawn)."""
+    drawn = [0]
+
+    class Domain:
+        def __len__(self):
+            return order
+
+        def __iter__(self):
+            for a in range(order):
+                drawn[0] += 1
+                assert drawn[0] <= limit, f"more than {limit} values drawn"
+                yield a
+
+    return [Domain() for _ in range(arity)], drawn
+
+
+@pytest.mark.parametrize("G, n", [(groups.builtin("agl1", 13), 4),
+                                  (GROUPS["S4"], 5)])
+def test_wn_folds_each_distinct_residual_word_once(G, n):
+    # Once x1, x2 are fixed, the residual word of w_n depends only on the
+    # value of w_2, and so on up: at most |G| states after each level.
+    limit = G.order + (n - 1) * G.order ** 2
+    domains, drawn = drawing_domains(G.order, n, limit)
+    counts = [0] * G.order
+    counting._count_assignments(G, words.wn(n), domains, counts)
+    assert 0 < drawn[0] <= limit
+    assert sum(counts) == G.order ** n
+
+
+def test_low_merging_word_matches_reference():
+    # After x1 and x2 are fixed, all 24^2 assignments leave distinct
+    # residual words of S4, so nothing merges there.
+    S4 = GROUPS["S4"]
+    word = words.parse("x1 x2 x3 x1 x2 x3 x4 x1")
+    domains, drawn = drawing_domains(S4.order, 4, 24 ** 4)
+    counts = [0] * S4.order
+    counting._count_assignments(S4, word, domains, counts)
+    assert drawn[0] == 24 + 24 * 24 + 24 ** 2 * 24 + 288 * 24
+    assert counts == reference_counts(S4, word, [range(24)] * 4)
+
+
+def test_brute_force_past_the_old_loops_reach():
+    # 156^4 = 592M assignments: too many to evaluate one by one.
+    from wordcount import chartab, formulas
+
+    G = groups.builtin("agl1", 13)
+    table = chartab.character_table(G)
+    assert counting.zeta_brute(G, words.wn(4), budget=2**30) == \
+        formulas.zeta_wn_char(G, table, 4)
+
+
 def test_checks_run_before_enumeration(monkeypatch):
     def enumerate_anyway(*args):
         raise AssertionError("enumeration started")

@@ -186,6 +186,30 @@ def test_permutation_groups_match_references(data, degree):
     check_structure(G)
 
 
+@pytest.mark.parametrize("spec, rational_classes", [
+    ("dihedral(200)", 11), ("agl1(27)", 5),
+])
+def test_normal_subgroups_close_once_per_cyclic_subgroup_class(
+        spec, rational_classes, monkeypatch):
+    # g and g^a with gcd(a, o(g)) = 1 have the same normal closure, so one
+    # closure per class of cyclic subgroups (a rational class) but the
+    # trivial one is enough: 10 of 53 classes on D200, 4 of 27 on agl1(27).
+    G = groups.parse_builtin_spec(spec)
+    calls = 0
+    closure = groups.subgroup_closure
+
+    def counted(G, seed):
+        nonlocal calls
+        calls += 1
+        return closure(G, seed)
+
+    monkeypatch.setattr(groups, "subgroup_closure", counted)
+    normals = groups.normal_subgroups(G)
+    assert calls == rational_classes - 1
+    monkeypatch.undo()
+    assert [N.members for N in normals] == ref_normal_subgroups(G)
+
+
 def test_transposition_is_not_normal_in_s3():
     S3 = groups.builtin("symmetric", 3)
     H = groups.subgroup_closure(S3, [S3.labels.index("(1, 0, 2)")])
