@@ -463,11 +463,11 @@ def irr_given(G, N, table):
     groups.require_subgroup_of(G, N)
     if not N.is_normal():
         raise NotNormal("subgroup is not normal")
-    cls = table.classes.class_of
+    inside = [j for j, rep in enumerate(table.classes.reps) if rep in N]
     inflated, moved = [], []
     for r in range(table.num_characters):
         deg = table.degrees[r]
-        if all(table.values[r][cls[g]] == deg for g in N.members):
+        if all(table.values[r][j] == deg for j in inside):
             inflated.append(r)
         else:
             moved.append(r)

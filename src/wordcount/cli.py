@@ -177,17 +177,18 @@ def cmd_zeta(args, out):
 
 
 def closed_form_zeta(G, table, n):
-    """Dispatch to the first closed form whose predicate the group passes."""
+    """Dispatch to the first closed form whose predicate the group passes;
+    only the unique-nonlinear recursion reads `table`."""
     from . import formulas
 
-    attempts = (formulas.closed_zeta_gcp_center,
-                lambda *a: formulas.unique_nonlinear_recursion(*a)[1],
-                formulas.closed_zeta_camina3,
-                formulas.closed_zeta_tower)
+    attempts = (lambda: formulas.closed_zeta_gcp_center(G, n),
+                lambda: formulas.unique_nonlinear_recursion(G, table, n)[1],
+                lambda: formulas.closed_zeta_camina3(G, n),
+                lambda: formulas.closed_zeta_tower(G, n))
     reasons = []
     for attempt in attempts:
         try:
-            return attempt(G, table, n)
+            return attempt()
         except PredicateFailed as exc:
             reasons.append(str(exc))
     raise PredicateFailed("no closed form applies: " + "; ".join(reasons))

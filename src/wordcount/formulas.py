@@ -33,7 +33,8 @@ class GroupClassReport(namedtuple("GroupClassReport", (
         "cd gcp_targets is_vz unique_nonlinear"))):
     """What `classify` finds: `nilpotency_class` is None for a group that is
     not nilpotent, `cd` is the set of character degrees, and the two target
-    fields are lists."""
+    fields are lists.  Only `cd` reads the character table; every other
+    field comes from class sizes and the normal subgroups."""
 
     __slots__ = ()
 
@@ -185,49 +186,48 @@ def zeta_mixed_theorem21(G, H, w1, w2, table=None):
 # class predicates
 
 
+def _nonlinear_vanish_off(G, N):
+    """True iff G has a nonlinear character and every one vanishes off N.
+
+    By column orthogonality, sum over nonlinear chi of |chi(g)|^2 is
+    |C_G(g)| - |G:G'|, the linear characters contributing 1 each.  So every
+    nonlinear character vanishes at g exactly when |C_G(g)| = |G:G'|, that
+    is when |Cl(g)| = |G'|.  N is normal, so one class representative per
+    class outside N decides it.
+    """
+    derived_order = groups.commutator_subgroup(G).order
+    classes = groups.conjugacy_classes(G)
+    return derived_order > 1 and all(
+        size == derived_order
+        for rep, size in zip(classes.reps, classes.sizes) if rep not in N)
+
+
 def classify(G, table=None):
     """Structural predicates feeding the closed-form evaluators."""
     if table is None:
         table = chartab.character_table(G)
-    classes = table.classes
     z = groups.center(G)
     derived = groups.commutator_subgroup(G)
-    is_abelian = z.order == G.order
-    nclass = groups.nilpotency_class(G)
 
     normals = groups.normal_subgroups(G)
-    camina_targets = []
-    for H in normals:
-        if 1 < H.order < G.order and groups.is_camina_pair(G, H):
-            camina_targets.append(H)
-    for H in camina_targets:
-        if not (set(z.members) <= set(H.members)
-                and set(H.members) <= set(derived.members)):
-            raise InternalInconsistency("Camina target outside Z(G)..G'")
-    is_camina_group = any(H.members == derived.members for H in camina_targets)
-
-    cd = set(table.degrees)
-    nl = table.nonlinear_indices()
-    gcp_targets = []
-    if nl:
-        support = {g for g in range(G.order)
-                   if any(not table.values[r][classes.class_of[g]].is_zero()
-                          for r in nl)}
-        V = groups.subgroup_closure(G, support)
-        vset = set(V.members)
-        for N in normals:
-            if N.order < G.order and vset <= set(N.members):
-                gcp_targets.append(N)
-    is_vz = any(N.members == z.members for N in gcp_targets)
+    camina_targets = [H for H in normals
+                      if 1 < H.order < G.order and groups.is_camina_pair(G, H)]
+    if any(not set(z.members) <= set(H.members) <= set(derived.members)
+           for H in camina_targets):
+        raise InternalInconsistency("Camina target outside Z(G)..G'")
+    gcp_targets = [N for N in normals
+                   if N.order < G.order and _nonlinear_vanish_off(G, N)]
+    num_linear = G.order // derived.order
     return GroupClassReport(
-        is_abelian=is_abelian,
-        nilpotency_class=nclass,
+        is_abelian=z.order == G.order,
+        nilpotency_class=groups.nilpotency_class(G),
         camina_pair_targets=camina_targets,
-        is_camina_group=is_camina_group,
-        cd=cd,
+        is_camina_group=any(H == derived for H in camina_targets),
+        cd=set(table.degrees),
         gcp_targets=gcp_targets,
-        is_vz=is_vz,
-        unique_nonlinear=len(nl) == 1,
+        is_vz=_nonlinear_vanish_off(G, z),
+        unique_nonlinear=(
+            groups.conjugacy_classes(G).num_classes - num_linear == 1),
     )
 
 
@@ -371,7 +371,7 @@ def _closed_tower_all(inv, n):
     return out
 
 
-def _regions_class_function(G, table, values_by_region, inner, n):
+def _regions_class_function(G, values_by_region, inner, n):
     """Assemble a ClassFunction from region values.
 
     `inner` is the subgroup whose nontrivial part takes the
@@ -379,10 +379,9 @@ def _regions_class_function(G, table, values_by_region, inner, n):
     outside G' takes 0.
     """
     derived = groups.commutator_subgroup(G)
-    classes = table.classes
+    classes = groups.conjugacy_classes(G)
     vals = []
-    for m in range(classes.num_classes):
-        g = classes.reps[m]
+    for g in classes.reps:
         if g == 0:
             vals.append(values_by_region["identity"])
         elif g in inner:
@@ -397,48 +396,41 @@ def _regions_class_function(G, table, values_by_region, inner, n):
     return cf
 
 
-def closed_zeta_gcp_center(G, table, n):
+def closed_zeta_gcp_center(G, n):
     """ClassFunction form of closed_gcp_center, with the predicate checked."""
-    report = classify(G, table)
-    if not report.is_vz:
+    if not _nonlinear_vanish_off(G, groups.center(G)):
         raise PredicateFailed("(G, Z(G)) is not a GCP")
-    inv = invariants_of(G)
-    vals = _closed_gcp_center_all(inv, n)
-    by_region = {
-        "identity": vals["identity"],
-        "center_nontrivial": vals["nontrivial"],
-        "derived_rest": vals["nontrivial"],
-    }
-    derived = groups.commutator_subgroup(G)
-    return _regions_class_function(G, table, by_region, derived, n)
+    vals = _closed_gcp_center_all(invariants_of(G), n)
+    # inner = G', so every nontrivial g in G' takes "center_nontrivial"
+    by_region = {"identity": vals["identity"],
+                 "center_nontrivial": vals["nontrivial"]}
+    return _regions_class_function(
+        G, by_region, groups.commutator_subgroup(G), n)
 
 
-def closed_zeta_camina3(G, table, n):
-    report = classify(G, table)
-    if not (report.is_camina_group and report.nilpotency_class == 3):
+def closed_zeta_camina3(G, n):
+    # class 3 first: then 1 < G' < G, as is_camina_pair requires
+    if groups.nilpotency_class(G) != 3 or not groups.is_camina_pair(
+            G, groups.commutator_subgroup(G)):
         raise PredicateFailed("not a Camina group of nilpotency class 3")
     if groups._prime_power(G.order) is None:
         raise PredicateFailed("not a p-group")
-    inv = invariants_of(G)
     gamma3 = groups.gamma(G, 3)
-    z = groups.center(G)
-    if gamma3.members != z.members:
+    if gamma3 != groups.center(G):
         raise PredicateFailed("gamma_3(G) != Z(G)")
     return _regions_class_function(
-        G, table, _closed_camina3_all(inv, n), gamma3, n)
+        G, _closed_camina3_all(invariants_of(G), n), gamma3, n)
 
 
-def closed_zeta_tower(G, table, n):
+def closed_zeta_tower(G, n):
     z = groups.center(G)
     if z.order <= 1 or z.order >= G.order or not groups.is_camina_pair(G, z):
         raise PredicateFailed("(G, Z(G)) is not a Camina pair")
     Q, _ = groups.quotient(G, z)
-    qtable = chartab.character_table(Q)
-    if not classify(Q, qtable).is_vz:
+    if not _nonlinear_vanish_off(Q, groups.center(Q)):
         raise PredicateFailed("(G/Z, Z(G/Z)) is not a GCP")
-    inv = invariants_of(G)
     return _regions_class_function(
-        G, table, _closed_tower_all(inv, n), z, n)
+        G, _closed_tower_all(invariants_of(G), n), z, n)
 
 
 # ---------------------------------------------------------------------------
@@ -533,12 +525,9 @@ def cd2_bound_check(G, table, N, n):
         raise PredicateFailed("N is not normal")
     if any(G.mul[a][b] != G.mul[b][a] for a in N.members for b in N.members):
         raise PredicateFailed("N is not abelian")
-    cls = table.classes.class_of
+    if m > 1 and not _nonlinear_vanish_off(G, N):
+        raise PredicateFailed("a nonlinear character does not vanish off N")
     for r in table.nonlinear_indices():
-        for g in range(G.order):
-            if g not in N and not table.values[r][cls[g]].is_zero():
-                raise PredicateFailed(
-                    f"character {r} does not vanish off N")
         if chartab.inner_product_on(table, N, r, r) != m:
             raise PredicateFailed(
                 f"character {r} is not induced from N")
@@ -563,15 +552,14 @@ def verify_camina_pair_structure(G, table):
         raise CheckFailed(
             f"|Irr(G|Z)| = {len(moved)}, expected |Z|-1 = {z.order - 1}")
     idx = G.order // z.order
-    cls = table.classes.class_of
+    outside = [j for j, rep in enumerate(table.classes.reps) if rep not in z]
     for r in moved:
         if table.degrees[r] ** 2 != idx:
             raise CheckFailed(
                 f"character {r} has degree {table.degrees[r]}, "
                 f"expected |G:Z|^(1/2)")
-        for g in range(G.order):
-            if g not in z and not table.values[r][cls[g]].is_zero():
-                raise CheckFailed(f"character {r} does not vanish off Z(G)")
+        if not all(table.values[r][j].is_zero() for j in outside):
+            raise CheckFailed(f"character {r} does not vanish off Z(G)")
     degree = math.isqrt(idx)
     if degree * degree != idx:
         raise CheckFailed(f"|G:Z(G)| = {idx} is not a square")

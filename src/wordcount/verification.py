@@ -145,13 +145,13 @@ def check_gcp_closed_form():
     results = []
     expected = {2: (40, 24), 3: (512, 0)}
     for spec in ("quaternion(8)", "dihedral(8)"):
-        G = groups.parse_builtin_spec(spec)
+        G = dict(catalog())[spec]
         def one(G=G):
             table = chartab.character_table(G)
             derived = groups.commutator_subgroup(G)
             nontrivial = next(g for g in derived.members if g)
             for n, (at_one, at_g) in expected.items():
-                closed = formulas.closed_zeta_gcp_center(G, table, n)
+                closed = formulas.closed_zeta_gcp_center(G, n)
                 char = formulas.zeta_wn_char(G, table, n)
                 brute = counting.zeta_brute(G, words.wn(n))
                 assert closed == char == brute
@@ -169,7 +169,7 @@ def check_unique_nonlinear():
                ("agl1(4)", 4, 44, 960, 256)]
     flagged = []
     for spec, pm, c3, at_one, off in anchors:
-        G = groups.parse_builtin_spec(spec)
+        G = dict(catalog())[spec]
         def one(G=G, pm=pm, c3=c3, at_one=at_one, off=off):
             table = chartab.character_table(G)
             c, zeta = formulas.unique_nonlinear_recursion(G, table, 3)
@@ -216,7 +216,7 @@ def check_mixed_domain():
     """The (S3, A3) example of the mixed-domain formula, against brute force."""
     results = []
     def one():
-        G = groups.builtin("symmetric", 3)
+        G = dict(catalog())["symmetric(3)"]
         table = chartab.character_table(G)
         H = groups.subgroup_closure(
             G, [g for g in range(6) if G.element_order(g) != 2])
@@ -239,12 +239,11 @@ def check_mixed_domain():
 def check_isoclinism():
     """Witnesses and exact scaling for (D8, Q8) and (Q8xC2, Q8) at n=1."""
     results = []
-    Q8 = groups.builtin("quaternion", 8)
-    cases = [("dihedral(8)~quaternion(8)",
-              groups.builtin("dihedral", 8), Fraction(1)),
+    built = dict(catalog())
+    Q8 = built["quaternion(8)"]
+    cases = [("dihedral(8)~quaternion(8)", built["dihedral(8)"], Fraction(1)),
              ("quaternion(8)xC2~quaternion(8)",
-              groups.direct_product(Q8, groups.builtin("cyclic", 2)),
-              Fraction(4))]
+              groups.direct_product(Q8, built["cyclic(2)"]), Fraction(4))]
     for name, G, factor in cases:
         def one(G=G, factor=factor):
             witness = isoclinism.find_isoclinism(G, Q8, 1)

@@ -18,6 +18,7 @@ from functools import lru_cache
 from .errors import ArityMismatch, ArityTooSmall, EmptyWord, WordSyntaxError
 
 MAX_EXPONENT = 2**31 - 1
+MAX_LETTERS = 2**16   # most letters brackets and powers may expand to
 
 
 class Word(namedtuple("Word", "arity letters")):
@@ -99,13 +100,20 @@ class _Parser:
             self.error("expected an integer")
         return int(chunk)
 
+    def check_expansion(self, size):
+        if size > MAX_LETTERS:
+            self.error(f"word expands to {size} letters, more than "
+                       f"{MAX_LETTERS}")
+
     def parse_word(self, stoppers):
         letters = []
         while True:
             c = self.peek()
             if c == "" or c in stoppers:
                 break
-            letters.extend(self.parse_term(stoppers))
+            term = self.parse_term(stoppers)
+            self.check_expansion(len(letters) + len(term))
+            letters.extend(term)
         if not letters:
             self.error("expected a term")
         return letters
@@ -128,6 +136,7 @@ class _Parser:
             self.expect(",")
             v = self.parse_word("]")
             self.expect("]")
+            self.check_expansion(2 * (len(u) + len(v)))
             return self.maybe_power(_invert(u) + _invert(v) + u + v)
         if c == "(":
             self.pos += 1
@@ -143,6 +152,7 @@ class _Parser:
         exp = self.parse_int()
         if exp == 0:
             return []
+        self.check_expansion(len(letters) * abs(exp))
         base = letters if exp > 0 else _invert(letters)
         return base * abs(exp)
 

@@ -5,7 +5,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from wordcount import counting, groups, words
+from wordcount import (chartab, cli, counting, cyclotomic, formulas, groups,
+                       words)
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -30,3 +31,18 @@ def test_zeta_brute_accepts_classes():
     classes = groups.conjugacy_classes(S3)
     zeta = counting.zeta_brute(S3, words.wn(2), classes=classes)
     assert zeta.classes is classes and zeta.values == (18, 9, 0)
+
+
+def test_counted_methods_exist_on_cyclotomic():
+    for key, methods in _spans().COUNTED.items():
+        missing = [m for m in methods
+                   if not callable(getattr(cyclotomic.Cyclotomic, m, None))]
+        assert not missing, f"{key}: {missing}"
+
+
+def test_session_calls_take_the_table_positionally():
+    # perfbench/child.py: classify(G, table), closed_form_zeta(G, table, n)
+    Q8 = groups.builtin("quaternion", 8)
+    table = chartab.character_table(Q8)
+    assert formulas.classify(Q8, table).is_vz
+    assert cli.closed_form_zeta(Q8, table, 3).values == (512, 0, 0, 0, 0)

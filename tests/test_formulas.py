@@ -108,14 +108,43 @@ def test_closed_gcp_center_class_function():
         G = groups.parse_builtin_spec(spec)
         table = _table(G)
         for n in (2, 3, 4):
-            closed = formulas.closed_zeta_gcp_center(G, table, n)
+            closed = formulas.closed_zeta_gcp_center(G, n)
             assert closed == formulas.zeta_wn_char(G, table, n)
 
 
 def test_closed_gcp_center_rejects_non_vz():
     S3 = groups.builtin("symmetric", 3)
     with pytest.raises(PredicateFailed):
-        formulas.closed_zeta_gcp_center(S3, _table(S3), 2)
+        formulas.closed_zeta_gcp_center(S3, 2)
+
+
+def _no_table(*args, **kwargs):
+    raise AssertionError("a class-data closed form read a character table")
+
+
+@pytest.mark.parametrize("spec, values", [
+    ("quaternion(8)", {2: (40, 24, 0, 0, 0), 3: (512, 0, 0, 0, 0)}),
+    ("dihedral(8)", {2: (40, 24, 0, 0, 0), 3: (512, 0, 0, 0, 0)}),
+    ("heisenberg(3)", {2: (297, 216, 216) + (0,) * 8,
+                       3: (19683,) + (0,) * 10}),
+])
+def test_gcp_closed_form_needs_no_table(spec, values, monkeypatch):
+    G = groups.parse_builtin_spec(spec)
+    monkeypatch.setattr(chartab, "character_table", _no_table)
+    monkeypatch.setattr(formulas, "classify", _no_table)
+    for n, expected in values.items():
+        assert formulas.closed_zeta_gcp_center(G, n).values == expected
+
+
+@pytest.mark.parametrize("closed", [formulas.closed_zeta_gcp_center,
+                                    formulas.closed_zeta_camina3,
+                                    formulas.closed_zeta_tower])
+def test_class_data_predicates_fail_without_a_table(closed, monkeypatch):
+    S3 = groups.builtin("symmetric", 3)
+    monkeypatch.setattr(chartab, "character_table", _no_table)
+    monkeypatch.setattr(formulas, "classify", _no_table)
+    with pytest.raises(PredicateFailed):
+        closed(S3, 3)
 
 
 def test_camina3_closed_forms():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wordcount import groups
+from wordcount import chartab, formulas, groups
 from wordcount.cli import main
 from wordcount.errors import NotAGroup, OrderLimitExceeded
 
@@ -208,6 +208,40 @@ def test_normal_subgroups_close_once_per_cyclic_subgroup_class(
     assert calls == rational_classes - 1
     monkeypatch.undo()
     assert [N.members for N in normals] == ref_normal_subgroups(G)
+
+
+def ref_vanish_scan(G, table):
+    """For each element, whether G has a nonlinear character and every one
+    is 0 there, read from the character values."""
+    nl = table.nonlinear_indices()
+    cls = table.classes.class_of
+    return [bool(nl) and all(table.values[r][cls[g]].is_zero() for r in nl)
+            for g in range(G.order)]
+
+
+@pytest.mark.parametrize("spec", SMALL_BUILTINS + [
+    "agl1(27)", "heisenberg(5)", "direct_product(symmetric(4),quaternion(8))",
+])
+def test_class_size_rule_matches_character_values(spec):
+    G = groups.parse_builtin_spec(spec)
+    table = chartab.character_table(G)
+    vanishes = ref_vanish_scan(G, table)
+    has_nonlinear = bool(table.nonlinear_indices())
+    normals = groups.normal_subgroups(G)
+    for N in normals:
+        expected = has_nonlinear and all(
+            vanishes[g] for g in range(G.order) if g not in N)
+        assert formulas._nonlinear_vanish_off(G, N) == expected, N.members
+    # classify's fields the way they were read from the character values:
+    # the normal N < G containing the subgroup the nonvanishing set generates
+    report = formulas.classify(G, table)
+    support = [g for g in range(G.order) if not vanishes[g]]
+    V = set(groups.subgroup_closure(G, support).members)
+    targets = ([N for N in normals if N.order < G.order
+                and V <= set(N.members)] if has_nonlinear else [])
+    assert report.gcp_targets == targets
+    assert report.is_vz == any(N == groups.center(G) for N in targets)
+    assert report.unique_nonlinear == (len(table.nonlinear_indices()) == 1)
 
 
 def test_transposition_is_not_normal_in_s3():

@@ -1,6 +1,7 @@
 import pytest
 
 from wordcount import groups, words
+from wordcount.cli import main
 from wordcount.errors import (ArityMismatch, ArityTooSmall, EmptyWord,
                               WordSyntaxError)
 from wordcount.words import evaluate, make_word, parse, wn
@@ -87,3 +88,36 @@ def test_unreduced_and_reduced_words_agree():
 def test_str_roundtrip():
     w = parse("[x1,x2] x3^2")
     assert parse(str(w)) == w
+
+
+def _bracketed_wn(n):
+    text = "x1"
+    for i in range(2, n + 1):
+        text = f"[{text},x{i}]"
+    return text
+
+
+@pytest.mark.parametrize("text", ["(x1 x2)^2147483647", _bracketed_wn(26),
+                                  "(x1 x2)^32769",
+                                  " ".join(["(x1 x2)^30000"] * 3)])
+def test_expansion_past_the_letter_bound_is_refused(text):
+    with pytest.raises(WordSyntaxError, match="more than 65536"):
+        parse(text)
+
+
+def test_words_up_to_the_letter_bound_parse():
+    assert words.MAX_LETTERS == 2**16
+    assert len(parse("(x1 x2)^32768").letters) == words.MAX_LETTERS
+    assert parse(_bracketed_wn(15)) == wn(15)
+    text = " ".join(f"x{i}" for i in range(1, 1501))
+    assert parse(text).arity == 1500
+
+
+def test_cli_refuses_an_oversize_expansion_in_one_line(capsys):
+    code = main(["count", "--group", "builtin:cyclic(1)",
+                 "--word", "(x1 x2)^2147483647"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: word expands to 4294967294 letters, "
+                            "more than 65536 (at position 18)\n")
