@@ -94,6 +94,11 @@ class CharacterTable:
                   for a, b in zip(row, conj))
             for row, conj in zip(self.sparse_rows, self.conjugate_rows))
 
+    @cached_property
+    def zeta_chain(self):
+        """[zeta^{w_2}, zeta^{w_3}, ...], extended by `formulas.zeta_wn_char`."""
+        return []
+
 
 # ---------------------------------------------------------------------------
 # modular linear algebra helpers

@@ -17,6 +17,7 @@ from .cyclotomic import UNIT
 from .errors import (
     CheckFailed,
     InternalInconsistency,
+    MismatchedGroup,
     NotMeasurePreserving,
     NotNormal,
     PredicateFailed,
@@ -73,11 +74,8 @@ def _rational_row_sum(table, terms):
 
 
 def zeta_w2_frobenius(G, table):
-    """zeta for [x1,x2] as the classical character sum."""
-    terms = [(Fraction(G.order, table.degrees[r]), r)
-             for r in range(table.num_characters)]
-    values = _rational_row_sum(table, terms)
-    return _as_integer_class_function(G, table, values, 2)
+    """zeta for [x1,x2]: the Frobenius sum, the recursion's first step."""
+    return zeta_wn_char(G, table, 2)
 
 
 def _as_integer_class_function(G, table, values, n):
@@ -92,39 +90,43 @@ def _as_integer_class_function(G, table, values, n):
     return cf
 
 
-def c_wn(G, table, chi, n, zeta_prev=None):
-    """The coefficient <zeta^{w_{n-1}} chi, chi>, with its special cases."""
+def _require_table_of(G, table):
+    if table.group != G:
+        raise MismatchedGroup("character table belongs to a different group")
+
+
+def c_wn(G, table, chi, n):
+    """C^{w_n}(chi) = <zeta^{w_{n-1}} chi, chi>: 1 for n = 2, |G|^{n-2} for
+    a linear chi, else summed over zeta^{w_{n-1}} from the table's chain."""
+    _require_table_of(G, table)
     if n == 2:
         return Fraction(1)
     if table.linear_mask[chi]:
         return Fraction(G.order ** (n - 2))
-    if zeta_prev is None:
-        zeta_prev = zeta_wn_char(G, table, n - 1)
+    zeta_prev = zeta_wn_char(G, table, n - 1).values
     norms = table.norm_rows[chi]
     total = cyclotomic.rational_sum(
         table.exponent,
         ((size * zj, norms[j], UNIT) for j, (size, zj)
-         in enumerate(zip(table.classes.sizes, zeta_prev.values)) if zj))
+         in enumerate(zip(table.classes.sizes, zeta_prev)) if zj))
     return total / G.order
 
 
 def zeta_wn_char(G, table, n):
-    """zeta for the left-normed commutator word w_n via the recursion."""
+    """zeta^{w_n} by the recursion zeta^{w_k} = sum_chi |G| C^{w_k}(chi) /
+    chi(1) * chi, k = 2, ..., n; each step runs once per table, extending
+    `table.zeta_chain` = [zeta^{w_2}, zeta^{w_3}, ...]."""
+    _require_table_of(G, table)
     if n < 2:
         raise PredicateFailed("the recursion starts at n = 2")
-    zeta = zeta_w2_frobenius(G, table)
-    for k in range(3, n + 1):
-        terms = []
-        for r in range(table.num_characters):
-            if table.linear_mask[r]:
-                coef = Fraction(G.order ** (k - 1))
-            else:
-                c = c_wn(G, table, r, k, zeta)
-                coef = Fraction(G.order) * c / table.degrees[r]
-            terms.append((coef, r))
-        values = _rational_row_sum(table, terms)
-        zeta = _as_integer_class_function(G, table, values, k)
-    return zeta
+    chain = table.zeta_chain
+    while len(chain) < n - 1:
+        k = len(chain) + 2
+        terms = [(G.order * c_wn(G, table, r, k) / table.degrees[r], r)
+                 for r in range(table.num_characters)]
+        chain.append(_as_integer_class_function(
+            G, table, _rational_row_sum(table, terms), k))
+    return chain[n - 2]
 
 
 def bracket_word(w1, w2):
@@ -531,11 +533,10 @@ def cd2_bound_check(G, table, N, n):
         if chartab.inner_product_on(table, N, r, r) != m:
             raise PredicateFailed(
                 f"character {r} is not induced from N")
-    zeta_prev = zeta_wn_char(G, table, n - 1)
     bound = Fraction(m * G.order ** (n - 1), N.order)
     out = []
     for r in table.nonlinear_indices():
-        c = c_wn(G, table, r, n, zeta_prev)
+        c = c_wn(G, table, r, n)
         if c > bound:
             raise CheckFailed(f"C^w_n({r}) = {c} exceeds bound {bound}")
         out.append((r, c, bound))

@@ -786,11 +786,9 @@ def conjugacy_classes(G):
 
 @structure_memo
 def center(G):
-    """The elements that commute with every generator."""
-    gens = G.generating_set()
-    members = [a for a in range(G.order)
-               if all(G.mul[a][s] == G.mul[s][a] for s in gens)]
-    return Subgroup(G, tuple(members))
+    """The elements that commute with every generator: [g, s] = 1 exactly
+    when g and s commute."""
+    return centralizer_of_subgroup_mod(G, trivial_subgroup(G))
 
 
 def centralizer_of_subgroup_mod(G, lower):

@@ -14,9 +14,11 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import chartab, formulas, groups
-from .errors import SearchBoundExceeded, WitnessInvalid
+from .errors import SearchBoundExceeded, UnsupportedParameter, WitnessInvalid
 
 SEARCH_BOUND = 64
+# most tuples |G/Z_n|^(n+1) the search and the witness check each enumerate
+TUPLE_BOUND = 2**20
 
 
 class IsoclinismWitness(namedtuple("IsoclinismWitness", (
@@ -103,6 +105,8 @@ def _isomorphisms(A, B):
 
 def find_isoclinism(G, H, n):
     """An n-isoclinism witness, or None if the groups are not n-isoclinic."""
+    if n < 1:
+        raise UnsupportedParameter(f"n must be at least 1, got {n}")
     ZG, ZH = groups.zn(G, n), groups.zn(H, n)
     gammaG, gammaH = groups.gamma(G, n + 1), groups.gamma(H, n + 1)
     if G.order // ZG.order > SEARCH_BOUND or gammaG.order > SEARCH_BOUND:
@@ -114,11 +118,14 @@ def find_isoclinism(G, H, n):
     if G.order // ZG.order != H.order // ZH.order or \
             gammaG.order != gammaH.order:
         return None
+    count = (G.order // ZG.order) ** (n + 1)
+    if count > TUPLE_BOUND:
+        raise SearchBoundExceeded(
+            f"{count} tuples of coset representatives exceed {TUPLE_BOUND}")
     QG, projG = groups.quotient(G, ZG)
     QH, projH = groups.quotient(H, ZH)
     repsG = _coset_reps(QG, projG, G.order)
     repsH = _coset_reps(QH, projH, H.order)
-
 
     tuples = list(itertools.product(range(QG.order), repeat=n + 1))
     for phi in _isomorphisms(QG, QH):

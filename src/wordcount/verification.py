@@ -42,102 +42,88 @@ def _run(results, check_id, group, fn):
             "FAIL", check_id, group, f"{type(exc).__name__}: {exc}"))
 
 
-def check_frobenius_sweep():
-    """zeta_w2_frobenius == zeta_brute on every catalog group."""
+def _per_group(check_id, body, nilpotent_only=False):
+    """Run body(G, table) on every catalog group (or only the nilpotent
+    ones), one result each."""
     results = []
     for spec, G in catalog():
-        def one(G=G):
-            table = chartab.character_table(G)
-            zf = formulas.zeta_w2_frobenius(G, table)
-            zb = counting.zeta_brute(G, words.wn(2))
-            assert zf == zb, f"{zf.values} != {zb.values}"
-            return f"|G|={G.order} classes={table.classes.num_classes}"
-        _run(results, "frobenius-sweep", spec, one)
+        if nilpotent_only and groups.nilpotency_class(G) is None:
+            continue
+        _run(results, check_id, spec,
+             lambda G=G: body(G, chartab.character_table(G)))
     return results
+
+
+def check_frobenius_sweep():
+    """zeta_w2_frobenius == zeta_brute on every catalog group."""
+    def body(G, table):
+        zf = formulas.zeta_w2_frobenius(G, table)
+        zb = counting.zeta_brute(G, words.wn(2))
+        assert zf == zb, f"{zf.values} != {zb.values}"
+        return f"|G|={G.order} classes={table.classes.num_classes}"
+    return _per_group("frobenius-sweep", body)
 
 
 def check_chartab_exactness():
     """Row orthogonality (which implies column orthogonality for the square
     table), the degree checks and the linear-character count, re-verified."""
-    results = []
-    for spec, G in catalog():
-        def one(G=G):
-            table = chartab.character_table(G)
-            chartab._verify_table(G, table)
-            assert sum(d * d for d in table.degrees) == G.order
-            return f"k={table.num_characters}"
-        _run(results, "chartab-orthogonality", spec, one)
-    return results
+    def body(G, table):
+        chartab._verify_table(G, table)
+        assert sum(d * d for d in table.degrees) == G.order
+        return f"k={table.num_characters}"
+    return _per_group("chartab-orthogonality", body)
 
 
 def check_recursion_sweep():
     """zeta_wn_char == zeta_brute for n in {3,4,5} on every catalog group."""
     results = []
     for n in (3, 4, 5):
-        for spec, G in catalog():
-            def one(G=G, n=n):
-                table = chartab.character_table(G)
-                zc = formulas.zeta_wn_char(G, table, n)
-                zb = counting.zeta_brute(G, words.wn(n))
-                assert zc == zb, f"{zc.values} != {zb.values}"
-                return f"n={n}"
-            _run(results, f"recursion-n{n}", spec, one)
+        def body(G, table, n=n):
+            zc = formulas.zeta_wn_char(G, table, n)
+            zb = counting.zeta_brute(G, words.wn(n))
+            assert zc == zb, f"{zc.values} != {zb.values}"
+            return f"n={n}"
+        results += _per_group(f"recursion-n{n}", body)
     return results
 
 
 def check_first_moment():
     """<zeta^{w_{n-1}}, 1_G> = |G|^{n-2} for n in {3,4,5}."""
-    results = []
-    for spec, G in catalog():
-        def one(G=G):
-            table = chartab.character_table(G)
-            for n in (3, 4, 5):
-                zeta = formulas.zeta_wn_char(G, table, n - 1)
-                ip = Fraction(sum(s * v for s, v in
-                                  zip(table.classes.sizes, zeta.values)),
-                              G.order)
-                assert ip == G.order ** (n - 2), f"n={n}: {ip}"
-            return "n=3,4,5"
-        _run(results, "first-moment", spec, one)
-    return results
+    def body(G, table):
+        for n in (3, 4, 5):
+            zeta = formulas.zeta_wn_char(G, table, n - 1)
+            ip = Fraction(sum(s * v for s, v in
+                              zip(table.classes.sizes, zeta.values)),
+                          G.order)
+            assert ip == G.order ** (n - 2), f"n={n}: {ip}"
+        return "n=3,4,5"
+    return _per_group("first-moment", body)
 
 
 def check_character_coefficients():
     """<zeta^{w_n}, chi> is a nonnegative integer for n in {2,3}."""
-    results = []
-    for spec, G in catalog():
-        def one(G=G):
-            table = chartab.character_table(G)
-            for n in (2, 3):
-                zeta = formulas.zeta_wn_char(G, table, n)
-                for r in range(table.num_characters):
-                    ip = chartab.inner_product(table, zeta, r)
-                    assert ip.denominator == 1 and ip >= 0, \
-                        f"n={n} chi_{r}: {ip}"
-            return "n=2,3"
-        _run(results, "char-coefficients", spec, one)
-    return results
+    def body(G, table):
+        for n in (2, 3):
+            zeta = formulas.zeta_wn_char(G, table, n)
+            for r in range(table.num_characters):
+                ip = chartab.inner_product(table, zeta, r)
+                assert ip.denominator == 1 and ip >= 0, \
+                    f"n={n} chi_{r}: {ip}"
+        return "n=2,3"
+    return _per_group("char-coefficients", body)
 
 
 def check_stabilization():
     """C^{w_{m+1}}(chi) = chi(1)^2 |G|^{m-1} past the nilpotency class."""
-    results = []
-    for spec, G in catalog():
+    def body(G, table):
         c = groups.nilpotency_class(G)
-        if c is None:
-            continue
-        def one(G=G, c=c):
-            table = chartab.character_table(G)
-            for m in (c + 1, c + 2):
-                zeta_prev = formulas.zeta_wn_char(G, table, m) if m >= 2 \
-                    else None
-                for r in range(table.num_characters):
-                    got = formulas.c_wn(G, table, r, m + 1, zeta_prev)
-                    want = table.degrees[r] ** 2 * G.order ** (m - 1)
-                    assert got == want, f"m={m} chi_{r}: {got} != {want}"
-            return f"class={c} m={c + 1},{c + 2}"
-        _run(results, "stabilization", spec, one)
-    return results
+        for m in (c + 1, c + 2):
+            for r in range(table.num_characters):
+                got = formulas.c_wn(G, table, r, m + 1)
+                want = table.degrees[r] ** 2 * G.order ** (m - 1)
+                assert got == want, f"m={m} chi_{r}: {got} != {want}"
+        return f"class={c} m={c + 1},{c + 2}"
+    return _per_group("stabilization", body, nilpotent_only=True)
 
 
 def check_gcp_closed_form():

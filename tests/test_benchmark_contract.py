@@ -46,3 +46,19 @@ def test_session_calls_take_the_table_positionally():
     table = chartab.character_table(Q8)
     assert formulas.classify(Q8, table).is_vz
     assert cli.closed_form_zeta(Q8, table, 3).values == (512, 0, 0, 0, 0)
+
+
+def test_session_zeta_calls_are_positional():
+    # perfbench/child.py: zeta_wn_char(G, table, n),
+    # zeta_mixed_theorem21(G, H, w1, w2, table), inner_product(table, zeta, r)
+    S3 = groups.builtin("symmetric", 3)
+    table = chartab.character_table(S3)
+    zeta = formulas.zeta_wn_char(S3, table, 2)
+    assert zeta.values == (18, 9, 0)
+    x1 = words.parse("x1")
+    assert formulas.zeta_mixed_theorem21(
+        S3, groups.commutator_subgroup(S3), x1, x1, table) == \
+        [12, 0, 0, 3, 3, 0]
+    # <zeta^{w_2}, chi> = |G| / chi(1)
+    assert [chartab.inner_product(table, zeta, r)
+            for r in range(table.num_characters)] == [6, 6, 3]

@@ -153,6 +153,18 @@ def test_isoclinic_command(capsys):
     assert "not isoclinic" in out
 
 
+def test_isoclinic_refuses_bad_or_huge_level(capsys):
+    code, out, err = run(capsys, "isoclinic", "--group", "builtin:symmetric(3)",
+                         "--other", "builtin:symmetric(3)", "--n", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: n must be at least 1, got 0\n"
+    code, out, err = run(capsys, "isoclinic", "--group", "builtin:symmetric(4)",
+                         "--other", "builtin:symmetric(4)", "--n", "4")
+    assert (code, out) == (1, "")
+    assert err == ("error: SearchBoundExceeded: 7962624 tuples of coset "
+                   "representatives exceed 1048576\n")
+
+
 def test_usage_errors(capsys):
     code, _, err = run(capsys, "zeta", "--group", "builtin:nosuch(3)",
                        "--n", "2")

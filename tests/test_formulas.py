@@ -41,6 +41,44 @@ def test_c_wn_values():
     assert formulas.c_wn(S3, table, lin, 4) == 36
 
 
+def _count_row_sums(monkeypatch):
+    calls = []
+    row_sum = formulas._rational_row_sum
+    monkeypatch.setattr(formulas, "_rational_row_sum",
+                        lambda *args: calls.append(1) or row_sum(*args))
+    return calls
+
+
+def test_each_zeta_step_runs_once_per_table(monkeypatch):
+    S3 = groups.builtin("symmetric", 3)
+    table = chartab.load_table(S3, chartab.dump_table(_table(S3)))
+    calls = _count_row_sums(monkeypatch)
+    top = formulas.zeta_wn_char(S3, table, 5)
+    assert len(calls) == 4  # one step each for n = 2, 3, 4, 5
+    assert formulas.zeta_w2_frobenius(S3, table) is table.zeta_chain[0]
+    assert [formulas.zeta_wn_char(S3, table, n) for n in range(2, 6)] \
+        == table.zeta_chain
+    assert formulas.zeta_wn_char(S3, table, 5) is top
+    for n in range(2, 6):
+        for r in range(table.num_characters):
+            formulas.c_wn(S3, table, r, n)
+    assert len(calls) == 4
+    # the one-character sum is its own; the check reads zeta^{w_5}
+    _, zeta = formulas.unique_nonlinear_recursion(S3, table, 5)
+    assert zeta == top and len(calls) == 5
+
+
+def test_loaded_table_builds_its_own_chain():
+    Q8 = groups.builtin("quaternion", 8)
+    table = _table(Q8)
+    zeta = formulas.zeta_wn_char(Q8, table, 3)
+    loaded = chartab.load_table(Q8, chartab.dump_table(table))
+    assert loaded == table and loaded.zeta_chain == []
+    assert formulas.zeta_wn_char(Q8, loaded, 3) == zeta
+    assert loaded.zeta_chain == table.zeta_chain[:2]
+    assert loaded.zeta_chain[1] is not zeta
+
+
 def test_mixed_domain_theorem():
     S3 = groups.builtin("symmetric", 3)
     table = _table(S3)

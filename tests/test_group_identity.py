@@ -117,3 +117,30 @@ def test_class_function_prefix_is_not_equal():
     again = groups.builtin("symmetric", 3)
     assert full == ClassFunction(again, groups.conjugacy_classes(again),
                                  (18, 9, 0))
+
+
+def test_character_table_of_another_group_is_refused():
+    # S3 and C6 have the same order, so total mass cannot tell them apart
+    C6, S3 = groups.builtin("cyclic", 6), groups.builtin("symmetric", 3)
+    table = chartab.character_table(S3)
+    with pytest.raises(MismatchedGroup,
+                       match="character table belongs to a different group"):
+        formulas.zeta_wn_char(C6, table, 3)
+    assert table.zeta_chain == []
+    # nor may a wrong group read the chain the right one left on the table
+    formulas.zeta_wn_char(S3, table, 3)
+    for n in (2, 3):
+        with pytest.raises(MismatchedGroup):
+            formulas.zeta_wn_char(C6, table, n)
+        with pytest.raises(MismatchedGroup):
+            formulas.c_wn(C6, table, 2, n)
+    assert formulas.zeta_wn_char(C6, chartab.character_table(C6), 3).values \
+        == (216, 0, 0, 0, 0, 0)
+
+
+def test_character_table_of_an_equal_group_is_accepted():
+    S3 = groups.builtin("symmetric", 3)
+    S3_again = groups.builtin("symmetric", 3)
+    table = chartab.character_table(S3_again)
+    assert formulas.zeta_wn_char(S3, table, 3).values == (162, 27, 0)
+    assert formulas.c_wn(S3, table, table.nonlinear_indices()[0], 3) == 15

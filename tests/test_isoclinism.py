@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from wordcount import groups, isoclinism
-from wordcount.errors import SearchBoundExceeded, WitnessInvalid
+from wordcount.errors import (SearchBoundExceeded, UnsupportedParameter,
+                              WitnessInvalid)
 
 
 def test_identity_witness():
@@ -57,6 +58,23 @@ def test_search_bound():
     huge = groups.direct_product(big, groups.builtin("dihedral", 6))
     with pytest.raises(SearchBoundExceeded):
         isoclinism.find_isoclinism(huge, huge, 1)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_level_below_one_is_refused_before_any_structure(n):
+    S3 = groups.builtin("symmetric", 3)
+    with pytest.raises(UnsupportedParameter, match="at least 1"):
+        isoclinism.find_isoclinism(S3, S3, n)
+    assert S3.structure == {}
+
+
+def test_tuple_bound():
+    # S4 has trivial center: 24^4 tuples at n = 3 pass, 24^5 at n = 4 do not
+    S4 = groups.builtin("symmetric", 4)
+    assert 24 ** 4 <= isoclinism.TUPLE_BOUND < 24 ** 5
+    with pytest.raises(SearchBoundExceeded,
+                       match=f"7962624 tuples .* exceed {2**20}"):
+        isoclinism.find_isoclinism(S4, S4, 4)
 
 
 def test_tampered_witness_rejected():
