@@ -40,18 +40,17 @@ class CharacterTable:
     No `__slots__`: the `cached_property` rows live in the instance dict.
     """
 
-    def __init__(self, group, classes, exponent, values, degrees,
-                 linear_mask):
+    def __init__(self, group, classes, exponent, values, degrees):
         self.group = group
         self.classes = classes
         self.exponent = exponent
         self.values = values  # k x k of Cyclotomic
         self.degrees = degrees
-        self.linear_mask = linear_mask  # booleans
+        self.linear_mask = tuple(d == 1 for d in degrees)
 
     def _fields(self):
         return (self.group, self.classes, self.exponent, self.values,
-                self.degrees, self.linear_mask)
+                self.degrees)
 
     def __eq__(self, other):
         if not isinstance(other, CharacterTable):
@@ -143,7 +142,7 @@ def _coords(v, basis, pivots, p):
 
 
 def _kernel(X, p):
-    """RREF basis of the nullspace of the square matrix X over F_p."""
+    """A basis of the nullspace of the square matrix X over F_p."""
     n = len(X)
     R, pivots = _rref(X, p)
     free = [c for c in range(n) if c not in pivots]
@@ -154,8 +153,7 @@ def _kernel(X, p):
         for row, c in zip(R, pivots):
             v[c] = (-row[f]) % p
         basis.append(v)
-    b, _ = _rref(basis, p) if basis else ([], [])
-    return b
+    return basis
 
 
 def _charpoly(X, p):
@@ -263,12 +261,12 @@ def character_table(G):
 
 
 def _compute_table(G, classes):
+    """Dixon's table: central characters mod p from the class matrices'
+    common eigenvectors, then each character lifted once per rational
+    class.  The trivial group takes the same path."""
     n = G.order
     k = classes.num_classes
     e = G.exponent()
-    if n == 1:
-        row = (Cyclotomic.from_rational(1, 1),)
-        return CharacterTable(G, classes, 1, (row,), (1,), (True,))
     p = _smallest_dixon_prime(n, e)
     a = class_mult_coefficients(G, classes)
     mats = [[[a[i][j][m] % p for m in range(k)] for j in range(k)] for i in range(k)]
@@ -325,38 +323,15 @@ def _compute_table(G, classes):
             raise InternalInconsistency("character degree is not a square mod p")
         degrees.append(d)
 
-    # powers of class representatives, for the Fourier lift
-    rep_order = [G.element_order(r) for r in classes.reps]
-    power_class = []
-    for m in range(k):
-        r = classes.reps[m]
-        pc, x = [], 0
-        for _ in range(rep_order[m]):
-            pc.append(classes.class_of[x])
-            x = G.mul[x][r]
-        power_class.append(pc)
-
     # If h is conjugate to g^a with gcd(a, o(g)) = 1, then chi(h) is chi(g)
-    # with zeta_o^t sent to zeta_o^(ta), so one Fourier lift per cyclic
-    # subgroup class serves every class of generators of that subgroup.
-    lift_plan = []
-    covered = [False] * k
-    for m in range(k):
-        if covered[m]:
-            continue
-        o = rep_order[m]
-        targets = []
-        for a in range(o):
-            c = power_class[m][a]
-            if math.gcd(a, o) == 1 and not covered[c]:
-                covered[c] = True
-                targets.append((c, a))
-        lift_plan.append((m, targets))
+    # with zeta_o^t sent to zeta_o^(ta), so one Fourier lift per rational
+    # class serves every class in it.
+    rational = groups.rational_classes(G)
 
     # inverse_roots[o][i] = zeta_o^(-i) mod p
     z = _primitive_root(p)
     inverse_roots = {}
-    for o in set(rep_order):
+    for o in {len(rc.powers) for rc in rational}:
         zinv = pow(z, (p - 1) - (p - 1) // o, p)
         inverse_roots[o] = [pow(zinv, i, p) for i in range(o)]
     inv_orders = {o: pow(o, p - 2, p) for o in inverse_roots}
@@ -365,11 +340,11 @@ def _compute_table(G, classes):
     for om, d in zip(omegas, degrees):
         chi_mod = [(d * om[m] * inv_sizes[m]) % p for m in range(k)]
         coeffs_by_class = [None] * k
-        for m, targets in lift_plan:
-            o = rep_order[m]
+        for _, power_class, generators in rational:
+            o = len(power_class)
             roots = inverse_roots[o]
             inv_o = inv_orders[o]
-            powers = [(s, chi_mod[c]) for s, c in enumerate(power_class[m])
+            powers = [(s, chi_mod[c]) for s, c in enumerate(power_class)
                       if chi_mod[c]]
             # mu_t = (1/o) sum_s chi(g^s) zeta_o^(-st)
             mus = [sum([v * roots[s * t % o] for s, v in powers]) * inv_o % p
@@ -377,7 +352,7 @@ def _compute_table(G, classes):
             if max(mus) > d:
                 raise InternalInconsistency("root multiplicity exceeds degree")
             step = e // o
-            for c, a in targets:
+            for c, a in generators:
                 coeffs = [0] * e
                 for t, mu in enumerate(mus):
                     if mu:
@@ -389,8 +364,7 @@ def _compute_table(G, classes):
     rows.sort(key=lambda r: (r[0], tuple(c.reduced() for c in r[1])))
     degrees = tuple(r[0] for r in rows)
     values = tuple(r[1] for r in rows)
-    linear_mask = tuple(d == 1 for d in degrees)
-    return CharacterTable(G, classes, e, values, degrees, linear_mask)
+    return CharacterTable(G, classes, e, values, degrees)
 
 
 def _verify_table(G, table):
@@ -558,7 +532,6 @@ def load_table(G, text):
                 raise ParseError("coefficient is not an integer", lineno)
         values.append(tuple(row))
     degrees = tuple(v[0].to_integer() for v in values)
-    linear_mask = tuple(d == 1 for d in degrees)
-    table = CharacterTable(G, classes, e, tuple(values), degrees, linear_mask)
+    table = CharacterTable(G, classes, e, tuple(values), degrees)
     _verify_table(G, table)
     return table

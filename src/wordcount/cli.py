@@ -15,10 +15,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import (ParseError, PredicateFailed, UnknownFamily,
+from .errors import (EmptyWord, ParseError, PredicateFailed, UnknownFamily,
                      UnsupportedParameter, WordcountError, WordSyntaxError)
 
-USAGE_ERRORS = (ParseError, WordSyntaxError, UnknownFamily,
+USAGE_ERRORS = (ParseError, WordSyntaxError, EmptyWord, UnknownFamily,
                 UnsupportedParameter)
 MAX_N = 8
 
@@ -48,6 +48,9 @@ def _parse_domains(entries, G, arity):
         i = int(var[1:])
         if not 1 <= i <= arity:
             raise UnsupportedParameter(f"variable {var} out of range")
+        if domains[i - 1] is not None:
+            raise UnsupportedParameter(f"variable x{i} has more than one "
+                                       "--domain")
         domains[i - 1] = (groups.commutator_subgroup(G) if name == "derived"
                           else groups.center(G))
     return counting.DomainSpec(tuple(domains))
@@ -67,7 +70,7 @@ def cmd_info(args, out):
 
     G = load_group(args.group)
     classes = groups.conjugacy_classes(G)
-    report = formulas.classify(G) if G.order > 1 else None
+    report = formulas.classify(G)
     nclass = groups.nilpotency_class(G)
     out.write(f"order {G.order}\n")
     out.write(f"classes {classes.num_classes}\n")
@@ -79,14 +82,11 @@ def cmd_info(args, out):
     lower = [s.order for s in groups.lower_central_series(G)]
     out.write(f"upper_central_series {upper}\n")
     out.write(f"lower_central_series {lower}\n")
-    if report is not None:
-        out.write(f"abelian {report.is_abelian}\n")
-        out.write(f"camina_group {report.is_camina_group}\n")
-        out.write(f"vz_group {report.is_vz}\n")
-        out.write(f"character_degrees {sorted(report.cd)}\n")
-        out.write(f"unique_nonlinear {report.unique_nonlinear}\n")
-    else:
-        out.write("abelian True\n")
+    out.write(f"abelian {report.is_abelian}\n")
+    out.write(f"camina_group {report.is_camina_group}\n")
+    out.write(f"vz_group {report.is_vz}\n")
+    out.write(f"character_degrees {sorted(report.cd)}\n")
+    out.write(f"unique_nonlinear {report.unique_nonlinear}\n")
     return 0
 
 
@@ -143,12 +143,11 @@ def cmd_zeta(args, out):
         else [args.method]
     if "brute" in methods:  # refuse before building classes or a table
         counting.require_budget(G.order ** args.n, args.budget)
-    if methods == ["brute"]:
-        table, classes = None, groups.conjugacy_classes(G)
-    else:
+    classes = groups.conjugacy_classes(G)
+    table = None
+    if "char" in methods:
         from . import chartab, formulas
         table = chartab.character_table(G)
-        classes = table.classes
     columns = []
     for method in methods:
         if method == "brute":
@@ -178,11 +177,13 @@ def cmd_zeta(args, out):
 
 def closed_form_zeta(G, table, n):
     """Dispatch to the first closed form whose predicate the group passes;
-    only the unique-nonlinear recursion reads `table`."""
-    from . import formulas
+    only the unique-nonlinear recursion reads `table`, and when `table` is
+    None it builds the character table on reaching that form."""
+    from . import chartab, formulas
 
     attempts = (lambda: formulas.closed_zeta_gcp_center(G, n),
-                lambda: formulas.unique_nonlinear_recursion(G, table, n)[1],
+                lambda: formulas.unique_nonlinear_recursion(
+                    G, table or chartab.character_table(G), n)[1],
                 lambda: formulas.closed_zeta_camina3(G, n),
                 lambda: formulas.closed_zeta_tower(G, n))
     reasons = []

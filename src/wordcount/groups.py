@@ -13,10 +13,10 @@ Every table built from a group law, quotients included, goes through
 generating set: only those rows call the law, every other row is a
 composition of rows already built, which assumes only that the law is
 associative.  Structure that depends on the group alone (the generating
-set, classes, center, derived subgroup, central series, normal subgroups,
-the character table, the hash) is computed once per group object by
-`structure_memo` and shared by every caller, so callers must not mutate
-it.  Classes, the center, G', the central series and normality come from
+set, classes, rational classes, center, derived subgroup, central
+series, normal subgroups, the character table, the hash) is computed once
+per group object by `structure_memo` and shared by every caller, so
+callers must not mutate it.  Classes, the center, G', the central series and normality come from
 that generating set, not from all pairs of elements.
 """
 from __future__ import annotations
@@ -110,10 +110,9 @@ class GroupTable:
         return o
 
     def exponent(self):
-        e = 1
-        for a in range(self.order):
-            e = math.lcm(e, self.element_order(a))
-        return e
+        """The lcm of the element orders, read from one representative per
+        rational class."""
+        return math.lcm(*(len(rc.powers) for rc in rational_classes(self)))
 
     def label(self, a):
         if self.labels is not None:
@@ -187,6 +186,14 @@ class ConjugacyData(namedtuple("ConjugacyData",
     @property
     def num_classes(self):
         return len(self.reps)
+
+
+class RationalClass(namedtuple("RationalClass", "first powers generators")):
+    """`powers[a]` is the class of g^a, a = 0..o(g)-1, for g the
+    representative of class `first`; `generators` lists (c, a) for the a
+    prime to o(g), each class c once: the classes of the rational class."""
+
+    __slots__ = ()
 
 
 class ClassFunction:
@@ -581,6 +588,15 @@ def _prime_power(q):
     return (q, 1)
 
 
+# The irreducible modulus x^k + tail[k-1] x^(k-1) + ... + tail[0] of each
+# non-prime field agl1 allows, keyed by (p, k).  The element numbering, and
+# so every agl1 table and cached character table, depends on the choice.
+_MODULI = {
+    (2, 2): (1, 1), (2, 3): (1, 0, 1), (3, 2): (1, 0), (2, 4): (1, 0, 0, 1),
+    (5, 2): (1, 1), (3, 3): (1, 0, 2), (2, 5): (1, 0, 0, 1, 0),
+}
+
+
 class _GF:
     """Small finite field GF(p^k), elements as coefficient tuples."""
 
@@ -588,41 +604,8 @@ class _GF:
         self.p, self.k = p, k
         self.zero = (0,) * k
         self.one = (1,) + (0,) * (k - 1) if k > 1 else (1,)
-        self.modpoly = self._find_irreducible()
+        self.modpoly = _MODULI[p, k] if k > 1 else None
         self.elements = list(itertools.product(range(p), repeat=k))
-
-    def _find_irreducible(self):
-        p, k = self.p, self.k
-        if k == 1:
-            return None
-        # monic degree-k polynomial, coefficients low-to-high, leading 1 implied
-        for tail in itertools.product(range(p), repeat=k):
-            poly = tail  # x^k + tail[k-1] x^(k-1) + ... + tail[0]
-            if self._irreducible(poly):
-                return poly
-        raise UnsupportedParameter("no irreducible polynomial found")
-
-    def _irreducible(self, tail):
-        # brute root-free + factor-free test by trial division over GF(p)
-        p, k = self.p, self.k
-        full = list(tail) + [1]
-        for d in range(1, k // 2 + 1):
-            for cand in itertools.product(range(p), repeat=d):
-                divisor = list(cand) + [1]
-                if self._polydivides(divisor, full):
-                    return False
-        return True
-
-    def _polydivides(self, a, b):
-        p = self.p
-        rem = list(b)
-        da, db = len(a) - 1, len(b) - 1
-        for i in range(db - da, -1, -1):
-            c = rem[i + da] % p
-            if c:
-                for j in range(da + 1):
-                    rem[i + j] = (rem[i + j] - c * a[j]) % p
-        return all(x % p == 0 for x in rem)
 
     def add(self, a, b):
         return tuple((x + y) % self.p for x, y in zip(a, b))
@@ -782,6 +765,31 @@ def conjugacy_classes(G):
     sizes = tuple(len(cls) for cls in classes)
     inverse_class = tuple(class_of[G.inv[rep]] for rep in reps)
     return ConjugacyData(tuple(class_of), reps, sizes, inverse_class)
+
+
+@structure_memo
+def rational_classes(G):
+    """The rational classes, identity first, then by first class.  h is
+    rationally conjugate to g when it is conjugate to g^a with a prime to
+    o(g), that is when <h> and <g> are conjugate."""
+    classes = conjugacy_classes(G)
+    class_of = classes.class_of
+    covered = [False] * classes.num_classes
+    out = []
+    for m, g in enumerate(classes.reps):
+        if covered[m]:
+            continue
+        powers, x = [0], g
+        while x:
+            powers.append(class_of[x])
+            x = G.mul[x][g]
+        generators = []
+        for a, c in enumerate(powers):
+            if not covered[c] and math.gcd(a, len(powers)) == 1:
+                covered[c] = True
+                generators.append((c, a))
+        out.append(RationalClass(m, tuple(powers), tuple(generators)))
+    return tuple(out)
 
 
 @structure_memo
@@ -951,30 +959,18 @@ def _join_normal(G, N, A):
 def normal_subgroups(G):
     """All normal subgroups, as joins of normal closures of conjugacy classes.
 
-    g and g^a with gcd(a, o(g)) = 1 generate the same cyclic subgroup, so
+    Rationally conjugate elements generate conjugate cyclic subgroups, so
     their classes have the same normal closure: one closure is taken per
-    class of cyclic subgroups, and the classes of its generators skipped.
+    nontrivial rational class, of its first class.
     """
-    classes = conjugacy_classes(G)
-    class_of = classes.class_of
+    class_of = conjugacy_classes(G).class_of
     by_class = {}
     for a in range(G.order):
         by_class.setdefault(class_of[a], []).append(a)
-    covered = [False] * classes.num_classes
     atoms = []
     seen = set()
-    for idx in range(1, classes.num_classes):
-        if covered[idx]:
-            continue
-        g = classes.reps[idx]
-        powers = [g]
-        while powers[-1] != 0:
-            powers.append(G.mul[powers[-1]][g])
-        o = len(powers)
-        for a, x in enumerate(powers, 1):
-            if math.gcd(a, o) == 1:
-                covered[class_of[x]] = True
-        sg = subgroup_closure(G, by_class[idx])
+    for rc in rational_classes(G)[1:]:
+        sg = subgroup_closure(G, by_class[rc.first])
         if sg.members not in seen:
             seen.add(sg.members)
             atoms.append(sg)

@@ -130,12 +130,22 @@ def test_inner_product_accepts_class_functions():
             Fraction(6, table.degrees[r])
 
 
+def test_trivial_group_table():
+    G = groups.builtin("cyclic", 1)
+    one = Cyclotomic.from_rational(1, 1)
+    table = character_table(G)
+    assert table == chartab.CharacterTable(
+        G, groups.conjugacy_classes(G), 1, ((one,),), (1,))
+    assert table.linear_mask == (True,)
+    assert chartab.dump_table(table) == "chartab e=1 k=1\nclass 0 1\n1\n"
+
+
 def _perturbed(table, r, j, delta):
     values = [list(row) for row in table.values]
     values[r][j] = values[r][j] + delta
     return chartab.CharacterTable(
         table.group, table.classes, table.exponent,
-        tuple(tuple(row) for row in values), table.degrees, table.linear_mask)
+        tuple(tuple(row) for row in values), table.degrees)
 
 
 @pytest.mark.parametrize("spec", ["dihedral(20)", "agl1(5)",

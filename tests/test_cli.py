@@ -15,10 +15,13 @@ def run(capsys, *argv):
 
 
 def test_info_trivial_group(capsys):
-    code, out, _ = run(capsys, "info", "--group", "builtin:cyclic(1)")
-    assert code == 0
-    assert "order 1" in out
-    assert "class 0" in out
+    code, out, err = run(capsys, "info", "--group", "builtin:cyclic(1)")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "order 1", "classes 1", "exponent 1", "center 1", "derived 1",
+        "class 0", "upper_central_series [1]", "lower_central_series [1]",
+        "abelian True", "camina_group False", "vz_group False",
+        "character_degrees [1]", "unique_nonlinear False"]
 
 
 def test_zeta_all_methods_agree(capsys):
@@ -58,6 +61,20 @@ def test_zeta_brute_builds_no_character_table(monkeypatch, capsys):
                                 for line in all_table.splitlines()]
     code, out, err = run(capsys, *argv, "--method", "brute", "--format", "csv")
     assert (code, out, err) == (0, char_csv, "")
+
+
+def test_closed_zeta_builds_no_table_before_the_unique_nonlinear_form(
+        monkeypatch, capsys):
+    argv = ["zeta", "--group", "builtin:heisenberg(5)", "--n", "3",
+            "--method", "closed"]
+    code, expected, _ = run(capsys, *argv)
+    assert code == 0
+
+    def refuse(G):
+        raise AssertionError("built a character table for a VZ closed form")
+
+    monkeypatch.setattr(chartab, "character_table", refuse)
+    assert run(capsys, *argv) == (0, expected, "")
 
 
 def test_count_with_domain(capsys):
@@ -177,6 +194,22 @@ def test_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["nosuch"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("word", ["x1^-0", "[x1,x1]", "(x1)^0"])
+def test_empty_word_is_a_usage_error(capsys, word):
+    code, out, err = run(capsys, "count", "--group", "builtin:symmetric(3)",
+                         "--word", word)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_repeated_domain_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "count", "--group", "builtin:symmetric(3)",
+                         "--word", "[x1,x2]", "--domain", "x1=derived",
+                         "--domain", "x1=center")
+    assert (code, out) == (2, "")
+    assert err == "error: variable x1 has more than one --domain\n"
 
 
 def test_group_file_roundtrip(tmp_path):

@@ -1,6 +1,8 @@
 """The generator-based table builder and structure functions against the
 per-entry and all-pairs definitions they replace, kept here as references."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -173,6 +175,44 @@ def test_quotients_match_reference(spec):
             (R.mul, R.inv, R.labels, ref_proj)
 
 
+def ref_rational_class(G, g):
+    """The classes holding a power g^a with a prime to the order of g."""
+    class_of = groups.conjugacy_classes(G).class_of
+    o = G.element_order(g)
+    return {class_of[G.power(g, a)] for a in range(o) if math.gcd(a, o) == 1}
+
+
+@pytest.mark.parametrize("spec", SMALL_BUILTINS)
+def test_rational_classes_match_reference(spec):
+    G = groups.parse_builtin_spec(spec)
+    classes = groups.conjugacy_classes(G)
+    entries = groups.rational_classes(G)
+    assert entries[0] == (0, (0,), ((0, 0),))
+    assert [rc.first for rc in entries] == sorted(rc.first for rc in entries)
+    entry_of = {}
+    for rc in entries:
+        g = classes.reps[rc.first]
+        o = G.element_order(g)
+        assert rc.powers == tuple(classes.class_of[G.power(g, a)]
+                                  for a in range(o))
+        assert all(rc.powers[a] == c and math.gcd(a, o) == 1
+                   for c, a in rc.generators)
+        for c, _ in rc.generators:
+            entry_of[c] = rc
+    # classes share an entry iff one class holds a generator of the
+    # other's representative
+    assert sorted(entry_of) == list(range(classes.num_classes))
+    for c, rep in enumerate(classes.reps):
+        assert {d for d, _ in entry_of[c].generators} == \
+            ref_rational_class(G, rep)
+
+
+@pytest.mark.parametrize("spec", SMALL_BUILTINS)
+def test_exponent_is_lcm_of_element_orders(spec):
+    G = groups.parse_builtin_spec(spec)
+    assert G.exponent() == math.lcm(*map(G.element_order, range(G.order)))
+
+
 @settings(max_examples=25, deadline=None)
 @given(data=st.data(), degree=st.integers(1, 6))
 def test_permutation_groups_match_references(data, degree):
@@ -206,6 +246,7 @@ def test_normal_subgroups_close_once_per_cyclic_subgroup_class(
     monkeypatch.setattr(groups, "subgroup_closure", counted)
     normals = groups.normal_subgroups(G)
     assert calls == rational_classes - 1
+    assert len(groups.rational_classes(G)) == rational_classes
     monkeypatch.undo()
     assert [N.members for N in normals] == ref_normal_subgroups(G)
 

@@ -188,6 +188,19 @@ def test_heisenberg_and_extraspecial():
     assert groups.builtin("extraspecial_plus", 2).order == 8
 
 
+def test_field_moduli_are_irreducible():
+    # multiplying by a nonzero element permutes the nonzero elements
+    # exactly when the modulus is irreducible
+    for q in range(2, 33):
+        pk = groups._prime_power(q)
+        if pk is None:
+            continue
+        F = groups._GF(*pk)
+        units = sorted(u for u in F.elements if u != F.zero)
+        for a in units:
+            assert sorted(F.mul(a, b) for b in units) == units, (q, a)
+
+
 def test_agl1():
     A4 = groups.builtin("agl1", 4)
     assert A4.order == 12

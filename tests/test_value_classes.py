@@ -122,7 +122,7 @@ def test_character_table():
     assert table == again and hash(table) == hash(again)
     fields = dict(group=table.group, classes=table.classes,
                   exponent=table.exponent, values=table.values,
-                  degrees=table.degrees, linear_mask=table.linear_mask)
+                  degrees=table.degrees)
     assert chartab.CharacterTable(**fields) == table
     swapped = dict(fields, values=table.values[::-1])
     assert chartab.CharacterTable(*swapped.values()) != table
