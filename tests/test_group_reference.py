@@ -202,6 +202,7 @@ def test_rational_classes_match_reference(spec):
     # classes share an entry iff one class holds a generator of the
     # other's representative
     assert sorted(entry_of) == list(range(classes.num_classes))
+    assert sum(len(rc.generators) for rc in entries) == classes.num_classes
     for c, rep in enumerate(classes.reps):
         assert {d for d, _ in entry_of[c].generators} == \
             ref_rational_class(G, rep)
