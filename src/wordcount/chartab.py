@@ -1,12 +1,23 @@
 """Exact ordinary character tables.
 
 The table is computed by the prime-field method: simultaneous eigenvectors
-of the class-sum matrices over F_p (p = 1 mod exponent, p > 2 sqrt|G|) give
-the central characters mod p, and discrete-Fourier multiplicity counts lift
-each value to an exact cyclotomic integer.  The row orthogonality relations
-are then verified exactly, and they imply the column relations: the table
-is square, so X D X* = |G| I (D the diagonal of class sizes) gives
-X* X = |G| D^-1.  A failure is a bug, not a data condition.
+of the sparse class-sum matrices over F_p (p = 1 mod exponent,
+p > 2 sqrt|G|) give the central characters mod p, and discrete-Fourier
+multiplicity counts lift each value to an exact cyclotomic integer.  The
+row orthogonality relations are then verified exactly, and they imply the
+column relations: the table is square, so X D X* = |G| I (D the diagonal
+of class sizes) gives X* X = |G| D^-1.  A failure is a bug, not a data
+condition.
+
+Galois orbits.  For u prime to the exponent, sigma_u chi = chi o pi_u,
+where pi_u maps the class of g to the class of g^u.  By Brauer's
+permutation lemma the orbits of Irr(G) under these maps are as many as
+the rational classes (which the code checks).  So one character per orbit
+is lifted, and the rest of its orbit reads the same values through pi_u.
+pi_u is a bijection that keeps class sizes, so
+<chi o pi_u, psi o pi_u> = <chi, psi>: once the rows are known to be
+distinct and closed under every pi_u, checking each orbit representative
+against every row checks every pair.
 
 Every rational character sum here (the orthogonality checks, inner
 products, Frobenius-Schur indicators) goes through the sparse integer
@@ -24,6 +35,7 @@ from operator import mul
 from . import cyclotomic, groups
 from .cyclotomic import UNIT, Cyclotomic
 from .errors import (
+    BudgetExceeded,
     InternalInconsistency,
     MismatchedGroup,
     NonIntegral,
@@ -74,7 +86,12 @@ class CharacterTable:
     def sparse_rows(self):
         """Per character and class, the value's nonzero (exponent, coeff) terms."""
         e = self.exponent
-        return tuple(tuple(cyclotomic.terms(e, v) for v in row)
+        memo = {}
+        for row in self.values:
+            for v in row:
+                if v.coeffs not in memo:
+                    memo[v.coeffs] = cyclotomic.terms(e, v)
+        return tuple(tuple([memo[v.coeffs] for v in row])
                      for row in self.values)
 
     @cached_property
@@ -237,16 +254,24 @@ def _primitive_root(p):
 
 
 def class_mult_coefficients(G, classes):
-    """a[i][j][m]: number of (x, y) in C_i x C_j with x*y = rep(C_m)."""
+    """a[i][c]: the nonzero (m, a_icm) pairs in rising m, where a_icm is
+    the number of (x, y) in C_i x C_c with x*y = rep(C_m)."""
     k = classes.num_classes
-    a = [[[0] * k for _ in range(k)] for _ in range(k)]
-    for m in range(k):
-        z = classes.reps[m]
-        for x in range(G.order):
-            i = classes.class_of[x]
-            j = classes.class_of[G.mul[G.inv[x]][z]]
-            a[i][j][m] += 1
+    class_of = classes.class_of
+    mul = G.mul
+    a = [[[] for _ in range(k)] for _ in range(k)]
+    for m, z in enumerate(classes.reps):
+        # y = x^-1 z, listed in the order of x
+        ys = [class_of[mul[x_inv][z]] for x_inv in G.inv]
+        for (i, c), count in Counter(zip(class_of, ys)).items():
+            a[i][c].append((m, count))
     return a
+
+
+# Most classes a table is computed for.  Time grows about as k^3: on 2
+# vCPUs (Python 3.11) D1000 (k = 253) takes 4-5 s and D2000 (k = 503)
+# 30-36 s, computing and verifying; past the bound it would pass 40 s.
+MAX_TABLE_CLASSES = 512
 
 
 @groups.structure_memo
@@ -255,43 +280,129 @@ def character_table(G):
     cap = groups.DEFAULT_ORDER_CAP
     if G.order > cap:
         raise OrderLimitExceeded(f"|G| = {G.order} exceeds cap {cap}")
-    table = _compute_table(G, groups.conjugacy_classes(G))
+    classes = groups.conjugacy_classes(G)
+    k = classes.num_classes
+    if k > MAX_TABLE_CLASSES:
+        raise BudgetExceeded(
+            f"{k} classes exceed the character-table bound "
+            f"{MAX_TABLE_CLASSES} (estimated {35 * (k / 503) ** 3:.0f} s)")
+    table = _compute_table(G, classes)
     _verify_table(G, table)
     return table
 
 
+@groups.structure_memo
+def _galois_maps(G):
+    """The power maps pi_u (class c -> the class of g_c^u) for units u
+    that generate (Z/e)^*, less repeats and the identity, so none when
+    every rational class is one class.  Each pi_u is a size-preserving
+    bijection of the classes, and pi_uv = pi_u o pi_v."""
+    rational = groups.rational_classes(G)
+    k = groups.conjugacy_classes(G).num_classes
+    if len(rational) == k:
+        return ()
+    where = [None] * k
+    for rc in rational:
+        for c, a in rc.generators:
+            where[c] = (rc.powers, a)
+    e = G.exponent()
+    maps, reached = [], {1}
+    for u in range(2, e):
+        if u in reached or math.gcd(u, e) != 1:
+            continue
+        step, grown = u, set(reached)
+        while step != 1:  # reached * <u>
+            grown.update(x * step % e for x in reached)
+            step = step * u % e
+        reached = grown
+        pi = tuple(powers[a * u % len(powers)] for powers, a in where)
+        if pi != tuple(range(k)) and pi not in maps:
+            maps.append(pi)
+    return tuple(maps)
+
+
+def _orbits(maps, keys):
+    """orbit[s] = (r, perm) with keys[s] = keys[r] o perm, r the first index
+    of its orbit under the power maps; None if the keys repeat or are not
+    closed under the maps (and so under the group they generate)."""
+    index = {key: s for s, key in enumerate(keys)}
+    if len(index) != len(keys):
+        return None
+    orbit = [None] * len(keys)
+    for r, key in enumerate(keys):
+        if orbit[r] is not None:
+            continue
+        orbit[r] = (r, tuple(range(len(key))))
+        frontier = [r]
+        while frontier:
+            s = frontier.pop()
+            perm = orbit[s][1]
+            for pi in maps:
+                t = index.get(tuple([keys[s][c] for c in pi]))
+                if t is None:
+                    return None
+                if orbit[t] is None:
+                    orbit[t] = (r, tuple([perm[c] for c in pi]))
+                    frontier.append(t)
+    return orbit
+
+
+def _brauer_check(G, orbit):
+    """Brauer's permutation lemma: the orbits number the rational classes."""
+    reps = sum(1 for s, (r, _) in enumerate(orbit) if r == s)
+    rational = len(groups.rational_classes(G))
+    if reps != rational:
+        raise InternalInconsistency(
+            f"{reps} Galois orbits of characters but {rational} rational "
+            "classes")
+
+
 def _compute_table(G, classes):
     """Dixon's table: central characters mod p from the class matrices'
-    common eigenvectors, then each character lifted once per rational
-    class.  The trivial group takes the same path."""
+    common eigenvectors, then one character per Galois orbit lifted once
+    per rational class and carried to the rest of its orbit by the power
+    maps.  The trivial group takes the same path."""
     n = G.order
     k = classes.num_classes
     e = G.exponent()
     p = _smallest_dixon_prime(n, e)
     a = class_mult_coefficients(G, classes)
-    mats = [[[a[i][j][m] % p for m in range(k)] for j in range(k)] for i in range(k)]
+    rational = groups.rational_classes(G)
 
-    # split the simultaneous eigenspaces of the class matrices
+    # Split the simultaneous eigenspaces of the class matrices, low element
+    # orders first: such a class matrix has few eigenvalues, and each
+    # eigenvalue costs one kernel.  Over C, omega_chi(K_{pi_u(c)}) =
+    # sigma_u(omega_chi(K_c)), so the first class of each rational class
+    # splits as far as the rest of it; they follow in case p merges values.
+    by_order = sorted(rational, key=lambda rc: len(rc.powers))
+    split_order = [rc.first for rc in by_order[1:]] + [
+        c for rc in by_order for c, _ in rc.generators if c != rc.first]
     identity = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
     subspaces = [(identity, list(range(k)))]
-    for i in range(1, k):
+    for i in split_order:
         if all(len(B) == 1 for B, _ in subspaces):
             break
-        M = mats[i]
+        M = a[i]
         nxt = []
         for B, piv in subspaces:
-            if len(B) == 1:
+            m = len(B)
+            if m == 1:
                 nxt.append((B, piv))
                 continue
             # restricted action X with rows: M . b expressed in basis B
-            images = [[sum(map(mul, M[c], b)) % p for c in range(k)]
+            images = [[sum([v * b[j] for j, v in row]) % p for row in M]
                       for b in B]
             X = [_coords(img, B, piv, p) for img in images]
+            lam = X[0][0]
+            if all(X[r][s] == (lam if r == s else 0)
+                   for r in range(m) for s in range(m)):
+                nxt.append((B, piv))  # one eigenvalue: nothing to split
+                continue
             # transpose convention: b_r -> sum_s X[r][s] b_s; eigenvectors of X^T
-            XT = [[X[r][s] for r in range(len(B))] for s in range(len(B))]
+            XT = [list(col) for col in zip(*X)]
             for lam in _poly_roots(_charpoly(XT, p), p):
                 shifted = [[(XT[r][c] - (lam if r == c else 0)) % p
-                            for c in range(len(B))] for r in range(len(B))]
+                            for c in range(m)] for r in range(m)]
                 lifted = [[sum(map(mul, kv, col)) % p for col in zip(*B)]
                           for kv in _kernel(shifted, p)]
                 if lifted:
@@ -303,31 +414,24 @@ def _compute_table(G, classes):
     if not all(len(B) == 1 for B, _ in subspaces):
         raise InternalInconsistency("class matrices failed to split the algebra")
 
-    inv_sizes = [pow(s, p - 2, p) for s in classes.sizes]
     omegas = []
     for B, _ in subspaces:
         u = B[0]
         if u[0] % p == 0:
             raise InternalInconsistency("central character vanishes at identity")
         norm = pow(u[0], p - 2, p)
-        omegas.append([(v * norm) % p for v in u])
+        omegas.append(tuple((v * norm) % p for v in u))
 
-    # degrees from the second orthogonality of central characters
+    # sigma_u chi = chi o pi_u, and its central character is omega o pi_u
+    # (pi_u keeps class sizes), so the orbits are found mod p.
+    orbit = _orbits(_galois_maps(G), omegas)
+    if orbit is None:
+        raise InternalInconsistency(
+            "central characters are not closed under the power maps")
+    _brauer_check(G, orbit)
+
+    inv_sizes = [pow(s, p - 2, p) for s in classes.sizes]
     inv_class = classes.inverse_class
-    degrees = []
-    for om in omegas:
-        s = sum(om[m] * om[inv_class[m]] * inv_sizes[m] for m in range(k)) % p
-        d2 = (n * pow(s, p - 2, p)) % p
-        d = next((x for x in range(1, (p + 1) // 2) if (x * x) % p == d2), None)
-        if d is None:
-            raise InternalInconsistency("character degree is not a square mod p")
-        degrees.append(d)
-
-    # If h is conjugate to g^a with gcd(a, o(g)) = 1, then chi(h) is chi(g)
-    # with zeta_o^t sent to zeta_o^(ta), so one Fourier lift per rational
-    # class serves every class in it.
-    rational = groups.rational_classes(G)
-
     # inverse_roots[o][i] = zeta_o^(-i) mod p
     z = _primitive_root(p)
     inverse_roots = {}
@@ -336,10 +440,23 @@ def _compute_table(G, classes):
         inverse_roots[o] = [pow(zinv, i, p) for i in range(o)]
     inv_orders = {o: pow(o, p - 2, p) for o in inverse_roots}
 
-    rows = []
-    for om, d in zip(omegas, degrees):
+    interned = {}  # coefficients -> (Cyclotomic, reduced), shared by rows
+    lifted = {}  # orbit representative -> (degree, values, reduced values)
+    for r, (rep, _) in enumerate(orbit):
+        if r != rep:
+            continue
+        om = omegas[r]
+        # degree from the second orthogonality of central characters
+        s = sum(om[m] * om[inv_class[m]] * inv_sizes[m] for m in range(k)) % p
+        d2 = (n * pow(s, p - 2, p)) % p
+        d = next((x for x in range(1, (p + 1) // 2) if (x * x) % p == d2), None)
+        if d is None:
+            raise InternalInconsistency("character degree is not a square mod p")
         chi_mod = [(d * om[m] * inv_sizes[m]) % p for m in range(k)]
-        coeffs_by_class = [None] * k
+        # If h is conjugate to g^a with gcd(a, o(g)) = 1, then chi(h) is
+        # chi(g) with zeta_o^t sent to zeta_o^(ta), so one Fourier lift per
+        # rational class serves every class in it.
+        values = [None] * k
         for _, power_class, generators in rational:
             o = len(power_class)
             roots = inverse_roots[o]
@@ -357,17 +474,34 @@ def _compute_table(G, classes):
                 for t, mu in enumerate(mus):
                     if mu:
                         coeffs[t * a % o * step] += mu
-                coeffs_by_class[c] = Cyclotomic(e, tuple(coeffs))
-        rows.append((d, tuple(coeffs_by_class)))
+                coeffs = tuple(coeffs)
+                if coeffs not in interned:
+                    v = Cyclotomic(e, coeffs)
+                    interned[coeffs] = (v, v.reduced())
+                values[c] = interned[coeffs]
+        lifted[r] = (d, [v for v, _ in values], [red for _, red in values])
 
+    # Row sigma_u chi at class c is row chi at pi_u(c): both are the
+    # eigenvalue multiset of rho(g_c^u), so the coefficient tuples agree.
+    rows = []
+    for rep, perm in orbit:
+        d, values, reduced = lifted[rep]
+        rows.append((d, tuple([reduced[c] for c in perm]),
+                     tuple([values[c] for c in perm])))
     # canonical ordering: by degree, then by reduced value vectors
-    rows.sort(key=lambda r: (r[0], tuple(c.reduced() for c in r[1])))
+    rows.sort(key=lambda r: r[:2])
     degrees = tuple(r[0] for r in rows)
-    values = tuple(r[1] for r in rows)
+    values = tuple(r[2] for r in rows)
     return CharacterTable(G, classes, e, values, degrees)
 
 
 def _verify_table(G, table):
+    """Degrees, row orthogonality and the linear-character count, exactly.
+
+    When the rows are distinct and closed under the power maps pi_u,
+    <chi o pi_u, psi o pi_u> = <chi, psi> (pi_u is a size-preserving
+    bijection on classes), so checking each orbit representative against
+    every row covers all pairs; otherwise every pair is checked."""
     n = G.order
     k = table.num_characters
     e = table.exponent
@@ -385,13 +519,25 @@ def _verify_table(G, table):
         except NonIntegral:
             return False
 
+    maps = _galois_maps(G)
+    orbit = _orbits(maps, rows) if maps else None
+    if orbit is None:
+        is_rep = [True] * k
+    else:
+        _brauer_check(G, orbit)
+        is_rep = [r == s for s, (r, _) in enumerate(orbit)]
     # The callers guarantee a square table (k characters, k classes), so
     # the row relations imply the column relations; see the module docstring.
     for r in range(k):
-        for s in range(r, k):
+        if not is_rep[r]:
+            continue
+        for s in range(k):
+            if s < r and is_rep[s]:
+                continue  # <r, s> is the conjugate of <s, r>, checked
             if not holds(zip(sizes, rows[r], conj[s]), n if r == s else 0):
                 raise InternalInconsistency(
-                    f"row orthogonality fails for characters {r},{s}")
+                    f"row orthogonality fails for characters "
+                    f"{min(r, s)},{max(r, s)}")
     dG = groups.commutator_subgroup(G)
     if sum(table.linear_mask) != n // dG.order:
         raise InternalInconsistency("linear character count != |G : G'|")
@@ -490,8 +636,12 @@ def dump_table(table):
     lines = [f"chartab e={table.exponent} k={table.num_characters}"]
     for rep, size in zip(table.classes.reps, table.classes.sizes):
         lines.append(f"class {rep} {size}")
+    text = {}  # each distinct value is formatted once
     for row in table.values:
-        lines.append(",".join(":".join(str(c) for c in v.coeffs) for v in row))
+        for v in row:
+            if v.coeffs not in text:
+                text[v.coeffs] = ":".join(map(str, v.coeffs))
+        lines.append(",".join([text[v.coeffs] for v in row]))
     return "\n".join(lines) + "\n"
 
 
@@ -517,20 +667,22 @@ def load_table(G, text):
             raise InternalInconsistency(
                 f"line {lineno}: cached classes do not match the group")
     values = []
+    parsed = {}  # each distinct chunk is parsed once
     for lineno, ln in lines[1 + k:]:
         chunks = ln.split(",")
         if len(chunks) != k:
             raise ParseError(f"expected {k} values", lineno)
-        row = []
         for chunk in chunks:
+            if chunk in parsed:
+                continue
             fields = chunk.split(":")
             if len(fields) != e:
                 raise ParseError(f"expected {e} coefficients", lineno)
             try:
-                row.append(Cyclotomic(e, tuple(map(int, fields))))
+                parsed[chunk] = Cyclotomic(e, tuple(map(int, fields)))
             except ValueError:
                 raise ParseError("coefficient is not an integer", lineno)
-        values.append(tuple(row))
+        values.append(tuple([parsed[chunk] for chunk in chunks]))
     degrees = tuple(v[0].to_integer() for v in values)
     table = CharacterTable(G, classes, e, tuple(values), degrees)
     _verify_table(G, table)

@@ -178,12 +178,16 @@ def cmd_zeta(args, out):
 def closed_form_zeta(G, table, n):
     """Dispatch to the first closed form whose predicate the group passes;
     only the unique-nonlinear recursion reads `table`, and when `table` is
-    None it builds the character table on reaching that form."""
+    None it builds the character table once the classes allow that form."""
     from . import chartab, formulas
 
+    def unique_nonlinear():
+        formulas.unique_nonlinear_candidate(G)
+        return formulas.unique_nonlinear_recursion(
+            G, table or chartab.character_table(G), n)[1]
+
     attempts = (lambda: formulas.closed_zeta_gcp_center(G, n),
-                lambda: formulas.unique_nonlinear_recursion(
-                    G, table or chartab.character_table(G), n)[1],
+                unique_nonlinear,
                 lambda: formulas.closed_zeta_camina3(G, n),
                 lambda: formulas.closed_zeta_tower(G, n))
     reasons = []

@@ -439,6 +439,17 @@ def closed_zeta_tower(G, n):
 # unique nonlinear irreducible character (the Frobenius family)
 
 
+def unique_nonlinear_candidate(G):
+    """Refuse from the classes, before any table: G has k - |G:G'|
+    nonlinear characters, and the form needs one and a trivial center.
+    `_unique_nonlinear_setup` makes the same checks on the table."""
+    k = groups.conjugacy_classes(G).num_classes
+    if k - G.order // groups.commutator_subgroup(G).order != 1:
+        raise PredicateFailed("group has more than one nonlinear character")
+    if groups.center(G).order != 1:
+        raise PredicateFailed("center is not trivial")
+
+
 def _unique_nonlinear_setup(G, table):
     nl = table.nonlinear_indices()
     if len(nl) != 1:

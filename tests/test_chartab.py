@@ -201,3 +201,82 @@ def test_load_rejects_negated_character():
                          for v in lines[-1].split(","))
     with pytest.raises(InternalInconsistency, match="degree -2"):
         chartab.load_table(G, "\n".join(lines))
+
+
+@pytest.mark.parametrize("spec", ["cyclic(5)", "dihedral(20)", "agl1(8)"])
+def test_verify_rejects_a_perturbation_shared_by_a_galois_orbit(spec):
+    # Adding 1 at class j to an orbit representative, and at the class
+    # carried to j to every other row of its orbit, keeps the rows closed
+    # under the power maps, so only the representatives are checked.
+    from wordcount.errors import InternalInconsistency
+    G = groups.parse_builtin_spec(spec)
+    table = character_table(G)
+    maps = chartab._galois_maps(G)
+    orbit = chartab._orbits(maps, table.sparse_rows)
+    r = next(r for r, (rep, _) in enumerate(orbit)
+             if sum(rep == r for rep, _ in orbit) > 1)
+    j = table.num_characters - 1
+    values = [list(row) for row in table.values]
+    for s, (rep, perm) in enumerate(orbit):
+        if rep == r:
+            for c in range(len(perm)):
+                if perm[c] == j:
+                    values[s][c] = values[s][c] + 1
+    bad = chartab.CharacterTable(
+        G, table.classes, table.exponent,
+        tuple(tuple(row) for row in values), table.degrees)
+    assert chartab._orbits(maps, bad.sparse_rows) is not None
+    with pytest.raises(InternalInconsistency, match="row orthogonality"):
+        chartab._verify_table(G, bad)
+
+
+def test_verify_checks_orbit_representatives_against_every_row(monkeypatch):
+    # D200: 53 characters in 11 Galois orbits, so 11 * 53 - 11 * 10 / 2
+    # inner products instead of 53 * 54 / 2 = 1431
+    from wordcount import cyclotomic
+    G = groups.builtin("dihedral", 200)
+    table = character_table(G)
+    calls = 0
+    rational_sum = cyclotomic.rational_sum
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return rational_sum(*args)
+
+    monkeypatch.setattr(cyclotomic, "rational_sum", counted)
+    chartab._verify_table(G, table)
+    assert calls == 528
+
+
+@pytest.mark.parametrize("bad", ["1:0:x:0", "1:0:0"])
+def test_load_reports_the_line_of_a_malformed_value(bad):
+    # Each distinct value is parsed once; a bad one is reported on the
+    # first line that holds it, after rows of values already parsed.
+    from wordcount.errors import ParseError
+    G = groups.builtin("dihedral", 8)
+    lines = chartab.dump_table(character_table(G)).splitlines()
+    for i in (-3, -2):
+        lines[i] = lines[i].rsplit(",", 1)[0] + "," + bad
+    with pytest.raises(ParseError) as info:
+        chartab.load_table(G, "\n".join(lines))
+    assert info.value.line == len(lines) - 2
+
+
+def test_galois_orbits_must_number_the_rational_classes(monkeypatch):
+    # C5 has 2 rational classes, so its characters fall into 2 orbits.
+    from wordcount.errors import InternalInconsistency
+    G = groups.builtin("cyclic", 5)
+    classes = groups.conjugacy_classes(G)
+    assert len(groups.rational_classes(G)) == 2
+    # five constant rows are closed under the power maps, one orbit each
+    rows = tuple(tuple(Cyclotomic.from_rational(5, j) for _ in range(5))
+                 for j in range(1, 6))
+    fake = chartab.CharacterTable(G, classes, 5, rows, (1,) * 5)
+    with pytest.raises(InternalInconsistency,
+                       match="5 Galois orbits of characters but 2 rational"):
+        chartab._verify_table(G, fake)
+    # without the power maps every character is its own orbit
+    monkeypatch.setattr(chartab, "_galois_maps", lambda G: ())
+    with pytest.raises(InternalInconsistency, match="5 Galois orbits"):
+        chartab._compute_table(G, classes)

@@ -77,6 +77,48 @@ def test_closed_zeta_builds_no_table_before_the_unique_nonlinear_form(
     assert run(capsys, *argv) == (0, expected, "")
 
 
+def test_closed_zeta_refuses_from_the_classes(monkeypatch, capsys):
+    # D200 has 53 - 4 nonlinear characters, which the classes show
+    def refuse(G):
+        raise AssertionError("built a character table to refuse a form")
+
+    monkeypatch.setattr(chartab, "character_table", refuse)
+    code, out, err = run(capsys, "zeta", "--group", "builtin:dihedral(200)",
+                         "--n", "3", "--method", "closed")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: PredicateFailed: no closed form applies: (G, Z(G)) is not a "
+        "GCP; group has more than one nonlinear character; not a Camina "
+        "group of nilpotency class 3; (G, Z(G)) is not a Camina pair\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["chartab"], ["info"], ["zeta", "--n", "3", "--method", "char"],
+])
+def test_table_past_the_class_bound_is_refused_up_front(
+        argv, tmp_path, monkeypatch, capsys):
+    def refuse(G, classes):
+        raise AssertionError("started Dixon's method past the bound")
+
+    monkeypatch.setenv(fileio.CACHE_ENV, str(tmp_path))
+    monkeypatch.setattr(chartab, "MAX_TABLE_CLASSES", 7)
+    monkeypatch.setattr(chartab, "_compute_table", refuse)
+    code, out, err = run(capsys, argv[0], "--group", "builtin:dihedral(20)",
+                         *argv[1:])
+    assert (code, out) == (1, "")
+    assert err == ("error: BudgetExceeded: 8 classes exceed the "
+                   "character-table bound 7 (estimated 0 s)\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_info_past_the_class_bound_is_refused(monkeypatch, capsys):
+    monkeypatch.setattr(chartab, "_compute_table", None)
+    code, out, err = run(capsys, "info", "--group", "builtin:cyclic(513)")
+    assert (code, out) == (1, "")
+    assert err == ("error: BudgetExceeded: 513 classes exceed the "
+                   "character-table bound 512 (estimated 37 s)\n")
+
+
 def test_count_with_domain(capsys):
     code, out, _ = run(capsys, "count", "--group", "builtin:symmetric(3)",
                        "--word", "[x1,x2]", "--domain", "x1=derived")

@@ -2,12 +2,14 @@
 per-entry and all-pairs definitions they replace, kept here as references."""
 
 import math
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wordcount import chartab, formulas, groups
+from wordcount.cyclotomic import Cyclotomic
 from wordcount.cli import main
 from wordcount.errors import NotAGroup, OrderLimitExceeded
 
@@ -250,6 +252,93 @@ def test_normal_subgroups_close_once_per_cyclic_subgroup_class(
     assert len(groups.rational_classes(G)) == rational_classes
     monkeypatch.undo()
     assert [N.members for N in normals] == ref_normal_subgroups(G)
+
+
+def ref_class_mult(G, classes):
+    """a[i][j][m] = #{x in C_i : x^-1 rep(C_m) in C_j}, one entry at a
+    time."""
+    k, class_of = classes.num_classes, classes.class_of
+    members = [[x for x in range(G.order) if class_of[x] == i]
+               for i in range(k)]
+    return [[[sum(1 for x in members[i]
+                  if class_of[G.mul[G.inv[x]][classes.reps[m]]] == j)
+              for m in range(k)] for j in range(k)] for i in range(k)]
+
+
+@pytest.mark.parametrize("spec", SMALL_BUILTINS)
+def test_sparse_class_mult_matches_reference(spec):
+    G = groups.parse_builtin_spec(spec)
+    classes = groups.conjugacy_classes(G)
+    sparse = chartab.class_mult_coefficients(G, classes)
+    for row, ref_row in zip(sparse, ref_class_mult(G, classes)):
+        for pairs, ref in zip(row, ref_row):
+            assert pairs == [(m, a) for m, a in enumerate(ref) if a]
+
+
+def ref_compute_table(G, classes):
+    """Dixon's table from the dense class matrices, splitting in class
+    order and lifting every character by its own Fourier sums, one per
+    rational class."""
+    n, k, e = G.order, classes.num_classes, G.exponent()
+    p = chartab._smallest_dixon_prime(n, e)
+    a = ref_class_mult(G, classes)
+    subspaces = [([[int(i == j) for j in range(k)] for i in range(k)],
+                  list(range(k)))]
+    for i in range(1, k):
+        nxt = []
+        for B, piv in subspaces:
+            if len(B) == 1:
+                nxt.append((B, piv))
+                continue
+            X = [chartab._coords([sum(map(mul, a[i][c], b)) % p
+                                  for c in range(k)], B, piv, p) for b in B]
+            XT = [list(col) for col in zip(*X)]
+            for lam in chartab._poly_roots(chartab._charpoly(XT, p), p):
+                shifted = [[(x - (lam if r == c else 0)) % p
+                            for c, x in enumerate(row)]
+                           for r, row in enumerate(XT)]
+                kernel = chartab._kernel(shifted, p)
+                if kernel:
+                    nxt.append(chartab._rref(
+                        [[sum(map(mul, kv, col)) % p for col in zip(*B)]
+                         for kv in kernel], p))
+        subspaces = nxt
+    assert all(len(B) == 1 for B, _ in subspaces)
+    inv_sizes = [pow(s, p - 2, p) for s in classes.sizes]
+    z = chartab._primitive_root(p)
+    rows = []
+    for (u,), _ in subspaces:
+        om = [v * pow(u[0], p - 2, p) % p for v in u]
+        s = sum(om[m] * om[classes.inverse_class[m]] * inv_sizes[m]
+                for m in range(k)) % p
+        d2 = n * pow(s, p - 2, p) % p
+        d = next(x for x in range(1, (p + 1) // 2) if x * x % p == d2)
+        chi = [d * om[m] * inv_sizes[m] % p for m in range(k)]
+        values = [None] * k
+        for _, powers, generators in groups.rational_classes(G):
+            o = len(powers)
+            roots = [pow(z, (p - 1) // o * (o - i), p) for i in range(o)]
+            # multiplicity of zeta_o^t: (1/o) sum_s chi(g^s) zeta_o^(-st)
+            mus = [sum(chi[c] * roots[s * t % o] for s, c in enumerate(powers))
+                   * pow(o, p - 2, p) % p for t in range(o)]
+            for c, b in generators:
+                coeffs = [0] * e
+                for t, mu in enumerate(mus):
+                    coeffs[t * b % o * (e // o)] += mu
+                values[c] = Cyclotomic(e, tuple(coeffs))
+        rows.append((d, values))
+    rows.sort(key=lambda r: (r[0], [v.reduced() for v in r[1]]))
+    return chartab.CharacterTable(G, classes, e,
+                                  tuple(tuple(v) for _, v in rows),
+                                  tuple(d for d, _ in rows))
+
+
+@pytest.mark.parametrize("spec", SMALL_BUILTINS + ["dihedral(200)"])
+def test_orbit_lift_matches_per_row_lift(spec):
+    G = groups.parse_builtin_spec(spec)
+    classes = groups.conjugacy_classes(G)
+    assert chartab.dump_table(chartab._compute_table(G, classes)) == \
+        chartab.dump_table(ref_compute_table(G, classes))
 
 
 def ref_vanish_scan(G, table):
