@@ -268,9 +268,10 @@ def class_mult_coefficients(G, classes):
     return a
 
 
-# Most classes a table is computed for.  Time grows about as k^3: on 2
-# vCPUs (Python 3.11) D1000 (k = 253) takes 4-5 s and D2000 (k = 503)
-# 30-36 s, computing and verifying; past the bound it would pass 40 s.
+# Most classes a table is computed for.  Computing and verifying take
+# 4-5 s CPU for D1000 (k = 253) and about 35 s for D2000 (k = 503) on 2
+# vCPUs with Python 3.11, growing about as k^3.  The refusal's estimate
+# scales the D2000 time that way; at the bound it reads 37 s.
 MAX_TABLE_CLASSES = 512
 
 
@@ -441,7 +442,7 @@ def _compute_table(G, classes):
     inv_orders = {o: pow(o, p - 2, p) for o in inverse_roots}
 
     interned = {}  # coefficients -> (Cyclotomic, reduced), shared by rows
-    lifted = {}  # orbit representative -> (degree, values, reduced values)
+    lifts = {}  # orbit representative -> (degree, values, reduced values)
     for r, (rep, _) in enumerate(orbit):
         if r != rep:
             continue
@@ -479,13 +480,13 @@ def _compute_table(G, classes):
                     v = Cyclotomic(e, coeffs)
                     interned[coeffs] = (v, v.reduced())
                 values[c] = interned[coeffs]
-        lifted[r] = (d, [v for v, _ in values], [red for _, red in values])
+        lifts[r] = (d, [v for v, _ in values], [red for _, red in values])
 
     # Row sigma_u chi at class c is row chi at pi_u(c): both are the
     # eigenvalue multiset of rho(g_c^u), so the coefficient tuples agree.
     rows = []
     for rep, perm in orbit:
-        d, values, reduced = lifted[rep]
+        d, values, reduced = lifts[rep]
         rows.append((d, tuple([reduced[c] for c in perm]),
                      tuple([values[c] for c in perm])))
     # canonical ordering: by degree, then by reduced value vectors
