@@ -227,22 +227,13 @@ def _smallest_dixon_prime(order, exponent):
     bound = 2 * math.isqrt(order) + 1
     p = exponent + 1
     while True:
-        if p > bound and groups._is_prime(p) and (p - 1) % exponent == 0:
+        if p > bound and (p - 1) % exponent == 0 and groups._is_prime(p):
             return p
         p += 1
 
 
 def _primitive_root(p):
-    factors = set()
-    m = p - 1
-    d = 2
-    while d * d <= m:
-        while m % d == 0:
-            factors.add(d)
-            m //= d
-        d += 1
-    if m > 1:
-        factors.add(m)
+    factors = groups._prime_factors(p - 1)
     for g in range(2, p):
         if all(pow(g, (p - 1) // q, p) != 1 for q in factors):
             return g

@@ -13,6 +13,7 @@ is the one called.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .errors import (EmptyWord, ParseError, PredicateFailed, UnknownFamily,
@@ -176,24 +177,17 @@ def cmd_zeta(args, out):
 
 
 def closed_form_zeta(G, table, n):
-    """Dispatch to the first closed form whose predicate the group passes;
-    only the unique-nonlinear recursion reads `table`, and when `table` is
-    None it builds the character table once the classes allow that form."""
-    from . import chartab, formulas
+    """The first closed form whose predicate the group passes.  Every form
+    reads class data only, so `table` is never read."""
+    from . import formulas
 
-    def unique_nonlinear():
-        formulas.unique_nonlinear_candidate(G)
-        return formulas.unique_nonlinear_recursion(
-            G, table or chartab.character_table(G), n)[1]
-
-    attempts = (lambda: formulas.closed_zeta_gcp_center(G, n),
-                unique_nonlinear,
-                lambda: formulas.closed_zeta_camina3(G, n),
-                lambda: formulas.closed_zeta_tower(G, n))
+    forms = (formulas.closed_zeta_gcp_center,
+             lambda G, n: formulas.unique_nonlinear_recursion(G, n)[1],
+             formulas.closed_zeta_camina3, formulas.closed_zeta_tower)
     reasons = []
-    for attempt in attempts:
+    for form in forms:
         try:
-            return attempt()
+            return form(G, n)
         except PredicateFailed as exc:
             reasons.append(str(exc))
     raise PredicateFailed("no closed form applies: " + "; ".join(reasons))
@@ -285,11 +279,16 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args, sys.stdout)
+        code = args.fn(args, sys.stdout)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return code
     except USAGE_ERRORS as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except WordcountError as exc:
+    except (WordcountError, OSError) as exc:
+        if isinstance(exc, BrokenPipeError):
+            # the interpreter flushes stdout again at exit; let that succeed
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 1
 

@@ -80,7 +80,7 @@ def _int_rows(lines, count, width, what):
 def import_group(path):
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}", 0)
     return parse_group(text)
 

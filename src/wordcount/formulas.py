@@ -1,10 +1,13 @@
 """Character-theoretic and closed-form evaluators for iterated commutators.
 
-Everything here is cross-checkable against the brute-force oracle in
-`counting`.  Two of the source displays disagree with their own general
-forms under exact substitution; those are resolved in favor of the values
-that satisfy the forced total-mass identity (see FLAG_* below and the
-`verify` report's FLAGGED lines).
+The character path sums over a `chartab.CharacterTable`.  The closed forms
+read class data only (the classes and the orders of G, Z(G), G' and
+Z_2(G)), never a character table, so they check the character path and
+the brute-force oracle in `counting` independently.  Two of the source
+displays disagree with their own general forms under exact substitution;
+those are resolved in favor of the values that satisfy the forced
+total-mass identity (see FLAG_* below and the `verify` report's FLAGGED
+lines).
 """
 from __future__ import annotations
 
@@ -234,31 +237,12 @@ def classify(G, table=None):
 
 
 # ---------------------------------------------------------------------------
-# closed forms (pure functions of the invariants; wrappers verify predicates)
-
-
-def closed_gcp_center(inv, n, region):
-    """Counts for a group with (G, Z(G)) a GCP; region in
-    {"identity", "nontrivial"} (the latter meaning 1 != g in G')."""
-    return _closed_gcp_center_all(inv, n)[region]
-
-
-def _closed_gcp_center_all(inv, n):
-    o, d, q = inv.order, inv.derived_order, inv.index_center()
-    if n == 2:
-        vals = {
-            "identity": Fraction(o * o, d) * (1 + Fraction(d - 1, q)),
-            "nontrivial": Fraction(o * o, d) * (1 - Fraction(1, q)),
-        }
-    elif n >= 3:
-        vals = {"identity": Fraction(o**n), "nontrivial": Fraction(0)}
-    else:
-        raise PredicateFailed("n must be >= 2")
-    out = {k: _expect_int(v) for k, v in vals.items()}
-    total = out["identity"] + (d - 1) * out["nontrivial"]
-    if total != o**n:
-        raise InternalInconsistency("GCP closed form fails total mass")
-    return out
+# closed forms
+#
+# Every family is a predicate on class data, a formula from the invariants
+# to region values, and the one assembler `_assemble`.  The regions are
+# "identity", "inner" (1 != g in the family's inner subgroup) and
+# "derived_rest" (G' minus the inner subgroup); every count off G' is 0.
 
 
 def _expect_int(v):
@@ -266,6 +250,54 @@ def _expect_int(v):
     if v.denominator != 1 or v < 0:
         raise PredicateFailed(f"closed form produced non-natural value {v}")
     return v.numerator
+
+
+def _regions(inv, n, inner_order, family, vals):
+    """The region values as natural numbers, checked for total mass |G|^n:
+    the inner region has inner_order - 1 elements, derived_rest the other
+    |G'| - inner_order."""
+    out = {k: _expect_int(v) for k, v in vals.items()}
+    sizes = {"identity": 1, "inner": inner_order - 1,
+             "derived_rest": inv.derived_order - inner_order}
+    if sum(sizes[k] * v for k, v in out.items()) != inv.order ** n:
+        raise InternalInconsistency(f"{family} closed form fails total mass")
+    return out
+
+
+def _assemble(G, inner, regions, n):
+    """The ClassFunction taking each region's value on its classes."""
+    derived = groups.commutator_subgroup(G)
+    classes = groups.conjugacy_classes(G)
+    vals = []
+    for g in classes.reps:
+        if g == 0:
+            vals.append(regions["identity"])
+        elif g in inner:
+            vals.append(regions["inner"])
+        elif g in derived:
+            vals.append(regions["derived_rest"])
+        else:
+            vals.append(0)
+    cf = ClassFunction(G, classes, tuple(vals))
+    if cf.total_mass() != G.order ** n:
+        raise InternalInconsistency("region class function fails total mass")
+    return cf
+
+
+def closed_gcp_center(inv, n):
+    """Region values for a group with (G, Z(G)) a GCP; the inner subgroup
+    is G' itself."""
+    o, d, q = inv.order, inv.derived_order, inv.index_center()
+    if n == 2:
+        vals = {
+            "identity": Fraction(o * o, d) * (1 + Fraction(d - 1, q)),
+            "inner": Fraction(o * o, d) * (1 - Fraction(1, q)),
+        }
+    elif n >= 3:
+        vals = {"identity": Fraction(o**n), "inner": Fraction(0)}
+    else:
+        raise PredicateFailed("n must be >= 2")
+    return _regions(inv, n, d, "GCP", vals)
 
 
 def camina3_parameters(inv):
@@ -286,25 +318,17 @@ def camina3_parameters(inv):
     return p, m
 
 
-def closed_camina3(inv, n, region):
-    """Counts for a Camina p-group of nilpotency class 3.
-
-    Regions: "identity", "center_nontrivial" (1 != g in gamma_3 = Z) and
-    "derived_rest" (g in G' minus gamma_3).  The n=3 identity value comes
-    from the class-function form, which is the one satisfying total mass;
-    the scalar display is available via camina3_identity_display.
-    """
-    return _closed_camina3_all(inv, n)[region]
-
-
-def _closed_camina3_all(inv, n):
+def closed_camina3(inv, n):
+    """Region values for a Camina p-group of nilpotency class 3; the inner
+    subgroup is gamma_3 = Z(G).  The n=3 identity value comes from the
+    class-function form, which is the one satisfying total mass; the
+    scalar display is available via camina3_identity_display."""
     camina3_parameters(inv)
     o, d, z = inv.order, inv.derived_order, inv.center_order
     if n == 2:
         vals = {
             "identity": Fraction(o * o, d) + Fraction(o * d, z) + o * (z - 2),
-            "center_nontrivial":
-                Fraction(o * (o - d), d) + Fraction(o * (d - z), z),
+            "inner": Fraction(o * (o - d), d) + Fraction(o * (d - z), z),
             "derived_rest": Fraction(o * (o - d), d),
         }
     elif n == 3:
@@ -315,17 +339,12 @@ def _closed_camina3_all(inv, n):
                  + Fraction(o**3, d) * (d // z - 1))
         vals = {
             "identity": ident,
-            "center_nontrivial": Fraction(o * o * (d - z) * (o - d), d * z),
+            "inner": Fraction(o * o * (d - z) * (o - d), d * z),
             "derived_rest": Fraction(0),
         }
     else:
         raise PredicateFailed("closed form is stated for n in {2, 3}")
-    out = {k: _expect_int(v) for k, v in vals.items()}
-    total = (out["identity"] + (z - 1) * out["center_nontrivial"]
-             + (d - z) * out["derived_rest"])
-    if total != o**n:
-        raise InternalInconsistency("Camina class-3 closed form fails total mass")
-    return out
+    return _regions(inv, n, z, "Camina class-3", vals)
 
 
 def camina3_identity_display(inv):
@@ -335,23 +354,16 @@ def camina3_identity_display(inv):
         + Fraction(o * o * (d - z) * (z - 1), z)
 
 
-def closed_camina_gcp_tower(inv, n, region):
-    """Counts for (G, Z(G)) a Camina pair with (G/Z, Z(G/Z)) a GCP.
-
-    Regions as for closed_camina3, with Z(G) in place of gamma_3.
-    """
-    return _closed_tower_all(inv, n)[region]
-
-
-def _closed_tower_all(inv, n):
+def closed_camina_gcp_tower(inv, n):
+    """Region values for (G, Z(G)) a Camina pair with (G/Z, Z(G/Z)) a GCP;
+    the inner subgroup is Z(G)."""
     o, d, z, z2 = inv.order, inv.derived_order, inv.center_order, inv.z2_order
     if n == 2:
         # the identity value is |G| * #Irr(G); the bracket is |G'||Z|* #Irr(G)
         vals = {
             "identity":
                 Fraction(o * (z * (o + d * (z - 1)) + z2 * (d - z)), d * z),
-            "center_nontrivial":
-                Fraction(o * (z * (o - d) + z2 * (d - z)), d * z),
+            "inner": Fraction(o * (z * (o - d) + z2 * (d - z)), d * z),
             "derived_rest": Fraction(o * (o - z2), d),
         }
     elif n == 3:
@@ -359,55 +371,20 @@ def _closed_tower_all(inv, n):
             "identity":
                 Fraction(o * o * (o * z * z + (d - z) * (o + z2 * (z - 1))),
                          d * z),
-            "center_nontrivial": Fraction(o * o * (d - z) * (o - z2), d * z),
+            "inner": Fraction(o * o * (d - z) * (o - z2), d * z),
             "derived_rest": Fraction(0),
         }
     else:
         raise PredicateFailed("closed form is stated for n in {2, 3}")
-    out = {k: _expect_int(v) for k, v in vals.items()}
-    total = (out["identity"] + (z - 1) * out["center_nontrivial"]
-             + (d - z) * out["derived_rest"])
-    if total != o**n:
-        raise InternalInconsistency(
-            "Camina/GCP tower closed form fails total mass")
-    return out
-
-
-def _regions_class_function(G, values_by_region, inner, n):
-    """Assemble a ClassFunction from region values.
-
-    `inner` is the subgroup whose nontrivial part takes the
-    "center_nontrivial" value; G' \\ inner takes "derived_rest"; everything
-    outside G' takes 0.
-    """
-    derived = groups.commutator_subgroup(G)
-    classes = groups.conjugacy_classes(G)
-    vals = []
-    for g in classes.reps:
-        if g == 0:
-            vals.append(values_by_region["identity"])
-        elif g in inner:
-            vals.append(values_by_region["center_nontrivial"])
-        elif g in derived:
-            vals.append(values_by_region["derived_rest"])
-        else:
-            vals.append(0)
-    cf = ClassFunction(G, classes, tuple(vals))
-    if cf.total_mass() != G.order ** n:
-        raise InternalInconsistency("region class function fails total mass")
-    return cf
+    return _regions(inv, n, z, "Camina/GCP tower", vals)
 
 
 def closed_zeta_gcp_center(G, n):
     """ClassFunction form of closed_gcp_center, with the predicate checked."""
     if not _nonlinear_vanish_off(G, groups.center(G)):
         raise PredicateFailed("(G, Z(G)) is not a GCP")
-    vals = _closed_gcp_center_all(invariants_of(G), n)
-    # inner = G', so every nontrivial g in G' takes "center_nontrivial"
-    by_region = {"identity": vals["identity"],
-                 "center_nontrivial": vals["nontrivial"]}
-    return _regions_class_function(
-        G, by_region, groups.commutator_subgroup(G), n)
+    return _assemble(G, groups.commutator_subgroup(G),
+                     closed_gcp_center(invariants_of(G), n), n)
 
 
 def closed_zeta_camina3(G, n):
@@ -420,8 +397,7 @@ def closed_zeta_camina3(G, n):
     gamma3 = groups.gamma(G, 3)
     if gamma3 != groups.center(G):
         raise PredicateFailed("gamma_3(G) != Z(G)")
-    return _regions_class_function(
-        G, _closed_camina3_all(invariants_of(G), n), gamma3, n)
+    return _assemble(G, gamma3, closed_camina3(invariants_of(G), n), n)
 
 
 def closed_zeta_tower(G, n):
@@ -431,61 +407,44 @@ def closed_zeta_tower(G, n):
     Q, _ = groups.quotient(G, z)
     if not _nonlinear_vanish_off(Q, groups.center(Q)):
         raise PredicateFailed("(G/Z, Z(G/Z)) is not a GCP")
-    return _regions_class_function(
-        G, _closed_tower_all(invariants_of(G), n), z, n)
+    return _assemble(G, z, closed_camina_gcp_tower(invariants_of(G), n), n)
 
 
-# ---------------------------------------------------------------------------
-# unique nonlinear irreducible character (the Frobenius family)
+def unique_nonlinear_recursion(G, n):
+    """(C^{w_n}(phi), zeta^{w_n}) for a group with one nonlinear character
+    phi and a trivial center, |G| = p^m (p^m - 1), from class data alone.
 
-
-def unique_nonlinear_candidate(G):
-    """Refuse from the classes, before any table: G has k - |G:G'|
-    nonlinear characters, and the form needs one and a trivial center.
-    `_unique_nonlinear_setup` makes the same checks on the table."""
-    k = groups.conjugacy_classes(G).num_classes
-    if k - G.order // groups.commutator_subgroup(G).order != 1:
+    G has k - |G:G'| nonlinear characters, and the degree sum gives
+    phi(1)^2 = |G| - |G:G'|; with phi(1) = p^m - 1 that makes |G:G'| =
+    phi(1).  Column orthogonality against the linear characters then puts
+    phi = -1 on G' minus 1 and phi = 0 off G', so zeta^{w_n} = |G|^n/|G'|
+    on G' plus |G| C^{w_n}(phi)/phi(1) phi: the inner subgroup is G'.
+    """
+    if n < 2:
+        raise PredicateFailed("recursion starts at n = 2")
+    derived = groups.commutator_subgroup(G)
+    num_linear = G.order // derived.order
+    nonlinear = groups.conjugacy_classes(G).num_classes - num_linear
+    if nonlinear == 0:
+        raise PredicateFailed("group has no nonlinear character")
+    if nonlinear > 1:
         raise PredicateFailed("group has more than one nonlinear character")
     if groups.center(G).order != 1:
         raise PredicateFailed("center is not trivial")
-
-
-def _unique_nonlinear_setup(G, table):
-    nl = table.nonlinear_indices()
-    if len(nl) != 1:
-        raise PredicateFailed("group has more than one nonlinear character")
-    if groups.center(G).order != 1:
-        raise PredicateFailed("center is not trivial")
-    phi = nl[0]
-    pm = table.degrees[phi] + 1
+    pm = math.isqrt(G.order - num_linear) + 1
     if groups._prime_power(pm) is None:
         raise PredicateFailed(f"phi(1)+1 = {pm} is not a prime power")
     if G.order != pm * (pm - 1):
         raise PredicateFailed("|G| != p^m (p^m - 1)")
-    return phi, pm
-
-
-def unique_nonlinear_recursion(G, table, n):
-    """(C^{w_n}(phi), zeta^{w_n}) by the one-character recursion, checked
-    against the general recursion."""
-    if n < 2:
-        raise PredicateFailed("recursion starts at n = 2")
-    phi, pm = _unique_nonlinear_setup(G, table)
-    d = groups.commutator_subgroup(G).order
+    o, d = G.order, derived.order
     c = Fraction(1)
     for k in range(3, n + 1):
-        c = Fraction(G.order ** (k - 1), d) \
-            + Fraction(G.order, pm - 1) * c * (pm - 2)
+        c = Fraction(o ** (k - 1), d) + Fraction(o, pm - 1) * c * (pm - 2)
     c = _expect_int(c)
-    terms = [(Fraction(G.order ** (n - 1)), r)
-             for r in range(table.num_characters) if table.linear_mask[r]]
-    terms.append((Fraction(G.order * c, pm - 1), phi))
-    values = _rational_row_sum(table, terms)
-    zeta = _as_integer_class_function(G, table, values, n)
-    if zeta != zeta_wn_char(G, table, n):
-        raise InternalInconsistency(
-            "unique-nonlinear recursion disagrees with the general recursion")
-    return c, zeta
+    regions = _regions(invariants_of(G), n, d, "unique-nonlinear", {
+        "identity": Fraction(o**n, d) + o * c,
+        "inner": appl_offidentity_value(o, d, pm, c, n)})
+    return c, _assemble(G, derived, regions, n)
 
 
 def appl_identity_value(order, derived_order, pm, n=3):
@@ -512,7 +471,7 @@ def appl_offidentity_display(order, derived_order, pm):
 
 
 def appl_offidentity_value(order, derived_order, pm, c_n, n=3):
-    """Off-identity count recomputed from the general recursion form."""
+    """Off-identity count on G' from C^{w_n}(phi): |G|^n/|G'| - |G| C/phi(1)."""
     return _expect_int(Fraction(order**n, derived_order)
                        - Fraction(order, pm - 1) * c_n)
 

@@ -503,11 +503,7 @@ def _symmetric(n):
     if not 1 <= n <= 6:
         raise UnsupportedParameter("symmetric degree must be 1..6")
     elements = list(itertools.permutations(range(n)))  # identity first
-
-    def combine(p, q):
-        return tuple(p[q[i]] for i in range(n))
-
-    return _table_from_elements(elements, combine)
+    return _table_from_elements(elements, _compose)
 
 
 def _elementary_abelian(p, k):
@@ -563,29 +559,29 @@ def _extraspecial_minus(p):
     return _table_from_elements(elements, combine)
 
 
-def _is_prime(n):
-    if n < 2:
-        return False
-    for d in range(2, math.isqrt(n) + 1):
-        if n % d == 0:
-            return False
-    return True
+def _prime_factors(n):
+    """{p: k} with n = prod p^k over primes p, by trial division; {} for
+    n < 2."""
+    factors = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        factors[n] = 1
+    return factors
 
 
 def _prime_power(q):
     """(p, k) with q = p^k for a prime p and k >= 1, else None."""
-    if q < 2:
-        return None
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            k, m = 0, q
-            while m % p == 0:
-                m //= p
-                k += 1
-            return (p, k) if m == 1 else None
-        p += 1
-    return (q, 1)
+    factors = _prime_factors(q)
+    return next(iter(factors.items())) if len(factors) == 1 else None
+
+
+def _is_prime(n):
+    return _prime_power(n) == (n, 1)
 
 
 # The irreducible modulus x^k + tail[k-1] x^(k-1) + ... + tail[0] of each

@@ -109,12 +109,10 @@ def find_isoclinism(G, H, n):
         raise UnsupportedParameter(f"n must be at least 1, got {n}")
     ZG, ZH = groups.zn(G, n), groups.zn(H, n)
     gammaG, gammaH = groups.gamma(G, n + 1), groups.gamma(H, n + 1)
-    if G.order // ZG.order > SEARCH_BOUND or gammaG.order > SEARCH_BOUND:
-        raise SearchBoundExceeded(
-            f"quotient or commutator subgroup exceeds {SEARCH_BOUND}")
-    if H.order // ZH.order > SEARCH_BOUND or gammaH.order > SEARCH_BOUND:
-        raise SearchBoundExceeded(
-            f"quotient or commutator subgroup exceeds {SEARCH_BOUND}")
+    for X, Z, gam in ((G, ZG, gammaG), (H, ZH, gammaH)):
+        if X.order // Z.order > SEARCH_BOUND or gam.order > SEARCH_BOUND:
+            raise SearchBoundExceeded(
+                f"quotient or commutator subgroup exceeds {SEARCH_BOUND}")
     if G.order // ZG.order != H.order // ZH.order or \
             gammaG.order != gammaH.order:
         return None

@@ -149,7 +149,8 @@ def check_gcp_closed_form():
 
 
 def check_unique_nonlinear():
-    """S3 and A4 anchors for the one-character recursion, plus the flag."""
+    """S3 and A4 anchors for the class-data form, equal to the character
+    recursion and brute force, plus the flag."""
     results = []
     anchors = [("symmetric(3)", 3, 15, 162, 27),
                ("agl1(4)", 4, 44, 960, 256)]
@@ -157,11 +158,11 @@ def check_unique_nonlinear():
     for spec, pm, c3, at_one, off in anchors:
         G = dict(catalog())[spec]
         def one(G=G, pm=pm, c3=c3, at_one=at_one, off=off):
-            table = chartab.character_table(G)
-            c, zeta = formulas.unique_nonlinear_recursion(G, table, 3)
+            c, zeta = formulas.unique_nonlinear_recursion(G, 3)
             assert c == c3, f"C={c}"
-            brute = counting.zeta_brute(G, words.wn(3))
-            assert zeta == brute
+            table = chartab.character_table(G)
+            assert zeta == formulas.zeta_wn_char(G, table, 3)
+            assert zeta == counting.zeta_brute(G, words.wn(3))
             inv = formulas.invariants_of(G)
             assert formulas.appl_identity_value(
                 G.order, inv.derived_order, pm) == at_one
@@ -183,12 +184,10 @@ def check_camina3_audit():
     group = "(|G|,|G'|,|Z|)=(128,8,2)"
     results = []
     def one():
-        n2 = formulas._closed_camina3_all(inv, 2)
-        assert (n2["identity"], n2["center_nontrivial"],
-                n2["derived_rest"]) == (2560, 2304, 1920)
-        n3 = formulas._closed_camina3_all(inv, 3)
-        assert (n3["identity"], n3["center_nontrivial"],
-                n3["derived_rest"]) == (1359872, 737280, 0)
+        n2 = formulas.closed_camina3(inv, 2)
+        assert n2 == {"identity": 2560, "inner": 2304, "derived_rest": 1920}
+        n3 = formulas.closed_camina3(inv, 3)
+        assert n3 == {"identity": 1359872, "inner": 737280, "derived_rest": 0}
         return "n=2 total 16384; n=3 total 2097152"
     _run(results, "camina3-audit", group, one)
     display = formulas.camina3_identity_display(inv)

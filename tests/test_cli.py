@@ -1,11 +1,18 @@
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from wordcount import chartab, fileio, groups, verification
+from wordcount import chartab, cli, fileio, formulas, groups, verification
 from wordcount.cli import main
-from wordcount.errors import (OrderLimitExceeded, ParseError,
+from wordcount.errors import (OrderLimitExceeded, ParseError, PredicateFailed,
                               UnsupportedParameter)
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -63,15 +70,16 @@ def test_zeta_brute_builds_no_character_table(monkeypatch, capsys):
     assert (code, out, err) == (0, char_csv, "")
 
 
+@pytest.mark.parametrize("group", ["builtin:heisenberg(5)",
+                                   "builtin:agl1(13)"])
 def test_closed_zeta_builds_no_table_before_the_unique_nonlinear_form(
-        monkeypatch, capsys):
-    argv = ["zeta", "--group", "builtin:heisenberg(5)", "--n", "3",
-            "--method", "closed"]
+        group, monkeypatch, capsys):
+    argv = ["zeta", "--group", group, "--n", "3", "--method", "closed"]
     code, expected, _ = run(capsys, *argv)
     assert code == 0
 
     def refuse(G):
-        raise AssertionError("built a character table for a VZ closed form")
+        raise AssertionError("built a character table for a closed form")
 
     monkeypatch.setattr(chartab, "character_table", refuse)
     assert run(capsys, *argv) == (0, expected, "")
@@ -90,6 +98,36 @@ def test_closed_zeta_refuses_from_the_classes(monkeypatch, capsys):
         "error: PredicateFailed: no closed form applies: (G, Z(G)) is not a "
         "GCP; group has more than one nonlinear character; not a Camina "
         "group of nilpotency class 3; (G, Z(G)) is not a Camina pair\n")
+
+
+def test_closed_zeta_says_when_there_is_no_nonlinear_character(capsys):
+    code, out, err = run(capsys, "zeta", "--group", "builtin:cyclic(1)",
+                         "--n", "3", "--method", "closed")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: PredicateFailed: no closed form applies: (G, Z(G)) is not a "
+        "GCP; group has no nonlinear character; not a Camina group of "
+        "nilpotency class 3; (G, Z(G)) is not a Camina pair\n")
+
+
+def test_closed_form_zeta_reads_no_table(monkeypatch):
+    groups_by_spec = dict(verification.catalog())
+    for spec in ("agl1(13)", "agl1(27)", "heisenberg(5)"):
+        groups_by_spec[spec] = groups.parse_builtin_spec(spec)
+    char = {spec: formulas.zeta_wn_char(G, chartab.character_table(G), 3)
+            for spec, G in groups_by_spec.items()}
+    monkeypatch.setattr(chartab, "character_table", None)
+    answered = []
+    for spec, G in groups_by_spec.items():
+        try:
+            zeta = cli.closed_form_zeta(G, None, 3)
+        except PredicateFailed as exc:
+            assert str(exc).startswith("no closed form applies: "), spec
+            continue
+        assert zeta == char[spec], spec
+        answered.append(spec)
+    assert {"symmetric(3)", "agl1(5)", "agl1(13)", "agl1(27)",
+            "heisenberg(5)", "quaternion(8)"} <= set(answered)
 
 
 @pytest.mark.parametrize("argv", [
@@ -293,6 +331,43 @@ def test_oversize_cayley_header_is_refused_before_any_row(tmp_path, capsys):
     assert (code, out) == (1, "")
     assert err == ("error: OrderLimitExceeded: "
                    "order 20481 exceeds order cap 20480\n")
+
+
+def test_non_utf8_group_file_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "latin1.group"
+    path.write_bytes(b"# caf\xe9\ncayley 1\n0\n")
+    code, out, err = run(capsys, "info", "--group", f"file:{path}")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: line 0: cannot read {path}: 'utf-8' codec")
+    assert err.count("\n") == 1
+
+
+def test_unwritable_cache_directory_is_one_line(tmp_path, monkeypatch, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    monkeypatch.setenv(fileio.CACHE_ENV, str(blocker / "x"))
+    code, out, err = run(capsys, "chartab", "--group", "builtin:symmetric(3)")
+    assert (code, out) == (1, "")
+    assert err == (f"error: NotADirectoryError: [Errno 20] Not a directory: "
+                   f"'{blocker / 'x'}'\n")
+
+
+def test_closed_stdout_is_one_line(tmp_path):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to stdout now fails with EPIPE
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    env.pop("PYTHONUNBUFFERED", None)  # buffered stdout is flushed at exit
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "wordcount.cli", "zeta", "--group",
+             "builtin:symmetric(3)", "--n", "3"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, cwd=tmp_path,
+            text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert done.stderr == "error: BrokenPipeError: [Errno 32] Broken pipe\n"
 
 
 def test_chartab_cache(tmp_path, monkeypatch, capsys):

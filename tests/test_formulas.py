@@ -63,9 +63,9 @@ def test_each_zeta_step_runs_once_per_table(monkeypatch):
         for r in range(table.num_characters):
             formulas.c_wn(S3, table, r, n)
     assert len(calls) == 4
-    # the one-character sum is its own; the check reads zeta^{w_5}
-    _, zeta = formulas.unique_nonlinear_recursion(S3, table, 5)
-    assert zeta == top and len(calls) == 5
+    # the unique-nonlinear form reads class data, not the table
+    _, zeta = formulas.unique_nonlinear_recursion(S3, 5)
+    assert zeta == top and len(calls) == 4
 
 
 def test_loaded_table_builds_its_own_chain():
@@ -135,10 +135,8 @@ def test_classify_s3_and_abelian():
 
 def test_closed_gcp_center_values():
     inv = CaminaInvariants(8, 2, 2, 8)
-    assert formulas.closed_gcp_center(inv, 2, "identity") == 40
-    assert formulas.closed_gcp_center(inv, 2, "nontrivial") == 24
-    assert formulas.closed_gcp_center(inv, 3, "identity") == 512
-    assert formulas.closed_gcp_center(inv, 3, "nontrivial") == 0
+    assert formulas.closed_gcp_center(inv, 2) == {"identity": 40, "inner": 24}
+    assert formulas.closed_gcp_center(inv, 3) == {"identity": 512, "inner": 0}
 
 
 def test_closed_gcp_center_class_function():
@@ -176,30 +174,31 @@ def test_gcp_closed_form_needs_no_table(spec, values, monkeypatch):
 
 @pytest.mark.parametrize("closed", [formulas.closed_zeta_gcp_center,
                                     formulas.closed_zeta_camina3,
-                                    formulas.closed_zeta_tower])
+                                    formulas.closed_zeta_tower,
+                                    formulas.unique_nonlinear_recursion])
 def test_class_data_predicates_fail_without_a_table(closed, monkeypatch):
-    S3 = groups.builtin("symmetric", 3)
+    # S3 is of the unique-nonlinear family; S4 has three nonlinear characters
+    degree = 4 if closed is formulas.unique_nonlinear_recursion else 3
+    G = groups.builtin("symmetric", degree)
     monkeypatch.setattr(chartab, "character_table", _no_table)
     monkeypatch.setattr(formulas, "classify", _no_table)
     with pytest.raises(PredicateFailed):
-        closed(S3, 3)
+        closed(G, 3)
 
 
 def test_camina3_closed_forms():
     inv = CaminaInvariants(128, 8, 2, 0)
-    assert formulas.closed_camina3(inv, 2, "identity") == 2560
-    assert formulas.closed_camina3(inv, 2, "center_nontrivial") == 2304
-    assert formulas.closed_camina3(inv, 2, "derived_rest") == 1920
-    assert formulas.closed_camina3(inv, 3, "identity") == 1359872
-    assert formulas.closed_camina3(inv, 3, "center_nontrivial") == 737280
-    assert formulas.closed_camina3(inv, 3, "derived_rest") == 0
+    assert formulas.closed_camina3(inv, 2) == {
+        "identity": 2560, "inner": 2304, "derived_rest": 1920}
+    assert formulas.closed_camina3(inv, 3) == {
+        "identity": 1359872, "inner": 737280, "derived_rest": 0}
     # the published scalar identity display fails total mass; kept flagged
     assert formulas.camina3_identity_display(inv) == 1490944
 
 
 def test_camina3_invariant_gates():
     with pytest.raises(PredicateFailed):
-        formulas.closed_camina3(CaminaInvariants(64, 8, 2, 0), 2, "identity")
+        formulas.closed_camina3(CaminaInvariants(64, 8, 2, 0), 2)
     with pytest.raises(PredicateFailed):
         formulas.camina3_parameters(CaminaInvariants(128, 8, 4, 0))
 
@@ -208,32 +207,32 @@ def test_tower_closed_form_total_mass():
     # shape: |G| = 2^9, |G'| = 2^4, |Z| = 2^2, |Z2| = 2^6
     inv = CaminaInvariants(512, 16, 4, 64)
     for n in (2, 3):
-        vals = formulas._closed_tower_all(inv, n)
+        vals = formulas.closed_camina_gcp_tower(inv, n)
         total = (vals["identity"]
-                 + (inv.center_order - 1) * vals["center_nontrivial"]
+                 + (inv.center_order - 1) * vals["inner"]
                  + (inv.derived_order - inv.center_order)
                  * vals["derived_rest"])
         assert total == inv.order ** n
-    assert formulas.closed_camina_gcp_tower(inv, 3, "derived_rest") == 0
+    assert formulas.closed_camina_gcp_tower(inv, 3)["derived_rest"] == 0
 
 
 def test_tower_degenerate_z2_equals_derived():
     inv = CaminaInvariants(512, 16, 4, 16)
-    v = formulas.closed_camina_gcp_tower(inv, 2, "derived_rest")
+    v = formulas.closed_camina_gcp_tower(inv, 2)["derived_rest"]
     assert v == inv.order * (inv.order - inv.z2_order) // inv.derived_order
     assert v >= 0
 
 
 def test_unique_nonlinear_recursion():
     S3 = groups.builtin("symmetric", 3)
-    c, zeta = formulas.unique_nonlinear_recursion(S3, _table(S3), 3)
+    c, zeta = formulas.unique_nonlinear_recursion(S3, 3)
     assert c == 15
     assert zeta.values == (162, 27, 0)
     A4 = groups.builtin("agl1", 4)
-    c, zeta = formulas.unique_nonlinear_recursion(A4, _table(A4), 3)
+    c, zeta = formulas.unique_nonlinear_recursion(A4, 3)
     assert c == 44
     assert zeta.at_element(0) == 960
-    c2, zeta2 = formulas.unique_nonlinear_recursion(S3, _table(S3), 2)
+    c2, zeta2 = formulas.unique_nonlinear_recursion(S3, 2)
     assert c2 == 1
     assert zeta2.values == (18, 9, 0)
 
@@ -241,11 +240,34 @@ def test_unique_nonlinear_recursion():
 def test_unique_nonlinear_rejects_wrong_groups():
     Q8 = groups.builtin("quaternion", 8)  # unique nl but center not trivial
     with pytest.raises(PredicateFailed):
-        formulas.unique_nonlinear_recursion(Q8, _table(Q8), 3)
+        formulas.unique_nonlinear_recursion(Q8, 3)
     S4 = groups.builtin("symmetric", 4)
     with pytest.raises(PredicateFailed):
-        formulas.unique_nonlinear_recursion(S4, _table(S4), 3)
+        formulas.unique_nonlinear_recursion(S4, 3)
 
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 13, 16, 27])
+def test_unique_nonlinear_class_data_matches_the_character_path(q):
+    # agl1(q) has one nonlinear character phi, of degree q - 1
+    G = groups.builtin("agl1", q)
+    table = _table(G)
+    (phi,) = table.nonlinear_indices()
+    for n in (2, 3, 5, 8):
+        c, zeta = formulas.unique_nonlinear_recursion(G, n)
+        assert zeta == formulas.zeta_wn_char(G, table, n), n
+        assert c == formulas.c_wn(G, table, phi, n), n
+
+
+def test_unique_nonlinear_refusals_name_the_count():
+    with pytest.raises(PredicateFailed,
+                       match="^group has no nonlinear character$"):
+        formulas.unique_nonlinear_recursion(groups.builtin("cyclic", 6), 3)
+    with pytest.raises(PredicateFailed,
+                       match="^group has more than one nonlinear character$"):
+        formulas.unique_nonlinear_recursion(groups.builtin("symmetric", 4), 3)
+    with pytest.raises(PredicateFailed, match="^center is not trivial$"):
+        formulas.unique_nonlinear_recursion(groups.builtin("quaternion", 8), 3)
 
 def test_appl_values():
     assert formulas.appl_identity_value(6, 3, 3) == 162
