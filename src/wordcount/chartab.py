@@ -19,21 +19,26 @@ pi_u is a bijection that keeps class sizes, so
 distinct and closed under every pi_u, checking each orbit representative
 against every row checks every pair.
 
-Every rational character sum here (the orthogonality checks, inner
-products, Frobenius-Schur indicators) goes through the sparse integer
-kernel in `cyclotomic`: a table keeps each value's nonzero terms, and its
-conjugates and squared norms, computed once per table.
+Rational character sums.  A table keeps each value's nonzero terms, and
+its conjugates and squared norms, computed once per distinct value.  Two
+rows of rational integers pair in the orthogonality check by an integer
+dot product; every other pair, and `inner_product`, goes through the
+sparse integer kernel in `cyclotomic`.  A sum that is rational on each
+character is constant on Galois orbits, so it is summed over the orbits:
+`orbit_sums` holds, per orbit, the integer rows of sum chi(g_j) and sum
+|chi(g_j)|^2 over the orbit, which the Frobenius-Schur check and the w_n
+recursion in `formulas` read.
 """
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, namedtuple
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import mul
 
 from . import cyclotomic, groups
-from .cyclotomic import UNIT, Cyclotomic
+from .cyclotomic import Cyclotomic
 from .errors import (
     BudgetExceeded,
     InternalInconsistency,
@@ -44,6 +49,14 @@ from .errors import (
     ParseError,
 )
 from .groups import ClassFunction
+
+
+class GaloisOrbit(namedtuple("GaloisOrbit", "size traces norms")):
+    """A Galois orbit O of characters: |O|, and per class j the integers
+    T_O(j) = sum_{chi in O} chi(g_j) (`traces`) and
+    N_O(j) = sum_{chi in O} |chi(g_j)|^2 (`norms`)."""
+
+    __slots__ = ()
 
 
 class CharacterTable:
@@ -94,21 +107,84 @@ class CharacterTable:
         return tuple(tuple([memo[v.coeffs] for v in row])
                      for row in self.values)
 
+    def _per_value(self, fn):
+        """fn(terms) for each entry of `sparse_rows`, computed once per
+        distinct value."""
+        memo = {}
+        out = []
+        for row in self.sparse_rows:
+            for t in row:
+                if t not in memo:
+                    memo[t] = fn(t)
+            out.append(tuple([memo[t] for t in row]))
+        return tuple(out)
+
     @cached_property
     def conjugate_rows(self):
         """The terms of each value's complex conjugate."""
         e = self.exponent
-        return tuple(tuple(cyclotomic.conjugate_terms(e, t) for t in row)
-                     for row in self.sparse_rows)
+        return self._per_value(lambda t: cyclotomic.conjugate_terms(e, t))
 
     @cached_property
     def norm_rows(self):
         """The terms of |chi_r(g_j)|^2, per character and class."""
         e = self.exponent
-        return tuple(
-            tuple(cyclotomic.sparse_product_sum(e, [(1, a, b)])
-                  for a, b in zip(row, conj))
-            for row, conj in zip(self.sparse_rows, self.conjugate_rows))
+        return self._per_value(lambda t: _norm_terms(e, t))
+
+    @cached_property
+    def galois_orbits(self):
+        """`_orbits` of the rows under the power maps: orbit[s] = (r, perm)
+        with row s = row r o perm; None if the rows repeat or are not
+        closed under the maps."""
+        return _orbits(_galois_maps(self.group), self.sparse_rows)
+
+    @cached_property
+    def orbit_sums(self):
+        """{r: GaloisOrbit} for the first row r of each orbit, in rising r.
+
+        For u prime to e, sigma_u chi = chi o pi_u (module docstring), so
+        the orbit O of chi under the power maps is its Galois orbit, and
+        u -> sigma_u chi takes each row of O phi(e)/|O| times.  Hence
+        sum_{chi in O} chi(g) = |O| Tr(chi(g)) / phi(e), Tr the trace from
+        Q(zeta_e) to Q, and likewise for |chi(g)|^2: both are read once per
+        distinct value of the representative.  Column orthogonality,
+        sum_O N_O(j) = |G| / |C_j| and sum_O chi_O(1) T_O(j) = 0 off the
+        identity, checks the sums."""
+        orbit = self.galois_orbits
+        if orbit is None:
+            raise InternalInconsistency(
+                "character rows are not closed under the power maps")
+        e = self.exponent
+        tr = _field_traces(e)
+        phi = tr[0]
+        field_traces = {}  # terms of v -> (Tr v, Tr |v|^2)
+
+        def orbit_sum(size, trace):
+            total, rem = divmod(size * trace, phi)
+            if rem:
+                raise NonIntegral("a Galois orbit sum is not an integer")
+            return total
+
+        out = {}
+        for r, size in Counter(r for r, _ in orbit).items():
+            row = self.sparse_rows[r]
+            for t in row:
+                if t not in field_traces:
+                    field_traces[t] = (
+                        sum([c * tr[i] for i, c in t]),
+                        sum([c * tr[i] for i, c in _norm_terms(e, t)]))
+            out[r] = GaloisOrbit(
+                size,
+                tuple([orbit_sum(size, field_traces[t][0]) for t in row]),
+                tuple([orbit_sum(size, field_traces[t][1]) for t in row]))
+        n = self.group.order
+        for j, class_size in enumerate(self.classes.sizes):
+            if sum([o.norms[j] for o in out.values()]) * class_size != n or \
+                    sum([self.degrees[r] * o.traces[j]
+                         for r, o in out.items()]) != (n if j == 0 else 0):
+                raise InternalInconsistency(
+                    "Galois orbit sums fail column orthogonality")
+        return out
 
     @cached_property
     def zeta_chain(self):
@@ -221,6 +297,34 @@ def _poly_roots(poly, p):
         if acc == 0:
             roots.append(x)
     return roots
+
+
+def _norm_terms(e, terms):
+    """The terms of |v|^2 = v * conj(v) for v given by its terms."""
+    acc = [0] * e
+    for i, a in terms:
+        for j, b in terms:
+            acc[(i - j) % e] += a * b
+    return tuple([(m, c) for m, c in enumerate(acc) if c])
+
+
+@lru_cache(maxsize=None)
+def _field_traces(e):
+    """Tr(zeta_e^i) from Q(zeta_e) to Q for i = 0..e-1: the Ramanujan sum
+    mu(d) phi(e) / phi(d) with d = e / gcd(i, e); the first is phi(e)."""
+    def phi_mu(n):
+        phi, mu = n, 1
+        for p, k in groups._prime_factors(n).items():
+            phi = phi // p * (p - 1)
+            mu = 0 if k > 1 else -mu
+        return phi, mu
+
+    phi_e = phi_mu(e)[0]
+    out = []
+    for i in range(e):
+        phi_d, mu_d = phi_mu(e // math.gcd(i, e))
+        out.append(mu_d * phi_e // phi_d)
+    return tuple(out)
 
 
 def _smallest_dixon_prime(order, exponent):
@@ -487,13 +591,21 @@ def _compute_table(G, classes):
     return CharacterTable(G, classes, e, values, degrees)
 
 
+def integer_class_sum(sizes, a, b):
+    """sum_j sizes[j] a[j] b[j] over integer rows: the integer kernel of a
+    rational character sum whose factors are rational on every class."""
+    return sum(map(mul, sizes, map(mul, a, b)))
+
+
 def _verify_table(G, table):
     """Degrees, row orthogonality and the linear-character count, exactly.
 
     When the rows are distinct and closed under the power maps pi_u,
     <chi o pi_u, psi o pi_u> = <chi, psi> (pi_u is a size-preserving
     bijection on classes), so checking each orbit representative against
-    every row covers all pairs; otherwise every pair is checked."""
+    every row covers all pairs; otherwise every pair is checked.  Two rows
+    of rational integers pair by an integer dot product, any other pair
+    through the sparse kernel."""
     n = G.order
     k = table.num_characters
     e = table.exponent
@@ -505,14 +617,30 @@ def _verify_table(G, table):
         if d < 1 or n % d != 0:
             raise InternalInconsistency(f"degree {d} does not divide |G|")
 
-    def holds(products, want):
+    integer = {}  # coefficients -> the rational integer, or None
+
+    def integer_row(row):
+        for v in row:
+            if v.coeffs not in integer:
+                red = v.reduced()
+                integer[v.coeffs] = None if any(red[1:]) else red[0]
+            if integer[v.coeffs] is None:
+                return None
+        return tuple([integer[v.coeffs] for v in row])
+
+    int_rows = [integer_row(row) for row in table.values]
+
+    def holds(r, s, want):
+        a, b = int_rows[r], int_rows[s]
+        if a is not None and b is not None:
+            return integer_class_sum(sizes, a, b) == want
         try:
-            return cyclotomic.rational_sum(e, products) == want
+            return cyclotomic.rational_sum(
+                e, zip(sizes, rows[r], conj[s])) == want
         except NonIntegral:
             return False
 
-    maps = _galois_maps(G)
-    orbit = _orbits(maps, rows) if maps else None
+    orbit = table.galois_orbits
     if orbit is None:
         is_rep = [True] * k
     else:
@@ -526,7 +654,7 @@ def _verify_table(G, table):
         for s in range(k):
             if s < r and is_rep[s]:
                 continue  # <r, s> is the conjugate of <s, r>, checked
-            if not holds(zip(sizes, rows[r], conj[s]), n if r == s else 0):
+            if not holds(r, s, n if r == s else 0):
                 raise InternalInconsistency(
                     f"row orthogonality fails for characters "
                     f"{min(r, s)},{max(r, s)}")
@@ -605,18 +733,17 @@ def central_character(table, chi, j):
 
 
 def frobenius_schur_check(G, table):
-    """Sum of nu(chi) chi(1) must equal 1 + the number of involutions."""
+    """Sum of nu(chi) chi(1) must equal 1 + the number of involutions.
+
+    nu is rational, so constant on a Galois orbit O, and the sum is
+    sum_O chi_O(1) sum_j |C_j| T_O(sq(j)) / |G|: one integer sum per orbit."""
     classes = table.classes
     sq_class = [classes.class_of[G.mul[r][r]] for r in classes.reps]
-    total = Fraction(0)
-    for r, row in enumerate(table.sparse_rows):
-        nu = cyclotomic.rational_sum(
-            table.exponent,
-            ((size, row[c], UNIT) for size, c in zip(classes.sizes, sq_class)))
-        nu /= G.order
-        total += nu * table.degrees[r]
+    total = sum(table.degrees[r] * sum(map(mul, classes.sizes,
+                                           [o.traces[c] for c in sq_class]))
+                for r, o in table.orbit_sums.items())
     involutions = sum(1 for a in range(1, G.order) if G.mul[a][a] == 0)
-    return total == 1 + involutions
+    return total == (1 + involutions) * G.order
 
 
 # ---------------------------------------------------------------------------

@@ -134,7 +134,7 @@ def cmd_count(args, out):
 
 
 def cmd_zeta(args, out):
-    from . import counting, groups, words
+    from . import groups
 
     if not 2 <= args.n <= MAX_N:
         raise UnsupportedParameter(f"--n must be in 2..{MAX_N}")
@@ -143,6 +143,7 @@ def cmd_zeta(args, out):
     methods = ["brute", "char", "closed"] if args.method == "all" \
         else [args.method]
     if "brute" in methods:  # refuse before building classes or a table
+        from . import counting, words
         counting.require_budget(G.order ** args.n, args.budget)
     classes = groups.conjugacy_classes(G)
     table = None
@@ -168,6 +169,7 @@ def cmd_zeta(args, out):
         sys.stderr.write("methods disagree\n")
         return 1
     if args.format == "csv":
+        from . import counting
         counting.export_csv(G, classes, columns[0][1], args.n, out)
     else:
         _print_class_table(

@@ -12,6 +12,7 @@ Only `cached_character_table` needs the table engine, so it imports
 from __future__ import annotations
 
 import os
+import sys
 from pathlib import Path
 
 from . import groups
@@ -99,7 +100,8 @@ def cached_character_table(G):
     """The character table, loaded from the cache directory if present.
 
     A cache file that cannot be read, parsed or verified counts as a miss:
-    the table is recomputed and the file rewritten.
+    the table is recomputed and the file rewritten.  A file that cannot be
+    written costs one warning line on stderr, and the table is returned.
     """
     import hashlib
 
@@ -114,7 +116,11 @@ def cached_character_table(G):
                 InternalInconsistency, NonIntegral):
             pass
     table = chartab.character_table(G)
-    _write_atomic(path, chartab.dump_table(table))
+    try:
+        _write_atomic(path, chartab.dump_table(table))
+    except OSError as exc:
+        sys.stderr.write(
+            f"warning: table not cached: {type(exc).__name__}: {exc}\n")
     return table
 
 

@@ -15,7 +15,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from . import chartab, counting, cyclotomic, groups
+from . import chartab, cyclotomic, groups
 from .cyclotomic import UNIT
 from .errors import (
     CheckFailed,
@@ -26,7 +26,6 @@ from .errors import (
     PredicateFailed,
 )
 from .groups import ClassFunction
-from .words import _invert, make_word
 
 FLAG_CAMINA3_IDENTITY = "camina3-identity-display"
 FLAG_UNIQUE_NL_OFFIDENTITY = "unique-nonlinear-offidentity-display"
@@ -64,29 +63,21 @@ def invariants_of(G):
 # character-theoretic path
 
 
-def _rational_row_sum(table, terms):
-    """Reduce sum(coef * chi(g_j)) to an exact rational per class.
-
-    `terms` is a list of (coef: Fraction, char index); returns per-class
-    Fractions.
-    """
-    rows = table.sparse_rows
-    return [cyclotomic.rational_sum(
-                table.exponent, ((coef, rows[r][j], UNIT) for coef, r in terms))
-            for j in range(table.classes.num_classes)]
-
-
 def zeta_w2_frobenius(G, table):
     """zeta for [x1,x2]: the Frobenius sum, the recursion's first step."""
     return zeta_wn_char(G, table, 2)
 
 
-def _as_integer_class_function(G, table, values, n):
+def _as_integer_class_function(G, table, numerators, den, n):
+    """The class function numerators / den, checked to be natural numbers
+    of total mass |G|^n."""
     ints = []
-    for v in values:
-        if v.denominator != 1 or v < 0:
-            raise InternalInconsistency(f"fiber count {v} is not a natural number")
-        ints.append(v.numerator)
+    for num in numerators:
+        q, rem = divmod(num, den)
+        if rem or q < 0:
+            raise InternalInconsistency(
+                f"fiber count {Fraction(num, den)} is not a natural number")
+        ints.append(q)
     cf = ClassFunction(G, table.classes, tuple(ints))
     if cf.total_mass() != G.order ** n:
         raise InternalInconsistency("character-path counts fail total mass")
@@ -100,40 +91,59 @@ def _require_table_of(G, table):
 
 def c_wn(G, table, chi, n):
     """C^{w_n}(chi) = <zeta^{w_{n-1}} chi, chi>: 1 for n = 2, |G|^{n-2} for
-    a linear chi, else summed over zeta^{w_{n-1}} from the table's chain."""
+    a linear chi, else summed over zeta^{w_{n-1}} from the table's chain.
+
+    C is constant on each Galois orbit O.  zeta^{w_{n-1}} is rational-valued,
+    so sigma(C(chi)) = C(sigma chi) for every Galois automorphism sigma.
+    By induction from zeta^{w_2} = sum_chi |G|/chi(1) chi, zeta^{w_{n-1}}
+    is a sum of characters with coefficients constant on Galois orbits, so
+    it is constant on rational classes; and sigma_u chi = chi o pi_u with
+    pi_u a size-preserving bijection of the classes, so C(sigma_u chi) =
+    C(chi).  Hence C(chi) is the orbit mean
+    sum_j |C_j| zeta^{w_{n-1}}(g_j) N_O(j) / (|O| |G|), with N_O(j) the
+    integer sum of |psi(g_j)|^2 over psi in O."""
     _require_table_of(G, table)
     if n == 2:
         return Fraction(1)
     if table.linear_mask[chi]:
         return Fraction(G.order ** (n - 2))
+    orbit = table.orbit_sums[table.galois_orbits[chi][0]]
     zeta_prev = zeta_wn_char(G, table, n - 1).values
-    norms = table.norm_rows[chi]
-    total = cyclotomic.rational_sum(
-        table.exponent,
-        ((size * zj, norms[j], UNIT) for j, (size, zj)
-         in enumerate(zip(table.classes.sizes, zeta_prev)) if zj))
-    return total / G.order
+    total = chartab.integer_class_sum(table.classes.sizes, zeta_prev,
+                                      orbit.norms)
+    return Fraction(total, orbit.size * G.order)
 
 
 def zeta_wn_char(G, table, n):
     """zeta^{w_n} by the recursion zeta^{w_k} = sum_chi |G| C^{w_k}(chi) /
     chi(1) * chi, k = 2, ..., n; each step runs once per table, extending
-    `table.zeta_chain` = [zeta^{w_2}, zeta^{w_3}, ...]."""
+    `table.zeta_chain` = [zeta^{w_2}, zeta^{w_3}, ...].
+
+    C^{w_k} and chi(1) are constant on each Galois orbit O (see `c_wn`), so
+    a step is sum_O |G| C^{w_k}(chi_O) / chi_O(1) * T_O, with T_O the
+    integer row of sum_{chi in O} chi: one `c_wn` per orbit, summed as
+    integers over one common denominator."""
     _require_table_of(G, table)
     if n < 2:
         raise PredicateFailed("the recursion starts at n = 2")
     chain = table.zeta_chain
     while len(chain) < n - 1:
         k = len(chain) + 2
-        terms = [(G.order * c_wn(G, table, r, k) / table.degrees[r], r)
-                 for r in range(table.num_characters)]
-        chain.append(_as_integer_class_function(
-            G, table, _rational_row_sum(table, terms), k))
+        coefs = [(G.order * c_wn(G, table, r, k) / table.degrees[r],
+                  orbit.traces) for r, orbit in table.orbit_sums.items()]
+        den = math.lcm(*[c.denominator for c, _ in coefs])
+        numerators = [0] * table.classes.num_classes
+        for c, traces in coefs:
+            w = c.numerator * (den // c.denominator)
+            numerators = [a + w * t for a, t in zip(numerators, traces)]
+        chain.append(_as_integer_class_function(G, table, numerators, den, k))
     return chain[n - 2]
 
 
 def bracket_word(w1, w2):
     """The word [w1(x1..xn), w2(x_{n+1}..x_m)] on disjoint variables."""
+    from .words import _invert, make_word
+
     shift = w1.arity
     l1 = list(w1.letters)
     l2 = [(v + shift, e) for v, e in w2.letters]
@@ -146,6 +156,8 @@ def zeta_mixed_theorem21(G, H, w1, w2, table=None):
     Returns a per-element integer list over G.  Requires H normal and w2
     measure preserving with respect to G.
     """
+    from . import counting
+
     groups.require_subgroup_of(G, H)
     if not H.is_normal():
         raise NotNormal("H must be normal in G")

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -75,10 +76,27 @@ def test_central_character_is_integral():
 
 
 def test_frobenius_schur():
+    # the orbit sums against the per-character sum of nu(chi) chi(1), with
+    # nu(chi) = sum_j |C_j| chi(g_j^2) / |G| through the sparse kernel
+    from wordcount import cyclotomic
     for spec in ["symmetric(3)", "symmetric(4)", "quaternion(8)",
-                 "dihedral(10)", "cyclic(7)"]:
+                 "dihedral(10)", "cyclic(7)", "agl1(8)", "heisenberg(3)",
+                 "dihedral(200)"]:
         G = groups.parse_builtin_spec(spec)
-        assert chartab.frobenius_schur_check(G, character_table(G))
+        table = character_table(G)
+        classes = table.classes
+        sq_class = [classes.class_of[G.mul[g][g]] for g in classes.reps]
+        nu = [cyclotomic.rational_sum(
+                  table.exponent,
+                  ((size, row[c], cyclotomic.UNIT)
+                   for size, c in zip(classes.sizes, sq_class))) / G.order
+              for row in table.sparse_rows]
+        assert all(nu[s] == nu[r]
+                   for s, (r, _) in enumerate(table.galois_orbits))
+        total = sum(v * d for v, d in zip(nu, table.degrees))
+        involutions = sum(1 for g in range(1, G.order) if G.mul[g][g] == 0)
+        assert total == 1 + involutions
+        assert chartab.frobenius_schur_check(G, table)
 
 
 def test_class_function_basics():
@@ -232,21 +250,88 @@ def test_verify_rejects_a_perturbation_shared_by_a_galois_orbit(spec):
 
 def test_verify_checks_orbit_representatives_against_every_row(monkeypatch):
     # D200: 53 characters in 11 Galois orbits, so 11 * 53 - 11 * 10 / 2
-    # inner products instead of 53 * 54 / 2 = 1431
+    # inner products instead of 53 * 54 / 2 = 1431; the 5 rational rows
+    # pair with one another through the integer kernel, 15 of the 528
     from wordcount import cyclotomic
     G = groups.builtin("dihedral", 200)
     table = character_table(G)
-    calls = 0
-    rational_sum = cyclotomic.rational_sum
+    calls = Counter()
 
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return rational_sum(*args)
+    def counted(name, fn):
+        return lambda *args: calls.update([name]) or fn(*args)
 
-    monkeypatch.setattr(cyclotomic, "rational_sum", counted)
+    monkeypatch.setattr(cyclotomic, "rational_sum",
+                        counted("cyclotomic", cyclotomic.rational_sum))
+    monkeypatch.setattr(chartab, "integer_class_sum",
+                        counted("integer", chartab.integer_class_sum))
     chartab._verify_table(G, table)
-    assert calls == 528
+    assert calls == {"cyclotomic": 513, "integer": 15}
+
+
+def _first_failing_pair(table):
+    """The first pair r <= s whose inner product the sparse kernel finds
+    wrong, for a table whose rows are each their own Galois orbit."""
+    from wordcount import cyclotomic
+    e, n, k = table.exponent, table.group.order, table.num_characters
+    rows, conj = table.sparse_rows, table.conjugate_rows
+    for r in range(k):
+        for s in range(r, k):
+            products = zip(table.classes.sizes, rows[r], conj[s])
+            if cyclotomic.rational_sum(e, products) != (n if r == s else 0):
+                return r, s
+    return None
+
+
+@pytest.mark.parametrize("spec", ["symmetric(4)", "quaternion(8)",
+                                  "dihedral(8)", "extraspecial_plus(2)"])
+def test_verify_rejects_a_perturbed_rational_table(spec):
+    # Every row is rational, so every pair goes through the integer kernel;
+    # the failure names the same pair the sparse kernel would.
+    from wordcount.errors import InternalInconsistency
+    G = groups.parse_builtin_spec(spec)
+    table = character_table(G)
+    assert chartab._galois_maps(G) == ()
+    k = table.num_characters
+    for r, j, delta in [(k - 1, 1, 1), (0, k - 1, 1), (k // 2, k // 2, -1)]:
+        bad = _perturbed(table, r, j, delta)
+        pair = _first_failing_pair(bad)
+        assert pair is not None
+        with pytest.raises(InternalInconsistency) as info:
+            chartab._verify_table(G, bad)
+        assert str(info.value) == \
+            "row orthogonality fails for characters %d,%d" % pair
+
+
+@pytest.mark.parametrize("spec", ["cyclic(5)", "dihedral(20)", "agl1(8)",
+                                  "heisenberg(3)", "symmetric(4)",
+                                  "direct_product(symmetric(3),cyclic(4))"])
+def test_orbit_sums_add_the_rows_of_each_orbit(spec):
+    G = groups.parse_builtin_spec(spec)
+    table = character_table(G)
+    orbit = table.galois_orbits
+    sums = table.orbit_sums
+    assert list(sums) == sorted({r for r, _ in orbit})
+    for r, o in sums.items():
+        members = [s for s, (rep, _) in enumerate(orbit) if rep == r]
+        assert o.size == len(members)
+        for j in range(table.num_characters):
+            values = [table.values[s][j] for s in members]
+            assert sum(values[1:], values[0]) == o.traces[j]
+            norms = [v * v.conjugate() for v in values]
+            assert sum(norms[1:], norms[0]) == o.norms[j]
+
+
+def test_orbit_sums_need_rows_closed_under_the_power_maps():
+    from wordcount.errors import InternalInconsistency
+    G = groups.builtin("cyclic", 5)
+    table = character_table(G)
+    values = list(table.values)
+    values[1] = values[0]  # a repeated row has no orbit partition
+    bad = chartab.CharacterTable(G, table.classes, table.exponent,
+                                 tuple(values), table.degrees)
+    assert bad.galois_orbits is None
+    with pytest.raises(InternalInconsistency, match="not closed"):
+        bad.orbit_sums
 
 
 @pytest.mark.parametrize("bad", ["1:0:x:0", "1:0:0"])

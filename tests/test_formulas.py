@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -41,20 +42,31 @@ def test_c_wn_values():
     assert formulas.c_wn(S3, table, lin, 4) == 36
 
 
-def _count_row_sums(monkeypatch):
-    calls = []
-    row_sum = formulas._rational_row_sum
-    monkeypatch.setattr(formulas, "_rational_row_sum",
-                        lambda *args: calls.append(1) or row_sum(*args))
+def _count_steps(monkeypatch):
+    """Count the steps of the chain, each ending in one natural-number and
+    total-mass check, and the sums of both kernels."""
+    from wordcount import cyclotomic
+    calls = Counter()
+
+    def counted(module, name):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args: calls.update([name]) or fn(*args))
+
+    counted(formulas, "_as_integer_class_function")
+    counted(cyclotomic, "rational_sum")
+    counted(chartab, "integer_class_sum")
     return calls
 
 
 def test_each_zeta_step_runs_once_per_table(monkeypatch):
     S3 = groups.builtin("symmetric", 3)
     table = chartab.load_table(S3, chartab.dump_table(_table(S3)))
-    calls = _count_row_sums(monkeypatch)
+    calls = _count_steps(monkeypatch)
     top = formulas.zeta_wn_char(S3, table, 5)
-    assert len(calls) == 4  # one step each for n = 2, 3, 4, 5
+    # one step each for n = 2, 3, 4, 5, and one integer sum for the one
+    # nonlinear orbit at n = 3, 4, 5; no cyclotomic sum
+    assert calls == {"_as_integer_class_function": 4, "integer_class_sum": 3}
     assert formulas.zeta_w2_frobenius(S3, table) is table.zeta_chain[0]
     assert [formulas.zeta_wn_char(S3, table, n) for n in range(2, 6)] \
         == table.zeta_chain
@@ -62,10 +74,11 @@ def test_each_zeta_step_runs_once_per_table(monkeypatch):
     for n in range(2, 6):
         for r in range(table.num_characters):
             formulas.c_wn(S3, table, r, n)
-    assert len(calls) == 4
+    assert calls["_as_integer_class_function"] == 4
     # the unique-nonlinear form reads class data, not the table
     _, zeta = formulas.unique_nonlinear_recursion(S3, 5)
-    assert zeta == top and len(calls) == 4
+    assert zeta == top and calls["_as_integer_class_function"] == 4
+    assert calls["rational_sum"] == 0
 
 
 def test_loaded_table_builds_its_own_chain():

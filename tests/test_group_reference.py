@@ -375,6 +375,55 @@ def test_class_size_rule_matches_character_values(spec):
     assert report.unique_nonlinear == (len(table.nonlinear_indices()) == 1)
 
 
+def ref_zeta_chain(G, table, top):
+    """[zeta^{w_2}, ..., zeta^{w_top}] values and C^{w_n}(chi) per n and
+    character, by the per-character recursion: one cyclotomic sum per
+    nonlinear character and one per class at every step."""
+    from fractions import Fraction
+
+    from wordcount import cyclotomic
+    from wordcount.cyclotomic import UNIT
+    e, rows = table.exponent, table.sparse_rows
+    sizes = table.classes.sizes
+    chain, coefficients = [], {}
+    for n in range(2, top + 1):
+        c = []
+        for r in range(table.num_characters):
+            if n == 2:
+                c.append(Fraction(1))
+            elif table.linear_mask[r]:
+                c.append(Fraction(G.order ** (n - 2)))
+            else:
+                total = cyclotomic.rational_sum(e, (
+                    (size * z, table.norm_rows[r][j], UNIT)
+                    for j, (size, z) in enumerate(zip(sizes, chain[-1]))
+                    if z))
+                c.append(total / G.order)
+        coefficients[n] = c
+        terms = [(G.order * c[r] / table.degrees[r], r)
+                 for r in range(table.num_characters)]
+        values = [cyclotomic.rational_sum(
+                      e, ((coef, rows[r][j], UNIT) for coef, r in terms))
+                  for j in range(table.classes.num_classes)]
+        assert all(v.denominator == 1 and v >= 0 for v in values)
+        chain.append(tuple(v.numerator for v in values))
+    return chain, coefficients
+
+
+@pytest.mark.parametrize("spec", SMALL_BUILTINS + [
+    "dihedral(200)", "agl1(27)", "heisenberg(5)",
+    "direct_product(symmetric(4),quaternion(8))",
+])
+def test_orbit_recursion_matches_per_character_recursion(spec):
+    G = groups.parse_builtin_spec(spec)
+    table = chartab.character_table(G)
+    chain, coefficients = ref_zeta_chain(G, table, 8)
+    for n in range(2, 9):
+        assert formulas.zeta_wn_char(G, table, n).values == chain[n - 2], n
+        assert [formulas.c_wn(G, table, r, n)
+                for r in range(table.num_characters)] == coefficients[n], n
+
+
 def test_transposition_is_not_normal_in_s3():
     S3 = groups.builtin("symmetric", 3)
     H = groups.subgroup_closure(S3, [S3.labels.index("(1, 0, 2)")])

@@ -73,6 +73,19 @@ def test_brute_force_commands_load_no_table_engine(argv):
 
 @pytest.mark.parametrize("argv", [
     ("info", "--group", "builtin:symmetric(4)"),
+    ("zeta", "--group", "builtin:symmetric(4)", "--n", "3",
+     "--method", "char"),
+    ("zeta", "--group", "builtin:quaternion(8)", "--n", "3",
+     "--method", "closed"),
+], ids=["info", "zeta-char", "zeta-closed"])
+def test_table_commands_load_no_brute_force_module(argv):
+    loaded = loaded_after(cli_call(*argv))
+    assert {"chartab", "formulas"} <= loaded
+    assert not loaded & {"counting", "words"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("info", "--group", "builtin:symmetric(4)"),
     ("chartab", "--group", "builtin:symmetric(4)"),
     ("count", "--group", "builtin:dihedral(8)", "--word", "[x1,x2]",
      "--domain", "x1=center"),
