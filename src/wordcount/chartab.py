@@ -4,6 +4,10 @@ The table is computed by the prime-field method: simultaneous eigenvectors
 of the sparse class-sum matrices over F_p (p = 1 mod exponent,
 p > 2 sqrt|G|) give the central characters mod p, and discrete-Fourier
 multiplicity counts lift each value to an exact cyclotomic integer.  The
+|G:G'| linear characters are Irr(G/G') and are read off G/G' directly;
+the central characters of the others span the kernel of the conjugate
+linear rows, and only that (k - |G:G'|)-dimensional span is split, so a
+group with at most one nonlinear character builds no class matrix.  The
 row orthogonality relations are then verified exactly, and they imply the
 column relations: the table is square, so X D X* = |G| I (D the diagonal
 of class sizes) gives X* X = |G| D^-1.  A failure is a bug, not a data
@@ -33,7 +37,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter, namedtuple
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import mul
 
@@ -235,8 +238,10 @@ def _coords(v, basis, pivots, p):
 
 
 def _kernel(X, p):
-    """A basis of the nullspace of the square matrix X over F_p."""
-    n = len(X)
+    """(basis, free) for the nullspace of the matrix X (rows of equal
+    length) over F_p: basis vector i is 1 at the free column free[i] and 0
+    at the other free columns, so it is reduced with those as pivots."""
+    n = len(X[0])
     R, pivots = _rref(X, p)
     free = [c for c in range(n) if c not in pivots]
     basis = []
@@ -246,7 +251,7 @@ def _kernel(X, p):
         for row, c in zip(R, pivots):
             v[c] = (-row[f]) % p
         basis.append(v)
-    return basis
+    return basis, free
 
 
 def _charpoly(X, p):
@@ -364,9 +369,10 @@ def class_mult_coefficients(G, classes):
 
 
 # Most classes a table is computed for.  Computing and verifying take
-# 4-5 s CPU for D1000 (k = 253) and about 35 s for D2000 (k = 503) on 2
-# vCPUs with Python 3.11, growing about as k^3.  The refusal's estimate
-# scales the D2000 time that way; at the bound it reads 37 s.
+# about 2.2 s CPU for D1000 (k = 253) and 13 s for D2000 (k = 503) on a
+# 2-vCPU Xeon host with Python 3.11, about k^3 when few characters are
+# linear.  The refusal's estimate scales as k^3 the 35 s D2000 took on the
+# slower host the benchmark was tuned on; at the bound it reads 37 s.
 MAX_TABLE_CLASSES = 512
 
 
@@ -453,17 +459,73 @@ def _brauer_check(G, orbit):
             "classes")
 
 
+def _linear_characters(G, classes, e):
+    """The linear characters, Irr(G/G'), as rows l with
+    lambda(g_c) = zeta_e^l[c]; the trivial one first.
+
+    Along G' = H_0 < H_1 < ... < G, H_i = <H_(i-1), s_i> for generators s_i
+    is the union of the cosets s_i^j H_(i-1), 0 <= j < m_i, where s_i^m_i
+    is the first power of s_i in H_(i-1).  Each H_i contains G', so is
+    normal, and l on H_(i-1) extends to H_i by l(s_i^j h) = j t + l(h) for
+    each of the m_i solutions t of m_i t = l(s_i^m_i) mod e.  So l is
+    linear in the exponents j that reach g, which are found once."""
+    gmul = G.mul
+    coords = dict.fromkeys(groups.commutator_subgroup(G).members, ())
+    ts = [()]  # per character, t for each generator taken
+    for s in G.generating_set():
+        if s in coords:
+            continue
+        x, m = s, 1
+        while x not in coords:
+            x, m = gmul[x][s], m + 1
+        extended = []
+        for t in ts:
+            c = sum(map(mul, coords[x], t))
+            if c % m:
+                raise InternalInconsistency("a linear character does not extend")
+            extended += [t + ((c // m + q * e // m) % e,) for q in range(m)]
+        ts = extended
+        grown, y = {}, 0
+        for j in range(m):
+            row = gmul[y]
+            for h, a in coords.items():
+                grown[row[h]] = a + (j,)
+            y = gmul[y][s]
+        coords = grown
+    reps = [coords[g] for g in classes.reps]
+    return [[sum(map(mul, a, t)) % e for a in reps] for t in ts]
+
+
 def _compute_table(G, classes):
-    """Dixon's table: central characters mod p from the class matrices'
-    common eigenvectors, then one character per Galois orbit lifted once
+    """Dixon's table: central characters mod p of the linear characters
+    from G/G', of the rest from the class matrices' common eigenvectors in
+    the span left to them, then one character per Galois orbit lifted once
     per rational class and carried to the rest of its orbit by the power
     maps.  The trivial group takes the same path."""
     n = G.order
     k = classes.num_classes
     e = G.exponent()
     p = _smallest_dixon_prime(n, e)
-    a = class_mult_coefficients(G, classes)
     rational = groups.rational_classes(G)
+    inv_class = classes.inverse_class
+    z = _primitive_root(p)
+
+    # lambda(g_c) = w[l(c)] mod p, w[1] = z^((p-1)/e) standing for zeta_e as
+    # in the lift.  sum_c omega_chi(K_c) conj(lambda(g_c)) = |G| [chi = lambda],
+    # so the nonlinear omega_chi span the kernel of the conjugate linear
+    # rows.  For G abelian it is empty, and `_verify_table`, not a k^3 row
+    # reduction here, shows the rows independent.
+    w = [pow(z, (p - 1) // e * x, p) for x in range(e)]
+    linear = [[w[x] for x in row] for row in _linear_characters(G, classes, e)]
+    omegas = [tuple([size * v % p for size, v in zip(classes.sizes, row)])
+              for row in linear]
+    kernel, free = [], []
+    if len(linear) < k:
+        kernel, free = _kernel([[row[c] for c in inv_class] for row in linear],
+                               p)
+    if len(kernel) != k - len(linear):
+        raise InternalInconsistency("linear characters are not independent")
+    a = class_mult_coefficients(G, classes) if len(kernel) > 1 else None
 
     # Split the simultaneous eigenspaces of the class matrices, low element
     # orders first: such a class matrix has few eigenvalues, and each
@@ -473,8 +535,7 @@ def _compute_table(G, classes):
     by_order = sorted(rational, key=lambda rc: len(rc.powers))
     split_order = [rc.first for rc in by_order[1:]] + [
         c for rc in by_order for c, _ in rc.generators if c != rc.first]
-    identity = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-    subspaces = [(identity, list(range(k)))]
+    subspaces = [(kernel, free)] if kernel else []
     for i in split_order:
         if all(len(B) == 1 for B, _ in subspaces):
             break
@@ -500,17 +561,16 @@ def _compute_table(G, classes):
                 shifted = [[(XT[r][c] - (lam if r == c else 0)) % p
                             for c in range(m)] for r in range(m)]
                 lifted = [[sum(map(mul, kv, col)) % p for col in zip(*B)]
-                          for kv in _kernel(shifted, p)]
+                          for kv in _kernel(shifted, p)[0]]
                 if lifted:
                     nxt.append(_rref(lifted, p))
-        if sum(len(B) for B, _ in nxt) != k:
+        if sum(len(B) for B, _ in nxt) != len(kernel):
             raise InternalInconsistency("eigenspace splitting lost dimensions")
         subspaces = nxt
 
     if not all(len(B) == 1 for B, _ in subspaces):
         raise InternalInconsistency("class matrices failed to split the algebra")
 
-    omegas = []
     for B, _ in subspaces:
         u = B[0]
         if u[0] % p == 0:
@@ -527,9 +587,7 @@ def _compute_table(G, classes):
     _brauer_check(G, orbit)
 
     inv_sizes = [pow(s, p - 2, p) for s in classes.sizes]
-    inv_class = classes.inverse_class
     # inverse_roots[o][i] = zeta_o^(-i) mod p
-    z = _primitive_root(p)
     inverse_roots = {}
     for o in {len(rc.powers) for rc in rational}:
         zinv = pow(z, (p - 1) - (p - 1) // o, p)
@@ -717,19 +775,6 @@ def irr_given(G, N, table):
         else:
             moved.append(r)
     return inflated, moved
-
-
-def central_character(table, chi, j):
-    """chi(x_j) |Cl(x_j)| / chi(1), asserted to be an algebraic integer."""
-    v = table.values[chi][j].scale_div(table.classes.sizes[j], table.degrees[chi])
-    red = v.reduced()
-    for c in red:
-        if Fraction(c).denominator != 1:
-            raise NonIntegral(
-                f"central character for chi={chi}, class={j} is not integral")
-    e = table.exponent
-    coeffs = [int(c) for c in red] + [0] * (e - len(red))
-    return Cyclotomic(e, tuple(coeffs[:e]))
 
 
 def frobenius_schur_check(G, table):

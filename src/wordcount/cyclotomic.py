@@ -184,11 +184,6 @@ class Cyclotomic:
             raise NonIntegral(f"value is not an integer: {v}")
         return v.numerator
 
-    def scale_div(self, num, den):
-        """Exact (num/den) * self with integrality of coefficients not required."""
-        f = Fraction(num, den)
-        return Cyclotomic(self.order, tuple(a * f for a in self.coeffs))
-
     def __repr__(self):
         terms = [f"{a}*z{self.order}^{j}" for j, a in enumerate(self.coeffs) if a]
         return "Cyc(" + (" + ".join(terms) or "0") + ")"

@@ -220,13 +220,18 @@ def _nonlinear_vanish_off(G, N):
 
 
 def classify(G, table=None):
-    """Structural predicates feeding the closed-form evaluators."""
+    """Structural predicates feeding the closed-form evaluators.
+
+    When G' = 1 the normal subgroups are not listed: every class of an
+    abelian group is one element, so gH in Cl(g) = {g} forces H = 1 and no
+    1 < H < G makes a Camina pair, and `_nonlinear_vanish_off` is False
+    for every N.  Both target lists are then empty."""
     if table is None:
         table = chartab.character_table(G)
     z = groups.center(G)
     derived = groups.commutator_subgroup(G)
 
-    normals = groups.normal_subgroups(G)
+    normals = groups.normal_subgroups(G) if derived.order > 1 else ()
     camina_targets = [H for H in normals
                       if 1 < H.order < G.order and groups.is_camina_pair(G, H)]
     if any(not set(z.members) <= set(H.members) <= set(derived.members)

@@ -65,16 +65,6 @@ def test_irr_given():
     assert table.degrees[moved[0]] == 2
 
 
-def test_central_character_is_integral():
-    Q8 = groups.builtin("quaternion", 8)
-    table = character_table(Q8)
-    chi = table.nonlinear_indices()[0]
-    z_class = table.classes.class_of[
-        next(g for g in groups.center(Q8).members if g)]
-    omega = chartab.central_character(table, chi, z_class)
-    assert omega == -1
-
-
 def test_frobenius_schur():
     # the orbit sums against the per-character sum of nu(chi) chi(1), with
     # nu(chi) = sum_j |C_j| chi(g_j^2) / |G| through the sparse kernel
@@ -365,3 +355,49 @@ def test_galois_orbits_must_number_the_rational_classes(monkeypatch):
     monkeypatch.setattr(chartab, "_galois_maps", lambda G: ())
     with pytest.raises(InternalInconsistency, match="5 Galois orbits"):
         chartab._compute_table(G, classes)
+
+
+@pytest.mark.parametrize("spec", ["cyclic(1)", "cyclic(30)",
+                                  "elementary_abelian(2,5)", "symmetric(3)",
+                                  "agl1(5)", "agl1(8)", "agl1(13)"])
+def test_at_most_one_nonlinear_character_needs_no_class_matrix(spec,
+                                                                monkeypatch):
+    # k - |G:G'| <= 1: the linear characters and the one-dimensional
+    # kernel they leave give every central character
+    G = groups.parse_builtin_spec(spec)
+    classes = groups.conjugacy_classes(G)
+    expected = chartab.dump_table(chartab._compute_table(G, classes))
+
+    def refuse(G, classes):
+        raise AssertionError("class matrices built")
+
+    monkeypatch.setattr(chartab, "class_mult_coefficients", refuse)
+    table = chartab._compute_table(G, classes)
+    chartab._verify_table(G, table)
+    assert chartab.dump_table(table) == expected
+    S4 = groups.builtin("symmetric", 4)
+    with pytest.raises(AssertionError, match="class matrices built"):
+        chartab._compute_table(S4, groups.conjugacy_classes(S4))
+
+
+@pytest.mark.parametrize("spec", ["cyclic(2)", "cyclic(6)",
+                                  "elementary_abelian(2,3)", "symmetric(3)",
+                                  "agl1(5)", "quaternion(8)", "dihedral(10)",
+                                  "symmetric(4)", "heisenberg(3)",
+                                  "direct_product(quaternion(8),cyclic(3))"])
+def test_a_wrong_linear_character_never_gives_a_table(spec, monkeypatch):
+    # Each linear exponent in turn is moved by one, which changes one omega
+    # value: the span check in the split, or a later check, fails first.
+    from wordcount.errors import InternalInconsistency
+    G = groups.parse_builtin_spec(spec)
+    classes = groups.conjugacy_classes(G)
+    e = G.exponent()
+    good = chartab._linear_characters(G, classes, e)
+    for r, row in enumerate(good):
+        for c in range(len(row)):
+            bad = [list(x) for x in good]
+            bad[r][c] = (bad[r][c] + 1) % e
+            monkeypatch.setattr(chartab, "_linear_characters",
+                                lambda *args: bad)
+            with pytest.raises(InternalInconsistency):
+                chartab._verify_table(G, chartab._compute_table(G, classes))

@@ -137,13 +137,21 @@ def test_classify_q8():
     assert report.cd == {1, 2}
 
 
-def test_classify_s3_and_abelian():
+def test_classify_s3_and_abelian(monkeypatch):
     report = formulas.classify(groups.builtin("symmetric", 3))
     assert report.unique_nonlinear and not report.is_vz
     assert report.nilpotency_class is None
-    report = formulas.classify(groups.builtin("cyclic", 12))
-    assert report.is_abelian
-    assert not report.gcp_targets and not report.camina_pair_targets
+
+    def unlisted(G):
+        raise AssertionError("normal subgroups listed")
+
+    # G' = 1 leaves both target lists empty without listing subgroups
+    monkeypatch.setattr(groups, "normal_subgroups", unlisted)
+    for G in [groups.builtin("cyclic", 12),
+              groups.builtin("elementary_abelian", 2, 5)]:
+        report = formulas.classify(G)
+        assert report.is_abelian
+        assert not report.gcp_targets and not report.camina_pair_targets
 
 
 def test_closed_gcp_center_values():

@@ -297,7 +297,7 @@ def ref_compute_table(G, classes):
                 shifted = [[(x - (lam if r == c else 0)) % p
                             for c, x in enumerate(row)]
                            for r, row in enumerate(XT)]
-                kernel = chartab._kernel(shifted, p)
+                kernel = chartab._kernel(shifted, p)[0]
                 if kernel:
                     nxt.append(chartab._rref(
                         [[sum(map(mul, kv, col)) % p for col in zip(*B)]
@@ -333,12 +333,44 @@ def ref_compute_table(G, classes):
                                   tuple(d for d, _ in rows))
 
 
-@pytest.mark.parametrize("spec", SMALL_BUILTINS + ["dihedral(200)"])
+# groups where the linear characters are most of the table
+LINEAR_HEAVY = [
+    "elementary_abelian(2,5)", "cyclic(30)",
+    "direct_product(dihedral(8),cyclic(4))",
+    "direct_product(quaternion(8),cyclic(3))", "agl1(13)", "heisenberg(5)",
+]
+
+
+@pytest.mark.parametrize("spec", SMALL_BUILTINS + LINEAR_HEAVY
+                         + ["dihedral(200)"])
 def test_orbit_lift_matches_per_row_lift(spec):
     G = groups.parse_builtin_spec(spec)
     classes = groups.conjugacy_classes(G)
     assert chartab.dump_table(chartab._compute_table(G, classes)) == \
         chartab.dump_table(ref_compute_table(G, classes))
+
+
+@pytest.mark.parametrize("spec", SMALL_BUILTINS + LINEAR_HEAVY)
+def test_linear_rows_are_the_homomorphisms_trivial_on_the_derived_group(spec):
+    G = groups.parse_builtin_spec(spec)
+    classes = groups.conjugacy_classes(G)
+    e = G.exponent()
+    derived = groups.commutator_subgroup(G)
+    rows = chartab._linear_characters(G, classes, e)
+    assert len(rows) == G.order // derived.order
+    assert len(set(map(tuple, rows))) == len(rows)
+    cls = classes.class_of
+    for row in rows:
+        assert all(row[cls[h]] == 0 for h in derived.members)
+        for g in range(G.order):
+            for h in range(G.order):
+                assert row[cls[G.mul[g][h]]] == (row[cls[g]] + row[cls[h]]) % e
+    # and zeta_e^row are the table's rows of degree 1
+    unit = [tuple(int(i == x) for i in range(e)) for x in range(e)]
+    table = chartab.character_table(G)
+    assert {tuple(v.coeffs for v in table.values[r])
+            for r in table.linear_indices()} == \
+        {tuple(unit[x] for x in row) for row in rows}
 
 
 def ref_vanish_scan(G, table):
