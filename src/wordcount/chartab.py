@@ -47,7 +47,6 @@ from .errors import (
     InternalInconsistency,
     MismatchedGroup,
     NonIntegral,
-    NotNormal,
     OrderLimitExceeded,
     ParseError,
 )
@@ -91,12 +90,6 @@ class CharacterTable:
     @property
     def num_characters(self):
         return len(self.degrees)
-
-    def linear_indices(self):
-        return [r for r, lin in enumerate(self.linear_mask) if lin]
-
-    def nonlinear_indices(self):
-        return [r for r, lin in enumerate(self.linear_mask) if not lin]
 
     @cached_property
     def sparse_rows(self):
@@ -759,36 +752,6 @@ def inner_product_on(table, H, phi, psi):
     total = cyclotomic.rational_sum(
         table.exponent, ((c, a[j], b[j]) for j, c in per_class.items()))
     return total / H.order
-
-
-def irr_given(G, N, table):
-    """Partition character indices into (Irr(G/N) inflations, Irr(G|N))."""
-    groups.require_subgroup_of(G, N)
-    if not N.is_normal():
-        raise NotNormal("subgroup is not normal")
-    inside = [j for j, rep in enumerate(table.classes.reps) if rep in N]
-    inflated, moved = [], []
-    for r in range(table.num_characters):
-        deg = table.degrees[r]
-        if all(table.values[r][j] == deg for j in inside):
-            inflated.append(r)
-        else:
-            moved.append(r)
-    return inflated, moved
-
-
-def frobenius_schur_check(G, table):
-    """Sum of nu(chi) chi(1) must equal 1 + the number of involutions.
-
-    nu is rational, so constant on a Galois orbit O, and the sum is
-    sum_O chi_O(1) sum_j |C_j| T_O(sq(j)) / |G|: one integer sum per orbit."""
-    classes = table.classes
-    sq_class = [classes.class_of[G.mul[r][r]] for r in classes.reps]
-    total = sum(table.degrees[r] * sum(map(mul, classes.sizes,
-                                           [o.traces[c] for c in sq_class]))
-                for r, o in table.orbit_sums.items())
-    involutions = sum(1 for a in range(1, G.order) if G.mul[a][a] == 0)
-    return total == (1 + involutions) * G.order
 
 
 # ---------------------------------------------------------------------------

@@ -156,10 +156,11 @@ class Cyclotomic:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Cyclotomic.from_rational(self.order, other)
+            red = self.reduced()
+            return red[0] == other and not any(red[1:])
         if not isinstance(other, Cyclotomic) or other.order != self.order:
             return NotImplemented
-        return (self - other).is_zero()
+        return self.reduced() == other.reduced()
 
     def __hash__(self):
         return hash((self.order, self.reduced()))

@@ -76,10 +76,6 @@ class PredicateFailed(WordcountError):
     """A closed-form evaluator was asked about a group outside its class."""
 
 
-class CheckFailed(WordcountError):
-    """A structural assertion that a verified hypothesis guarantees failed."""
-
-
 class SearchBoundExceeded(WordcountError):
     pass
 

@@ -18,7 +18,6 @@ from fractions import Fraction
 from . import chartab, cyclotomic, groups
 from .cyclotomic import UNIT
 from .errors import (
-    CheckFailed,
     InternalInconsistency,
     MismatchedGroup,
     NotMeasurePreserving,
@@ -491,64 +490,3 @@ def appl_offidentity_value(order, derived_order, pm, c_n, n=3):
     """Off-identity count on G' from C^{w_n}(phi): |G|^n/|G'| - |G| C/phi(1)."""
     return _expect_int(Fraction(order**n, derived_order)
                        - Fraction(order, pm - 1) * c_n)
-
-
-# ---------------------------------------------------------------------------
-# remaining predicates and bounds
-
-
-def cd2_bound_check(G, table, N, n):
-    """Check C^{w_n}(chi) <= m |G|^{n-1} / |N| for every nonlinear chi.
-
-    Preconditions: n >= 3, cd(G) = {1, m} with m = |G : N|, N abelian and
-    normal, and every nonlinear character induced from N (verified through
-    vanishing off N and <chi|N, chi|N>_N = m).
-    """
-    groups.require_subgroup_of(G, N)
-    if n < 3:
-        raise PredicateFailed("the bound is stated for n >= 3")
-    m = G.order // N.order
-    if set(table.degrees) != {1, m}:
-        raise PredicateFailed(f"cd(G) != {{1, {m}}}")
-    if not N.is_normal():
-        raise PredicateFailed("N is not normal")
-    if any(G.mul[a][b] != G.mul[b][a] for a in N.members for b in N.members):
-        raise PredicateFailed("N is not abelian")
-    if m > 1 and not _nonlinear_vanish_off(G, N):
-        raise PredicateFailed("a nonlinear character does not vanish off N")
-    for r in table.nonlinear_indices():
-        if chartab.inner_product_on(table, N, r, r) != m:
-            raise PredicateFailed(
-                f"character {r} is not induced from N")
-    bound = Fraction(m * G.order ** (n - 1), N.order)
-    out = []
-    for r in table.nonlinear_indices():
-        c = c_wn(G, table, r, n)
-        if c > bound:
-            raise CheckFailed(f"C^w_n({r}) = {c} exceeds bound {bound}")
-        out.append((r, c, bound))
-    return out
-
-
-def verify_camina_pair_structure(G, table):
-    """Check the three consequences of (G, Z(G)) being a Camina pair."""
-    z = groups.center(G)
-    if z.order <= 1 or z.order >= G.order or not groups.is_camina_pair(G, z):
-        raise PredicateFailed("(G, Z(G)) is not a Camina pair")
-    _, moved = chartab.irr_given(G, z, table)
-    if len(moved) != z.order - 1:
-        raise CheckFailed(
-            f"|Irr(G|Z)| = {len(moved)}, expected |Z|-1 = {z.order - 1}")
-    idx = G.order // z.order
-    outside = [j for j, rep in enumerate(table.classes.reps) if rep not in z]
-    for r in moved:
-        if table.degrees[r] ** 2 != idx:
-            raise CheckFailed(
-                f"character {r} has degree {table.degrees[r]}, "
-                f"expected |G:Z|^(1/2)")
-        if not all(table.values[r][j].is_zero() for j in outside):
-            raise CheckFailed(f"character {r} does not vanish off Z(G)")
-    degree = math.isqrt(idx)
-    if degree * degree != idx:
-        raise CheckFailed(f"|G:Z(G)| = {idx} is not a square")
-    return {"irr_given_center": moved, "degree": degree}

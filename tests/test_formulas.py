@@ -1,5 +1,4 @@
 from collections import Counter
-from fractions import Fraction
 
 import pytest
 
@@ -35,10 +34,10 @@ def test_recursion_matches_brute():
 def test_c_wn_values():
     S3 = groups.builtin("symmetric", 3)
     table = _table(S3)
-    chi = table.nonlinear_indices()[0]
+    chi = table.linear_mask.index(False)
     assert formulas.c_wn(S3, table, chi, 2) == 1
     assert formulas.c_wn(S3, table, chi, 3) == 15
-    lin = table.linear_indices()[0]
+    lin = table.linear_mask.index(True)
     assert formulas.c_wn(S3, table, lin, 4) == 36
 
 
@@ -273,7 +272,8 @@ def test_unique_nonlinear_class_data_matches_the_character_path(q):
     # agl1(q) has one nonlinear character phi, of degree q - 1
     G = groups.builtin("agl1", q)
     table = _table(G)
-    (phi,) = table.nonlinear_indices()
+    assert table.linear_mask.count(False) == 1
+    phi = table.linear_mask.index(False)
     for n in (2, 3, 5, 8):
         c, zeta = formulas.unique_nonlinear_recursion(G, n)
         assert zeta == formulas.zeta_wn_char(G, table, n), n
@@ -298,30 +298,6 @@ def test_appl_values():
     # the published off-identity display disagrees (flagged, not used)
     assert formulas.appl_offidentity_display(6, 3, 3) == -18
     assert formulas.appl_offidentity_display(8, 4, 2) is None
-
-
-def test_cd2_bound():
-    S3 = groups.builtin("symmetric", 3)
-    A3 = groups.commutator_subgroup(S3)
-    report = formulas.cd2_bound_check(S3, _table(S3), A3, 3)
-    assert report == [(2, Fraction(15), Fraction(24))]
-    with pytest.raises(PredicateFailed):
-        formulas.cd2_bound_check(S3, _table(S3), A3, 2)
-    # D8 x C2 has cd = {1, 2}, and D8 x 1 is normal of index 2 but not abelian
-    G = groups.parse_builtin_spec("direct_product(dihedral(8),cyclic(2))")
-    D8 = groups.subgroup_closure(G, range(0, 16, 2))
-    assert D8.order == 8 and set(_table(G).degrees) == {1, 2}
-    with pytest.raises(PredicateFailed, match="N is not abelian"):
-        formulas.cd2_bound_check(G, _table(G), D8, 3)
-
-
-def test_verify_camina_pair_structure():
-    Q8 = groups.builtin("quaternion", 8)
-    report = formulas.verify_camina_pair_structure(Q8, _table(Q8))
-    assert report["degree"] == 2 and len(report["irr_given_center"]) == 1
-    S3 = groups.builtin("symmetric", 3)
-    with pytest.raises(PredicateFailed):
-        formulas.verify_camina_pair_structure(S3, _table(S3))
 
 
 def test_invariants_of():

@@ -18,16 +18,12 @@ X = words.parse("x1")
 TAKES_SUBGROUP = {
     "quotient": lambda G, H: groups.quotient(G, H),
     "is_camina_pair": lambda G, H: groups.is_camina_pair(G, H),
-    "irr_given": lambda G, H: chartab.irr_given(
-        G, H, chartab.character_table(G)),
     "inner_product_on": lambda G, H: chartab.inner_product_on(
         chartab.character_table(G), H, 2, 2),
     "zeta_mixed_theorem21": lambda G, H: formulas.zeta_mixed_theorem21(
         G, H, X, X),
     "DomainSpec": lambda G, H: counting.zeta_element_counts(
         G, words.wn(2), DomainSpec((H, None))),
-    "cd2_bound_check": lambda G, H: formulas.cd2_bound_check(
-        G, chartab.character_table(G), H, 3),
 }
 
 
@@ -143,4 +139,4 @@ def test_character_table_of_an_equal_group_is_accepted():
     S3_again = groups.builtin("symmetric", 3)
     table = chartab.character_table(S3_again)
     assert formulas.zeta_wn_char(S3, table, 3).values == (162, 27, 0)
-    assert formulas.c_wn(S3, table, table.nonlinear_indices()[0], 3) == 15
+    assert formulas.c_wn(S3, table, table.linear_mask.index(False), 3) == 15
