@@ -649,13 +649,15 @@ def integer_class_sum(sizes, a, b):
 
 
 def _verify_table(G, table):
-    """Degrees, row orthogonality and the linear-character count, exactly.
+    """Degrees, Galois closure, row orthogonality and the linear-character
+    count, exactly.
 
-    When the rows are distinct and closed under the power maps pi_u,
-    <chi o pi_u, psi o pi_u> = <chi, psi> (pi_u is a size-preserving
-    bijection on classes), so checking each orbit representative against
-    every row covers all pairs; otherwise every pair is checked.  Two rows
-    of rational integers pair by an integer dot product, any other pair
+    The rows of a character table are distinct and closed under the power
+    maps pi_u (sigma_u chi = chi o pi_u), so a table whose rows are not is
+    refused.  <chi o pi_u, psi o pi_u> = <chi, psi> (pi_u is a
+    size-preserving bijection on classes), so checking each orbit
+    representative against every row covers all pairs.  Two rows of
+    rational integers pair by an integer dot product, any other pair
     through the sparse kernel."""
     n = G.order
     k = table.num_characters
@@ -693,10 +695,10 @@ def _verify_table(G, table):
 
     orbit = table.galois_orbits
     if orbit is None:
-        is_rep = [True] * k
-    else:
-        _brauer_check(G, orbit)
-        is_rep = [r == s for s, (r, _) in enumerate(orbit)]
+        raise InternalInconsistency(
+            "character rows are not closed under the power maps")
+    _brauer_check(G, orbit)
+    is_rep = [r == s for s, (r, _) in enumerate(orbit)]
     # The callers guarantee a square table (k characters, k classes), so
     # the row relations imply the column relations; see the module docstring.
     for r in range(k):

@@ -72,7 +72,7 @@ def cmd_info(args, out):
     G = load_group(args.group)
     classes = groups.conjugacy_classes(G)
     report = formulas.classify(G)
-    nclass = groups.nilpotency_class(G)
+    nclass = report.nilpotency_class
     out.write(f"order {G.order}\n")
     out.write(f"classes {classes.num_classes}\n")
     out.write(f"exponent {G.exponent()}\n")

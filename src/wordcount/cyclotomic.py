@@ -165,13 +165,6 @@ class Cyclotomic:
     def __hash__(self):
         return hash((self.order, self.reduced()))
 
-    def is_zero(self):
-        return all(v == 0 for v in self.reduced())
-
-    def is_rational(self):
-        red = self.reduced()
-        return all(v == 0 for v in red[1:])
-
     def to_rational(self):
         red = self.reduced()
         if any(v != 0 for v in red[1:]):

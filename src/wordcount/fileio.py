@@ -1,4 +1,4 @@
-"""Group file import/export and the on-disk character-table cache.
+"""Group file import and the on-disk character-table cache.
 
 Group files are UTF-8 text.  The first non-comment line is either
 `cayley <n>` followed by n rows of n 0-based indices, or `perm <degree> <k>`
@@ -84,12 +84,6 @@ def import_group(path):
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}", 0)
     return parse_group(text)
-
-
-def export_group(G, stream):
-    stream.write(f"cayley {G.order}\n")
-    for row in G.mul:
-        stream.write(" ".join(str(v) for v in row) + "\n")
 
 
 def cache_dir():

@@ -31,12 +31,12 @@ FLAG_UNIQUE_NL_OFFIDENTITY = "unique-nonlinear-offidentity-display"
 
 
 class GroupClassReport(namedtuple("GroupClassReport", (
-        "is_abelian nilpotency_class camina_pair_targets is_camina_group "
-        "cd gcp_targets is_vz unique_nonlinear"))):
+        "is_abelian nilpotency_class is_camina_group cd is_vz "
+        "unique_nonlinear"))):
     """What `classify` finds: `nilpotency_class` is None for a group that is
-    not nilpotent, `cd` is the set of character degrees, and the two target
-    fields are lists.  Only `cd` reads the character table; every other
-    field comes from class sizes and the normal subgroups."""
+    not nilpotent, and `cd` is the set of character degrees.  Only `cd`
+    reads the character table; every other field comes from class sizes
+    and the subgroups Z(G) and G'."""
 
     __slots__ = ()
 
@@ -218,34 +218,31 @@ def _nonlinear_vanish_off(G, N):
         for rep, size in zip(classes.reps, classes.sizes) if rep not in N)
 
 
+def _is_camina_group(G):
+    """True iff (G, G') is a Camina pair, which needs 1 < |G'| < |G|."""
+    derived = groups.commutator_subgroup(G)
+    return 1 < derived.order < G.order and groups.is_camina_pair(G, derived)
+
+
 def classify(G, table=None):
     """Structural predicates feeding the closed-form evaluators.
 
-    When G' = 1 the normal subgroups are not listed: every class of an
-    abelian group is one element, so gH in Cl(g) = {g} forces H = 1 and no
-    1 < H < G makes a Camina pair, and `_nonlinear_vanish_off` is False
-    for every N.  Both target lists are then empty."""
+    G is a Camina group when (G, G') is a Camina pair.  A Camina pair
+    (G, H) has Z(G) <= H: for z central and outside H, zH in Cl(z) = {z}
+    forces H = 1.  That is checked for H = G'."""
     if table is None:
         table = chartab.character_table(G)
     z = groups.center(G)
     derived = groups.commutator_subgroup(G)
-
-    normals = groups.normal_subgroups(G) if derived.order > 1 else ()
-    camina_targets = [H for H in normals
-                      if 1 < H.order < G.order and groups.is_camina_pair(G, H)]
-    if any(not set(z.members) <= set(H.members) <= set(derived.members)
-           for H in camina_targets):
-        raise InternalInconsistency("Camina target outside Z(G)..G'")
-    gcp_targets = [N for N in normals
-                   if N.order < G.order and _nonlinear_vanish_off(G, N)]
+    is_camina = _is_camina_group(G)
+    if is_camina and not set(z.members) <= set(derived.members):
+        raise InternalInconsistency("Camina group with Z(G) outside G'")
     num_linear = G.order // derived.order
     return GroupClassReport(
         is_abelian=z.order == G.order,
         nilpotency_class=groups.nilpotency_class(G),
-        camina_pair_targets=camina_targets,
-        is_camina_group=any(H == derived for H in camina_targets),
+        is_camina_group=is_camina,
         cd=set(table.degrees),
-        gcp_targets=gcp_targets,
         is_vz=_nonlinear_vanish_off(G, z),
         unique_nonlinear=(
             groups.conjugacy_classes(G).num_classes - num_linear == 1),
@@ -404,9 +401,7 @@ def closed_zeta_gcp_center(G, n):
 
 
 def closed_zeta_camina3(G, n):
-    # class 3 first: then 1 < G' < G, as is_camina_pair requires
-    if groups.nilpotency_class(G) != 3 or not groups.is_camina_pair(
-            G, groups.commutator_subgroup(G)):
+    if groups.nilpotency_class(G) != 3 or not _is_camina_group(G):
         raise PredicateFailed("not a Camina group of nilpotency class 3")
     if groups._prime_power(G.order) is None:
         raise PredicateFailed("not a p-group")

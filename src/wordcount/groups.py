@@ -212,9 +212,6 @@ class ClassFunction:
     def at_element(self, g):
         return self.values[self.classes.class_of[g]]
 
-    def as_element_array(self):
-        return [self.values[self.classes.class_of[g]] for g in range(self.group.order)]
-
     def total_mass(self):
         return sum(s * v for s, v in zip(self.classes.sizes, self.values))
 
@@ -279,7 +276,7 @@ def whole_subgroup(G):
 # construction
 
 
-def from_cayley_table(table, labels=None):
+def from_cayley_table(table):
     """Validate a raw n x n index matrix and wrap it as a GroupTable.
 
     The identity need not be at index 0; the table is relabeled if required.
@@ -315,11 +312,9 @@ def from_cayley_table(table, labels=None):
         perm = [e] + [a for a in range(n) if a != e]
         pos = {a: i for i, a in enumerate(perm)}
         table = [[pos[table[perm[i]][perm[j]]] for j in range(n)] for i in range(n)]
-        if labels is not None:
-            labels = [labels[p] for p in perm]
 
     mul = tuple(tuple(row) for row in table)
-    G = GroupTable(n, mul, _inverses(mul), tuple(labels) if labels else None)
+    G = GroupTable(n, mul, _inverses(mul))
     _check_associativity(G)
     return G
 

@@ -22,11 +22,10 @@ TUPLE_BOUND = 2**20
 
 
 class IsoclinismWitness(namedtuple("IsoclinismWitness", (
-        "n G H phi psi quotient_G quotient_H proj_G proj_H"))):
+        "n G H phi psi quotient_G quotient_H"))):
     """An n-isoclinism from G to H.  `phi` maps quotient_G indices to
-    quotient_H indices, `psi` (a dict) gamma_{n+1}(G) elements to
-    gamma_{n+1}(H) elements, and `proj_G`, `proj_H` each group onto its
-    quotient by Z_n."""
+    quotient_H indices, and `psi` (a dict) gamma_{n+1}(G) elements to
+    gamma_{n+1}(H) elements."""
 
     __slots__ = ()
 
@@ -143,7 +142,7 @@ def find_isoclinism(G, H, n):
         if set(psi) != set(gammaG.members) or \
                 set(psi.values()) != set(gammaH.members):
             continue
-        witness = IsoclinismWitness(n, G, H, phi, psi, QG, QH, projG, projH)
+        witness = IsoclinismWitness(n, G, H, phi, psi, QG, QH)
         verify_witness(witness)
         return witness
     return None

@@ -84,7 +84,7 @@ def test_class_function_basics():
     cf = ClassFunction(S3, classes, (18, 9, 0))
     assert cf.total_mass() == 36
     assert cf.at_element(0) == 18
-    assert cf.as_element_array() == [18, 0, 0, 9, 9, 0]
+    assert [cf.at_element(g) for g in range(S3.order)] == [18, 0, 0, 9, 9, 0]
 
 
 def test_irrational_entries_are_exact():
@@ -158,8 +158,11 @@ def test_verify_rejects_one_perturbed_entry(spec):
              (k // 2, k // 2, -Cyclotomic.root(e, e - 1))]
     for r, j, delta in cases:
         bad = _perturbed(table, r, j, delta)
-        with pytest.raises(InternalInconsistency,
-                           match="row orthogonality"):
+        if bad.galois_orbits is None:
+            match = "^character rows are not closed under the power maps$"
+        else:
+            match = "row orthogonality"
+        with pytest.raises(InternalInconsistency, match=match):
             chartab._verify_table(G, bad)
         # For a square table the column relations follow from the row
         # relations, so the column check can never fire first; check that
@@ -197,6 +200,24 @@ def test_load_rejects_negated_character():
     lines[-1] = ",".join(":".join(str(-int(c)) for c in v.split(":"))
                          for v in lines[-1].split(","))
     with pytest.raises(InternalInconsistency, match="degree -2"):
+        chartab.load_table(G, "\n".join(lines))
+
+
+def test_load_rejects_columns_swapped_off_the_power_maps():
+    # C5's classes have size 1, so swapping the values of two classes in
+    # every row keeps every orthogonality relation, the degrees and the
+    # linear-character count; the rows are no longer closed under the
+    # power maps
+    from wordcount.errors import InternalInconsistency
+    G = groups.builtin("cyclic", 5)
+    lines = chartab.dump_table(character_table(G)).splitlines()
+    for i in range(1 + G.order, len(lines)):
+        v = lines[i].split(",")
+        v[1], v[2] = v[2], v[1]
+        lines[i] = ",".join(v)
+    with pytest.raises(InternalInconsistency,
+                       match="^character rows are not closed under the "
+                             "power maps$"):
         chartab.load_table(G, "\n".join(lines))
 
 

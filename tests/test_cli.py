@@ -1,4 +1,3 @@
-import io
 import os
 import subprocess
 import sys
@@ -294,10 +293,9 @@ def test_repeated_domain_is_a_usage_error(capsys):
 
 def test_group_file_roundtrip(tmp_path):
     S3 = groups.builtin("symmetric", 3)
-    out = io.StringIO()
-    fileio.export_group(S3, out)
     path = tmp_path / "s3.group"
-    path.write_text(out.getvalue())
+    path.write_text(f"cayley {S3.order}\n" + "".join(
+        " ".join(map(str, row)) + "\n" for row in S3.mul))
     G = fileio.import_group(path)
     assert G.mul == S3.mul
 
@@ -386,19 +384,35 @@ def test_chartab_cache(tmp_path, monkeypatch, capsys):
     assert table.degrees == chartab.character_table(Q8).degrees
 
 
-@pytest.mark.parametrize("corrupt", [
-    lambda t: t[:len(t) // 2],
-    lambda t: "",
-    lambda t: t.replace("2:0:0", "3:0:0", 1),
-], ids=["truncated", "empty", "tampered"])
-def test_corrupt_cache_file_is_a_miss(tmp_path, monkeypatch, capsys, corrupt):
+def _swap_columns(text):
+    """Cache text with the values of classes 1 and 2 swapped in every row:
+    on C5, whose classes have size 1, still orthogonal, but not closed
+    under the power maps."""
+    lines = text.splitlines()
+    k = int(lines[0].rsplit("=", 1)[1])
+    for i in range(1 + k, len(lines)):
+        v = lines[i].split(",")
+        v[1], v[2] = v[2], v[1]
+        lines[i] = ",".join(v)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("spec, corrupt", [
+    ("symmetric(3)", lambda t: t[:len(t) // 2]),
+    ("symmetric(3)", lambda t: ""),
+    ("symmetric(3)", lambda t: t.replace("2:0:0", "3:0:0", 1)),
+    ("cyclic(5)", _swap_columns),
+], ids=["truncated", "empty", "tampered", "swapped"])
+def test_corrupt_cache_file_is_a_miss(tmp_path, monkeypatch, capsys, spec,
+                                      corrupt):
     monkeypatch.setenv(fileio.CACHE_ENV, str(tmp_path))
-    code, good_out, _ = run(capsys, "chartab", "--group", "builtin:symmetric(3)")
+    code, good_out, _ = run(capsys, "chartab", "--group", f"builtin:{spec}")
     assert code == 0
     (path,) = tmp_path.glob("*.chartab")
     good = path.read_text(encoding="utf-8")
+    assert corrupt(good) != good
     path.write_text(corrupt(good), encoding="utf-8")
-    code, out, err = run(capsys, "chartab", "--group", "builtin:symmetric(3)")
+    code, out, err = run(capsys, "chartab", "--group", f"builtin:{spec}")
     assert (code, out, err) == (0, good_out, "")
     assert path.read_text(encoding="utf-8") == good
     assert [p.name for p in tmp_path.iterdir()] == [path.name]

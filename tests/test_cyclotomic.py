@@ -34,7 +34,7 @@ def test_arithmetic_and_equality():
     b = a - z * z
     assert b == 1 + z
     assert a * 0 == 0
-    assert (a - a).is_zero()
+    assert not any((a - a).reduced())
     assert 2 * a == a + a
 
 
@@ -44,13 +44,13 @@ def test_conjugate():
     assert v.conjugate() == 3 + 2 * Cyclotomic.root(8, 7)
     # |1 + z|^2 is rational only after reduction: (1+z)(1+z^-1) = 2 + z + z^7
     norm = (1 + z) * (1 + z).conjugate()
-    assert not norm.is_rational()  # 2 + sqrt(2) is a real irrationality
+    assert any(norm.reduced()[1:])  # 2 + sqrt(2) is a real irrationality
 
 
 def test_rational_extraction():
     z = Cyclotomic.root(3)
     v = (1 + z + z * z) + 5
-    assert v.is_rational()
+    assert not any(v.reduced()[1:])
     assert v.to_rational() == 5
     assert v.to_integer() == 5
     with pytest.raises(NonIntegral):
@@ -102,7 +102,7 @@ def test_kernel_matches_dense_arithmetic(e):
         assert Cyclotomic(e, tuple(Fraction(c, den) for c in acc)) == dense
         if all(type(w) is int for w, _, _ in products):
             assert _dense(e, cyclotomic.sparse_product_sum(e, conj)) == dense
-        if dense.is_rational():
+        if not any(dense.reduced()[1:]):
             assert cyclotomic.rational_sum(e, conj) == dense.to_rational()
         else:
             with pytest.raises(NonIntegral):

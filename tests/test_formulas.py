@@ -5,7 +5,7 @@ import pytest
 from wordcount import chartab, counting, formulas, groups, words
 from wordcount.errors import (NotMeasurePreserving, NotNormal,
                               PredicateFailed)
-from wordcount.formulas import CaminaInvariants
+from wordcount.formulas import CaminaInvariants, GroupClassReport
 
 
 def _table(G):
@@ -136,21 +136,32 @@ def test_classify_q8():
     assert report.cd == {1, 2}
 
 
-def test_classify_s3_and_abelian(monkeypatch):
+def test_classify_s3_and_abelian():
     report = formulas.classify(groups.builtin("symmetric", 3))
     assert report.unique_nonlinear and not report.is_vz
     assert report.nilpotency_class is None
+    for G in [groups.builtin("cyclic", 12),
+              groups.builtin("elementary_abelian", 2, 5)]:
+        report = formulas.classify(G)
+        assert report.is_abelian and not report.is_camina_group
+
+
+@pytest.mark.parametrize("spec, expected", [
+    ("quaternion(8)", (False, 2, True, {1, 2}, True, True)),
+    ("symmetric(4)", (False, None, False, {1, 2, 3}, False, False)),
+    ("agl1(5)", (False, None, True, {1, 4}, False, True)),
+    ("heisenberg(3)", (False, 2, True, {1, 3}, True, False)),
+    ("direct_product(dihedral(8),cyclic(2))",
+     (False, 2, False, {1, 2}, True, False)),
+])
+def test_classify_lists_no_normal_subgroups(spec, expected, monkeypatch):
+    G = groups.parse_builtin_spec(spec)
 
     def unlisted(G):
         raise AssertionError("normal subgroups listed")
 
-    # G' = 1 leaves both target lists empty without listing subgroups
     monkeypatch.setattr(groups, "normal_subgroups", unlisted)
-    for G in [groups.builtin("cyclic", 12),
-              groups.builtin("elementary_abelian", 2, 5)]:
-        report = formulas.classify(G)
-        assert report.is_abelian
-        assert not report.gcp_targets and not report.camina_pair_targets
+    assert formulas.classify(G) == GroupClassReport(*expected)
 
 
 def test_closed_gcp_center_values():

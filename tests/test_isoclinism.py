@@ -86,8 +86,7 @@ def test_tampered_witness_rejected():
     bad_psi = dict(w.psi)
     bad_psi[nontrivial] = 0
     bad = isoclinism.IsoclinismWitness(
-        w.n, w.G, w.H, w.phi, bad_psi, w.quotient_G, w.quotient_H,
-        w.proj_G, w.proj_H)
+        w.n, w.G, w.H, w.phi, bad_psi, w.quotient_G, w.quotient_H)
     with pytest.raises(WitnessInvalid):
         isoclinism.verify_witness(bad)
 
@@ -108,6 +107,6 @@ def test_witness_with_another_quotient_rejected():
     C4 = groups.builtin("cyclic", 4)  # D8 / Z(D8) is the Klein group
     assert C4.order == w.quotient_G.order
     bad = isoclinism.IsoclinismWitness(
-        w.n, w.G, w.H, w.phi, w.psi, C4, w.quotient_H, w.proj_G, w.proj_H)
+        w.n, w.G, w.H, w.phi, w.psi, C4, w.quotient_H)
     with pytest.raises(WitnessInvalid, match="quotients do not match"):
         isoclinism.verify_witness(bad)

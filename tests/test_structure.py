@@ -45,4 +45,7 @@ def test_info_computes_each_structure_once(monkeypatch, capsys):
         monkeypatch.setattr(module, name, groups.structure_memo(counted))
     assert main(["info", "--group", "builtin:agl1(5)"]) == 0
     assert "camina_group" in capsys.readouterr().out
-    assert calls == Counter({name: 1 for _, name in STRUCTURE})
+    # no command lists the normal subgroups
+    assert calls["normal_subgroups"] == 0
+    assert calls == Counter({name: 1 for _, name in STRUCTURE
+                             if name != "normal_subgroups"})
