@@ -1,42 +1,45 @@
 """Exact ordinary character tables.
 
-The table is computed by the prime-field method: simultaneous eigenvectors
-of the sparse class-sum matrices over F_p (p = 1 mod exponent,
-p > 2 sqrt|G|) give the central characters mod p, and discrete-Fourier
-multiplicity counts lift each value to an exact cyclotomic integer.  The
-|G:G'| linear characters are Irr(G/G') and are read off G/G' directly;
-the central characters of the others span the kernel of the conjugate
-linear rows, and only that (k - |G:G'|)-dimensional span is split, so a
-group with at most one nonlinear character builds no class matrix.  The
-row orthogonality relations are then verified exactly, and they imply the
-column relations: the table is square, so X D X* = |G| I (D the diagonal
-of class sizes) gives X* X = |G| D^-1.  A failure is a bug, not a data
-condition.
+The |G:G'| linear characters are Irr(G/G'): they are read off G/G'
+directly as exact rows of roots of unity zeta_e^l.  The rest are computed
+by the prime-field method: their central characters mod p (p = 1 mod
+exponent, p > 2 sqrt|G|) span the kernel of the conjugate linear rows, and
+only that (k - |G:G'|)-dimensional span is split by simultaneous
+eigenvectors of the sparse class-sum matrices, so a group with at most one
+nonlinear character builds no class matrix; discrete-Fourier multiplicity
+counts lift each value to an exact cyclotomic integer.  The table is then
+verified exactly: the linear rows as a group of roots of unity, and the
+row orthogonality relations of every pair with a nonlinear row.  They
+imply the column relations: the table is square, so X D X* = |G| I (D the
+diagonal of class sizes) gives X* X = |G| D^-1.  A failure is a bug, not a
+data condition.
 
 Galois orbits.  For u prime to the exponent, sigma_u chi = chi o pi_u,
 where pi_u maps the class of g to the class of g^u.  By Brauer's
 permutation lemma the orbits of Irr(G) under these maps are as many as
-the rational classes (which the code checks).  So one character per orbit
-is lifted, and the rest of its orbit reads the same values through pi_u.
-pi_u is a bijection that keeps class sizes, so
+the rational classes (which the code checks).  So one nonlinear character
+per orbit is lifted, and the rest of its orbit reads the same values
+through pi_u.  pi_u is a bijection that keeps class sizes, so
 <chi o pi_u, psi o pi_u> = <chi, psi>: once the rows are known to be
-distinct and closed under every pi_u, checking each orbit representative
-against every row checks every pair.
+distinct and closed under every pi_u, checking each nonlinear orbit
+representative against every row checks every pair with a nonlinear row.
 
 Rational character sums.  A table keeps each value's nonzero terms, and
 its conjugates and squared norms, computed once per distinct value.  Two
 rows of rational integers pair in the orthogonality check by an integer
-dot product; every other pair, and `inner_product`, goes through the
-sparse integer kernel in `cyclotomic`.  A sum that is rational on each
-character is constant on Galois orbits, so it is summed over the orbits:
-`orbit_sums` holds, per orbit, the integer rows of sum chi(g_j) and sum
-|chi(g_j)|^2 over the orbit, which the Frobenius-Schur check and the w_n
-recursion in `formulas` read.
+dot product; every other pair goes through the sparse integer kernel in
+`cyclotomic`.  A sum that is rational on each character is constant on
+Galois orbits, so it is summed over the orbits: `orbit_sums` holds, per
+orbit, the integer rows of sum chi(g_j) and sum |chi(g_j)|^2 over the
+orbit, which the w_n recursion reads, and so do `inner_product` and the
+mixed-domain formula for Galois-stable input (rational and constant on
+rational classes); other input to those two goes through the kernel.
 """
 from __future__ import annotations
 
 import math
 from collections import Counter, namedtuple
+from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import mul
 
@@ -95,13 +98,8 @@ class CharacterTable:
     def sparse_rows(self):
         """Per character and class, the value's nonzero (exponent, coeff) terms."""
         e = self.exponent
-        memo = {}
-        for row in self.values:
-            for v in row:
-                if v.coeffs not in memo:
-                    memo[v.coeffs] = cyclotomic.terms(e, v)
-        return tuple(tuple([memo[v.coeffs] for v in row])
-                     for row in self.values)
+        memo = {id(v): cyclotomic.terms(e, v) for v in _distinct(self.values)}
+        return tuple(tuple([memo[id(v)] for v in row]) for row in self.values)
 
     def _per_value(self, fn):
         """fn(terms) for each entry of `sparse_rows`, computed once per
@@ -297,6 +295,13 @@ def _poly_roots(poly, p):
     return roots
 
 
+def _distinct(rows):
+    """The distinct value objects of rows, each once.  Tables share one
+    object per distinct value, so memos key on `id` and skip hashing
+    length-e coefficient tuples."""
+    return {id(v): v for row in rows for v in row}.values()
+
+
 def _norm_terms(e, terms):
     """The terms of |v|^2 = v * conj(v) for v given by its terms."""
     acc = [0] * e
@@ -442,16 +447,6 @@ def _orbits(maps, keys):
     return orbit
 
 
-def _brauer_check(G, orbit):
-    """Brauer's permutation lemma: the orbits number the rational classes."""
-    reps = sum(1 for s, (r, _) in enumerate(orbit) if r == s)
-    rational = len(groups.rational_classes(G))
-    if reps != rational:
-        raise InternalInconsistency(
-            f"{reps} Galois orbits of characters but {rational} rational "
-            "classes")
-
-
 def _linear_characters(G, classes, e):
     """The linear characters, Irr(G/G'), as rows l with
     lambda(g_c) = zeta_e^l[c]; the trivial one first.
@@ -490,14 +485,34 @@ def _linear_characters(G, classes, e):
 
 
 def _compute_table(G, classes):
-    """Dixon's table: central characters mod p of the linear characters
-    from G/G', of the rest from the class matrices' common eigenvectors in
-    the span left to them, then one character per Galois orbit lifted once
-    per rational class and carried to the rest of its orbit by the power
-    maps.  The trivial group takes the same path."""
+    """Dixon's table: the linear characters read off G/G' as exact roots of
+    unity, and the rest from `_nonlinear_rows`.  The trivial group takes the
+    same path."""
+    e = G.exponent()
+    linear = _linear_characters(G, classes, e)
+    units = {}  # l -> (zeta_e^l, its reduced form), for the l that occur
+    for l in {l for row in linear for l in row}:
+        v = Cyclotomic.root(e, l)
+        units[l] = (v, v.reduced())
+    rows = [(1, tuple([units[l][1] for l in row]),
+             tuple([units[l][0] for l in row])) for row in linear]
+    if len(linear) != classes.num_classes:
+        rows += _nonlinear_rows(G, classes, e, linear)
+    # canonical ordering: by degree, then by reduced value vectors
+    rows.sort(key=lambda r: r[:2])
+    degrees = tuple(r[0] for r in rows)
+    values = tuple(r[2] for r in rows)
+    return CharacterTable(G, classes, e, values, degrees)
+
+
+def _nonlinear_rows(G, classes, e, linear):
+    """(degree, reduced values, values) of each nonlinear character, given
+    the linear ones' exponent rows: central characters mod p from the class
+    matrices' common eigenvectors in the span the linear rows leave, then
+    one character per Galois orbit lifted once per rational class and
+    carried to the rest of its orbit by the power maps."""
     n = G.order
     k = classes.num_classes
-    e = G.exponent()
     p = _smallest_dixon_prime(n, e)
     rational = groups.rational_classes(G)
     inv_class = classes.inverse_class
@@ -505,17 +520,10 @@ def _compute_table(G, classes):
 
     # lambda(g_c) = w[l(c)] mod p, w[1] = z^((p-1)/e) standing for zeta_e as
     # in the lift.  sum_c omega_chi(K_c) conj(lambda(g_c)) = |G| [chi = lambda],
-    # so the nonlinear omega_chi span the kernel of the conjugate linear
-    # rows.  For G abelian it is empty, and `_verify_table`, not a k^3 row
-    # reduction here, shows the rows independent.
+    # so the nonlinear omega_chi span the kernel of the conjugate linear rows.
     w = [pow(z, (p - 1) // e * x, p) for x in range(e)]
-    linear = [[w[x] for x in row] for row in _linear_characters(G, classes, e)]
-    omegas = [tuple([size * v % p for size, v in zip(classes.sizes, row)])
-              for row in linear]
-    kernel, free = [], []
-    if len(linear) < k:
-        kernel, free = _kernel([[row[c] for c in inv_class] for row in linear],
-                               p)
+    kernel, free = _kernel([[w[row[c]] for c in inv_class] for row in linear],
+                           p)
     if len(kernel) != k - len(linear):
         raise InternalInconsistency("linear characters are not independent")
     a = class_mult_coefficients(G, classes) if len(kernel) > 1 else None
@@ -528,7 +536,7 @@ def _compute_table(G, classes):
     by_order = sorted(rational, key=lambda rc: len(rc.powers))
     split_order = [rc.first for rc in by_order[1:]] + [
         c for rc in by_order for c, _ in rc.generators if c != rc.first]
-    subspaces = [(kernel, free)] if kernel else []
+    subspaces = [(kernel, free)]
     for i in split_order:
         if all(len(B) == 1 for B, _ in subspaces):
             break
@@ -564,6 +572,7 @@ def _compute_table(G, classes):
     if not all(len(B) == 1 for B, _ in subspaces):
         raise InternalInconsistency("class matrices failed to split the algebra")
 
+    omegas = []
     for B, _ in subspaces:
         u = B[0]
         if u[0] % p == 0:
@@ -577,7 +586,6 @@ def _compute_table(G, classes):
     if orbit is None:
         raise InternalInconsistency(
             "central characters are not closed under the power maps")
-    _brauer_check(G, orbit)
 
     inv_sizes = [pow(s, p - 2, p) for s in classes.sizes]
     # inverse_roots[o][i] = zeta_o^(-i) mod p
@@ -635,11 +643,7 @@ def _compute_table(G, classes):
         d, values, reduced = lifts[rep]
         rows.append((d, tuple([reduced[c] for c in perm]),
                      tuple([values[c] for c in perm])))
-    # canonical ordering: by degree, then by reduced value vectors
-    rows.sort(key=lambda r: r[:2])
-    degrees = tuple(r[0] for r in rows)
-    values = tuple(r[2] for r in rows)
-    return CharacterTable(G, classes, e, values, degrees)
+    return rows
 
 
 def integer_class_sum(sizes, a, b):
@@ -649,63 +653,62 @@ def integer_class_sum(sizes, a, b):
 
 
 def _verify_table(G, table):
-    """Degrees, Galois closure, row orthogonality and the linear-character
-    count, exactly.
+    """Degrees, Galois closure, the linear rows, row orthogonality and the
+    linear-character count, exactly.
 
     The rows of a character table are distinct and closed under the power
-    maps pi_u (sigma_u chi = chi o pi_u), so a table whose rows are not is
-    refused.  <chi o pi_u, psi o pi_u> = <chi, psi> (pi_u is a
-    size-preserving bijection on classes), so checking each orbit
-    representative against every row covers all pairs.  Two rows of
+    maps pi_u (sigma_u chi = chi o pi_u), and by Brauer's permutation lemma
+    their orbits number the rational classes, so a table whose rows are not
+    is refused.  The linear rows are checked by `_verify_linear_rows`.
+    <chi o pi_u, psi o pi_u> = <chi, psi> (pi_u is a size-preserving
+    bijection on classes), so pairing each nonlinear orbit representative
+    with every row covers every pair with a nonlinear row.  Two rows of
     rational integers pair by an integer dot product, any other pair
     through the sparse kernel."""
     n = G.order
     k = table.num_characters
     e = table.exponent
     sizes = table.classes.sizes
-    rows, conj = table.sparse_rows, table.conjugate_rows
     if sum(d * d for d in table.degrees) != n:
         raise InternalInconsistency("sum of squared degrees != |G|")
     for d in table.degrees:
         if d < 1 or n % d != 0:
             raise InternalInconsistency(f"degree {d} does not divide |G|")
+    orbit = table.galois_orbits
+    if orbit is None:
+        raise InternalInconsistency(
+            "character rows are not closed under the power maps")
+    is_rep = [r == s for s, (r, _) in enumerate(orbit)]
+    rational = len(groups.rational_classes(G))
+    if sum(is_rep) != rational:
+        raise InternalInconsistency(
+            f"{sum(is_rep)} Galois orbits of characters but {rational} "
+            "rational classes")
 
-    integer = {}  # coefficients -> the rational integer, or None
-
-    def integer_row(row):
-        for v in row:
-            if v.coeffs not in integer:
-                red = v.reduced()
-                integer[v.coeffs] = None if any(red[1:]) else red[0]
-            if integer[v.coeffs] is None:
-                return None
-        return tuple([integer[v.coeffs] for v in row])
-
-    int_rows = [integer_row(row) for row in table.values]
+    reduced = {id(v): v.reduced() for v in _distinct(table.values)}
+    _verify_linear_rows(table, [r for r in range(k) if table.linear_mask[r]],
+                        reduced)
+    integer = {i: None if any(red[1:]) else red[0]
+               for i, red in reduced.items()}
+    int_rows = [[integer[id(v)] for v in row] for row in table.values]
+    int_rows = [None if None in row else row for row in int_rows]
+    nonlinear = [r for r in range(k) if is_rep[r] and not table.linear_mask[r]]
 
     def holds(r, s, want):
         a, b = int_rows[r], int_rows[s]
         if a is not None and b is not None:
             return integer_class_sum(sizes, a, b) == want
         try:
-            return cyclotomic.rational_sum(
-                e, zip(sizes, rows[r], conj[s])) == want
+            return cyclotomic.rational_sum(e, zip(
+                sizes, table.sparse_rows[r], table.conjugate_rows[s])) == want
         except NonIntegral:
             return False
 
-    orbit = table.galois_orbits
-    if orbit is None:
-        raise InternalInconsistency(
-            "character rows are not closed under the power maps")
-    _brauer_check(G, orbit)
-    is_rep = [r == s for s, (r, _) in enumerate(orbit)]
     # The callers guarantee a square table (k characters, k classes), so
     # the row relations imply the column relations; see the module docstring.
-    for r in range(k):
-        if not is_rep[r]:
-            continue
+    for r in nonlinear:
         for s in range(k):
-            if s < r and is_rep[s]:
+            if s < r and is_rep[s] and not table.linear_mask[s]:
                 continue  # <r, s> is the conjugate of <s, r>, checked
             if not holds(r, s, n if r == s else 0):
                 raise InternalInconsistency(
@@ -716,8 +719,56 @@ def _verify_table(G, table):
         raise InternalInconsistency("linear character count != |G : G'|")
 
 
+def _verify_linear_rows(table, linear, reduced):
+    """The linear rows as a group of roots of unity: each value some
+    zeta_e^l, found by its reduced form (`reduced` maps id(value) to it), so
+    any representation passes; the rows l distinct and equal to the group
+    they generate, grown by one greedily chosen row, a coset at a time; and
+    sum_j |C_j| zeta^l_j = 0 for l != 0.  Then <lambda, mu> is that sum for
+    lambda mu^-1, over |G|, so every pair of linear rows is orthogonal."""
+    e, sizes = table.exponent, table.classes.sizes
+    power = {Cyclotomic.root(e, l).reduced(): l for l in range(e)}
+    exponent = {i: power.get(reduced[i])
+                for i in {id(v) for r in linear for v in table.values[r]}}
+    exps = [tuple([exponent[id(v)] for v in table.values[r]]) for r in linear]
+    for r, row in zip(linear, exps):
+        if None in row:
+            raise InternalInconsistency(
+                f"linear character {r} is not a root of unity at class "
+                f"{row.index(None)}")
+    found, span = set(exps), {(0,) * len(sizes)}
+    for row in exps:
+        step, grown = row, set(span)
+        while step not in span and len(grown) <= len(found):
+            grown.update(tuple([(a + b) % e for a, b in zip(h, step)])
+                         for h in span)
+            step = tuple([(a + b) % e for a, b in zip(step, row)])
+        span = grown
+    if len(found) != len(exps) or span != found:
+        raise InternalInconsistency(
+            "linear characters repeat or are not closed under products")
+    trivial = linear[exps.index((0,) * len(sizes))]
+    for r, row in zip(linear, exps):
+        total = [0] * e
+        for size, l in zip(sizes, row):
+            total[l] += size
+        if r != trivial and Cyclotomic(e, tuple(total)) != 0:
+            raise InternalInconsistency(
+                f"row orthogonality fails for characters "
+                f"{min(r, trivial)},{max(r, trivial)}")
+
+
 # ---------------------------------------------------------------------------
 # derived operations
+
+
+def _class_values(table, phi):
+    """The values of a ClassFunction or per-class value sequence."""
+    if isinstance(phi, ClassFunction):
+        if phi.group != table.group:
+            raise MismatchedGroup("class function belongs to a different group")
+        return phi.values
+    return tuple(phi)
 
 
 def _class_terms(table, phi, conjugate=False):
@@ -725,19 +776,37 @@ def _class_terms(table, phi, conjugate=False):
     per-class value sequence, optionally conjugated."""
     if isinstance(phi, int):
         return (table.conjugate_rows if conjugate else table.sparse_rows)[phi]
-    if isinstance(phi, ClassFunction):
-        if phi.group != table.group:
-            raise MismatchedGroup("class function belongs to a different group")
-        phi = phi.values
     e = table.exponent
-    out = [cyclotomic.terms(e, v) for v in phi]
+    out = [cyclotomic.terms(e, v) for v in _class_values(table, phi)]
     if conjugate:
         out = [cyclotomic.conjugate_terms(e, t) for t in out]
     return out
 
 
+def galois_stable(table, values):
+    """True iff the per-class values are rational (int or Fraction) and
+    constant on each rational class, so fixed by every Galois map."""
+    return len(values) == table.classes.num_classes and all(
+        isinstance(v, (int, Fraction)) for v in values) and all(
+        values[c] == values[rc.first]
+        for rc in groups.rational_classes(table.group)
+        for c, _ in rc.generators)
+
+
 def inner_product(table, phi, psi):
-    """Exact <phi, psi> over the whole group."""
+    """Exact <phi, psi> over the whole group.
+
+    For a Galois-stable phi (`galois_stable`) and a character index psi,
+    <phi, chi> is the same for every chi in the Galois orbit O of chi_psi
+    (sigma_u chi = chi o pi_u and phi o pi_u = phi), so it is the orbit mean
+    sum_j |C_j| phi(g_j) T_O(j) / (|O| |G|) over the integer row T_O of
+    `orbit_sums`.  Any other pair goes through the sparse kernel."""
+    if isinstance(psi, int) and not isinstance(phi, int):
+        phi = _class_values(table, phi)
+        if galois_stable(table, phi):
+            orbit = table.orbit_sums[table.galois_orbits[psi][0]]
+            total = integer_class_sum(table.classes.sizes, phi, orbit.traces)
+            return Fraction(total, orbit.size * table.group.order)
     a = _class_terms(table, phi)
     b = _class_terms(table, psi, conjugate=True)
     total = cyclotomic.rational_sum(table.exponent,

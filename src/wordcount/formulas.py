@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
+from operator import mul
 
 from . import chartab, cyclotomic, groups
 from .cyclotomic import UNIT
@@ -128,15 +129,24 @@ def zeta_wn_char(G, table, n):
     chain = table.zeta_chain
     while len(chain) < n - 1:
         k = len(chain) + 2
-        coefs = [(G.order * c_wn(G, table, r, k) / table.degrees[r],
-                  orbit.traces) for r, orbit in table.orbit_sums.items()]
-        den = math.lcm(*[c.denominator for c, _ in coefs])
-        numerators = [0] * table.classes.num_classes
-        for c, traces in coefs:
-            w = c.numerator * (den // c.denominator)
-            numerators = [a + w * t for a, t in zip(numerators, traces)]
+        numerators, den = _orbit_combination(table, {
+            r: G.order * c_wn(G, table, r, k) / table.degrees[r]
+            for r in table.orbit_sums})
         chain.append(_as_integer_class_function(G, table, numerators, den, k))
     return chain[n - 2]
+
+
+def _orbit_combination(table, coefs):
+    """(numerators, den) with sum_O coefs[r] T_O(j) = numerators[j] / den,
+    for Fraction coefficients keyed by each orbit's representative r, over
+    one common denominator."""
+    den = math.lcm(*[c.denominator for c in coefs.values()])
+    numerators = [0] * table.classes.num_classes
+    for r, c in coefs.items():
+        w = c.numerator * (den // c.denominator)
+        numerators = [a + w * t
+                      for a, t in zip(numerators, table.orbit_sums[r].traces)]
+    return numerators, den
 
 
 def bracket_word(w1, w2):
@@ -178,21 +188,31 @@ def zeta_mixed_theorem21(G, H, w1, w2, table=None):
     for g in H.members:
         weights[cls[g]] += zeta1[g]
     # coefficient of chi: |G|^(m-n-1) / chi(1) * |H| <zeta1 chi, chi>_H, the
-    # last factor carried as exact cyclotomic terms (it need not be rational)
+    # last factor sum_j w_j |chi(g_j)|^2.  For weights fixed by the power
+    # maps it is the same on each Galois orbit O, and rational, so it is
+    # c_O = sum_j w_j N_O(j) / |O| and the orbit adds up to T_O; other
+    # weights are carried as exact cyclotomic terms per character.
     scale = G.order ** (m - w1.arity - 1)
-    scales = [Fraction(scale, d) for d in table.degrees]
-    coefs = [cyclotomic.sparse_product_sum(
-                 e, ((w, norms[j], UNIT) for j, w in enumerate(weights) if w))
-             for norms in table.norm_rows]
-    rows = table.sparse_rows
-    per_class = []
-    for j in range(k):
-        v = cyclotomic.rational_sum(
-            e, ((s, c, row[j]) for s, c, row in zip(scales, coefs, rows)))
-        if v.denominator != 1 or v < 0:
-            raise InternalInconsistency("mixed-domain count is not a natural number")
-        per_class.append(v.numerator)
-    counts = [per_class[cls[g]] for g in range(G.order)]
+    if chartab.galois_stable(table, weights):
+        numerators, den = _orbit_combination(table, {
+            r: Fraction(scale * sum(map(mul, weights, orbit.norms)),
+                        orbit.size * table.degrees[r])
+            for r, orbit in table.orbit_sums.items()})
+        per_class = [Fraction(v, den) for v in numerators]
+    else:
+        scales = [Fraction(scale, d) for d in table.degrees]
+        coefs = [cyclotomic.sparse_product_sum(
+                     e, ((w, norms[j], UNIT)
+                         for j, w in enumerate(weights) if w))
+                 for norms in table.norm_rows]
+        rows = table.sparse_rows
+        per_class = [cyclotomic.rational_sum(
+                         e, ((s, c, row[j])
+                             for s, c, row in zip(scales, coefs, rows)))
+                     for j in range(k)]
+    if any(v.denominator != 1 or v < 0 for v in per_class):
+        raise InternalInconsistency("mixed-domain count is not a natural number")
+    counts = [per_class[cls[g]].numerator for g in range(G.order)]
     if sum(counts) != (H.order ** w1.arity) * (G.order ** w2.arity):
         raise InternalInconsistency("mixed-domain counts fail total mass")
     return counts

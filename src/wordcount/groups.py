@@ -401,13 +401,16 @@ def _table_from_elements(elements, combine, label=str):
     row and at most log2|G| rows.  Every other row is composed from rows
     already built, row(a*s) = row(a) o row(s), which assumes only that
     `combine` is associative.  Entries are references to the index ints, so
-    a table costs no int objects beyond its n indices.
+    a table costs no int objects beyond its n indices.  The inverses follow
+    the same steps, inv(a*s) = inv(s) * inv(a), once each generator's is
+    read off its row.
     """
     index = {e: i for i, e in enumerate(elements)}
     n = len(elements)
     rows = [None] * n
     rows[0] = tuple(index.values())
     reached = [0]
+    steps = []  # (c, a, s) with c = a * s, in the order the rows were built
     gens = []  # (generator, row(a) -> row(a * generator))
     for g in range(n):
         if rows[g] is not None:
@@ -415,6 +418,7 @@ def _table_from_elements(elements, combine, label=str):
         x = elements[g]
         rows[g] = tuple([index[combine(x, y)] for y in elements])
         gens.append((g, itemgetter(*rows[g])))
+        steps.append((g, None, None))
         reached.append(g)
         frontier = reached[:]
         while frontier:
@@ -425,11 +429,14 @@ def _table_from_elements(elements, combine, label=str):
                     c = row[s]
                     if rows[c] is None:
                         rows[c] = times_s(row)
+                        steps.append((c, a, s))
                         nxt.append(c)
             reached += nxt
             frontier = nxt
-    mul = tuple(rows)
-    return GroupTable(n, mul, _inverses(mul), tuple(map(label, elements)))
+    inv = [0] * n
+    for c, a, s in steps:
+        inv[c] = rows[c].index(0) if a is None else rows[inv[s]][inv[a]]
+    return GroupTable(n, tuple(rows), tuple(inv), tuple(map(label, elements)))
 
 
 # ---------------------------------------------------------------------------

@@ -160,6 +160,10 @@ def test_verify_rejects_one_perturbed_entry(spec):
         bad = _perturbed(table, r, j, delta)
         if bad.galois_orbits is None:
             match = "^character rows are not closed under the power maps$"
+        elif table.linear_mask[r]:
+            # the linear rows are checked as roots of unity, not by pairs
+            match = f"^linear character {r} is not a root of unity at " \
+                f"class {j}$"
         else:
             match = "row orthogonality"
         with pytest.raises(InternalInconsistency, match=match):
@@ -225,7 +229,8 @@ def test_load_rejects_columns_swapped_off_the_power_maps():
 def test_verify_rejects_a_perturbation_shared_by_a_galois_orbit(spec):
     # Adding 1 at class j to an orbit representative, and at the class
     # carried to j to every other row of its orbit, keeps the rows closed
-    # under the power maps, so only the representatives are checked.
+    # under the power maps, so only the representatives are checked.  A
+    # linear orbit leaves the roots of unity instead.
     from wordcount.errors import InternalInconsistency
     G = groups.parse_builtin_spec(spec)
     table = character_table(G)
@@ -244,14 +249,18 @@ def test_verify_rejects_a_perturbation_shared_by_a_galois_orbit(spec):
         G, table.classes, table.exponent,
         tuple(tuple(row) for row in values), table.degrees)
     assert chartab._orbits(maps, bad.sparse_rows) is not None
-    with pytest.raises(InternalInconsistency, match="row orthogonality"):
+    match = ("^linear character %d is not a root of unity" % r
+             if table.linear_mask[r] else "row orthogonality")
+    with pytest.raises(InternalInconsistency, match=match):
         chartab._verify_table(G, bad)
 
 
 def test_verify_checks_orbit_representatives_against_every_row(monkeypatch):
-    # D200: 53 characters in 11 Galois orbits, so 11 * 53 - 11 * 10 / 2
-    # inner products instead of 53 * 54 / 2 = 1431; the 5 rational rows
-    # pair with one another through the integer kernel, 15 of the 528
+    # D200: 53 characters, 4 linear, and the 49 nonlinear ones in 7 Galois
+    # orbits.  The linear rows are checked as a group of roots of unity, so
+    # 7 * 53 - 7 * 6 / 2 = 350 inner products instead of 53 * 54 / 2 = 1431;
+    # the one rational nonlinear row pairs with itself and the 4 linear
+    # rows through the integer kernel, 5 of the 350
     from wordcount import cyclotomic
     G = groups.builtin("dihedral", 200)
     table = character_table(G)
@@ -265,20 +274,24 @@ def test_verify_checks_orbit_representatives_against_every_row(monkeypatch):
     monkeypatch.setattr(chartab, "integer_class_sum",
                         counted("integer", chartab.integer_class_sum))
     chartab._verify_table(G, table)
-    assert calls == {"cyclotomic": 513, "integer": 15}
+    assert calls == {"cyclotomic": 345, "integer": 5}
 
 
 def _first_failing_pair(table):
-    """The first pair r <= s whose inner product the sparse kernel finds
-    wrong, for a table whose rows are each their own Galois orbit."""
+    """The first pair with a nonlinear row whose inner product the sparse
+    kernel finds wrong, for a table whose rows are each their own Galois
+    orbit: each nonlinear r against every s, less the nonlinear s < r."""
     from wordcount import cyclotomic
     e, n, k = table.exponent, table.group.order, table.num_characters
     rows, conj = table.sparse_rows, table.conjugate_rows
-    for r in range(k):
-        for s in range(r, k):
+    nonlinear = [r for r in range(k) if not table.linear_mask[r]]
+    for r in nonlinear:
+        for s in range(k):
+            if s in nonlinear and s < r:
+                continue
             products = zip(table.classes.sizes, rows[r], conj[s])
             if cyclotomic.rational_sum(e, products) != (n if r == s else 0):
-                return r, s
+                return min(r, s), max(r, s)
     return None
 
 
@@ -286,7 +299,8 @@ def _first_failing_pair(table):
                                   "dihedral(8)", "extraspecial_plus(2)"])
 def test_verify_rejects_a_perturbed_rational_table(spec):
     # Every row is rational, so every pair goes through the integer kernel;
-    # the failure names the same pair the sparse kernel would.
+    # the failure names the same pair the sparse kernel would.  A linear
+    # entry moved by 1 is 0 or 2, which the linear check refuses.
     from wordcount.errors import InternalInconsistency
     G = groups.parse_builtin_spec(spec)
     table = character_table(G)
@@ -294,10 +308,14 @@ def test_verify_rejects_a_perturbed_rational_table(spec):
     k = table.num_characters
     for r, j, delta in [(k - 1, 1, 1), (0, k - 1, 1), (k // 2, k // 2, -1)]:
         bad = _perturbed(table, r, j, delta)
-        pair = _first_failing_pair(bad)
-        assert pair is not None
         with pytest.raises(InternalInconsistency) as info:
             chartab._verify_table(G, bad)
+        if table.linear_mask[r]:
+            assert str(info.value) == \
+                f"linear character {r} is not a root of unity at class {j}"
+            continue
+        pair = _first_failing_pair(bad)
+        assert pair is not None
         assert str(info.value) == \
             "row orthogonality fails for characters %d,%d" % pair
 
@@ -364,7 +382,7 @@ def test_galois_orbits_must_number_the_rational_classes(monkeypatch):
     # without the power maps every character is its own orbit
     monkeypatch.setattr(chartab, "_galois_maps", lambda G: ())
     with pytest.raises(InternalInconsistency, match="5 Galois orbits"):
-        chartab._compute_table(G, classes)
+        chartab._verify_table(G, chartab._compute_table(G, classes))
 
 
 @pytest.mark.parametrize("spec", ["cyclic(1)", "cyclic(30)",
@@ -451,3 +469,130 @@ def test_no_answer_uses_cyclotomic_arithmetic(spec, monkeypatch):
     with pytest.raises(AssertionError, match="arithmetic called"):
         Cyclotomic.root(4) + 1
     assert _answers(spec) == expected
+
+
+def _with_linear_values(table, change):
+    """The table with each linear row's values replaced by change(r, j, v)."""
+    values = tuple(
+        tuple(change(r, j, v) for j, v in enumerate(row))
+        if table.linear_mask[r] else row
+        for r, row in enumerate(table.values))
+    return chartab.CharacterTable(table.group, table.classes, table.exponent,
+                                  values, table.degrees)
+
+
+def test_linear_check_refuses_a_moved_exponent():
+    # S4's linear rows are the trivial one and the sign, and its classes
+    # are all rational, so no power map sees a move.  Sign -1 -> 1 on the
+    # transpositions leaves {1, sign'} a group, whose sum is not 0; sign
+    # -1 -> zeta_12^7 leaves no group.
+    from wordcount.errors import InternalInconsistency
+    G = groups.builtin("symmetric", 4)
+    table = character_table(G)
+    e = table.exponent
+    sign = next(r for r, lin in enumerate(table.linear_mask)
+                if lin and any(v != 1 for v in table.values[r]))
+    trivial = 1 - sign
+    j = next(j for j, v in enumerate(table.values[sign]) if v == -1)
+    for moved, match in [
+            (Cyclotomic.root(e, 0), "row orthogonality fails for characters "
+                                    f"{min(sign, trivial)},{max(sign, trivial)}"),
+            (Cyclotomic.root(e, e // 2 + 1),
+             "linear characters repeat or are not closed under "
+             "products")]:
+        bad = _with_linear_values(
+            table, lambda r, c, v: moved if (r, c) == (sign, j) else v)
+        with pytest.raises(InternalInconsistency, match=f"^{match}$"):
+            chartab._verify_table(G, bad)
+
+
+def test_linear_check_refuses_rows_not_closed_under_products():
+    # EA(2,3): eight classes of size 1, the linear rows the eight +-1
+    # homomorphisms.  Replace one by a +-1 row that also sums to 0 but is no
+    # homomorphism: the rows stay distinct, hold the trivial one and leave
+    # the power maps alone, but are no longer a group.
+    from wordcount.errors import InternalInconsistency
+    G = groups.builtin("elementary_abelian", 2, 3)
+    table = character_table(G)
+    rows = {tuple(v.to_integer() for v in row) for row in table.values}
+    fake = next(row for row in
+                [tuple(1 if (m >> i) & 1 else -1 for i in range(8))
+                 for m in range(256)]
+                if row[0] == 1 and sum(row) == 0 and row not in rows)
+    r = next(r for r, row in enumerate(table.values)
+             if any(v != 1 for v in row))
+    bad = _with_linear_values(
+        table, lambda s, c, v: Cyclotomic.from_rational(2, fake[c])
+        if s == r else v)
+    with pytest.raises(InternalInconsistency,
+                       match="^linear characters repeat or are not closed "
+                             "under products$"):
+        chartab._verify_table(G, bad)
+
+
+@pytest.mark.parametrize("value", [0, 2, Cyclotomic.root(12, 1) + 1])
+def test_linear_check_refuses_a_value_that_is_not_a_root_of_unity(value):
+    # 1 + zeta_12 has absolute value 2 cos(pi/12), so no power of zeta_12
+    from wordcount.errors import InternalInconsistency
+    G = groups.builtin("symmetric", 4)
+    table = character_table(G)
+    value = value if isinstance(value, Cyclotomic) else \
+        Cyclotomic.from_rational(12, value)
+    bad = _with_linear_values(
+        table, lambda r, c, v: value if (r, c) == (0, 2) else v)
+    with pytest.raises(InternalInconsistency,
+                       match="^linear character 0 is not a root of unity "
+                             "at class 2$"):
+        chartab._verify_table(G, bad)
+
+
+@pytest.mark.parametrize("spec", ["cyclic(6)", "dihedral(20)", "agl1(8)",
+                                  "direct_product(symmetric(3),cyclic(4))"])
+def test_linear_check_accepts_another_form_of_a_root_of_unity(spec):
+    # zeta^a written as -zeta^(a + e/2): the exponent is read off the
+    # reduced form, so the table passes and equals the computed one
+    G = groups.parse_builtin_spec(spec)
+    table = character_table(G)
+    e = table.exponent
+    assert e % 2 == 0
+
+    def other_form(r, j, v):
+        a = v.coeffs.index(1)
+        coeffs = [0] * e
+        coeffs[(a + e // 2) % e] = -1
+        return Cyclotomic(e, tuple(coeffs))
+
+    other = _with_linear_values(table, other_form)
+    assert other.sparse_rows != table.sparse_rows
+    chartab._verify_table(G, other)
+    assert other == table
+    assert chartab.load_table(G, chartab.dump_table(other)) == table
+
+
+def test_linear_rows_and_stable_pairings_make_no_cyclotomic_sum(monkeypatch):
+    # Building and checking an abelian table, <zeta^{w_n}, chi> and the
+    # mixed formula on (G, G') are integer sums: the linear rows are
+    # checked as a group, and Galois-stable input pairs with the orbit rows.
+    from wordcount import cyclotomic, verification
+    catalog = [G for _, G in verification.catalog()]
+    tables = {G: character_table(G) for G in catalog}
+
+    def refuse(*args):
+        raise AssertionError("cyclotomic.rational_sum called")
+
+    monkeypatch.setattr(cyclotomic, "rational_sum", refuse)
+    abelian = 0
+    for G in catalog:
+        table = tables[G]
+        if all(table.linear_mask):
+            abelian += 1
+            classes = groups.conjugacy_classes(G)
+            chartab._verify_table(G, chartab._compute_table(G, classes))
+        for n in (2, 3, 4):
+            zeta = formulas.zeta_wn_char(G, table, n)
+            for r in range(table.num_characters):
+                assert chartab.inner_product(table, zeta, r).denominator == 1
+        x1 = words.parse("x1")
+        formulas.zeta_mixed_theorem21(
+            G, groups.commutator_subgroup(G), x1, x1, table)
+    assert abelian == 25

@@ -2,16 +2,18 @@
 per-entry and all-pairs definitions they replace, kept here as references."""
 
 import math
+from fractions import Fraction
 from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wordcount import chartab, formulas, groups
-from wordcount.cyclotomic import Cyclotomic
+from wordcount import (chartab, counting, cyclotomic, formulas, groups,
+                       verification, words)
+from wordcount.cyclotomic import UNIT, Cyclotomic
 from wordcount.cli import main
-from wordcount.errors import NotAGroup, OrderLimitExceeded
+from wordcount.errors import NonIntegral, NotAGroup, OrderLimitExceeded
 
 # ---------------------------------------------------------------------------
 # references: one combine call per Cayley entry, all pairs of elements
@@ -420,10 +422,6 @@ def ref_zeta_chain(G, table, top):
     """[zeta^{w_2}, ..., zeta^{w_top}] values and C^{w_n}(chi) per n and
     character, by the per-character recursion: one cyclotomic sum per
     nonlinear character and one per class at every step."""
-    from fractions import Fraction
-
-    from wordcount import cyclotomic
-    from wordcount.cyclotomic import UNIT
     e, rows = table.exponent, table.sparse_rows
     sizes = table.classes.sizes
     chain, coefficients = [], {}
@@ -463,6 +461,93 @@ def test_orbit_recursion_matches_per_character_recursion(spec):
         assert formulas.zeta_wn_char(G, table, n).values == chain[n - 2], n
         assert [formulas.c_wn(G, table, r, n)
                 for r in range(table.num_characters)] == coefficients[n], n
+
+
+def ref_inner_product(table, phi, psi):
+    """<phi, psi> by one cyclotomic sum over the classes, whatever phi is."""
+    a = chartab._class_terms(table, phi)
+    b = chartab._class_terms(table, psi, conjugate=True)
+    total = cyclotomic.rational_sum(table.exponent,
+                                    zip(table.classes.sizes, a, b))
+    return total / table.group.order
+
+
+def ref_mixed(G, H, w1, w2, table):
+    """Counts of [w1(vars in H), w2(vars in G)] per element: one sparse
+    cyclotomic sum per character for |H| <zeta1 chi, chi>_H, and one
+    rational sum over the characters per class."""
+    zeta1 = counting.zeta_element_counts(
+        G, w1, counting.DomainSpec((H,) * w1.arity))
+    cls, e = table.classes.class_of, table.exponent
+    weights = [0] * table.classes.num_classes
+    for g in H.members:
+        weights[cls[g]] += zeta1[g]
+    scale = G.order ** (w2.arity - 1)
+    scales = [Fraction(scale, d) for d in table.degrees]
+    coefs = [cyclotomic.sparse_product_sum(
+                 e, ((w, norms[j], UNIT) for j, w in enumerate(weights) if w))
+             for norms in table.norm_rows]
+    per_class = [cyclotomic.rational_sum(
+                     e, ((s, c, row[j]) for s, c, row
+                         in zip(scales, coefs, table.sparse_rows)))
+                 for j in range(table.classes.num_classes)]
+    return [per_class[cls[g]] for g in range(G.order)]
+
+
+def _outcome(fn, *args):
+    """fn's value, or NonIntegral's message: an unstable class function
+    can have an irrational inner product with a character."""
+    try:
+        return fn(*args)
+    except NonIntegral as exc:
+        return str(exc)
+
+
+PAIRING_GROUPS = SMALL_BUILTINS + [
+    "dihedral(200)", "agl1(27)", "heisenberg(5)",
+    "direct_product(symmetric(4),quaternion(8))",
+]
+
+
+@pytest.mark.parametrize("spec", PAIRING_GROUPS)
+def test_orbit_pairings_match_cyclotomic_sums(spec, monkeypatch):
+    G = groups.parse_builtin_spec(spec)
+    table = chartab.character_table(G)
+    classes, k = table.classes, table.num_characters
+    zetas = [formulas.zeta_wn_char(G, table, n) for n in (2, 3)]
+    assert all(chartab.galois_stable(table, z.values) for z in zetas)
+    # inputs that fall back to the cyclotomic sum: a character row, and a
+    # class function that differs within a rational class (where one has
+    # several classes)
+    row = table.values[k - 1]
+    by_index = groups.ClassFunction(G, classes, tuple(range(k)))
+    assert not chartab.galois_stable(table, row)
+    split_class = len(groups.rational_classes(G)) < k
+    assert chartab.galois_stable(table, by_index.values) != split_class
+    for phi in zetas + [row, by_index]:
+        for r in range(k):
+            assert _outcome(chartab.inner_product, table, phi, r) == \
+                _outcome(ref_inner_product, table, phi, r)
+    x1, w2 = words.parse("x1"), words.wn(2)
+    cases = [(groups.commutator_subgroup(G), x1), (groups.center(G), x1),
+             (groups.commutator_subgroup(G), w2), (groups.center(G), w2),
+             (groups.subgroup_closure(G, range(G.order)), x1)]
+    for H, w1 in cases:
+        expected = ref_mixed(G, H, w1, x1, table)
+        assert formulas.zeta_mixed_theorem21(G, H, w1, x1, table) == expected
+        # these weights are all Galois-stable; the per-character sums they
+        # would fall back to give the same counts
+        with monkeypatch.context() as m:
+            m.setattr(chartab, "galois_stable", lambda table, values: False)
+            assert formulas.zeta_mixed_theorem21(G, H, w1, x1, table) == \
+                expected
+
+
+@pytest.mark.parametrize("spec", [spec for spec, _ in verification.catalog()]
+                         + ["dihedral(2000)"])
+def test_inverses_from_the_build_match_the_scan(spec):
+    G = groups.parse_builtin_spec(spec)
+    assert G.inv == groups._inverses(G.mul)
 
 
 def test_transposition_is_not_normal_in_s3():
