@@ -24,16 +24,17 @@ through pi_u.  pi_u is a bijection that keeps class sizes, so
 distinct and closed under every pi_u, checking each nonlinear orbit
 representative against every row checks every pair with a nonlinear row.
 
-Rational character sums.  A table keeps each value's nonzero terms, and
-its conjugates and squared norms, computed once per distinct value.  Two
-rows of rational integers pair in the orthogonality check by an integer
-dot product; every other pair goes through the sparse integer kernel in
-`cyclotomic`.  A sum that is rational on each character is constant on
-Galois orbits, so it is summed over the orbits: `orbit_sums` holds, per
-orbit, the integer rows of sum chi(g_j) and sum |chi(g_j)|^2 over the
-orbit, which the w_n recursion reads, and so do `inner_product` and the
-mixed-domain formula for Galois-stable input (rational and constant on
-rational classes); other input to those two goes through the kernel.
+Rational character sums.  A table keeps each value's nonzero terms,
+computed once per distinct value.  Two rows of rational integers pair in
+the orthogonality check by an integer dot product; every other pair goes
+through the Hermitian sparse kernel in `cyclotomic`, which conjugates its
+second operand itself.  A sum that is rational on each character is
+constant on Galois orbits, so it is summed over the orbits: `orbit_sums`
+holds, per orbit, the integer rows of sum chi(g_j) and sum |chi(g_j)|^2
+over the orbit, which the w_n recursion reads, and so do `inner_product`
+and the mixed-domain formula for Galois-stable input (rational and
+constant on rational classes); other input to those two goes through the
+kernel.
 """
 from __future__ import annotations
 
@@ -101,30 +102,6 @@ class CharacterTable:
         memo = {id(v): cyclotomic.terms(e, v) for v in _distinct(self.values)}
         return tuple(tuple([memo[id(v)] for v in row]) for row in self.values)
 
-    def _per_value(self, fn):
-        """fn(terms) for each entry of `sparse_rows`, computed once per
-        distinct value."""
-        memo = {}
-        out = []
-        for row in self.sparse_rows:
-            for t in row:
-                if t not in memo:
-                    memo[t] = fn(t)
-            out.append(tuple([memo[t] for t in row]))
-        return tuple(out)
-
-    @cached_property
-    def conjugate_rows(self):
-        """The terms of each value's complex conjugate."""
-        e = self.exponent
-        return self._per_value(lambda t: cyclotomic.conjugate_terms(e, t))
-
-    @cached_property
-    def norm_rows(self):
-        """The terms of |chi_r(g_j)|^2, per character and class."""
-        e = self.exponent
-        return self._per_value(lambda t: _norm_terms(e, t))
-
     @cached_property
     def galois_orbits(self):
         """`_orbits` of the rows under the power maps: orbit[s] = (r, perm)
@@ -164,9 +141,10 @@ class CharacterTable:
             row = self.sparse_rows[r]
             for t in row:
                 if t not in field_traces:
+                    norm, _ = cyclotomic.product_sum(e, [(1, t, t)])
                     field_traces[t] = (
                         sum([c * tr[i] for i, c in t]),
-                        sum([c * tr[i] for i, c in _norm_terms(e, t)]))
+                        sum(map(mul, norm, tr)))
             out[r] = GaloisOrbit(
                 size,
                 tuple([orbit_sum(size, field_traces[t][0]) for t in row]),
@@ -300,15 +278,6 @@ def _distinct(rows):
     object per distinct value, so memos key on `id` and skip hashing
     length-e coefficient tuples."""
     return {id(v): v for row in rows for v in row}.values()
-
-
-def _norm_terms(e, terms):
-    """The terms of |v|^2 = v * conj(v) for v given by its terms."""
-    acc = [0] * e
-    for i, a in terms:
-        for j, b in terms:
-            acc[(i - j) % e] += a * b
-    return tuple([(m, c) for m, c in enumerate(acc) if c])
 
 
 @lru_cache(maxsize=None)
@@ -700,7 +669,7 @@ def _verify_table(G, table):
             return integer_class_sum(sizes, a, b) == want
         try:
             return cyclotomic.rational_sum(e, zip(
-                sizes, table.sparse_rows[r], table.conjugate_rows[s])) == want
+                sizes, table.sparse_rows[r], table.sparse_rows[s])) == want
         except NonIntegral:
             return False
 
@@ -771,16 +740,13 @@ def _class_values(table, phi):
     return tuple(phi)
 
 
-def _class_terms(table, phi, conjugate=False):
+def _class_terms(table, phi):
     """Per-class kernel terms of a character index, ClassFunction or
-    per-class value sequence, optionally conjugated."""
+    per-class value sequence."""
     if isinstance(phi, int):
-        return (table.conjugate_rows if conjugate else table.sparse_rows)[phi]
+        return table.sparse_rows[phi]
     e = table.exponent
-    out = [cyclotomic.terms(e, v) for v in _class_values(table, phi)]
-    if conjugate:
-        out = [cyclotomic.conjugate_terms(e, t) for t in out]
-    return out
+    return [cyclotomic.terms(e, v) for v in _class_values(table, phi)]
 
 
 def galois_stable(table, values):
@@ -808,7 +774,7 @@ def inner_product(table, phi, psi):
             total = integer_class_sum(table.classes.sizes, phi, orbit.traces)
             return Fraction(total, orbit.size * table.group.order)
     a = _class_terms(table, phi)
-    b = _class_terms(table, psi, conjugate=True)
+    b = _class_terms(table, psi)
     total = cyclotomic.rational_sum(table.exponent,
                                     zip(table.classes.sizes, a, b))
     return total / table.group.order
@@ -818,7 +784,7 @@ def inner_product_on(table, H, phi, psi):
     """Exact <phi, psi>_H, summing over the elements of the subgroup H."""
     groups.require_subgroup_of(table.group, H)
     a = _class_terms(table, phi)
-    b = _class_terms(table, psi, conjugate=True)
+    b = _class_terms(table, psi)
     per_class = Counter(table.classes.class_of[g] for g in H.members)
     total = cyclotomic.rational_sum(
         table.exponent, ((c, a[j], b[j]) for j, c in per_class.items()))

@@ -7,13 +7,15 @@ cyclotomic polynomial, which is the only place the relation between the
 powers of zeta is used.  The reduction touches only the nonzero terms of
 Phi_e (Phi_100 has 5 of its 41).
 
-Character sums whose value is rational (orthogonality checks, inner
-products, the w_n recursion) go through one sparse integer kernel instead
-of `Cyclotomic` arithmetic: each factor is a tuple of its nonzero
-(exponent, coefficient) terms, `product_sum` accumulates a sum of weighted
-products into one plain list of length e (indices taken mod e, so mod
-x^e - 1), with `Fraction` weights scaled once to a common denominator, and
-`rational_sum` reduces that list once modulo Phi_e.
+Character sums are Hermitian inner products sum w * a * conj(b), and
+those whose value is rational (orthogonality checks, inner products, the
+mixed-domain formula) go through one sparse integer kernel instead of
+`Cyclotomic` arithmetic: each factor is a tuple of its nonzero
+(exponent, coefficient) terms, and conj(zeta^j) = zeta^(-j), so
+`product_sum` accumulates zeta^i * conj(zeta^j) at index i - j of one plain
+list of length e (indices taken mod e, so mod x^e - 1), with `Fraction`
+weights scaled once to a common denominator; `rational_sum` reduces that
+list once modulo Phi_e.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .errors import NonIntegral
+from .errors import InternalInconsistency, NonIntegral
 
 
 @lru_cache(maxsize=None)
@@ -42,13 +44,15 @@ def _exact_div(num, den):
     lead = den[-1]
     for i in range(len(out) - 1, -1, -1):
         c = num[i + len(den) - 1]
-        assert c % lead == 0
+        if c % lead:
+            raise InternalInconsistency("inexact polynomial division")
         q = c // lead
         out[i] = q
         if q:
             for j, dj in enumerate(den):
                 num[i + j] -= q * dj
-    assert all(v == 0 for v in num)
+    if any(num):
+        raise InternalInconsistency("polynomial division leaves a remainder")
     return out
 
 
@@ -186,9 +190,6 @@ class Cyclotomic:
 # ---------------------------------------------------------------------------
 # sparse integer kernel for rational character sums
 
-UNIT = ((0, 1),)
-
-
 def terms(order, value):
     """Nonzero (exponent, coefficient) terms of a Cyclotomic, int or Fraction."""
     if isinstance(value, Cyclotomic):
@@ -198,13 +199,9 @@ def terms(order, value):
     return ((0, value),) if value else ()
 
 
-def conjugate_terms(order, ts):
-    """Terms of the complex conjugate: zeta^j -> zeta^(-j)."""
-    return tuple(((-j) % order, c) for j, c in ts)
-
-
 def product_sum(order, products):
-    """Exact sum of w * a * b over (w, a, b), with a and b term tuples.
+    """Exact Hermitian sum of w * a * conj(b) over (w, a, b), with a and b
+    term tuples.
 
     Returns (acc, den): the sum is sum(acc[j] zeta^j) / den, where acc is a
     plain length-order list and den the least common denominator of the
@@ -218,21 +215,13 @@ def product_sum(order, products):
         for i, x in a:
             wx = w * x
             for j, y in b:
-                acc[(i + j) % order] += wx * y
+                acc[(i - j) % order] += wx * y
     return acc, den
 
 
-def sparse_product_sum(order, products):
-    """Terms of product_sum's value; the weights must be integers."""
-    acc, den = product_sum(order, products)
-    if den != 1:
-        raise ValueError("sparse_product_sum needs integer weights")
-    return tuple((j, c) for j, c in enumerate(acc) if c)
-
-
 def rational_sum(order, products):
-    """The rational value of sum(w * a * b) over (w, a, b); NonIntegral if the
-    sum is not rational."""
+    """The rational value of sum(w * a * conj(b)) over (w, a, b); NonIntegral
+    if the sum is not rational."""
     acc, den = product_sum(order, products)
     red = _reduce(order, acc)
     if any(red[1:]):

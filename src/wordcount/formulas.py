@@ -17,7 +17,6 @@ from fractions import Fraction
 from operator import mul
 
 from . import chartab, cyclotomic, groups
-from .cyclotomic import UNIT
 from .errors import (
     InternalInconsistency,
     MismatchedGroup,
@@ -190,8 +189,10 @@ def zeta_mixed_theorem21(G, H, w1, w2, table=None):
     # coefficient of chi: |G|^(m-n-1) / chi(1) * |H| <zeta1 chi, chi>_H, the
     # last factor sum_j w_j |chi(g_j)|^2.  For weights fixed by the power
     # maps it is the same on each Galois orbit O, and rational, so it is
-    # c_O = sum_j w_j N_O(j) / |O| and the orbit adds up to T_O; other
-    # weights are carried as exact cyclotomic terms per character.
+    # c_O = sum_j w_j N_O(j) / |O| and the orbit adds up to T_O; for other
+    # weights it is carried as exact cyclotomic terms per character, and
+    # it is real, so pairing it with the rows through the Hermitian kernel
+    # gives the same rational counts.
     scale = G.order ** (m - w1.arity - 1)
     if chartab.galois_stable(table, weights):
         numerators, den = _orbit_combination(table, {
@@ -200,15 +201,16 @@ def zeta_mixed_theorem21(G, H, w1, w2, table=None):
             for r, orbit in table.orbit_sums.items()})
         per_class = [Fraction(v, den) for v in numerators]
     else:
-        scales = [Fraction(scale, d) for d in table.degrees]
-        coefs = [cyclotomic.sparse_product_sum(
-                     e, ((w, norms[j], UNIT)
-                         for j, w in enumerate(weights) if w))
-                 for norms in table.norm_rows]
         rows = table.sparse_rows
+        coefs = []
+        for d, row in zip(table.degrees, rows):
+            acc, den = cyclotomic.product_sum(
+                e, ((w, row[j], row[j]) for j, w in enumerate(weights) if w))
+            coefs.append((Fraction(scale, d * den),
+                          tuple((i, c) for i, c in enumerate(acc) if c)))
         per_class = [cyclotomic.rational_sum(
                          e, ((s, c, row[j])
-                             for s, c, row in zip(scales, coefs, rows)))
+                             for (s, c), row in zip(coefs, rows)))
                      for j in range(k)]
     if any(v.denominator != 1 or v < 0 for v in per_class):
         raise InternalInconsistency("mixed-domain count is not a natural number")
@@ -239,9 +241,14 @@ def _nonlinear_vanish_off(G, N):
 
 
 def _is_camina_group(G):
-    """True iff (G, G') is a Camina pair, which needs 1 < |G'| < |G|."""
+    """True iff (G, G') is a Camina pair, which needs 1 < |G'| < |G|.
+
+    Every conjugate g^x = g [g, x] lies in gG', so Cl(g) is inside gG' and
+    equals it exactly when |Cl(g)| = |G'|: (G, G') is a Camina pair iff
+    every class outside G' has size |G'|, which `_nonlinear_vanish_off`
+    decides (and it needs |G'| > 1)."""
     derived = groups.commutator_subgroup(G)
-    return 1 < derived.order < G.order and groups.is_camina_pair(G, derived)
+    return derived.order < G.order and _nonlinear_vanish_off(G, derived)
 
 
 def classify(G, table=None):

@@ -41,6 +41,7 @@ from .errors import (
 
 DEFAULT_ORDER_CAP = 20480
 DEFAULT_BUDGET = 2**26   # most assignments brute force may count
+MAX_SPEC_NESTING = 100   # deepest parenthesis nesting of a builtin spec
 
 
 def structure_memo(fn):
@@ -687,8 +688,17 @@ def builtin(family, *params):
 
 
 def parse_builtin_spec(text):
-    """Parse a spec like 'symmetric(3)' or 'direct_product(quaternion(8),cyclic(2))'."""
+    """Parse a spec like 'symmetric(3)' or 'direct_product(quaternion(8),cyclic(2))'.
+
+    Parentheses nesting deeper than MAX_SPEC_NESTING are refused before the
+    recursive descent starts."""
     text = text.strip()
+    depth = 0
+    for pos, ch in enumerate(text):
+        depth += (ch == "(") - (ch == ")")
+        if depth > MAX_SPEC_NESTING:
+            raise UnknownFamily(f"builtin spec nests parentheses more than "
+                                f"{MAX_SPEC_NESTING} deep at position {pos}")
     spec, rest = _parse_spec(text, 0)
     if rest != len(text):
         raise UnknownFamily(f"trailing input in builtin spec: {text[rest:]!r}")

@@ -59,7 +59,8 @@ def check_frobenius_sweep():
     def body(G, table):
         zf = formulas.zeta_w2_frobenius(G, table)
         zb = counting.zeta_brute(G, words.wn(2))
-        assert zf == zb, f"{zf.values} != {zb.values}"
+        if zf != zb:
+            raise AssertionError(f"{zf.values} != {zb.values}")
         return f"|G|={G.order} classes={table.classes.num_classes}"
     return _per_group("frobenius-sweep", body)
 
@@ -69,7 +70,8 @@ def check_chartab_exactness():
     table), the degree checks and the linear-character count, re-verified."""
     def body(G, table):
         chartab._verify_table(G, table)
-        assert sum(d * d for d in table.degrees) == G.order
+        if sum(d * d for d in table.degrees) != G.order:
+            raise AssertionError()
         return f"k={table.num_characters}"
     return _per_group("chartab-orthogonality", body)
 
@@ -81,7 +83,8 @@ def check_recursion_sweep():
         def body(G, table, n=n):
             zc = formulas.zeta_wn_char(G, table, n)
             zb = counting.zeta_brute(G, words.wn(n))
-            assert zc == zb, f"{zc.values} != {zb.values}"
+            if zc != zb:
+                raise AssertionError(f"{zc.values} != {zb.values}")
             return f"n={n}"
         results += _per_group(f"recursion-n{n}", body)
     return results
@@ -95,7 +98,8 @@ def check_first_moment():
             ip = Fraction(sum(s * v for s, v in
                               zip(table.classes.sizes, zeta.values)),
                           G.order)
-            assert ip == G.order ** (n - 2), f"n={n}: {ip}"
+            if ip != G.order ** (n - 2):
+                raise AssertionError(f"n={n}: {ip}")
         return "n=3,4,5"
     return _per_group("first-moment", body)
 
@@ -107,8 +111,8 @@ def check_character_coefficients():
             zeta = formulas.zeta_wn_char(G, table, n)
             for r in range(table.num_characters):
                 ip = chartab.inner_product(table, zeta, r)
-                assert ip.denominator == 1 and ip >= 0, \
-                    f"n={n} chi_{r}: {ip}"
+                if ip.denominator != 1 or ip < 0:
+                    raise AssertionError(f"n={n} chi_{r}: {ip}")
         return "n=2,3"
     return _per_group("char-coefficients", body)
 
@@ -121,7 +125,8 @@ def check_stabilization():
             for r in range(table.num_characters):
                 got = formulas.c_wn(G, table, r, m + 1)
                 want = table.degrees[r] ** 2 * G.order ** (m - 1)
-                assert got == want, f"m={m} chi_{r}: {got} != {want}"
+                if got != want:
+                    raise AssertionError(f"m={m} chi_{r}: {got} != {want}")
         return f"class={c} m={c + 1},{c + 2}"
     return _per_group("stabilization", body, nilpotent_only=True)
 
@@ -140,9 +145,10 @@ def check_gcp_closed_form():
                 closed = formulas.closed_zeta_gcp_center(G, n)
                 char = formulas.zeta_wn_char(G, table, n)
                 brute = counting.zeta_brute(G, words.wn(n))
-                assert closed == char == brute
-                assert closed.at_element(0) == at_one
-                assert closed.at_element(nontrivial) == at_g
+                if not closed == char == brute or \
+                        closed.at_element(0) != at_one or \
+                        closed.at_element(nontrivial) != at_g:
+                    raise AssertionError()
             return "n=2: (40,24); n=3: (512,0)"
         _run(results, "gcp-closed-form", spec, one)
     return results
@@ -159,15 +165,18 @@ def check_unique_nonlinear():
         G = dict(catalog())[spec]
         def one(G=G, pm=pm, c3=c3, at_one=at_one, off=off):
             c, zeta = formulas.unique_nonlinear_recursion(G, 3)
-            assert c == c3, f"C={c}"
+            if c != c3:
+                raise AssertionError(f"C={c}")
             table = chartab.character_table(G)
-            assert zeta == formulas.zeta_wn_char(G, table, 3)
-            assert zeta == counting.zeta_brute(G, words.wn(3))
+            if zeta != formulas.zeta_wn_char(G, table, 3) or \
+                    zeta != counting.zeta_brute(G, words.wn(3)):
+                raise AssertionError()
             inv = formulas.invariants_of(G)
-            assert formulas.appl_identity_value(
-                G.order, inv.derived_order, pm) == at_one
-            assert formulas.appl_offidentity_value(
-                G.order, inv.derived_order, pm, c) == off
+            if formulas.appl_identity_value(
+                    G.order, inv.derived_order, pm) != at_one or \
+                    formulas.appl_offidentity_value(
+                        G.order, inv.derived_order, pm, c) != off:
+                raise AssertionError()
             display = formulas.appl_offidentity_display(
                 G.order, inv.derived_order, pm)
             flagged.append(CheckResult(
@@ -185,9 +194,11 @@ def check_camina3_audit():
     results = []
     def one():
         n2 = formulas.closed_camina3(inv, 2)
-        assert n2 == {"identity": 2560, "inner": 2304, "derived_rest": 1920}
+        if n2 != {"identity": 2560, "inner": 2304, "derived_rest": 1920}:
+            raise AssertionError()
         n3 = formulas.closed_camina3(inv, 3)
-        assert n3 == {"identity": 1359872, "inner": 737280, "derived_rest": 0}
+        if n3 != {"identity": 1359872, "inner": 737280, "derived_rest": 0}:
+            raise AssertionError()
         return "n=2 total 16384; n=3 total 2097152"
     _run(results, "camina3-audit", group, one)
     display = formulas.camina3_identity_display(inv)
@@ -210,12 +221,13 @@ def check_mixed_domain():
         combined = formulas.bracket_word(w1, w2)
         spec = counting.DomainSpec((H, None))
         brute = counting.zeta_element_counts(G, combined, spec)
-        assert got == brute, f"{got} != {brute}"
+        if got != brute:
+            raise AssertionError(f"{got} != {brute}")
         cls = table.classes.class_of
         for h in H.members:
             for g in range(G.order):
-                if cls[g] == cls[h]:
-                    assert got[g] == got[h]
+                if cls[g] == cls[h] and got[g] != got[h]:
+                    raise AssertionError()
         return f"counts={got}"
     _run(results, "mixed-domain", "symmetric(3)/A3", one)
     return results
@@ -232,9 +244,11 @@ def check_isoclinism():
     for name, G, factor in cases:
         def one(G=G, factor=factor):
             witness = isoclinism.find_isoclinism(G, Q8, 1)
-            assert witness is not None, "no witness found"
+            if witness is None:
+                raise AssertionError("no witness found")
             report = isoclinism.verify_scaling(witness)
-            assert report["factor"] == factor, report["factor"]
+            if report["factor"] != factor:
+                raise AssertionError(report["factor"])
             return f"factor={report['factor']} checked={len(report['checked'])}"
         _run(results, "isoclinism-scaling", name, one)
     return results

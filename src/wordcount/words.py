@@ -19,6 +19,7 @@ from .errors import ArityMismatch, ArityTooSmall, EmptyWord, WordSyntaxError
 
 MAX_EXPONENT = 2**31 - 1
 MAX_LETTERS = 2**16   # most letters brackets and powers may expand to
+MAX_NESTING = 100     # deepest nesting of brackets and parentheses
 
 
 class Word(namedtuple("Word", "arity letters")):
@@ -158,7 +159,16 @@ class _Parser:
 
 
 def parse(text):
-    """Parse and reduce a word expression."""
+    """Parse and reduce a word expression.
+
+    Brackets and parentheses nesting deeper than MAX_NESTING are refused
+    before the recursive descent starts."""
+    depth = 0
+    for pos, ch in enumerate(text):
+        depth += (ch in "([") - (ch in ")]")
+        if depth > MAX_NESTING:
+            raise WordSyntaxError(
+                f"brackets nest more than {MAX_NESTING} deep", pos)
     parser = _Parser(text)
     letters = parser.parse_word("")
     parser.skip_ws()

@@ -283,6 +283,39 @@ def test_empty_word_is_a_usage_error(capsys, word):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def _nested_spec(depth):
+    """A builtin spec whose parentheses nest `depth` deep."""
+    spec = "cyclic(1)"
+    for _ in range(depth - 1):
+        spec = f"direct_product({spec},cyclic(1))"
+    return spec
+
+
+def test_deep_nesting_is_a_one_line_usage_error(capsys):
+    word = "(" * 500 + "x1" + ")" * 500
+    code, out, err = run(capsys, "count", "--group", "builtin:cyclic(2)",
+                         "--word", word)
+    assert (code, out) == (2, "")
+    assert err == "error: brackets nest more than 100 deep (at position 100)\n"
+    spec = _nested_spec(1201)
+    code, out, err = run(capsys, "info", "--group", f"builtin:{spec}")
+    assert (code, out) == (2, "")
+    assert err == (f"error: builtin spec nests parentheses more than 100 "
+                   f"deep at position {101 * len('direct_product(') - 1}\n")
+
+
+def test_nesting_up_to_the_bound_parses(capsys):
+    word = "[x1," + "(" * 99 + "x2" + ")" * 99 + "]"
+    code, out, _ = run(capsys, "count", "--group", "builtin:symmetric(3)",
+                       "--word", word)
+    assert (code, out) == run(capsys, "count", "--group",
+                              "builtin:symmetric(3)", "--word", "[x1,x2]")[:2]
+    assert code == 0
+    code, out, _ = run(capsys, "info", "--group",
+                       f"builtin:{_nested_spec(100)}")
+    assert code == 0 and out.startswith("order 1\n")
+
+
 def test_repeated_domain_is_a_usage_error(capsys):
     code, out, err = run(capsys, "count", "--group", "builtin:symmetric(3)",
                          "--word", "[x1,x2]", "--domain", "x1=derived",

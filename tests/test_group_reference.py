@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from wordcount import (chartab, counting, cyclotomic, formulas, groups,
                        verification, words)
-from wordcount.cyclotomic import UNIT, Cyclotomic
+from wordcount.cyclotomic import Cyclotomic
 from wordcount.cli import main
 from wordcount.errors import NonIntegral, NotAGroup, OrderLimitExceeded
 
@@ -375,8 +375,12 @@ def test_linear_rows_are_the_homomorphisms_trivial_on_the_derived_group(spec):
         {tuple(unit[x] for x in row) for row in rows}
 
 
-@pytest.mark.parametrize("spec", SMALL_BUILTINS)
+@pytest.mark.parametrize("spec", SMALL_BUILTINS + [
+    "agl1(27)", "heisenberg(5)", "direct_product(symmetric(4),quaternion(8))",
+    "dihedral(200)",
+])
 def test_camina_group_is_the_pair_with_the_derived_subgroup(spec):
+    # the class-size rule against the coset scan, element by element
     G = groups.parse_builtin_spec(spec)
     derived = groups.commutator_subgroup(G)
     expected = (1 < derived.order < G.order
@@ -418,6 +422,9 @@ def test_class_size_rule_matches_character_values(spec):
     assert report.unique_nonlinear == (table.linear_mask.count(False) == 1)
 
 
+ONE = ((0, 1),)  # the kernel terms of 1: (w, a, ONE) sums w * a
+
+
 def ref_zeta_chain(G, table, top):
     """[zeta^{w_2}, ..., zeta^{w_top}] values and C^{w_n}(chi) per n and
     character, by the per-character recursion: one cyclotomic sum per
@@ -434,7 +441,7 @@ def ref_zeta_chain(G, table, top):
                 c.append(Fraction(G.order ** (n - 2)))
             else:
                 total = cyclotomic.rational_sum(e, (
-                    (size * z, table.norm_rows[r][j], UNIT)
+                    (size * z, rows[r][j], rows[r][j])
                     for j, (size, z) in enumerate(zip(sizes, chain[-1]))
                     if z))
                 c.append(total / G.order)
@@ -442,7 +449,7 @@ def ref_zeta_chain(G, table, top):
         terms = [(G.order * c[r] / table.degrees[r], r)
                  for r in range(table.num_characters)]
         values = [cyclotomic.rational_sum(
-                      e, ((coef, rows[r][j], UNIT) for coef, r in terms))
+                      e, ((coef, rows[r][j], ONE) for coef, r in terms))
                   for j in range(table.classes.num_classes)]
         assert all(v.denominator == 1 and v >= 0 for v in values)
         chain.append(tuple(v.numerator for v in values))
@@ -466,7 +473,7 @@ def test_orbit_recursion_matches_per_character_recursion(spec):
 def ref_inner_product(table, phi, psi):
     """<phi, psi> by one cyclotomic sum over the classes, whatever phi is."""
     a = chartab._class_terms(table, phi)
-    b = chartab._class_terms(table, psi, conjugate=True)
+    b = chartab._class_terms(table, psi)
     total = cyclotomic.rational_sum(table.exponent,
                                     zip(table.classes.sizes, a, b))
     return total / table.group.order
@@ -474,8 +481,8 @@ def ref_inner_product(table, phi, psi):
 
 def ref_mixed(G, H, w1, w2, table):
     """Counts of [w1(vars in H), w2(vars in G)] per element: one sparse
-    cyclotomic sum per character for |H| <zeta1 chi, chi>_H, and one
-    rational sum over the characters per class."""
+    cyclotomic sum per character for |H| <zeta1 chi, chi>_H, which is
+    real, and one rational sum over the characters per class."""
     zeta1 = counting.zeta_element_counts(
         G, w1, counting.DomainSpec((H,) * w1.arity))
     cls, e = table.classes.class_of, table.exponent
@@ -484,11 +491,14 @@ def ref_mixed(G, H, w1, w2, table):
         weights[cls[g]] += zeta1[g]
     scale = G.order ** (w2.arity - 1)
     scales = [Fraction(scale, d) for d in table.degrees]
-    coefs = [cyclotomic.sparse_product_sum(
-                 e, ((w, norms[j], UNIT) for j, w in enumerate(weights) if w))
-             for norms in table.norm_rows]
+    coefs = []
+    for row in table.sparse_rows:
+        acc, den = cyclotomic.product_sum(
+            e, ((w, row[j], row[j]) for j, w in enumerate(weights) if w))
+        assert den == 1
+        coefs.append(tuple((i, c) for i, c in enumerate(acc) if c))
     per_class = [cyclotomic.rational_sum(
-                     e, ((s, c, row[j]) for s, c, row
+                     e, ((s, row[j], c) for s, c, row
                          in zip(scales, coefs, table.sparse_rows)))
                  for j in range(table.classes.num_classes)]
     return [per_class[cls[g]] for g in range(G.order)]

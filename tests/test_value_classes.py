@@ -126,4 +126,4 @@ def test_character_table():
     assert chartab.CharacterTable(**fields) == table
     swapped = dict(fields, values=table.values[::-1])
     assert chartab.CharacterTable(*swapped.values()) != table
-    assert table.norm_rows is table.norm_rows  # cached on the instance
+    assert table.sparse_rows is table.sparse_rows  # cached on the instance
