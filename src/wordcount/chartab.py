@@ -14,6 +14,10 @@ imply the column relations: the table is square, so X D X* = |G| I (D the
 diagonal of class sizes) gives X* X = |G| D^-1.  A failure is a bug, not a
 data condition.
 
+Computed and cached rows alike become a table through `_checked_table`,
+the one constructor: it sorts the rows, reads the degrees off the identity
+class and runs that check, so a cache file loads equal to the computed table.
+
 Galois orbits.  For u prime to the exponent, sigma_u chi = chi o pi_u,
 where pi_u maps the class of g to the class of g^u.  By Brauer's
 permutation lemma the orbits of Irr(G) under these maps are as many as
@@ -51,7 +55,6 @@ from .errors import (
     InternalInconsistency,
     MismatchedGroup,
     NonIntegral,
-    OrderLimitExceeded,
     ParseError,
 )
 from .groups import ClassFunction
@@ -346,18 +349,13 @@ MAX_TABLE_CLASSES = 512
 @groups.structure_memo
 def character_table(G):
     """The exactly verified character table of G."""
-    cap = groups.DEFAULT_ORDER_CAP
-    if G.order > cap:
-        raise OrderLimitExceeded(f"|G| = {G.order} exceeds cap {cap}")
     classes = groups.conjugacy_classes(G)
     k = classes.num_classes
     if k > MAX_TABLE_CLASSES:
         raise BudgetExceeded(
             f"{k} classes exceed the character-table bound "
             f"{MAX_TABLE_CLASSES} (estimated {35 * (k / 503) ** 3:.0f} s)")
-    table = _compute_table(G, classes)
-    _verify_table(G, table)
-    return table
+    return _compute_table(G, classes)
 
 
 @groups.structure_memo
@@ -455,28 +453,37 @@ def _linear_characters(G, classes, e):
 
 def _compute_table(G, classes):
     """Dixon's table: the linear characters read off G/G' as exact roots of
-    unity, and the rest from `_nonlinear_rows`.  The trivial group takes the
-    same path."""
+    unity, and the rest from `_nonlinear_rows`, checked by `_checked_table`.
+    The trivial group takes the same path."""
     e = G.exponent()
     linear = _linear_characters(G, classes, e)
-    units = {}  # l -> (zeta_e^l, its reduced form), for the l that occur
-    for l in {l for row in linear for l in row}:
-        v = Cyclotomic.root(e, l)
-        units[l] = (v, v.reduced())
-    rows = [(1, tuple([units[l][1] for l in row]),
-             tuple([units[l][0] for l in row])) for row in linear]
+    # one value object per root of unity that occurs, shared by the rows
+    units = {l: Cyclotomic.root(e, l)
+             for l in {l for row in linear for l in row}}
+    rows = [tuple([units[l] for l in row]) for row in linear]
     if len(linear) != classes.num_classes:
         rows += _nonlinear_rows(G, classes, e, linear)
-    # canonical ordering: by degree, then by reduced value vectors
-    rows.sort(key=lambda r: r[:2])
-    degrees = tuple(r[0] for r in rows)
-    values = tuple(r[2] for r in rows)
-    return CharacterTable(G, classes, e, values, degrees)
+    return _checked_table(G, classes, e, rows)
+
+
+def _checked_table(G, classes, e, rows):
+    """The verified CharacterTable of the value rows, sorted by their reduced
+    values (the identity's is (chi(1), 0, ...), so by degree first), with
+    the degrees read off the identity class.  Each distinct value is reduced
+    once, for the sort, the degrees and `_verify_table` alike."""
+    reduced = {id(v): v.reduced() for v in _distinct(rows)}
+    rows = tuple(sorted(rows, key=lambda row: [reduced[id(v)] for v in row]))
+    ones = [reduced[id(row[0])] for row in rows]
+    if any(any(one[1:]) for one in ones):
+        raise InternalInconsistency("a character is irrational at 1")
+    table = CharacterTable(G, classes, e, rows, tuple(o[0] for o in ones))
+    _verify_table(G, table, reduced)
+    return table
 
 
 def _nonlinear_rows(G, classes, e, linear):
-    """(degree, reduced values, values) of each nonlinear character, given
-    the linear ones' exponent rows: central characters mod p from the class
+    """The value rows of the nonlinear characters, given the linear ones'
+    exponent rows: central characters mod p from the class
     matrices' common eigenvectors in the span the linear rows leave, then
     one character per Galois orbit lifted once per rational class and
     carried to the rest of its orbit by the power maps."""
@@ -564,8 +571,8 @@ def _nonlinear_rows(G, classes, e, linear):
         inverse_roots[o] = [pow(zinv, i, p) for i in range(o)]
     inv_orders = {o: pow(o, p - 2, p) for o in inverse_roots}
 
-    interned = {}  # coefficients -> (Cyclotomic, reduced), shared by rows
-    lifts = {}  # orbit representative -> (degree, values, reduced values)
+    interned = {}  # coefficients -> Cyclotomic, shared by rows
+    lifts = {}  # orbit representative -> values
     for r, (rep, _) in enumerate(orbit):
         if r != rep:
             continue
@@ -600,19 +607,13 @@ def _nonlinear_rows(G, classes, e, linear):
                         coeffs[t * a % o * step] += mu
                 coeffs = tuple(coeffs)
                 if coeffs not in interned:
-                    v = Cyclotomic(e, coeffs)
-                    interned[coeffs] = (v, v.reduced())
+                    interned[coeffs] = Cyclotomic(e, coeffs)
                 values[c] = interned[coeffs]
-        lifts[r] = (d, [v for v, _ in values], [red for _, red in values])
+        lifts[r] = values
 
     # Row sigma_u chi at class c is row chi at pi_u(c): both are the
     # eigenvalue multiset of rho(g_c^u), so the coefficient tuples agree.
-    rows = []
-    for rep, perm in orbit:
-        d, values, reduced = lifts[rep]
-        rows.append((d, tuple([reduced[c] for c in perm]),
-                     tuple([values[c] for c in perm])))
-    return rows
+    return [tuple([lifts[rep][c] for c in perm]) for rep, perm in orbit]
 
 
 def integer_class_sum(sizes, a, b):
@@ -621,9 +622,10 @@ def integer_class_sum(sizes, a, b):
     return sum(map(mul, sizes, map(mul, a, b)))
 
 
-def _verify_table(G, table):
+def _verify_table(G, table, reduced=None):
     """Degrees, Galois closure, the linear rows, row orthogonality and the
-    linear-character count, exactly.
+    linear-character count, exactly.  `reduced` maps the id of each value
+    to its reduced form; it is computed here when not given.
 
     The rows of a character table are distinct and closed under the power
     maps pi_u (sigma_u chi = chi o pi_u), and by Brauer's permutation lemma
@@ -654,7 +656,8 @@ def _verify_table(G, table):
             f"{sum(is_rep)} Galois orbits of characters but {rational} "
             "rational classes")
 
-    reduced = {id(v): v.reduced() for v in _distinct(table.values)}
+    if reduced is None:
+        reduced = {id(v): v.reduced() for v in _distinct(table.values)}
     _verify_linear_rows(table, [r for r in range(k) if table.linear_mask[r]],
                         reduced)
     integer = {i: None if any(red[1:]) else red[0]
@@ -810,10 +813,11 @@ def dump_table(table):
 
 
 def load_table(G, text):
-    """Rebuild a CharacterTable from cache text (verified on load).
+    """Rebuild a CharacterTable from cache text through `_checked_table`,
+    so it is sorted and verified as a computed table is.
 
     Malformed text raises ParseError; well-formed text that does not hold
-    this group's table raises InternalInconsistency or NonIntegral.
+    this group's table raises InternalInconsistency.
     """
     classes = groups.conjugacy_classes(G)
     lines = [(i, ln.strip()) for i, ln in enumerate(text.splitlines(), 1)
@@ -847,7 +851,4 @@ def load_table(G, text):
             except ValueError:
                 raise ParseError("coefficient is not an integer", lineno)
         values.append(tuple([parsed[chunk] for chunk in chunks]))
-    degrees = tuple(v[0].to_integer() for v in values)
-    table = CharacterTable(G, classes, e, tuple(values), degrees)
-    _verify_table(G, table)
-    return table
+    return _checked_table(G, classes, e, values)

@@ -2,6 +2,9 @@
 
 Exit codes: 0 all checks pass, 1 a computation or verification failed,
 2 usage error.  FLAGGED verification lines never affect the exit code.
+Every error is one stderr line, argparse's own included.  Every integer
+argument is read by `errors.read_ints`: ASCII digits only (an optional '-'
+for options), and no more digits than its bound has.
 
 Each command imports the modules it runs inside its function, and nothing
 but `errors` is imported here: with bytecode caching off, every process
@@ -17,11 +20,16 @@ import os
 import sys
 
 from .errors import (EmptyWord, ParseError, PredicateFailed, UnknownFamily,
-                     UnsupportedParameter, WordcountError, WordSyntaxError)
+                     UnsupportedParameter, WordcountError, WordSyntaxError,
+                     read_ints)
 
 USAGE_ERRORS = (ParseError, WordSyntaxError, EmptyWord, UnknownFamily,
                 UnsupportedParameter)
 MAX_N = 8
+# Digit bounds of `isoclinic --n` (past it, any nontrivial quotient needs
+# more than the search's 2^20 coset tuples) and of `--budget`.
+MAX_LEVEL = 19
+MAX_BUDGET = 2**64
 
 
 def load_group(spec):
@@ -37,18 +45,18 @@ def load_group(spec):
 
 def _parse_domains(entries, G, arity):
     """Build only the subgroups that the entries name."""
-    from . import counting, groups
+    from . import counting, groups, words
 
     domains = [None] * arity
     for entry in entries or ():
         var, _, name = entry.partition("=")
-        if not var.startswith("x") or not var[1:].isdigit() or \
-                name not in ("derived", "center"):
+        if not var.startswith("x") or name not in ("derived", "center"):
             raise UnsupportedParameter(
                 f"domain must look like x1=derived or x1=center, got {entry!r}")
-        i = int(var[1:])
+        (i,) = read_ints([var[1:]], words.MAX_LETTERS, lambda m:
+                         UnsupportedParameter(f"--domain variable: {m}"))
         if not 1 <= i <= arity:
-            raise UnsupportedParameter(f"variable {var} out of range")
+            raise UnsupportedParameter(f"variable x{i} out of range")
         if domains[i - 1] is not None:
             raise UnsupportedParameter(f"variable x{i} has more than one "
                                        "--domain")
@@ -227,10 +235,25 @@ def cmd_isoclinic(args, out):
     return 0
 
 
+class _OneLineParser(argparse.ArgumentParser):
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
+def _number(bound):
+    """argparse type: an integer as `read_ints` reads it, after an optional
+    '-' that the command itself refuses where it must."""
+    def read(text):
+        digits = text.removeprefix("-")
+        (value,) = read_ints([digits], bound, argparse.ArgumentTypeError)
+        return value if digits == text else -value
+    return read
+
+
 def build_parser():
     from .groups import DEFAULT_BUDGET
 
-    parser = argparse.ArgumentParser(
+    parser = _OneLineParser(
         prog="wordcount",
         description="Exact solution counts of commutator word equations "
                     "in finite groups.")
@@ -246,7 +269,8 @@ def build_parser():
                        help="builtin:NAME(args) or file:PATH")
 
     def budget_arg(p):
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+        p.add_argument("--budget", type=_number(MAX_BUDGET),
+                       default=DEFAULT_BUDGET,
                        help="most assignments brute force may count")
 
     p = add("info", cmd_info, help="group structure summary")
@@ -262,7 +286,7 @@ def build_parser():
     budget_arg(p)
     p = add("zeta", cmd_zeta, help="iterated-commutator counts by any method")
     group_arg(p)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_number(MAX_N), required=True)
     p.add_argument("--method", choices=("brute", "char", "closed", "all"),
                    default="all")
     p.add_argument("--format", choices=("table", "csv"), default="table")
@@ -273,7 +297,7 @@ def build_parser():
     p = add("isoclinic", cmd_isoclinic, help="search for an n-isoclinism")
     group_arg(p)
     group_arg(p, "--other")
-    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--n", type=_number(MAX_LEVEL), default=1)
     return parser
 
 

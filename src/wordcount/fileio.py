@@ -4,7 +4,9 @@ Group files are UTF-8 text.  The first non-comment line is either
 `cayley <n>` followed by n rows of n 0-based indices, or `perm <degree> <k>`
 followed by k permutations given as images.  Lines starting with `#` are
 comments.  Cayley input need not put the identity at index 0; it is
-relabeled on load.
+relabeled on load.  Every number is written in ASCII digits, and none may
+have more digits than the order cap, 20480; `cayley <n>` above the cap is
+refused before any row is read.
 
 Only `cached_character_table` needs the table engine, so it imports
 `chartab` itself and reading a group file does not load it.
@@ -16,8 +18,7 @@ import sys
 from pathlib import Path
 
 from . import groups
-from .errors import (InternalInconsistency, NonIntegral, OrderLimitExceeded,
-                     ParseError)
+from .errors import InternalInconsistency, NonIntegral, ParseError, read_ints
 
 CACHE_ENV = "WORDCOUNT_CACHE"
 DEFAULT_CACHE_DIR = ".wordcount-cache"
@@ -39,25 +40,28 @@ def parse_group(text):
     lineno, header = lines[0]
     fields = header.split()
     if fields[0] == "cayley":
-        if len(fields) != 2 or not fields[1].isdigit():
+        if len(fields) != 2:
             raise ParseError("expected 'cayley <n>'", lineno)
-        n = int(fields[1])
-        cap = groups.DEFAULT_ORDER_CAP
-        if n > cap:
-            raise OrderLimitExceeded(f"order {n} exceeds order cap {cap}")
+        (n,) = _ints(fields[1:], lineno, "cayley header")
+        groups.refuse_oversize(n)
         rows = _int_rows(lines[1:], n, n, "cayley row")
         if len(lines) > 1 + n:
             raise ParseError("trailing input", lines[1 + n][0])
         return groups.from_cayley_table(rows)
     if fields[0] == "perm":
-        if len(fields) != 3 or not all(f.isdigit() for f in fields[1:]):
+        if len(fields) != 3:
             raise ParseError("expected 'perm <degree> <k>'", lineno)
-        degree, k = int(fields[1]), int(fields[2])
+        degree, k = _ints(fields[1:], lineno, "perm header")
         rows = _int_rows(lines[1:], k, degree, "permutation")
         if len(lines) > 1 + k:
             raise ParseError("trailing input", lines[1 + k][0])
         return groups.from_permutation_generators(degree, rows)
     raise ParseError(f"unknown header {fields[0]!r}", lineno)
+
+
+def _ints(tokens, lineno, what):
+    return read_ints(tokens, groups.DEFAULT_ORDER_CAP,
+                     lambda message: ParseError(f"{what}: {message}", lineno))
 
 
 def _int_rows(lines, count, width, what):
@@ -67,10 +71,7 @@ def _int_rows(lines, count, width, what):
             raise ParseError(f"expected {count} {what}s, got {i}",
                              lines[-1][0] if lines else 0)
         lineno, line = lines[i]
-        try:
-            row = [int(tok) for tok in line.split()]
-        except ValueError:
-            raise ParseError(f"{what} is not a list of integers", lineno)
+        row = _ints(line.split(), lineno, what)
         if len(row) != width:
             raise ParseError(
                 f"{what} has {len(row)} entries, expected {width}", lineno)

@@ -8,16 +8,20 @@ and `__hash__` are the only place that decides it, so a subgroup or class
 function built over a separately built but equal table is accepted, and
 one over any other table raises `MismatchedGroup`.
 
-Every table built from a group law, quotients included, goes through
+Every table, Cayley input and quotients included, is built by
 `_table_from_elements`, which composes it from the rows of a small
 generating set: only those rows call the law, every other row is a
 composition of rows already built, which assumes only that the law is
-associative.  Structure that depends on the group alone (the generating
-set, classes, rational classes, center, derived subgroup, central
-series, normal subgroups, the character table, the hash) is computed once
-per group object by `structure_memo` and shared by every caller, so
-callers must not mutate it.  Classes, the center, G', the central series and normality come from
-that generating set, not from all pairs of elements.
+associative.  That is the one place a `GroupTable` is constructed.  Every
+constructor refuses an order above DEFAULT_ORDER_CAP before it builds a
+table.
+
+Structure that depends on the group alone (the generating set, classes,
+rational classes, center, derived subgroup, central series, normal
+subgroups, the character table, the hash) is computed once per group
+object by `structure_memo` and shared by every caller, so callers must
+not mutate it.  Classes, the center, G', the central series and
+normality come from that generating set, not from all pairs of elements.
 """
 from __future__ import annotations
 
@@ -37,6 +41,7 @@ from .errors import (
     OrderLimitExceeded,
     UnknownFamily,
     UnsupportedParameter,
+    read_ints,
 )
 
 DEFAULT_ORDER_CAP = 20480
@@ -278,26 +283,28 @@ def whole_subgroup(G):
 
 
 def from_cayley_table(table):
-    """Validate a raw n x n index matrix and wrap it as a GroupTable.
+    """Validate a raw n x n index matrix and build it as a GroupTable.
 
-    The identity need not be at index 0; the table is relabeled if required.
+    The identity need not be at index 0; the table is relabeled if
+    required.  `_table_from_elements` reads its generators' rows off the
+    input and composes the rest.  Light's test over those generators holds
+    exactly when the input is associative, and then the rows composed are
+    the input's.  Equal rows alone would not show it: some non-associative
+    tables of order 6 compose to themselves.
     """
     n = len(table)
     if n == 0:
         raise NotAGroup("empty table")
+    refuse_oversize(n)
+    # Latin square check
+    full = set(range(n))
     for i, row in enumerate(table):
         if len(row) != n:
             raise NotAGroup(f"row {i} has length {len(row)}, expected {n}")
-        for j, v in enumerate(row):
-            if not (0 <= v < n):
-                raise NotAGroup(f"entry ({i},{j}) = {v} out of range 0..{n - 1}")
-
-    # Latin square check
-    full = set(range(n))
-    for i in range(n):
-        if set(table[i]) != full:
+        if set(row) != full:
             raise NotAGroup(f"row {i} is not a permutation of 0..{n - 1}")
-        if {table[j][i] for j in range(n)} != full:
+    for i, column in enumerate(zip(*table)):
+        if set(column) != full:
             raise NotAGroup(f"column {i} is not a permutation of 0..{n - 1}")
 
     # locate two-sided identity
@@ -314,34 +321,10 @@ def from_cayley_table(table):
         pos = {a: i for i, a in enumerate(perm)}
         table = [[pos[table[perm[i]][perm[j]]] for j in range(n)] for i in range(n)]
 
-    mul = tuple(tuple(row) for row in table)
-    G = GroupTable(n, mul, _inverses(mul))
-    _check_associativity(G)
-    return G
-
-
-def _inverses(mul):
-    inv = []
-    for a, row in enumerate(mul):
-        try:
-            b = row.index(0)
-        except ValueError:
-            b = None
-        if b is None or mul[b][a] != 0:
-            raise NotAGroup(f"element {a} has no two-sided inverse")
-        inv.append(b)
-    return tuple(inv)
-
-
-def _check_associativity(G):
-    """Light's test over the generating set.
-
-    The elements g with (x*g)*y = x*(g*y) for all x, y are closed under
-    products, and every element is a product of generators, so checking the
-    generators checks the whole table.  For one g the test is a row
-    identity: row(x*g) = row(x) composed with row(g).
-    """
-    mul = G.mul
+    mul = tuple(map(tuple, table))
+    G = _table_from_elements(range(n), lambda a, b: mul[a][b])
+    # Light's test: the g with (x*g)*y = x*(g*y) for all x, y are closed
+    # under products; for one g it is row(x*g) = row(x) o row(g).
     for g in G.generating_set():
         rg = mul[g]
         times_g = itemgetter(*rg)  # row(x) -> row(x) o row(g)
@@ -352,6 +335,7 @@ def _check_associativity(G):
                 raise NotAGroup(
                     f"associativity fails at ({a},{g},{c}): "
                     f"({a}*{g})*{c} != {a}*({g}*{c})")
+    return G
 
 
 def _compose(p, q):
@@ -444,9 +428,10 @@ def _table_from_elements(elements, combine, label=str):
 # builtin families
 
 
-def _refuse_oversize(base, exp=1):
+def refuse_oversize(base, exp=1):
     """Refuse a group of order base**exp above DEFAULT_ORDER_CAP before
     anything is built, and before a primality test of a huge parameter.
+    Builtins, `from_cayley_table` and the `cayley` file header share it.
 
     The exponent is clipped at the cap's bit length, where base >= 2 is
     already over the cap.  `symmetric` and `agl1` need no check: their
@@ -461,7 +446,7 @@ def _refuse_oversize(base, exp=1):
 def _cyclic(n):
     if n < 1:
         raise UnsupportedParameter("cyclic order must be >= 1")
-    _refuse_oversize(n)
+    refuse_oversize(n)
     return _table_from_elements(list(range(n)), lambda a, b: (a + b) % n)
 
 
@@ -469,7 +454,7 @@ def _dihedral(order):
     # parameter is the group order: rotations r^i and reflections r^i s
     if order < 4 or order % 2:
         raise UnsupportedParameter("dihedral order must be even and >= 4")
-    _refuse_oversize(order)
+    refuse_oversize(order)
     m = order // 2
     elements = [(i, s) for s in (0, 1) for i in range(m)]
 
@@ -487,7 +472,7 @@ def _quaternion(order):
     # generalized quaternion: a of order m = order/2, b^2 = a^(m/2), a^b = a^-1
     if order < 8 or order & (order - 1):
         raise UnsupportedParameter("quaternion order must be a power of 2, >= 8")
-    _refuse_oversize(order)
+    refuse_oversize(order)
     m = order // 2
     elements = [(i, s) for s in (0, 1) for i in range(m)]
 
@@ -510,7 +495,7 @@ def _symmetric(n):
 
 
 def _elementary_abelian(p, k):
-    _refuse_oversize(p, k)
+    refuse_oversize(p, k)
     if not _is_prime(p) or k < 1:
         raise UnsupportedParameter("need a prime p and k >= 1")
     elements = list(itertools.product(range(p), repeat=k))
@@ -522,7 +507,7 @@ def _elementary_abelian(p, k):
 
 
 def _heisenberg(p):
-    _refuse_oversize(p, 3)
+    refuse_oversize(p, 3)
     if not _is_prime(p):
         raise UnsupportedParameter("heisenberg parameter must be prime")
     elements = list(itertools.product(range(p), repeat=3))
@@ -544,7 +529,7 @@ def _extraspecial_plus(p):
 def _extraspecial_minus(p):
     if p == 2:
         return _quaternion(8)
-    _refuse_oversize(p, 3)
+    refuse_oversize(p, 3)
     if not _is_prime(p):
         raise UnsupportedParameter("extraspecial parameter must be prime")
     # exponent p^2 group of order p^3: a of order p^2, b of order p, a^b = a^(1+p)
@@ -647,7 +632,7 @@ def _agl1(q):
 
 
 def direct_product(A, B):
-    _refuse_oversize(A.order * B.order)
+    refuse_oversize(A.order * B.order)
     elements = [(a, b) for a in range(A.order) for b in range(B.order)]
 
     def combine(x, y):
@@ -721,7 +706,9 @@ def _parse_spec(text, i):
             k = j
             while k < len(text) and text[k].isdigit():
                 k += 1
-            args.append(int(text[j:k]))
+            where = f"builtin spec parameter at position {j}"
+            args += read_ints([text[j:k]], DEFAULT_ORDER_CAP,
+                              lambda m: UnknownFamily(f"{where}: {m}"))
             j = k
         else:
             sub, j = _parse_spec(text, j)

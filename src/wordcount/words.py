@@ -7,7 +7,9 @@ Grammar (also the CLI's --word syntax):
           | '(' word ')' | '(' word ')' '^' int
 
 where var is 'x' followed by a positive integer and [u, v] expands to
-u^-1 v^-1 u v.  Words are stored freely reduced; variables must be the
+u^-1 v^-1 u v.  Integers are ASCII digits, an exponent with an optional
+'-'; an index may have at most as many digits as MAX_LETTERS, an exponent
+as MAX_EXPONENT.  Words are stored freely reduced; variables must be the
 contiguous range x1..xn so the arity is unambiguous.
 """
 from __future__ import annotations
@@ -15,7 +17,8 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 
-from .errors import ArityMismatch, ArityTooSmall, EmptyWord, WordSyntaxError
+from .errors import (ArityMismatch, ArityTooSmall, EmptyWord, WordSyntaxError,
+                     read_ints)
 
 MAX_EXPONENT = 2**31 - 1
 MAX_LETTERS = 2**16   # most letters brackets and powers may expand to
@@ -89,17 +92,18 @@ class _Parser:
             self.error(f"expected {ch!r}")
         self.pos += 1
 
-    def parse_int(self):
-        self.skip_ws()
-        start = self.pos
+    def parse_int(self, bound):
+        sign = 1
         if self.peek() == "-":
-            self.pos += 1
+            sign, self.pos = -1, self.pos + 1
+        start = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
-        chunk = self.text[start:self.pos]
-        if not chunk or chunk == "-":
+        if start == self.pos:
             self.error("expected an integer")
-        return int(chunk)
+        (value,) = read_ints([self.text[start:self.pos]], bound,
+                             lambda m: WordSyntaxError(m, start))
+        return sign * value
 
     def check_expansion(self, size):
         if size > MAX_LETTERS:
@@ -123,13 +127,13 @@ class _Parser:
         c = self.peek()
         if c == "x":
             self.pos += 1
-            var = self.parse_int()
+            var = self.parse_int(MAX_LETTERS)
             if var <= 0:
                 self.error("variable index must be positive")
             exp = 1
             if self.peek() == "^":
                 self.pos += 1
-                exp = self.parse_int()
+                exp = self.parse_int(MAX_EXPONENT)
             return [(var, exp)]
         if c == "[":
             self.pos += 1
@@ -150,7 +154,7 @@ class _Parser:
         if self.peek() != "^":
             return letters
         self.pos += 1
-        exp = self.parse_int()
+        exp = self.parse_int(MAX_EXPONENT)
         if exp == 0:
             return []
         self.check_expansion(len(letters) * abs(exp))

@@ -459,3 +459,94 @@ def test_internal_inconsistency_is_one_line(monkeypatch, capsys):
     assert code == 1
     assert err == ("error: InternalInconsistency: central series disagree "
                    "on nilpotency class\n")
+
+
+NINES = "9" * 5000  # past the 4,300 digits int() reads
+
+
+def _run_argv(capsys, argv):
+    """Exit code and streams of cli.main, argparse's own exits included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv, files", [
+    (["info", "--group", f"builtin:cyclic({NINES})"], {}),
+    (["info", "--group", "builtin:cyclic(100000)"], {}),
+    (["count", "--group", "builtin:cyclic(2)", "--word", f"x{NINES}"], {}),
+    (["count", "--group", "builtin:cyclic(2)", "--word", f"x1^{NINES}"], {}),
+    (["count", "--group", "builtin:cyclic(2)", "--word", f"x1^-{NINES}"], {}),
+    (["info", "--group", "file:{g}"], {"g": f"perm 3 {NINES}\n"}),
+    (["info", "--group", "file:{g}"], {"g": f"cayley {NINES}\n"}),
+    (["count", "--group", "builtin:cyclic(2)", "--word", "[x1,x2]",
+      "--domain", f"x{NINES}=derived"], {}),
+    (["zeta", "--group", "builtin:cyclic(2)", "--n", "2", "--budget", NINES],
+     {}),
+    (["isoclinic", "--group", "builtin:cyclic(2)",
+      "--other", "builtin:cyclic(2)", "--n", NINES], {}),
+    (["info", "--group", "builtin:cyclic(٣)"], {}),
+    (["count", "--group", "builtin:cyclic(2)", "--word", "x١"], {}),
+    (["count", "--group", "builtin:cyclic(2)", "--word", "[x1,x2]",
+      "--domain", "x١=derived"], {}),
+    (["zeta", "--group", "builtin:cyclic(2)", "--n", "٣"], {}),
+    (["info", "--group", "file:{g}"], {"g": "cayley 1\n٠\n"}),
+], ids=["spec-nines", "spec-six-digits", "index-nines", "exponent-nines",
+        "negative-exponent-nines", "perm-header-nines", "cayley-header-nines",
+        "domain-nines", "budget-nines", "level-nines", "spec-arabic-digit",
+        "index-arabic-digit", "domain-arabic-digit", "n-arabic-digit",
+        "cayley-entry-arabic-digit"])
+def test_digit_runs_are_one_line_usage_errors(tmp_path, capsys, argv, files):
+    # int() reads Unicode digits and raises ValueError past 4,300 digits;
+    # every integer the CLI reads takes ASCII digits only, no more than its
+    # bound has, and anything else is one usage line
+    paths = {}
+    for name, text in files.items():
+        paths[name] = tmp_path / f"{name}.group"
+        paths[name].write_text(text, encoding="utf-8")
+    argv = [arg.format(**paths) for arg in argv]
+    code, out, err = _run_argv(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err and len(err) < 200
+
+
+@pytest.mark.parametrize("spec", ["symmetric(3)", "dihedral(200)"])
+def test_row_permuted_cache_file_is_the_computed_table(
+        tmp_path, monkeypatch, capsys, spec):
+    # the loaded rows are sorted as computed rows are, so a cache file in
+    # another row order is a hit that prints what the cold run printed
+    monkeypatch.setenv(fileio.CACHE_ENV, str(tmp_path))
+    code, cold, _ = run(capsys, "chartab", "--group", f"builtin:{spec}")
+    assert code == 0
+    (path,) = tmp_path.glob("*.chartab")
+    lines = path.read_text(encoding="utf-8").splitlines()
+    k = int(lines[0].rsplit("=", 1)[1])
+    permuted = "\n".join(lines[:1 + k] + lines[1 + k:][::-1]) + "\n"
+    path.write_text(permuted, encoding="utf-8")
+    G = groups.parse_builtin_spec(spec)
+    assert chartab.load_table(G, permuted) == chartab.character_table(G)
+    monkeypatch.setattr(chartab, "_compute_table", None)  # a hit computes none
+    code, warm, err = run(capsys, "chartab", "--group", f"builtin:{spec}")
+    assert (code, warm, err) == (0, cold, "")
+    assert path.read_text(encoding="utf-8") == permuted
+
+
+def test_cayley_file_relabeled_to_put_the_identity_first(tmp_path, capsys):
+    # S3 with the identity at index 4: elements are labeled by their index
+    # after the identity is moved to 0, the others keeping their order
+    S3 = groups.builtin("symmetric", 3)
+    order = [1, 2, 3, 4, 0, 5]  # position in the file -> index in S3
+    where = {a: i for i, a in enumerate(order)}
+    rows = [[where[S3.mul[a][b]] for b in order] for a in order]
+    path = tmp_path / "s3.group"
+    path.write_text("cayley 6\n" + "".join(
+        " ".join(map(str, row)) + "\n" for row in rows), encoding="utf-8")
+    code, out, err = run(capsys, "count", "--group", f"file:{path}",
+                         "--word", "x1^2")
+    assert (code, err) == (0, "")
+    assert out == "class_rep\tsize\tcount\n0\t1\t4\n3\t2\t1\n1\t3\t0\n"
+    assert fileio.import_group(path).labels == ("0", "1", "2", "3", "4", "5")

@@ -28,6 +28,21 @@ def per_entry_table(elements, combine, label=str):
                              tuple(label(e) for e in elements))
 
 
+def ref_inverses(mul):
+    """Each element's inverse by scanning its row for the identity, and
+    checking that it is two-sided."""
+    inv = []
+    for a, row in enumerate(mul):
+        try:
+            b = row.index(0)
+        except ValueError:
+            b = None
+        if b is None or mul[b][a] != 0:
+            raise NotAGroup(f"element {a} has no two-sided inverse")
+        inv.append(b)
+    return tuple(inv)
+
+
 def ref_quotient(G, N):
     """G/N on the sorted least coset elements, one lookup per entry."""
     coset_rep = [min(G.mul[a][h] for h in N.members) for a in range(G.order)]
@@ -557,7 +572,7 @@ def test_orbit_pairings_match_cyclotomic_sums(spec, monkeypatch):
                          + ["dihedral(2000)"])
 def test_inverses_from_the_build_match_the_scan(spec):
     G = groups.parse_builtin_spec(spec)
-    assert G.inv == groups._inverses(G.mul)
+    assert G.inv == ref_inverses(G.mul)
 
 
 def test_transposition_is_not_normal_in_s3():
@@ -621,11 +636,13 @@ def test_cap_itself_is_allowed(monkeypatch):
 
 
 def test_cli_refuses_oversize_builtin(monkeypatch, capsys):
+    # the largest parameter with as many digits as the cap; one more digit
+    # is a usage error (test_cli.py::test_digit_runs_are_one_line_usage_errors)
     monkeypatch.setattr(groups, "_table_from_elements", _refuse_to_build)
-    assert main(["info", "--group", "builtin:cyclic(100000)"]) == 1
+    assert main(["info", "--group", "builtin:cyclic(99999)"]) == 1
     err = capsys.readouterr().err
     assert err == ("error: OrderLimitExceeded: "
-                   "order 100000 exceeds order cap 20480\n")
+                   "order 99999 exceeds order cap 20480\n")
 
 
 # ---------------------------------------------------------------------------
@@ -667,6 +684,26 @@ def test_octonion_units_are_rejected():
         assert all(sorted(col) == list(range(n)) for col in zip(*table))
         with pytest.raises(NotAGroup, match="associativity fails"):
             groups.from_cayley_table(table)
+
+
+def test_light_test_is_needed_past_the_rows_the_builder_composes():
+    # A non-associative loop of order 6 whose rows the builder composes back
+    # to themselves: the table built from its generators' rows is the input,
+    # so only Light's test over every row refuses it.
+    loop = [[0, 1, 2, 3, 4, 5], [1, 0, 3, 2, 5, 4], [2, 4, 0, 5, 3, 1],
+            [3, 5, 1, 4, 2, 0], [4, 2, 5, 0, 1, 3], [5, 3, 4, 1, 0, 2]]
+    built = groups._table_from_elements(range(6), lambda a, b: loop[a][b])
+    assert built.mul == tuple(map(tuple, loop))
+    assert loop[loop[2][2]][1] != loop[2][loop[2][1]]  # (2*2)*1 != 2*(2*1)
+    with pytest.raises(NotAGroup, match="associativity fails"):
+        groups.from_cayley_table(loop)
+
+
+def test_oversize_cayley_table_is_refused_before_any_row_is_read():
+    # None has no length and no entries: reading any row would raise
+    with pytest.raises(OrderLimitExceeded,
+                       match="^order 20481 exceeds order cap 20480$"):
+        groups.from_cayley_table([None] * 20481)
 
 
 def test_light_test_accepts_groups_of_every_size():
