@@ -166,8 +166,9 @@ def cmd_zeta(args, out):
         elif method == "char":
             zeta = formulas.zeta_wn_char(G, table, args.n)
         else:
+            from . import formulas
             try:
-                zeta = closed_form_zeta(G, table, args.n)
+                zeta = formulas.closed_form_zeta(G, args.n)
             except PredicateFailed:
                 if args.method == "all":
                     continue
@@ -187,20 +188,9 @@ def cmd_zeta(args, out):
 
 
 def closed_form_zeta(G, table, n):
-    """The first closed form whose predicate the group passes.  Every form
-    reads class data only, so `table` is never read."""
+    """`formulas.closed_form_zeta`, which reads no table."""
     from . import formulas
-
-    forms = (formulas.closed_zeta_gcp_center,
-             lambda G, n: formulas.unique_nonlinear_recursion(G, n)[1],
-             formulas.closed_zeta_camina3, formulas.closed_zeta_tower)
-    reasons = []
-    for form in forms:
-        try:
-            return form(G, n)
-        except PredicateFailed as exc:
-            reasons.append(str(exc))
-    raise PredicateFailed("no closed form applies: " + "; ".join(reasons))
+    return formulas.closed_form_zeta(G, n)
 
 
 def cmd_verify(args, out):

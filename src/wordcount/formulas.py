@@ -485,11 +485,24 @@ def unique_nonlinear_recursion(G, n):
     return c, _assemble(G, derived, regions, n)
 
 
-def appl_identity_value(order, derived_order, pm, n=3):
+def closed_form_zeta(G, n):
+    """zeta^{w_n} from the first closed form whose predicate the group
+    passes; PredicateFailed, with every form's reason, if none does."""
+    forms = (closed_zeta_gcp_center,
+             lambda G, n: unique_nonlinear_recursion(G, n)[1],
+             closed_zeta_camina3, closed_zeta_tower)
+    reasons = []
+    for form in forms:
+        try:
+            return form(G, n)
+        except PredicateFailed as exc:
+            reasons.append(str(exc))
+    raise PredicateFailed("no closed form applies: " + "; ".join(reasons))
+
+
+def appl_identity_value(order, derived_order, pm):
     """Identity count for the unique-nonlinear family, from the published
     n=3 scalar form (which is consistent)."""
-    if n != 3:
-        raise PredicateFailed("the scalar display is stated for n = 3")
     v = Fraction(2 * order**3, derived_order) \
         + Fraction(order * order * (pm - 2), pm - 1)
     return _expect_int(v)

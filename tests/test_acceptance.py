@@ -28,13 +28,13 @@ def _report(num, title, results, max_seconds=None, elapsed=None):
 
 def test_criterion_01_frobenius_sweep():
     start = time.perf_counter()
-    results = verification.check_frobenius_sweep()
+    results = verification.check_zeta_sweep((2,))
     _report(1, "frobenius-sweep", results, 10.0, time.perf_counter() - start)
 
 
 def test_criterion_02_recursion_sweep():
     start = time.perf_counter()
-    results = verification.check_recursion_sweep()
+    results = verification.check_zeta_sweep((3, 4, 5))
     _report(2, "recursion-sweep", results, 30.0, time.perf_counter() - start)
 
 

@@ -26,7 +26,7 @@ def off_by_one(G, table, n):
                                 tuple(v + 1 for v in zeta.values))
 
 formulas.zeta_wn_char = off_by_one
-results = verification.check_recursion_sweep()
+results = verification.check_zeta_sweep((3, 4, 5))
 print(json.dumps([sys.flags.optimize, [r.status for r in results],
                   len(verification.catalog())]))
 """
