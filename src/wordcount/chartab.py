@@ -699,7 +699,7 @@ def _verify_linear_rows(table, linear, reduced):
     sum_j |C_j| zeta^l_j = 0 for l != 0.  Then <lambda, mu> is that sum for
     lambda mu^-1, over |G|, so every pair of linear rows is orthogonal."""
     e, sizes = table.exponent, table.classes.sizes
-    power = {Cyclotomic.root(e, l).reduced(): l for l in range(e)}
+    power = {red: l for l, red in enumerate(cyclotomic.reduced_powers(e))}
     exponent = {i: power.get(reduced[i])
                 for i in {id(v) for r in linear for v in table.values[r]}}
     exps = [tuple([exponent[id(v)] for v in table.values[r]]) for r in linear]

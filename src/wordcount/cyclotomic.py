@@ -77,6 +77,24 @@ def _reduce(order, coeffs):
     return tuple(rem[:deg])
 
 
+def reduced_powers(order):
+    """The reduced forms of zeta^0 .. zeta^(order-1), each from the one
+    before by one step of the reduction: shift up by one, then subtract the
+    coefficient that reached x^deg times Phi_order's low terms."""
+    low = _phi_low_terms(order)
+    deg = len(cyclotomic_polynomial(order)) - 1
+    power = [1] + [0] * (deg - 1)
+    out = [tuple(power)]
+    for _ in range(order - 1):
+        top = power[-1]
+        power = [0] + power[:-1]
+        if top:
+            for j, c in low:
+                power[j] -= top * c
+        out.append(tuple(power))
+    return out
+
+
 class Cyclotomic:
     """An element of Q[zeta_order]; character values keep integer coeffs."""
 

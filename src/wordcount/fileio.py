@@ -98,12 +98,9 @@ def cached_character_table(G):
     the table is recomputed and the file rewritten.  A file that cannot be
     written costs one warning line on stderr, and the table is returned.
     """
-    import hashlib
-
     from . import chartab
 
-    key = hashlib.sha256(repr((G.order, G.mul)).encode()).hexdigest()
-    path = cache_dir() / f"{key}.chartab"
+    path = cache_dir() / f"{cache_key(G)}.chartab"
     if path.is_file():
         try:
             return chartab.load_table(G, path.read_text(encoding="utf-8"))
@@ -117,6 +114,25 @@ def cached_character_table(G):
         sys.stderr.write(
             f"warning: table not cached: {type(exc).__name__}: {exc}\n")
     return table
+
+
+def cache_key(G):
+    """The sha256 hex digest of repr((G.order, G.mul)) with every row a
+    tuple, fed to the hash row by row: the same name whether rows are
+    stored as tuples or arrays, without building the whole text."""
+    import hashlib
+
+    n = G.order
+    names = list(map(str, range(n)))
+    comma = "," if n == 1 else ""  # the repr of a 1-tuple: (1, ((0,),))
+    digest = hashlib.sha256(f"({n}, (".encode())
+    sep = ""
+    for row in G.mul:
+        digest.update(
+            f"{sep}({', '.join(map(names.__getitem__, row))}{comma})".encode())
+        sep = ", "
+    digest.update(f"{comma}))".encode())
+    return digest.hexdigest()
 
 
 def _write_atomic(path, text):

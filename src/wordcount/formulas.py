@@ -487,16 +487,19 @@ def unique_nonlinear_recursion(G, n):
 
 def closed_form_zeta(G, n):
     """zeta^{w_n} from the first closed form whose predicate the group
-    passes; PredicateFailed, with every form's reason, if none does."""
-    forms = (closed_zeta_gcp_center,
-             lambda G, n: unique_nonlinear_recursion(G, n)[1],
-             closed_zeta_camina3, closed_zeta_tower)
+    passes; PredicateFailed, with every form's reason after its family's
+    name, if none does."""
+    forms = (("GCP", closed_zeta_gcp_center),
+             ("unique-nonlinear",
+              lambda G, n: unique_nonlinear_recursion(G, n)[1]),
+             ("Camina class-3", closed_zeta_camina3),
+             ("Camina/GCP tower", closed_zeta_tower))
     reasons = []
-    for form in forms:
+    for family, form in forms:
         try:
             return form(G, n)
         except PredicateFailed as exc:
-            reasons.append(str(exc))
+            reasons.append(f"{family}: {exc}")
     raise PredicateFailed("no closed form applies: " + "; ".join(reasons))
 
 

@@ -45,6 +45,10 @@ from .errors import (
 )
 
 DEFAULT_ORDER_CAP = 20480
+# Rows of a table with more elements than this are 2-byte arrays (the cap
+# is below 2**16); smaller tables keep tuple rows, which index faster.
+COMPACT_ROWS_ABOVE = 1024
+LOOSE_ROWS = 64  # most unpacked rows `_table_from_elements` keeps per level
 DEFAULT_BUDGET = 2**26   # most assignments brute force may count
 MAX_SPEC_NESTING = 100   # deepest parenthesis nesting of a builtin spec
 
@@ -63,8 +67,10 @@ def structure_memo(fn):
 class GroupTable:
     """A finite group given by its multiplication table.
 
-    Index 0 is always the identity.  `mul` (a tuple of row tuples) and `inv`
-    are tuples, and no attribute is reassigned after construction.
+    Index 0 is always the identity.  `mul` is a tuple of rows, each a tuple
+    or, above COMPACT_ROWS_ABOVE elements, an `array('H')`; readers only
+    index rows.  `inv` is a tuple, and no attribute is reassigned after
+    construction.
     `structure` holds the results of the `structure_memo` functions for this
     object.  Equality is the group's identity: the same order and
     multiplication table (`inv` follows from `mul`; `labels` and `structure`
@@ -141,7 +147,10 @@ class GroupTable:
 
     @structure_memo
     def __hash__(self):
-        return hash((self.order, self.mul))
+        """The order, the generating set and its rows, which determine the
+        table; equal tables have the same generating set."""
+        gens = self.generating_set()
+        return hash((self.order, gens, tuple(tuple(self.mul[g]) for g in gens)))
 
 
 class Subgroup:
@@ -389,11 +398,22 @@ def _table_from_elements(elements, combine, label=str):
     a table costs no int objects beyond its n indices.  The inverses follow
     the same steps, inv(a*s) = inv(s) * inv(a), once each generator's is
     read off its row.
+
+    Above COMPACT_ROWS_ABOVE elements each row is packed into an
+    `array('H')` once the search has read it as a frontier element, and at
+    once if it was composed from a packed row (its entries are then new int
+    objects) or if LOOSE_ROWS rows of its level wait unpacked already.  So
+    at most 2 * LOOSE_ROWS tuple rows exist at a time, and the composition
+    reads a tuple row wherever one is at hand, which `itemgetter` does
+    about twice as fast.
     """
     index = {e: i for i, e in enumerate(elements)}
     n = len(elements)
+    pack = _row_packer(n) if n > COMPACT_ROWS_ABOVE else None
     rows = [None] * n
     rows[0] = tuple(index.values())
+    if pack:  # 0 * s = s is built before any search reads row 0
+        rows[0] = pack(rows[0])
     reached = [0]
     steps = []  # (c, a, s) with c = a * s, in the order the rows were built
     gens = []  # (generator, row(a) -> row(a * generator))
@@ -410,18 +430,37 @@ def _table_from_elements(elements, combine, label=str):
             nxt = []
             for a in frontier:
                 row = rows[a]
+                loose = pack and type(row) is tuple
                 for s, times_s in gens:
                     c = row[s]
                     if rows[c] is None:
                         rows[c] = times_s(row)
+                        if pack and not (loose and len(nxt) < LOOSE_ROWS):
+                            rows[c] = pack(rows[c])
                         steps.append((c, a, s))
                         nxt.append(c)
+                if loose:
+                    rows[a] = pack(row)
             reached += nxt
             frontier = nxt
     inv = [0] * n
     for c, a, s in steps:
         inv[c] = rows[c].index(0) if a is None else rows[inv[s]][inv[a]]
     return GroupTable(n, tuple(rows), tuple(inv), tuple(map(label, elements)))
+
+
+def _row_packer(n):
+    """row -> the same n entries as an `array('H')`.  One `struct` pack is
+    several times faster than `array('H', row)`; the slice copy drops the
+    over-allocation that building an array from bytes leaves."""
+    from array import array
+    from struct import Struct
+
+    to_bytes = Struct(f"{n}H").pack
+
+    def pack(row):
+        return array("H", to_bytes(*row))[:]
+    return pack
 
 
 # ---------------------------------------------------------------------------

@@ -94,9 +94,10 @@ def test_closed_zeta_refuses_from_the_classes(monkeypatch, capsys):
                          "--n", "3", "--method", "closed")
     assert (code, out) == (1, "")
     assert err == (
-        "error: PredicateFailed: no closed form applies: (G, Z(G)) is not a "
-        "GCP; group has more than one nonlinear character; not a Camina "
-        "group of nilpotency class 3; (G, Z(G)) is not a Camina pair\n")
+        "error: PredicateFailed: no closed form applies: GCP: (G, Z(G)) is "
+        "not a GCP; unique-nonlinear: group has more than one nonlinear "
+        "character; Camina class-3: not a Camina group of nilpotency class "
+        "3; Camina/GCP tower: (G, Z(G)) is not a Camina pair\n")
 
 
 def test_closed_zeta_says_when_there_is_no_nonlinear_character(capsys):
@@ -104,9 +105,10 @@ def test_closed_zeta_says_when_there_is_no_nonlinear_character(capsys):
                          "--n", "3", "--method", "closed")
     assert (code, out) == (1, "")
     assert err == (
-        "error: PredicateFailed: no closed form applies: (G, Z(G)) is not a "
-        "GCP; group has no nonlinear character; not a Camina group of "
-        "nilpotency class 3; (G, Z(G)) is not a Camina pair\n")
+        "error: PredicateFailed: no closed form applies: GCP: (G, Z(G)) is "
+        "not a GCP; unique-nonlinear: group has no nonlinear character; "
+        "Camina class-3: not a Camina group of nilpotency class 3; "
+        "Camina/GCP tower: (G, Z(G)) is not a Camina pair\n")
 
 
 def test_closed_form_zeta_reads_no_table(monkeypatch):

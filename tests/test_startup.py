@@ -67,6 +67,7 @@ def test_brute_force_commands_load_no_table_engine(argv):
     assert {"cli", "groups", "counting", "words"} <= loaded
     assert not loaded & TABLE_ENGINE
     assert not modules & SLOW_STDLIB
+    assert "array" not in modules  # tuple rows below 1025 elements
     if "csv" not in argv:  # only the csv export writes rationals
         assert not modules & {"fractions", "decimal"}
 
