@@ -28,9 +28,10 @@ through pi_u.  pi_u is a bijection that keeps class sizes, so
 distinct and closed under every pi_u, checking each nonlinear orbit
 representative against every row checks every pair with a nonlinear row.
 
-Rational character sums.  A table keeps each value's nonzero terms,
-computed once per distinct value.  Two rows of rational integers pair in
-the orthogonality check by an integer dot product; every other pair goes
+Rational character sums.  A table shares one value object per distinct
+value, and each value keeps its nonzero terms and reduced form, so both
+are computed once per distinct value.  Two rows of rational integers pair
+in the orthogonality check by an integer dot product; every other pair goes
 through the Hermitian sparse kernel in `cyclotomic`, which conjugates its
 second operand itself.  A sum that is rational on each character is
 constant on Galois orbits, so it is summed over the orbits: `orbit_sums`
@@ -101,9 +102,7 @@ class CharacterTable:
     @cached_property
     def sparse_rows(self):
         """Per character and class, the value's nonzero (exponent, coeff) terms."""
-        e = self.exponent
-        memo = {id(v): cyclotomic.terms(e, v) for v in _distinct(self.values)}
-        return tuple(tuple([memo[id(v)] for v in row]) for row in self.values)
+        return tuple(tuple([v.terms for v in row]) for row in self.values)
 
     @cached_property
     def galois_orbits(self):
@@ -274,13 +273,6 @@ def _poly_roots(poly, p):
         if acc == 0:
             roots.append(x)
     return roots
-
-
-def _distinct(rows):
-    """The distinct value objects of rows, each once.  Tables share one
-    object per distinct value, so memos key on `id` and skip hashing
-    length-e coefficient tuples."""
-    return {id(v): v for row in rows for v in row}.values()
 
 
 @lru_cache(maxsize=None)
@@ -469,15 +461,13 @@ def _compute_table(G, classes):
 def _checked_table(G, classes, e, rows):
     """The verified CharacterTable of the value rows, sorted by their reduced
     values (the identity's is (chi(1), 0, ...), so by degree first), with
-    the degrees read off the identity class.  Each distinct value is reduced
-    once, for the sort, the degrees and `_verify_table` alike."""
-    reduced = {id(v): v.reduced() for v in _distinct(rows)}
-    rows = tuple(sorted(rows, key=lambda row: [reduced[id(v)] for v in row]))
-    ones = [reduced[id(row[0])] for row in rows]
+    the degrees read off the identity class."""
+    rows = tuple(sorted(rows, key=lambda row: [v.reduced() for v in row]))
+    ones = [row[0].reduced() for row in rows]
     if any(any(one[1:]) for one in ones):
         raise InternalInconsistency("a character is irrational at 1")
     table = CharacterTable(G, classes, e, rows, tuple(o[0] for o in ones))
-    _verify_table(G, table, reduced)
+    _verify_table(G, table)
     return table
 
 
@@ -622,10 +612,9 @@ def integer_class_sum(sizes, a, b):
     return sum(map(mul, sizes, map(mul, a, b)))
 
 
-def _verify_table(G, table, reduced=None):
+def _verify_table(G, table):
     """Degrees, Galois closure, the linear rows, row orthogonality and the
-    linear-character count, exactly.  `reduced` maps the id of each value
-    to its reduced form; it is computed here when not given.
+    linear-character count, exactly.
 
     The rows of a character table are distinct and closed under the power
     maps pi_u (sigma_u chi = chi o pi_u), and by Brauer's permutation lemma
@@ -656,14 +645,10 @@ def _verify_table(G, table, reduced=None):
             f"{sum(is_rep)} Galois orbits of characters but {rational} "
             "rational classes")
 
-    if reduced is None:
-        reduced = {id(v): v.reduced() for v in _distinct(table.values)}
-    _verify_linear_rows(table, [r for r in range(k) if table.linear_mask[r]],
-                        reduced)
-    integer = {i: None if any(red[1:]) else red[0]
-               for i, red in reduced.items()}
-    int_rows = [[integer[id(v)] for v in row] for row in table.values]
-    int_rows = [None if None in row else row for row in int_rows]
+    _verify_linear_rows(table, [r for r in range(k) if table.linear_mask[r]])
+    int_rows = [[v.reduced() for v in row] for row in table.values]
+    int_rows = [None if any(any(red[1:]) for red in row) else
+                [red[0] for red in row] for row in int_rows]
     nonlinear = [r for r in range(k) if is_rep[r] and not table.linear_mask[r]]
 
     def holds(r, s, want):
@@ -691,18 +676,17 @@ def _verify_table(G, table, reduced=None):
         raise InternalInconsistency("linear character count != |G : G'|")
 
 
-def _verify_linear_rows(table, linear, reduced):
+def _verify_linear_rows(table, linear):
     """The linear rows as a group of roots of unity: each value some
-    zeta_e^l, found by its reduced form (`reduced` maps id(value) to it), so
-    any representation passes; the rows l distinct and equal to the group
-    they generate, grown by one greedily chosen row, a coset at a time; and
-    sum_j |C_j| zeta^l_j = 0 for l != 0.  Then <lambda, mu> is that sum for
-    lambda mu^-1, over |G|, so every pair of linear rows is orthogonal."""
+    zeta_e^l, found by its reduced form, so any representation passes; the
+    rows l distinct and equal to the group they generate, grown by one
+    greedily chosen row, a coset at a time; and sum_j |C_j| zeta^l_j = 0
+    for l != 0.  Then <lambda, mu> is that sum for lambda mu^-1, over |G|,
+    so every pair of linear rows is orthogonal."""
     e, sizes = table.exponent, table.classes.sizes
     power = {red: l for l, red in enumerate(cyclotomic.reduced_powers(e))}
-    exponent = {i: power.get(reduced[i])
-                for i in {id(v) for r in linear for v in table.values[r]}}
-    exps = [tuple([exponent[id(v)] for v in table.values[r]]) for r in linear]
+    exps = [tuple([power.get(v.reduced()) for v in table.values[r]])
+            for r in linear]
     for r, row in zip(linear, exps):
         if None in row:
             raise InternalInconsistency(

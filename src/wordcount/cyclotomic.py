@@ -5,7 +5,9 @@ spanning set 1, zeta, ..., zeta^(e-1); multiplication is cyclic convolution.
 Equality and rational extraction go through reduction modulo the e-th
 cyclotomic polynomial, which is the only place the relation between the
 powers of zeta is used.  The reduction touches only the nonzero terms of
-Phi_e (Phi_100 has 5 of its 41).
+Phi_e (Phi_100 has 5 of its 41).  A value computes its nonzero terms and
+its reduced form on first use and keeps them, so a table that shares one
+object per distinct value reduces each value once.
 
 Character sums are Hermitian inner products sum w * a * conj(b), and
 those whose value is rational (orthogonality checks, inner products, the
@@ -98,15 +100,19 @@ def reduced_powers(order):
 class Cyclotomic:
     """An element of Q[zeta_order]; character values keep integer coeffs."""
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "coeffs", "_terms", "_reduced")
 
     def __init__(self, order, coeffs):
         self.order = order
         self.coeffs = coeffs
+        self._terms = self._reduced = None
 
-    @staticmethod
-    def zero(order):
-        return Cyclotomic(order, (0,) * order)
+    @property
+    def terms(self):
+        """Nonzero (exponent, coefficient) terms, computed on first use."""
+        if self._terms is None:
+            self._terms = tuple((j, c) for j, c in enumerate(self.coeffs) if c)
+        return self._terms
 
     @staticmethod
     def from_rational(order, value):
@@ -173,8 +179,11 @@ class Cyclotomic:
         return Cyclotomic(e, tuple(out))
 
     def reduced(self):
-        """Canonical coefficient tuple in the power basis 1..zeta^(phi(e)-1)."""
-        return _reduce(self.order, self.coeffs)
+        """Canonical coefficient tuple in the power basis 1..zeta^(phi(e)-1),
+        computed on first use."""
+        if self._reduced is None:
+            self._reduced = _reduce(self.order, self.coeffs)
+        return self._reduced
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -194,12 +203,6 @@ class Cyclotomic:
         v = red[0]
         return v if isinstance(v, Fraction) else Fraction(v)
 
-    def to_integer(self):
-        v = self.to_rational()
-        if v.denominator != 1:
-            raise NonIntegral(f"value is not an integer: {v}")
-        return v.numerator
-
     def __repr__(self):
         terms = [f"{a}*z{self.order}^{j}" for j, a in enumerate(self.coeffs) if a]
         return "Cyc(" + (" + ".join(terms) or "0") + ")"
@@ -213,7 +216,7 @@ def terms(order, value):
     if isinstance(value, Cyclotomic):
         if value.order != order:
             raise ValueError("mixed cyclotomic orders")
-        return tuple((j, c) for j, c in enumerate(value.coeffs) if c)
+        return value.terms
     return ((0, value),) if value else ()
 
 

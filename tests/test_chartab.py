@@ -515,7 +515,7 @@ def test_linear_check_refuses_rows_not_closed_under_products():
     from wordcount.errors import InternalInconsistency
     G = groups.builtin("elementary_abelian", 2, 3)
     table = character_table(G)
-    rows = {tuple(v.to_integer() for v in row) for row in table.values}
+    rows = {tuple(v.to_rational() for v in row) for row in table.values}
     fake = next(row for row in
                 [tuple(1 if (m >> i) & 1 else -1 for i in range(8))
                  for m in range(256)]
@@ -597,3 +597,35 @@ def test_linear_rows_and_stable_pairings_make_no_cyclotomic_sum(monkeypatch):
         formulas.zeta_mixed_theorem21(
             G, groups.commutator_subgroup(G), x1, x1, table)
     assert abelian == 25
+
+
+@pytest.mark.parametrize("spec", ["dihedral(200)", "agl1(13)"])
+def test_each_value_object_is_reduced_once(spec, monkeypatch):
+    # Values keep their reduced form and tables share one object per
+    # distinct value, so computing or loading a table reduces each value
+    # object once, plus one sum of class sizes per nontrivial linear row.
+    # The kernel's own reduction of its accumulator is not a value's.
+    import sys
+    from wordcount import cyclotomic
+    reduce, kernel = cyclotomic._reduce, cyclotomic.rational_sum.__code__
+    made = []
+
+    def counted(order, coeffs):
+        if sys._getframe(1).f_code is not kernel:
+            made.append(coeffs)
+        return reduce(order, coeffs)
+
+    monkeypatch.setattr(cyclotomic, "_reduce", counted)
+    G = groups.parse_builtin_spec(spec)
+    classes = groups.conjugacy_classes(G)
+    text = chartab.dump_table(character_table(G))
+    for build in (lambda: chartab._compute_table(G, classes),
+                  lambda: chartab.load_table(G, text)):
+        del made[:]
+        t = build()
+        objects = {id(v): v for row in t.values for v in row}.values()
+        want = len(objects) + sum(t.linear_mask) - 1
+        assert len(made) == want
+        for v in objects:
+            assert v.reduced() is v.reduced() and v.terms is v.terms
+        assert len(made) == want

@@ -49,6 +49,37 @@ def test_zeta_csv(capsys):
     assert out.splitlines()[1].endswith(",1,18,1,2")
 
 
+def test_zeta_paths_that_disagree_exit_1_with_one_line(monkeypatch, capsys):
+    exact = formulas.zeta_wn_char
+
+    def off_by_one(G, table, n):
+        zeta = exact(G, table, n)
+        return groups.ClassFunction(zeta.group, zeta.classes,
+                                    tuple(v + 1 for v in zeta.values))
+
+    monkeypatch.setattr(formulas, "zeta_wn_char", off_by_one)
+    code, out, err = run(capsys, "zeta", "--group", "builtin:symmetric(3)",
+                         "--n", "3", "--method", "all")
+    assert (code, out, err) == (1, "", "methods disagree\n")
+
+
+def test_count_csv(capsys):
+    # a word of arity 1: the probabilities are over |G|^1 assignments
+    code, out, err = run(capsys, "count", "--group", "builtin:symmetric(3)",
+                         "--word", "x1^2", "--format", "csv")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "rep_label,class_size,count,probability_numerator,"
+        "probability_denominator",
+        "(0  1  2),1,4,2,3", "(1  2  0),2,1,1,6", "(0  2  1),3,0,0,1"]
+    # [x1,x2] is w_2, so its export is zeta's
+    code, out, _ = run(capsys, "count", "--group", "builtin:symmetric(3)",
+                       "--word", "[x1,x2]", "--format", "csv")
+    assert code == 0
+    assert run(capsys, "zeta", "--group", "builtin:symmetric(3)", "--n", "2",
+               "--method", "brute", "--format", "csv") == (0, out, "")
+
+
 def test_zeta_brute_builds_no_character_table(monkeypatch, capsys):
     argv = ["zeta", "--group", "builtin:symmetric(4)", "--n", "3"]
     code, all_table, _ = run(capsys, *argv, "--method", "all")

@@ -22,7 +22,7 @@ def test_root_of_unity_relations():
     z = Cyclotomic.root(6)
     assert z * z * z == -1
     assert sum((Cyclotomic.root(6, k) for k in range(6)),
-               Cyclotomic.zero(6)) == 0
+               Cyclotomic(6, (0,) * 6)) == 0
     # primitive cube root inside the 6th cyclotomic field
     w = Cyclotomic.root(6, 2)
     assert w * w + w + 1 == 0
@@ -52,11 +52,10 @@ def test_rational_extraction():
     v = (1 + z + z * z) + 5
     assert not any(v.reduced()[1:])
     assert v.to_rational() == 5
-    assert v.to_integer() == 5
     with pytest.raises(NonIntegral):
         (1 + z).to_rational()
-    with pytest.raises(NonIntegral):
-        Cyclotomic.from_rational(3, Fraction(1, 2)).to_integer()
+    assert Cyclotomic.from_rational(3, Fraction(1, 2)).to_rational() == \
+        Fraction(1, 2)
 
 
 def test_gaussian_integers():
@@ -92,7 +91,7 @@ def test_kernel_matches_dense_arithmetic(e):
         products = [(rng.choice([1, 3, -2, Fraction(1, 3), Fraction(-5, 6)]),
                      _random_terms(rng, e), _random_terms(rng, e))
                     for _ in range(rng.randint(0, 6))]
-        dense = Cyclotomic.zero(e)
+        dense = Cyclotomic(e, (0,) * e)
         for w, a, b in products:
             dense = dense + _dense(e, a) * _dense(e, b).conjugate() * w
         acc, den = cyclotomic.product_sum(e, products)
@@ -108,7 +107,7 @@ def test_kernel_matches_dense_arithmetic(e):
         units = [k for k in range(1, e + 1) if math.gcd(k, e) == 1]
         trace = [(w, _galois(e, a, k), _galois(e, b, k))
                  for k in units for w, a, b in products]
-        want = Cyclotomic.zero(e)
+        want = Cyclotomic(e, (0,) * e)
         for k in units:
             want = want + _dense(e, _galois(e, enumerate(dense.coeffs), k))
         assert cyclotomic.rational_sum(e, trace) == want.to_rational()

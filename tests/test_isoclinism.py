@@ -44,6 +44,40 @@ def test_scaling_with_abelian_factor():
     assert any(v == 96 for _, _, v in report["checked"])
 
 
+def test_search_skips_isomorphisms_that_do_not_carry_commutators(
+        monkeypatch):
+    # D8 x D8 as permutations of 8 points, against the builtin product: the
+    # first isomorphism of the central quotients tried sends two equal
+    # commutators of coset representatives to different ones, so it is
+    # refused before one that is compatible is found.
+    G = groups.from_permutation_generators(8, [
+        (1, 2, 3, 0, 4, 5, 6, 7), (0, 1, 2, 3, 5, 6, 7, 4),
+        (0, 3, 2, 1, 4, 5, 6, 7), (0, 1, 2, 3, 4, 7, 6, 5)])
+    H = groups.parse_builtin_spec("direct_product(dihedral(8),dihedral(8))")
+    isomorphisms = isoclinism._isomorphisms
+    tried = []
+
+    def recorded(A, B):
+        for phi in isomorphisms(A, B):
+            tried.append(phi)
+            yield phi
+
+    monkeypatch.setattr(isoclinism, "_isomorphisms", recorded)
+    w = isoclinism.find_isoclinism(G, H, 1)
+    assert w is not None and len(tried) > 1 and w.phi == tried[-1]
+    QG, projG = groups.quotient(G, groups.zn(G, 1))
+    QH, projH = groups.quotient(H, groups.zn(H, 1))
+    repsG = isoclinism._coset_reps(QG, projG, G.order)
+    repsH = isoclinism._coset_reps(QH, projH, H.order)
+    phi = tried[0]
+    pairs = {(G.commutator(repsG[a], repsG[b]),
+               H.commutator(repsH[phi[a]], repsH[phi[b]]))
+             for a in range(QG.order) for b in range(QG.order)}
+    assert len(pairs) > len({g for g, _ in pairs})  # no map g -> h
+    isoclinism.verify_witness(w)
+    assert isoclinism.verify_scaling(w)["factor"] == 1
+
+
 def test_abelian_factors_generally_isoclinic():
     S3 = groups.builtin("symmetric", 3)
     for spec in ["cyclic(2)", "cyclic(3)", "cyclic(4)"]:
