@@ -68,6 +68,10 @@ class GaloisOrbit(namedtuple("GaloisOrbit", "size traces norms")):
 
     __slots__ = ()
 
+    def norm_sum(self, sizes, values):
+        """sum_j sizes[j] values[j] N_O(j), for integer values."""
+        return integer_class_sum(sizes, values, self.norms)
+
 
 class CharacterTable:
     """Values are character x class; equal tables agree in every field.

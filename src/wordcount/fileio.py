@@ -80,9 +80,11 @@ def _int_rows(lines, count, width, what):
 
 
 def import_group(path):
+    """The group in the file at path.  A path the OS cannot open (a NUL
+    byte in it included) or text that is not UTF-8 is a ParseError."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
         raise ParseError(f"cannot read {path}: {exc}", 0)
     return parse_group(text)
 

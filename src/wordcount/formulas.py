@@ -8,6 +8,10 @@ displays disagree with their own general forms under exact substitution;
 those are resolved in favor of the values that satisfy the forced
 total-mass identity (see FLAG_* below and the `verify` report's FLAGGED
 lines).
+
+The module imports `chartab` and `cyclotomic` only inside the code that
+builds a table or sums over one, so a closed-form request does not
+compile the table engine.
 """
 from __future__ import annotations
 
@@ -16,7 +20,7 @@ from collections import namedtuple
 from fractions import Fraction
 from operator import mul
 
-from . import chartab, cyclotomic, groups
+from . import groups
 from .errors import (
     InternalInconsistency,
     MismatchedGroup,
@@ -108,8 +112,7 @@ def c_wn(G, table, chi, n):
         return Fraction(G.order ** (n - 2))
     orbit = table.orbit_sums[table.galois_orbits[chi][0]]
     zeta_prev = zeta_wn_char(G, table, n - 1).values
-    total = chartab.integer_class_sum(table.classes.sizes, zeta_prev,
-                                      orbit.norms)
+    total = orbit.norm_sum(table.classes.sizes, zeta_prev)
     return Fraction(total, orbit.size * G.order)
 
 
@@ -164,7 +167,7 @@ def zeta_mixed_theorem21(G, H, w1, w2, table=None):
     Returns a per-element integer list over G.  Requires H normal and w2
     measure preserving with respect to G.
     """
-    from . import counting
+    from . import chartab, counting, cyclotomic
 
     groups.require_subgroup_of(G, H)
     if not H.is_normal():
@@ -258,6 +261,7 @@ def classify(G, table=None):
     (G, H) has Z(G) <= H: for z central and outside H, zH in Cl(z) = {z}
     forces H = 1.  That is checked for H = G'."""
     if table is None:
+        from . import chartab
         table = chartab.character_table(G)
     z = groups.center(G)
     derived = groups.commutator_subgroup(G)

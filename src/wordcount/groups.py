@@ -45,6 +45,8 @@ from .errors import (
 )
 
 DEFAULT_ORDER_CAP = 20480
+# Most tuple entries (elements x degree) a permutation closure may hold.
+MAX_PERM_ENTRIES = 2**24
 # Rows of a table with more elements than this are 2-byte arrays (the cap
 # is below 2**16); smaller tables keep tuple rows, which index faster.
 COMPACT_ROWS_ABOVE = 1024
@@ -352,20 +354,49 @@ def _compose(p, q):
     return tuple(map(p.__getitem__, q))
 
 
+def _permutation_order(p):
+    """The lcm of the cycle lengths of the permutation p."""
+    seen = bytearray(len(p))
+    order = 1
+    for start in range(len(p)):
+        length = 0
+        i = start
+        while not seen[i]:
+            seen[i] = 1
+            i = p[i]
+            length += 1
+        if length:
+            order = math.lcm(order, length)
+    return order
+
+
 def from_permutation_generators(degree, gens):
     """Closure of permutation generators, as a GroupTable.
 
     Element 0 is the identity permutation; the rest appear in BFS order,
     which makes the numbering deterministic.  A closure that outgrows
-    DEFAULT_ORDER_CAP is refused as soon as it does, before any table is
-    built.
+    DEFAULT_ORDER_CAP elements, or MAX_PERM_ENTRIES entries over its
+    degree-tuples, is refused as soon as it does, before any table is built,
+    and before the search when one generator's order already does.
     """
+    most = min(DEFAULT_ORDER_CAP, MAX_PERM_ENTRIES // max(degree, 1))
+
+    def refuse(elements):
+        if most == DEFAULT_ORDER_CAP:
+            return OrderLimitExceeded(f"closure exceeds order cap {most}")
+        return OrderLimitExceeded(
+            f"closure of at least {elements} elements x degree {degree} "
+            f"exceeds {MAX_PERM_ENTRIES} permutation entries")
+
     ident = tuple(range(degree))
     checked = []
     for g in gens:
         t = tuple(g)
         if sorted(t) != list(range(degree)):
             raise NotAPermutation(f"{g!r} is not a permutation of 0..{degree - 1}")
+        order = _permutation_order(t)
+        if order > most:
+            raise refuse(order)
         checked.append(t)
 
     elements = [ident]
@@ -377,9 +408,8 @@ def from_permutation_generators(degree, gens):
             for g in checked:
                 q = _compose(p, g)
                 if q not in index:
-                    if len(elements) >= DEFAULT_ORDER_CAP:
-                        raise OrderLimitExceeded("closure exceeds order cap "
-                                                 f"{DEFAULT_ORDER_CAP}")
+                    if len(elements) >= most:
+                        raise refuse(len(elements) + 1)
                     index[q] = len(elements)
                     elements.append(q)
                     nxt.append(q)

@@ -1,6 +1,8 @@
+import gc
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -397,6 +399,27 @@ def test_oversize_cayley_header_is_refused_before_any_row(tmp_path, capsys):
                    "order 20481 exceeds order cap 20480\n")
 
 
+def test_nul_byte_in_a_file_path_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "info", "--group", "file:a\0b")
+    assert (code, out) == (2, "")
+    assert err == "error: line 0: cannot read a\0b: embedded null byte\n"
+
+
+def test_perm_file_past_the_entry_bound_is_refused_in_under_a_second(
+        tmp_path, capsys):
+    # one 20480-cycle: its closure would hold 20480 tuples of 20480 entries
+    path = tmp_path / "cycle.group"
+    path.write_text("perm 20480 1\n" + " ".join(
+        map(str, [*range(1, 20480), 0])) + "\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "info", "--group", f"file:{path}")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert err == ("error: OrderLimitExceeded: closure of at least 20480 "
+                   "elements x degree 20480 exceeds 16777216 permutation "
+                   "entries\n")
+
+
 def test_non_utf8_group_file_is_a_usage_error(tmp_path, capsys):
     path = tmp_path / "latin1.group"
     path.write_bytes(b"# caf\xe9\ncayley 1\n0\n")
@@ -416,6 +439,64 @@ def test_unwritable_cache_directory_is_one_line(tmp_path, monkeypatch, capsys):
         groups.builtin("symmetric", 3))))
     assert err == (f"warning: table not cached: NotADirectoryError: "
                    f"[Errno 20] Not a directory: '{blocker / 'x'}'\n")
+
+
+def _process_env():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    env.pop("PYTHONUNBUFFERED", None)  # buffered stdout is flushed at exit
+    return env
+
+
+def test_process_exit_runs_atexit_handlers_on_a_frozen_heap(tmp_path):
+    # `run` freezes the heap and returns, so shutdown still runs atexit
+    # handlers (os._exit would skip them) but not full collections
+    code = ("import atexit, gc, runpy, sys\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+            "sys.argv = ['wordcount', 'zeta', '--group', "
+            "'builtin:symmetric(3)', '--n', '2']\n"
+            "runpy.run_module('wordcount.cli', run_name='__main__')\n")
+    done = subprocess.run([sys.executable, "-c", code], env=_process_env(),
+                          cwd=tmp_path, capture_output=True, text=True,
+                          timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines()[-1] == "frozen True"
+
+
+def _process(tmp_path, argv):
+    """(exit code, stdout, stderr) of `python -m wordcount.cli argv`, its
+    buffered stdout redirected to a file."""
+    path = tmp_path / "stdout"
+    with path.open("w") as out:
+        done = subprocess.run([sys.executable, "-m", "wordcount.cli", *argv],
+                              stdout=out, stderr=subprocess.PIPE,
+                              env=_process_env(), cwd=tmp_path, text=True,
+                              timeout=60)
+    return done.returncode, path.read_text(), done.stderr
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["zeta", "--group", "builtin:symmetric(3)", "--n", "3",
+      "--method", "all"], 0),
+    (["count", "--group", "builtin:symmetric(3)", "--word", "[x1,x2]",
+      "--format", "csv"], 0),
+    (["zeta", "--group", "builtin:symmetric(3)", "--n", "2",
+      "--method", "brute", "--budget", "1"], 1),
+    (["info", "--group", "builtin:nonesuch(3)"], 2),
+    (["zeta", "--group", "builtin:symmetric(3)"], 2),
+], ids=["zeta-all", "count-csv", "over-budget", "bad-spec", "argparse"])
+def test_process_prints_what_main_prints(tmp_path, capsys, argv, code):
+    expected = _run_argv(capsys, argv)
+    assert expected[0] == code
+    assert expected[2].count("\n") == (1 if code else 0)
+    assert _process(tmp_path, argv) == expected
+
+
+def test_main_freezes_nothing(capsys):
+    frozen = gc.get_freeze_count()
+    assert run(capsys, "zeta", "--group", "builtin:symmetric(3)",
+               "--n", "2")[0] == 0
+    assert gc.get_freeze_count() == frozen
 
 
 def test_closed_stdout_is_one_line(tmp_path):

@@ -1,25 +1,29 @@
 """Seeded grammar fuzz of the command line.
 
 Arguments are drawn from the word grammar (with `--domain`), the builtin
-group spec grammar and the numeric options of `count`, `zeta` and
-`isoclinic`, then one of them may be mutated: truncated, given a digit run
-past int()'s 4,300 digits, nested past 100, given Unicode digits, a NUL byte
-or a stray comma.  Each command line runs through `cli.main` in process.
-Whatever the input, the exit code is 0, 1 or 2, no exception escapes, and
-an error is one stderr line; the one exit 1 without it is `isoclinic`'s
-`not isoclinic` answer on stdout.  Groups have order at most 24 and
-`--budget` is at most 10^4, so each command line is cheap.
+group spec grammar, group files with `cayley` and `perm` headers, and the
+numeric options of `count`, `zeta` and `isoclinic`, then one of them may be
+mutated: truncated, given a digit run past int()'s 4,300 digits, nested past
+100, given Unicode digits, a NUL byte or a stray comma.  A group file's text
+may be mutated too: a line dropped or repeated, an entry swapped or
+replaced, a header number changed, or a byte that is not UTF-8.  Each
+command line runs through `cli.main` in process.  Whatever the input, the
+exit code is 0, 1 or 2, no exception escapes, and an error is one stderr
+line; the one exit 1 without it is `isoclinic`'s `not isoclinic` answer on
+stdout.  Groups have order at most 24 and `--budget` is at most 10^4, so
+each command line is cheap.
 """
 import contextlib
 import io
 import os
 import tempfile
+from pathlib import Path
 from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wordcount import cli
+from wordcount import cli, groups
 
 def mostly(valid, other):
     """Draws from `valid` about twice as often as from `other`."""
@@ -44,7 +48,52 @@ PRODUCT = st.builds(
                      "elementary_abelian(2,2)"]),
     st.sampled_from(["cyclic(5)", "cyclic(6)", "symmetric(3)",
                      "dihedral(6)"]))
-GROUP = st.one_of(LEAF, PRODUCT).map(lambda spec: "builtin:" + spec)
+BUILTIN = st.one_of(LEAF, PRODUCT).map(lambda spec: "builtin:" + spec)
+
+
+def _lines(header, rows):
+    return [header] + [" ".join(map(str, row)) for row in rows]
+
+
+# group files of order at most 24, as lists of lines
+CAYLEY_FILE = st.sampled_from([
+    _lines(f"cayley {G.order}", G.mul) for G in (
+        groups.builtin(name, n) for name, n in (
+            ("cyclic", 1), ("cyclic", 5), ("symmetric", 3),
+            ("dihedral", 8), ("quaternion", 8), ("agl1", 4)))])
+PERM_FILE = st.integers(0, 4).flatmap(lambda degree: st.lists(
+    st.permutations(range(degree)), max_size=3).map(
+        lambda gens: _lines(f"perm {degree} {len(gens)}", gens)))
+
+
+@st.composite
+def group_files(draw):
+    """(text as bytes) of a group file, perhaps mutated."""
+    lines = list(draw(st.one_of(CAYLEY_FILE, PERM_FILE)))
+    at = draw(st.integers(0, len(lines) - 1))
+    kind = draw(mostly(st.just("none"), st.sampled_from(
+        ["drop", "repeat", "swap", "entry", "header", "comment", "latin1"])))
+    fields = lines[at].split()
+    if kind == "drop":
+        del lines[at]
+    elif kind == "repeat":
+        lines.insert(at, lines[at])
+    elif kind == "swap" and len(fields) > 1:
+        fields[0], fields[-1] = fields[-1], fields[0]
+        lines[at] = " ".join(fields)
+    elif kind == "entry" and fields:
+        fields[-1] = draw(st.sampled_from(["x", "-1", "24", "٣", "9" * 4301]))
+        lines[at] = " ".join(fields)
+    elif kind == "header":
+        fields = lines[0].split()
+        fields[draw(st.integers(1, len(fields) - 1))] = draw(
+            st.sampled_from(["0", "2", "7", "20481"]))
+        lines[0] = " ".join(fields)
+    elif kind == "comment":
+        lines.insert(at, "# a comment")
+    text = "\n".join(lines).encode() + b"\n"
+    return b"# caf\xe9\n" + text if kind == "latin1" else text
+
 
 VAR = st.sampled_from(["x1", "x1", "x2"])
 EXPONENT = st.integers(-2, 3).map(str)
@@ -65,10 +114,20 @@ FORMAT = st.sampled_from(["table", "csv"])
 
 @st.composite
 def command_lines(draw):
-    """(argv, index of the value that a mutation may change)."""
+    """(argv, index of the value that a mutation may change, {file name:
+    bytes} of the group files that argv names relative to its directory)."""
+    files = {}
+
+    def group():
+        if draw(st.integers(0, 2)):  # a builtin spec twice as often
+            return draw(BUILTIN)
+        name = f"g{len(files)}.group"
+        files[name] = draw(group_files())
+        return f"file:{name}"
+
     command = draw(st.sampled_from(
         ["count", "zeta", "isoclinic", "info", "chartab"]))
-    argv = [command, "--group", draw(GROUP)]
+    argv = [command, "--group", group()]
     if command == "count":
         argv += ["--word", draw(WORD)]
         for domain in draw(st.lists(DOMAIN, max_size=1)):
@@ -81,10 +140,10 @@ def command_lines(draw):
                      ["brute", "char", "closed", "all"])),
                  "--format", draw(FORMAT), "--budget", draw(BUDGET)]
     elif command == "isoclinic":
-        argv += ["--other", draw(GROUP),
+        argv += ["--other", group(),
                  "--n", str(draw(mostly(st.integers(1, 3),
                                         st.integers(-1, 99))))]
-    return argv, draw(st.sampled_from(range(2, len(argv), 2)))
+    return argv, draw(st.sampled_from(range(2, len(argv), 2))), files
 
 
 def _digits(text, draw):
@@ -100,7 +159,7 @@ def _digits(text, draw):
 
 @st.composite
 def mutated(draw):
-    argv, i = draw(command_lines())
+    argv, i, files = draw(command_lines())
     value = argv[i]
     at = draw(st.integers(0, len(value)))
     kind = draw(mostly(st.just("none"), st.sampled_from(
@@ -120,25 +179,35 @@ def mutated(draw):
     elif kind == "comma":
         value = value[:at] + "," + value[at:]
     argv[i] = value
-    return argv
+    return argv, files
 
 
-def _run(argv, cache):
+def _run(argv, directory):
+    """cli.main(argv) run in directory, which also holds the table cache."""
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch.dict(os.environ, {"WORDCOUNT_CACHE": cache}), \
-            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:  # argparse's own refusals
-            code = exc.code
+    cwd = os.getcwd()
+    os.chdir(directory)
+    try:
+        with mock.patch.dict(os.environ, {"WORDCOUNT_CACHE": "cache"}), \
+                contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse's own refusals
+                code = exc.code
+    finally:
+        os.chdir(cwd)
     return code, out.getvalue(), err.getvalue()
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
 @given(mutated())
-def test_every_command_line_exits_cleanly(argv):
-    with tempfile.TemporaryDirectory() as cache:
-        code, out, err = _run(argv, cache)
+def test_every_command_line_exits_cleanly(case):
+    argv, files = case
+    with tempfile.TemporaryDirectory() as directory:
+        for name, data in files.items():
+            Path(directory, name).write_bytes(data)
+        code, out, err = _run(argv, directory)
     assert code in (0, 1, 2), (argv, code, err)
     if code == 0:
         assert err == "", argv

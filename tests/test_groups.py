@@ -86,6 +86,22 @@ def test_permutation_generators():
         groups.from_permutation_generators(8, [swap, cycle])
 
 
+def test_permutation_closure_entry_bound(monkeypatch):
+    # S4 on 4 points holds 24 x 4 = 96 entries; the bound is inclusive
+    swap, cycle = [1, 0, 2, 3], [1, 2, 3, 0]
+    monkeypatch.setattr(groups, "MAX_PERM_ENTRIES", 96)
+    assert groups.from_permutation_generators(4, [swap, cycle]).order == 24
+    monkeypatch.setattr(groups, "MAX_PERM_ENTRIES", 95)
+    with pytest.raises(OrderLimitExceeded, match="closure of at least 24 "
+                       "elements x degree 4 exceeds 95 permutation entries"):
+        groups.from_permutation_generators(4, [swap, cycle])
+    # a generator whose order alone passes the bound is refused unsearched
+    monkeypatch.setattr(groups, "MAX_PERM_ENTRIES", 15)
+    with pytest.raises(OrderLimitExceeded, match="closure of at least 4 "
+                       "elements x degree 4 exceeds 15"):
+        groups.from_permutation_generators(4, [swap, cycle])
+
+
 def test_conjugacy_classes_ordering():
     S3 = groups.builtin("symmetric", 3)
     classes = groups.conjugacy_classes(S3)
