@@ -15,7 +15,7 @@ _EXPORTS = {
     "chartab": ("CharacterTable", "character_table", "inner_product",
                 "inner_product_on"),
     "counting": ("DomainSpec", "is_measure_preserving", "nilpotency_degree",
-                 "probability", "zeta_brute", "zeta_element_counts"),
+                 "zeta_brute", "zeta_element_counts"),
     "cyclotomic": ("Cyclotomic",),
     "errors": ("WordcountError",),
     "formulas": ("CaminaInvariants", "GroupClassReport", "c_wn", "classify",

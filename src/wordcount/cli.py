@@ -71,12 +71,28 @@ def _parse_domains(entries, G, arity):
     return counting.DomainSpec(tuple(domains))
 
 
-def _print_class_table(G, classes, columns, out):
+def _print_class_values(columns, n, fmt, out):
+    """Print whole-group answers, each a (name, ClassFunction) pair on the
+    same classes: the class table with one column per answer, or the first
+    answer as CSV with its probability over the |G|^n assignments."""
+    G, classes = columns[0][1].group, columns[0][1].classes
+    if fmt == "csv":
+        from fractions import Fraction
+
+        values, denom = columns[0][1].values, G.order ** n
+        out.write("rep_label,class_size,count,probability_numerator,"
+                  "probability_denominator\n")
+        for m in range(classes.num_classes):
+            prob = Fraction(int(values[m]), denom)
+            label = str(G.label(classes.reps[m])).replace(",", " ")
+            out.write(f"{label},{classes.sizes[m]},{values[m]},"
+                      f"{prob.numerator},{prob.denominator}\n")
+        return
     headers = ["class_rep", "size"] + [name for name, _ in columns]
     out.write("\t".join(headers) + "\n")
     for m in range(classes.num_classes):
         row = [str(G.label(classes.reps[m])), str(classes.sizes[m])]
-        row += [str(values[m]) for _, values in columns]
+        row += [str(zeta.values[m]) for _, zeta in columns]
         out.write("\t".join(row) + "\n")
 
 
@@ -133,11 +149,8 @@ def cmd_count(args, out):
     domains = _parse_domains(args.domain, G, word.arity)
     if domains.all_whole():
         result = counting.zeta_brute(G, word, budget=args.budget)
-        if args.format == "csv":
-            counting.export_csv(G, result.classes, result, word.arity, out)
-        else:
-            _print_class_table(G, result.classes,
-                               [("count", result.values)], out)
+        _print_class_values([("count", result)], word.arity, args.format,
+                            out)
     else:
         counts = counting.zeta_element_counts(G, word, domains,
                                               budget=args.budget)
@@ -148,8 +161,6 @@ def cmd_count(args, out):
 
 
 def cmd_zeta(args, out):
-    from . import groups
-
     if not 2 <= args.n <= MAX_N:
         raise UnsupportedParameter(f"--n must be in 2..{MAX_N}")
     _check_budget(args)
@@ -159,7 +170,6 @@ def cmd_zeta(args, out):
     if "brute" in methods:  # refuse before building classes or a table
         from . import counting, words
         counting.require_budget(G.order ** args.n, args.budget)
-    classes = groups.conjugacy_classes(G)
     table = None
     if "char" in methods:
         from . import chartab, formulas
@@ -183,13 +193,7 @@ def cmd_zeta(args, out):
     if len({zeta.values for _, zeta in columns}) != 1:
         sys.stderr.write("methods disagree\n")
         return 1
-    if args.format == "csv":
-        from . import counting
-        counting.export_csv(G, classes, columns[0][1], args.n, out)
-    else:
-        _print_class_table(
-            G, classes,
-            [(name, zeta.values) for name, zeta in columns], out)
+    _print_class_values(columns, args.n, args.format, out)
     return 0
 
 

@@ -156,16 +156,6 @@ def is_measure_preserving(G, word, budget=DEFAULT_BUDGET):
     return all(c == expected for c in counts)
 
 
-def probability(zeta, n):
-    """The distribution P(g) = zeta(g) / |G|^n as exact rationals."""
-    from fractions import Fraction
-
-    denom = zeta.group.order ** n
-    return ClassFunction(
-        zeta.group, zeta.classes,
-        tuple(Fraction(v, denom) for v in zeta.values))
-
-
 def nilpotency_degree(G, n, budget=DEFAULT_BUDGET):
     """Probability that a random left-normed n-fold commutator is trivial."""
     from fractions import Fraction
@@ -175,17 +165,3 @@ def nilpotency_degree(G, n, budget=DEFAULT_BUDGET):
     zeta = zeta_brute(G, wn(n), budget=budget)
     return Fraction(zeta.values[0], G.order ** n)
 
-
-def export_csv(G, classes, counts, n, stream):
-    """One row per class: rep label, size, count, probability num/den."""
-    from fractions import Fraction
-
-    denom = G.order ** n
-    per_class = counts.values
-    stream.write("rep_label,class_size,count,probability_numerator,"
-                 "probability_denominator\n")
-    for m in range(classes.num_classes):
-        prob = Fraction(int(per_class[m]), denom)
-        label = str(G.label(classes.reps[m])).replace(",", " ")
-        stream.write(f"{label},{classes.sizes[m]},{per_class[m]},"
-                     f"{prob.numerator},{prob.denominator}\n")

@@ -951,13 +951,18 @@ def nilpotency_class(G):
 
 
 def zn(G, n):
-    """Z_n(G); the series is extended by its stable tail for large n."""
+    """Z_n(G), n >= 0; the series is extended by its stable tail for large
+    n."""
+    if n < 0:
+        raise UnsupportedParameter(f"Z_n needs n >= 0, got n = {n}")
     series = upper_central_series(G)
     return series[min(n, len(series) - 1)]
 
 
 def gamma(G, i):
     """gamma_i(G), i >= 1; stable tail for large i."""
+    if i < 1:
+        raise UnsupportedParameter(f"gamma_i needs i >= 1, got i = {i}")
     series = lower_central_series(G)
     return series[min(i - 1, len(series) - 1)]
 

@@ -9,7 +9,6 @@ word scale by (|G|/|H|)^(n+1) along psi.
 """
 from __future__ import annotations
 
-import itertools
 from collections import namedtuple
 from fractions import Fraction
 
@@ -30,20 +29,31 @@ class IsoclinismWitness(namedtuple("IsoclinismWitness", (
     __slots__ = ()
 
 
-def _coset_reps(Q, proj, order):
-    reps = [None] * Q.order
-    for g in range(order):
-        q = proj[g]
-        if reps[q] is None:
-            reps[q] = g
-    return reps
+def _commutator_table(X, n):
+    """X/Z_n(X), and the left-normed commutator of the least representatives
+    of each (n+1)-tuple of its cosets, as one flat list in
+    `itertools.product` order."""
+    Q, proj = groups.quotient(X, groups.zn(X, n))
+    reps = []
+    for g, q in enumerate(proj):  # cosets are numbered by least element
+        if q == len(reps):
+            reps.append(g)
+    table = reps
+    for _ in range(n):
+        table = [X.commutator(a, r) for a in table for r in reps]
+    return Q, table
 
 
-def _left_normed(G, elements):
-    acc = elements[0]
-    for g in elements[1:]:
-        acc = G.commutator(acc, g)
-    return acc
+def _image_positions(phi, length):
+    """For each `length`-tuple of cosets in product order, the position of
+    its phi-image in the same order.  Only the shorter prefixes are listed
+    and the rest is generated, so a caller that stops at the first mismatch
+    builds little more than it reads."""
+    m = len(phi)
+    prefixes = [0]
+    for _ in range(length - 1):
+        prefixes = [p * m + x for p in prefixes for x in phi]
+    return (p * m + x for p in prefixes for x in phi)
 
 
 def _close_partial(partial, A, B):
@@ -119,22 +129,12 @@ def find_isoclinism(G, H, n):
     if count > TUPLE_BOUND:
         raise SearchBoundExceeded(
             f"{count} tuples of coset representatives exceed {TUPLE_BOUND}")
-    QG, projG = groups.quotient(G, ZG)
-    QH, projH = groups.quotient(H, ZH)
-    repsG = _coset_reps(QG, projG, G.order)
-    repsH = _coset_reps(QH, projH, H.order)
-
-    tuples = list(itertools.product(range(QG.order), repeat=n + 1))
+    QG, tableG = _commutator_table(G, n)
+    QH, tableH = _commutator_table(H, n)
     for phi in _isomorphisms(QG, QH):
         psi = {0: 0}
-        ok = True
-        for t in tuples:
-            a = _left_normed(G, [repsG[q] for q in t])
-            b = _left_normed(H, [repsH[phi[q]] for q in t])
-            if psi.setdefault(a, b) != b:
-                ok = False
-                break
-        if not ok:
+        if any(psi.setdefault(a, tableH[p]) != tableH[p]
+               for a, p in zip(tableG, _image_positions(phi, n + 1))):
             continue
         psi = _close_partial(psi, G, H)
         if psi is None or len(psi) != gammaG.order:
@@ -151,10 +151,9 @@ def find_isoclinism(G, H, n):
 def verify_witness(w):
     """Independently re-check all three conditions of the definition."""
     G, H, n = w.G, w.H, w.n
-    ZG, ZH = groups.zn(G, n), groups.zn(H, n)
     gammaG, gammaH = groups.gamma(G, n + 1), groups.gamma(H, n + 1)
-    QG, projG = groups.quotient(G, ZG)
-    QH, projH = groups.quotient(H, ZH)
+    QG, tableG = _commutator_table(G, n)
+    QH, tableH = _commutator_table(H, n)
     if QG != w.quotient_G or QH != w.quotient_H:
         raise WitnessInvalid("witness quotients do not match the groups")
     phi, psi = w.phi, w.psi
@@ -172,13 +171,8 @@ def verify_witness(w):
         for b in gammaG.members:
             if psi[G.mul[a][b]] != H.mul[psi[a]][psi[b]]:
                 raise WitnessInvalid("psi is not a homomorphism")
-    repsG = _coset_reps(QG, projG, G.order)
-    repsH = _coset_reps(QH, projH, H.order)
-
-    for t in itertools.product(range(QG.order), repeat=n + 1):
-        a = _left_normed(G, [repsG[q] for q in t])
-        b = _left_normed(H, [repsH[phi[q]] for q in t])
-        if psi[a] != b:
+    for a, p in zip(tableG, _image_positions(phi, n + 1)):
+        if psi[a] != tableH[p]:
             raise WitnessInvalid("psi is not compatible with phi")
 
 

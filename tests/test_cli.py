@@ -82,6 +82,29 @@ def test_count_csv(capsys):
                "--method", "brute", "--format", "csv") == (0, out, "")
 
 
+
+def test_zeta_all_csv_prints_the_first_column_only(capsys):
+    code, out, err = run(capsys, "zeta", "--group", "builtin:dihedral(8)",
+                         "--n", "3", "--method", "all", "--format", "csv")
+    assert (code, err) == (0, "")
+    assert out == (
+        "rep_label,class_size,count,probability_numerator,"
+        "probability_denominator\n"
+        "r0,1,512,1,1\nr2,1,0,0,1\nr1,2,0,0,1\nr0s,2,0,0,1\nr1s,2,0,0,1\n")
+
+
+def test_count_csv_of_a_three_variable_word(capsys):
+    # probabilities over the 24^3 assignments
+    code, out, err = run(capsys, "count", "--group", "builtin:symmetric(4)",
+                         "--word", "[[x1,x2],x3]", "--format", "csv")
+    assert (code, err) == (0, "")
+    assert out == (
+        "rep_label,class_size,count,probability_numerator,"
+        "probability_denominator\n"
+        "(0  1  2  3),1,5088,53,144\n(1  0  3  2),3,1760,55,432\n"
+        "(0  1  3  2),6,0,0,1\n(1  2  3  0),6,0,0,1\n"
+        "(0  2  3  1),8,432,1,32\n")
+
 def test_zeta_brute_builds_no_character_table(monkeypatch, capsys):
     argv = ["zeta", "--group", "builtin:symmetric(4)", "--n", "3"]
     code, all_table, _ = run(capsys, *argv, "--method", "all")

@@ -1,4 +1,3 @@
-import io
 import itertools
 import re
 from fractions import Fraction
@@ -59,28 +58,11 @@ def test_is_measure_preserving():
     assert not counting.is_measure_preserving(S3, words.wn(2))
 
 
-def test_probability_and_nilpotency_degree():
+def test_nilpotency_degree():
     S3 = groups.builtin("symmetric", 3)
-    zeta = counting.zeta_brute(S3, words.wn(2))
-    prob = counting.probability(zeta, 2)
-    assert prob.values[0] == Fraction(1, 2)
-    assert sum(s * v for s, v in zip(prob.classes.sizes, prob.values)) == 1
     assert counting.nilpotency_degree(S3, 2) == Fraction(1, 2)
     assert counting.nilpotency_degree(S3, 3) == Fraction(3, 4)
     assert counting.nilpotency_degree(groups.builtin("cyclic", 5), 4) == 1
-
-
-def test_csv_export():
-    S3 = groups.builtin("symmetric", 3)
-    classes = groups.conjugacy_classes(S3)
-    zeta = counting.zeta_brute(S3, words.wn(2), classes=classes)
-    out = io.StringIO()
-    counting.export_csv(S3, classes, zeta, 2, out)
-    lines = out.getvalue().splitlines()
-    assert lines[0] == ("rep_label,class_size,count,"
-                        "probability_numerator,probability_denominator")
-    assert len(lines) == 4
-    assert lines[1].endswith(",1,18,1,2")
 
 
 # ---------------------------------------------------------------------------

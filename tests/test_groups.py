@@ -123,6 +123,19 @@ def test_central_series_and_nilpotency():
     assert groups.nilpotency_class(groups.builtin("cyclic", 1)) == 0
 
 
+def test_series_levels_below_their_range_are_refused():
+    D16, S4 = groups.builtin("dihedral", 16), groups.builtin("symmetric", 4)
+    with pytest.raises(UnsupportedParameter, match="got i = 0"):
+        groups.gamma(D16, 0)
+    with pytest.raises(UnsupportedParameter, match="got n = -1"):
+        groups.zn(D16, -1)
+    with pytest.raises(UnsupportedParameter, match="got i = -3"):
+        groups.gamma(S4, -3)
+    for G in (D16, S4):
+        assert groups.gamma(G, 1) == groups.whole_subgroup(G)
+        assert groups.zn(G, 0) == groups.trivial_subgroup(G)
+
+
 def test_quotient():
     D8 = groups.builtin("dihedral", 8)
     Z = groups.center(D8)

@@ -44,16 +44,21 @@ def test_scaling_with_abelian_factor():
     assert any(v == 96 for _, _, v in report["checked"])
 
 
-def test_search_skips_isomorphisms_that_do_not_carry_commutators(
-        monkeypatch):
-    # D8 x D8 as permutations of 8 points, against the builtin product: the
-    # first isomorphism of the central quotients tried sends two equal
-    # commutators of coset representatives to different ones, so it is
-    # refused before one that is compatible is found.
+def d8_squared_pair():
+    """D8 x D8 as permutations of 8 points, and the builtin product: the
+    first isomorphism of their central quotients that the search tries
+    sends two equal commutators of coset representatives to different
+    ones."""
     G = groups.from_permutation_generators(8, [
         (1, 2, 3, 0, 4, 5, 6, 7), (0, 1, 2, 3, 5, 6, 7, 4),
         (0, 3, 2, 1, 4, 5, 6, 7), (0, 1, 2, 3, 4, 7, 6, 5)])
     H = groups.parse_builtin_spec("direct_product(dihedral(8),dihedral(8))")
+    return G, H
+
+
+def test_search_skips_isomorphisms_that_do_not_carry_commutators(
+        monkeypatch):
+    G, H = d8_squared_pair()
     isomorphisms = isoclinism._isomorphisms
     tried = []
 
@@ -65,17 +70,57 @@ def test_search_skips_isomorphisms_that_do_not_carry_commutators(
     monkeypatch.setattr(isoclinism, "_isomorphisms", recorded)
     w = isoclinism.find_isoclinism(G, H, 1)
     assert w is not None and len(tried) > 1 and w.phi == tried[-1]
-    QG, projG = groups.quotient(G, groups.zn(G, 1))
-    QH, projH = groups.quotient(H, groups.zn(H, 1))
-    repsG = isoclinism._coset_reps(QG, projG, G.order)
-    repsH = isoclinism._coset_reps(QH, projH, H.order)
-    phi = tried[0]
-    pairs = {(G.commutator(repsG[a], repsG[b]),
-               H.commutator(repsH[phi[a]], repsH[phi[b]]))
-             for a in range(QG.order) for b in range(QG.order)}
+    QG, tableG = isoclinism._commutator_table(G, 1)
+    QH, tableH = isoclinism._commutator_table(H, 1)
+    m, phi = QG.order, tried[0]
+    pairs = {(tableG[a * m + b], tableH[phi[a] * m + phi[b]])
+             for a in range(m) for b in range(m)}
     assert len(pairs) > len({g for g, _ in pairs})  # no map g -> h
     isoclinism.verify_witness(w)
     assert isoclinism.verify_scaling(w)["factor"] == 1
+
+
+def test_commutator_table_reads_least_coset_representatives():
+    G, _ = d8_squared_pair()
+    for n in (1, 2):
+        Q, proj = groups.quotient(G, groups.zn(G, n))
+        reps = [min(g for g in range(G.order) if proj[g] == q)
+                for q in range(Q.order)]
+        expected = reps
+        for _ in range(n):
+            expected = [G.commutator(a, r) for a in expected for r in reps]
+        assert isoclinism._commutator_table(G, n) == (Q, expected)
+
+
+def test_search_builds_each_commutator_table_once(monkeypatch):
+    """Trying the failing isomorphism five times costs no more commutators
+    than trying it once."""
+    isomorphisms = isoclinism._isomorphisms
+    commutator = groups.GroupTable.commutator
+    calls = []
+
+    def counted(self, a, b):
+        calls.append(1)
+        return commutator(self, a, b)
+
+    def commutators_with_first_repeated(k):
+        def repeated(A, B):
+            phis = isomorphisms(A, B)
+            first = next(phis)
+            yield from [first] * k
+            yield from phis
+
+        G, H = d8_squared_pair()  # fresh groups: no memoized structure
+        monkeypatch.setattr(isoclinism, "_isomorphisms", repeated)
+        calls.clear()
+        w = isoclinism.find_isoclinism(G, H, 1)
+        assert w is not None and w.phi != next(isomorphisms(
+            w.quotient_G, w.quotient_H))
+        return len(calls)
+
+    monkeypatch.setattr(groups.GroupTable, "commutator", counted)
+    assert commutators_with_first_repeated(1) == \
+        commutators_with_first_repeated(5)
 
 
 def test_abelian_factors_generally_isoclinic():

@@ -110,6 +110,49 @@ def test_no_command_loads_dataclasses_or_inspect(argv, tmp_path):
     assert not loaded & SLOW_STDLIB
 
 
+COMMANDS = {
+    "count": ("count", "--group", "builtin:symmetric(4)", "--word", "[x1,x2]"),
+    "zeta-brute": ("zeta", "--group", "builtin:symmetric(4)", "--n", "3",
+                   "--method", "brute"),
+    "zeta-char": ("zeta", "--group", "builtin:symmetric(4)", "--n", "3",
+                  "--method", "char"),
+    "zeta-closed": ("zeta", "--group", "builtin:quaternion(8)", "--n", "3",
+                    "--method", "closed"),
+    "zeta-all": ("zeta", "--group", "builtin:symmetric(4)", "--n", "3"),
+    "info": ("info", "--group", "builtin:symmetric(4)"),
+    "chartab": ("chartab", "--group", "builtin:symmetric(4)"),
+    "verify": ("verify", "--suite", "isoclinism"),
+    "isoclinic": ("isoclinic", "--group", "builtin:dihedral(8)",
+                  "--other", "builtin:quaternion(8)"),
+}
+
+
+def source_lines(modules):
+    """Lines of package source a process compiles for these submodules,
+    the package's `__init__` included."""
+    return sum(len((ROOT / "src" / "wordcount" / f"{name}.py").read_text(
+        encoding="utf-8").splitlines()) for name in modules | {"__init__"})
+
+
+def test_compiled_lines_per_command(tmp_path):
+    """The package source each command compiles with bytecode caching off.
+    README lists these sums as a snapshot; this test checks only the module
+    sets README states."""
+    loaded = {name: package_modules(modules_after(
+        cli_call(*argv), WORDCOUNT_CACHE=str(tmp_path)))
+        for name, argv in COMMANDS.items()}
+    lines = {name: source_lines(modules) for name, modules in loaded.items()}
+    brute = {"cli", "errors", "groups", "words", "counting"}
+    assert loaded["count"] == loaded["zeta-brute"] == brute
+    for name in ("zeta-char", "zeta-closed", "info"):
+        assert not loaded[name] & {"counting", "words"}, name
+    assert loaded["zeta-char"] - loaded["zeta-closed"] == {"chartab",
+                                                           "cyclotomic"}
+    assert loaded["zeta-all"] == loaded["zeta-char"] | brute
+    assert lines["count"] < lines["zeta-closed"] < lines["zeta-char"] \
+        < lines["zeta-all"]
+
+
 def test_no_module_loads_dataclasses_or_inspect():
     names = sorted(p.stem for p in (ROOT / "src" / "wordcount").glob("*.py")
                    if p.stem != "__init__")
