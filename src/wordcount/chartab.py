@@ -47,7 +47,8 @@ import math
 from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from operator import mul
+from itertools import repeat
+from operator import itemgetter, mul
 
 from . import cyclotomic, groups
 from .cyclotomic import Cyclotomic
@@ -163,6 +164,16 @@ class CharacterTable:
                 raise InternalInconsistency(
                     "Galois orbit sums fail column orthogonality")
         return out
+
+    @cached_property
+    def rational_class_getters(self):
+        """Two `itemgetter`s over the same positions: every class, and the
+        first class of its rational class.  Values are constant on the
+        rational classes exactly when both give the same tuple."""
+        pairs = [(c, rc.first) for rc in groups.rational_classes(self.group)
+                 for c, _ in rc.generators]
+        return (itemgetter(*[c for c, _ in pairs]),
+                itemgetter(*[first for _, first in pairs]))
 
     @cached_property
     def zeta_chain(self):
@@ -743,11 +754,11 @@ def _class_terms(table, phi):
 def galois_stable(table, values):
     """True iff the per-class values are rational (int or Fraction) and
     constant on each rational class, so fixed by every Galois map."""
-    return len(values) == table.classes.num_classes and all(
-        isinstance(v, (int, Fraction)) for v in values) and all(
-        values[c] == values[rc.first]
-        for rc in groups.rational_classes(table.group)
-        for c, _ in rc.generators)
+    if len(values) != table.classes.num_classes or not all(
+            map(isinstance, values, repeat((int, Fraction)))):
+        return False
+    classes, firsts = table.rational_class_getters
+    return classes(values) == firsts(values)
 
 
 def inner_product(table, phi, psi):

@@ -169,7 +169,9 @@ def cmd_zeta(args, out):
         else [args.method]
     if "brute" in methods:  # refuse before building classes or a table
         from . import counting, words
-        counting.require_budget(G.order ** args.n, args.budget)
+        counting.require_budget(
+            (G.order // len(counting.central_elements(G))) ** args.n,
+            args.budget)
     table = None
     if "char" in methods:
         from . import chartab, formulas

@@ -7,11 +7,21 @@ constants interleaved with the letters of the variables not yet fixed,
 fixing a variable folds its letters into the neighbouring constants, and
 assignments of the fixed variables that leave the same constants are
 merged and carried on as one state with a multiplicity.  Variables are
-fixed in order of falling occurrence count.  Only associativity of the
-table is used, which `groups.from_cayley_table` checks.
+fixed in order of falling occurrence count.
+
+Central elements factor out first.  For z central, x_v -> x_v z
+multiplies the word's value by z^e_v, e_v the exponent sum of x_v.  So each
+variable runs over a transversal of Z_v = Z(G) & D_v in its domain D_v, and
+the counts are then convolved with the image of the uniform measure on each
+Z_v under z -> z^e_v, which is a factor |Z_v| when e_v = 0, as for every
+variable of a commutator word.  Z(G) comes from a scan of its own, not from
+`groups.center`, so a fault there cannot bias brute force and the closed
+forms together.  Beyond that only associativity of the table is used,
+which `groups.from_cayley_table` checks.
 """
 from __future__ import annotations
 
+import math
 from collections import Counter, namedtuple
 
 from . import groups
@@ -50,6 +60,35 @@ def require_budget(assignments, budget):
             f"{assignments} assignments exceed budget {budget}")
 
 
+@groups.structure_memo
+def central_elements(G):
+    """The z with z s = s z for every generator s of G, in rising order."""
+    mul = G.mul
+    rows = [(s, mul[s]) for s in G.generating_set()]
+    return tuple([z for z in range(G.order)
+                  if all(mul[z][s] == row[z] for s, row in rows)])
+
+
+def _transversal(G, members, central):
+    """The least element of each coset of the central elements `central`
+    in the sorted `members`, so the identity comes first."""
+    if len(central) == 1:
+        return members
+    covered = bytearray(G.order)
+    reps = []
+    if G.order > groups.COMPACT_ROWS_ABOVE:
+        # a 2-byte array like the table's rows: no int object per entry
+        from array import array
+        reps = array("H")
+    for a in members:
+        if not covered[a]:
+            reps.append(a)
+            row = G.mul[a]
+            for z in central:
+                covered[row[z]] = 1
+    return reps
+
+
 def zeta_element_counts(G, word, domains=None, budget=DEFAULT_BUDGET):
     """Raw per-element fiber counts as a length-|G| integer list."""
     if domains is None:
@@ -58,16 +97,51 @@ def zeta_element_counts(G, word, domains=None, budget=DEFAULT_BUDGET):
         raise MismatchedGroup(
             f"domain spec has {len(domains.domains)} entries for arity {word.arity}")
     member_lists = domains.member_lists(G)
-    total = 1
-    for lst in member_lists:
-        total *= len(lst)
-    require_budget(total, budget)
+    central = central_elements(G)
+    parts = [central if d is None else [z for z in central if z in d]
+             for d in domains.domains]
+    reps = [_transversal(G, lst, zd) for lst, zd in zip(member_lists, parts)]
+    require_budget(math.prod(map(len, reps)), budget)
 
     counts = [0] * G.order
-    _count_assignments(G, word, member_lists, counts)
-    if sum(counts) != total:
+    _count_assignments(G, word, reps, counts)
+    counts = _spread_over_center(G, word, parts, counts)
+    if sum(counts) != math.prod(map(len, member_lists)):
         raise InternalInconsistency("total mass of fiber counts is wrong")
     return counts
+
+
+def _spread_over_center(G, word, central_parts, counts):
+    """Counts over the whole domains from the counts over the transversals:
+    their convolution with the image of the uniform measure on each
+    variable's Z_v under z -> z^e_v, which is |Z_v| times the point mass
+    at 1 when e_v = 0."""
+    exponents = [0] * len(central_parts)
+    for v, e in word.letters:
+        exponents[v - 1] += e
+    mul = G.mul
+    factor = 1
+    shift = {0: 1}  # the image measure over the variables with e_v != 0
+    for zd, e in zip(central_parts, exponents):
+        if e == 0:
+            factor *= len(zd)
+        elif len(zd) > 1:
+            nxt = {}
+            for z in zd:
+                row = mul[G.power(z, e)]
+                for y, m in shift.items():
+                    nxt[row[y]] = nxt.get(row[y], 0) + m
+            shift = nxt
+    if len(shift) == 1:
+        factor *= shift[0]
+        return [c * factor for c in counts] if factor > 1 else counts
+    reached = [(g, c * factor) for g, c in enumerate(counts) if c]
+    out = [0] * G.order
+    for y, m in shift.items():
+        row = mul[y]  # y is central: g y = y g
+        for g, c in reached:
+            out[row[g]] += c * m
+    return out
 
 
 def _fold_plan(letters, var, rows):
@@ -89,6 +163,15 @@ def _fold_plan(letters, var, rows):
     return kept, plan
 
 
+def _power_row(G, e):
+    """a -> a^e over the whole group, indexed by a."""
+    if e == 1:
+        return range(G.order)
+    if e == -1:
+        return G.inv
+    return tuple([G.power(a, e) for a in range(G.order)])
+
+
 def _count_assignments(G, word, member_lists, counts):
     """Add w(x) to `counts` for every x in the product of `member_lists`.
 
@@ -106,8 +189,7 @@ def _count_assignments(G, word, member_lists, counts):
     if not letters:
         counts[0] += 1
         return
-    rows = {e: tuple(G.power(a, e) for a in range(G.order))
-            for e in {e for _, e in letters}}
+    rows = {e: _power_row(G, e) for e in {e for _, e in letters}}
     occurrences = Counter(v for v, _ in letters)
     order = sorted(occurrences, key=lambda v: (-occurrences[v], v))
     states = {(0,) * (len(letters) + 1): 1}
@@ -125,10 +207,27 @@ def _count_assignments(G, word, member_lists, counts):
                     state.append(acc)
                 folded[tuple(state)] += mult
         states = folded
+    last = member_lists[order[-1] - 1]
     last_rows = [rows[e] for _, e in letters]
+    # One or two letters left, as for the last variable of every w_n: the
+    # folds are written out over the letters' values at each a.
+    if len(last_rows) == 1:
+        values = [last_rows[0][a] for a in last]
+        for (c0, c1), mult in states.items():
+            r0 = mul[c0]
+            for p in values:
+                counts[mul[r0[p]][c1]] += mult
+        return
+    if len(last_rows) == 2:
+        pairs = list(zip(*[[row[a] for a in last] for row in last_rows]))
+        for (c0, c1, c2), mult in states.items():
+            r0 = mul[c0]
+            for p, q in pairs:
+                counts[mul[mul[mul[r0[p]][c1]][q]][c2]] += mult
+        return
     for c, mult in states.items():
         steps = list(zip(last_rows, c[1:]))
-        for a in member_lists[order[-1] - 1]:
+        for a in last:
             acc = c[0]
             for row, ci in steps:
                 acc = mul[mul[acc][row[a]]][ci]

@@ -71,9 +71,8 @@ def zeta_w2_frobenius(G, table):
     return zeta_wn_char(G, table, 2)
 
 
-def _as_integer_class_function(G, table, numerators, den, n):
-    """The class function numerators / den, checked to be natural numbers
-    of total mass |G|^n."""
+def _natural_numbers(numerators, den):
+    """numerators[j] / den, each checked to be a natural number."""
     ints = []
     for num in numerators:
         q, rem = divmod(num, den)
@@ -81,7 +80,14 @@ def _as_integer_class_function(G, table, numerators, den, n):
             raise InternalInconsistency(
                 f"fiber count {Fraction(num, den)} is not a natural number")
         ints.append(q)
-    cf = ClassFunction(G, table.classes, tuple(ints))
+    return ints
+
+
+def _as_integer_class_function(G, table, numerators, den, n):
+    """The class function numerators / den, checked to be natural numbers
+    of total mass |G|^n."""
+    cf = ClassFunction(G, table.classes,
+                       tuple(_natural_numbers(numerators, den)))
     if cf.total_mass() != G.order ** n:
         raise InternalInconsistency("character-path counts fail total mass")
     return cf
@@ -123,32 +129,41 @@ def zeta_wn_char(G, table, n):
 
     C^{w_k} and chi(1) are constant on each Galois orbit O (see `c_wn`), so
     a step is sum_O |G| C^{w_k}(chi_O) / chi_O(1) * T_O, with T_O the
-    integer row of sum_{chi in O} chi: one `c_wn` per orbit, summed as
-    integers over one common denominator."""
+    integer row of sum_{chi in O} chi.  Each orbit's coefficient is an
+    integer fraction: |G| / chi(1) at k = 2, |G|^{k-1} for a linear chi,
+    and otherwise the integer sum_j |C_j| zeta^{w_{k-1}}(g_j) N_O(j) over
+    |O| chi(1), which is `c_wn`'s orbit mean times |G| / chi(1).  They are
+    summed as integers over one common denominator."""
     _require_table_of(G, table)
     if n < 2:
         raise PredicateFailed("the recursion starts at n = 2")
     chain = table.zeta_chain
+    sizes = table.classes.sizes
     while len(chain) < n - 1:
         k = len(chain) + 2
-        numerators, den = _orbit_combination(table, {
-            r: G.order * c_wn(G, table, r, k) / table.degrees[r]
-            for r in table.orbit_sums})
+        coefs = []
+        for r, orbit in table.orbit_sums.items():
+            d = table.degrees[r]
+            if k == 2:
+                coefs.append((G.order, d))
+            elif d == 1:
+                coefs.append((G.order ** (k - 1), 1))
+            else:
+                coefs.append((orbit.norm_sum(sizes, chain[-1].values),
+                              orbit.size * d))
+        numerators, den = _orbit_combination(table, coefs)
         chain.append(_as_integer_class_function(G, table, numerators, den, k))
     return chain[n - 2]
 
 
 def _orbit_combination(table, coefs):
-    """(numerators, den) with sum_O coefs[r] T_O(j) = numerators[j] / den,
-    for Fraction coefficients keyed by each orbit's representative r, over
-    one common denominator."""
-    den = math.lcm(*[c.denominator for c in coefs.values()])
-    numerators = [0] * table.classes.num_classes
-    for r, c in coefs.items():
-        w = c.numerator * (den // c.denominator)
-        numerators = [a + w * t
-                      for a, t in zip(numerators, table.orbit_sums[r].traces)]
-    return numerators, den
+    """(numerators, den) with sum_O a_O / b_O * T_O(j) = numerators[j] / den,
+    for the integer pairs (a_O, b_O) in the order of `table.orbit_sums`,
+    over one common denominator."""
+    den = math.lcm(*[b for _, b in coefs])
+    weights = [a * (den // b) for a, b in coefs]
+    columns = zip(*[orbit.traces for orbit in table.orbit_sums.values()])
+    return [sum(map(mul, weights, column)) for column in columns], den
 
 
 def bracket_word(w1, w2):
@@ -198,11 +213,11 @@ def zeta_mixed_theorem21(G, H, w1, w2, table=None):
     # gives the same rational counts.
     scale = G.order ** (m - w1.arity - 1)
     if chartab.galois_stable(table, weights):
-        numerators, den = _orbit_combination(table, {
-            r: Fraction(scale * sum(map(mul, weights, orbit.norms)),
-                        orbit.size * table.degrees[r])
-            for r, orbit in table.orbit_sums.items()})
-        per_class = [Fraction(v, den) for v in numerators]
+        numerators, den = _orbit_combination(table, [
+            (scale * sum(map(mul, weights, orbit.norms)),
+             orbit.size * table.degrees[r])
+            for r, orbit in table.orbit_sums.items()])
+        per_class = _natural_numbers(numerators, den)
     else:
         rows = table.sparse_rows
         coefs = []

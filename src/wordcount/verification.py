@@ -248,6 +248,38 @@ def check_isoclinism():
     return results
 
 
+def check_central_quotient():
+    """Let N <= Z(G) meet G' trivially, grown from the central elements in
+    rising order.  Then G/N is isoclinic to G, and brute force on G at g in
+    G' is |N|^n times brute force on G/N at gN, for w_2 and w_3.  Checked
+    on every catalog group where N != 1, through `groups.quotient`."""
+    results = []
+    for spec, G in catalog():
+        derived = groups.commutator_subgroup(G)
+        N = groups.trivial_subgroup(G)
+        for z in groups.center(G).members:
+            if z not in N:
+                grown = groups.subgroup_closure(G, N.members + (z,))
+                if set(grown.members).isdisjoint(derived.members[1:]):
+                    N = grown
+        if N.order == 1:
+            continue
+
+        def one(G=G, N=N, derived=derived):
+            Q, proj = groups.quotient(G, N)
+            for n in (2, 3):
+                on_g = counting.zeta_element_counts(G, words.wn(n))
+                on_q = counting.zeta_element_counts(Q, words.wn(n))
+                for g in derived.members:
+                    if on_g[g] != N.order ** n * on_q[proj[g]]:
+                        raise AssertionError(
+                            f"n={n} g={g}: {on_g[g]} != "
+                            f"{N.order}^{n} * {on_q[proj[g]]}")
+            return f"|N|={N.order} n=2,3"
+        _run(results, "central-quotient", spec, one)
+    return results
+
+
 def run_suite(suite):
     if suite not in SUITES:
         raise UnsupportedParameter(
@@ -269,6 +301,8 @@ def run_suite(suite):
         results += check_isoclinism()
     if suite == "all":
         results += check_mixed_domain()
+    if suite in ("isoclinism", "all"):
+        results += check_central_quotient()
     return results
 
 

@@ -258,6 +258,29 @@ def test_over_budget_zeta_is_refused_before_any_table(monkeypatch, capsys):
     assert (code, err) == (0, "")
 
 
+def test_zeta_brute_runs_over_a_transversal_of_the_center(monkeypatch,
+                                                          capsys):
+    # heisenberg(5), w_4: 125^4 assignments, refused before; each variable
+    # now runs over a transversal of Z(G), so 25^4 are counted.
+    code, out, err = run(capsys, "zeta", "--group", "builtin:heisenberg(5)",
+                         "--n", "4", "--method", "all")
+    assert (code, err) == (0, "")
+    rows = [line.split("\t") for line in out.splitlines()]
+    assert rows[0] == ["class_rep", "size", "brute", "char", "closed"]
+    assert len(rows) == 30 and all(row[2] == row[3] for row in rows[1:])
+    # The budget counts the reduced assignments, 25^6 at n = 6, and still
+    # refuses before any classes are built.
+    def refuse(G):
+        raise AssertionError("built classes for a refused request")
+
+    monkeypatch.setattr(groups, "conjugacy_classes", refuse)
+    code, out, err = run(capsys, "zeta", "--group", "builtin:heisenberg(5)",
+                         "--n", "6", "--method", "brute")
+    assert (code, out) == (1, "")
+    assert err == ("error: BudgetExceeded: 244140625 assignments exceed "
+                   "budget 67108864\n")
+
+
 @pytest.mark.parametrize("budget", ["0", "-1"])
 @pytest.mark.parametrize("argv", [
     ("count", "--group", "builtin:symmetric(3)", "--word", "[x1,x2]"),

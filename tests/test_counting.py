@@ -1,4 +1,7 @@
+import ast
+import inspect
 import itertools
+import random
 import re
 from fractions import Fraction
 
@@ -6,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from wordcount import counting, groups, words
+from wordcount import counting, groups, verification, words
 from wordcount.cli import main
 from wordcount.counting import DomainSpec
 from wordcount.errors import BudgetExceeded, MismatchedGroup, WordcountError
@@ -132,6 +135,8 @@ def test_enumeration_matches_reference(text, group, kinds):
         reference_counts(G, word, member_lists)
 
 
+# The last level has its own loops for one and two letters and the general
+# loop for more.
 @pytest.mark.parametrize("group", ["S3", "D8", "Q8"])
 @pytest.mark.parametrize("kinds", [("whole", "whole"), ("whole", "center"),
                                    ("derived", "whole")])
@@ -198,13 +203,14 @@ def test_wn_folds_each_distinct_residual_word_once(G, n):
 
 def test_low_merging_word_matches_reference():
     # After x1 and x2 are fixed, all 24^2 assignments leave distinct
-    # residual words of S4, so nothing merges there.
+    # residual words of S4, so nothing merges there.  x4's one letter is
+    # read once for all the states left.
     S4 = GROUPS["S4"]
     word = words.parse("x1 x2 x3 x1 x2 x3 x4 x1")
     domains, drawn = drawing_domains(S4.order, 4, 24 ** 4)
     counts = [0] * S4.order
     counting._count_assignments(S4, word, domains, counts)
-    assert drawn[0] == 24 + 24 * 24 + 24 ** 2 * 24 + 288 * 24
+    assert drawn[0] == 24 + 24 * 24 + 24 ** 2 * 24 + 24
     assert counts == reference_counts(S4, word, [range(24)] * 4)
 
 
@@ -218,6 +224,97 @@ def test_brute_force_past_the_old_loops_reach():
         formulas.zeta_wn_char(G, table, 4)
 
 
+# ---------------------------------------------------------------------------
+# brute force over a transversal of the center
+
+
+def full_fold(G, word, spec):
+    """The fold over the whole domains, with no central reduction."""
+    counts = [0] * G.order
+    counting._count_assignments(G, word, spec.member_lists(G), counts)
+    return counts
+
+
+def seeded_word(rng):
+    """A product of one to three powers of variables and brackets, nested
+    up to two deep, in x1..x3."""
+    def term(depth):
+        if depth and rng.random() < 0.5:
+            return f"[{term(depth - 1)},{term(depth - 1)}]"
+        return f"x{rng.randint(1, 3)}^{rng.choice([-3, -2, -1, 1, 2, 4])}"
+    return " ".join(term(2) for _ in range(rng.randint(1, 3)))
+
+
+@pytest.mark.parametrize("spec, G", verification.catalog(),
+                         ids=[spec for spec, _ in verification.catalog()])
+def test_reduced_counts_equal_the_full_fold_on_the_catalog(spec, G):
+    rng = random.Random(spec)
+    seen = 0
+    while seen < 6:
+        word = parse_relabelled(seeded_word(rng))
+        if word is None:
+            continue
+        seen += 1
+        drawn = DomainSpec(tuple(DOMAINS[rng.choice(sorted(DOMAINS))](G)
+                                 for _ in range(word.arity)))
+        for domains in (DomainSpec.whole(word.arity), drawn):
+            assert counting.zeta_element_counts(G, word, domains) == \
+                full_fold(G, word, domains), (str(word), domains)
+
+
+def test_long_transversal_is_a_packed_array():
+    # Past groups.COMPACT_ROWS_ABOVE elements the transversal is stored like
+    # the table's rows.
+    G = groups.parse_builtin_spec("dihedral(1032)")
+    central = counting.central_elements(G)
+    assert len(central) == 2
+    assert counting._transversal(G, range(G.order), central).typecode == "H"
+    for text in ("x1^2", "x1 x2^3 x1^-1"):
+        word = words.parse(text)
+        spec = DomainSpec((None,) + (groups.commutator_subgroup(G),) *
+                          (word.arity - 1))
+        assert counting.zeta_element_counts(G, word, spec) == \
+            full_fold(G, word, spec)
+
+
+def test_central_scan_finds_the_center():
+    for _, G in verification.catalog():
+        central = counting.central_elements(G)
+        assert central == groups.center(G).members
+        reps = counting._transversal(G, range(G.order), central)
+        assert reps[0] == 0
+        assert len({G.mul[a][z] for a in reps for z in central}) == G.order
+
+
+def test_counting_never_reads_the_structure_center():
+    tree = ast.parse(inspect.getsource(counting))
+    names = {node.attr for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)}
+    names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {alias.name for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not names & {"center", "centralizer_of_subgroup_mod"}
+
+
+def test_budget_counts_the_reduced_assignments():
+    # heisenberg(3): |G : Z(G)| = 9, so w_3 counts 9^3 assignments.
+    H3 = groups.parse_builtin_spec("heisenberg(3)")
+    with pytest.raises(BudgetExceeded,
+                       match="^729 assignments exceed budget 728$"):
+        counting.zeta_brute(H3, words.wn(3), budget=728)
+    assert counting.zeta_brute(H3, words.wn(3), budget=729).total_mass() \
+        == 27 ** 3
+
+
+def test_brute_force_past_the_unreduced_budget():
+    # heisenberg(7), w_3: 343^3 = 40M assignments unreduced, 49^3 reduced.
+    from wordcount import chartab, formulas
+
+    G = groups.parse_builtin_spec("heisenberg(7)")
+    assert counting.zeta_brute(G, words.wn(3)) == \
+        formulas.zeta_wn_char(G, chartab.character_table(G), 3)
+
+
 def test_checks_run_before_enumeration(monkeypatch):
     def enumerate_anyway(*args):
         raise AssertionError("enumeration started")
@@ -226,6 +323,10 @@ def test_checks_run_before_enumeration(monkeypatch):
     S4 = GROUPS["S4"]
     with pytest.raises(BudgetExceeded):
         counting.zeta_element_counts(S4, words.wn(3), budget=1000)
+    with pytest.raises(BudgetExceeded):  # 9^3 reduced assignments
+        counting.zeta_element_counts(
+            groups.parse_builtin_spec("heisenberg(3)"), words.wn(3),
+            budget=728)
     other = groups.center(groups.builtin("cyclic", 4))
     with pytest.raises(MismatchedGroup):
         counting.zeta_element_counts(S4, words.wn(2),

@@ -1,8 +1,9 @@
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
-from wordcount import chartab, counting, formulas, groups, words
+from wordcount import chartab, counting, formulas, groups, verification, words
 from wordcount.errors import (NotMeasurePreserving, NotNormal,
                               PredicateFailed)
 from wordcount.formulas import CaminaInvariants, GroupClassReport
@@ -29,6 +30,20 @@ def test_recursion_matches_brute():
         table = _table(G)
         assert formulas.zeta_wn_char(G, table, n) == \
             counting.zeta_brute(G, words.wn(n), classes=table.classes)
+
+
+def test_integer_steps_equal_the_fraction_form_on_the_catalog():
+    # Each step sums integer pairs per Galois orbit; the public c_wn keeps
+    # the Fraction form sum_O |G| C^{w_n}(chi_O) / chi_O(1) * T_O.
+    for _, G in verification.catalog():
+        table = _table(G)
+        for n in range(2, 9):
+            coefs = [(Fraction(G.order) * formulas.c_wn(G, table, r, n)
+                      / table.degrees[r], orbit.traces)
+                     for r, orbit in table.orbit_sums.items()]
+            assert list(formulas.zeta_wn_char(G, table, n).values) == [
+                sum(c * traces[j] for c, traces in coefs)
+                for j in range(table.num_characters)], n
 
 
 def test_c_wn_values():

@@ -528,6 +528,40 @@ def _outcome(fn, *args):
         return str(exc)
 
 
+def ref_galois_stable(table, values):
+    """The walk over every rational class and its classes."""
+    return len(values) == table.classes.num_classes and all(
+        isinstance(v, (int, Fraction)) for v in values) and all(
+        values[c] == values[rc.first]
+        for rc in groups.rational_classes(table.group)
+        for c, _ in rc.generators)
+
+
+@pytest.mark.parametrize("spec", SMALL_BUILTINS)
+def test_galois_stable_matches_the_rational_class_walk(spec):
+    G = groups.parse_builtin_spec(spec)
+    table = chartab.character_table(G)
+    k = table.num_characters
+    rational_of = [0] * k
+    for i, rc in enumerate(groups.rational_classes(G)):
+        for c, _ in rc.generators:
+            rational_of[c] = i
+    stable = [3 * i + 1 for i in rational_of]
+    inputs = [
+        stable, tuple(stable), [Fraction(v, 2) for v in stable],
+        [Fraction(v) if v % 2 else v for v in stable],
+        stable[:-1], stable + [1], [], list(range(k)),
+        [float(v) for v in stable], list(table.values[k - 1]),
+        list(table.classes.sizes),
+        formulas.zeta_wn_char(G, table, 2).values,
+    ]
+    for c in range(1, k):  # one class off its rational class's value
+        inputs.append([v + (j == c) for j, v in enumerate(stable)])
+    for values in inputs:
+        assert chartab.galois_stable(table, values) == \
+            ref_galois_stable(table, values), values
+
+
 PAIRING_GROUPS = SMALL_BUILTINS + [
     "dihedral(200)", "agl1(27)", "heisenberg(5)",
     "direct_product(symmetric(4),quaternion(8))",
