@@ -71,8 +71,9 @@ def zeta_w2_frobenius(G, table):
     return zeta_wn_char(G, table, 2)
 
 
-def _natural_numbers(numerators, den):
-    """numerators[j] / den, each checked to be a natural number."""
+def _as_integer_class_function(G, table, numerators, den, n):
+    """The class function numerators / den, checked to be natural numbers
+    of total mass |G|^n."""
     ints = []
     for num in numerators:
         q, rem = divmod(num, den)
@@ -80,14 +81,7 @@ def _natural_numbers(numerators, den):
             raise InternalInconsistency(
                 f"fiber count {Fraction(num, den)} is not a natural number")
         ints.append(q)
-    return ints
-
-
-def _as_integer_class_function(G, table, numerators, den, n):
-    """The class function numerators / den, checked to be natural numbers
-    of total mass |G|^n."""
-    cf = ClassFunction(G, table.classes,
-                       tuple(_natural_numbers(numerators, den)))
+    cf = ClassFunction(G, table.classes, tuple(ints))
     if cf.total_mass() != G.order ** n:
         raise InternalInconsistency("character-path counts fail total mass")
     return cf
@@ -100,7 +94,8 @@ def _require_table_of(G, table):
 
 def c_wn(G, table, chi, n):
     """C^{w_n}(chi) = <zeta^{w_{n-1}} chi, chi>: 1 for n = 2, |G|^{n-2} for
-    a linear chi, else summed over zeta^{w_{n-1}} from the table's chain.
+    a linear chi, else summed over zeta^{w_{n-1}} from the table's chain;
+    `_orbit_coefficient`'s fraction times chi(1) / |G|.
 
     C is constant on each Galois orbit O.  zeta^{w_{n-1}} is rational-valued,
     so sigma(C(chi)) = C(sigma chi) for every Galois automorphism sigma.
@@ -112,14 +107,28 @@ def c_wn(G, table, chi, n):
     sum_j |C_j| zeta^{w_{n-1}}(g_j) N_O(j) / (|O| |G|), with N_O(j) the
     integer sum of |psi(g_j)|^2 over psi in O."""
     _require_table_of(G, table)
-    if n == 2:
-        return Fraction(1)
-    if table.linear_mask[chi]:
-        return Fraction(G.order ** (n - 2))
-    orbit = table.orbit_sums[table.galois_orbits[chi][0]]
-    zeta_prev = zeta_wn_char(G, table, n - 1).values
-    total = orbit.norm_sum(table.classes.sizes, zeta_prev)
-    return Fraction(total, orbit.size * G.order)
+    if n < 2:
+        raise PredicateFailed("the recursion starts at n = 2")
+    if n > 2:
+        zeta_wn_char(G, table, n - 1)
+    d = table.degrees[chi]
+    a, b = _orbit_coefficient(G, table, table.galois_orbits[chi][0], n)
+    return Fraction(a * d, b * G.order)
+
+
+def _orbit_coefficient(G, table, r, k):
+    """(a, b) with a / b = |G| C^{w_k}(chi) / chi(1) for chi in the Galois
+    orbit of character r: (|G|, chi(1)) at k = 2, (|G|^{k-1}, 1) for a
+    linear chi, else (sum_j |C_j| zeta^{w_{k-1}}(g_j) N_O(j), |O| chi(1)).
+    The last reads zeta^{w_{k-1}} from `table.zeta_chain`."""
+    d = table.degrees[r]
+    if k == 2:
+        return G.order, d
+    if d == 1:
+        return G.order ** (k - 1), 1
+    orbit = table.orbit_sums[r]
+    zeta_prev = table.zeta_chain[k - 3].values
+    return orbit.norm_sum(table.classes.sizes, zeta_prev), orbit.size * d
 
 
 def zeta_wn_char(G, table, n):
@@ -129,29 +138,16 @@ def zeta_wn_char(G, table, n):
 
     C^{w_k} and chi(1) are constant on each Galois orbit O (see `c_wn`), so
     a step is sum_O |G| C^{w_k}(chi_O) / chi_O(1) * T_O, with T_O the
-    integer row of sum_{chi in O} chi.  Each orbit's coefficient is an
-    integer fraction: |G| / chi(1) at k = 2, |G|^{k-1} for a linear chi,
-    and otherwise the integer sum_j |C_j| zeta^{w_{k-1}}(g_j) N_O(j) over
-    |O| chi(1), which is `c_wn`'s orbit mean times |G| / chi(1).  They are
-    summed as integers over one common denominator."""
+    integer row of sum_{chi in O} chi: one integer fraction per orbit from
+    `_orbit_coefficient`, summed as integers over one common denominator."""
     _require_table_of(G, table)
     if n < 2:
         raise PredicateFailed("the recursion starts at n = 2")
     chain = table.zeta_chain
-    sizes = table.classes.sizes
     while len(chain) < n - 1:
         k = len(chain) + 2
-        coefs = []
-        for r, orbit in table.orbit_sums.items():
-            d = table.degrees[r]
-            if k == 2:
-                coefs.append((G.order, d))
-            elif d == 1:
-                coefs.append((G.order ** (k - 1), 1))
-            else:
-                coefs.append((orbit.norm_sum(sizes, chain[-1].values),
-                              orbit.size * d))
-        numerators, den = _orbit_combination(table, coefs)
+        numerators, den = _orbit_combination(table, [
+            _orbit_coefficient(G, table, r, k) for r in table.orbit_sums])
         chain.append(_as_integer_class_function(G, table, numerators, den, k))
     return chain[n - 2]
 
@@ -217,7 +213,7 @@ def zeta_mixed_theorem21(G, H, w1, w2, table=None):
             (scale * sum(map(mul, weights, orbit.norms)),
              orbit.size * table.degrees[r])
             for r, orbit in table.orbit_sums.items()])
-        per_class = _natural_numbers(numerators, den)
+        per_class = [Fraction(v, den) for v in numerators]
     else:
         rows = table.sparse_rows
         coefs = []
