@@ -165,24 +165,19 @@ def cmd_zeta(args, out):
         raise UnsupportedParameter(f"--n must be in 2..{MAX_N}")
     _check_budget(args)
     G = load_group(args.group)
+    # brute first: it refuses over budget before anything else is built
     methods = ["brute", "char", "closed"] if args.method == "all" \
         else [args.method]
-    if "brute" in methods:  # refuse before building classes or a table
-        from . import counting, words
-        counting.require_budget(
-            (G.order // len(counting.central_elements(G))) ** args.n,
-            args.budget)
-    table = None
-    if "char" in methods:
-        from . import chartab, formulas
-        table = chartab.character_table(G)
     columns = []
     for method in methods:
         if method == "brute":
+            from . import counting, words
             zeta = counting.zeta_brute(G, words.wn(args.n),
                                        budget=args.budget)
         elif method == "char":
-            zeta = formulas.zeta_wn_char(G, table, args.n)
+            from . import chartab, formulas
+            zeta = formulas.zeta_wn_char(G, chartab.character_table(G),
+                                         args.n)
         else:
             from . import formulas
             try:

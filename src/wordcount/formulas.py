@@ -454,11 +454,18 @@ def closed_zeta_camina3(G, n):
 
 
 def closed_zeta_tower(G, n):
+    """ClassFunction form of closed_camina_gcp_tower, with the predicate
+    decided on G itself, building no quotient.  Let (G, Z) be a Camina
+    pair, Z = Z(G).  For g outside Z, gZ lies in Cl(g), so Z <= G' and
+    (G/Z)' = G'/Z; and Cl(g) holds hZ = (gZ)^x for each h = g^x, so
+    |Cl(g)| = |Z| |Cl_{G/Z}(gZ)|.  With Z(G/Z) = Z_2(G)/Z, (G/Z, Z(G/Z))
+    is a GCP exactly when |G'| > |Z| and every class of G outside Z_2(G)
+    has |G'| elements, which `_nonlinear_vanish_off` decides."""
     z = groups.center(G)
     if z.order <= 1 or z.order >= G.order or not groups.is_camina_pair(G, z):
         raise PredicateFailed("(G, Z(G)) is not a Camina pair")
-    Q, _ = groups.quotient(G, z)
-    if not _nonlinear_vanish_off(Q, groups.center(Q)):
+    if groups.commutator_subgroup(G).order <= z.order or \
+            not _nonlinear_vanish_off(G, groups.zn(G, 2)):
         raise PredicateFailed("(G/Z, Z(G/Z)) is not a GCP")
     return _assemble(G, z, closed_camina_gcp_tower(invariants_of(G), n), n)
 

@@ -18,8 +18,9 @@ table.
 
 Structure that depends on the group alone (the generating set, classes,
 rational classes, center, derived subgroup, central series, normal
-subgroups, the character table, the hash) is computed once per group
-object by `structure_memo` and shared by every caller, so callers must
+subgroups, the character table, the hash), or on the group and a level
+(the isoclinism commutator table), is computed once per group object and
+arguments by `structure_memo` and shared by every caller, so callers must
 not mutate it.  Classes, the center, G', the central series and
 normality come from that generating set, not from all pairs of elements.
 """
@@ -56,13 +57,14 @@ MAX_SPEC_NESTING = 100   # deepest parenthesis nesting of a builtin spec
 
 
 def structure_memo(fn):
-    """Compute fn(G) once per group object, into G.structure."""
+    """Compute fn(G, *args) once per group and arguments, into G.structure."""
     @wraps(fn)
-    def memo(G):
+    def memo(G, *args):
+        key = (fn, args)
         cache = G.structure
-        if fn not in cache:
-            cache[fn] = fn(G)
-        return cache[fn]
+        if key not in cache:
+            cache[key] = fn(G, *args)
+        return cache[key]
     return memo
 
 
@@ -90,12 +92,6 @@ class GroupTable:
 
     def __repr__(self):
         return f"GroupTable(order={self.order})"
-
-    def op(self, a, b):
-        return self.mul[a][b]
-
-    def inverse(self, a):
-        return self.inv[a]
 
     def power(self, a, k):
         if k < 0:
@@ -892,45 +888,44 @@ def _normal_closure(G, seed):
         members, gens = _closure_indices(G, gens + new)
 
 
-def commutator_of(G, A, B):
-    """[A, B] for normal subgroups A and B of G.
+def commutator_of(G, A):
+    """[A, G] for a normal subgroup A of G.
 
     It is the normal closure of the commutators of a generating set of A
-    with one of B: that closure lies in [A, B], which is normal, and
-    contains the closure in <A, B>, which is [A, B].
+    with `G.generating_set()`: that closure lies in [A, G], which is
+    normal, and contains the closure in <A, G> = G, which is [A, G].
     """
-    gens_B = _closure_indices(G, B.members)[1]
-    seed = [G.commutator(a, b)
-            for a in _closure_indices(G, A.members)[1] for b in gens_B]
+    gens_G = G.generating_set()
+    gens_A = (gens_G if A.order == G.order
+              else _closure_indices(G, A.members)[1])
+    seed = [G.commutator(a, b) for a in gens_A for b in gens_G]
     return Subgroup(G, tuple(sorted(_normal_closure(G, seed))))
 
 
 @structure_memo
 def commutator_subgroup(G):
-    return commutator_of(G, whole_subgroup(G), whole_subgroup(G))
+    return commutator_of(G, whole_subgroup(G))
 
 
 @structure_memo
 def upper_central_series(G):
-    """(Z_0, Z_1, ...) until stabilization."""
+    """(Z_0, Z_1, ...) until stabilization, with Z_1 = `center(G)`."""
     series = [trivial_subgroup(G)]
-    while True:
-        nxt = centralizer_of_subgroup_mod(G, series[-1])
-        if nxt.members == series[-1].members:
-            break
+    nxt = center(G)
+    while nxt.members != series[-1].members:
         series.append(nxt)
+        nxt = centralizer_of_subgroup_mod(G, nxt)
     return tuple(series)
 
 
 @structure_memo
 def lower_central_series(G):
-    """(gamma_1, gamma_2, ...) until stabilization."""
+    """(gamma_1, gamma_2, ...) until stabilization, with gamma_2 = G'."""
     series = [whole_subgroup(G)]
-    while True:
-        nxt = commutator_of(G, series[-1], whole_subgroup(G))
-        if nxt.members == series[-1].members:
-            break
+    nxt = commutator_subgroup(G)
+    while nxt.members != series[-1].members:
         series.append(nxt)
+        nxt = commutator_of(G, nxt)
     return tuple(series)
 
 
@@ -952,17 +947,22 @@ def nilpotency_class(G):
 
 def zn(G, n):
     """Z_n(G), n >= 0; the series is extended by its stable tail for large
-    n."""
+    n.  Z_1 is `center(G)`, read without the rest of the series."""
     if n < 0:
         raise UnsupportedParameter(f"Z_n needs n >= 0, got n = {n}")
+    if n == 1:
+        return center(G)
     series = upper_central_series(G)
     return series[min(n, len(series) - 1)]
 
 
 def gamma(G, i):
-    """gamma_i(G), i >= 1; stable tail for large i."""
+    """gamma_i(G), i >= 1; stable tail for large i.  gamma_2 is
+    `commutator_subgroup(G)`, read without the rest of the series."""
     if i < 1:
         raise UnsupportedParameter(f"gamma_i needs i >= 1, got i = {i}")
+    if i == 2:
+        return commutator_subgroup(G)
     series = lower_central_series(G)
     return series[min(i - 1, len(series) - 1)]
 

@@ -29,10 +29,11 @@ class IsoclinismWitness(namedtuple("IsoclinismWitness", (
     __slots__ = ()
 
 
+@groups.structure_memo
 def _commutator_table(X, n):
     """X/Z_n(X), and the left-normed commutator of the least representatives
     of each (n+1)-tuple of its cosets, as one flat list in
-    `itertools.product` order."""
+    `itertools.product` order: once per group and level, for every check."""
     Q, proj = groups.quotient(X, groups.zn(X, n))
     reps = []
     for g, q in enumerate(proj):  # cosets are numbered by least element
@@ -149,7 +150,7 @@ def find_isoclinism(G, H, n):
 
 
 def verify_witness(w):
-    """Independently re-check all three conditions of the definition."""
+    """Re-check all three conditions of the definition."""
     G, H, n = w.G, w.H, w.n
     gammaG, gammaH = groups.gamma(G, n + 1), groups.gamma(H, n + 1)
     QG, tableG = _commutator_table(G, n)

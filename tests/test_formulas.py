@@ -262,6 +262,19 @@ def test_tower_closed_form_total_mass():
     assert formulas.closed_camina_gcp_tower(inv, 3)["derived_rest"] == 0
 
 
+def test_tower_form_builds_no_quotient(monkeypatch):
+    # (G/Z, Z(G/Z)) is decided on G's own classes and Z_2(G)
+    G = dict(verification.catalog())["tower-32"]
+
+    def refuse(G, N):
+        raise AssertionError("built a quotient group for a closed form")
+
+    monkeypatch.setattr(groups, "quotient", refuse)
+    for n in (2, 3):
+        assert formulas.closed_form_zeta(G, n) == \
+            counting.zeta_brute(G, words.wn(n))
+
+
 def test_tower_degenerate_z2_equals_derived():
     inv = CaminaInvariants(512, 16, 4, 16)
     v = formulas.closed_camina_gcp_tower(inv, 2)["derived_rest"]

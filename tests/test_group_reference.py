@@ -13,7 +13,8 @@ from wordcount import (chartab, counting, cyclotomic, formulas, groups,
                        verification, words)
 from wordcount.cyclotomic import Cyclotomic
 from wordcount.cli import main
-from wordcount.errors import NonIntegral, NotAGroup, OrderLimitExceeded
+from wordcount.errors import (NonIntegral, NotAGroup, OrderLimitExceeded,
+                              PredicateFailed)
 
 # ---------------------------------------------------------------------------
 # references: one combine call per Cayley entry, all pairs of elements
@@ -435,6 +436,42 @@ def test_class_size_rule_matches_character_values(spec):
                 and V <= set(N.members)] if has_nonlinear else [])
     assert report.is_vz == any(N == groups.center(G) for N in targets)
     assert report.unique_nonlinear == (table.linear_mask.count(False) == 1)
+
+
+def ref_tower_predicate(G):
+    """Why the tower form refuses G, or None: (G, Z(G)) a Camina pair, then
+    (G/Z, Z(G/Z)) a GCP decided on the quotient group itself."""
+    z = groups.center(G)
+    if z.order <= 1 or z.order >= G.order or not groups.is_camina_pair(G, z):
+        return "(G, Z(G)) is not a Camina pair"
+    Q, _ = groups.quotient(G, z)
+    if not formulas._nonlinear_vanish_off(Q, groups.center(Q)):
+        return "(G/Z, Z(G/Z)) is not a GCP"
+    return None
+
+
+# C2 wr C2 wr C2 on 8 points, a Sylow 2-subgroup of S8 (order 128)
+SYLOW2_S8 = [(1, 0, 2, 3, 4, 5, 6, 7), (2, 3, 0, 1, 4, 5, 6, 7),
+             (4, 5, 6, 7, 0, 1, 2, 3)]
+
+
+def test_tower_predicate_matches_the_quotient():
+    candidates = list(verification.catalog()) + [
+        (spec, groups.parse_builtin_spec(spec)) for spec in (
+            "heisenberg(5)", "extraspecial_minus(5)", "quaternion(32)",
+            "direct_product(heisenberg(3),cyclic(3))")] + [
+        ("sylow2(S8)", groups.from_permutation_generators(8, SYLOW2_S8))]
+    reached = set()
+    for spec, G in candidates:
+        try:
+            formulas.closed_zeta_tower(G, 2)
+            got = None
+        except PredicateFailed as exc:
+            got = str(exc)
+        assert got == ref_tower_predicate(G), spec
+        reached.add(got)
+    assert reached == {None, "(G, Z(G)) is not a Camina pair",
+                       "(G/Z, Z(G/Z)) is not a GCP"}
 
 
 ONE = ((0, 1),)  # the kernel terms of 1: (w, a, ONE) sums w * a

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wordcount import groups
+from wordcount.cli import main
 from wordcount.errors import (NotAGroup, OrderLimitExceeded, UnknownFamily,
                               UnsupportedParameter)
 
@@ -10,8 +11,8 @@ from wordcount.errors import (NotAGroup, OrderLimitExceeded, UnknownFamily,
 def test_cyclic_basics():
     G = groups.builtin("cyclic", 6)
     assert G.order == 6
-    assert G.op(2, 5) == 1
-    assert G.inverse(2) == 4
+    assert G.mul[2][5] == 1
+    assert G.inv[2] == 4
     assert G.element_order(2) == 3
     assert G.exponent() == 6
 
@@ -57,7 +58,7 @@ def test_from_cayley_table_relabels_identity():
     # swap the roles of 0 and 1 so the identity sits at index 1
     table = [[1, 0], [0, 1]]
     G = groups.from_cayley_table(table)
-    assert G.op(0, 0) == 0
+    assert G.mul[0][0] == 0
     assert G.order == 2
 
 
@@ -111,7 +112,7 @@ def test_conjugacy_classes_ordering():
     # inverse classes are tracked
     for m in range(classes.num_classes):
         rep = classes.reps[m]
-        assert classes.class_of[S3.inverse(rep)] == classes.inverse_class[m]
+        assert classes.class_of[S3.inv[rep]] == classes.inverse_class[m]
 
 
 def test_central_series_and_nilpotency():
@@ -136,15 +137,49 @@ def test_series_levels_below_their_range_are_refused():
         assert groups.zn(G, 0) == groups.trivial_subgroup(G)
 
 
+def test_info_scans_the_center_once(monkeypatch, capsys):
+    # the upper central series starts from center(G), which holds Z_1
+    scans = []
+    centralizer = groups.centralizer_of_subgroup_mod
+
+    def counted(G, lower):
+        scans.append(lower.members)
+        return centralizer(G, lower)
+
+    monkeypatch.setattr(groups, "centralizer_of_subgroup_mod", counted)
+    assert main(["info", "--group", "builtin:agl1(27)"]) == 0
+    assert "upper_central_series [1]\n" in capsys.readouterr().out
+    assert scans == [(0,)]
+
+
+@pytest.mark.parametrize("spec", ["dihedral(16)", "symmetric(4)",
+                                  "heisenberg(3)", "agl1(5)"])
+def test_lower_series_closes_no_seed_of_the_whole_group(spec, monkeypatch):
+    # gamma_2 is commutator_subgroup(G), and every [gamma_i, G] reads G's
+    # side from the generating set, the one closure over all of G
+    G = groups.parse_builtin_spec(spec)
+    G.generating_set()
+    closure = groups._closure_indices
+
+    def partial(H, seed):
+        seed = list(seed)
+        assert len(seed) < H.order, "closed a seed of the whole group"
+        return closure(H, seed)
+
+    monkeypatch.setattr(groups, "_closure_indices", partial)
+    assert groups.lower_central_series(G)[1] is \
+        groups.commutator_subgroup(G)
+
+
 def test_quotient():
     D8 = groups.builtin("dihedral", 8)
     Z = groups.center(D8)
     Q, proj = groups.quotient(D8, Z)
     assert Q.order == 4
-    assert all(proj[D8.op(a, b)] == Q.op(proj[a], proj[b])
+    assert all(proj[D8.mul[a][b]] == Q.mul[proj[a]][proj[b]]
                for a in range(8) for b in range(8))
     # D8 / Z(D8) is the Klein four-group
-    assert all(Q.op(q, q) == 0 for q in range(4))
+    assert all(Q.mul[q][q] == 0 for q in range(4))
 
 
 def test_camina_pair():

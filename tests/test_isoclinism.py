@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from wordcount import groups, isoclinism
+from wordcount.cli import main
 from wordcount.errors import (SearchBoundExceeded, UnsupportedParameter,
                               WitnessInvalid)
 
@@ -121,6 +122,29 @@ def test_search_builds_each_commutator_table_once(monkeypatch):
     monkeypatch.setattr(groups.GroupTable, "commutator", counted)
     assert commutators_with_first_repeated(1) == \
         commutators_with_first_repeated(5)
+
+
+def test_isoclinic_builds_one_quotient_per_group(monkeypatch, capsys):
+    # the search, the witness check and the scaling check share each
+    # group's commutator table, and with it G/Z(G); level 1 reads Z(G) and
+    # G' without either central series
+    quotient = groups.quotient
+    built = []
+
+    def counted(G, N):
+        built.append(G)
+        return quotient(G, N)
+
+    def refuse(G):
+        raise AssertionError("computed a central series for level 1")
+
+    monkeypatch.setattr(groups, "quotient", counted)
+    for series in ("upper_central_series", "lower_central_series"):
+        monkeypatch.setattr(groups, series, refuse)
+    assert main(["isoclinic", "--group", "builtin:dihedral(8)", "--other",
+                 "builtin:quaternion(8)", "--n", "1"]) == 0
+    assert capsys.readouterr().out.startswith("isoclinic at level 1\n")
+    assert len(built) == 2 and built[0] != built[1]
 
 
 def test_abelian_factors_generally_isoclinic():

@@ -1,5 +1,8 @@
 """The lines `verify` prints: which checks run on which groups, the FLAGGED
 audit report, and that the zeta sweep catches a wrong closed form."""
+import functools
+from collections import Counter
+
 from wordcount import formulas, groups, verification
 from wordcount.cli import main
 
@@ -77,6 +80,28 @@ def test_flagged_report_is_pinned(capsys):
     out = capsys.readouterr().out.splitlines()
     assert [line for line in out if line.startswith("FLAGGED")] == FLAGGED
     assert out[-1] == "# 397 passed, 0 failed, 3 flagged"
+
+
+def test_verify_builds_each_quotient_and_centralizer_once(monkeypatch,
+                                                          capsys):
+    # a fresh catalog, so no structure is memoized yet
+    monkeypatch.setattr(verification, "catalog",
+                        functools.cache(verification.catalog.__wrapped__))
+    calls = {"quotient": Counter(), "centralizer_of_subgroup_mod": Counter()}
+    alive = []  # keeps each group, so no id is reused
+    for name, counter in calls.items():
+        def counted(G, N, fn=getattr(groups, name), counter=counter):
+            alive.append(G)
+            counter[id(G), N.members] += 1
+            return fn(G, N)
+        monkeypatch.setattr(groups, name, counted)
+    assert main(["verify", "--suite", "all"]) == 0
+    assert capsys.readouterr().out.endswith("# 397 passed, 0 failed, "
+                                            "3 flagged\n")
+    # 26 central-quotient lines, and D8, Q8 and Q8xC2 over their centers
+    assert sum(calls["quotient"].values()) == 29
+    for counter in calls.values():
+        assert set(counter.values()) == {1}
 
 
 def test_tower_group_reaches_the_tower_closed_form():
