@@ -3,16 +3,20 @@
 The |G:G'| linear characters are Irr(G/G'): they are read off G/G'
 directly as exact rows of roots of unity zeta_e^l.  The rest are computed
 by the prime-field method: their central characters mod p (p = 1 mod
-exponent, p > 2 sqrt|G|) span the kernel of the conjugate linear rows, and
-only that (k - |G:G'|)-dimensional span is split by simultaneous
-eigenvectors of the sparse class-sum matrices, so a group with at most one
-nonlinear character builds no class matrix; discrete-Fourier multiplicity
-counts lift each value to an exact cyclotomic integer.  The table is then
-verified exactly: the linear rows as a group of roots of unity, and the
-row orthogonality relations of every pair with a nonlinear row.  They
-imply the column relations: the table is square, so X D X* = |G| I (D the
-diagonal of class sizes) gives X* X = |G| D^-1.  A failure is a bug, not a
-data condition.
+exponent, p > 2 sqrt|G|) span the kernel of the conjugate linear rows.  A
+vector is in that kernel exactly when it sums to 0 over each coset of G',
+and the linear rows tell the cosets apart, so its basis e_c - e_f (f the
+first class of c's coset) is read off them with no elimination.  Only that
+(k - |G:G'|)-dimensional span is split by simultaneous eigenvectors of the
+sparse class-sum matrices, so a group with at most one nonlinear character
+builds no class matrix.  A class of size |G'| is a whole coset of G', every
+nonlinear character vanishes on it, and its class matrix is 0 on the span,
+so it takes no split step.  Discrete-Fourier multiplicity counts lift each
+value to an exact cyclotomic integer.  The table is then verified exactly:
+the linear rows as a group of roots of unity, and the row orthogonality
+relations of every pair with a nonlinear row.  They imply the column
+relations: the table is square, so X D X* = |G| I (D the diagonal of class
+sizes) gives X* X = |G| D^-1.  A failure is a bug, not a data condition.
 
 Computed and cached rows alike become a table through `_checked_table`,
 the one constructor: it sorts the rows, reads the degrees off the identity
@@ -486,6 +490,25 @@ def _checked_table(G, classes, e, rows):
     return table
 
 
+def _coset_kernel(linear, p):
+    """(basis, free) for the kernel over F_p of the conjugate linear rows,
+    as `_kernel` gives it, from their exponent rows `linear`: e_c - e_f for
+    each class c after the first class f of its coset of G', with free
+    column c.  The rows are Irr(G/G'), so two classes share a coset exactly
+    when every row agrees on them; the basis has k - |G:G'| vectors exactly
+    when the rows separate the cosets."""
+    k = len(linear[0])
+    first, basis, free = {}, [], []
+    for c, coset in enumerate(zip(*linear)):
+        f = first.setdefault(coset, c)
+        if f != c:
+            v = [0] * k
+            v[c], v[f] = 1, p - 1
+            basis.append(v)
+            free.append(c)
+    return basis, free
+
+
 def _nonlinear_rows(G, classes, e, linear):
     """The value rows of the nonlinear characters, given the linear ones'
     exponent rows: central characters mod p from the class
@@ -499,14 +522,13 @@ def _nonlinear_rows(G, classes, e, linear):
     inv_class = classes.inverse_class
     z = _primitive_root(p)
 
-    # lambda(g_c) = w[l(c)] mod p, w[1] = z^((p-1)/e) standing for zeta_e as
-    # in the lift.  sum_c omega_chi(K_c) conj(lambda(g_c)) = |G| [chi = lambda],
-    # so the nonlinear omega_chi span the kernel of the conjugate linear rows.
-    w = [pow(z, (p - 1) // e * x, p) for x in range(e)]
-    kernel, free = _kernel([[w[row[c]] for c in inv_class] for row in linear],
-                           p)
+    # sum_c omega_chi(K_c) conj(lambda(g_c)) = |G| [chi = lambda], so the
+    # nonlinear omega_chi span the kernel of the conjugate linear rows: the
+    # vectors that sum to 0 over each coset of G'.
+    kernel, free = _coset_kernel(linear, p)
     if len(kernel) != k - len(linear):
-        raise InternalInconsistency("linear characters are not independent")
+        raise InternalInconsistency(
+            "linear characters do not separate the cosets of G'")
     a = class_mult_coefficients(G, classes) if len(kernel) > 1 else None
 
     # Split the simultaneous eigenspaces of the class matrices, low element
@@ -514,7 +536,13 @@ def _nonlinear_rows(G, classes, e, linear):
     # eigenvalue costs one kernel.  Over C, omega_chi(K_{pi_u(c)}) =
     # sigma_u(omega_chi(K_c)), so the first class of each rational class
     # splits as far as the rest of it; they follow in case p merges values.
-    by_order = sorted(rational, key=lambda rc: len(rc.powers))
+    # A class of size |G'| is a whole coset of G'.  By column orthogonality
+    # sum |chi(g)|^2 over the nonlinear chi is |C_G(g)| - |G:G'| = 0 there,
+    # so its class matrix is 0 on the span and splits nothing: it is left out.
+    derived_order = n // len(linear)
+    by_order = sorted(
+        [rc for rc in rational if classes.sizes[rc.first] != derived_order],
+        key=lambda rc: len(rc.powers))
     split_order = [rc.first for rc in by_order[1:]] + [
         c for rc in by_order for c, _ in rc.generators if c != rc.first]
     subspaces = [(kernel, free)]

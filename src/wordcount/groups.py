@@ -647,35 +647,35 @@ _MODULI = {
 
 
 class _GF:
-    """Small finite field GF(p^k), elements as coefficient tuples."""
+    """Small finite field GF(p^k) on the indices of its elements, the
+    coefficient tuples (constant term first) in `itertools.product` order,
+    so 0 is zero.  `add` and `mul` are its tables, built once."""
 
     def __init__(self, p, k):
-        self.p, self.k = p, k
-        self.zero = (0,) * k
-        self.one = (1,) + (0,) * (k - 1) if k > 1 else (1,)
-        self.modpoly = _MODULI[p, k] if k > 1 else None
         self.elements = list(itertools.product(range(p), repeat=k))
+        index = {a: i for i, a in enumerate(self.elements)}
+        self.one = index[(1,) + (0,) * (k - 1)]
+        modpoly = _MODULI[p, k] if k > 1 else None
 
-    def add(self, a, b):
-        return tuple((x + y) % self.p for x, y in zip(a, b))
+        def product(a, b):
+            prod = [0] * (2 * k - 1)
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b):
+                        prod[i + j] = (prod[i + j] + x * y) % p
+            # reduce by x^k = -tail
+            for i in range(2 * k - 2, k - 1, -1):
+                c = prod[i]
+                if c:
+                    prod[i] = 0
+                    for j in range(k):
+                        prod[i - k + j] = (prod[i - k + j] - c * modpoly[j]) % p
+            return index[tuple(prod[:k])]
 
-    def mul(self, a, b):
-        p, k = self.p, self.k
-        if k == 1:
-            return ((a[0] * b[0]) % p,)
-        prod = [0] * (2 * k - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-        # reduce by x^k = -tail
-        for i in range(2 * k - 2, k - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                for j in range(k):
-                    prod[i - k + j] = (prod[i - k + j] - c * self.modpoly[j]) % p
-        return tuple(prod[:k])
+        self.add = [[index[tuple([(x + y) % p for x, y in zip(a, b)])]
+                     for b in self.elements] for a in self.elements]
+        self.mul = [[product(a, b) for b in self.elements]
+                    for a in self.elements]
 
 
 def _agl1(q):
@@ -683,17 +683,19 @@ def _agl1(q):
     if pk is None or q > 32 or q < 2:
         raise UnsupportedParameter("agl1 parameter must be a prime power <= 32")
     F = _GF(*pk)
-    units = [u for u in F.elements if u != F.zero]
-    units.sort(key=lambda u: (u != F.one, u))
-    elements = [(a, b) for a in units for b in F.elements]
+    fadd, fmul = F.add, F.mul
+    units = sorted(range(1, q), key=lambda u: (u != F.one, u))
+    elements = [(a, b) for a in units for b in range(q)]
 
     def combine(x, y):
         a, b = x
         c, d = y
         # x -> a(cx + d) + b
-        return (F.mul(a, c), F.add(F.mul(a, d), b))
+        return (fmul[a][c], fadd[fmul[a][d]][b])
 
-    return _table_from_elements(elements, combine)
+    return _table_from_elements(
+        elements, combine,
+        lambda e: str((F.elements[e[0]], F.elements[e[1]])))
 
 
 def direct_product(A, B):

@@ -59,6 +59,12 @@ def _per_group(check_id, body, nilpotent_only=False):
     return results
 
 
+@groups.structure_memo
+def _brute_wn(G, n):
+    """Brute-force zeta^{w_n} on G, counted once for every check."""
+    return counting.zeta_brute(G, words.wn(n))
+
+
 def check_zeta_sweep(ns):
     """Brute force, the character recursion and, where one of its families
     applies, `formulas.closed_form_zeta` give the same zeta^{w_n}, for each
@@ -67,7 +73,7 @@ def check_zeta_sweep(ns):
     results = []
     for n in ns:
         def body(G, table, n=n):
-            zetas = {"brute": counting.zeta_brute(G, words.wn(n)),
+            zetas = {"brute": _brute_wn(G, n),
                      "char": formulas.zeta_wn_char(G, table, n)}
             try:
                 zetas["closed"] = formulas.closed_form_zeta(G, n)
@@ -245,7 +251,8 @@ def check_central_quotient():
     """Let N <= Z(G) meet G' trivially, grown from the central elements in
     rising order.  Then G/N is isoclinic to G, and brute force on G at g in
     G' is |N|^n times brute force on G/N at gN, for w_2 and w_3.  Checked
-    on every catalog group where N != 1, through `groups.quotient`."""
+    on every catalog group where N != 1, through `groups.quotient`; G's
+    side is the zeta sweep's brute-force count."""
     results = []
     for spec, G in catalog():
         derived = groups.commutator_subgroup(G)
@@ -261,12 +268,13 @@ def check_central_quotient():
         def one(G=G, N=N, derived=derived):
             Q, proj = groups.quotient(G, N)
             for n in (2, 3):
-                on_g = counting.zeta_element_counts(G, words.wn(n))
+                on_g = _brute_wn(G, n)
                 on_q = counting.zeta_element_counts(Q, words.wn(n))
                 for g in derived.members:
-                    if on_g[g] != N.order ** n * on_q[proj[g]]:
+                    at_g = on_g.at_element(g)
+                    if at_g != N.order ** n * on_q[proj[g]]:
                         raise AssertionError(
-                            f"n={n} g={g}: {on_g[g]} != "
+                            f"n={n} g={g}: {at_g} != "
                             f"{N.order}^{n} * {on_q[proj[g]]}")
             return f"|N|={N.order} n=2,3"
         _run(results, "central-quotient", spec, one)

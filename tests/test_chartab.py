@@ -1,9 +1,11 @@
+import functools
+import hashlib
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from wordcount import chartab, formulas, groups, words
+from wordcount import chartab, formulas, groups, verification, words
 from wordcount.chartab import ClassFunction, character_table
 from wordcount.cyclotomic import Cyclotomic
 
@@ -629,3 +631,86 @@ def test_each_value_object_is_reduced_once(spec, monkeypatch):
         for v in objects:
             assert v.reduced() is v.reduced() and v.terms is v.terms
         assert len(made) == want
+
+
+# Groups whose tables the engine must keep byte for byte: the verify
+# catalog, then larger ones with many classes, fields and split steps.
+ENGINE_SPECS = ("dihedral(200)", "agl1(13)", "agl1(27)", "heisenberg(5)",
+                "direct_product(symmetric(4),quaternion(8))", "symmetric(5)")
+
+
+@functools.cache
+def _engine_groups():
+    return tuple(G for _, G in verification.catalog()) + tuple(
+        groups.parse_builtin_spec(spec) for spec in ENGINE_SPECS)
+
+
+def test_table_texts_are_pinned():
+    # The sha256 of the concatenated cache texts: a change to the table
+    # engine that moves a byte of one of these tables fails here.
+    digest = hashlib.sha256()
+    for G in _engine_groups():
+        digest.update(chartab.dump_table(character_table(G)).encode())
+    assert digest.hexdigest() == (
+        "9c9831045d5bcfc19418dc328734ba8b77458c686aa8fa0a60852f4310a3ee5b")
+
+
+def test_coset_kernel_is_the_kernel_of_the_conjugate_linear_rows():
+    # The reference: reduce the conjugate linear rows mod p, with
+    # lambda(g_c) = w[l(c)] and w[1] = z^((p-1)/e) standing for zeta_e.
+    for G in _engine_groups():
+        classes = groups.conjugacy_classes(G)
+        e = G.exponent()
+        p = chartab._smallest_dixon_prime(G.order, e)
+        z = chartab._primitive_root(p)
+        w = [pow(z, (p - 1) // e * x, p) for x in range(e)]
+        linear = chartab._linear_characters(G, classes, e)
+        conjugate = [[w[row[c]] for c in classes.inverse_class]
+                     for row in linear]
+        assert chartab._coset_kernel(linear, p) == \
+            chartab._kernel(conjugate, p)
+
+
+def _derived_sized(G, classes):
+    """The classes of size |G'|: each is a whole coset of G'."""
+    derived = groups.commutator_subgroup(G).order
+    return {c for c, size in enumerate(classes.sizes) if size == derived}
+
+
+def test_nonlinear_characters_vanish_on_classes_of_size_derived():
+    seen = 0
+    for G in _engine_groups():
+        table = character_table(G)
+        vanishing = _derived_sized(G, table.classes)
+        for row, linear in zip(table.values, table.linear_mask):
+            if not linear:
+                assert all(row[c] == 0 for c in vanishing)
+                seen += len(vanishing)
+    assert seen
+
+
+def test_no_split_step_reads_a_class_of_size_derived(monkeypatch):
+    # Every nonlinear character vanishes on such a class, so its class
+    # matrix is 0 on the nonlinear span: the split never reads it.
+    build = chartab.class_mult_coefficients
+    guarded = []
+
+    class Guarded(list):
+        def __getitem__(self, i):
+            if i in self.vanishing:
+                raise AssertionError(f"class matrix {i} read")
+            return super().__getitem__(i)
+
+    def class_mult(G, classes):
+        a = Guarded(build(G, classes))
+        a.vanishing = _derived_sized(G, classes)
+        guarded.append(len(a.vanishing))
+        return a
+
+    expected = [chartab.dump_table(character_table(G))
+                for G in _engine_groups()]
+    monkeypatch.setattr(chartab, "class_mult_coefficients", class_mult)
+    for G, text in zip(_engine_groups(), expected):
+        table = chartab._compute_table(G, groups.conjugacy_classes(G))
+        assert chartab.dump_table(table) == text
+    assert any(guarded)

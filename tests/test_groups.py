@@ -260,9 +260,9 @@ def test_field_moduli_are_irreducible():
         if pk is None:
             continue
         F = groups._GF(*pk)
-        units = sorted(u for u in F.elements if u != F.zero)
+        units = list(range(1, q))
         for a in units:
-            assert sorted(F.mul(a, b) for b in units) == units, (q, a)
+            assert sorted(F.mul[a][1:]) == units, (q, a)
 
 
 def test_agl1():
