@@ -13,10 +13,11 @@ builds no class matrix.  A class of size |G'| is a whole coset of G', every
 nonlinear character vanishes on it, and its class matrix is 0 on the span,
 so it takes no split step.  Discrete-Fourier multiplicity counts lift each
 value to an exact cyclotomic integer.  The table is then verified exactly:
-the linear rows as a group of roots of unity, and the row orthogonality
-relations of every pair with a nonlinear row.  They imply the column
-relations: the table is square, so X D X* = |G| I (D the diagonal of class
-sizes) gives X* X = |G| D^-1.  A failure is a bug, not a data condition.
+the linear rows as a group of the roots zeta_e^l, each stored as that one
+term, and the row orthogonality relations of every pair with a nonlinear
+row.  They imply the column relations: the table is square, so X D X* =
+|G| I (D the diagonal of class sizes) gives X* X = |G| D^-1.  A failure of
+a computed table is a bug, not a data condition.
 
 Computed and cached rows alike become a table through `_checked_table`,
 the one constructor: it sorts the rows, reads the degrees off the identity
@@ -316,10 +317,9 @@ def _field_traces(e):
 def _smallest_dixon_prime(order, exponent):
     bound = 2 * math.isqrt(order) + 1
     p = exponent + 1
-    while True:
-        if p > bound and (p - 1) % exponent == 0 and groups._is_prime(p):
-            return p
-        p += 1
+    while p <= bound or not groups._is_prime(p):
+        p += exponent
+    return p
 
 
 def _primitive_root(p):
@@ -720,15 +720,16 @@ def _verify_table(G, table):
 
 
 def _verify_linear_rows(table, linear):
-    """The linear rows as a group of roots of unity: each value some
-    zeta_e^l, found by its reduced form, so any representation passes; the
-    rows l distinct and equal to the group they generate, grown by one
-    greedily chosen row, a coset at a time; and sum_j |C_j| zeta^l_j = 0
-    for l != 0.  Then <lambda, mu> is that sum for lambda mu^-1, over |G|,
-    so every pair of linear rows is orthogonal."""
+    """The linear rows as a group of roots of unity: each value the one
+    term zeta_e^l, as `_compute_table` writes it and the cache text keeps
+    it (another form of a root of unity is refused); the rows l distinct
+    and equal to the group they generate, grown by one greedily chosen
+    row, a coset at a time; and sum_j |C_j| zeta^l_j = 0 for l != 0.  Then
+    <lambda, mu> is that sum for lambda mu^-1, over |G|, so every pair of
+    linear rows is orthogonal."""
     e, sizes = table.exponent, table.classes.sizes
-    power = {red: l for l, red in enumerate(cyclotomic.reduced_powers(e))}
-    exps = [tuple([power.get(v.reduced()) for v in table.values[r]])
+    power = {((l, 1),): l for l in range(e)}
+    exps = [tuple([power.get(t) for t in table.sparse_rows[r]])
             for r in linear]
     for r, row in zip(linear, exps):
         if None in row:

@@ -60,15 +60,14 @@ def _exact_div(num, den):
 
 @lru_cache(maxsize=None)
 def _phi_low_terms(order):
-    """Nonzero (j, c) terms of Phi_order below its leading x^deg (Phi is monic)."""
+    """(deg, the nonzero (j, c) terms below x^deg) of the monic Phi_order."""
     phi = cyclotomic_polynomial(order)
-    return tuple((j, c) for j, c in enumerate(phi[:-1]) if c)
+    return len(phi) - 1, tuple((j, c) for j, c in enumerate(phi[:-1]) if c)
 
 
 def _reduce(order, coeffs):
     """Remainder of sum(coeffs[j] x^j) modulo Phi_order, low-to-high tuple."""
-    low = _phi_low_terms(order)
-    deg = len(cyclotomic_polynomial(order)) - 1
+    deg, low = _phi_low_terms(order)
     rem = list(coeffs)
     for i in range(len(rem) - 1, deg - 1, -1):
         c = rem[i]
@@ -77,24 +76,6 @@ def _reduce(order, coeffs):
             for j, pj in low:
                 rem[base + j] -= c * pj
     return tuple(rem[:deg])
-
-
-def reduced_powers(order):
-    """The reduced forms of zeta^0 .. zeta^(order-1), each from the one
-    before by one step of the reduction: shift up by one, then subtract the
-    coefficient that reached x^deg times Phi_order's low terms."""
-    low = _phi_low_terms(order)
-    deg = len(cyclotomic_polynomial(order)) - 1
-    power = [1] + [0] * (deg - 1)
-    out = [tuple(power)]
-    for _ in range(order - 1):
-        top = power[-1]
-        power = [0] + power[:-1]
-        if top:
-            for j, c in low:
-                power[j] -= top * c
-        out.append(tuple(power))
-    return out
 
 
 class Cyclotomic:

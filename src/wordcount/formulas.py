@@ -164,12 +164,10 @@ def _orbit_combination(table, coefs):
 
 def bracket_word(w1, w2):
     """The word [w1(x1..xn), w2(x_{n+1}..x_m)] on disjoint variables."""
-    from .words import _invert, make_word
+    from .words import commutator, make_word
 
-    shift = w1.arity
-    l1 = list(w1.letters)
-    l2 = [(v + shift, e) for v, e in w2.letters]
-    return make_word(_invert(l1) + _invert(l2) + l1 + l2)
+    return make_word(commutator(list(w1.letters), [
+        (v + w1.arity, e) for v, e in w2.letters]))
 
 
 def zeta_mixed_theorem21(G, H, w1, w2, table=None):

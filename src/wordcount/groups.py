@@ -833,7 +833,8 @@ def conjugacy_classes(G):
 def rational_classes(G):
     """The rational classes, identity first, then by first class.  h is
     rationally conjugate to g when it is conjugate to g^a with a prime to
-    o(g), that is when <h> and <g> are conjugate."""
+    o(g), that is when <h> and <g> are conjugate.  `chartab` and
+    `exponent()` read them."""
     classes = conjugacy_classes(G)
     class_of = classes.class_of
     covered = [False] * classes.num_classes
@@ -1015,47 +1016,23 @@ def is_camina_pair(G, H):
     return True
 
 
-def _join_normal(G, N, A):
-    """Sorted members of N·A for normal subgroups N and A: N, then the coset
-    aN for each a in A not yet reached, so about |NA| table lookups and no
-    closure search."""
-    members = set(N.members)
-    for a in A.members:
-        if a not in members:
-            members.update(map(G.mul[a].__getitem__, N.members))
-    return tuple(sorted(members))
-
-
 @structure_memo
 def normal_subgroups(G):
-    """All normal subgroups, as joins of normal closures of conjugacy classes.
-
-    Rationally conjugate elements generate conjugate cyclic subgroups, so
-    their classes have the same normal closure: one closure is taken per
-    nontrivial rational class, of its first class.
-    """
+    """All normal subgroups, as joins of the normal closures of the
+    nontrivial conjugacy classes, each join taken by `subgroup_closure`."""
     class_of = conjugacy_classes(G).class_of
     by_class = {}
-    for a in range(G.order):
+    for a in range(1, G.order):
         by_class.setdefault(class_of[a], []).append(a)
-    atoms = []
-    seen = set()
-    for rc in rational_classes(G)[1:]:
-        sg = subgroup_closure(G, by_class[rc.first])
-        if sg.members not in seen:
-            seen.add(sg.members)
-            atoms.append(sg)
+    atoms = dict.fromkeys(subgroup_closure(G, c).members
+                          for c in by_class.values())
     found = {(0,): trivial_subgroup(G)}
-    frontier = [trivial_subgroup(G)]
-    while frontier:
-        nxt = []
-        for N in frontier:
-            for A in atoms:
-                if A._member_set <= N._member_set:
-                    continue
-                members = _join_normal(G, N, A)
-                if members not in found:
-                    J = found[members] = Subgroup(G, members)
-                    nxt.append(J)
-        frontier = nxt
+    todo = [(0,)]
+    while todo:
+        N = todo.pop()
+        for A in atoms:
+            J = subgroup_closure(G, N + A)
+            if J.members not in found:
+                found[J.members] = J
+                todo.append(J.members)
     return tuple(sorted(found.values(), key=lambda s: (s.order, s.members)))

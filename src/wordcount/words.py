@@ -54,6 +54,11 @@ def _invert(letters):
     return [(v, -e) for v, e in reversed(letters)]
 
 
+def commutator(u, v):
+    """The letters of [u, v] = u^-1 v^-1 u v, for letter lists u and v."""
+    return _invert(u) + _invert(v) + u + v
+
+
 def make_word(letters):
     """Reduce and validate a letter sequence into a Word."""
     reduced = _reduce(list(letters))
@@ -142,7 +147,7 @@ class _Parser:
             v = self.parse_word("]")
             self.expect("]")
             self.check_expansion(2 * (len(u) + len(v)))
-            return self.maybe_power(_invert(u) + _invert(v) + u + v)
+            return self.maybe_power(commutator(u, v))
         if c == "(":
             self.pos += 1
             w = self.parse_word(")")
@@ -188,9 +193,7 @@ def wn(n):
         raise ArityTooSmall("wn needs n >= 2")
     if n == 2:
         return parse("[x1,x2]")
-    prev = list(wn(n - 1).letters)
-    xn = [(n, 1)]
-    return make_word(_invert(prev) + _invert(xn) + prev + xn)
+    return make_word(commutator(list(wn(n - 1).letters), [(n, 1)]))
 
 
 def evaluate(word, G, assignment):

@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -525,7 +526,7 @@ def test_linear_check_refuses_rows_not_closed_under_products():
     r = next(r for r, row in enumerate(table.values)
              if any(v != 1 for v in row))
     bad = _with_linear_values(
-        table, lambda s, c, v: Cyclotomic.from_rational(2, fake[c])
+        table, lambda s, c, v: Cyclotomic.root(2, int(fake[c] < 0))
         if s == r else v)
     with pytest.raises(InternalInconsistency,
                        match="^linear characters repeat or are not closed "
@@ -551,9 +552,14 @@ def test_linear_check_refuses_a_value_that_is_not_a_root_of_unity(value):
 
 @pytest.mark.parametrize("spec", ["cyclic(6)", "dihedral(20)", "agl1(8)",
                                   "direct_product(symmetric(3),cyclic(4))"])
-def test_linear_check_accepts_another_form_of_a_root_of_unity(spec):
-    # zeta^a written as -zeta^(a + e/2): the exponent is read off the
-    # reduced form, so the table passes and equals the computed one
+def test_linear_check_refuses_another_form_of_a_root_of_unity(
+        spec, tmp_path, monkeypatch, capsys):
+    # zeta^a written as -zeta^(a + e/2): a computed table and its cache text
+    # write each linear value as its one term zeta^a, so any other form is
+    # refused, and a cache file that holds it is a miss that is rewritten
+    from wordcount import fileio
+    from wordcount.cli import main
+    from wordcount.errors import InternalInconsistency
     G = groups.parse_builtin_spec(spec)
     table = character_table(G)
     e = table.exponent
@@ -567,9 +573,22 @@ def test_linear_check_accepts_another_form_of_a_root_of_unity(spec):
 
     other = _with_linear_values(table, other_form)
     assert other.sparse_rows != table.sparse_rows
-    chartab._verify_table(G, other)
-    assert other == table
-    assert chartab.load_table(G, chartab.dump_table(other)) == table
+    r = table.linear_mask.index(True)
+    with pytest.raises(InternalInconsistency,
+                       match=f"^linear character {r} is not a root of unity "
+                             "at class 0$"):
+        chartab._verify_table(G, other)
+
+    monkeypatch.setenv(fileio.CACHE_ENV, str(tmp_path))
+    assert main(["chartab", "--group", f"builtin:{spec}"]) == 0
+    computed = capsys.readouterr()
+    (path,) = tmp_path.glob("*.chartab")
+    good = path.read_text(encoding="utf-8")
+    assert good == chartab.dump_table(table)
+    path.write_text(chartab.dump_table(other), encoding="utf-8")
+    assert main(["chartab", "--group", f"builtin:{spec}"]) == 0
+    assert capsys.readouterr() == computed
+    assert path.read_text(encoding="utf-8") == good
 
 
 def test_linear_rows_and_stable_pairings_make_no_cyclotomic_sum(monkeypatch):
@@ -653,6 +672,18 @@ def test_table_texts_are_pinned():
         digest.update(chartab.dump_table(character_table(G)).encode())
     assert digest.hexdigest() == (
         "9c9831045d5bcfc19418dc328734ba8b77458c686aa8fa0a60852f4310a3ee5b")
+
+
+def test_smallest_dixon_prime_is_the_least_prime_past_the_bound():
+    # the least prime p > 2 sqrt(|G|) with p = 1 (mod e), by testing every
+    # integer in turn
+    for order in range(1, 400, 7):
+        for e in range(1, 60):
+            p = e + 1
+            while not (p > 2 * math.isqrt(order) + 1 and (p - 1) % e == 0
+                       and groups._is_prime(p)):
+                p += 1
+            assert chartab._smallest_dixon_prime(order, e) == p, (order, e)
 
 
 def test_coset_kernel_is_the_kernel_of_the_conjugate_linear_rows():

@@ -144,12 +144,3 @@ def test_sparse_phi_reduction_matches_full_remainder(e):
     for _ in range(10):
         coeffs = [rng.randint(-50, 50) for _ in range(e)]
         assert _reduce(e, coeffs) == _full_remainder(e, coeffs)
-
-
-def test_reduced_powers_step_to_each_reduced_root():
-    from wordcount import verification
-
-    exponents = {G.exponent() for _, G in verification.catalog()} | {156, 200}
-    for e in sorted(exponents):
-        assert cyclotomic.reduced_powers(e) == [
-            Cyclotomic.root(e, l).reduced() for l in range(e)], e

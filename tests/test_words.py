@@ -69,6 +69,26 @@ def test_evaluate():
         evaluate(w2, S3, (0,))
 
 
+def test_commutator_evaluates_to_the_group_commutator():
+    # words.commutator is the one rule for [u, v]: the parser, wn and
+    # formulas.bracket_word all build their brackets through it
+    from wordcount.formulas import bracket_word
+
+    S3 = groups.builtin("symmetric", 3)
+    u, v = parse("x1 x2^2"), parse("x2 x1^-1 x2")
+    assert words.commutator([(1, 1)], [(2, 3)]) == [(1, -1), (2, -3),
+                                                    (1, 1), (2, 3)]
+    w = make_word(words.commutator(list(u.letters), list(v.letters)))
+    for a in range(6):
+        for b in range(6):
+            assert evaluate(w, S3, (a, b)) == S3.commutator(
+                evaluate(u, S3, (a, b)), evaluate(v, S3, (a, b)))
+    assert parse("[x1 x2^2, x2 x1^-1 x2]") == w
+    assert wn(3) == make_word(words.commutator(list(wn(2).letters),
+                                               [(3, 1)]))
+    assert bracket_word(u, v) == parse("[x1 x2^2, x4 x3^-1 x4]")
+
+
 def test_evaluate_abelian_commutators_trivial():
     C6 = groups.builtin("cyclic", 6)
     for a in range(6):
