@@ -15,9 +15,10 @@ so it takes no split step.  Discrete-Fourier multiplicity counts lift each
 value to an exact cyclotomic integer.  The table is then verified exactly:
 the linear rows as a group of the roots zeta_e^l, each stored as that one
 term, and the row orthogonality relations of every pair with a nonlinear
-row.  They imply the column relations: the table is square, so X D X* =
-|G| I (D the diagonal of class sizes) gives X* X = |G| D^-1.  A failure of
-a computed table is a bug, not a data condition.
+row, all the linear rows at once through sums over the cosets of G'.  They
+imply the column relations: the table is square, so X D X* = |G| I (D the
+diagonal of class sizes) gives X* X = |G| D^-1.  A failure of a computed
+table is a bug, not a data condition.
 
 Computed and cached rows alike become a table through `_checked_table`,
 the one constructor: it sorts the rows, reads the degrees off the identity
@@ -40,11 +41,15 @@ in the orthogonality check by an integer dot product; every other pair goes
 through the Hermitian sparse kernel in `cyclotomic`, which conjugates its
 second operand itself.  A sum that is rational on each character is
 constant on Galois orbits, so it is summed over the orbits: `orbit_sums`
-holds, per orbit, the integer rows of sum chi(g_j) and sum |chi(g_j)|^2
-over the orbit, which the w_n recursion reads, and so do `inner_product`
-and the mixed-domain formula for Galois-stable input (rational and
-constant on rational classes); other input to those two goes through the
-kernel.
+holds, per nonlinear orbit, the integer rows of sum chi(g_j) and
+sum |chi(g_j)|^2 over the orbit, which the w_n recursion reads, and so do
+`inner_product` and the mixed-domain formula for Galois-stable input
+(rational and constant on rational classes); other input to those two goes
+through the kernel.  The linear characters Lambda = Irr(G/G') are one
+group and sum in closed form: sum_lambda |lambda(g)|^2 = |Lambda| and
+sum_lambda lambda(g) = |Lambda| [g in G'] (`linear_sum`), so a sum whose
+terms are |G|^(k-1) on every linear character contributes |G|^k / |G'| on
+G' and 0 off it.
 """
 from __future__ import annotations
 
@@ -122,8 +127,30 @@ class CharacterTable:
         return _orbits(_galois_maps(self.group), self.sparse_rows)
 
     @cached_property
+    def exponent_rows(self):
+        """Per row: for a linear row, the exponents l_j with chi(g_j) =
+        zeta_e^l_j, read off each value's one term (None at a value in any
+        other form); None for a nonlinear row."""
+        power = {((l, 1),): l for l in range(self.exponent)}
+        return tuple([tuple([power.get(t) for t in row]) if lin else None
+                      for row, lin in zip(self.sparse_rows, self.linear_mask)])
+
+    @cached_property
+    def linear_sum(self):
+        """Per class, sum_lambda lambda(g_j) over the linear rows Lambda =
+        Irr(G/G'): |Lambda| on the classes where every linear row is 1 (G')
+        and 0 elsewhere, as the verified rows are a group."""
+        linear = [row for row in self.exponent_rows if row is not None]
+        m = len(linear)
+        return tuple([m if column.count(0) == m else 0
+                      for column in zip(*linear)])
+
+    @cached_property
     def orbit_sums(self):
-        """{r: GaloisOrbit} for the first row r of each orbit, in rising r.
+        """{r: GaloisOrbit} for the first row r of each nonlinear orbit, in
+        rising r.  The linear rows add up in closed form: sum_lambda
+        |lambda(g_j)|^2 = |Lambda|, and sum_lambda lambda(g_j) is
+        `linear_sum`.
 
         For u prime to e, sigma_u chi = chi o pi_u (module docstring), so
         the orbit O of chi under the power maps is its Galois orbit, and
@@ -132,7 +159,7 @@ class CharacterTable:
         Q(zeta_e) to Q, and likewise for |chi(g)|^2: both are read once per
         distinct value of the representative.  Column orthogonality,
         sum_O N_O(j) = |G| / |C_j| and sum_O chi_O(1) T_O(j) = 0 off the
-        identity, checks the sums."""
+        identity, with the linear part added, checks the sums."""
         orbit = self.galois_orbits
         if orbit is None:
             raise InternalInconsistency(
@@ -150,6 +177,8 @@ class CharacterTable:
 
         out = {}
         for r, size in Counter(r for r, _ in orbit).items():
+            if self.linear_mask[r]:
+                continue
             row = self.sparse_rows[r]
             for t in row:
                 if t not in field_traces:
@@ -162,10 +191,13 @@ class CharacterTable:
                 tuple([orbit_sum(size, field_traces[t][0]) for t in row]),
                 tuple([orbit_sum(size, field_traces[t][1]) for t in row]))
         n = self.group.order
-        for j, class_size in enumerate(self.classes.sizes):
-            if sum([o.norms[j] for o in out.values()]) * class_size != n or \
-                    sum([self.degrees[r] * o.traces[j]
-                         for r, o in out.items()]) != (n if j == 0 else 0):
+        m = self.linear_mask.count(True)
+        for j, (class_size, linear) in enumerate(zip(self.classes.sizes,
+                                                     self.linear_sum)):
+            norms = m + sum([o.norms[j] for o in out.values()])
+            traces = linear + sum([self.degrees[r] * o.traces[j]
+                                   for r, o in out.items()])
+            if norms * class_size != n or traces != (n if j == 0 else 0):
                 raise InternalInconsistency(
                     "Galois orbit sums fail column orthogonality")
         return out
@@ -434,23 +466,20 @@ def _linear_characters(G, classes, e):
     is the first power of s_i in H_(i-1).  Each H_i contains G', so is
     normal, and l on H_(i-1) extends to H_i by l(s_i^j h) = j t + l(h) for
     each of the m_i solutions t of m_i t = l(s_i^m_i) mod e.  So l is
-    linear in the exponents j that reach g, which are found once."""
+    linear in the exponents j that reach g, which are found once: each
+    generator adds, to every row on H_(i-1), each t times its column of
+    exponents j.  s_i^m_i is conjugate to the representative of its class,
+    which lies in H_(i-1) too, so the row there gives l(s_i^m_i)."""
     gmul = G.mul
     coords = dict.fromkeys(groups.commutator_subgroup(G).members, ())
-    ts = [()]  # per character, t for each generator taken
+    steps = []  # (m_i, class of s_i^m_i) per generator taken
     for s in G.generating_set():
         if s in coords:
             continue
         x, m = s, 1
         while x not in coords:
             x, m = gmul[x][s], m + 1
-        extended = []
-        for t in ts:
-            c = sum(map(mul, coords[x], t))
-            if c % m:
-                raise InternalInconsistency("a linear character does not extend")
-            extended += [t + ((c // m + q * e // m) % e,) for q in range(m)]
-        ts = extended
+        steps.append((m, classes.class_of[x]))
         grown, y = {}, 0
         for j in range(m):
             row = gmul[y]
@@ -459,7 +488,18 @@ def _linear_characters(G, classes, e):
             y = gmul[y][s]
         coords = grown
     reps = [coords[g] for g in classes.reps]
-    return [[sum(map(mul, a, t)) % e for a in reps] for t in ts]
+    rows = [[0] * len(reps)]
+    for i, (m, c) in enumerate(steps):
+        column = [a[i] for a in reps]
+        grown = []
+        for row in rows:
+            if row[c] % m:
+                raise InternalInconsistency("a linear character does not extend")
+            for q in range(m):
+                t = (row[c] // m + q * e // m) % e
+                grown.append([(l + t * j) % e for l, j in zip(row, column)])
+        rows = grown
+    return rows
 
 
 def _compute_table(G, classes):
@@ -665,9 +705,12 @@ def _verify_table(G, table):
     is refused.  The linear rows are checked by `_verify_linear_rows`.
     <chi o pi_u, psi o pi_u> = <chi, psi> (pi_u is a size-preserving
     bijection on classes), so pairing each nonlinear orbit representative
-    with every row covers every pair with a nonlinear row.  Two rows of
-    rational integers pair by an integer dot product, any other pair
-    through the sparse kernel."""
+    with every row covers every pair with a nonlinear row.  It pairs with
+    all the linear rows at once through coset sums: group the classes by
+    their column of linear exponents; if sum_{j in c} |C_j| chi(g_j) = 0 for
+    each group c, then <chi, lambda> = 0 for every linear lambda, which is
+    constant on c.  Two nonlinear rows of rational integers pair by an
+    integer dot product, any other pair through the sparse kernel."""
     n = G.order
     k = table.num_characters
     e = table.exponent
@@ -688,14 +731,16 @@ def _verify_table(G, table):
             f"{sum(is_rep)} Galois orbits of characters but {rational} "
             "rational classes")
 
-    _verify_linear_rows(table, [r for r in range(k) if table.linear_mask[r]])
-    int_rows = [[v.reduced() for v in row] for row in table.values]
-    int_rows = [None if any(any(red[1:]) for red in row) else
-                [red[0] for red in row] for row in int_rows]
-    nonlinear = [r for r in range(k) if is_rep[r] and not table.linear_mask[r]]
+    linear, cosets = _verify_linear_rows(table)
+    nonlinear = [r for r in range(k) if not table.linear_mask[r]]
+    int_rows = {}
+    for r in nonlinear:
+        red = [v.reduced() for v in table.values[r]]
+        int_rows[r] = None if any(any(x[1:]) for x in red) else \
+            [x[0] for x in red]
 
     def holds(r, s, want):
-        a, b = int_rows[r], int_rows[s]
+        a, b = int_rows[r], int_rows.get(s)
         if a is not None and b is not None:
             return integer_class_sum(sizes, a, b) == want
         try:
@@ -704,38 +749,76 @@ def _verify_table(G, table):
         except NonIntegral:
             return False
 
+    def fail(r, s):
+        raise InternalInconsistency(
+            f"row orthogonality fails for characters {min(r, s)},{max(r, s)}")
+
     # The callers guarantee a square table (k characters, k classes), so
     # the row relations imply the column relations; see the module docstring.
     for r in nonlinear:
-        for s in range(k):
-            if s < r and is_rep[s] and not table.linear_mask[s]:
+        if not is_rep[r]:
+            continue
+        if not _coset_sums_vanish(e, sizes, cosets, int_rows[r],
+                                  table.sparse_rows[r]):
+            # The columns are distinct characters of the group Lambda, and
+            # so linearly independent: some <chi, lambda> is not 0.
+            fail(r, next(s for s in linear if not holds(r, s, 0)))
+        for s in nonlinear:
+            if s < r and is_rep[s]:
                 continue  # <r, s> is the conjugate of <s, r>, checked
             if not holds(r, s, n if r == s else 0):
-                raise InternalInconsistency(
-                    f"row orthogonality fails for characters "
-                    f"{min(r, s)},{max(r, s)}")
+                fail(r, s)
     dG = groups.commutator_subgroup(G)
-    if sum(table.linear_mask) != n // dG.order:
+    if len(linear) != n // dG.order:
         raise InternalInconsistency("linear character count != |G : G'|")
 
 
-def _verify_linear_rows(table, linear):
-    """The linear rows as a group of roots of unity: each value the one
-    term zeta_e^l, as `_compute_table` writes it and the cache text keeps
-    it (another form of a root of unity is refused); the rows l distinct
-    and equal to the group they generate, grown by one greedily chosen
-    row, a coset at a time; and sum_j |C_j| zeta^l_j = 0 for l != 0.  Then
-    <lambda, mu> is that sum for lambda mu^-1, over |G|, so every pair of
-    linear rows is orthogonal."""
+def _coset_sums_vanish(e, sizes, cosets, ints, terms):
+    """True iff sum_{j in c} |C_j| chi(g_j) = 0 for each group c of classes
+    (cosets[j] is class j's): in integers for a rational row (`ints`), else
+    from its kernel terms, one sum per group that chi meets."""
+    if ints is not None:
+        totals = dict.fromkeys(cosets, 0)
+        for c, size, v in zip(cosets, sizes, ints):
+            totals[c] += size * v
+        return not any(totals.values())
+    totals = {}
+    for c, size, t in zip(cosets, sizes, terms):
+        if t:
+            acc = totals.get(c)
+            if acc is None:
+                acc = totals[c] = [0] * e
+            for i, x in t:
+                acc[i] += size * x
+    return all(cyclotomic.vanishes(e, acc) for acc in totals.values())
+
+
+def _verify_linear_rows(table):
+    """The linear rows as an orthogonal group Lambda of roots of unity.
+    Returns their exponent rows {r: l}, lambda_r(g_j) = zeta_e^l[j], and per
+    class j the index of its column (l[j] over the rows) among the distinct
+    columns, in order of first appearance: its coset of G'.
+
+    Each value must be the one term zeta_e^l, as `_compute_table` writes it
+    and the cache text keeps it (another form of a root of unity is
+    refused).  The rows must be distinct and equal to the group they
+    generate, grown by one greedily chosen row, a coset at a time.  Then a
+    column is a homomorphism c: Lambda -> Z/e, and sum_j |C_j| zeta^l[j] =
+    sum_c W(c) zeta^c(l), W(c) the size of c's classes.  By Fourier
+    inversion on the dual of Lambda, that is 0 for every l != 0 exactly
+    when W is constant: |Lambda| columns, each of |G| / |Lambda| elements.
+    <lambda, mu> is that sum for lambda mu^-1, over |G|, so then every pair
+    of linear rows is orthogonal.  Otherwise some row's sum is not 0, so
+    `_covers_evenly` fails on it; the first such row is named."""
     e, sizes = table.exponent, table.classes.sizes
-    power = {((l, 1),): l for l in range(e)}
-    exps = [tuple([power.get(t) for t in table.sparse_rows[r]])
-            for r in linear]
-    for r, row in zip(linear, exps):
+    linear = {r: row for r, row in enumerate(table.exponent_rows)
+              if row is not None}
+    for r, row in linear.items():
         if None in row:
             raise InternalInconsistency(
                 f"linear character {r} is not a root of unity at class "
                 f"{row.index(None)}")
+    exps = list(linear.values())
     found, span = set(exps), {(0,) * len(sizes)}
     for row in exps:
         step, grown = row, set(span)
@@ -747,15 +830,34 @@ def _verify_linear_rows(table, linear):
     if len(found) != len(exps) or span != found:
         raise InternalInconsistency(
             "linear characters repeat or are not closed under products")
-    trivial = linear[exps.index((0,) * len(sizes))]
-    for r, row in zip(linear, exps):
-        total = [0] * e
-        for size, l in zip(sizes, row):
-            total[l] += size
-        if r != trivial and Cyclotomic(e, tuple(total)) != 0:
-            raise InternalInconsistency(
-                f"row orthogonality fails for characters "
-                f"{min(r, trivial)},{max(r, trivial)}")
+    column_of = {}
+    cosets = [column_of.setdefault(column, len(column_of))
+              for column in zip(*exps)]
+    weights = [0] * len(column_of)
+    for c, size in zip(cosets, sizes):
+        weights[c] += size
+    if len(weights) != len(exps) or len(set(weights)) != 1:
+        trivial = next(r for r, row in linear.items() if not any(row))
+        r = next(r for r, row in linear.items()
+                 if r != trivial and not _covers_evenly(e, sizes, row))
+        raise InternalInconsistency(
+            f"row orthogonality fails for characters "
+            f"{min(r, trivial)},{max(r, trivial)}")
+    return linear, cosets
+
+
+def _covers_evenly(e, sizes, row):
+    """True iff the exponents of the row cover a subgroup of Z/e, each with
+    the same total class size, as a linear character's do (its fibers are
+    the cosets of its kernel).  Then sum_j |C_j| zeta_e^row[j] = 0 unless
+    the subgroup is 0."""
+    weights = [0] * e
+    for size, l in zip(sizes, row):
+        weights[l] += size
+    image = [l for l, w in enumerate(weights) if w]
+    # range(0, e, step) has len(image) items only when the step divides e
+    return image == list(range(0, e, e // len(image))) and \
+        len({weights[l] for l in image}) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -796,14 +898,23 @@ def inner_product(table, phi, psi):
     For a Galois-stable phi (`galois_stable`) and a character index psi,
     <phi, chi> is the same for every chi in the Galois orbit O of chi_psi
     (sigma_u chi = chi o pi_u and phi o pi_u = phi), so it is the orbit mean
-    sum_j |C_j| phi(g_j) T_O(j) / (|O| |G|) over the integer row T_O of
-    `orbit_sums`.  Any other pair goes through the sparse kernel."""
+    sum_j |C_j| phi(g_j) T_O(j) / (|O| |G|).  For a nonlinear psi, T_O is
+    the integer row of `orbit_sums`; for a linear psi = zeta_e^l,
+    T_O(j) / |O| = Tr(zeta_e^l_j) / phi(e), read off `_field_traces`.  Any
+    other pair goes through the sparse kernel."""
     if isinstance(psi, int) and not isinstance(phi, int):
         phi = _class_values(table, phi)
         if galois_stable(table, phi):
+            sizes, n = table.classes.sizes, table.group.order
+            exps = table.exponent_rows[psi]
+            if exps is not None:
+                tr = _field_traces(table.exponent)
+                total = integer_class_sum(sizes, phi,
+                                          map(tr.__getitem__, exps))
+                return Fraction(total, tr[0] * n)
             orbit = table.orbit_sums[table.galois_orbits[psi][0]]
-            total = integer_class_sum(table.classes.sizes, phi, orbit.traces)
-            return Fraction(total, orbit.size * table.group.order)
+            total = integer_class_sum(sizes, phi, orbit.traces)
+            return Fraction(total, orbit.size * n)
     a = _class_terms(table, phi)
     b = _class_terms(table, psi)
     total = cyclotomic.rational_sum(table.exponent,

@@ -78,6 +78,11 @@ def _reduce(order, coeffs):
     return tuple(rem[:deg])
 
 
+def vanishes(order, coeffs):
+    """True iff sum(coeffs[j] zeta^j) = 0."""
+    return not any(_reduce(order, coeffs))
+
+
 class Cyclotomic:
     """An element of Q[zeta_order]; character values keep integer coeffs."""
 
@@ -101,9 +106,12 @@ class Cyclotomic:
 
     @staticmethod
     def root(order, power=1):
+        power %= order
         c = [0] * order
-        c[power % order] = 1
-        return Cyclotomic(order, tuple(c))
+        c[power] = 1
+        root = Cyclotomic(order, tuple(c))
+        root._terms = ((power, 1),)
+        return root
 
     def _coerce(self, other):
         if isinstance(other, Cyclotomic):

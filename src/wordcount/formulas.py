@@ -138,27 +138,32 @@ def zeta_wn_char(G, table, n):
 
     C^{w_k} and chi(1) are constant on each Galois orbit O (see `c_wn`), so
     a step is sum_O |G| C^{w_k}(chi_O) / chi_O(1) * T_O, with T_O the
-    integer row of sum_{chi in O} chi: one integer fraction per orbit from
-    `_orbit_coefficient`, summed as integers over one common denominator."""
+    integer row of sum_{chi in O} chi: one integer fraction per nonlinear
+    orbit from `_orbit_coefficient`, summed as integers over one common
+    denominator.  Every linear chi has |G| C^{w_k}(chi) / chi(1) =
+    |G|^{k-1}, so the linear characters add the one term |G|^{k-1}
+    `table.linear_sum`: |G|^k / |G'| on G' and 0 off it."""
     _require_table_of(G, table)
     if n < 2:
         raise PredicateFailed("the recursion starts at n = 2")
     chain = table.zeta_chain
     while len(chain) < n - 1:
         k = len(chain) + 2
-        numerators, den = _orbit_combination(table, [
+        numerators, den = _orbit_combination(table, G.order ** (k - 1), [
             _orbit_coefficient(G, table, r, k) for r in table.orbit_sums])
         chain.append(_as_integer_class_function(G, table, numerators, den, k))
     return chain[n - 2]
 
 
-def _orbit_combination(table, coefs):
-    """(numerators, den) with sum_O a_O / b_O * T_O(j) = numerators[j] / den,
-    for the integer pairs (a_O, b_O) in the order of `table.orbit_sums`,
+def _orbit_combination(table, linear, coefs):
+    """(numerators, den) with linear * L(j) + sum_O a_O / b_O * T_O(j) =
+    numerators[j] / den, L = `table.linear_sum`, for the integer pairs
+    (a_O, b_O) in the order of `table.orbit_sums` (the nonlinear orbits),
     over one common denominator."""
     den = math.lcm(*[b for _, b in coefs])
-    weights = [a * (den // b) for a, b in coefs]
-    columns = zip(*[orbit.traces for orbit in table.orbit_sums.values()])
+    weights = [linear * den] + [a * (den // b) for a, b in coefs]
+    columns = zip(table.linear_sum,
+                  *[orbit.traces for orbit in table.orbit_sums.values()])
     return [sum(map(mul, weights, column)) for column in columns], den
 
 
@@ -174,7 +179,10 @@ def zeta_mixed_theorem21(G, H, w1, w2, table=None):
     """Counts for [w1(vars in H), w2(vars in G)] via the character formula.
 
     Returns a per-element integer list over G.  Requires H normal and w2
-    measure preserving with respect to G.
+    measure preserving with respect to G.  With n variables in w1 and m in
+    the bracket, and Galois-stable class weights, the linear characters add
+    one term, |G|^(m-n-1) |H|^n `table.linear_sum`: |G|^(m-n) |H|^n / |G'|
+    on G' and 0 off it.
     """
     from . import chartab, counting, cyclotomic
 
@@ -201,17 +209,17 @@ def zeta_mixed_theorem21(G, H, w1, w2, table=None):
     # coefficient of chi: |G|^(m-n-1) / chi(1) * |H| <zeta1 chi, chi>_H, the
     # last factor sum_j w_j |chi(g_j)|^2.  For weights fixed by the power
     # maps it is the same on each Galois orbit O, and rational, so it is
-    # c_O = sum_j w_j N_O(j) / |O| and the orbit adds up to T_O; for other
-    # weights it is carried as exact cyclotomic terms per character, and
-    # it is real, so pairing it with the rows through the Hermitian kernel
-    # gives the same rational counts.
+    # c_O = sum_j w_j N_O(j) / |O| and the orbit adds up to T_O; on a
+    # linear chi it is sum_j w_j, and the linear characters add up to
+    # `table.linear_sum`.  For other weights it is carried as exact
+    # cyclotomic terms per character, and it is real, so pairing it with
+    # the rows through the Hermitian kernel gives the same rational counts.
     scale = G.order ** (m - w1.arity - 1)
     if chartab.galois_stable(table, weights):
-        numerators, den = _orbit_combination(table, [
+        numerators, den = _orbit_combination(table, scale * sum(weights), [
             (scale * sum(map(mul, weights, orbit.norms)),
              orbit.size * table.degrees[r])
             for r, orbit in table.orbit_sums.items()])
-        per_class = [Fraction(v, den) for v in numerators]
     else:
         rows = table.sparse_rows
         coefs = []
@@ -220,13 +228,14 @@ def zeta_mixed_theorem21(G, H, w1, w2, table=None):
                 e, ((w, row[j], row[j]) for j, w in enumerate(weights) if w))
             coefs.append((Fraction(scale, d * den),
                           tuple((i, c) for i, c in enumerate(acc) if c)))
-        per_class = [cyclotomic.rational_sum(
-                         e, ((s, c, row[j])
-                             for (s, c), row in zip(coefs, rows)))
-                     for j in range(k)]
-    if any(v.denominator != 1 or v < 0 for v in per_class):
+        numerators, den = [cyclotomic.rational_sum(
+                               e, ((s, c, row[j])
+                                   for (s, c), row in zip(coefs, rows)))
+                           for j in range(k)], 1
+    if any(v % den or v < 0 for v in numerators):
         raise InternalInconsistency("mixed-domain count is not a natural number")
-    counts = [per_class[cls[g]].numerator for g in range(G.order)]
+    per_class = [v // den for v in numerators]
+    counts = [per_class[c] for c in cls]
     if sum(counts) != (H.order ** w1.arity) * (G.order ** w2.arity):
         raise InternalInconsistency("mixed-domain counts fail total mass")
     return counts

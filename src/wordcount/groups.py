@@ -29,6 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import namedtuple
+from collections.abc import Sequence
 from functools import wraps
 from operator import itemgetter
 
@@ -66,6 +67,29 @@ def structure_memo(fn):
             cache[key] = fn(G, *args)
         return cache[key]
     return memo
+
+
+class _Labels(Sequence):
+    """The labels of a table's elements, each `label(element)` formatted when
+    it is read, so a group formats only the labels a command prints.  Equal
+    to the tuple of them all."""
+
+    __slots__ = ("elements", "label")
+
+    def __init__(self, elements, label):
+        self.elements = elements
+        self.label = label
+
+    def __len__(self):
+        return len(self.elements)
+
+    def __getitem__(self, a):
+        return self.label(self.elements[a])
+
+    def __eq__(self, other):
+        if isinstance(other, (tuple, _Labels)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
 
 
 class GroupTable:
@@ -472,7 +496,7 @@ def _table_from_elements(elements, combine, label=str):
     inv = [0] * n
     for c, a, s in steps:
         inv[c] = rows[c].index(0) if a is None else rows[inv[s]][inv[a]]
-    return GroupTable(n, tuple(rows), tuple(inv), tuple(map(label, elements)))
+    return GroupTable(n, tuple(rows), tuple(inv), _Labels(elements, label))
 
 
 def _row_packer(n):

@@ -31,7 +31,8 @@ def catalog():
                 "agl1(3)", "agl1(4)", "agl1(5)",
                 "extraspecial_plus(2)", "extraspecial_minus(2)",
                 "extraspecial_plus(3)", "extraspecial_minus(3)",
-                "heisenberg(3)"])
+                "heisenberg(3)", "direct_product(quaternion(8),cyclic(3))",
+                "direct_product(dihedral(8),cyclic(3))"])
     tower = groups.from_permutation_generators(
         8, [(4, 5, 6, 7, 0, 1, 2, 3), (5, 4, 6, 7, 2, 3, 1, 0)])
     return tuple((spec, groups.parse_builtin_spec(spec)) for spec in specs) \

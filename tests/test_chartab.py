@@ -261,10 +261,11 @@ def test_verify_rejects_a_perturbation_shared_by_a_galois_orbit(spec):
 
 def test_verify_checks_orbit_representatives_against_every_row(monkeypatch):
     # D200: 53 characters, 4 linear, and the 49 nonlinear ones in 7 Galois
-    # orbits.  The linear rows are checked as a group of roots of unity, so
-    # 7 * 53 - 7 * 6 / 2 = 350 inner products instead of 53 * 54 / 2 = 1431;
-    # the one rational nonlinear row pairs with itself and the 4 linear
-    # rows through the integer kernel, 5 of the 350
+    # orbits.  The linear rows are checked as a group of roots of unity, and
+    # each orbit representative pairs with all 4 of them through one pass
+    # of coset sums, so 7 * 49 - 7 * 6 / 2 = 322 inner products instead of
+    # 53 * 54 / 2 = 1431; the one rational nonlinear row pairs with itself
+    # through the integer kernel, 1 of the 322
     from wordcount import cyclotomic
     G = groups.builtin("dihedral", 200)
     table = character_table(G)
@@ -277,8 +278,10 @@ def test_verify_checks_orbit_representatives_against_every_row(monkeypatch):
                         counted("cyclotomic", cyclotomic.rational_sum))
     monkeypatch.setattr(chartab, "integer_class_sum",
                         counted("integer", chartab.integer_class_sum))
+    monkeypatch.setattr(chartab, "_coset_sums_vanish",
+                        counted("cosets", chartab._coset_sums_vanish))
     chartab._verify_table(G, table)
-    assert calls == {"cyclotomic": 345, "integer": 5}
+    assert calls == {"cyclotomic": 321, "integer": 1, "cosets": 7}
 
 
 def _first_failing_pair(table):
@@ -328,11 +331,18 @@ def test_verify_rejects_a_perturbed_rational_table(spec):
                                   "heisenberg(3)", "symmetric(4)",
                                   "direct_product(symmetric(3),cyclic(4))"])
 def test_orbit_sums_add_the_rows_of_each_orbit(spec):
+    # the nonlinear orbits; the linear rows add up to `linear_sum`
     G = groups.parse_builtin_spec(spec)
     table = character_table(G)
     orbit = table.galois_orbits
     sums = table.orbit_sums
-    assert list(sums) == sorted({r for r, _ in orbit})
+    assert list(sums) == sorted({r for r, _ in orbit
+                                 if not table.linear_mask[r]})
+    linear = [row for row, lin in zip(table.values, table.linear_mask) if lin]
+    derived = groups.commutator_subgroup(G)
+    for j, rep in enumerate(table.classes.reps):
+        assert sum([row[j] for row in linear[1:]], linear[0][j]) == \
+            table.linear_sum[j] == (len(linear) if rep in derived else 0)
     for r, o in sums.items():
         members = [s for s, (rep, _) in enumerate(orbit) if rep == r]
         assert o.size == len(members)
@@ -534,6 +544,50 @@ def test_linear_check_refuses_rows_not_closed_under_products():
         chartab._verify_table(G, bad)
 
 
+def test_linear_check_refuses_a_zero_sum_row_with_uneven_fibers():
+    # C4 x C2 through (lambda, mu): G -> Z/4 x Z/2, lambda of order 4 and mu
+    # of order 2 with lambda^2 != mu.  The fake row v takes exponents
+    # 0,1,2,3 on the classes with mu = 0 and 0,2,0,2 on the others: the
+    # fibers of 0, 1, 2, 3 weigh 3, 1, 3, 1, so sum zeta^v = 0, but 2v sums
+    # to 4.  The rows <v, mu> are a group Z/4 x Z/2 of odd functions
+    # (v(g^-1) = -v(g)), so they are closed under the power map g -> g^3
+    # and fall into 6 orbits, as the rational classes do.  v comes first,
+    # and it is named, not the first row whose sum is not 0.
+    from wordcount import cyclotomic
+    from wordcount.errors import InternalInconsistency
+    G = groups.parse_builtin_spec("direct_product(cyclic(4),cyclic(2))")
+    table = character_table(G)
+    e, sizes = table.exponent, table.classes.sizes
+    assert e == 4
+    rows = table.exponent_rows
+    lam = next(row for row in rows if 1 in row)
+    mu = next(row for row in rows
+              if set(row) == {0, 2} and row != tuple(2 * l % 4 for l in lam))
+    fake = {(0, 0): 0, (1, 0): 1, (2, 0): 2, (3, 0): 3,
+            (0, 2): 0, (1, 2): 2, (2, 2): 0, (3, 2): 2}
+    v = tuple(fake[pair] for pair in zip(lam, mu))
+    group = [tuple((a * x + b * y) % e for x, y in zip(v, mu))
+             for b in (0, 1) for a in (0, 1, 2, 3)]
+    order = [group[0], group[1], group[2]] + group[3:]
+    assert len(set(order)) == 8
+
+    def row_sum(row):
+        acc = [0] * e
+        for size, l in zip(sizes, row):
+            acc[l] += size
+        return acc
+
+    assert cyclotomic.vanishes(e, row_sum(v))
+    assert not cyclotomic.vanishes(e, row_sum(order[2]))
+    bad = chartab.CharacterTable(
+        G, table.classes, e,
+        tuple(tuple(Cyclotomic.root(e, l) for l in row) for row in order),
+        (1,) * 8)
+    with pytest.raises(InternalInconsistency,
+                       match="^row orthogonality fails for characters 0,1$"):
+        chartab._verify_table(G, bad)
+
+
 @pytest.mark.parametrize("value", [0, 2, Cyclotomic.root(12, 1) + 1])
 def test_linear_check_refuses_a_value_that_is_not_a_root_of_unity(value):
     # 1 + zeta_12 has absolute value 2 cos(pi/12), so no power of zeta_12
@@ -624,15 +678,16 @@ def test_linear_rows_and_stable_pairings_make_no_cyclotomic_sum(monkeypatch):
 def test_each_value_object_is_reduced_once(spec, monkeypatch):
     # Values keep their reduced form and tables share one object per
     # distinct value, so computing or loading a table reduces each value
-    # object once, plus one sum of class sizes per nontrivial linear row.
-    # The kernel's own reduction of its accumulator is not a value's.
+    # object once; the linear rows are checked by their exponents.  The
+    # kernels' own reductions of their accumulators are not a value's.
     import sys
     from wordcount import cyclotomic
-    reduce, kernel = cyclotomic._reduce, cyclotomic.rational_sum.__code__
+    reduce = cyclotomic._reduce
+    kernels = (cyclotomic.rational_sum.__code__, cyclotomic.vanishes.__code__)
     made = []
 
     def counted(order, coeffs):
-        if sys._getframe(1).f_code is not kernel:
+        if sys._getframe(1).f_code not in kernels:
             made.append(coeffs)
         return reduce(order, coeffs)
 
@@ -645,7 +700,7 @@ def test_each_value_object_is_reduced_once(spec, monkeypatch):
         del made[:]
         t = build()
         objects = {id(v): v for row in t.values for v in row}.values()
-        want = len(objects) + sum(t.linear_mask) - 1
+        want = len(objects)
         assert len(made) == want
         for v in objects:
             assert v.reduced() is v.reduced() and v.terms is v.terms
@@ -653,14 +708,19 @@ def test_each_value_object_is_reduced_once(spec, monkeypatch):
 
 
 # Groups whose tables the engine must keep byte for byte: the verify
-# catalog, then larger ones with many classes, fields and split steps.
+# catalog as it stood when the digest below was pinned, then larger ones
+# with many classes, fields and split steps.  The groups added to the
+# catalog since are pinned on their own.
 ENGINE_SPECS = ("dihedral(200)", "agl1(13)", "agl1(27)", "heisenberg(5)",
                 "direct_product(symmetric(4),quaternion(8))", "symmetric(5)")
+LATER_CATALOG = ("direct_product(quaternion(8),cyclic(3))",
+                 "direct_product(dihedral(8),cyclic(3))")
 
 
 @functools.cache
 def _engine_groups():
-    return tuple(G for _, G in verification.catalog()) + tuple(
+    return tuple(G for spec, G in verification.catalog()
+                 if spec not in LATER_CATALOG) + tuple(
         groups.parse_builtin_spec(spec) for spec in ENGINE_SPECS)
 
 
@@ -672,6 +732,16 @@ def test_table_texts_are_pinned():
         digest.update(chartab.dump_table(character_table(G)).encode())
     assert digest.hexdigest() == (
         "9c9831045d5bcfc19418dc328734ba8b77458c686aa8fa0a60852f4310a3ee5b")
+
+
+def test_later_catalog_table_texts_are_pinned():
+    catalog = dict(verification.catalog())
+    digest = hashlib.sha256()
+    for spec in LATER_CATALOG:
+        digest.update(chartab.dump_table(
+            character_table(catalog[spec])).encode())
+    assert digest.hexdigest() == (
+        "f2df87455d20b997c1916e3a5a8199ae7d77194dada4c7ba609446bf8c651cd9")
 
 
 def test_smallest_dixon_prime_is_the_least_prime_past_the_bound():

@@ -33,14 +33,20 @@ def test_recursion_matches_brute():
 
 
 def test_integer_steps_equal_the_fraction_form_on_the_catalog():
-    # Each step sums integer pairs per Galois orbit; the public c_wn keeps
-    # the Fraction form sum_O |G| C^{w_n}(chi_O) / chi_O(1) * T_O.
+    # Each step sums integer pairs per nonlinear Galois orbit and one term
+    # for the linear characters; the public c_wn keeps the Fraction form
+    # sum_O |G| C^{w_n}(chi_O) / chi_O(1) * T_O, in which every linear
+    # chi has the same coefficient and their rows add up to `linear_sum`.
     for _, G in verification.catalog():
         table = _table(G)
+        linear = [r for r, lin in enumerate(table.linear_mask) if lin]
         for n in range(2, 9):
             coefs = [(Fraction(G.order) * formulas.c_wn(G, table, r, n)
                       / table.degrees[r], orbit.traces)
                      for r, orbit in table.orbit_sums.items()]
+            (linear_coef,) = {Fraction(G.order) * formulas.c_wn(G, table, r, n)
+                              for r in linear}
+            coefs.append((linear_coef, table.linear_sum))
             assert list(formulas.zeta_wn_char(G, table, n).values) == [
                 sum(c * traces[j] for c, traces in coefs)
                 for j in range(table.num_characters)], n

@@ -1,9 +1,14 @@
 """The generator-based table builder and structure functions against the
 per-entry and all-pairs definitions they replace, kept here as references."""
 
+import functools
+import importlib.util
 import math
+import sys
+from collections import Counter
 from fractions import Fraction
 from operator import mul
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -616,6 +621,209 @@ def test_orbit_pairings_match_cyclotomic_sums(spec, monkeypatch):
             m.setattr(chartab, "galois_stable", lambda table, values: False)
             assert formulas.zeta_mixed_theorem21(G, H, w1, x1, table) == \
                 expected
+
+
+# ---------------------------------------------------------------------------
+# references: the linear characters one orbit and one row at a time
+
+
+def ref_orbit_sums(table):
+    """{r: (|O|, T_O, N_O)} for every Galois orbit, linear ones included:
+    the integer rows of sum chi and sum |chi|^2 over the orbit, each value
+    read through the field trace, |O| Tr(v) / phi(e)."""
+    e = table.exponent
+    tr = chartab._field_traces(e)
+    out = {}
+    for r, size in Counter(r for r, _ in table.galois_orbits).items():
+        traces, norms = [], []
+        for t in table.sparse_rows[r]:
+            norm, _ = cyclotomic.product_sum(e, [(1, t, t)])
+            trace = sum(c * tr[i] for i, c in t)
+            norm = sum(map(mul, norm, tr))
+            assert size * trace % tr[0] == size * norm % tr[0] == 0
+            traces.append(size * trace // tr[0])
+            norms.append(size * norm // tr[0])
+        out[r] = (size, traces, norms)
+    return out
+
+
+def ref_orbit_chain(G, table, sums, top):
+    """[zeta^{w_2}, ..., zeta^{w_top}] values by the orbit recursion over
+    every orbit of `ref_orbit_sums`: (|G|, chi(1)) at n = 2,
+    (|G|^{n-1}, 1) for a linear orbit, else
+    (sum_j |C_j| zeta^{w_{n-1}}(g_j) N_O(j), |O| chi(1))."""
+    sizes = table.classes.sizes
+    chain = []
+    for n in range(2, top + 1):
+        coefs = []
+        for r, (size, traces, norms) in sums.items():
+            d = table.degrees[r]
+            if n == 2:
+                coefs.append((Fraction(G.order, d), traces))
+            elif d == 1:
+                coefs.append((Fraction(G.order ** (n - 1)), traces))
+            else:
+                total = sum(map(mul, sizes, map(mul, chain[-1], norms)))
+                coefs.append((Fraction(total, size * d), traces))
+        values = [sum(c * traces[j] for c, traces in coefs)
+                  for j in range(table.num_characters)]
+        assert all(v.denominator == 1 and v >= 0 for v in values)
+        chain.append(tuple(v.numerator for v in values))
+    return chain
+
+
+def ref_orbit_inner(table, sums, phi, r):
+    """<phi, chi_r> for a Galois-stable phi, as the mean over chi_r's orbit
+    of `ref_orbit_sums`."""
+    size, traces, _ = sums[table.galois_orbits[r][0]]
+    total = sum(map(mul, table.classes.sizes, map(mul, phi, traces)))
+    return Fraction(total, size * table.group.order)
+
+
+def ref_orbit_mixed(G, H, w1, w2, table, sums):
+    """The mixed-domain counts for Galois-stable weights, one term per
+    orbit of `ref_orbit_sums`."""
+    zeta1 = counting.zeta_element_counts(
+        G, w1, counting.DomainSpec((H,) * w1.arity))
+    cls = table.classes.class_of
+    weights = [0] * table.classes.num_classes
+    for g in H.members:
+        weights[cls[g]] += zeta1[g]
+    assert chartab.galois_stable(table, weights)
+    scale = G.order ** (w2.arity - 1)
+    per_class = [Fraction(0)] * table.classes.num_classes
+    for r, (size, traces, norms) in sums.items():
+        coef = Fraction(scale * sum(map(mul, weights, norms)),
+                        size * table.degrees[r])
+        per_class = [v + coef * t for v, t in zip(per_class, traces)]
+    return [per_class[c] for c in cls]
+
+
+def ref_first_failing_pair(table):
+    """The row-by-row check: each nonlinear orbit representative paired
+    with every row by the sparse kernel, less the nonlinear representatives
+    before it; the first pair that fails, or None."""
+    e, n, k = table.exponent, table.group.order, table.num_characters
+    rows, sizes = table.sparse_rows, table.classes.sizes
+    reps = [r for r, (rep, _) in enumerate(table.galois_orbits)
+            if r == rep and not table.linear_mask[r]]
+    for r in reps:
+        for s in range(k):
+            if s < r and s in reps:
+                continue
+            try:
+                total = cyclotomic.rational_sum(
+                    e, zip(sizes, rows[r], rows[s]))
+            except NonIntegral:
+                total = None
+            if total != (n if r == s else 0):
+                return min(r, s), max(r, s)
+    return None
+
+
+@functools.cache
+def _session_plan(seed):
+    """The groups of the benchmark's catalog session for a seed."""
+    # workloads.py imports oracle.py by name from its own directory, and
+    # its dataclass looks its module up in sys.modules
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", perfbench / "workloads.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    sys.path.insert(0, str(perfbench))
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(perfbench))
+    return module.catalog_session(seed).plan
+
+
+def _session_group(entry):
+    if "spec" in entry:
+        return groups.parse_builtin_spec(entry["spec"][len("builtin:"):])
+    return groups.from_permutation_generators(*entry["perm"])
+
+
+# the verify catalog, the groups of the benchmark's catalog session for seed
+# 7 (its permutation groups from seeded generators), and larger groups
+LINEAR_REFERENCE_GROUPS = (
+    [f"catalog:{spec}" for spec, _ in verification.catalog()]
+    + [f"session7:{i}" for i in range(49)]
+    + ["dihedral(200)", "agl1(27)", "heisenberg(5)",
+       "direct_product(symmetric(4),quaternion(8))", "cyclic(30)",
+       "elementary_abelian(2,5)"])
+
+
+def _linear_reference_group(key):
+    kind, _, name = key.partition(":")
+    if kind == "catalog":
+        return dict(verification.catalog())[name]
+    if kind == "session7":
+        return _session_group(_session_plan(7)[int(name)])
+    return groups.parse_builtin_spec(key)
+
+
+@pytest.mark.parametrize("key", LINEAR_REFERENCE_GROUPS)
+def test_linear_closed_forms_match_the_per_orbit_path(key):
+    G = _linear_reference_group(key)
+    table = chartab.character_table(G)
+    assert ref_first_failing_pair(table) is None
+    sums = ref_orbit_sums(table)
+    chain = ref_orbit_chain(G, table, sums, 8)
+    for n in range(2, 9):
+        zeta = formulas.zeta_wn_char(G, table, n)
+        assert zeta.values == chain[n - 2], n
+        for r in range(table.num_characters):
+            assert chartab.inner_product(table, zeta, r) == \
+                ref_orbit_inner(table, sums, zeta.values, r), (n, r)
+    x1, w2 = words.parse("x1"), words.wn(2)
+    for H in (groups.commutator_subgroup(G), groups.center(G)):
+        for w1 in (x1, w2):
+            assert formulas.zeta_mixed_theorem21(G, H, w1, x1, table) == \
+                ref_orbit_mixed(G, H, w1, x1, table, sums)
+
+
+def _shifted(table, r, moves):
+    values = [list(row) for row in table.values]
+    for j, delta in moves:
+        values[r][j] = values[r][j] + delta
+    return chartab.CharacterTable(
+        table.group, table.classes, table.exponent,
+        tuple(tuple(row) for row in values), table.degrees)
+
+
+@pytest.mark.parametrize("spec, later", [
+    ("symmetric(4)", False), ("dihedral(12)", False), ("quaternion(8)", True),
+    ("extraspecial_plus(2)", True),
+    ("direct_product(symmetric(3),symmetric(3))", True),
+    ("direct_product(quaternion(8),elementary_abelian(2,2))", True)])
+def test_coset_sums_name_the_pair_the_per_row_check_names(spec, later):
+    # Every class is rational, so a table moved at a few values stays
+    # closed under the (no) power maps and reaches the row pairs.  Each
+    # nonlinear row is moved by +-1 at one class, which breaks its pair with
+    # the first linear row, and by +1 and -1 at two classes of one size,
+    # which breaks a pair with the first linear row that differs on them.
+    # `later`: some move names a linear row after the first.
+    from wordcount.errors import InternalInconsistency
+    G = groups.parse_builtin_spec(spec)
+    table = chartab.character_table(G)
+    assert chartab._galois_maps(G) == ()
+    k, sizes = table.num_characters, table.classes.sizes
+    moves = [[(j, delta)] for j in range(k) for delta in (1, -1)]
+    moves += [[(a, 1), (b, -1)] for a in range(k) for b in range(a + 1, k)
+              if sizes[a] == sizes[b]]
+    linear = {r for r in range(k) if table.linear_mask[r]}
+    named = set()
+    for r in set(range(k)) - linear:
+        for move in moves:
+            bad = _shifted(table, r, move)
+            with pytest.raises(InternalInconsistency) as info:
+                chartab._verify_table(G, bad)
+            pair = ref_first_failing_pair(bad)
+            assert str(info.value) == \
+                "row orthogonality fails for characters %d,%d" % pair
+            named.add(pair[0])
+    assert (len(named & linear) > 1) == later
 
 
 @pytest.mark.parametrize("spec", [spec for spec, _ in verification.catalog()]

@@ -272,3 +272,22 @@ def test_agl1():
     assert groups.commutator_subgroup(A4).order == 4
     F20 = groups.builtin("agl1", 5)
     assert F20.order == 20
+
+
+def test_labels_are_formatted_when_read():
+    formatted = []
+
+    def label(x):
+        formatted.append(x)
+        return f"<{x}>"
+
+    G = groups._table_from_elements(list(range(6)),
+                                    lambda a, b: (a + b) % 6, label)
+    assert formatted == []
+    assert G.label(4) == "<4>" and formatted == [4]
+    assert G.labels == tuple(f"<{x}>" for x in range(6))
+    assert G.labels != ("<0>",) * 6 and len(G.labels) == 6
+    assert G.labels.index("<2>") == 2
+    S3 = groups.from_permutation_generators(3, [(1, 0, 2), (1, 2, 0)])
+    assert S3.labels == ("(0, 1, 2)", "(1, 0, 2)", "(1, 2, 0)", "(0, 2, 1)",
+                         "(2, 1, 0)", "(2, 0, 1)")

@@ -12,7 +12,8 @@ BUILTINS = ([f"cyclic({n})" for n in range(1, 25)]
                "agl1(3)", "agl1(4)", "agl1(5)",
                "extraspecial_plus(2)", "extraspecial_minus(2)",
                "extraspecial_plus(3)", "extraspecial_minus(3)",
-               "heisenberg(3)"])
+               "heisenberg(3)", "direct_product(quaternion(8),cyclic(3))",
+               "direct_product(dihedral(8),cyclic(3))"])
 CATALOG = BUILTINS + ["tower-32"]
 NILPOTENT = [spec for spec in CATALOG
              if not spec.startswith(("dihedral", "symmetric", "agl1"))
@@ -34,10 +35,13 @@ def _each(check_ids, specs):
 
 
 # The catalog groups with a central N != 1 that meets G' trivially: the
-# abelian ones and the dihedral groups whose center is not in G'.
+# abelian ones, the dihedral groups whose center is not in G', and Q8 x C3
+# and D8 x C3 over their C3.
 CENTRAL_QUOTIENT = _each(["central-quotient"],
                          [f"cyclic({n})" for n in range(2, 25)]
-                         + ["dihedral(4)", "dihedral(12)", "dihedral(20)"])
+                         + ["dihedral(4)", "dihedral(12)", "dihedral(20)",
+                            "direct_product(quaternion(8),cyclic(3))",
+                            "direct_product(dihedral(8),cyclic(3))"])
 
 
 SUITE_LINES = {
@@ -79,7 +83,7 @@ def test_flagged_report_is_pinned(capsys):
     assert main(["verify", "--suite", "all"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert [line for line in out if line.startswith("FLAGGED")] == FLAGGED
-    assert out[-1] == "# 397 passed, 0 failed, 3 flagged"
+    assert out[-1] == "# 415 passed, 0 failed, 3 flagged"
 
 
 def test_verify_builds_each_quotient_and_centralizer_once(monkeypatch,
@@ -96,10 +100,10 @@ def test_verify_builds_each_quotient_and_centralizer_once(monkeypatch,
             return fn(G, N)
         monkeypatch.setattr(groups, name, counted)
     assert main(["verify", "--suite", "all"]) == 0
-    assert capsys.readouterr().out.endswith("# 397 passed, 0 failed, "
+    assert capsys.readouterr().out.endswith("# 415 passed, 0 failed, "
                                             "3 flagged\n")
-    # 26 central-quotient lines, and D8, Q8 and Q8xC2 over their centers
-    assert sum(calls["quotient"].values()) == 29
+    # 28 central-quotient lines, and D8, Q8 and Q8xC2 over their centers
+    assert sum(calls["quotient"].values()) == 31
     for counter in calls.values():
         assert set(counter.values()) == {1}
 
@@ -124,7 +128,7 @@ def test_sweep_fails_exactly_where_a_wrong_closed_form_joins(monkeypatch):
     exact = verification.run_suite("all")
     closed = {(r.check_id, r.group) for r in exact
               if r.details.endswith("=closed")}
-    assert len(closed) == 50
+    assert len(closed) == 58
     right = formulas.closed_form_zeta
 
     def off_by_one(G, n):
