@@ -366,18 +366,22 @@ def _primitive_root(p):
 # Dixon's method
 
 
-def class_mult_coefficients(G, classes):
-    """a[i][c]: the nonzero (m, a_icm) pairs in rising m, where a_icm is
-    the number of (x, y) in C_i x C_c with x*y = rep(C_m)."""
-    k = classes.num_classes
-    class_of = classes.class_of
-    mul = G.mul
-    a = [[[] for _ in range(k)] for _ in range(k)]
-    for m, z in enumerate(classes.reps):
-        # y = x^-1 z, listed in the order of x
-        ys = [class_of[mul[x_inv][z]] for x_inv in G.inv]
-        for (i, c), count in Counter(zip(class_of, ys)).items():
-            a[i][c].append((m, count))
+def class_mult_coefficients(G, classes, i):
+    """Row i of the class multiplication coefficients: a[c] holds the
+    nonzero (m, a_icm) pairs in rising m, where a_icm is the number of
+    (x, y) in C_i x C_c with x*y = rep(C_m).  It reads the |C_i| members
+    of class i against each class representative."""
+    class_of, mul, k = classes.class_of, G.mul, classes.num_classes
+    inverses = [G.inv[x] for x, c in enumerate(class_of) if c == i]
+    # y = x^-1 z for each x in C_i, counted under the key m k + class(y);
+    # keys arrive in rising m, so each a[c] does too
+    counts = Counter([m * k + class_of[mul[x_inv][z]]
+                      for m, z in enumerate(classes.reps)
+                      for x_inv in inverses])
+    a = [[] for _ in range(k)]
+    for key, count in counts.items():
+        m, c = divmod(key, k)
+        a[c].append((m, count))
     return a
 
 
@@ -569,7 +573,6 @@ def _nonlinear_rows(G, classes, e, linear):
     if len(kernel) != k - len(linear):
         raise InternalInconsistency(
             "linear characters do not separate the cosets of G'")
-    a = class_mult_coefficients(G, classes) if len(kernel) > 1 else None
 
     # Split the simultaneous eigenspaces of the class matrices, low element
     # orders first: such a class matrix has few eigenvalues, and each
@@ -589,7 +592,7 @@ def _nonlinear_rows(G, classes, e, linear):
     for i in split_order:
         if all(len(B) == 1 for B, _ in subspaces):
             break
-        M = a[i]
+        M = class_mult_coefficients(G, classes, i)
         nxt = []
         for B, piv in subspaces:
             m = len(B)

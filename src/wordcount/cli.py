@@ -2,9 +2,14 @@
 
 Exit codes: 0 all checks pass, 1 a computation or verification failed,
 2 usage error.  FLAGGED verification lines never affect the exit code.
-Every error is one stderr line, argparse's own included.  Every integer
-argument is read by `errors.read_ints`: ASCII digits only (an optional '-'
-for options), and no more digits than its bound has.
+Every error is one stderr line, the command line's own included.  Every
+integer argument is read by `errors.read_ints`: ASCII digits only (an
+optional '-' for options), and no more digits than its bound has.
+
+The command line is read from one table, `COMMANDS`, by `parse_args`, in
+argparse's grammar and with its refusals word for word, but without
+importing argparse (and gettext and locale behind it) or building a parser
+in every process.
 
 Each command imports the modules it runs inside its function, and nothing
 but `errors` is imported here: with bytecode caching off, every process
@@ -20,10 +25,10 @@ objects the OS frees anyway.  `main` is the in-process entry point.
 """
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
+from types import SimpleNamespace
 
 from .errors import (EmptyWord, ParseError, PredicateFailed, UnknownFamily,
                      UnsupportedParameter, WordcountError, WordSyntaxError,
@@ -232,75 +237,201 @@ def cmd_isoclinic(args, out):
     return 0
 
 
-class _OneLineParser(argparse.ArgumentParser):
-    def error(self, message):
-        self.exit(2, f"error: {message}\n")
+def _number(text, bound):
+    """An integer as `read_ints` reads it, after an optional '-' that the
+    command itself refuses where it must."""
+    digits = text.removeprefix("-")
+    (value,) = read_ints([digits], bound, ValueError)
+    return value if digits == text else -value
 
 
-def _number(bound):
-    """argparse type: an integer as `read_ints` reads it, after an optional
-    '-' that the command itself refuses where it must."""
-    def read(text):
-        digits = text.removeprefix("-")
-        (value,) = read_ints([digits], bound, argparse.ArgumentTypeError)
-        return value if digits == text else -value
-    return read
-
-
-def build_parser():
+def _default_budget():
     from .groups import DEFAULT_BUDGET
+    return DEFAULT_BUDGET
 
-    parser = _OneLineParser(
-        prog="wordcount",
-        description="Exact solution counts of commutator word equations "
-                    "in finite groups.")
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.set_defaults(fn=fn)
-        return p
+REQUIRED = object()
+GROUP = ("group", None, REQUIRED, "builtin:NAME(args) or file:PATH")
+FORMAT = ("format", ("table", "csv"), "table", "output layout")
+BUDGET = ("budget", MAX_BUDGET, _default_budget,
+          "most assignments brute force may count")
+# command: (function, one-line help, options).  An option is (name, kind,
+# default, help); its kind is None for text, a tuple of choices, an int
+# (the bound `read_ints` reads it under) or `list` for text that may
+# repeat, and its default REQUIRED, a value or a function giving one.
+COMMANDS = {
+    "info": (cmd_info, "group structure summary", [GROUP]),
+    "chartab": (cmd_chartab, "print (and cache) the character table",
+                [GROUP]),
+    "count": (cmd_count, "brute-force fiber counts for a word", [
+        GROUP, ("word", None, REQUIRED, "e.g. [x1,x2] or x1^2 x2^-1"),
+        ("domain", list, None, "restrict a variable, e.g. x1=derived"),
+        FORMAT, BUDGET]),
+    "zeta": (cmd_zeta, "iterated-commutator counts by any method", [
+        GROUP, ("n", MAX_N, REQUIRED, f"the word w_n, 2 <= n <= {MAX_N}"),
+        ("method", ("brute", "char", "closed", "all"), "all",
+         "all cross-checks the others"), FORMAT, BUDGET]),
+    "verify": (cmd_verify, "run a verification suite", [
+        ("suite", None, "all", "one suite, or all")]),
+    "isoclinic": (cmd_isoclinic, "search for an n-isoclinism", [
+        GROUP, ("other", None, REQUIRED, "the second group, as --group"),
+        ("n", MAX_LEVEL, 1, "the level, at least 1")]),
+}
+HELP = ("-h", "--help")
 
-    def group_arg(p, name="--group"):
-        p.add_argument(name, required=True,
-                       help="builtin:NAME(args) or file:PATH")
 
-    def budget_arg(p):
-        p.add_argument("--budget", type=_number(MAX_BUDGET),
-                       default=DEFAULT_BUDGET,
-                       help="most assignments brute force may count")
+def _refuse(message):
+    sys.stderr.write(f"error: {message}\n")
+    raise SystemExit(2)
 
-    p = add("info", cmd_info, help="group structure summary")
-    group_arg(p)
-    p = add("chartab", cmd_chartab, help="print (and cache) the character table")
-    group_arg(p)
-    p = add("count", cmd_count, help="brute-force fiber counts for a word")
-    group_arg(p)
-    p.add_argument("--word", required=True)
-    p.add_argument("--domain", action="append",
-                   help="restrict a variable, e.g. x1=derived")
-    p.add_argument("--format", choices=("table", "csv"), default="table")
-    budget_arg(p)
-    p = add("zeta", cmd_zeta, help="iterated-commutator counts by any method")
-    group_arg(p)
-    p.add_argument("--n", type=_number(MAX_N), required=True)
-    p.add_argument("--method", choices=("brute", "char", "closed", "all"),
-                   default="all")
-    p.add_argument("--format", choices=("table", "csv"), default="table")
-    budget_arg(p)
-    p = add("verify", cmd_verify, help="run a verification suite")
-    p.add_argument("--suite", default="all",
-                   help="one suite, or all (the default)")
-    p = add("isoclinic", cmd_isoclinic, help="search for an n-isoclinism")
-    group_arg(p)
-    group_arg(p, "--other")
-    p.add_argument("--n", type=_number(MAX_LEVEL), default=1)
-    return parser
+
+def _usage(command):
+    """The help text of one command, or of all of them for None."""
+    if command is None:
+        head = ("COMMAND [--OPTION VALUE]...\n\nExact solution counts of "
+                "commutator word equations in finite groups.\n\ncommands:")
+        rows = [(name, about) for name, (_, about, _) in COMMANDS.items()]
+        tail = ("\nAn option is --name VALUE or --name=VALUE, and its name "
+                "may be cut to\nany prefix no other option of the command "
+                "starts with.\n`wordcount COMMAND -h` lists a command's "
+                "options.\n")
+    else:
+        _, about, options = COMMANDS[command]
+        head = f"{command} [--OPTION VALUE]...\n\n{about}\n\noptions:"
+        rows, tail = [], ""
+        for name, kind, default, text in options:
+            value = ("{" + ",".join(kind) + "}" if isinstance(kind, tuple)
+                     else "N" if isinstance(kind, int) else name.upper())
+            note = ("required" if default is REQUIRED
+                    else "may repeat" if kind is list else
+                    f"default {default() if callable(default) else default}")
+            rows.append((f"--{name} {value}", f"{text} ({note})"))
+        rows.append(("-h, --help", "print this help and exit"))
+    width = max(len(left) for left, _ in rows)
+    return "".join([f"usage: wordcount {head}\n",
+                    *(f"  {left:{width}}  {text}\n" for left, text in rows),
+                    tail])
+
+
+def _looks_negative(token):
+    """argparse's negative number, r'^-\\d+$|^-\\d*\\.\\d+$': \\d is any
+    Unicode decimal digit, and $ also matches before a final newline."""
+    body = token[1:].removesuffix("\n")
+    whole, dot, fraction = body.partition(".")
+    return body.isdecimal() or (dot == "." and fraction.isdecimal()
+                                and (not whole or whole.isdecimal()))
+
+
+def _option(token, names):
+    """What argparse reads `token` as, given the option strings `names`:
+    None for a value, else (option string, explicit value or None), the
+    option string None for an option the command does not have."""
+    if not token.startswith("-") or token == "-":
+        return None
+    head, eq, explicit = token.partition("=")
+    if token in names:
+        return token, None
+    if eq and head in names:
+        return head, explicit
+    if token[1] == "-":  # a prefix of a long option, cut at the '='
+        found = [(name, explicit if eq else None) for name in names
+                 if name.startswith(head)]
+        if len(found) > 1:
+            _refuse(f"ambiguous option: {token} could match "
+                    + ", ".join(name for name, _ in found))
+    else:  # -h with its value joined on
+        found = [(token[:2], token[2:])] if token[:2] in names else []
+    if found:
+        return found[0]
+    return None if _looks_negative(token) or " " in token else (None, None)
+
+
+def _help(option, explicit, command):
+    if option == "-h" and explicit:  # -hh is -h twice
+        explicit = explicit.lstrip("h") or None
+    if explicit is not None:
+        _refuse(f"argument -h/--help: ignored explicit argument {explicit!r}")
+    sys.stdout.write(_usage(command))
+    raise SystemExit(0)
+
+
+def parse_args(argv=None):
+    """The command line read from `COMMANDS`, with argparse's grammar:
+    `COMMAND (--name VALUE | --name=VALUE)...`, where a name may be cut to
+    any prefix no other option of the command starts with, a repeated
+    option keeps its last value (`--domain` collects them all), a value
+    may start with '-' if it reads as a number, and `-h` prints help and
+    exits 0.  Anything else is refused as argparse refuses it: one
+    `error: ...` line and SystemExit(2).  Returns a namespace of `command`,
+    `fn` and one attribute per option of the command."""
+    tokens = sys.argv[1:] if argv is None else list(argv)
+    extras = []
+    for at, token in enumerate(tokens):
+        mark = None if token == "--" else _option(token, HELP)
+        if mark is None:
+            break
+        if mark[0] is None:
+            extras.append(token)
+        else:
+            _help(*mark, None)
+    else:
+        at = len(tokens)
+    # the command is the first value; a bare '--' before it is one too
+    if tokens[at:] in ([], ["--"]):
+        _refuse("the following arguments are required: command")
+    command, rest = tokens[at], tokens[at + 1:]
+    if command not in COMMANDS:
+        _refuse(f"argument command: invalid choice: {command!r} (choose "
+                f"from {', '.join(map(repr, COMMANDS))})")
+    fn, _, options = COMMANDS[command]
+    kinds = {f"--{name}": kind for name, kind, _, _ in options}
+    values = {name: default for name, _, default, _ in options}
+    # every option is read before any value is taken, as argparse does; a
+    # bare '--' is no value, every token after it is one, and the end of
+    # the line reads as a bare '--'
+    dash = rest.index("--") if "--" in rest else len(rest)
+    marks = [_option(token, [*HELP, *kinds]) for token in rest[:dash]]
+    marks += [(None, None)] + [None] * (len(rest) - dash)
+    at = 0
+    while at < len(rest):
+        option, explicit = marks[at] or (None, None)
+        if option in HELP:
+            _help(option, explicit, command)
+        elif option is None:
+            extras.append(rest[at])
+        else:
+            if explicit is None:
+                if marks[at + 1] is not None:
+                    _refuse(f"argument {option}: expected one argument")
+                at += 1
+                explicit = rest[at]
+            kind, name = kinds[option], option[2:]
+            if kind is list:
+                explicit = [*(values[name] or ()), explicit]
+            elif isinstance(kind, int):
+                try:
+                    explicit = _number(explicit, kind)
+                except ValueError as exc:
+                    _refuse(f"argument {option}: {exc}")
+            elif kind and explicit not in kind:
+                _refuse(f"argument {option}: invalid choice: {explicit!r} "
+                        f"(choose from {', '.join(map(repr, kind))})")
+            values[name] = explicit
+        at += 1
+    missing = [f"--{name}" for name, value in values.items()
+               if value is REQUIRED]
+    if missing:
+        _refuse("the following arguments are required: "
+                + ", ".join(missing))
+    if extras:
+        _refuse("unrecognized arguments: " + " ".join(extras))
+    return SimpleNamespace(command=command, fn=fn, **{
+        name: value() if callable(value) else value
+        for name, value in values.items()})
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(argv)
     try:
         code = args.fn(args, sys.stdout)
         sys.stdout.flush()  # a closed pipe fails here, not at exit

@@ -31,31 +31,31 @@ from .errors import InternalInconsistency, NonIntegral
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(e):
     """Coefficients (low to high) of the e-th cyclotomic polynomial."""
-    # Phi_e = (x^e - 1) / prod_{d | e, d < e} Phi_d, all divisions exact
-    poly = [-1] + [0] * (e - 1) + [1]
-    for d in range(1, e):
-        if e % d == 0:
-            poly = _exact_div(poly, list(cyclotomic_polynomial(d)))
+    # Phi_e = prod over squarefree s | e of (x^(e/s) - 1)^mu(s): multiply by
+    # the factors with mu(s) = 1, then divide out those with mu(s) = -1.
+    # up and down hold e/s for those s over the primes of e found so far.
+    up, down, rest, p = [e], [], e, 2
+    while rest > 1:
+        if p * p > rest:
+            p = rest
+        if rest % p == 0:
+            up, down = up + [d // p for d in down], down + [d // p for d in up]
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    poly = [1]
+    for d in up:
+        poly = [a - b for a, b in zip([0] * d + poly, poly + [0] * d)]
+    for d in down:
+        # q (x^d - 1) = poly, read off low to high as a running sum
+        n = len(poly) - d
+        q = [0] * n
+        for j in range(n):
+            q[j] = (q[j - d] if j >= d else 0) - poly[j]
+        if poly[n:] != ([0] * d + q)[n:]:
+            raise InternalInconsistency("polynomial division leaves a remainder")
+        poly = q
     return tuple(poly)
-
-
-def _exact_div(num, den):
-    """Exact division of integer polynomials (den monic up to sign)."""
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    lead = den[-1]
-    for i in range(len(out) - 1, -1, -1):
-        c = num[i + len(den) - 1]
-        if c % lead:
-            raise InternalInconsistency("inexact polynomial division")
-        q = c // lead
-        out[i] = q
-        if q:
-            for j, dj in enumerate(den):
-                num[i + j] -= q * dj
-    if any(num):
-        raise InternalInconsistency("polynomial division leaves a remainder")
-    return out
 
 
 @lru_cache(maxsize=None)

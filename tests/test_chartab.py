@@ -410,7 +410,7 @@ def test_at_most_one_nonlinear_character_needs_no_class_matrix(spec,
     classes = groups.conjugacy_classes(G)
     expected = chartab.dump_table(chartab._compute_table(G, classes))
 
-    def refuse(G, classes):
+    def refuse(G, classes, i):
         raise AssertionError("class matrices built")
 
     monkeypatch.setattr(chartab, "class_mult_coefficients", refuse)
@@ -796,17 +796,12 @@ def test_no_split_step_reads_a_class_of_size_derived(monkeypatch):
     build = chartab.class_mult_coefficients
     guarded = []
 
-    class Guarded(list):
-        def __getitem__(self, i):
-            if i in self.vanishing:
-                raise AssertionError(f"class matrix {i} read")
-            return super().__getitem__(i)
-
-    def class_mult(G, classes):
-        a = Guarded(build(G, classes))
-        a.vanishing = _derived_sized(G, classes)
-        guarded.append(len(a.vanishing))
-        return a
+    def class_mult(G, classes, i):
+        vanishing = _derived_sized(G, classes)
+        if i in vanishing:
+            raise AssertionError(f"class matrix {i} read")
+        guarded.append(len(vanishing))
+        return build(G, classes, i)
 
     expected = [chartab.dump_table(character_table(G))
                 for G in _engine_groups()]

@@ -1,5 +1,10 @@
+import argparse
+import contextlib
 import gc
+import importlib.util
+import io
 import os
+import random
 import subprocess
 import sys
 import time
@@ -10,7 +15,7 @@ import pytest
 from wordcount import chartab, cli, fileio, formulas, groups, verification
 from wordcount.cli import main
 from wordcount.errors import (OrderLimitExceeded, ParseError, PredicateFailed,
-                              UnsupportedParameter)
+                              UnsupportedParameter, read_ints)
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -530,7 +535,8 @@ def _process(tmp_path, argv):
       "--method", "brute", "--budget", "1"], 1),
     (["info", "--group", "builtin:nonesuch(3)"], 2),
     (["zeta", "--group", "builtin:symmetric(3)"], 2),
-], ids=["zeta-all", "count-csv", "over-budget", "bad-spec", "argparse"])
+], ids=["zeta-all", "count-csv", "over-budget", "bad-spec",
+        "missing-option"])
 def test_process_prints_what_main_prints(tmp_path, capsys, argv, code):
     expected = _run_argv(capsys, argv)
     assert expected[0] == code
@@ -625,7 +631,8 @@ NINES = "9" * 5000  # past the 4,300 digits int() reads
 
 
 def _run_argv(capsys, argv):
-    """Exit code and streams of cli.main, argparse's own exits included."""
+    """Exit code and streams of cli.main, the command line's own exits
+    included."""
     try:
         code = main(argv)
     except SystemExit as exc:
@@ -710,3 +717,179 @@ def test_cayley_file_relabeled_to_put_the_identity_first(tmp_path, capsys):
     assert (code, err) == (0, "")
     assert out == "class_rep\tsize\tcount\n0\t1\t4\n3\t2\t1\n1\t3\t0\n"
     assert fileio.import_group(path).labels == ("0", "1", "2", "3", "4", "5")
+
+
+# ---------------------------------------------------------------------------
+# `cli.parse_args` reads the command line as this argparse parser does: the
+# same values for every line it accepts, the same one-line refusal and exit
+# code 2 for every line it refuses.
+
+
+class _OneLineParser(argparse.ArgumentParser):
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
+def _argparse_number(bound):
+    def read(text):
+        digits = text.removeprefix("-")
+        (value,) = read_ints([digits], bound, argparse.ArgumentTypeError)
+        return value if digits == text else -value
+    return read
+
+
+def build_parser():
+    parser = _OneLineParser(prog="wordcount")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add(name, fn):
+        p = sub.add_parser(name)
+        p.set_defaults(fn=fn)
+        return p
+
+    def budget_arg(p):
+        p.add_argument("--budget", type=_argparse_number(cli.MAX_BUDGET),
+                       default=groups.DEFAULT_BUDGET)
+
+    p = add("info", cli.cmd_info)
+    p.add_argument("--group", required=True)
+    p = add("chartab", cli.cmd_chartab)
+    p.add_argument("--group", required=True)
+    p = add("count", cli.cmd_count)
+    p.add_argument("--group", required=True)
+    p.add_argument("--word", required=True)
+    p.add_argument("--domain", action="append")
+    p.add_argument("--format", choices=("table", "csv"), default="table")
+    budget_arg(p)
+    p = add("zeta", cli.cmd_zeta)
+    p.add_argument("--group", required=True)
+    p.add_argument("--n", type=_argparse_number(cli.MAX_N), required=True)
+    p.add_argument("--method", choices=("brute", "char", "closed", "all"),
+                   default="all")
+    p.add_argument("--format", choices=("table", "csv"), default="table")
+    budget_arg(p)
+    p = add("verify", cli.cmd_verify)
+    p.add_argument("--suite", default="all")
+    p = add("isoclinic", cli.cmd_isoclinic)
+    p.add_argument("--group", required=True)
+    p.add_argument("--other", required=True)
+    p.add_argument("--n", type=_argparse_number(cli.MAX_LEVEL), default=1)
+    return parser
+
+
+def _benchmark_requests():
+    """The argv of every tables-cli and brute-cli request of seeds 1 and 2."""
+    perfbench, name = str(ROOT / "perfbench"), "perfbench_workloads"
+    spec = importlib.util.spec_from_file_location(
+        name, ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    # workloads imports oracle by name, and its dataclasses look their
+    # module up in sys.modules
+    sys.path.insert(0, perfbench)
+    sys.modules[name] = workloads
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        sys.path.remove(perfbench)
+        del sys.modules[name]
+    return [request.argv for seed in (1, 2)
+            for wl in (workloads.tables_cli(seed, "tmp"),
+                       workloads.brute_cli(seed))
+            for request in wl.requests]
+
+
+# Spellings the grammar reads in more than one way: prefixes, '=' forms,
+# -h joined to a value, a bare '--' or '-', negative numbers (Unicode digits
+# and a final newline included), text with a space, and no option at all.
+ODD_TOKENS = [
+    "", "-", "--", "---", "---x", "--=", "--=x", "-=", "-x", "-x=y", "-g",
+    "--x", "--x=1", "-h", "--help", "--h", "--he", "-hh", "-hhh", "-hx",
+    "-h-", "-h=", "-h=x", "-hh=x", "--help=", "--help=x", "--he=1", "-5",
+    "-0", "-1.5", "-.5", "-5.", "-\u0663", "-5\n", "-5\n\n", "x y", "-x y",
+    "--g x", "nosuch", "5", "1.5", "9" * 25, "-" + "9" * 25]
+OPTIONS = {"info": ["group"], "chartab": ["group"],
+           "count": ["group", "word", "domain", "format", "budget"],
+           "zeta": ["group", "n", "method", "format", "budget"],
+           "verify": ["suite"], "isoclinic": ["group", "other", "n"]}
+VALUES = {
+    "group": ["builtin:cyclic(3)", "-x", "x y", ""], "other": ["x"],
+    "word": ["[x1,x2]", "x1^-1", "-x1"], "domain": ["x1=center", "x2=derived"],
+    "format": ["table", "csv", "xml"], "method": ["all", "char", "bogus"],
+    "budget": ["5", "-5", "0", "\u0663", "-0", "9" * 25],
+    "n": ["3", "-3", "10", "x", "1.5", "-1.5"], "suite": ["all", "bogus"]}
+
+
+def _seeded_command_lines(count, seed=35):
+    """Command lines of one command whose options are spelled in full, cut
+    to a prefix or joined with '=', repeated or left out, some with an odd
+    token put in or a token dropped; and shuffled lines of odd tokens."""
+    rng = random.Random(seed)
+    lines = []
+    for _ in range(count):
+        command = rng.choice(list(OPTIONS))
+        argv = [command]
+        for _ in range(rng.randrange(7)):
+            name = rng.choice(OPTIONS[command])
+            spelled = "--" + name[:rng.randrange(1, len(name) + 1)]
+            value = rng.choice(VALUES[name])
+            argv += ([f"{spelled}={value}"] if rng.random() < 0.3
+                     else [spelled, value])
+        if rng.random() < 0.2:
+            argv.insert(rng.randrange(len(argv) + 1), rng.choice(ODD_TOKENS))
+        if rng.random() < 0.05:
+            del argv[rng.randrange(len(argv))]
+        lines.append(argv)
+        odd = rng.choices(ODD_TOKENS + list(OPTIONS) + [
+            f"--{name}" for name in VALUES], k=rng.randrange(5))
+        if rng.random() < 0.7:
+            odd.insert(0, command)
+        lines.append(odd)
+    return lines
+
+
+def _parsed(parse, argv):
+    """('values', the namespace's attributes), or ('exit', code, stderr)
+    of a refusal, or ('exit', 0, '') of a help request."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        try:
+            return "values", vars(parse(list(argv)))
+        except SystemExit as exc:
+            return "exit", exc.code, err.getvalue() if exc.code else ""
+
+
+def test_command_lines_read_as_argparse_reads_them():
+    reference = build_parser()
+    corpus = _benchmark_requests()
+    assert len(corpus) == 102
+    corpus += _seeded_command_lines(1500)
+    seen = {"values": 0, 0: 0, 2: 0}
+    for argv in corpus:
+        expected = _parsed(reference.parse_args, argv)
+        assert _parsed(cli.parse_args, argv) == expected, argv
+        seen[expected[0] if expected[0] == "values" else expected[1]] += 1
+        if expected[0] == "exit" and expected[1]:
+            assert expected[2].startswith("error: ")
+            if not any("\n" in token for token in argv):
+                assert expected[2].count("\n") == 1
+    assert min(seen.values()) > 50  # accepted, help and refused lines alike
+
+
+@pytest.mark.parametrize("command", [None, *cli.COMMANDS])
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_prints_usage_on_stdout_and_exits_0(capsys, command, flag):
+    argv = [flag] if command is None else [command, flag]
+    with pytest.raises(SystemExit) as exc:
+        cli.parse_args(argv)
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    if command is None:
+        assert out.startswith("usage: wordcount COMMAND")
+        assert all(f"\n  {name} " in out for name in cli.COMMANDS)
+    else:
+        assert out.startswith(f"usage: wordcount {command} ")
+        _, about, options = cli.COMMANDS[command]
+        assert about in out
+        assert all(f"\n  --{name} " in out for name, *_ in options)

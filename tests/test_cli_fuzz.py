@@ -193,7 +193,7 @@ def _run(argv, directory):
                 contextlib.redirect_stderr(err):
             try:
                 code = cli.main(argv)
-            except SystemExit as exc:  # argparse's own refusals
+            except SystemExit as exc:  # the command line's own refusals
                 code = exc.code
     finally:
         os.chdir(cwd)

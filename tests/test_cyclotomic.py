@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -16,6 +17,29 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(4) == (1, 0, 1)
     assert cyclotomic_polynomial(6) == (1, -1, 1)
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
+
+
+@lru_cache(maxsize=None)
+def _divided_phi(e):
+    """Phi_e as (x^e - 1) divided by Phi_d for every proper divisor d, one
+    long division each."""
+    poly = [-1] + [0] * (e - 1) + [1]
+    for d in range(1, e):
+        if e % d == 0:
+            den = _divided_phi(d)
+            out = [0] * (len(poly) - len(den) + 1)
+            for i in range(len(out) - 1, -1, -1):
+                out[i] = poly[i + len(den) - 1]  # den is monic
+                for j, dj in enumerate(den):
+                    poly[i + j] -= out[i] * dj
+            assert not any(poly)
+            poly = out
+    return tuple(poly)
+
+
+def test_cyclotomic_polynomials_match_the_divided_form():
+    for e in range(1, 401):
+        assert cyclotomic_polynomial(e) == _divided_phi(e), e
 
 
 def test_root_of_unity_relations():

@@ -127,6 +127,31 @@ COMMANDS = {
 }
 
 
+ARGPARSE_CHAIN = {"argparse", "gettext", "locale"}
+
+
+@pytest.mark.parametrize("argv", [
+    *COMMANDS.values(), ("-h",), ("count", "--help"),
+    ("zeta", "--group", "builtin:symmetric(3)"), ("nosuch",)],
+    ids=[*COMMANDS, "help", "command-help", "missing-option",
+         "unknown-command"])
+def test_no_command_loads_argparse_gettext_or_locale(argv, tmp_path):
+    # the command line is read from cli.COMMANDS; gettext's catalogue
+    # lookups would import locale once LANG names a locale
+    code = ("import contextlib, io\n"
+            "from wordcount import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()), \\\n"
+            "        contextlib.redirect_stderr(io.StringIO()):\n"
+            "    try:\n"
+            f"        cli.main({list(argv)!r})\n"
+            "    except SystemExit:\n"
+            "        pass\n")
+    loaded = modules_after(code, WORDCOUNT_CACHE=str(tmp_path),
+                           LANG="en_US.UTF-8")
+    assert "wordcount.cli" in loaded
+    assert not loaded & ARGPARSE_CHAIN
+
+
 def source_lines(modules):
     """Lines of package source a process compiles for these submodules,
     the package's `__init__` included."""
