@@ -2,14 +2,14 @@
 
 Exit codes: 0 all checks pass, 1 a computation or verification failed,
 2 usage error.  FLAGGED verification lines never affect the exit code.
-Every error is one stderr line, the command line's own included.  Every
-integer argument is read by `errors.read_ints`: ASCII digits only (an
-optional '-' for options), and no more digits than its bound has.
+Every error is one stderr line, the command line's own included: `_error`
+writes a line break in what it echoes as its escape.  Every integer
+argument is read by `errors.read_ints`: ASCII digits only (an optional '-'
+for options), and no more digits than its bound has.
 
-The command line is read from one table, `COMMANDS`, by `parse_args`, in
-argparse's grammar and with its refusals word for word, but without
-importing argparse (and gettext and locale behind it) or building a parser
-in every process.
+The command line is read from one table, `COMMANDS`, by `parse_args` in
+one pass from left to right, without importing argparse (and gettext and
+locale behind it) or building a parser in every process.
 
 Each command imports the modules it runs inside its function, and nothing
 but `errors` is imported here: with bytecode caching off, every process
@@ -277,11 +277,17 @@ COMMANDS = {
         GROUP, ("other", None, REQUIRED, "the second group, as --group"),
         ("n", MAX_LEVEL, 1, "the level, at least 1")]),
 }
-HELP = ("-h", "--help")
+
+
+def _error(message):
+    """Write `error: message` as one stderr line, whatever the message
+    echoes: a line break in it is written as its escape."""
+    sys.stderr.write("error: " + message.replace("\r", "\\r")
+                     .replace("\n", "\\n") + "\n")
 
 
 def _refuse(message):
-    sys.stderr.write(f"error: {message}\n")
+    _error(message)
     raise SystemExit(2)
 
 
@@ -313,118 +319,64 @@ def _usage(command):
                     tail])
 
 
-def _looks_negative(token):
-    """argparse's negative number, r'^-\\d+$|^-\\d*\\.\\d+$': \\d is any
-    Unicode decimal digit, and $ also matches before a final newline."""
-    body = token[1:].removesuffix("\n")
-    whole, dot, fraction = body.partition(".")
-    return body.isdecimal() or (dot == "." and fraction.isdecimal()
-                                and (not whole or whole.isdecimal()))
-
-
-def _option(token, names):
-    """What argparse reads `token` as, given the option strings `names`:
-    None for a value, else (option string, explicit value or None), the
-    option string None for an option the command does not have."""
-    if not token.startswith("-") or token == "-":
-        return None
-    head, eq, explicit = token.partition("=")
-    if token in names:
-        return token, None
-    if eq and head in names:
-        return head, explicit
-    if token[1] == "-":  # a prefix of a long option, cut at the '='
-        found = [(name, explicit if eq else None) for name in names
-                 if name.startswith(head)]
-        if len(found) > 1:
-            _refuse(f"ambiguous option: {token} could match "
-                    + ", ".join(name for name, _ in found))
-    else:  # -h with its value joined on
-        found = [(token[:2], token[2:])] if token[:2] in names else []
-    if found:
-        return found[0]
-    return None if _looks_negative(token) or " " in token else (None, None)
-
-
-def _help(option, explicit, command):
-    if option == "-h" and explicit:  # -hh is -h twice
-        explicit = explicit.lstrip("h") or None
-    if explicit is not None:
-        _refuse(f"argument -h/--help: ignored explicit argument {explicit!r}")
-    sys.stdout.write(_usage(command))
-    raise SystemExit(0)
-
-
 def parse_args(argv=None):
-    """The command line read from `COMMANDS`, with argparse's grammar:
-    `COMMAND (--name VALUE | --name=VALUE)...`, where a name may be cut to
-    any prefix no other option of the command starts with, a repeated
-    option keeps its last value (`--domain` collects them all), a value
-    may start with '-' if it reads as a number, and `-h` prints help and
-    exits 0.  Anything else is refused as argparse refuses it: one
+    """The command line read from `COMMANDS`: `-h` or `--help` alone, or
+    `COMMAND (--NAME VALUE | --NAME=VALUE | -h)...`.  NAME is an option of
+    the command, in full or cut to a prefix no other option starts with; a
+    VALUE given as its own token may start with '-' only as '-' and ASCII
+    digits; a repeated option keeps its last value, and `--domain` collects
+    them all.  `-h`, or a prefix of `--help`, prints the command's help and
+    exits 0 when it is reached.  Anything else is refused with one
     `error: ...` line and SystemExit(2).  Returns a namespace of `command`,
     `fn` and one attribute per option of the command."""
     tokens = sys.argv[1:] if argv is None else list(argv)
-    extras = []
-    for at, token in enumerate(tokens):
-        mark = None if token == "--" else _option(token, HELP)
-        if mark is None:
-            break
-        if mark[0] is None:
-            extras.append(token)
-        else:
-            _help(*mark, None)
-    else:
-        at = len(tokens)
-    # the command is the first value; a bare '--' before it is one too
-    if tokens[at:] in ([], ["--"]):
-        _refuse("the following arguments are required: command")
-    command, rest = tokens[at], tokens[at + 1:]
+    command = tokens[0] if tokens else None
+    if command in ("-h", "--help"):
+        sys.stdout.write(_usage(None))
+        raise SystemExit(0)
     if command not in COMMANDS:
-        _refuse(f"argument command: invalid choice: {command!r} (choose "
-                f"from {', '.join(map(repr, COMMANDS))})")
+        _refuse(("missing command" if command is None else
+                 f"invalid command {command!r}")
+                + f" (choose from {', '.join(COMMANDS)})")
     fn, _, options = COMMANDS[command]
-    kinds = {f"--{name}": kind for name, kind, _, _ in options}
+    kinds = {name: kind for name, kind, _, _ in options}
     values = {name: default for name, _, default, _ in options}
-    # every option is read before any value is taken, as argparse does; a
-    # bare '--' is no value, every token after it is one, and the end of
-    # the line reads as a bare '--'
-    dash = rest.index("--") if "--" in rest else len(rest)
-    marks = [_option(token, [*HELP, *kinds]) for token in rest[:dash]]
-    marks += [(None, None)] + [None] * (len(rest) - dash)
-    at = 0
-    while at < len(rest):
-        option, explicit = marks[at] or (None, None)
-        if option in HELP:
-            _help(option, explicit, command)
-        elif option is None:
-            extras.append(rest[at])
-        else:
-            if explicit is None:
-                if marks[at + 1] is not None:
-                    _refuse(f"argument {option}: expected one argument")
-                at += 1
-                explicit = rest[at]
-            kind, name = kinds[option], option[2:]
-            if kind is list:
-                explicit = [*(values[name] or ()), explicit]
-            elif isinstance(kind, int):
-                try:
-                    explicit = _number(explicit, kind)
-                except ValueError as exc:
-                    _refuse(f"argument {option}: {exc}")
-            elif kind and explicit not in kind:
-                _refuse(f"argument {option}: invalid choice: {explicit!r} "
-                        f"(choose from {', '.join(map(repr, kind))})")
-            values[name] = explicit
-        at += 1
+    rest = iter(tokens[1:])
+    for token in rest:
+        if token == "-h":
+            token = "--help"
+        name, eq, value = token[2:].partition("=")
+        found = [n for n in (*kinds, "help") if n.startswith(name)]
+        if token[:2] != "--" or len(found) != 1 or found == ["help"] and eq:
+            _refuse(f"unrecognized argument {token!r}")
+        if found == ["help"]:
+            sys.stdout.write(_usage(command))
+            raise SystemExit(0)
+        name, kind = found[0], kinds[found[0]]
+        if not eq:
+            value = next(rest, None)
+            if value is None:
+                _refuse(f"argument --{name}: expected a value")
+            if value[:1] == "-" and not (value[1:].isdigit()
+                                         and value.isascii()):
+                _refuse(f"argument --{name}: expected a value, got "
+                        f"{value!r} (write --{name}=VALUE for it)")
+        if kind is list:
+            value = [*(values[name] or ()), value]
+        elif isinstance(kind, int):
+            try:
+                value = _number(value, kind)
+            except ValueError as exc:
+                _refuse(f"argument --{name}: {exc}")
+        elif kind and value not in kind:
+            _refuse(f"argument --{name}: invalid choice: {value!r} (choose "
+                    f"from {', '.join(map(repr, kind))})")
+        values[name] = value
     missing = [f"--{name}" for name, value in values.items()
                if value is REQUIRED]
     if missing:
         _refuse("the following arguments are required: "
                 + ", ".join(missing))
-    if extras:
-        _refuse("unrecognized arguments: " + " ".join(extras))
     return SimpleNamespace(command=command, fn=fn, **{
         name: value() if callable(value) else value
         for name, value in values.items()})
@@ -437,13 +389,13 @@ def main(argv=None):
         sys.stdout.flush()  # a closed pipe fails here, not at exit
         return code
     except USAGE_ERRORS as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        _error(str(exc))
         return 2
     except (WordcountError, OSError) as exc:
         if isinstance(exc, BrokenPipeError):
             # the interpreter flushes stdout again at exit; let that succeed
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
+        _error(f"{type(exc).__name__}: {exc}")
         return 1
 
 

@@ -681,6 +681,72 @@ def test_digit_runs_are_one_line_usage_errors(tmp_path, capsys, argv, files):
     assert "Traceback" not in err and len(err) < 200
 
 
+@pytest.mark.parametrize("argv, files, code, message", [
+    (["info", "--group", "file:{g}"], {"g": "cayley 0\n"}, 1,
+     "NotAGroup: empty table"),
+    (["info", "--group", "file:{g}"], {"g": "cayley 3 1\n"}, 2,
+     "line 1: expected 'cayley <n>'"),
+    (["info", "--group", "file:{g}"], {"g": "perm 3\n"}, 2,
+     "line 1: expected 'perm <degree> <k>'"),
+    (["info", "--group", "file:{g}"], {"g": "cayley 1\n0\n0\n"}, 2,
+     "line 3: trailing input"),
+    (["info", "--group", "file:{g}"], {"g": "cayley 2\n0 1\n1\n"}, 2,
+     "line 3: cayley row has 1 entries, expected 2"),
+    (["info", "--group", "file:{g}"],
+     {"g": "cayley 3\n0 2 1\n2 1 0\n1 0 2\n"}, 1,
+     "NotAGroup: no two-sided identity element"),
+    (["info", "--group", "file:{g}"], {"g": "perm 3 1\n0 0 1\n"}, 1,
+     "NotAPermutation: [0, 0, 1] is not a permutation of 0..2"),
+    (["info", "--group", "builtin:symmetric(7)"], {}, 2,
+     "symmetric degree must be 1..6"),
+    (["info", "--group", "builtin:elementary_abelian(4,2)"], {}, 2,
+     "need a prime p and k >= 1"),
+    (["info", "--group", "builtin:heisenberg(4)"], {}, 2,
+     "heisenberg parameter must be prime"),
+    (["info", "--group", "builtin:extraspecial_minus(4)"], {}, 2,
+     "extraspecial parameter must be prime"),
+    (["info", "--group", "builtin:direct_product(cyclic(2))"], {}, 2,
+     "direct_product takes two groups"),
+    (["info", "--group", "builtin:cyclic(2)x"], {}, 2,
+     "trailing input in builtin spec: 'x'"),
+    (["info", "--group", "builtin:cyclic(2"], {}, 2,
+     "expected ')' at position 8"),
+    (["count", "--group", "builtin:cyclic(2)", "--word", "[x1,x2]",
+      "--domain", "x1=foo"], {}, 2,
+     "domain must look like x1=derived or x1=center, got 'x1=foo'"),
+    (["count", "--group", "builtin:cyclic(2)", "--word", "[x1,x2]",
+      "--domain", "x9=center"], {}, 2, "variable x9 out of range"),
+], ids=["cayley-0", "cayley-header-fields", "perm-header-fields",
+        "cayley-trailing-row", "cayley-ragged-row", "cayley-no-identity",
+        "perm-not-a-permutation", "symmetric-7", "elementary-abelian-4-2",
+        "heisenberg-4", "extraspecial-minus-4", "direct-product-one-group",
+        "spec-trailing-text", "spec-missing-paren", "domain-name",
+        "domain-variable"])
+def test_outside_input_is_refused_in_one_line(tmp_path, capsys, argv, files,
+                                              code, message):
+    paths = {}
+    for name, text in files.items():
+        paths[name] = tmp_path / f"{name}.group"
+        paths[name].write_text(text, encoding="utf-8")
+    argv = [arg.format(**paths) for arg in argv]
+    assert _run_argv(capsys, argv) == (code, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, echoed", [
+    (["info", "--group", "file:{missing}"], "cannot read {missing}: "),
+    (["info", "--group", "builtin:cyclic(3)", "x\ny"], "'x\\ny'"),
+    (["info", "--group", "builtin:cyclic(3)", "--gr\r\noup", "x"],
+     "'--gr\\r\\noup'"),
+], ids=["file-path", "token", "option"])
+def test_a_line_break_in_an_error_is_escaped(tmp_path, capsys, argv, echoed):
+    missing = tmp_path / "no\nsuch"
+    argv = [arg.format(missing=missing) for arg in argv]
+    code, out, err = _run_argv(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert echoed.format(missing=str(missing).replace("\n", "\\n")) in err
+
+
 @pytest.mark.parametrize("spec", ["symmetric(3)", "dihedral(200)"])
 def test_row_permuted_cache_file_is_the_computed_table(
         tmp_path, monkeypatch, capsys, spec):
@@ -720,9 +786,10 @@ def test_cayley_file_relabeled_to_put_the_identity_first(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# `cli.parse_args` reads the command line as this argparse parser does: the
-# same values for every line it accepts, the same one-line refusal and exit
-# code 2 for every line it refuses.
+# `cli.parse_args` against this argparse parser as the reference: every line
+# it reads as values argparse reads as the same values, and it prints help
+# only where argparse printed help or refused.  Its grammar is stricter, and
+# its refusals are its own: one `error: ...` line and exit code 2.
 
 
 class _OneLineParser(argparse.ArgumentParser):
@@ -800,13 +867,15 @@ def _benchmark_requests():
 
 # Spellings the grammar reads in more than one way: prefixes, '=' forms,
 # -h joined to a value, a bare '--' or '-', negative numbers (Unicode digits
-# and a final newline included), text with a space, and no option at all.
+# and a final newline included), text with a space or a line break, and no
+# option at all.
 ODD_TOKENS = [
     "", "-", "--", "---", "---x", "--=", "--=x", "-=", "-x", "-x=y", "-g",
     "--x", "--x=1", "-h", "--help", "--h", "--he", "-hh", "-hhh", "-hx",
     "-h-", "-h=", "-h=x", "-hh=x", "--help=", "--help=x", "--he=1", "-5",
     "-0", "-1.5", "-.5", "-5.", "-\u0663", "-5\n", "-5\n\n", "x y", "-x y",
-    "--g x", "nosuch", "5", "1.5", "9" * 25, "-" + "9" * 25]
+    "--g x", "nosuch", "5", "1.5", "9" * 25, "-" + "9" * 25, "x\ny", "\r",
+    "--g\n", "--g=\r\n"]
 OPTIONS = {"info": ["group"], "chartab": ["group"],
            "count": ["group", "word", "domain", "format", "budget"],
            "zeta": ["group", "n", "method", "format", "budget"],
@@ -861,19 +930,61 @@ def _parsed(parse, argv):
 
 def test_command_lines_read_as_argparse_reads_them():
     reference = build_parser()
-    corpus = _benchmark_requests()
-    assert len(corpus) == 102
-    corpus += _seeded_command_lines(1500)
+    benchmark = _benchmark_requests()
+    assert len(benchmark) == 102
+    for argv in benchmark:
+        assert _parsed(cli.parse_args, argv) == \
+            _parsed(reference.parse_args, argv), argv
     seen = {"values": 0, 0: 0, 2: 0}
-    for argv in corpus:
-        expected = _parsed(reference.parse_args, argv)
-        assert _parsed(cli.parse_args, argv) == expected, argv
-        seen[expected[0] if expected[0] == "values" else expected[1]] += 1
-        if expected[0] == "exit" and expected[1]:
-            assert expected[2].startswith("error: ")
-            if not any("\n" in token for token in argv):
-                assert expected[2].count("\n") == 1
-    assert min(seen.values()) > 50  # accepted, help and refused lines alike
+    for argv in _seeded_command_lines(1500):
+        got, expected = (_parsed(cli.parse_args, argv),
+                         _parsed(reference.parse_args, argv))
+        if got[0] == "values":
+            assert got == expected, argv
+        elif got[1] == 0:  # help
+            assert expected[0] == "exit", argv
+        else:
+            assert got[1] == 2, argv
+            assert got[2].startswith("error: "), argv
+            assert got[2].count("\n") == 1, argv
+        seen[got[0] if got[0] == "values" else got[1]] += 1
+    assert min(seen.values()) > 50  # read, help and refused lines alike
+
+
+CHOOSE = "(choose from info, chartab, count, zeta, verify, isoclinic)"
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], f"missing command {CHOOSE}"),
+    (["--", "info"], f"invalid command '--' {CHOOSE}"),
+    (["--he"], f"invalid command '--he' {CHOOSE}"),
+    (["info", "--", "--group", "x"], "unrecognized argument '--'"),
+    (["info", "--group", "x", "-hh"], "unrecognized argument '-hh'"),
+    (["info", "--help=x"], "unrecognized argument '--help=x'"),
+    (["info", "--group"], "argument --group: expected a value"),
+    (["zeta", "--group", "x", "--n", "-1.5"], "argument --n: expected a "
+     "value, got '-1.5' (write --n=VALUE for it)"),
+    (["zeta", "--group", "x", "--n", "-\u0663"], "argument --n: expected a "
+     "value, got '-\u0663' (write --n=VALUE for it)"),
+    (["zeta", "--group", "x", "--n", "3", "--f", "xml"], "argument "
+     "--format: invalid choice: 'xml' (choose from 'table', 'csv')"),
+    (["zeta", "--group", "x"], "the following arguments are required: --n"),
+], ids=["no-command", "dash-dash-first", "help-prefix-first",
+        "dash-dash", "hh", "help-value", "no-value", "decimal-value",
+        "unicode-digit-value", "choice", "missing-option"])
+def test_command_line_refusals_are_one_line(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.parse_args(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_help_is_printed_when_it_is_reached(capsys):
+    for argv in (["info", "--he", "--bogus"], ["info", "-h", "--group"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.parse_args(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: wordcount info ")
 
 
 @pytest.mark.parametrize("command", [None, *cli.COMMANDS])

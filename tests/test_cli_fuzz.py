@@ -3,15 +3,15 @@
 Arguments are drawn from the word grammar (with `--domain`), the builtin
 group spec grammar, group files with `cayley` and `perm` headers, and the
 numeric options of `count`, `zeta` and `isoclinic`, then one of them may be
-mutated: truncated, given a digit run past int()'s 4,300 digits, nested past
-100, given Unicode digits, a NUL byte or a stray comma.  A group file's text
-may be mutated too: a line dropped or repeated, an entry swapped or
-replaced, a header number changed, or a byte that is not UTF-8.  Each
-command line runs through `cli.main` in process.  Whatever the input, the
-exit code is 0, 1 or 2, no exception escapes, and an error is one stderr
-line; the one exit 1 without it is `isoclinic`'s `not isoclinic` answer on
-stdout.  Groups have order at most 24 and `--budget` is at most 10^4, so
-each command line is cheap.
+mutated: truncated, given a digit run past int()'s 4,300 digits, nested
+past 100, given Unicode digits, a NUL byte, a stray comma or a line break.
+A group file's text may be mutated too: a line dropped or repeated, an
+entry swapped or replaced, a header number changed, or a byte that is not
+UTF-8.  Each command line runs through `cli.main` in process.  Whatever the
+input, the exit code is 0, 1 or 2, no exception escapes, and an error is
+one stderr line; the one exit 1 without it is `isoclinic`'s `not isoclinic`
+answer on stdout.  Groups have order at most 24 and `--budget` is at most
+10^4, so each command line is cheap.
 """
 import contextlib
 import io
@@ -164,7 +164,7 @@ def mutated(draw):
     at = draw(st.integers(0, len(value)))
     kind = draw(mostly(st.just("none"), st.sampled_from(
         ["truncate", "long-digits", "nest", "unicode-digit", "nul",
-         "comma"])))
+         "comma", "newline"])))
     if kind == "truncate":
         value = value[:at]
     elif kind == "long-digits":
@@ -178,6 +178,9 @@ def mutated(draw):
         value = value[:at] + "\0" + value[at:]
     elif kind == "comma":
         value = value[:at] + "," + value[at:]
+    elif kind == "newline":
+        value = value[:at] + draw(st.sampled_from(["\n", "\r\n"])) \
+            + value[at:]
     argv[i] = value
     return argv, files
 

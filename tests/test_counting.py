@@ -351,3 +351,37 @@ def test_many_variables_do_not_recurse(capsys):
     assert code == 0
     assert capsys.readouterr().out.splitlines()[1].split("\t") == \
         ["0", "1", "1"]
+
+
+# ---------------------------------------------------------------------------
+# the product rule: on G×H with product domains (whole groups, centers and
+# derived subgroups are products), every count is the product of the counts
+# on the factors
+
+
+def test_counts_on_a_direct_product_are_products_of_the_factors():
+    rng = random.Random(20)
+    factors = [G for _, G in verification.catalog() if G.order > 1]
+    checked = 0
+    while checked < 12:
+        G, H = rng.choice(factors), rng.choice(factors)
+        word = parse_relabelled(seeded_word(rng))
+        if G.order * H.order > 200 or word is None:
+            continue
+        checked += 1
+        P = groups.direct_product(G, H)
+        pairs = [[a * H.order + b for b in range(H.order)]
+                 for a in range(G.order)]
+        assert all(P.mul[pairs[a][b]][pairs[c][d]] ==
+                   pairs[G.mul[a][c]][H.mul[b][d]]
+                   for a, c in itertools.product(range(G.order), repeat=2)
+                   for b, d in itertools.product(range(H.order), repeat=2))
+        drawn = [rng.choice(sorted(DOMAINS)) for _ in range(word.arity)]
+        for names in (["whole"] * word.arity, drawn):
+            counts = [counting.zeta_element_counts(
+                X, word, DomainSpec(tuple(DOMAINS[name](X) for name in names)))
+                for X in (G, H, P)]
+            g_counts, h_counts, p_counts = counts
+            assert all(p_counts[pairs[a][b]] == g_counts[a] * h_counts[b]
+                       for a in range(G.order) for b in range(H.order)), \
+                (str(word), names)

@@ -4,7 +4,8 @@ from hypothesis import strategies as st
 
 from wordcount import groups
 from wordcount.cli import main
-from wordcount.errors import (NotAGroup, OrderLimitExceeded, UnknownFamily,
+from wordcount.errors import (BadSubgroup, NotAGroup, NotNormal,
+                              OrderLimitExceeded, UnknownFamily,
                               UnsupportedParameter)
 
 
@@ -180,6 +181,16 @@ def test_quotient():
                for a in range(8) for b in range(8))
     # D8 / Z(D8) is the Klein four-group
     assert all(Q.mul[q][q] == 0 for q in range(4))
+    with pytest.raises(NotNormal):
+        groups.quotient(*_s3_and_a_transposition())
+
+
+def _s3_and_a_transposition():
+    """S3 and the subgroup of order 2 that one transposition generates,
+    which is not normal."""
+    S3 = groups.builtin("symmetric", 3)
+    t = next(a for a in range(1, 6) if S3.mul[a][a] == 0)
+    return S3, groups.subgroup_closure(S3, [t])
 
 
 def test_camina_pair():
@@ -191,6 +202,8 @@ def test_camina_pair():
     C6 = groups.builtin("cyclic", 6)
     C2 = groups.subgroup_closure(C6, [3])
     assert not groups.is_camina_pair(C6, C2)
+    with pytest.raises(BadSubgroup, match="normal"):
+        groups.is_camina_pair(*_s3_and_a_transposition())
 
 
 def test_normal_subgroups():
