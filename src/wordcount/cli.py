@@ -239,9 +239,11 @@ def cmd_isoclinic(args, out):
 
 def _number(text, bound):
     """An integer as `read_ints` reads it, after an optional '-' that the
-    command itself refuses where it must."""
+    command itself refuses where it must.  A refusal quotes the text as
+    given, sign included."""
     digits = text.removeprefix("-")
-    (value,) = read_ints([digits], bound, ValueError)
+    (value,) = read_ints([digits if digits.isascii() and digits.isdigit()
+                          else text], bound, ValueError)
     return value if digits == text else -value
 
 

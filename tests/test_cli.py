@@ -966,12 +966,17 @@ CHOOSE = "(choose from info, chartab, count, zeta, verify, isoclinic)"
      "value, got '-1.5' (write --n=VALUE for it)"),
     (["zeta", "--group", "x", "--n", "-\u0663"], "argument --n: expected a "
      "value, got '-\u0663' (write --n=VALUE for it)"),
+    (["zeta", "--group", "x", "--n=-1.5"], "argument --n: expected a "
+     "number in ASCII digits, got '-1.5'"),
+    (["zeta", "--group", "x", "--n=-"], "argument --n: expected a number "
+     "in ASCII digits, got '-'"),
     (["zeta", "--group", "x", "--n", "3", "--f", "xml"], "argument "
      "--format: invalid choice: 'xml' (choose from 'table', 'csv')"),
     (["zeta", "--group", "x"], "the following arguments are required: --n"),
 ], ids=["no-command", "dash-dash-first", "help-prefix-first",
         "dash-dash", "hh", "help-value", "no-value", "decimal-value",
-        "unicode-digit-value", "choice", "missing-option"])
+        "unicode-digit-value", "negative-decimal", "bare-minus", "choice",
+        "missing-option"])
 def test_command_line_refusals_are_one_line(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         cli.parse_args(argv)

@@ -186,6 +186,18 @@ def test_builtins_match_references(spec, monkeypatch):
     check_structure(G)
 
 
+@pytest.mark.parametrize("spec", ["dihedral(1026)", "cyclic(1025)",
+                                  "quaternion(2048)", "heisenberg(11)"])
+def test_tables_composed_from_slices_match_the_reference(spec, monkeypatch):
+    # packed rows, every generator row of the first three and the second
+    # of heisenberg(11) composed from slices, its others by `itemgetter`
+    G = groups.parse_builtin_spec(spec)
+    R = build_by_reference(monkeypatch,
+                           lambda: groups.parse_builtin_spec(spec))
+    assert tuple(map(tuple, G.mul)) == R.mul
+    assert (G.inv, G.labels) == (R.inv, R.labels)
+
+
 @pytest.mark.parametrize("spec", SMALL_BUILTINS)
 def test_quotients_match_reference(spec):
     G = groups.parse_builtin_spec(spec)

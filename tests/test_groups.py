@@ -88,6 +88,18 @@ def test_permutation_generators():
         groups.from_permutation_generators(8, [swap, cycle])
 
 
+@pytest.mark.parametrize("degree, gens, elements", [
+    (0, [()], [()]), (1, [(0,)], [(0,)]), (2, [(0, 1)], [(0, 1)]),
+    (2, [(1, 0)], [(0, 1), (1, 0)]), (2, [(1, 0), (1, 0)], [(0, 1), (1, 0)]),
+])
+def test_permutation_groups_of_degree_below_3(degree, gens, elements):
+    # the closure gathers p * g with `itemgetter(*g)`, which returns no
+    # tuple for one index
+    G = groups.from_permutation_generators(degree, gens)
+    assert tuple(G.labels) == tuple(map(str, elements))
+    assert G.mul == (((0,),) if len(elements) == 1 else ((0, 1), (1, 0)))
+
+
 def test_permutation_closure_entry_bound(monkeypatch):
     # S4 on 4 points holds 24 x 4 = 96 entries; the bound is inclusive
     swap, cycle = [1, 0, 2, 3], [1, 2, 3, 0]

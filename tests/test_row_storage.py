@@ -3,14 +3,19 @@
 A table of more than `groups.COMPACT_ROWS_ABOVE` elements keeps its rows
 as 2-byte arrays, a smaller one as tuples.  Every reader only indexes
 rows, and the two places that read a whole table, `GroupTable.__hash__`
-and the cache file name, give the same answer either way.
+and the cache file name, give the same answer either way.  A row composed
+from slices of another row is the row gathered entry by entry, and a
+packed row holds no spare capacity.
 """
 
 import hashlib
 import sys
 from array import array
+from operator import itemgetter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wordcount import (chartab, counting, fileio, formulas, groups,
                        isoclinism, verification, words)
@@ -47,15 +52,83 @@ def test_compact_rows_take_about_two_bytes_an_entry():
 @pytest.mark.parametrize("spec", ["dihedral(1026)", "heisenberg(11)"])
 def test_compact_table_is_the_tuple_table(spec, monkeypatch):
     G = groups.parse_builtin_spec(spec)
-    monkeypatch.setattr(groups, "LOOSE_ROWS", 1)
-    tight = groups.parse_builtin_spec(spec)
     monkeypatch.setattr(groups, "COMPACT_ROWS_ABOVE", groups.DEFAULT_ORDER_CAP)
     H = groups.parse_builtin_spec(spec)
+    assert all(type(row) is array for row in G.mul)
     assert all(type(row) is tuple for row in H.mul)
-    for K in (G, tight):
-        assert all(type(row) is array for row in K.mul)
-        assert tuple(map(tuple, K.mul)) == H.mul
-        assert (K.inv, K.labels) == (H.inv, H.labels)
+    assert tuple(map(tuple, G.mul)) == H.mul
+    assert (G.inv, G.labels) == (H.inv, H.labels)
+
+
+@pytest.mark.parametrize("spec", ["dihedral(2000)", "cyclic(1025)",
+                                  "heisenberg(11)"])
+def test_packed_rows_hold_no_spare_capacity(spec):
+    # rows from slices, from a gather and its pack, and both mixed
+    G = groups.parse_builtin_spec(spec)
+    exact = sys.getsizeof(array("H", [0]) * G.order)
+    assert all(sys.getsizeof(row) == exact for row in G.mul)
+
+
+def test_dihedral_rows_are_composed_from_slices(monkeypatch):
+    # only row 0 and the two generator rows are packed: the 1,997 others
+    # are slices of packed rows
+    packed = []
+    packer = groups._row_packer
+
+    def counting_packer(n):
+        pack = packer(n)
+        return lambda row: packed.append(row) or pack(row)
+    monkeypatch.setattr(groups, "_row_packer", counting_packer)
+    G = groups.builtin("dihedral", 2000)
+    assert len(packed) == 3
+    assert all(type(row) is array for row in G.mul)
+
+
+@st.composite
+def rows_of_runs(draw):
+    """A permutation of range(n) made of arithmetic runs: the residues mod
+    k, each cut into pieces, some reversed (so some runs fall to 0), and
+    shuffled.  Returns (row, number of pieces)."""
+    n = draw(st.integers(1, 200))
+    k = draw(st.integers(1, min(n, 8)))
+    pieces = []
+    for r in range(k):
+        residues = list(range(r, n, k))
+        cuts = sorted(draw(st.sets(st.integers(1, len(residues) - 1),
+                                   max_size=3))) if len(residues) > 1 else []
+        for i, j in zip([0] + cuts, cuts + [len(residues)]):
+            piece = residues[i:j]
+            pieces.append(piece[::-1] if draw(st.booleans()) else piece)
+    order = draw(st.permutations(range(len(pieces))))
+    return tuple(x for i in order for x in pieces[i]), len(pieces)
+
+
+def random_rows():
+    return st.integers(1, 200).flatmap(
+        lambda n: st.permutations(range(n)).map(lambda p: (tuple(p), n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.one_of(rows_of_runs(), random_rows()), data=st.data())
+def test_sliced_composition_is_the_gather(case, data):
+    row, pieces = case
+    n = len(row)
+    row = array("H", row)
+    assert groups._sliced(row, 0) is None
+    compose = groups._sliced(row, pieces)  # no more runs than pieces
+    assert compose is not None
+    other = data.draw(st.permutations(range(n)))
+    got = compose(array("H", other))
+    assert type(got) is array and got.typecode == "H"
+    assert tuple(got) == tuple(other[i] for i in row)
+    assert sys.getsizeof(got) == sys.getsizeof(array("H", [0]) * n)
+
+
+def test_tuple_rows_are_gathered():
+    # D512's generator rows are 2 and 4 runs, but its rows are tuples
+    G = groups.builtin("dihedral", 512)
+    assert all(type(groups._composer(G.mul[s], None)) is itemgetter
+               for s in G.generating_set())
 
 
 def test_hash_and_equality_do_not_depend_on_the_constructor():
