@@ -97,6 +97,7 @@ class CharacterTable:
         self.values = values  # k x k of Cyclotomic
         self.degrees = degrees
         self.linear_mask = tuple(d == 1 for d in degrees)
+        self.last_stable_input = None  # (values, galois_stable), see _stable
 
     def _fields(self):
         return (self.group, self.classes, self.exponent, self.values,
@@ -182,10 +183,11 @@ class CharacterTable:
             row = self.sparse_rows[r]
             for t in row:
                 if t not in field_traces:
-                    norm, _ = cyclotomic.product_sum(e, [(1, t, t)])
+                    # |v|^2 = sum a b zeta^(i - j) over pairs of terms, and
+                    # tr[i - j] reads Tr(zeta^((i - j) mod e))
                     field_traces[t] = (
                         sum([c * tr[i] for i, c in t]),
-                        sum(map(mul, norm, tr)))
+                        sum([a * b * tr[i - j] for i, a in t for j, b in t]))
             out[r] = GaloisOrbit(
                 size,
                 tuple([orbit_sum(size, field_traces[t][0]) for t in row]),
@@ -610,13 +612,20 @@ def _nonlinear_rows(G, classes, e, linear):
                 continue
             # transpose convention: b_r -> sum_s X[r][s] b_s; eigenvectors of X^T
             XT = [list(col) for col in zip(*X)]
+            columns = list(zip(*B))
             for lam in _poly_roots(_charpoly(XT, p), p):
                 shifted = [[(XT[r][c] - (lam if r == c else 0)) % p
                             for c in range(m)] for r in range(m)]
-                lifted = [[sum(map(mul, kv, col)) % p for col in zip(*B)]
-                          for kv in _kernel(shifted, p)[0]]
-                if lifted:
-                    nxt.append(_rref(lifted, p))
+                kernel_vectors, kernel_free = _kernel(shifted, p)
+                # kernel vector i is 1 at kernel_free[i] and 0 at the other
+                # free indices, and B is the identity on its pivot columns,
+                # so the lifted vectors are the identity on these columns:
+                # already the reduced basis `_coords` reads
+                if kernel_vectors:
+                    nxt.append((
+                        [[sum(map(mul, kv, col)) % p for col in columns]
+                         for kv in kernel_vectors],
+                        [piv[f] for f in kernel_free]))
         if sum(len(B) for B, _ in nxt) != len(kernel):
             raise InternalInconsistency("eigenspace splitting lost dimensions")
         subspaces = nxt
@@ -895,19 +904,34 @@ def galois_stable(table, values):
     return classes(values) == firsts(values)
 
 
+def _stable(table, values):
+    """`galois_stable(table, values)`, decided once per tuple of values: a
+    caller pairing one phi with every character passes the same tuple each
+    time.  The table keeps the last tuple asked and its answer; a tuple
+    cannot change, so the same object has the same answer."""
+    last = table.last_stable_input
+    if last is not None and last[0] is values:
+        return last[1]
+    stable = galois_stable(table, values)
+    if type(values) is tuple:
+        table.last_stable_input = (values, stable)
+    return stable
+
+
 def inner_product(table, phi, psi):
     """Exact <phi, psi> over the whole group.
 
-    For a Galois-stable phi (`galois_stable`) and a character index psi,
-    <phi, chi> is the same for every chi in the Galois orbit O of chi_psi
-    (sigma_u chi = chi o pi_u and phi o pi_u = phi), so it is the orbit mean
+    For a Galois-stable phi (`galois_stable`, decided once per input by
+    `_stable`) and a character index psi, <phi, chi> is the same for every
+    chi in the Galois orbit O of chi_psi (sigma_u chi = chi o pi_u and
+    phi o pi_u = phi), so it is the orbit mean
     sum_j |C_j| phi(g_j) T_O(j) / (|O| |G|).  For a nonlinear psi, T_O is
     the integer row of `orbit_sums`; for a linear psi = zeta_e^l,
     T_O(j) / |O| = Tr(zeta_e^l_j) / phi(e), read off `_field_traces`.  Any
     other pair goes through the sparse kernel."""
     if isinstance(psi, int) and not isinstance(phi, int):
         phi = _class_values(table, phi)
-        if galois_stable(table, phi):
+        if _stable(table, phi):
             sizes, n = table.classes.sizes, table.group.order
             exps = table.exponent_rows[psi]
             if exps is not None:

@@ -16,7 +16,7 @@ compile the table engine.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 from operator import mul
 
@@ -175,21 +175,33 @@ def bracket_word(w1, w2):
         (v + w1.arity, e) for v, e in w2.letters]))
 
 
+def has_lone_letter(word):
+    """True iff some variable occurs in exactly one letter of the reduced
+    word, with exponent 1 or -1.  Then w = A x_v^{+-1} B with A and B free
+    of x_v, so for any values of the other variables w is a bijection in
+    x_v: on every group every fiber has |G|^(arity-1) elements, and w is
+    measure preserving."""
+    occurrences = Counter(v for v, _ in word.letters)
+    return any(occurrences[v] == 1 and e in (1, -1) for v, e in word.letters)
+
+
 def zeta_mixed_theorem21(G, H, w1, w2, table=None):
     """Counts for [w1(vars in H), w2(vars in G)] via the character formula.
 
     Returns a per-element integer list over G.  Requires H normal and w2
-    measure preserving with respect to G.  With n variables in w1 and m in
-    the bracket, and Galois-stable class weights, the linear characters add
-    one term, |G|^(m-n-1) |H|^n `table.linear_sum`: |G|^(m-n) |H|^n / |G'|
-    on G' and 0 off it.
+    measure preserving with respect to G, which `has_lone_letter` settles
+    without counting when it applies; otherwise the fibers of w2 are
+    counted.  With n variables in w1 and m in the bracket, and
+    Galois-stable class weights, the linear characters add one term,
+    |G|^(m-n-1) |H|^n `table.linear_sum`: |G|^(m-n) |H|^n / |G'| on G' and
+    0 off it.
     """
     from . import chartab, counting, cyclotomic
 
     groups.require_subgroup_of(G, H)
     if not H.is_normal():
         raise NotNormal("H must be normal in G")
-    if not counting.is_measure_preserving(G, w2):
+    if not has_lone_letter(w2) and not counting.is_measure_preserving(G, w2):
         raise NotMeasurePreserving(
             f"word {w2} is not measure preserving on this group")
     if table is None:

@@ -1044,12 +1044,17 @@ def gamma(G, i):
     return series[min(i - 1, len(series) - 1)]
 
 
+@structure_memo
 def quotient(G, N):
-    """Quotient group on coset representatives plus the projection map.
+    """Quotient group on coset representatives plus the projection map,
+    built once per group and normal subgroup (`_quotient`): the isoclinism
+    search and the central-quotient check ask for the same G/Z(G)."""
+    return _quotient(G, N)
 
-    Each coset is represented by its least element, and Q numbers the
-    cosets by representative, so the identity coset comes first.
-    """
+
+def _quotient(G, N):
+    """Each coset is represented by its least element, and Q numbers the
+    cosets by representative, so the identity coset comes first."""
     require_subgroup_of(G, N)
     if not N.is_normal():
         raise NotNormal("subgroup is not normal")

@@ -115,6 +115,13 @@ def _isomorphisms(A, B):
 
 def find_isoclinism(G, H, n):
     """An n-isoclinism witness, or None if the groups are not n-isoclinic."""
+    return search_isoclinism(G, H, n)[0]
+
+
+def search_isoclinism(G, H, n):
+    """(witness or None, the number of isomorphisms G/Z_n -> H/Z_n tried).
+    The count is 0 when the orders of the quotients or of the commutator
+    subgroups differ."""
     if n < 1:
         raise UnsupportedParameter(f"n must be at least 1, got {n}")
     ZG, ZH = groups.zn(G, n), groups.zn(H, n)
@@ -125,14 +132,16 @@ def find_isoclinism(G, H, n):
                 f"quotient or commutator subgroup exceeds {SEARCH_BOUND}")
     if G.order // ZG.order != H.order // ZH.order or \
             gammaG.order != gammaH.order:
-        return None
+        return None, 0
     count = (G.order // ZG.order) ** (n + 1)
     if count > TUPLE_BOUND:
         raise SearchBoundExceeded(
             f"{count} tuples of coset representatives exceed {TUPLE_BOUND}")
     QG, tableG = _commutator_table(G, n)
     QH, tableH = _commutator_table(H, n)
+    tried = 0
     for phi in _isomorphisms(QG, QH):
+        tried += 1
         psi = {0: 0}
         if any(psi.setdefault(a, tableH[p]) != tableH[p]
                for a, p in zip(tableG, _image_positions(phi, n + 1))):
@@ -145,8 +154,8 @@ def find_isoclinism(G, H, n):
             continue
         witness = IsoclinismWitness(n, G, H, phi, psi, QG, QH)
         verify_witness(witness)
-        return witness
-    return None
+        return witness, tried
+    return None, tried
 
 
 def verify_witness(w):

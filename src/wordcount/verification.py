@@ -8,11 +8,14 @@ they never affect the exit code.
 from __future__ import annotations
 
 import functools
+import itertools
+import random
 from collections import namedtuple
 from fractions import Fraction
 
 from . import chartab, counting, formulas, groups, isoclinism, words
-from .errors import PredicateFailed, UnsupportedParameter
+from .errors import (PredicateFailed, SearchBoundExceeded,
+                     UnsupportedParameter, WordcountError)
 
 CheckResult = namedtuple("CheckResult", "status check_id group details")
 
@@ -248,6 +251,127 @@ def check_isoclinism():
     return results
 
 
+def check_isoclinism_families():
+    """For n = 1, 2, 3, every pair of catalog groups with gamma_{n+1} != 1
+    and equal (|G : Z_n|, |gamma_{n+1}|): the search, which returns a
+    witness only once `verify_witness` accepts it, and
+    zeta^{w_{n+1}}(g) / |G|^{n+1} = zeta^{w_{n+1}}(psi(g)) / |H|^{n+1} on
+    gamma_{n+1}(G) with brute force on both groups (P. Hall).  A pair with
+    no witness is not a failure, as isoclinism is sufficient for the
+    scaling, not necessary: its line names the isomorphisms tried.  A pair
+    the search refuses (`isoclinism.TUPLE_BOUND`, `SEARCH_BOUND`) is
+    reported as refused."""
+    results = []
+    for n in (1, 2, 3):
+        families = {}
+        for spec, G in catalog():
+            gamma = groups.gamma(G, n + 1)
+            if gamma.order > 1:
+                key = (G.order // groups.zn(G, n).order, gamma.order)
+                families.setdefault(key, []).append((spec, G))
+        for family in families.values():
+            for (a, G), (b, H) in itertools.combinations(family, 2):
+                _run(results, "isoclinism-family", f"{a}~{b}",
+                     lambda G=G, H=H, n=n: _family_line(G, H, n))
+    return results
+
+
+def _family_line(G, H, n):
+    try:
+        witness, tried = isoclinism.search_isoclinism(G, H, n)
+    except SearchBoundExceeded as exc:
+        return f"n={n} refused: {exc}"
+    if witness is None:
+        return f"n={n} no isoclinism after {tried} isomorphisms tried"
+    on_g, on_h = _brute_wn(G, n + 1), _brute_wn(H, n + 1)
+    for g, h in witness.psi.items():
+        if on_g.at_element(g) * H.order ** (n + 1) != \
+                on_h.at_element(h) * G.order ** (n + 1):
+            raise AssertionError(
+                f"n={n} g={g}: {on_g.at_element(g)} / {G.order}^{n + 1} != "
+                f"{on_h.at_element(h)} / {H.order}^{n + 1}")
+    factor = Fraction(G.order, H.order) ** (n + 1)
+    return f"n={n} factor={factor} checked={len(witness.psi)}"
+
+
+# the product rule's seeded cases: pairs of catalog groups with
+# |G| |H| <= PRODUCT_ORDER, each with a seeded word
+PRODUCT_SEED, PRODUCT_CASES, PRODUCT_ORDER = 20, 12, 200
+DOMAINS = {"whole": lambda G: None, "center": groups.center,
+           "derived": groups.commutator_subgroup}
+
+
+def _seeded_word(rng):
+    """A product of one to three powers of variables and brackets, nested
+    up to two deep, in x1..x3, renamed x1..xk in order of first use; None
+    if it reduces away or loses a variable."""
+    def term(depth):
+        if depth and rng.random() < 0.5:
+            return words.commutator(term(depth - 1), term(depth - 1))
+        return [(rng.randint(1, 3), rng.choice([-3, -2, -1, 1, 2, 4]))]
+
+    letters = [x for _ in range(rng.randint(1, 3)) for x in term(2)]
+    names = {}
+    for v, _ in letters:
+        names.setdefault(v, len(names) + 1)
+    try:
+        return words.make_word([(names[v], e) for v, e in letters])
+    except WordcountError:
+        return None
+
+
+def check_product_rule():
+    """N_w on G x H with product domains (whole groups, centers, derived
+    subgroups) is N_w^G(g) N_w^H(h) at every (g, h), by brute force on the
+    three groups, for seeded pairs of catalog groups and seeded words.
+    (a, b) is element a |H| + b of `groups.direct_product(G, H)`, and that
+    map is checked against the product's table once per pair of groups, so
+    the check does not rest on the constructor's bookkeeping."""
+    rng = random.Random(PRODUCT_SEED)
+    factors = [(spec, G) for spec, G in catalog() if G.order > 1]
+    products = {}
+    results = []
+    while len(results) < PRODUCT_CASES:
+        (a, G), (b, H) = rng.choice(factors), rng.choice(factors)
+        word = _seeded_word(rng)
+        if G.order * H.order > PRODUCT_ORDER or word is None:
+            continue
+        names = [rng.choice(sorted(DOMAINS)) for _ in range(word.arity)]
+
+        def one(G=G, H=H, word=word, names=names, key=(a, b)):
+            if key not in products:
+                products[key] = _checked_product(G, H)
+            P, m = products[key], H.order
+            for domains in (["whole"] * word.arity, names):
+                g_counts, h_counts, p_counts = [
+                    counting.zeta_element_counts(X, word, counting.DomainSpec(
+                        tuple(DOMAINS[name](X) for name in domains)))
+                    for X in (G, H, P)]
+                for g, h in itertools.product(range(G.order), range(m)):
+                    if p_counts[g * m + h] != g_counts[g] * h_counts[h]:
+                        raise AssertionError(
+                            f"{'/'.join(domains)} at ({g},{h}): "
+                            f"{p_counts[g * m + h]} != "
+                            f"{g_counts[g]} * {h_counts[h]}")
+            return f"word={word} domains={'/'.join(names)}"
+        _run(results, "product-rule", f"{a}x{b}", one)
+    return results
+
+
+def _checked_product(G, H):
+    """`groups.direct_product(G, H)`, with (a, b) -> a |H| + b checked to
+    multiply as the pairs do."""
+    P, m = groups.direct_product(G, H), H.order
+    for a, c in itertools.product(range(G.order), repeat=2):
+        ac = G.mul[a][c] * m
+        for b, d in itertools.product(range(m), repeat=2):
+            if P.mul[a * m + b][c * m + d] != ac + H.mul[b][d]:
+                raise AssertionError(
+                    f"({a},{b})({c},{d}) is not element "
+                    f"{ac + H.mul[b][d]} of the product")
+    return P
+
+
 def check_central_quotient():
     """Let N <= Z(G) meet G' trivially, grown from the central elements in
     rising order.  Then G/N is isoclinic to G, and brute force on G at g in
@@ -301,8 +425,10 @@ def run_suite(suite):
         results += check_camina3_audit()
     if suite in ("isoclinism", "all"):
         results += check_isoclinism()
+        results += check_isoclinism_families()
     if suite == "all":
         results += check_mixed_domain()
+        results += check_product_rule()
     if suite in ("isoclinism", "all"):
         results += check_central_quotient()
     return results

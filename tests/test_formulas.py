@@ -2,10 +2,12 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wordcount import chartab, counting, formulas, groups, verification, words
 from wordcount.errors import (NotMeasurePreserving, NotNormal,
-                              PredicateFailed)
+                              PredicateFailed, WordcountError)
 from wordcount.formulas import CaminaInvariants, GroupClassReport
 
 
@@ -144,6 +146,87 @@ def test_mixed_domain_preconditions():
     A3 = groups.commutator_subgroup(S3)
     with pytest.raises(NotMeasurePreserving):
         formulas.zeta_mixed_theorem21(S3, A3, x, words.wn(2), table)
+
+
+# words in x1..x3 with repeated variables, exponents +-1 and +-2 and nested
+# brackets, so that the lone-letter rule both applies and does not
+_exponent = st.sampled_from([-2, -1, 1, 2])
+_term = st.recursive(
+    st.builds(lambda v, e: f"x{v}^{e}", st.integers(1, 3), _exponent),
+    lambda inner: st.one_of(
+        st.builds(lambda u, v: f"[{u},{v}]", inner, inner),
+        st.builds(lambda u, e: f"({u})^{e}", inner, _exponent),
+        st.lists(inner, min_size=2, max_size=3).map(" ".join)),
+    max_leaves=5)
+SMALL_CATALOG = [G for _, G in verification.catalog() if G.order <= 32]
+
+
+def _contiguous_word(text):
+    """The word with the variables it uses renamed x1..xk in rising
+    order; None if it reduces away or loses a variable."""
+    names = {}
+    for v in range(1, 4):
+        if f"x{v}" in text:
+            names[v] = len(names) + 1
+    text = text.replace("x", "y")
+    for v, new in names.items():
+        text = text.replace(f"y{v}", f"x{new}")
+    try:
+        return words.parse(text)
+    except WordcountError:
+        return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(text=st.lists(_term, min_size=1, max_size=3).map(" ".join))
+@example(text="x1 [x2,x3]")           # the rule applies
+@example(text="x1^2 x2^-1 [x1,x3]^2")  # it applies to x2 only
+@example(text="[x1,x2]")              # no lone letter, not preserving
+@example(text="x1^2")                 # no lone letter, preserving on odd |G|
+@example(text="x1 x2 x1^-1 x2")       # x1 twice, x2 twice
+def test_lone_letter_rule_agrees_with_enumeration(text):
+    word = _contiguous_word(text)
+    if word is None:
+        return
+    # a lone letter claims preservation on every group; no lone letter
+    # claims nothing, and the enumeration decides
+    lone = formulas.has_lone_letter(word)
+    for G in SMALL_CATALOG:
+        assert counting.is_measure_preserving(G, word) or not lone, \
+            (str(word), G.order)
+
+
+def test_lone_letter_rule_reads_the_reduced_letters():
+    assert formulas.has_lone_letter(words.parse("x1"))
+    assert formulas.has_lone_letter(words.parse("x1^-1"))
+    assert formulas.has_lone_letter(words.parse("x2 [x1,x3]"))
+    assert not formulas.has_lone_letter(words.parse("x1^2"))
+    assert not formulas.has_lone_letter(words.wn(3))
+    # x2 x2 reduces to x2^2, and x1 x3 x1^-1 keeps x3 alone
+    assert not formulas.has_lone_letter(words.parse("x1^-1 x2 x2 x1^2"))
+    assert formulas.has_lone_letter(words.parse("x1 x3 x1^-1 x2^2"))
+
+
+def test_mixed_domain_counts_nothing_for_a_lone_letter(monkeypatch):
+    def refuse(G, word, budget=None):
+        raise AssertionError(f"enumerated {word}")
+
+    monkeypatch.setattr(counting, "is_measure_preserving", refuse)
+    S4 = groups.builtin("symmetric", 4)
+    table = _table(S4)
+    A4 = groups.commutator_subgroup(S4)
+    w1 = words.parse("x1")
+    for text in ("x1", "x1^-1", "x1^2 x2 x1^-2", "[x1,x2] x3^-1"):
+        w2 = words.parse(text)
+        got = formulas.zeta_mixed_theorem21(S4, A4, w1, w2, table)
+        spec = counting.DomainSpec((A4,) + (None,) * w2.arity)
+        assert got == counting.zeta_element_counts(
+            S4, formulas.bracket_word(w1, w2), spec), text
+    monkeypatch.undo()
+    S3 = groups.builtin("symmetric", 3)
+    with pytest.raises(NotMeasurePreserving):
+        formulas.zeta_mixed_theorem21(
+            S3, groups.commutator_subgroup(S3), w1, words.wn(2), _table(S3))
 
 
 def test_classify_q8():

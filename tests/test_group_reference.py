@@ -636,6 +636,54 @@ def test_orbit_pairings_match_cyclotomic_sums(spec, monkeypatch):
                 expected
 
 
+@pytest.mark.parametrize("spec", PAIRING_GROUPS)
+def test_stability_is_decided_once_per_input(spec, monkeypatch):
+    G = groups.parse_builtin_spec(spec)
+    table = chartab.character_table(G)
+    classes, k = table.classes, table.num_characters
+    zeta = formulas.zeta_wn_char(G, table, 2)
+    halves = groups.ClassFunction(
+        G, classes, tuple(Fraction(v, 2) for v in zeta.values))
+    by_index = groups.ClassFunction(G, classes, tuple(range(k)))
+    row = groups.ClassFunction(G, classes, table.values[k - 1])
+    # a class function whose values a caller changes in place between asks
+    mutable = groups.ClassFunction(G, classes, list(zeta.values))
+    split = [c for rc in groups.rational_classes(G)
+             for c, _ in rc.generators if c != rc.first]
+    decided = Counter()
+    stable = chartab.galois_stable
+
+    def counted(table, values):
+        decided[id(values)] += 1
+        return stable(table, values)
+
+    def answers(phi):
+        return [_outcome(chartab.inner_product, table, phi, r)
+                for r in range(k)]
+
+    monkeypatch.setattr(chartab, "galois_stable", counted)
+    table.last_stable_input = None  # the memoized table may hold an input
+    for phi in (zeta, halves, by_index, row, mutable, zeta):
+        want = [_outcome(ref_inner_product, table, phi, r) for r in range(k)]
+        assert answers(phi) == answers(phi) == want, phi
+        if phi is mutable and split:
+            mutable.values[split[0]] += 1  # no longer constant on its class
+            want = [_outcome(ref_inner_product, table, phi, r)
+                    for r in range(k)]
+            assert answers(phi) == want
+    with monkeypatch.context() as m:  # without the per-input decision
+        m.setattr(chartab, "_stable", stable)
+        for phi in (zeta, halves, by_index, row):
+            assert answers(phi) == [_outcome(ref_inner_product, table, phi, r)
+                                    for r in range(k)]
+    # the tuples are decided once per run of asks; zeta is asked in two
+    assert decided[id(zeta.values)] == 2
+    assert [decided[id(phi.values)] for phi in (halves, by_index, row)] == \
+        [1, 1, 1]
+    assert chartab.galois_stable(table, halves.values)
+    assert chartab.galois_stable(table, by_index.values) == (not split)
+
+
 # ---------------------------------------------------------------------------
 # references: the linear characters one orbit and one row at a time
 
@@ -782,6 +830,9 @@ def test_linear_closed_forms_match_the_per_orbit_path(key):
     table = chartab.character_table(G)
     assert ref_first_failing_pair(table) is None
     sums = ref_orbit_sums(table)
+    assert {r: (o.size, list(o.traces), list(o.norms))
+            for r, o in table.orbit_sums.items()} == {
+        r: sums[r] for r in sums if not table.linear_mask[r]}
     chain = ref_orbit_chain(G, table, sums, 8)
     for n in range(2, 9):
         zeta = formulas.zeta_wn_char(G, table, n)

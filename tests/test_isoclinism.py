@@ -79,6 +79,14 @@ def test_search_skips_isomorphisms_that_do_not_carry_commutators(
     assert len(pairs) > len({g for g, _ in pairs})  # no map g -> h
     isoclinism.verify_witness(w)
     assert isoclinism.verify_scaling(w)["factor"] == 1
+    monkeypatch.undo()
+    assert isoclinism.search_isoclinism(G, H, 1) == (w, len(tried))
+
+
+def test_search_counts_no_isomorphism_for_unequal_invariants():
+    Q8 = groups.builtin("quaternion", 8)
+    C8 = groups.builtin("cyclic", 8)
+    assert isoclinism.search_isoclinism(Q8, C8, 1) == (None, 0)
 
 
 def test_commutator_table_reads_least_coset_representatives():

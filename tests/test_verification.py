@@ -1,6 +1,7 @@
 """The lines `verify` prints: which checks run on which groups, the FLAGGED
 audit report, and that the zeta sweep catches a wrong closed form."""
 import functools
+import itertools
 from collections import Counter
 
 from wordcount import formulas, groups, verification
@@ -44,6 +45,41 @@ CENTRAL_QUOTIENT = _each(["central-quotient"],
                             "direct_product(dihedral(8),cyclic(3))"])
 
 
+def _family(*specs):
+    return [("PASS", "isoclinism-family", f"{a}~{b}")
+            for a, b in itertools.combinations(specs, 2)]
+
+
+D8xC3 = "direct_product(dihedral(8),cyclic(3))"
+Q8xC3 = "direct_product(quaternion(8),cyclic(3))"
+# the family with |G:Z_n| = 6 and |gamma_{n+1}| = 3, at n = 1 and n >= 2
+SIX = ("dihedral(6)", "dihedral(12)", "symmetric(3)", "agl1(3)")
+SIX_AT_2 = ("dihedral(6)", "dihedral(12)", "dihedral(24)", "symmetric(3)",
+            "agl1(3)")
+# the catalog's pairs with gamma_{n+1} != 1 and equal (|G:Z_n|,
+# |gamma_{n+1}|), n = 1, 2, 3; every pair is n-isoclinic
+FAMILIES = (
+    _family(*SIX)  # n = 1
+    + _family("dihedral(8)", "quaternion(8)", "extraspecial_plus(2)",
+              "extraspecial_minus(2)", Q8xC3, D8xC3)
+    + _family("dihedral(10)", "dihedral(20)")
+    + _family("extraspecial_plus(3)", "extraspecial_minus(3)",
+              "heisenberg(3)")
+    + _family(*SIX_AT_2)  # n = 2
+    + _family("dihedral(10)", "dihedral(20)")
+    + _family("dihedral(16)", "tower-32")
+    + _family(*SIX_AT_2)  # n = 3
+    + _family("dihedral(10)", "dihedral(20)"))
+# the seeded pairs of the product rule
+PRODUCTS = _each(["product-rule"], [
+    "dihedral(10)xdihedral(10)", "extraspecial_plus(2)xdihedral(24)",
+    "cyclic(3)xcyclic(19)", "cyclic(2)xcyclic(6)", "dihedral(8)xcyclic(8)",
+    "cyclic(23)xdihedral(6)", "tower-32xdihedral(4)",
+    "cyclic(7)xextraspecial_minus(2)", "cyclic(10)xcyclic(10)",
+    f"{Q8xC3}xcyclic(4)", "dihedral(14)xcyclic(7)",
+    "quaternion(8)xsymmetric(3)"])
+
+
 SUITE_LINES = {
     "frobenius": _each(["frobenius-sweep", "chartab-orthogonality"], CATALOG),
     "recursion": _each(["recursion-n3", "recursion-n4", "recursion-n5",
@@ -58,7 +94,7 @@ SUITE_LINES = {
        ("FLAGGED", "camina3-identity-display", CAMINA3)],
     "isoclinism": _each(["isoclinism-scaling"], [
         "dihedral(8)~quaternion(8)", "quaternion(8)xC2~quaternion(8)"])
-    + CENTRAL_QUOTIENT,
+    + FAMILIES + CENTRAL_QUOTIENT,
 }
 
 
@@ -76,14 +112,15 @@ def test_each_suite_prints_its_lines():
     assert _lines(verification.run_suite("all")) == [
         line for suite in SUITE_LINES for line in SUITE_LINES[suite]
         if line not in CENTRAL_QUOTIENT] + [
-        ("PASS", "mixed-domain", "symmetric(3)/A3")] + CENTRAL_QUOTIENT
+        ("PASS", "mixed-domain", "symmetric(3)/A3")] + PRODUCTS \
+        + CENTRAL_QUOTIENT
 
 
 def test_flagged_report_is_pinned(capsys):
     assert main(["verify", "--suite", "all"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert [line for line in out if line.startswith("FLAGGED")] == FLAGGED
-    assert out[-1] == "# 415 passed, 0 failed, 3 flagged"
+    assert out[-1] == "# 475 passed, 0 failed, 3 flagged"
 
 
 def test_verify_builds_each_quotient_and_centralizer_once(monkeypatch,
@@ -91,7 +128,8 @@ def test_verify_builds_each_quotient_and_centralizer_once(monkeypatch,
     # a fresh catalog, so no structure is memoized yet
     monkeypatch.setattr(verification, "catalog",
                         functools.cache(verification.catalog.__wrapped__))
-    calls = {"quotient": Counter(), "centralizer_of_subgroup_mod": Counter()}
+    # G/N is memoized per (G, N) by `groups.quotient`; `_quotient` builds it
+    calls = {"_quotient": Counter(), "centralizer_of_subgroup_mod": Counter()}
     alive = []  # keeps each group, so no id is reused
     for name, counter in calls.items():
         def counted(G, N, fn=getattr(groups, name), counter=counter):
@@ -100,10 +138,13 @@ def test_verify_builds_each_quotient_and_centralizer_once(monkeypatch,
             return fn(G, N)
         monkeypatch.setattr(groups, name, counted)
     assert main(["verify", "--suite", "all"]) == 0
-    assert capsys.readouterr().out.endswith("# 415 passed, 0 failed, "
+    assert capsys.readouterr().out.endswith("# 475 passed, 0 failed, "
                                             "3 flagged\n")
-    # 28 central-quotient lines, and D8, Q8 and Q8xC2 over their centers
-    assert sum(calls["quotient"].values()) == 31
+    # 28 central-quotient lines, Q8xC2 over its center, and the 18 distinct
+    # G/Z_n(G) of the isoclinism families (D8 and Q8 over their centers
+    # among them), of which D12 and D20 over their centers are
+    # central-quotient lines too
+    assert sum(calls["_quotient"].values()) == 45
     for counter in calls.values():
         assert set(counter.values()) == {1}
 
@@ -141,3 +182,51 @@ def test_sweep_fails_exactly_where_a_wrong_closed_form_joins(monkeypatch):
     assert _lines(patched) == [
         ("FAIL" if (r.check_id, r.group) in closed else r.status,
          r.check_id, r.group) for r in exact]
+
+
+def test_family_lines_report_no_witness_and_refusals(monkeypatch):
+    monkeypatch.setattr(verification.isoclinism, "search_isoclinism",
+                        lambda G, H, n: (None, 5))
+    results = verification.check_isoclinism_families()
+    assert _lines(results) == FAMILIES
+    assert {r.details.split(" ", 1)[1] for r in results} == {
+        "no isoclinism after 5 isomorphisms tried"}
+    monkeypatch.undo()
+    # past 100 tuples: the (6,3) and (10,5) pairs at n = 2 (6^3 and 10^3)
+    # and at n = 3; at n = 1, (10,5) is exactly 10^2
+    monkeypatch.setattr(verification.isoclinism, "TUPLE_BOUND", 100)
+    results = verification.check_isoclinism_families()
+    assert _lines(results) == FAMILIES
+    refused = [r.details for r in results if "refused" in r.details]
+    assert len(refused) == 10 + 1 + 11
+    assert refused[0] == ("n=2 refused: 216 tuples of coset representatives "
+                          "exceed 100")
+
+
+def test_family_lines_fail_where_psi_breaks_the_scaling(monkeypatch):
+    search = verification.isoclinism.search_isoclinism
+
+    def moved(G, H, n):
+        witness, tried = search(G, H, n)
+        # psi sends the identity where g goes, and g to the identity
+        g = next(g for g in witness.psi if g)
+        psi = {**witness.psi, 0: witness.psi[g], g: 0}
+        return witness._replace(psi=psi), tried
+
+    monkeypatch.setattr(verification.isoclinism, "search_isoclinism", moved)
+    results = verification.check_isoclinism_families()
+    assert {r.status for r in results} == {"FAIL"}
+    assert results[0].details.startswith("AssertionError: n=1 g=0: ")
+
+
+def test_product_lines_check_the_pair_order_of_the_product(monkeypatch):
+    product = groups.direct_product
+    monkeypatch.setattr(verification.groups, "direct_product",
+                        lambda G, H: product(H, G))
+    results = verification.check_product_rule()
+    # only a product of a group with itself keeps its pair order
+    same = ("dihedral(10)xdihedral(10)", "cyclic(10)xcyclic(10)")
+    assert _lines(results) == [("PASS" if spec in same else "FAIL", check_id,
+                                spec) for _, check_id, spec in PRODUCTS]
+    assert all("is not element" in r.details for r in results
+               if r.status == "FAIL")
