@@ -320,9 +320,13 @@ def classify(G, table=None):
 
 
 def _expect_int(v):
+    """v as a natural number.  A closed form's values are counts once its
+    predicate holds, so any other value is a fault of the form, not a sign
+    that its family does not apply."""
     v = Fraction(v)
     if v.denominator != 1 or v < 0:
-        raise PredicateFailed(f"closed form produced non-natural value {v}")
+        raise InternalInconsistency(
+            f"closed form produced non-natural value {v}")
     return v.numerator
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 
 from . import chartab, counting, formulas, groups, isoclinism, words
@@ -18,8 +18,6 @@ from .errors import (PredicateFailed, SearchBoundExceeded,
                      UnsupportedParameter, WordcountError)
 
 CheckResult = namedtuple("CheckResult", "status check_id group details")
-
-SUITES = ("frobenius", "recursion", "closed-forms", "isoclinism", "all")
 
 
 @functools.cache
@@ -92,39 +90,18 @@ def check_zeta_sweep(ns):
     return results
 
 
-def check_chartab_exactness():
-    """Row orthogonality (which implies column orthogonality for the square
-    table), the degree checks and the linear-character count, re-verified."""
-    def body(G, table):
-        chartab._verify_table(G, table)
-        return f"k={table.num_characters}"
-    return _per_group("chartab-orthogonality", body)
-
-
-def check_first_moment():
-    """<zeta^{w_{n-1}}, 1_G> = |G|^{n-2} for n in {3,4,5}."""
-    def body(G, table):
-        for n in (3, 4, 5):
-            zeta = formulas.zeta_wn_char(G, table, n - 1)
-            ip = Fraction(sum(s * v for s, v in
-                              zip(table.classes.sizes, zeta.values)),
-                          G.order)
-            if ip != G.order ** (n - 2):
-                raise AssertionError(f"n={n}: {ip}")
-        return "n=3,4,5"
-    return _per_group("first-moment", body)
-
-
 def check_character_coefficients():
-    """<zeta^{w_n}, chi> is a nonnegative integer for n in {2,3}."""
+    """<zeta^{w_n}, chi> is a natural number for n = 2..8, the n that
+    `zeta --n` accepts: the paper's theorem that zeta^{w_n} is a
+    character."""
     def body(G, table):
-        for n in (2, 3):
+        for n in range(2, 9):
             zeta = formulas.zeta_wn_char(G, table, n)
             for r in range(table.num_characters):
                 ip = chartab.inner_product(table, zeta, r)
                 if ip.denominator != 1 or ip < 0:
                     raise AssertionError(f"n={n} chi_{r}: {ip}")
-        return "n=2,3"
+        return "n=2..8"
     return _per_group("char-coefficients", body)
 
 
@@ -320,10 +297,21 @@ def _seeded_word(rng):
         return None
 
 
+def _counts_vary(word):
+    """True iff some variable has exponent sum 0, as every variable of a
+    bracket has, and no variable is a lone letter, which would make every
+    count on whole groups the same (`formulas.has_lone_letter`)."""
+    sums = Counter()
+    for v, e in word.letters:
+        sums[v] += e
+    return 0 in sums.values() and not formulas.has_lone_letter(word)
+
+
 def check_product_rule():
     """N_w on G x H with product domains (whole groups, centers, derived
     subgroups) is N_w^G(g) N_w^H(h) at every (g, h), by brute force on the
-    three groups, for seeded pairs of catalog groups and seeded words.
+    three groups, for seeded pairs of catalog groups, at least one of them
+    non-abelian, and seeded words whose counts vary (`_counts_vary`).
     (a, b) is element a |H| + b of `groups.direct_product(G, H)`, and that
     map is checked against the product's table once per pair of groups, so
     the check does not rest on the constructor's bookkeeping."""
@@ -334,7 +322,10 @@ def check_product_rule():
     while len(results) < PRODUCT_CASES:
         (a, G), (b, H) = rng.choice(factors), rng.choice(factors)
         word = _seeded_word(rng)
-        if G.order * H.order > PRODUCT_ORDER or word is None:
+        if G.order * H.order > PRODUCT_ORDER or word is None \
+                or not _counts_vary(word) \
+                or groups.commutator_subgroup(G).order \
+                * groups.commutator_subgroup(H).order == 1:
             continue
         names = [rng.choice(sorted(DOMAINS)) for _ in range(word.arity)]
 
@@ -376,11 +367,15 @@ def check_central_quotient():
     """Let N <= Z(G) meet G' trivially, grown from the central elements in
     rising order.  Then G/N is isoclinic to G, and brute force on G at g in
     G' is |N|^n times brute force on G/N at gN, for w_2 and w_3.  Checked
-    on every catalog group where N != 1, through `groups.quotient`; G's
-    side is the zeta sweep's brute-force count."""
+    on every non-abelian catalog group where N != 1, through
+    `groups.quotient`; G's side is the zeta sweep's brute-force count.  On
+    an abelian group G' = 1, and the identity's count |G|^n on both sides
+    is the total mass that brute force checks itself."""
     results = []
     for spec, G in catalog():
         derived = groups.commutator_subgroup(G)
+        if derived.order == 1:
+            continue
         N = groups.trivial_subgroup(G)
         for z in groups.center(G).members:
             if z not in N:
@@ -406,32 +401,26 @@ def check_central_quotient():
     return results
 
 
+# each suite's checks in the order they print; `all` runs the four
+# suites in turn, then the checks that belong to none of them
+SUITES = {
+    "frobenius": (functools.partial(check_zeta_sweep, (2,)),),
+    "recursion": (functools.partial(check_zeta_sweep, (3, 4, 5)),
+                  check_character_coefficients, check_stabilization),
+    "closed-forms": (check_gcp_closed_form, check_unique_nonlinear,
+                     check_camina3_audit),
+    "isoclinism": (check_isoclinism, check_isoclinism_families,
+                   check_central_quotient),
+}
+SUITES["all"] = (*itertools.chain(*SUITES.values()), check_mixed_domain,
+                 check_product_rule)
+
+
 def run_suite(suite):
     if suite not in SUITES:
         raise UnsupportedParameter(
             f"unknown suite {suite!r}; valid suites: {', '.join(SUITES)}")
-    results = []
-    if suite in ("frobenius", "all"):
-        results += check_zeta_sweep((2,))
-        results += check_chartab_exactness()
-    if suite in ("recursion", "all"):
-        results += check_zeta_sweep((3, 4, 5))
-        results += check_first_moment()
-        results += check_character_coefficients()
-        results += check_stabilization()
-    if suite in ("closed-forms", "all"):
-        results += check_gcp_closed_form()
-        results += check_unique_nonlinear()
-        results += check_camina3_audit()
-    if suite in ("isoclinism", "all"):
-        results += check_isoclinism()
-        results += check_isoclinism_families()
-    if suite == "all":
-        results += check_mixed_domain()
-        results += check_product_rule()
-    if suite in ("isoclinism", "all"):
-        results += check_central_quotient()
-    return results
+    return [result for check in SUITES[suite] for result in check()]
 
 
 def format_results(results):

@@ -1,11 +1,20 @@
 """The lines `verify` prints: which checks run on which groups, the FLAGGED
-audit report, and that the zeta sweep catches a wrong closed form."""
+audit report, that the zeta sweep catches a wrong closed form, a table
+that fails its check and a recursion step that fails total mass, and that
+the README names every check id."""
 import functools
 import itertools
+import re
 from collections import Counter
+from fractions import Fraction
+from pathlib import Path
 
-from wordcount import formulas, groups, verification
+import pytest
+
+from wordcount import (chartab, counting, formulas, groups, verification,
+                       words)
 from wordcount.cli import main
+from wordcount.errors import InternalInconsistency
 
 BUILTINS = ([f"cyclic({n})" for n in range(1, 25)]
             + [f"dihedral({n})" for n in range(4, 25, 2)]
@@ -35,14 +44,13 @@ def _each(check_ids, specs):
             for spec in specs]
 
 
-# The catalog groups with a central N != 1 that meets G' trivially: the
-# abelian ones, the dihedral groups whose center is not in G', and Q8 x C3
+# The non-abelian catalog groups with a central N != 1 that meets G'
+# trivially: the dihedral groups whose center is not in G', and Q8 x C3
 # and D8 x C3 over their C3.
 CENTRAL_QUOTIENT = _each(["central-quotient"],
-                         [f"cyclic({n})" for n in range(2, 25)]
-                         + ["dihedral(4)", "dihedral(12)", "dihedral(20)",
-                            "direct_product(quaternion(8),cyclic(3))",
-                            "direct_product(dihedral(8),cyclic(3))"])
+                         ["dihedral(12)", "dihedral(20)",
+                          "direct_product(quaternion(8),cyclic(3))",
+                          "direct_product(dihedral(8),cyclic(3))"])
 
 
 def _family(*specs):
@@ -72,18 +80,18 @@ FAMILIES = (
     + _family("dihedral(10)", "dihedral(20)"))
 # the seeded pairs of the product rule
 PRODUCTS = _each(["product-rule"], [
-    "dihedral(10)xdihedral(10)", "extraspecial_plus(2)xdihedral(24)",
-    "cyclic(3)xcyclic(19)", "cyclic(2)xcyclic(6)", "dihedral(8)xcyclic(8)",
-    "cyclic(23)xdihedral(6)", "tower-32xdihedral(4)",
-    "cyclic(7)xextraspecial_minus(2)", "cyclic(10)xcyclic(10)",
-    f"{Q8xC3}xcyclic(4)", "dihedral(14)xcyclic(7)",
-    "quaternion(8)xsymmetric(3)"])
+    "dihedral(10)xdihedral(10)", "cyclic(7)xdihedral(14)",
+    "extraspecial_minus(2)xcyclic(10)", "symmetric(3)xsymmetric(4)",
+    "cyclic(15)xsymmetric(3)", f"{Q8xC3}xcyclic(3)",
+    "cyclic(5)xdihedral(18)", "cyclic(16)xdihedral(10)",
+    "extraspecial_minus(2)xcyclic(21)", "agl1(3)xsymmetric(3)",
+    "symmetric(4)xextraspecial_minus(2)", "extraspecial_plus(2)xcyclic(18)"])
 
 
 SUITE_LINES = {
-    "frobenius": _each(["frobenius-sweep", "chartab-orthogonality"], CATALOG),
+    "frobenius": _each(["frobenius-sweep"], CATALOG),
     "recursion": _each(["recursion-n3", "recursion-n4", "recursion-n5",
-                        "first-moment", "char-coefficients"], CATALOG)
+                        "char-coefficients"], CATALOG)
     + _each(["stabilization"], NILPOTENT),
     "closed-forms": _each(["gcp-closed-form"],
                           ["quaternion(8)", "dihedral(8)"])
@@ -110,17 +118,15 @@ def test_each_suite_prints_its_lines():
     for suite, lines in SUITE_LINES.items():
         assert _lines(verification.run_suite(suite)) == lines, suite
     assert _lines(verification.run_suite("all")) == [
-        line for suite in SUITE_LINES for line in SUITE_LINES[suite]
-        if line not in CENTRAL_QUOTIENT] + [
-        ("PASS", "mixed-domain", "symmetric(3)/A3")] + PRODUCTS \
-        + CENTRAL_QUOTIENT
+        line for suite in SUITE_LINES for line in SUITE_LINES[suite]] + [
+        ("PASS", "mixed-domain", "symmetric(3)/A3")] + PRODUCTS
 
 
 def test_flagged_report_is_pinned(capsys):
     assert main(["verify", "--suite", "all"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert [line for line in out if line.startswith("FLAGGED")] == FLAGGED
-    assert out[-1] == "# 475 passed, 0 failed, 3 flagged"
+    assert out[-1] == "# 353 passed, 0 failed, 3 flagged"
 
 
 def test_verify_builds_each_quotient_and_centralizer_once(monkeypatch,
@@ -138,13 +144,13 @@ def test_verify_builds_each_quotient_and_centralizer_once(monkeypatch,
             return fn(G, N)
         monkeypatch.setattr(groups, name, counted)
     assert main(["verify", "--suite", "all"]) == 0
-    assert capsys.readouterr().out.endswith("# 475 passed, 0 failed, "
+    assert capsys.readouterr().out.endswith("# 353 passed, 0 failed, "
                                             "3 flagged\n")
-    # 28 central-quotient lines, Q8xC2 over its center, and the 18 distinct
+    # 4 central-quotient lines, Q8xC2 over its center, and the 18 distinct
     # G/Z_n(G) of the isoclinism families (D8 and Q8 over their centers
     # among them), of which D12 and D20 over their centers are
     # central-quotient lines too
-    assert sum(calls["_quotient"].values()) == 45
+    assert sum(calls["_quotient"].values()) == 21
     for counter in calls.values():
         assert set(counter.values()) == {1}
 
@@ -225,8 +231,111 @@ def test_product_lines_check_the_pair_order_of_the_product(monkeypatch):
                         lambda G, H: product(H, G))
     results = verification.check_product_rule()
     # only a product of a group with itself keeps its pair order
-    same = ("dihedral(10)xdihedral(10)", "cyclic(10)xcyclic(10)")
-    assert _lines(results) == [("PASS" if spec in same else "FAIL", check_id,
-                                spec) for _, check_id, spec in PRODUCTS]
+    assert _lines(results) == [
+        ("PASS" if spec == "dihedral(10)xdihedral(10)" else "FAIL", check_id,
+         spec) for _, check_id, spec in PRODUCTS]
     assert all("is not element" in r.details for r in results
                if r.status == "FAIL")
+
+
+def test_product_lines_pair_a_non_abelian_group_with_a_word_whose_counts_vary():
+    built = dict(verification.catalog())
+    for r in verification.check_product_rule():
+        G, H = next((built[r.group[:i]], built[r.group[i + 1:]])
+                    for i, c in enumerate(r.group) if c == "x"
+                    and r.group[:i] in built and r.group[i + 1:] in built)
+        assert groups.commutator_subgroup(G).order > 1 \
+            or groups.commutator_subgroup(H).order > 1
+        word = words.parse(r.details[len("word="):r.details.index(" domains")])
+        counts = counting.zeta_element_counts(groups.direct_product(G, H),
+                                              word)
+        assert len(set(counts)) > 1, r
+
+
+# the catalog groups the GCP form applies to
+GCP = ["dihedral(8)", "quaternion(8)", "extraspecial_plus(2)",
+       "extraspecial_minus(2)", "extraspecial_plus(3)",
+       "extraspecial_minus(3)", "heisenberg(3)", Q8xC3, D8xC3]
+
+
+def test_a_closed_value_that_is_no_natural_number_fails(monkeypatch, capsys):
+    regions = formulas._regions
+
+    def shifted(inv, n, inner_order, family, vals):
+        if family == "GCP":
+            vals = {**vals, "identity": vals["identity"] + Fraction(1, 2)}
+        return regions(inv, n, inner_order, family, vals)
+
+    monkeypatch.setattr(formulas, "_regions", shifted)
+    results = verification.check_zeta_sweep((2,))
+    failed = {r.group: r.details for r in results if r.status == "FAIL"}
+    assert list(failed) == GCP
+    assert failed["quaternion(8)"] == ("InternalInconsistency: closed form "
+                                       "produced non-natural value 81/2")
+    assert main(["zeta", "--group", "builtin:quaternion(8)", "--n", "2",
+                 "--method", "all"]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: InternalInconsistency: closed form "
+                          "produced non-natural value 81/2\n")
+
+
+def _fresh_catalog(monkeypatch):
+    """The catalog built anew, so no table or zeta is memoized for it."""
+    monkeypatch.setattr(verification, "catalog",
+                        functools.cache(verification.catalog.__wrapped__))
+    return dict(verification.catalog())
+
+
+# the lines of a nilpotent group that read its table
+CHAR_LINES = ["frobenius-sweep", "recursion-n3", "recursion-n4",
+              "recursion-n5", "char-coefficients", "stabilization"]
+
+
+def test_a_table_that_fails_its_check_fails_every_char_line(monkeypatch,
+                                                            capsys):
+    Q8 = _fresh_catalog(monkeypatch)["quaternion(8)"]
+    verify_table = chartab._verify_table
+
+    def broken(G, table):
+        if G is Q8:
+            raise InternalInconsistency("rows are not orthogonal")
+        verify_table(G, table)
+
+    monkeypatch.setattr(chartab, "_verify_table", broken)
+    assert main(["verify", "--suite", "all"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    # `isoclinism.verify_scaling` reads both groups' tables
+    scaling = [("isoclinism-scaling", pair) for pair in (
+        "dihedral(8)~quaternion(8)", "quaternion(8)xC2~quaternion(8)")]
+    assert [line.split(" ", 3) for line in out if line.startswith("FAIL")] \
+        == [["FAIL", check_id, group,
+             "InternalInconsistency: rows are not orthogonal"]
+            for check_id, group in [(check_id, "quaternion(8)")
+                                    for check_id in CHAR_LINES] + scaling]
+    assert out[-1] == "# 345 passed, 8 failed, 3 flagged"
+
+
+def test_a_step_that_fails_total_mass_fails_its_lines(monkeypatch):
+    Q8 = _fresh_catalog(monkeypatch)["quaternion(8)"]
+    combine = formulas._orbit_combination
+
+    def one_more_at_w3(table, linear, coefs):
+        numerators, den = combine(table, linear, coefs)
+        if table.group is Q8 and len(table.zeta_chain) == 1:
+            numerators[0] += den  # one more count at the identity
+        return numerators, den
+
+    monkeypatch.setattr(formulas, "_orbit_combination", one_more_at_w3)
+    with pytest.raises(InternalInconsistency, match="total mass"):
+        formulas.zeta_wn_char(Q8, chartab.character_table(Q8), 3)
+    assert [(r.check_id, r.group) for r in verification.run_suite("all")
+            if r.status == "FAIL"] == [(check_id, "quaternion(8)")
+                                       for check_id in CHAR_LINES[1:]]
+
+
+def test_readme_names_every_check_id_verify_prints():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## Verification", 1)[1].split("\n## ", 1)[0]
+    named = re.findall(r"^\| `([a-z0-9-]+)` \|", section, re.M)
+    printed = [r.check_id for r in verification.run_suite("all")]
+    assert named == list(dict.fromkeys(printed))
