@@ -1047,13 +1047,10 @@ def gamma(G, i):
 @structure_memo
 def quotient(G, N):
     """Quotient group on coset representatives plus the projection map,
-    built once per group and normal subgroup (`_quotient`): the isoclinism
-    search and the central-quotient check ask for the same G/Z(G)."""
-    return _quotient(G, N)
+    built once per group and normal subgroup: the isoclinism search and the
+    central-quotient check ask for the same G/Z(G).
 
-
-def _quotient(G, N):
-    """Each coset is represented by its least element, and Q numbers the
+    Each coset is represented by its least element, and Q numbers the
     cosets by representative, so the identity coset comes first."""
     require_subgroup_of(G, N)
     if not N.is_normal():

@@ -178,12 +178,7 @@ def parse(text):
         if depth > MAX_NESTING:
             raise WordSyntaxError(
                 f"brackets nest more than {MAX_NESTING} deep", pos)
-    parser = _Parser(text)
-    letters = parser.parse_word("")
-    parser.skip_ws()
-    if parser.pos != len(text):
-        parser.error("trailing input")
-    return make_word(letters)
+    return make_word(_Parser(text).parse_word(""))
 
 
 @lru_cache(maxsize=None)

@@ -716,12 +716,28 @@ def test_digit_runs_are_one_line_usage_errors(tmp_path, capsys, argv, files):
      "domain must look like x1=derived or x1=center, got 'x1=foo'"),
     (["count", "--group", "builtin:cyclic(2)", "--word", "[x1,x2]",
       "--domain", "x9=center"], {}, 2, "variable x9 out of range"),
+    (["count", "--group", "builtin:cyclic(2)", "--word", "[x1"], {}, 2,
+     "expected ',' (at position 3)"),
+    (["count", "--group", "builtin:cyclic(2)", "--word", "[x1,x2"], {}, 2,
+     "expected ']' (at position 6)"),
+    (["count", "--group", "builtin:cyclic(2)", "--word", "(x1"], {}, 2,
+     "expected ')' (at position 3)"),
+    (["info", "--group", "builtin:(3)"], {}, 2,
+     "expected family name at position 0"),
+    (["info", "--group", "file:{g}"], {"g": "# only\n# comments\n"}, 2,
+     "line 0: empty group file"),
+    (["info", "--group", "file:{g}"], {"g": "cayley 2\n0 1\n0 1\n"}, 1,
+     "NotAGroup: column 0 is not a permutation of 0..1"),
+    (["info", "--group", "file:{g}"], {"g": "perm 3 1\n1 0 2\n0 2 1\n"}, 2,
+     "line 3: trailing input"),
 ], ids=["cayley-0", "cayley-header-fields", "perm-header-fields",
         "cayley-trailing-row", "cayley-ragged-row", "cayley-no-identity",
         "perm-not-a-permutation", "symmetric-7", "elementary-abelian-4-2",
         "heisenberg-4", "extraspecial-minus-4", "direct-product-one-group",
         "spec-trailing-text", "spec-missing-paren", "domain-name",
-        "domain-variable"])
+        "domain-variable", "word-missing-comma", "word-missing-bracket",
+        "word-missing-paren", "spec-no-family", "comments-only",
+        "cayley-column-repeats", "perm-trailing-row"])
 def test_outside_input_is_refused_in_one_line(tmp_path, capsys, argv, files,
                                               code, message):
     paths = {}

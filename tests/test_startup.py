@@ -1,16 +1,19 @@
 """What each kind of process imports.
 
-Every case runs in a fresh interpreter, since this test session has long
+Every probe runs in a fresh interpreter, since this test session has long
 since imported the whole package, and reports the modules it loaded.  With
 bytecode caching off a process compiles each module it imports, so a short
 CLI request should load only what its command runs, and nothing pulls in
-`dataclasses` with the `inspect` chain behind it.
+`dataclasses` with the `inspect` chain behind it.  Each probe starts one
+interpreter for the whole module (the `loaded` fixture), and every test
+reads its result.
 """
 
 import json
 import os
 import subprocess
 import sys
+from collections import namedtuple
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,96 +23,11 @@ ROOT = Path(__file__).resolve().parent.parent
 TABLE_ENGINE = {"chartab", "cyclotomic", "formulas", "isoclinism",
                 "verification", "fileio"}
 SLOW_STDLIB = {"dataclasses", "inspect"}
+ARGPARSE_CHAIN = {"argparse", "gettext", "locale"}
+MODULES = sorted(p.stem for p in (ROOT / "src" / "wordcount").glob("*.py")
+                 if p.stem != "__init__")
 
-
-def modules_after(code, **env):
-    """Every module loaded by running `code` in a new process."""
-    probe = code + ("\nimport json, sys\n"
-                    "print(json.dumps(sorted(sys.modules)))\n")
-    env = dict(os.environ, **env,
-               PYTHONPATH=os.pathsep.join(
-                   [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run([sys.executable, "-c", probe], env=env, cwd=ROOT,
-                          capture_output=True, text=True, check=True)
-    return set(json.loads(done.stdout.splitlines()[-1]))
-
-
-def package_modules(modules):
-    return {m.split(".", 1)[1] for m in modules if m.startswith("wordcount.")}
-
-
-def loaded_after(code):
-    """The wordcount submodules loaded by running `code` in a new process."""
-    return package_modules(modules_after(code))
-
-
-def cli_call(*argv):
-    return ("import contextlib, io\n"
-            "from wordcount import cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    assert cli.main({list(argv)!r}) == 0\n")
-
-
-def test_import_wordcount_loads_no_submodule():
-    assert loaded_after("import wordcount") == set()
-
-
-@pytest.mark.parametrize("argv", [
-    ("count", "--group", "builtin:symmetric(4)", "--word", "[x1,x2]"),
-    ("zeta", "--group", "builtin:symmetric(4)", "--n", "3",
-     "--method", "brute"),
-    ("zeta", "--group", "builtin:symmetric(4)", "--n", "3",
-     "--method", "brute", "--format", "csv"),
-], ids=["count", "zeta-brute", "zeta-brute-csv"])
-def test_brute_force_commands_load_no_table_engine(argv):
-    modules = modules_after(cli_call(*argv))
-    loaded = package_modules(modules)
-    assert {"cli", "groups", "counting", "words"} <= loaded
-    assert not loaded & TABLE_ENGINE
-    assert not modules & SLOW_STDLIB
-    assert "array" not in modules  # tuple rows below 1025 elements
-    if "csv" not in argv:  # only the csv export writes rationals
-        assert not modules & {"fractions", "decimal"}
-
-
-@pytest.mark.parametrize("argv", [
-    ("info", "--group", "builtin:symmetric(4)"),
-    ("zeta", "--group", "builtin:symmetric(4)", "--n", "3",
-     "--method", "char"),
-    ("zeta", "--group", "builtin:quaternion(8)", "--n", "3",
-     "--method", "closed"),
-], ids=["info", "zeta-char", "zeta-closed"])
-def test_table_commands_load_no_brute_force_module(argv):
-    loaded = loaded_after(cli_call(*argv))
-    assert "formulas" in loaded
-    assert not loaded & {"counting", "words"}
-    # the closed forms read class data only
-    table_engine = {"chartab", "cyclotomic"}
-    if "closed" in argv:
-        assert not loaded & table_engine
-    else:
-        assert table_engine <= loaded
-
-
-@pytest.mark.parametrize("argv", [
-    ("info", "--group", "builtin:symmetric(4)"),
-    ("chartab", "--group", "builtin:symmetric(4)"),
-    ("count", "--group", "builtin:dihedral(8)", "--word", "[x1,x2]",
-     "--domain", "x1=center"),
-    ("count", "--group", "builtin:symmetric(3)", "--word", "[x1,x2]",
-     "--format", "csv"),
-    ("zeta", "--group", "builtin:symmetric(4)", "--n", "3"),
-    ("verify", "--suite", "isoclinism"),
-    ("isoclinic", "--group", "builtin:dihedral(8)",
-     "--other", "builtin:quaternion(8)"),
-], ids=["info", "chartab", "count-domain", "count-csv", "zeta-all",
-        "verify", "isoclinic"])
-def test_no_command_loads_dataclasses_or_inspect(argv, tmp_path):
-    loaded = modules_after(cli_call(*argv), WORDCOUNT_CACHE=str(tmp_path))
-    assert {"wordcount.cli", "wordcount.groups"} <= loaded
-    assert not loaded & SLOW_STDLIB
-
-
+# the command lines whose module sets README states
 COMMANDS = {
     "count": ("count", "--group", "builtin:symmetric(4)", "--word", "[x1,x2]"),
     "zeta-brute": ("zeta", "--group", "builtin:symmetric(4)", "--n", "3",
@@ -125,85 +43,41 @@ COMMANDS = {
     "isoclinic": ("isoclinic", "--group", "builtin:dihedral(8)",
                   "--other", "builtin:quaternion(8)"),
 }
+# command lines that run, beyond COMMANDS
+RUNS = {
+    **COMMANDS,
+    "zeta-brute-csv": COMMANDS["zeta-brute"] + ("--format", "csv"),
+    "count-domain": ("count", "--group", "builtin:dihedral(8)", "--word",
+                     "[x1,x2]", "--domain", "x1=center"),
+    "count-csv": ("count", "--group", "builtin:symmetric(3)", "--word",
+                  "[x1,x2]", "--format", "csv"),
+    "group-file": ("count", "--group", "file:s3.group", "--word", "[x1,x2]"),
+}
+# command lines that print help or are refused -> exit status
+EXITS = {"help": (("-h",), 0), "command-help": (("count", "--help"), 0),
+         "missing-option": (("zeta", "--group", "builtin:symmetric(3)"), 2),
+         "unknown-command": (("nosuch",), 2)}
+CLI_PROBES = {**{name: (argv, 0) for name, argv in RUNS.items()}, **EXITS}
 
 
-ARGPARSE_CHAIN = {"argparse", "gettext", "locale"}
-
-
-@pytest.mark.parametrize("argv", [
-    *COMMANDS.values(), ("-h",), ("count", "--help"),
-    ("zeta", "--group", "builtin:symmetric(3)"), ("nosuch",)],
-    ids=[*COMMANDS, "help", "command-help", "missing-option",
-         "unknown-command"])
-def test_no_command_loads_argparse_gettext_or_locale(argv, tmp_path):
-    # the command line is read from cli.COMMANDS; gettext's catalogue
-    # lookups would import locale once LANG names a locale
-    code = ("import contextlib, io\n"
+def cli_probe(argv):
+    """cli.main(argv) with its output swallowed; the process exits with
+    its status."""
+    return ("import contextlib, io\n"
             "from wordcount import cli\n"
             "with contextlib.redirect_stdout(io.StringIO()), \\\n"
             "        contextlib.redirect_stderr(io.StringIO()):\n"
             "    try:\n"
-            f"        cli.main({list(argv)!r})\n"
-            "    except SystemExit:\n"
-            "        pass\n")
-    loaded = modules_after(code, WORDCOUNT_CACHE=str(tmp_path),
-                           LANG="en_US.UTF-8")
-    assert "wordcount.cli" in loaded
-    assert not loaded & ARGPARSE_CHAIN
+            f"        status = cli.main({list(argv)!r})\n"
+            "    except SystemExit as exc:\n"
+            "        status = exc.code\n")
 
 
-def source_lines(modules):
-    """Lines of package source a process compiles for these submodules,
-    the package's `__init__` included."""
-    return sum(len((ROOT / "src" / "wordcount" / f"{name}.py").read_text(
-        encoding="utf-8").splitlines()) for name in modules | {"__init__"})
-
-
-def test_compiled_lines_per_command(tmp_path):
-    """The package source each command compiles with bytecode caching off.
-    README lists these sums as a snapshot; this test checks only the module
-    sets README states."""
-    loaded = {name: package_modules(modules_after(
-        cli_call(*argv), WORDCOUNT_CACHE=str(tmp_path)))
-        for name, argv in COMMANDS.items()}
-    lines = {name: source_lines(modules) for name, modules in loaded.items()}
-    brute = {"cli", "errors", "groups", "words", "counting"}
-    assert loaded["count"] == loaded["zeta-brute"] == brute
-    for name in ("zeta-char", "zeta-closed", "info"):
-        assert not loaded[name] & {"counting", "words"}, name
-    assert loaded["zeta-char"] - loaded["zeta-closed"] == {"chartab",
-                                                           "cyclotomic"}
-    assert loaded["zeta-all"] == loaded["zeta-char"] | brute
-    assert lines["count"] < lines["zeta-closed"] < lines["zeta-char"] \
-        < lines["zeta-all"]
-
-
-def test_no_module_loads_dataclasses_or_inspect():
-    names = sorted(p.stem for p in (ROOT / "src" / "wordcount").glob("*.py")
-                   if p.stem != "__init__")
-    assert "verification" in names
-    code = "".join(f"import wordcount.{name}\n" for name in names)
-    loaded = modules_after(code)
-    assert {f"wordcount.{name}" for name in names} <= loaded
-    assert not loaded & SLOW_STDLIB
-
-
-def test_group_file_loads_no_table_engine(tmp_path):
-    path = tmp_path / "s3.group"
-    path.write_text("perm 3 2\n1 0 2\n1 2 0\n")
-    loaded = loaded_after(cli_call("count", "--group", f"file:{path}",
-                                   "--word", "[x1,x2]"))
-    assert "fileio" in loaded
-    assert not loaded & (TABLE_ENGINE - {"fileio"})
-
-
-def test_chartab_loads_no_formula_or_counting_module():
-    loaded = loaded_after("import wordcount.chartab")
-    assert loaded == {"chartab", "cyclotomic", "errors", "groups"}
-
-
-def test_every_public_name_is_its_module_attribute():
-    code = (
+PROBES = {
+    "import": "import wordcount\n",
+    "import-each": "".join(f"import wordcount.{name}\n" for name in MODULES),
+    "import-chartab": "import wordcount.chartab\n",
+    "public-names": (
         "import importlib, wordcount\n"
         "for name in wordcount.__all__:\n"
         "    value = getattr(wordcount, name)\n"
@@ -215,8 +89,115 @@ def test_every_public_name_is_its_module_attribute():
         "        assert value is getattr(module, name), name\n"
         "from wordcount import *\n"
         "from wordcount import chartab, groups\n"
-        "assert chartab.ClassFunction is groups.ClassFunction\n")
-    loaded_after(code)  # raises if an assertion fails
+        "assert chartab.ClassFunction is groups.ClassFunction\n"),
+    **{name: cli_probe(argv) for name, (argv, _) in CLI_PROBES.items()},
+}
+
+
+Probe = namedtuple("Probe", "status modules stderr")
+
+
+@pytest.fixture(scope="module")
+def loaded(tmp_path_factory):
+    """Probe name -> its exit status, every module its process loaded, and
+    its stderr.  Every probe runs in one directory, which holds the group
+    file and the table cache; gettext's catalogue lookups would import
+    locale once LANG names a locale."""
+    directory = tmp_path_factory.mktemp("probes")
+    (directory / "s3.group").write_text("perm 3 2\n1 0 2\n1 2 0\n")
+    env = dict(os.environ, LANG="en_US.UTF-8",
+               WORDCOUNT_CACHE=str(directory / "cache"),
+               PYTHONPATH=os.pathsep.join(
+                   [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    out = {}
+    for name, code in PROBES.items():
+        probe = "status = 0\n" + code + (
+            "import json, sys\n"
+            "print(json.dumps(sorted(sys.modules)))\n"
+            "raise SystemExit(status)\n")
+        done = subprocess.run([sys.executable, "-c", probe], env=env,
+                              cwd=directory, capture_output=True, text=True)
+        modules = done.stdout.splitlines()[-1:] or ["[]"]
+        out[name] = Probe(done.returncode, set(json.loads(modules[0])),
+                          done.stderr)
+    return out
+
+
+def package_modules(modules):
+    return {m.split(".", 1)[1] for m in modules if m.startswith("wordcount.")}
+
+
+def test_import_wordcount_loads_no_submodule(loaded):
+    assert loaded["import"].status == 0
+    assert package_modules(loaded["import"].modules) == set()
+
+
+def source_lines(modules):
+    """Lines of package source a process compiles for these submodules,
+    the package's `__init__` included."""
+    return sum(len((ROOT / "src" / "wordcount" / f"{name}.py").read_text(
+        encoding="utf-8").splitlines()) for name in modules | {"__init__"})
+
+
+def test_each_command_loads_only_what_it_runs(loaded):
+    """The package source each command compiles with bytecode caching off.
+    README lists the line sums as a snapshot; this test checks only the
+    module sets README states."""
+    modules = {name: loaded[name].modules for name in RUNS}
+    package = {name: package_modules(m) for name, m in modules.items()}
+    lines = {name: source_lines(package[name]) for name in COMMANDS}
+    for name in RUNS:
+        assert {"cli", "groups"} <= package[name], name
+    brute = {"cli", "errors", "groups", "words", "counting"}
+    assert package["count"] == package["zeta-brute"] == \
+        package["zeta-brute-csv"] == brute
+    for name in ("count", "zeta-brute", "zeta-brute-csv"):
+        assert "array" not in modules[name]  # tuple rows below 1025 elements
+    # only the csv export writes rationals
+    assert not (modules["count"] | modules["zeta-brute"]) & {"fractions",
+                                                              "decimal"}
+    for name in ("zeta-char", "zeta-closed", "info"):
+        assert "formulas" in package[name], name
+        assert not package[name] & {"counting", "words"}, name
+    # the closed forms read class data only
+    assert {"chartab", "cyclotomic"} <= package["info"]
+    assert package["zeta-char"] - package["zeta-closed"] == {"chartab",
+                                                             "cyclotomic"}
+    assert not package["zeta-closed"] & {"chartab", "cyclotomic"}
+    assert package["zeta-all"] == package["zeta-char"] | brute
+    assert lines["count"] < lines["zeta-closed"] < lines["zeta-char"] \
+        < lines["zeta-all"]
+    assert "fileio" in package["group-file"]
+    assert not package["group-file"] & (TABLE_ENGINE - {"fileio"})
+
+
+@pytest.mark.parametrize("name", CLI_PROBES)
+def test_no_command_loads_argparse_gettext_or_locale(loaded, name):
+    # the command line is read from cli.COMMANDS
+    probe = loaded[name]
+    assert probe.status == CLI_PROBES[name][1], probe.stderr
+    assert "wordcount.cli" in probe.modules
+    assert not probe.modules & ARGPARSE_CHAIN
+
+
+@pytest.mark.parametrize("name", PROBES)
+def test_no_process_loads_dataclasses_or_inspect(loaded, name):
+    assert not loaded[name].modules & SLOW_STDLIB
+
+
+def test_every_module_imports(loaded):
+    assert "verification" in MODULES
+    assert loaded["import-each"].status == 0
+    assert package_modules(loaded["import-each"].modules) == set(MODULES)
+
+
+def test_chartab_loads_no_formula_or_counting_module(loaded):
+    assert package_modules(loaded["import-chartab"].modules) == {
+        "chartab", "cyclotomic", "errors", "groups"}
+
+
+def test_every_public_name_is_its_module_attribute(loaded):
+    assert loaded["public-names"].status == 0, loaded["public-names"].stderr
 
 
 def test_unknown_name_is_an_attribute_error():

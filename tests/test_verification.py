@@ -134,15 +134,21 @@ def test_verify_builds_each_quotient_and_centralizer_once(monkeypatch,
     # a fresh catalog, so no structure is memoized yet
     monkeypatch.setattr(verification, "catalog",
                         functools.cache(verification.catalog.__wrapped__))
-    # G/N is memoized per (G, N) by `groups.quotient`; `_quotient` builds it
-    calls = {"_quotient": Counter(), "centralizer_of_subgroup_mod": Counter()}
+    # G/N is memoized per (G, N) by `groups.quotient`: count the builds in
+    # its body, as test_structure.py counts structure
+    calls = {"quotient": Counter(), "centralizer_of_subgroup_mod": Counter()}
     alive = []  # keeps each group, so no id is reused
-    for name, counter in calls.items():
-        def counted(G, N, fn=getattr(groups, name), counter=counter):
+
+    def counting(name, fn):
+        def counted(G, N):
             alive.append(G)
-            counter[id(G), N.members] += 1
+            calls[name][id(G), N.members] += 1
             return fn(G, N)
-        monkeypatch.setattr(groups, name, counted)
+        return counted
+    monkeypatch.setattr(groups, "quotient", groups.structure_memo(
+        counting("quotient", groups.quotient.__wrapped__)))
+    monkeypatch.setattr(groups, "centralizer_of_subgroup_mod", counting(
+        "centralizer_of_subgroup_mod", groups.centralizer_of_subgroup_mod))
     assert main(["verify", "--suite", "all"]) == 0
     assert capsys.readouterr().out.endswith("# 353 passed, 0 failed, "
                                             "3 flagged\n")
@@ -150,7 +156,7 @@ def test_verify_builds_each_quotient_and_centralizer_once(monkeypatch,
     # G/Z_n(G) of the isoclinism families (D8 and Q8 over their centers
     # among them), of which D12 and D20 over their centers are
     # central-quotient lines too
-    assert sum(calls["_quotient"].values()) == 21
+    assert sum(calls["quotient"].values()) == 21
     for counter in calls.values():
         assert set(counter.values()) == {1}
 
