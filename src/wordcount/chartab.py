@@ -1,7 +1,8 @@
 """Exact ordinary character tables.
 
 The |G:G'| linear characters are Irr(G/G'): they are read off G/G'
-directly as exact rows of roots of unity zeta_e^l.  The rest are computed
+directly as exact rows of roots of unity zeta_e^l.  The rest are induced
+when G has an abelian subgroup of index 2 (below), and otherwise computed
 by the prime-field method: their central characters mod p (p = 1 mod
 exponent, p > 2 sqrt|G|) span the kernel of the conjugate linear rows.  A
 vector is in that kernel exactly when it sums to 0 over each coset of G',
@@ -19,6 +20,18 @@ row, all the linear rows at once through sums over the cosets of G'.  They
 imply the column relations: the table is square, so X D X* = |G| I (D the
 diagonal of class sizes) gives X* X = |G| D^-1.  A failure of a computed
 table is a bug, not a data condition.
+
+Induced rows.  If G has an abelian subgroup A of index 2, each nonlinear
+character is Ind_A^G lambda of degree 2 (Clifford theory), one per pair
+{lambda, lambda^t} with lambda != lambda^t, t outside A, and Irr(A) is
+read off A as Irr(G/G') is off G/G'.  Their values are the eigenvalue
+multisets Dixon's lift stores: lambda(a) and lambda(t^-1 a t) on A, and
+off A the two square roots of lambda(g^2); so tables, their text and
+cache files are the same on both paths.  A is normal and contains G', so
+it is the kernel of a linear row of order 2; and A centralizes each of its
+elements, so a group whose classes of size at most 2 hold fewer than
+|G|/2 elements has none, which settles most other groups from the class
+sizes alone.  The check below is the same for both paths.
 
 Computed and cached rows alike become a table through `_checked_table`,
 the one constructor: it sorts the rows, reads the degrees off the identity
@@ -387,10 +400,12 @@ def class_mult_coefficients(G, classes, i):
     return a
 
 
-# Most classes a table is computed for.  Computing and verifying take
-# about 2.2 s CPU for D1000 (k = 253) and 13 s for D2000 (k = 503) on a
-# 2-vCPU Xeon host with Python 3.11, about k^3 when few characters are
-# linear.  The refusal's estimate scales as k^3 the 35 s D2000 took on the
+# Most classes a table is computed for.  D1000 (k = 253) and D2000
+# (k = 503) have induced rows: computing and verifying take about 1 s and
+# 4-6 s CPU on a 2-vCPU Xeon host with Python 3.11, most of it the exact
+# check.  Dixon's split, which a group without an abelian subgroup of
+# index 2 takes, grows about as k^3 when few characters are linear.  The
+# refusal's estimate scales as k^3 the 35 s D2000 took by the split on the
 # slower host the benchmark was tuned on; at the bound it reads 37 s.
 MAX_TABLE_CLASSES = 512
 
@@ -465,27 +480,38 @@ def _orbits(maps, keys):
 
 def _linear_characters(G, classes, e):
     """The linear characters, Irr(G/G'), as rows l with
-    lambda(g_c) = zeta_e^l[c]; the trivial one first.
+    lambda(g_c) = zeta_e^l[c]; the trivial one first: `_linear_rows` from
+    G' along G's generating set, read at the class representatives.  A
+    power s^m lies in a normal subgroup that contains G', and so does the
+    representative of its class, where every row takes its value."""
+    return _linear_rows(G, groups.commutator_subgroup(G).members,
+                        G.generating_set(), classes.reps, classes.class_of, e)
 
-    Along G' = H_0 < H_1 < ... < G, H_i = <H_(i-1), s_i> for generators s_i
-    is the union of the cosets s_i^j H_(i-1), 0 <= j < m_i, where s_i^m_i
-    is the first power of s_i in H_(i-1).  Each H_i contains G', so is
-    normal, and l on H_(i-1) extends to H_i by l(s_i^j h) = j t + l(h) for
-    each of the m_i solutions t of m_i t = l(s_i^m_i) mod e.  So l is
+
+def _linear_rows(G, base, gens, points, column_of, e):
+    """The linear characters of H = <base, gens> trivial on `base`, a
+    normal subgroup of H that contains H', as rows l with
+    lambda(points[c]) = zeta_e^l[c]; the trivial one first.
+
+    Along base = H_0 < H_1 < ... < H, H_i = <H_(i-1), s_i> for generators
+    s_i is the union of the cosets s_i^j H_(i-1), 0 <= j < m_i, where
+    s_i^m_i is the first power of s_i in H_(i-1).  Each H_i contains H', so
+    is normal, and l on H_(i-1) extends to H_i by l(s_i^j h) = j t + l(h)
+    for each of the m_i solutions t of m_i t = l(s_i^m_i) mod e.  So l is
     linear in the exponents j that reach g, which are found once: each
     generator adds, to every row on H_(i-1), each t times its column of
-    exponents j.  s_i^m_i is conjugate to the representative of its class,
-    which lies in H_(i-1) too, so the row there gives l(s_i^m_i)."""
+    exponents j.  Every row on H_(i-1) takes its value at s_i^m_i in column
+    `column_of[s_i^m_i]`."""
     gmul = G.mul
-    coords = dict.fromkeys(groups.commutator_subgroup(G).members, ())
-    steps = []  # (m_i, class of s_i^m_i) per generator taken
-    for s in G.generating_set():
+    coords = dict.fromkeys(base, ())
+    steps = []  # (m_i, column of s_i^m_i) per generator taken
+    for s in gens:
         if s in coords:
             continue
         x, m = s, 1
         while x not in coords:
             x, m = gmul[x][s], m + 1
-        steps.append((m, classes.class_of[x]))
+        steps.append((m, column_of[x]))
         grown, y = {}, 0
         for j in range(m):
             row = gmul[y]
@@ -493,7 +519,7 @@ def _linear_characters(G, classes, e):
                 grown[row[h]] = a + (j,)
             y = gmul[y][s]
         coords = grown
-    reps = [coords[g] for g in classes.reps]
+    reps = [coords[g] for g in points]
     rows = [[0] * len(reps)]
     for i, (m, c) in enumerate(steps):
         column = [a[i] for a in reps]
@@ -509,9 +535,10 @@ def _linear_characters(G, classes, e):
 
 
 def _compute_table(G, classes):
-    """Dixon's table: the linear characters read off G/G' as exact roots of
-    unity, and the rest from `_nonlinear_rows`, checked by `_checked_table`.
-    The trivial group takes the same path."""
+    """The linear characters read off G/G' as exact roots of unity, and
+    the rest induced from an abelian subgroup of index 2 when G has one
+    (`_induced_rows`), else from Dixon's `_nonlinear_rows`; either way
+    checked by `_checked_table`.  The trivial group takes the same path."""
     e = G.exponent()
     linear = _linear_characters(G, classes, e)
     # one value object per root of unity that occurs, shared by the rows
@@ -519,8 +546,76 @@ def _compute_table(G, classes):
              for l in {l for row in linear for l in row}}
     rows = [tuple([units[l] for l in row]) for row in linear]
     if len(linear) != classes.num_classes:
-        rows += _nonlinear_rows(G, classes, e, linear)
+        half = _abelian_half(G, classes, e, linear)
+        rows += (_nonlinear_rows(G, classes, e, linear) if half is None
+                 else _induced_rows(G, classes, e, linear, *half))
     return _checked_table(G, classes, e, rows)
+
+
+def _abelian_half(G, classes, e, linear):
+    """(members, generators) of an abelian subgroup A of index 2, or None
+    if G has none.  A is normal and contains G', so it is the kernel of a
+    linear row of order 2 (exponents 0 and e/2); any abelian one will do.
+    A centralizes each of its elements, so its |G|/2 elements lie in
+    classes of size at most 2: fewer such elements rule A out at once."""
+    n = G.order
+    if n % 2 or 2 * sum([s for s in classes.sizes if s <= 2]) < n:
+        return None
+    class_of, mul = classes.class_of, G.mul
+    for row in linear:
+        if set(row) == {0, e // 2}:
+            members, gens = groups._closure_indices(
+                G, [g for g in range(n) if not row[class_of[g]]])
+            if all(mul[a][b] == mul[b][a] for a in gens for b in gens):
+                return members, gens
+    return None
+
+
+def _induced_rows(G, classes, e, linear, members, gens):
+    """The value rows of the nonlinear characters, Ind_A^G lambda for the
+    abelian A = `members` of index 2, generated by `gens`, given the linear
+    rows of G.  By Clifford theory these are every nonlinear character,
+    each of degree 2, one per pair {lambda, lambda^t} with lambda !=
+    lambda^t, t outside A.  Their values are stored as the eigenvalue
+    multisets Dixon's lift stores: lambda(a) and lambda(t^-1 a t) at a in
+    A, and off A the square roots +-zeta^r of lambda(g^2) = zeta^(2r)."""
+    points = tuple(members)
+    where = {x: i for i, x in enumerate(points)}
+    t = next(g for g in range(G.order) if g not in where)
+    # per class, the columns of g and t^-1 g t for g in A, or of g^2 and None
+    spots = [(where[g], where[G.conjugate(g, t)]) if g in where
+             else (where[G.mul[g][g]], None) for g in classes.reps]
+    moved = [(where[s], where[G.conjugate(s, t)]) for s in gens]
+    seen = set()  # lambda^t of each lambda taken, by its values on gens
+    induced = []  # per row, the exponent pair of each class
+    for row in _linear_rows(G, (0,), gens, points, where, e):
+        key = tuple([row[i] for i, _ in moved])
+        twin = tuple([row[j] for _, j in moved])
+        if key == twin or key in seen:
+            continue  # lambda = lambda^t, or Ind lambda^t taken
+        seen.add(twin)
+        pairs = []
+        for i, j in spots:
+            a = row[i]
+            if j is not None:
+                b = row[j]
+                pairs.append((a, b) if a <= b else (b, a))
+            elif a % 2:
+                raise InternalInconsistency(
+                    "an induced character has no eigenvalue off A")
+            else:
+                pairs.append((a // 2, a // 2 + e // 2))
+        induced.append(pairs)
+    if len(induced) != classes.num_classes - len(linear):
+        raise InternalInconsistency(
+            "induced characters do not number k - |G:G'|")
+    interned = {}  # exponent pair -> Cyclotomic, shared by rows
+    for pair in {pair for pairs in induced for pair in pairs}:
+        coeffs = [0] * e
+        for l in pair:
+            coeffs[l] += 1
+        interned[pair] = Cyclotomic(e, tuple(coeffs))
+    return [tuple([interned[pair] for pair in pairs]) for pairs in induced]
 
 
 def _checked_table(G, classes, e, rows):

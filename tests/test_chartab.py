@@ -810,3 +810,49 @@ def test_no_split_step_reads_a_class_of_size_derived(monkeypatch):
         table = chartab._compute_table(G, groups.conjugacy_classes(G))
         assert chartab.dump_table(table) == text
     assert any(guarded)
+
+
+def test_induced_rows_are_dixons_rows():
+    # Dixon's split still runs on the families induction serves, so a
+    # drift in either construction shows as different rows.
+    def coefficients(rows):
+        return sorted(tuple(v.coeffs for v in row) for row in rows)
+
+    catalog = dict(verification.catalog())
+    induced = []
+    for G in _engine_groups() + tuple(catalog[spec] for spec in LATER_CATALOG):
+        classes = groups.conjugacy_classes(G)
+        e = G.exponent()
+        linear = chartab._linear_characters(G, classes, e)
+        half = chartab._abelian_half(G, classes, e, linear)
+        if half is None or len(linear) == classes.num_classes:
+            continue
+        induced.append(G)
+        assert coefficients(chartab._induced_rows(
+            G, classes, e, linear, *half)) == coefficients(
+            chartab._nonlinear_rows(G, classes, e, linear))
+    assert len(induced) == 18
+    assert groups.parse_builtin_spec("dihedral(200)") in induced
+
+
+@pytest.mark.parametrize("change, message", [
+    # lambda(g^2) + 1 is odd off A: no square root among the e-th roots
+    (lambda rows: [[l + 1 for l in row] for row in rows],
+     "no eigenvalue off A"),
+    # the trivial character alone: every pair {lambda, lambda^t} missing
+    (lambda rows: rows[:1] * len(rows), "do not number"),
+])
+def test_a_wrong_irr_a_never_gives_a_table(change, message, monkeypatch):
+    from wordcount.errors import InternalInconsistency
+    real = chartab._linear_rows
+
+    def wrong(G, base, *args):
+        rows = real(G, base, *args)
+        return change(rows) if base == (0,) else rows
+
+    monkeypatch.setattr(chartab, "_linear_rows", wrong)
+    for spec in ("quaternion(8)", "dihedral(10)", "symmetric(3)",
+                 "direct_product(quaternion(8),cyclic(3))"):
+        G = groups.parse_builtin_spec(spec)
+        with pytest.raises(InternalInconsistency, match=message):
+            chartab._compute_table(G, groups.conjugacy_classes(G))

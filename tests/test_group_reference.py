@@ -4,6 +4,7 @@ per-entry and all-pairs definitions they replace, kept here as references."""
 import functools
 import importlib.util
 import math
+import random
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -392,6 +393,69 @@ def test_linear_rows_are_the_homomorphisms_trivial_on_the_derived_group(spec):
     assert {tuple(v.coeffs for v in table.values[r])
             for r, lin in enumerate(table.linear_mask) if lin} == \
         {tuple(unit[x] for x in row) for row in rows}
+
+
+def ref_has_abelian_half(G):
+    """Whether some subgroup of index 2 is abelian, over every normal
+    subgroup (a subgroup of index 2 is normal), all pairs of members."""
+    mul = G.mul
+    return any(2 * len(N) == G.order
+               and all(mul[a][b] == mul[b][a] for a in N for b in N)
+               for N in ref_normal_subgroups(G))
+
+
+def _seeded_permutation_groups():
+    """Subgroups of small builtins generated by 1-3 seeded random
+    elements, each acting on the group's elements by left multiplication
+    under a seeded relabeling."""
+    rng = random.Random(42)
+    specs = ["symmetric(4)", "dihedral(12)", "quaternion(16)", "agl1(5)",
+             "direct_product(symmetric(3),cyclic(4))", "extraspecial_plus(2)",
+             "heisenberg(3)", "direct_product(quaternion(8),cyclic(2))"]
+    for _ in range(24):
+        H = groups.parse_builtin_spec(rng.choice(specs))
+        label = rng.sample(range(H.order), H.order)
+        gens = []
+        for g in rng.sample(range(H.order), rng.randint(1, 3)):
+            perm = [0] * H.order
+            for x, y in enumerate(H.mul[g]):
+                perm[label[x]] = label[y]
+            gens.append(tuple(perm))
+        yield groups.from_permutation_generators(H.order, gens)
+
+
+def test_induction_is_chosen_exactly_when_an_abelian_half_exists(monkeypatch):
+    dixon = chartab._nonlinear_rows
+    called = []
+
+    def recorded(*args):
+        called.append(True)
+        return dixon(*args)
+
+    monkeypatch.setattr(chartab, "_nonlinear_rows", recorded)
+    outcomes = Counter()
+    for G in [G for _, G in verification.catalog()] + list(
+            _seeded_permutation_groups()):
+        classes = groups.conjugacy_classes(G)
+        e = G.exponent()
+        linear = chartab._linear_characters(G, classes, e)
+        half = chartab._abelian_half(G, classes, e, linear)
+        expected = ref_has_abelian_half(G)
+        assert (half is not None) == expected
+        if expected:
+            # the class-size rejection never refuses such a group
+            assert 2 * sum(s for s in classes.sizes if s <= 2) >= G.order
+            members, gens = half
+            assert 2 * len(members) == G.order
+            assert all(G.mul[a][b] == G.mul[b][a]
+                       for a in members for b in members)
+        if len(linear) != classes.num_classes:
+            del called[:]
+            chartab._compute_table(G, classes)
+            assert bool(called) != expected
+            outcomes[expected] += 1
+    # 17 catalog and 7 permutation groups take induction; 7 and 5 do not
+    assert outcomes == {True: 24, False: 12}
 
 
 @pytest.mark.parametrize("spec", SMALL_BUILTINS + [
