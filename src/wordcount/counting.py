@@ -16,9 +16,16 @@ the counts are then convolved with the image of the uniform measure on each
 Z_v under z -> z^e_v, which is a factor |Z_v| when e_v = 0, as for every
 variable of a commutator word.  Z(G) comes from a scan of its own, not from
 `groups.center`, though both test commutation with the same
-`G.generating_set()`: a wrong generating set would bias both.  Beyond that
-only associativity of the table is used, which `groups.from_cayley_table`
-checks.
+`G.generating_set()`: a wrong generating set would bias both.
+
+A word that reduces to one letter x^k is counted as the fibers of the
+power map over the transversal, with no fold.  The scan for Z(G), the
+transversals, the power maps and the spread over Z(G) read only `inv`,
+the generators' rows and single products (`G.product`, `G.power`), so on
+a group that keeps its element law (above `groups.COMPACT_ROWS_ABOVE`
+elements) a one-letter count builds no Cayley table; the folds of longer
+words read `mul`.  Beyond that only associativity of the group law is
+used, which `groups.from_cayley_table` checks for a table.
 """
 from __future__ import annotations
 
@@ -63,11 +70,12 @@ def require_budget(assignments, budget):
 
 @groups.structure_memo
 def central_elements(G):
-    """The z with z s = s z for every generator s of G, in rising order."""
-    mul = G.mul
-    rows = [(s, mul[s]) for s in G.generating_set()]
+    """The z with z s = s z for every generator s of G, in rising order;
+    z s is read off `groups.right_multiple`, s z off s's row."""
+    pairs = [(groups.right_multiple(G, s), G.row(s))
+             for s in G.generating_set()]
     return tuple([z for z in range(G.order)
-                  if all(mul[z][s] == row[z] for s, row in rows)])
+                  if all(times[z] == row[z] for times, row in pairs)])
 
 
 def _transversal(G, members, central):
@@ -86,12 +94,12 @@ def _transversal(G, members, central):
     if G.order > groups.COMPACT_ROWS_ABOVE:
         from array import array
         reps = array("H")
+    product = G.product  # one per element of the cosets: |G| in all
     for a in members:
         if not covered[a]:
             reps.append(a)
-            row = G.mul[a]
             for z in central:
-                covered[row[z]] = 1
+                covered[product(a, z)] = 1
     return reps
 
 
@@ -125,7 +133,7 @@ def _spread_over_center(G, word, central_parts, counts):
     exponents = [0] * len(central_parts)
     for v, e in word.letters:
         exponents[v - 1] += e
-    mul = G.mul
+    product = G.product
     factor = 1
     shift = {0: 1}  # the image measure over the variables with e_v != 0
     for zd, e in zip(central_parts, exponents):
@@ -134,9 +142,10 @@ def _spread_over_center(G, word, central_parts, counts):
         elif len(zd) > 1:
             nxt = {}
             for z in zd:
-                row = mul[G.power(z, e)]
+                ze = G.power(z, e)
                 for y, m in shift.items():
-                    nxt[row[y]] = nxt.get(row[y], 0) + m
+                    c = product(ze, y)
+                    nxt[c] = nxt.get(c, 0) + m
             shift = nxt
     if len(shift) == 1:
         factor *= shift[0]
@@ -144,10 +153,20 @@ def _spread_over_center(G, word, central_parts, counts):
     reached = [(g, c * factor) for g, c in enumerate(counts) if c]
     out = [0] * G.order
     for y, m in shift.items():
-        row = mul[y]  # y is central: g y = y g
         for g, c in reached:
-            out[row[g]] += c * m
+            out[product(y, g)] += c * m  # y is central: g y = y g
     return out
+
+
+def _power_map(G, e):
+    """g -> g^e for every g, a tuple, which the folds index faster than a
+    range: the identity and `inv` for e = 1 and -1, else `G.power`, which
+    reads the law while the table is unbuilt."""
+    if e == 1:
+        return tuple(range(G.order))
+    if e == -1:
+        return G.inv
+    return tuple([G.power(a, e) for a in range(G.order)])
 
 
 def _fold_plan(letters, var, rows):
@@ -179,15 +198,21 @@ def _count_assignments(G, word, member_lists, counts):
     same residual word share all later work.  The last variable's folds
     give the word's value, which takes the state's multiplicity.
     """
-    mul = G.mul
     # A variable confined to the trivial subgroup is the identity.
     letters = [(v, e) for v, e in word.letters
                if len(member_lists[v - 1]) > 1]
     if not letters:
         counts[0] += 1
         return
-    rows = {e: tuple(G.power(a, e) for a in range(G.order))
-            for e in {e for _, e in letters}}
+    rows = {e: _power_map(G, e) for e in {e for _, e in letters}}
+    if len(letters) == 1:
+        # x^e: the fibers of the power map, with no fold and no table
+        ((v, e),) = letters
+        row = rows[e]
+        for a in member_lists[v - 1]:
+            counts[row[a]] += 1
+        return
+    mul = G.mul
     occurrences = Counter(v for v, _ in letters)
     order = sorted(occurrences, key=lambda v: (-occurrences[v], v))
     states = {(0,) * (len(letters) + 1): 1}

@@ -4,20 +4,31 @@ Everything downstream works with element indices into a Cayley table whose
 identity sits at index 0.  Subgroups are index sets over the parent's
 numbering.  Two tables are the same group exactly when they have the same
 order and multiplication table; labels do not count.  `GroupTable.__eq__`
-and `__hash__` are the only place that decides it, so a subgroup or class
-function built over a separately built but equal table is accepted, and
-one over any other table raises `MismatchedGroup`.
+and `__hash__` are the only place that decides it, from the order, the
+generating set and the generators' rows, which determine the table, so
+neither builds one.  A subgroup or class function built over a separately
+built but equal table is accepted, and one over any other table raises
+`MismatchedGroup`.
 
 Every table, Cayley input and quotients included, is built by
 `_table_from_elements`, which composes it from the rows of a small
-generating set: only those rows call the law, every other row is a
-composition of rows already built, which assumes only that the law is
-associative.  On a table of 2-byte rows, a composition with a generator
-row made of few arithmetic runs, for its length, copies one slice of the
-other row per run into place; any other composition gathers entry by entry
-with `itemgetter` (`_composer` counts the runs and chooses).  That is the one place a
-`GroupTable` is constructed.  Every constructor refuses an order above
-DEFAULT_ORDER_CAP before it builds a table.
+generating set (`_compose_rows`): only those rows call the law, every
+other row is a composition of rows already built, which assumes only that
+the law is associative.  On a table of 2-byte rows, a composition with a
+generator row made of few arithmetic runs, for its length, copies one
+slice of the other row per run into place; any other composition gathers
+entry by entry with `itemgetter` (`_composer` counts the runs and
+chooses).  That is the one place a `GroupTable` is constructed.  Every
+constructor refuses an order above DEFAULT_ORDER_CAP before it builds a
+table.
+
+Above COMPACT_ROWS_ABOVE elements a group keeps its element law
+(`elementlaw`: the element list, its index and `combine`) with only the
+rows of the identity, the generators and their inverses, and `inv`; its
+table, of 2-byte rows, is composed on the first read of `mul`.  On every
+group `conjugacy_classes` reads only `inv` and the rows of the
+generators' inverses, y*s being inv[row(s^-1)[inv[y]]] (`right_multiple`).
+The other structure functions read `mul`, and so build the table.
 
 Structure that depends on the group alone (the generating set, classes,
 rational classes, center, derived subgroup, central series, normal
@@ -53,7 +64,8 @@ DEFAULT_ORDER_CAP = 20480
 # Most tuple entries (elements x degree) a permutation closure may hold.
 MAX_PERM_ENTRIES = 2**24
 # Rows of a table with more elements than this are 2-byte arrays (the cap
-# is below 2**16); smaller tables keep tuple rows, which index faster.
+# is below 2**16), built on the first read of `mul`; smaller tables keep
+# tuple rows, which index faster, built with the group.
 COMPACT_ROWS_ABOVE = 1024
 DEFAULT_BUDGET = 2**26   # most assignments brute force may count
 MAX_SPEC_NESTING = 100   # deepest parenthesis nesting of a builtin spec
@@ -99,25 +111,37 @@ class GroupTable:
 
     Index 0 is always the identity.  `mul` is a tuple of rows, each a tuple
     or, above COMPACT_ROWS_ABOVE elements, an `array('H')`; readers only
-    index rows.  `inv` is a tuple, and no attribute is reassigned after
-    construction.
+    index rows.  `inv` is a tuple.  Above COMPACT_ROWS_ABOVE elements the
+    group is an `elementlaw.LawTable` until `mul` is first read: `law`
+    stands in for `mul`, and that read composes the table, drops the law
+    and makes the object a `GroupTable`.  No other attribute is reassigned
+    after construction.
     `structure` holds the results of the `structure_memo` functions for this
-    object.  Equality is the group's identity: the same order and
-    multiplication table (`inv` follows from `mul`; `labels` and `structure`
-    take no part).
+    object.  Equality is the group's identity: the same order, generating
+    set and generator rows, which determine the table (`inv`, `labels` and
+    `structure` take no part).
     """
 
-    __slots__ = ("order", "mul", "inv", "labels", "structure")
+    __slots__ = ("order", "mul", "inv", "labels", "structure", "law")
 
-    def __init__(self, order, mul, inv, labels=None):
+    def __init__(self, order, mul, inv, labels=None, law=None):
         self.order = order
-        self.mul = mul
+        if mul is not None:
+            self.mul = mul
         self.inv = inv
         self.labels = labels
         self.structure = {}
+        self.law = law
 
     def __repr__(self):
         return f"GroupTable(order={self.order})"
+
+    def row(self, a):
+        """a's row, a*y for every y."""
+        return self.mul[a]
+
+    def product(self, a, b):
+        return self.mul[a][b]
 
     def power(self, a, k):
         if k < 0:
@@ -159,7 +183,10 @@ class GroupTable:
     def generating_set(self):
         """A greedy generating set: each element, in index order, that the
         ones before it do not generate.  Each one at least doubles the
-        subgroup generated, so there are at most log2(order) of them."""
+        subgroup generated, so there are at most log2(order) of them.  A
+        group that keeps its law recorded them when it was built."""
+        if self.law is not None:
+            return self.law.gens
         return tuple(_closure_indices(self, range(self.order))[1])
 
     def __eq__(self, other):
@@ -167,14 +194,18 @@ class GroupTable:
             return True
         if not isinstance(other, GroupTable):
             return NotImplemented
-        return self.order == other.order and self.mul == other.mul
+        if self.order != other.order:
+            return False
+        gens = self.generating_set()
+        return (gens == other.generating_set()
+                and all(self.row(g) == other.row(g) for g in gens))
 
     @structure_memo
     def __hash__(self):
         """The order, the generating set and its rows, which determine the
         table; equal tables have the same generating set."""
         gens = self.generating_set()
-        return hash((self.order, gens, tuple(tuple(self.mul[g]) for g in gens)))
+        return hash((self.order, gens, tuple(tuple(self.row(g)) for g in gens)))
 
 
 class Subgroup:
@@ -368,6 +399,7 @@ def from_cayley_table(table):
                 raise NotAGroup(
                     f"associativity fails at ({a},{g},{c}): "
                     f"({a}*{g})*{c} != {a}*({g}*{c})")
+    G.mul  # a law over the input would keep it: compose the table now
     return G
 
 
@@ -449,34 +481,58 @@ def _table_from_elements(elements, combine, label=str):
     greedily (each element, in list order, not yet reached), |G| calls per
     row and at most log2|G| rows.  Every other row is composed from rows
     already built, row(a*s) = row(a) o row(s), which assumes only that
-    `combine` is associative.  The inverses follow the same steps,
-    inv(a*s) = inv(s) * inv(a), once each generator's is read off its row.
+    `combine` is associative (`_compose_rows`).  The inverses follow the
+    same steps, inv(a*s) = inv(s) * inv(a), once each generator's is read
+    off its row.  Rows are tuples, gathered by an `itemgetter` over the
+    generator's row.
 
-    Each generator row gets one composer (`_composer`).  Above
-    COMPACT_ROWS_ABOVE elements every row is an `array('H')` from the
-    start, and row(a) o row(s) is one extended slice of row(a) per
-    arithmetic run of row(s), copied without an int object per entry, when
-    row(s) has few runs for its length; else it is gathered by an
-    `itemgetter` over row(s) and packed.  Below it, rows are tuples whose
-    entries are references to the n index ints, always gathered.
+    Above COMPACT_ROWS_ABOVE elements the group keeps its element law
+    instead (`elementlaw`) and composes its table on the first read of
+    `mul`.
     """
     index = {e: i for i, e in enumerate(elements)}
     n = len(elements)
-    pack = _row_packer(n) if n > COMPACT_ROWS_ABOVE else None
-    rows = [None] * n
-    rows[0] = tuple(index.values())
-    if pack:
-        rows[0] = pack(rows[0])
-    reached = [0]
-    steps = []  # (c, a, s) with c = a * s, in the order the rows were built
-    gens = []  # (generator, row(a) -> row(a * generator))
-    for g in range(n):
-        if rows[g] is not None:
-            continue
+    labels = _Labels(elements, label)
+    if n > COMPACT_ROWS_ABOVE:
+        from .elementlaw import law_table
+        return law_table(elements, index, combine, labels, _row_packer(n))
+
+    def generator(g):
         x = elements[g]
         row = tuple([index[combine(x, y)] for y in elements])
-        rows[g] = pack(row) if pack else row
-        gens.append((g, _composer(rows[g], pack)))
+        return row, _composer(row, None)
+
+    rows = [None] * n
+    rows[0] = tuple(index.values())
+    inv = _inverses(n, rows, _compose_rows(rows, generator))
+    return GroupTable(n, tuple(rows), inv, labels)
+
+
+def _inverses(n, rows, steps):
+    """`inv` along the steps (c, a, s), c = a*s, in the order reached: a
+    generator's off its row, else inv(a*s) = inv(s) * inv(a)."""
+    inv = [0] * n
+    for c, a, s in steps:
+        inv[c] = rows[c].index(0) if a is None else rows[inv[s]][inv[a]]
+    return tuple(inv)
+
+
+def _compose_rows(rows, generator):
+    """Fill in the None entries of `rows`, whose entry 0 is the identity's
+    row.  Each element not reached by the generators so far becomes the
+    next one, and `generator(g)` gives its row and composer (`_composer`);
+    a breadth-first search then composes row(a*s) = times_s(row(a)) for
+    every element it reaches.  Returns the steps (c, a, s), c = a*s, in
+    the order the rows were filled, with (g, None, None) for a generator.
+    """
+    reached = [0]
+    steps = []
+    gens = []  # (generator, row(a) -> row(a * generator))
+    for g in range(len(rows)):
+        if rows[g] is not None:
+            continue
+        rows[g], times_g = generator(g)
+        gens.append((g, times_g))
         steps.append((g, None, None))
         reached.append(g)
         frontier = reached[:]
@@ -492,10 +548,7 @@ def _table_from_elements(elements, combine, label=str):
                         nxt.append(c)
             reached += nxt
             frontier = nxt
-    inv = [0] * n
-    for c, a, s in steps:
-        inv[c] = rows[c].index(0) if a is None else rows[inv[s]][inv[a]]
-    return GroupTable(n, tuple(rows), tuple(inv), _Labels(elements, label))
+    return steps
 
 
 def _composer(row, pack):
@@ -867,13 +920,20 @@ def _parse_spec(text, i):
 # structure
 
 
+def right_multiple(G, s):
+    """(y*s for every y), read as inv[row(s^-1)[inv[y]]]: from `inv` and the
+    row of s^-1, which a group holds whether or not its table is built, for
+    s a generator.  Two gathers, no product per entry."""
+    inv = G.inv
+    return itemgetter(*itemgetter(*inv)(G.row(inv[s])))(inv)
+
+
 @structure_memo
 def conjugacy_classes(G):
     """Orbits of conjugation by the generating set, which are the classes."""
     n = G.order
-    mul = G.mul
-    # conj[i][x] = s^-1 x s for the i-th generator s
-    conj = [tuple(mul[y][s] for y in mul[G.inv[s]])
+    # conj[i][x] = (s^-1 x) s for the i-th generator s
+    conj = [itemgetter(*G.row(G.inv[s]))(right_multiple(G, s))
             for s in G.generating_set()]
     class_of = [-1] * n
     classes = []

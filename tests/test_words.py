@@ -125,6 +125,14 @@ def test_expansion_past_the_letter_bound_is_refused(text):
         parse(text)
 
 
+def test_merged_exponent_past_the_bound_is_refused():
+    # each power is in range, the reduced word's merged one is not
+    assert words.MAX_EXPONENT == 2**31 - 1
+    with pytest.raises(WordSyntaxError,
+                       match="^exponent 4294967294 out of range$"):
+        parse("x1^2147483647 x1^2147483647")
+
+
 def test_words_up_to_the_letter_bound_parse():
     assert words.MAX_LETTERS == 2**16
     assert len(parse("(x1 x2)^32768").letters) == words.MAX_LETTERS
