@@ -15,8 +15,8 @@ variable runs over a transversal of Z_v = Z(G) & D_v in its domain D_v, and
 the counts are then convolved with the image of the uniform measure on each
 Z_v under z -> z^e_v, which is a factor |Z_v| when e_v = 0, as for every
 variable of a commutator word.  Z(G) comes from a scan of its own, not from
-`groups.center`, though both test commutation with the same
-`G.generating_set()`: a wrong generating set would bias both.
+`groups.center`, which reads the classes of size 1; both rest on
+`G.generating_set()`, so a wrong generating set would bias both.
 
 A word that reduces to one letter x^k is counted as the fibers of the
 power map over the transversal, with no fold.  The scan for Z(G), the

@@ -27,16 +27,15 @@ Above COMPACT_ROWS_ABOVE elements a group keeps its element law
 rows of the identity, the generators and their inverses, and `inv`; its
 table, of 2-byte rows, is composed on the first read of `mul`.  On every
 group `conjugacy_classes` reads only `inv` and the rows of the
-generators' inverses, y*s being inv[row(s^-1)[inv[y]]] (`right_multiple`).
-The other structure functions read `mul`, and so build the table.
+generators' inverses, y*s being inv[row(s^-1)[inv[y]]] (`right_multiple`),
+and `center` only the classes; the rest read `mul`, and build the table.
 
 Structure that depends on the group alone (the generating set, classes,
 rational classes, center, derived subgroup, central series, normal
 subgroups, the character table, the hash), or on the group and a level
 (the isoclinism commutator table), is computed once per group object and
 arguments by `structure_memo` and shared by every caller, so callers must
-not mutate it.  Classes, the center, G', the central series and
-normality come from that generating set, not from all pairs of elements.
+not mutate it.  Z(G), each Z_i and normality are read off the classes.
 """
 from __future__ import annotations
 
@@ -237,10 +236,10 @@ class Subgroup:
         return hash((self.parent, self.members))
 
     def is_normal(self):
-        """H^s = H for every s in a generating set of G implies H^g = H."""
-        G = self.parent
-        return all(G.conjugate(h, s) in self._member_set
-                   for s in G.generating_set() for h in self.members)
+        """Normal exactly when the classes meeting H hold |H| elements."""
+        classes = conjugacy_classes(self.parent)
+        met = {classes.class_of[h] for h in self.members}
+        return sum(classes.sizes[c] for c in met) == self.order
 
 
 class ConjugacyData(namedtuple("ConjugacyData",
@@ -830,7 +829,7 @@ def direct_product(A, B):
     elements = [(a, b) for a in range(A.order) for b in range(B.order)]
 
     def combine(x, y):
-        return (A.mul[x[0]][y[0]], B.mul[x[1]][y[1]])
+        return (A.product(x[0], y[0]), B.product(x[1], y[1]))
 
     return _table_from_elements(
         elements, combine,
@@ -991,21 +990,22 @@ def rational_classes(G):
 
 @structure_memo
 def center(G):
-    """The elements that commute with every generator: [g, s] = 1 exactly
-    when g and s commute."""
-    return centralizer_of_subgroup_mod(G, trivial_subgroup(G))
+    """The classes of size 1, which come first, by their one element."""
+    classes = conjugacy_classes(G)
+    return Subgroup(G, classes.reps[:classes.sizes.count(1)])
 
 
 def centralizer_of_subgroup_mod(G, lower):
     """Elements g with [g, x] in `lower` for every x (preimage of the center
-    of G / lower).  `lower` must be normal: then [g, xy] = [g, y][g, x]^y,
-    so the x with [g, x] in `lower` form a subgroup, and testing the
-    generators is enough."""
-    lset = lower._member_set
-    gens = G.generating_set()
-    members = [g for g in range(G.order)
-               if all(G.commutator(g, s) in lset for s in gens)]
-    return Subgroup(G, tuple(members))
+    of G / lower).  `lower` must be normal: then [g, xy] = [g, y][g, x]^y
+    and [g^y, x] = [g, x^(y^-1)]^y, so testing the generators and one g
+    per class is enough."""
+    lset, gens = lower._member_set, G.generating_set()
+    classes = conjugacy_classes(G)
+    passes = [all(G.commutator(r, s) in lset for s in gens)
+              for r in classes.reps]
+    return Subgroup(G, tuple(g for g, c in enumerate(classes.class_of)
+                             if passes[c]))
 
 
 def _normal_closure(G, seed):

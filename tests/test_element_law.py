@@ -13,7 +13,7 @@ from collections import Counter
 
 import pytest
 
-from wordcount import cli, counting, groups, words
+from wordcount import cli, counting, elementlaw, groups, words
 
 LARGE = ["dihedral(1026)", "cyclic(1025)", "quaternion(2048)",
          "heisenberg(11)", "dihedral(2000)"]
@@ -56,6 +56,7 @@ def test_values_without_the_table_are_the_tables(spec, composed):
     central = tuple(z for z in range(n)
                     if all(mul[z][s] == mul[s][z] for s in gens))
     assert counting.central_elements(G) == central
+    assert groups.center(G).members == central
     for z in central[:4]:
         assert [G.product(z, y) for y in range(n)] == list(mul[z])
     for k in (-2, -1, 2, 3):
@@ -118,3 +119,41 @@ def test_one_letter_count_on_dihedral_2000_builds_no_table(capsys, composed):
     assert composed == []
     # the 2,000 packed rows alone take 8 MB
     assert peak < 2 * 2**20
+
+
+def test_center_domain_on_dihedral_2000_builds_no_table(monkeypatch, capsys,
+                                                        composed):
+    # Z(G) is read off the classes, which need no table
+    loaded = []
+    load = cli.load_group
+    monkeypatch.setattr(cli, "load_group",
+                        lambda spec: loaded.append(load(spec)) or loaded[-1])
+    tracemalloc.start()
+    try:
+        code = cli.main(["count", "--group", "builtin:dihedral(2000)",
+                         "--word", "x1^2", "--domain", "x1=center"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    # x1 runs over Z = {r0, r500}, and both square to r0
+    lines = out.splitlines()
+    assert lines[:3] == ["element\tcount", "r0\t2", "r1\t0"]
+    assert len(lines) == 2001
+    assert sum(int(line.split("\t")[1]) for line in lines[1:]) == 2
+    assert isinstance(loaded[0], elementlaw.LawTable)
+    assert composed == []
+    assert peak < 2**20, peak
+
+
+def test_a_direct_product_keeps_its_factors_laws(composed):
+    A, B = groups.builtin("cyclic", 1025), groups.builtin("cyclic", 2)
+    G = groups.direct_product(A, B)
+    counts = counting.zeta_element_counts(G, words.parse("x1^2"))
+    # (a, b)^2 = (2a, 0), and doubling is a bijection of C1025
+    assert counts == [2 if b == 0 else 0
+                      for a in range(1025) for b in range(2)]
+    assert isinstance(A, elementlaw.LawTable)
+    assert isinstance(G, elementlaw.LawTable)
+    assert composed == [2]  # C2's, built with it

@@ -150,19 +150,43 @@ def test_series_levels_below_their_range_are_refused():
         assert groups.zn(G, 0) == groups.trivial_subgroup(G)
 
 
-def test_info_scans_the_center_once(monkeypatch, capsys):
-    # the upper central series starts from center(G), which holds Z_1
-    scans = []
+def test_info_scans_one_element_per_class_above_the_center(monkeypatch,
+                                                           capsys):
+    # Z(G) is the classes of size 1, so no centralizer scan finds Z_1, and
+    # each scan for Z_{i+1} commutes one element per class with each
+    # generator
+    scans = {}
+    tested = None
     centralizer = groups.centralizer_of_subgroup_mod
+    commutator = groups.GroupTable.commutator
 
     def counted(G, lower):
-        scans.append(lower.members)
-        return centralizer(G, lower)
+        nonlocal tested
+        tested = scans[lower.members] = []
+        try:
+            return centralizer(G, lower)
+        finally:
+            tested = None
+
+    def recorded(G, a, b):
+        if tested is not None:
+            tested.append((a, b))
+        return commutator(G, a, b)
 
     monkeypatch.setattr(groups, "centralizer_of_subgroup_mod", counted)
+    monkeypatch.setattr(groups.GroupTable, "commutator", recorded)
     assert main(["info", "--group", "builtin:agl1(27)"]) == 0
     assert "upper_central_series [1]\n" in capsys.readouterr().out
-    assert scans == [(0,)]
+    assert scans == {}
+    assert main(["info", "--group", "builtin:heisenberg(3)"]) == 0
+    assert "upper_central_series [1, 3, 27]\n" in capsys.readouterr().out
+    G = groups.builtin("heisenberg", 3)
+    z1 = groups.center(G).members
+    assert set(scans) == {z1, tuple(range(27))}
+    # Z_2 = G: every representative commutes with both generators mod Z_1
+    reps, gens = groups.conjugacy_classes(G).reps, G.generating_set()
+    assert len(reps) == 11
+    assert scans[z1] == [(r, s) for r in reps for s in gens]
 
 
 @pytest.mark.parametrize("spec", ["dihedral(16)", "symmetric(4)",
