@@ -129,6 +129,12 @@ class CharacterTable:
         return len(self.degrees)
 
     @cached_property
+    def text(self):
+        """The table in the cache file format, formatted once for both the
+        cache file and `chartab`'s output."""
+        return dump_table(self)
+
+    @cached_property
     def sparse_rows(self):
         """Per character and class, the value's nonzero (exponent, coeff) terms."""
         return tuple(tuple([v.terms for v in row]) for row in self.values)

@@ -127,11 +127,10 @@ def cmd_info(args, out):
 
 
 def cmd_chartab(args, out):
-    from . import chartab, fileio
+    from . import fileio
 
     G = load_group(args.group)
-    table = fileio.cached_character_table(G)
-    out.write(chartab.dump_table(table))
+    out.write(fileio.cached_character_table(G).text)
     return 0
 
 

@@ -114,7 +114,11 @@ def zeta_element_counts(G, word, domains=None, budget=DEFAULT_BUDGET):
     central = central_elements(G)
     parts = [central if d is None else [z for z in central if z in d]
              for d in domains.domains]
-    reps = [_transversal(G, lst, zd) for lst, zd in zip(member_lists, parts)]
+    transversals = {}  # one per distinct domain
+    for d, lst, zd in zip(domains.domains, member_lists, parts):
+        if d not in transversals:
+            transversals[d] = _transversal(G, lst, zd)
+    reps = [transversals[d] for d in domains.domains]
     require_budget(math.prod(map(len, reps)), budget)
 
     counts = [0] * G.order

@@ -5,8 +5,8 @@ Such a group is a `LawTable`: it keeps its element law (the element list,
 its index and `combine`), `inv`, and the packed rows of the identity, its
 greedy generators and their inverses.  That is all classes, Z(G),
 power maps and one-letter counts read.  The first read of `mul` composes
-the table from those generator rows with the same composers as the eager
-build (`groups._compose_rows`), drops the law and makes the object a plain
+the table from those generator rows as the eager build does
+(`groups._compose_rows`), drops the law and makes the object a plain
 `GroupTable`.  `groups._table_from_elements` imports this module only for
 such a group, so a process that builds none compiles none of it.
 """
@@ -58,20 +58,20 @@ class ElementLaw:
     A breadth-first search through the law, one `combine` per element and
     generator, finds the greedy generators `gens` and the steps that give
     `inv`.  `rows` holds the packed rows of the identity, the generators
-    (|G| law calls each) and their inverses, `composers` each generator's
-    composer.  A generator's inverse is its last power, so its row is
-    composed from the generator's, o(s) - 2 times, as the table would.
+    (|G| law calls each) and their inverses, `pack` the packer of the
+    table's rows.  Row(s^-1) is row(s) inverted, so it calls no law and
+    composes no row.
     """
 
-    __slots__ = ("elements", "index", "combine", "gens", "rows",
-                 "composers", "inv")
+    __slots__ = ("elements", "index", "combine", "pack", "gens", "rows",
+                 "inv")
 
     def __init__(self, elements, index, combine, pack):
         self.elements, self.index, self.combine = elements, index, combine
+        self.pack = pack
         n = len(elements)
         product = self.product
         rows = self.rows = {0: pack(range(n))}
-        composers = self.composers = {}
         gens = []
         reached = bytearray(n)
         reached[0] = 1
@@ -82,7 +82,6 @@ class ElementLaw:
                 continue
             x = elements[g]
             rows[g] = pack([index[combine(x, y)] for y in elements])
-            composers[g] = groups._composer(rows[g], pack)
             # the members so far need only the new generator; what it
             # reaches needs every generator
             old = len(members)
@@ -109,11 +108,10 @@ class ElementLaw:
                 frontier = nxt
         self.gens = tuple(gens)
         for s in gens:
-            t = rows[s].index(0)  # s^-1
-            row, times_s = rows[s], composers[s]
-            while row[0] != t:  # row(s^k)[0] = s^k
-                row = times_s(row)
-            rows[t] = row
+            inverse = [0] * n  # s^-1 * (s*y) = y, and s^-1 * 1 = s^-1
+            for y, sy in enumerate(rows[s]):
+                inverse[sy] = y
+            rows[inverse[0]] = pack(inverse)
         self.inv = groups._inverses(n, rows, steps)
 
     def product(self, a, b):
@@ -134,9 +132,8 @@ class ElementLaw:
 
     def table(self):
         """The rows of the table, composed by `groups._compose_rows` from
-        the generator rows and composers kept."""
+        the generator rows kept."""
         rows = [None] * len(self.elements)
         rows[0] = self.rows[0]
-        groups._compose_rows(rows,
-                             lambda g: (self.rows[g], self.composers[g]))
+        groups._compose_rows(rows, self.rows.__getitem__, self.pack)
         return tuple(rows)

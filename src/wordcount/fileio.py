@@ -111,7 +111,7 @@ def cached_character_table(G):
             pass
     table = chartab.character_table(G)
     try:
-        _write_atomic(path, chartab.dump_table(table))
+        _write_atomic(path, table.text)
     except OSError as exc:
         sys.stderr.write(
             f"warning: table not cached: {type(exc).__name__}: {exc}\n")

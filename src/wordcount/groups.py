@@ -18,14 +18,15 @@ the law is associative.  On a table of 2-byte rows, a composition with a
 generator row made of few arithmetic runs, for its length, copies one
 slice of the other row per run into place; any other composition gathers
 entry by entry with `itemgetter` (`_composer` counts the runs and
-chooses).  That is the one place a `GroupTable` is constructed.  Every
-constructor refuses an order above DEFAULT_ORDER_CAP before it builds a
-table.
+chooses; `_compose_rows` is its one caller).  That is the one place a
+`GroupTable` is constructed.  Every constructor refuses an order above
+DEFAULT_ORDER_CAP before it builds a table.
 
 Above COMPACT_ROWS_ABOVE elements a group keeps its element law
 (`elementlaw`: the element list, its index and `combine`) with only the
-rows of the identity, the generators and their inverses, and `inv`; its
-table, of 2-byte rows, is composed on the first read of `mul`.  On every
+rows of the identity, the generators and their inverses (each its
+generator's row inverted), and `inv`; its table, of 2-byte rows, is
+composed by `_compose_rows` on the first read of `mul`.  On every
 group `conjugacy_classes` reads only `inv` and the rows of the
 generators' inverses, y*s being inv[row(s^-1)[inv[y]]] (`right_multiple`),
 and `center` only the classes; the rest read `mul`, and build the table.
@@ -470,10 +471,10 @@ def from_permutation_generators(degree, gens):
                     elements.append(q)
                     nxt.append(q)
         frontier = nxt
-    return _table_from_elements(elements, _compose)
+    return _table_from_elements(elements, _compose, index=index)
 
 
-def _table_from_elements(elements, combine, label=str):
+def _table_from_elements(elements, combine, label=str, index=None):
     """Cayley table over an explicit element list (identity must be first).
 
     `combine` is called only for the rows of the generating set picked
@@ -487,9 +488,11 @@ def _table_from_elements(elements, combine, label=str):
 
     Above COMPACT_ROWS_ABOVE elements the group keeps its element law
     instead (`elementlaw`) and composes its table on the first read of
-    `mul`.
+    `mul`.  `index`, each element's position, is built here unless the
+    caller has it.
     """
-    index = {e: i for i, e in enumerate(elements)}
+    if index is None:
+        index = {e: i for i, e in enumerate(elements)}
     n = len(elements)
     labels = _Labels(elements, label)
     if n > COMPACT_ROWS_ABOVE:
@@ -498,12 +501,11 @@ def _table_from_elements(elements, combine, label=str):
 
     def generator(g):
         x = elements[g]
-        row = tuple([index[combine(x, y)] for y in elements])
-        return row, _composer(row, None)
+        return tuple([index[combine(x, y)] for y in elements])
 
     rows = [None] * n
-    rows[0] = tuple(index.values())
-    inv = _inverses(n, rows, _compose_rows(rows, generator))
+    rows[0] = tuple(range(n))
+    inv = _inverses(n, rows, _compose_rows(rows, generator, None))
     return GroupTable(n, tuple(rows), inv, labels)
 
 
@@ -516,11 +518,12 @@ def _inverses(n, rows, steps):
     return tuple(inv)
 
 
-def _compose_rows(rows, generator):
+def _compose_rows(rows, generator, pack):
     """Fill in the None entries of `rows`, whose entry 0 is the identity's
-    row.  Each element not reached by the generators so far becomes the
-    next one, and `generator(g)` gives its row and composer (`_composer`);
-    a breadth-first search then composes row(a*s) = times_s(row(a)) for
+    row, for a table whose rows `pack` packs (None for tuple rows).  Each
+    element not reached by the generators so far becomes the next one,
+    `generator(g)` gives its row and `_composer` its composer; a
+    breadth-first search then composes row(a*s) = times_s(row(a)) for
     every element it reaches.  Returns the steps (c, a, s), c = a*s, in
     the order the rows were filled, with (g, None, None) for a generator.
     """
@@ -530,8 +533,8 @@ def _compose_rows(rows, generator):
     for g in range(len(rows)):
         if rows[g] is not None:
             continue
-        rows[g], times_g = generator(g)
-        gens.append((g, times_g))
+        rows[g] = generator(g)
+        gens.append((g, _composer(rows[g], pack)))
         steps.append((g, None, None))
         reached.append(g)
         frontier = reached[:]

@@ -583,6 +583,17 @@ def test_chartab_cache(tmp_path, monkeypatch, capsys):
     assert table.degrees == chartab.character_table(Q8).degrees
 
 
+def test_cold_chartab_formats_the_table_once(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv(fileio.CACHE_ENV, str(tmp_path))
+    texts = []
+    dump = chartab.dump_table
+    monkeypatch.setattr(chartab, "dump_table",
+                        lambda table: texts.append(dump(table)) or texts[-1])
+    code, out, _ = run(capsys, "chartab", "--group", "builtin:dihedral(10)")
+    (path,) = tmp_path.glob("*.chartab")
+    assert code == 0 and texts == [out] == [path.read_text(encoding="utf-8")]
+
+
 def _swap_columns(text):
     """Cache text with the values of classes 1 and 2 swapped in every row:
     on C5, whose classes have size 1, still orthogonal, but not closed

@@ -277,6 +277,16 @@ def test_long_transversal_is_a_packed_array():
             full_fold(G, word, spec)
 
 
+def test_whole_group_variables_share_one_transversal(monkeypatch):
+    calls = []
+    transversal = counting._transversal
+    monkeypatch.setattr(counting, "_transversal",
+                        lambda *args: calls.append(args) or transversal(*args))
+    G = groups.builtin("heisenberg", 3)  # of class 2, so w_3 is trivial
+    assert counting.zeta_brute(G, words.wn(3)).values[0] == 27**3
+    assert len(calls) == 1
+
+
 def test_central_scan_finds_the_center():
     for _, G in verification.catalog():
         central = counting.central_elements(G)

@@ -25,11 +25,24 @@ def composed(monkeypatch):
     sizes = []
     compose = groups._compose_rows
 
-    def recording(rows, generator):
+    def recording(rows, generator, pack):
         sizes.append(len(rows))
-        return compose(rows, generator)
+        return compose(rows, generator, pack)
     monkeypatch.setattr(groups, "_compose_rows", recording)
     return sizes
+
+
+@pytest.fixture
+def composers(monkeypatch):
+    """The generator rows a composer is made for while the test runs."""
+    rows = []
+    make = groups._composer
+
+    def recording(row, pack):
+        rows.append(row)
+        return make(row, pack)
+    monkeypatch.setattr(groups, "_composer", recording)
+    return rows
 
 
 def built(spec):
@@ -83,6 +96,22 @@ def test_first_read_of_mul_composes_the_table_once(composed):
     assert composed == [2048] and G.mul is rows and G.law is None
     assert groups.conjugacy_classes(G) is classes
     assert G.generating_set() == (1, 1024)
+
+
+def test_a_law_composes_no_row_before_mul_is_read(composers):
+    laws = [groups.parse_builtin_spec(spec)
+            for spec in ("dihedral(2000)", "cyclic(1025)", "heisenberg(11)")]
+    # a 2000-cycle on 5000 points: the closure hands the law its index
+    cycle = [*range(1, 2000), 0, *range(2000, 5000)]
+    laws.append(groups.from_permutation_generators(5000, [cycle]))
+    assert composers == []
+    for G in laws:
+        gens = G.generating_set()
+        assert composers == [] and len(G.mul) == G.order
+        assert composers == [G.mul[s] for s in gens]
+        del composers[:]
+    C = groups.builtin("cyclic", 2000)  # c^a c^b = c^(a+b)
+    assert (laws[-1].mul, laws[-1].inv) == (C.mul, C.inv)
 
 
 def test_identity_and_hash_compose_no_table(composed):

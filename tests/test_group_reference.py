@@ -273,7 +273,8 @@ def test_permutation_groups_match_references(data, degree):
                               min_size=1, max_size=3))
     G = groups.from_permutation_generators(degree, gens)
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(groups, "_table_from_elements", lambda elements, combine:
+        m.setattr(groups, "_table_from_elements",
+                  lambda elements, combine, index:
                   cached_per_entry_table(tuple(elements)))
         R = groups.from_permutation_generators(degree, gens)
     assert (G.mul, G.inv, G.labels) == (R.mul, R.inv, R.labels)

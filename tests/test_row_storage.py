@@ -75,6 +75,8 @@ def test_compact_table_is_the_tuple_table(spec, monkeypatch):
         return counted
     monkeypatch.setattr(groups, "_sliced", recording)
     G = groups.parse_builtin_spec(spec)
+    assert composers == []  # the law composes no row: the table does
+    G.mul
     assert composers == SLICED[spec] and composed
     monkeypatch.setattr(groups, "COMPACT_ROWS_ABOVE", groups.DEFAULT_ORDER_CAP)
     H = groups.parse_builtin_spec(spec)
@@ -94,8 +96,9 @@ def test_packed_rows_hold_no_spare_capacity(spec):
 
 
 def test_dihedral_rows_are_composed_from_slices(monkeypatch):
-    # only row 0 and the two generator rows are packed: the 1,997 others
-    # are slices of packed rows
+    # only row 0, the two generator rows and their inverses (the
+    # reflection is its own) are packed, with the group: the table's 1,997
+    # other rows are slices of packed rows
     packed = []
     packer = groups._row_packer
 
@@ -104,8 +107,9 @@ def test_dihedral_rows_are_composed_from_slices(monkeypatch):
         return lambda row: packed.append(row) or pack(row)
     monkeypatch.setattr(groups, "_row_packer", counting_packer)
     G = groups.builtin("dihedral", 2000)
-    assert len(packed) == 3
+    assert len(packed) == 5
     assert all(type(row) is array for row in G.mul)
+    assert len(packed) == 5
 
 
 @st.composite
