@@ -64,7 +64,6 @@ sum_lambda lambda(g) = |Lambda| [g in G'] (`linear_sum`), so a sum whose
 terms are |G|^(k-1) on every linear character contributes |G|^k / |G'| on
 G' and 0 off it.
 """
-from __future__ import annotations
 
 import math
 from collections import Counter, namedtuple
@@ -81,6 +80,7 @@ from .errors import (
     MismatchedGroup,
     NonIntegral,
     ParseError,
+    read_ints,
 )
 from .groups import ClassFunction
 
@@ -1083,8 +1083,10 @@ def load_table(G, text):
     """Rebuild a CharacterTable from cache text through `_checked_table`,
     so it is sorted and verified as a computed table is.
 
-    Malformed text raises ParseError; well-formed text that does not hold
-    this group's table raises InternalInconsistency.
+    Malformed text raises ParseError, a coefficient that is not ASCII
+    digits or has more digits than |G| included (a dump holds only
+    multiplicities, at most chi(1) each); well-formed text that does not
+    hold this group's table raises InternalInconsistency.
     """
     classes = groups.conjugacy_classes(G)
     lines = [(i, ln.strip()) for i, ln in enumerate(text.splitlines(), 1)
@@ -1113,9 +1115,8 @@ def load_table(G, text):
             fields = chunk.split(":")
             if len(fields) != e:
                 raise ParseError(f"expected {e} coefficients", lineno)
-            try:
-                parsed[chunk] = Cyclotomic(e, tuple(map(int, fields)))
-            except ValueError:
-                raise ParseError("coefficient is not an integer", lineno)
+            coeffs = read_ints(fields, G.order,
+                               lambda message: ParseError(message, lineno))
+            parsed[chunk] = Cyclotomic(e, tuple(coeffs))
         values.append(tuple([parsed[chunk] for chunk in chunks]))
     return _checked_table(G, classes, e, values)

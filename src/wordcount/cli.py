@@ -23,7 +23,6 @@ A process enters through `run` (`python -m wordcount.cli` and the
 interpreter shutdown does not spend its full garbage collections on
 objects the OS frees anyway.  `main` is the in-process entry point.
 """
-from __future__ import annotations
 
 import gc
 import os

@@ -22,12 +22,11 @@ A word that reduces to one letter x^k is counted as the fibers of the
 power map over the transversal, with no fold.  The scan for Z(G), the
 transversals, the power maps and the spread over Z(G) read only `inv`,
 the generators' rows and single products (`G.product`, `G.power`), so on
-a group that keeps its element law (above `groups.COMPACT_ROWS_ABOVE`
-elements) a one-letter count builds no Cayley table; the folds of longer
-words read `mul`.  Beyond that only associativity of the group law is
-used, which `groups.from_cayley_table` checks for a table.
+a group that keeps its element law (`elementlaw`) a one-letter count
+builds no Cayley table; the folds of longer words read `mul`.  Beyond
+that only associativity of the group law is used, which
+`groups.from_cayley_table` checks for a table.
 """
-from __future__ import annotations
 
 import math
 from collections import Counter, namedtuple
@@ -80,20 +79,11 @@ def central_elements(G):
 
 def _transversal(G, members, central):
     """The least element of each coset of the central elements `central`
-    in the sorted `members`, so the identity comes first.
-
-    It is held like the table's rows.  Past `groups.COMPACT_ROWS_ABOVE`
-    elements it is a 2-byte array, which holds no int object per entry (a
-    list raised the peak RSS of a `count` on dihedral(2000) by about
-    0.13 MB); below, `array` is not imported, which costs about 0.3 ms of
-    a brute-force process's start."""
+    in the sorted `members`, so the identity comes first."""
     if len(central) == 1:
         return members
     covered = bytearray(G.order)
     reps = []
-    if G.order > groups.COMPACT_ROWS_ABOVE:
-        from array import array
-        reps = array("H")
     product = G.product  # one per element of the cosets: |G| in all
     for a in members:
         if not covered[a]:

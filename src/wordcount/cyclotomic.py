@@ -19,7 +19,6 @@ list of length e (indices taken mod e, so mod x^e - 1), with `Fraction`
 weights scaled once to a common denominator; `rational_sum` reduces that
 list once modulo Phi_e.
 """
-from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache

@@ -1,5 +1,5 @@
 """Groups above `groups.COMPACT_ROWS_ABOVE` elements before their Cayley
-table is built.
+table is built, and the 2-byte rows that table is made of.
 
 Such a group is a `LawTable`: it keeps its element law (the element list,
 its index and `combine`), `inv`, and the packed rows of the identity, its
@@ -9,8 +9,18 @@ the table from those generator rows as the eager build does
 (`groups._compose_rows`), drops the law and makes the object a plain
 `GroupTable`.  `groups._table_from_elements` imports this module only for
 such a group, so a process that builds none compiles none of it.
+
+This module is the one owner of the row format: every row is an
+`array('H')` of exactly |G| entries (`_row_packer`; the order cap is below
+2**16).  A composition with a generator row made of few arithmetic runs,
+for its length, copies one slice of the other row per run into place
+(`_sliced`); any other gathers entry by entry with `itemgetter` and packs
+(`_composer` counts the runs and chooses).
 """
-from __future__ import annotations
+
+from array import array
+from operator import itemgetter
+from struct import Struct
 
 from . import groups
 
@@ -46,8 +56,8 @@ class LawTable(groups.GroupTable):
         return self.law.power(a, k)
 
 
-def law_table(elements, index, combine, labels, pack):
-    law = ElementLaw(elements, index, combine, pack)
+def law_table(elements, index, combine, labels):
+    law = ElementLaw(elements, index, combine)
     return LawTable(len(elements), None, law.inv, labels, law)
 
 
@@ -58,18 +68,16 @@ class ElementLaw:
     A breadth-first search through the law, one `combine` per element and
     generator, finds the greedy generators `gens` and the steps that give
     `inv`.  `rows` holds the packed rows of the identity, the generators
-    (|G| law calls each) and their inverses, `pack` the packer of the
-    table's rows.  Row(s^-1) is row(s) inverted, so it calls no law and
-    composes no row.
+    (|G| law calls each) and their inverses.  Row(s^-1) is row(s)
+    inverted, so it calls no law and composes no row.
     """
 
-    __slots__ = ("elements", "index", "combine", "pack", "gens", "rows",
-                 "inv")
+    __slots__ = ("elements", "index", "combine", "gens", "rows", "inv")
 
-    def __init__(self, elements, index, combine, pack):
+    def __init__(self, elements, index, combine):
         self.elements, self.index, self.combine = elements, index, combine
-        self.pack = pack
         n = len(elements)
+        pack = _row_packer(n)
         product = self.product
         rows = self.rows = {0: pack(range(n))}
         gens = []
@@ -135,5 +143,61 @@ class ElementLaw:
         the generator rows kept."""
         rows = [None] * len(self.elements)
         rows[0] = self.rows[0]
-        groups._compose_rows(rows, self.rows.__getitem__, self.pack)
+        groups._compose_rows(rows, self.rows.__getitem__, _composer)
         return tuple(rows)
+
+
+def _composer(row):
+    """row(a) -> row(a) o row, for a generator's packed row: `_sliced` if
+    `row` has at most n/32 runs, else an `itemgetter` over it and a pack.
+
+    Measured on single rows (Python 3.11.7, 2 vCPUs, runs of equal length):
+    an `array('H')` row gathers and packs in about 21 ns an entry, while
+    its slices cost about 0.09 us a run and copy each entry twice, so
+    slices win up to about n/5 runs at n = 2000, 8192 and 20480; at n/32
+    runs they take a seventh of the gather's time.
+    """
+    gather, pack = itemgetter(*row), _row_packer(len(row))
+    return _sliced(row, len(row) // 32) or (lambda r: pack(gather(r)))
+
+
+def _sliced(row, most):
+    """r -> r o row for `array('H')` rows r and `row` (a permutation of its
+    indices): a copy of `row`, overwritten run by run with one extended
+    slice of r per maximal arithmetic run of `row`, or None if `row` has
+    more than `most` runs.  The copy holds no spare capacity and makes no
+    int object per entry; each entry is copied twice, whatever the runs."""
+    runs = []  # (positions in row, the slice of r they read)
+    n = len(row)
+    i = 0
+    while i < n:
+        if len(runs) == most:
+            return None
+        start = row[i]
+        step = row[i + 1] - start if i + 1 < n else 1
+        j = i + 1
+        while j < n and row[j] - row[j - 1] == step:
+            j += 1
+        stop = start + step * (j - i)
+        # a run falling to 0 stops past the front: -1 would mean the end
+        runs.append((slice(i, j), slice(start, stop if stop >= 0 else None,
+                                        step)))
+        i = j
+
+    def compose(r):
+        out = row[:]
+        for into, read in runs:
+            out[into] = r[read]
+        return out
+    return compose
+
+
+def _row_packer(n):
+    """row -> the same n entries as an `array('H')`.  One `struct` pack is
+    several times faster than `array('H', row)`; the slice copy drops the
+    over-allocation that building an array from bytes leaves."""
+    to_bytes = Struct(f"{n}H").pack
+
+    def pack(row):
+        return array("H", to_bytes(*row))[:]
+    return pack

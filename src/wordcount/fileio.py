@@ -11,7 +11,6 @@ refused before any row is read.
 Only `cached_character_table` needs the table engine, so it imports
 `chartab` itself and reading a group file does not load it.
 """
-from __future__ import annotations
 
 import os
 import sys

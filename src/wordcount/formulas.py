@@ -13,7 +13,6 @@ The module imports `chartab` and `cyclotomic` only inside the code that
 builds a table or sums over one, so a closed-form request does not
 compile the table engine.
 """
-from __future__ import annotations
 
 import math
 from collections import Counter, namedtuple

@@ -11,25 +11,22 @@ built but equal table is accepted, and one over any other table raises
 `MismatchedGroup`.
 
 Every table, Cayley input and quotients included, is built by
-`_table_from_elements`, which composes it from the rows of a small
-generating set (`_compose_rows`): only those rows call the law, every
-other row is a composition of rows already built, which assumes only that
-the law is associative.  On a table of 2-byte rows, a composition with a
-generator row made of few arithmetic runs, for its length, copies one
-slice of the other row per run into place; any other composition gathers
-entry by entry with `itemgetter` (`_composer` counts the runs and
-chooses; `_compose_rows` is its one caller).  That is the one place a
-`GroupTable` is constructed.  Every constructor refuses an order above
+`_table_from_elements`, the one place a `GroupTable` is constructed.  It
+composes the table from the rows of a small generating set
+(`_compose_rows`): only those rows call the law, every other row is a
+composition of rows already built, which assumes only that the law is
+associative.  Rows here are tuples, each composition an `itemgetter` over
+a generator's row (`_composer`).  Every constructor refuses an order above
 DEFAULT_ORDER_CAP before it builds a table.
 
 Above COMPACT_ROWS_ABOVE elements a group keeps its element law
 (`elementlaw`: the element list, its index and `combine`) with only the
-rows of the identity, the generators and their inverses (each its
-generator's row inverted), and `inv`; its table, of 2-byte rows, is
-composed by `_compose_rows` on the first read of `mul`.  On every
-group `conjugacy_classes` reads only `inv` and the rows of the
-generators' inverses, y*s being inv[row(s^-1)[inv[y]]] (`right_multiple`),
-and `center` only the classes; the rest read `mul`, and build the table.
+rows of the identity, the generators and their inverses, and `inv`; its
+table is composed by `_compose_rows` on the first read of `mul`, of the
+2-byte rows and composers `elementlaw` makes.  On every group
+`conjugacy_classes` reads only `inv` and the rows of the generators'
+inverses, y*s being inv[row(s^-1)[inv[y]]] (`right_multiple`), and
+`center` only the classes; the rest read `mul`, and build the table.
 
 Structure that depends on the group alone (the generating set, classes,
 rational classes, center, derived subgroup, central series, normal
@@ -38,7 +35,6 @@ subgroups, the character table, the hash), or on the group and a level
 arguments by `structure_memo` and shared by every caller, so callers must
 not mutate it.  Z(G), each Z_i and normality are read off the classes.
 """
-from __future__ import annotations
 
 import itertools
 import math
@@ -63,9 +59,9 @@ from .errors import (
 DEFAULT_ORDER_CAP = 20480
 # Most tuple entries (elements x degree) a permutation closure may hold.
 MAX_PERM_ENTRIES = 2**24
-# Rows of a table with more elements than this are 2-byte arrays (the cap
-# is below 2**16), built on the first read of `mul`; smaller tables keep
-# tuple rows, which index faster, built with the group.
+# A table with more elements than this is built on the first read of `mul`,
+# of 2-byte rows (`elementlaw`; the cap is below 2**16); smaller tables
+# keep tuple rows, which index faster, built with the group.
 COMPACT_ROWS_ABOVE = 1024
 DEFAULT_BUDGET = 2**26   # most assignments brute force may count
 MAX_SPEC_NESTING = 100   # deepest parenthesis nesting of a builtin spec
@@ -110,12 +106,12 @@ class GroupTable:
     """A finite group given by its multiplication table.
 
     Index 0 is always the identity.  `mul` is a tuple of rows, each a tuple
-    or, above COMPACT_ROWS_ABOVE elements, an `array('H')`; readers only
-    index rows.  `inv` is a tuple.  Above COMPACT_ROWS_ABOVE elements the
-    group is an `elementlaw.LawTable` until `mul` is first read: `law`
-    stands in for `mul`, and that read composes the table, drops the law
-    and makes the object a `GroupTable`.  No other attribute is reassigned
-    after construction.
+    or, above COMPACT_ROWS_ABOVE elements, a 2-byte row of `elementlaw`;
+    readers only index rows.  `inv` is a tuple.  Such a group is an
+    `elementlaw.LawTable` until `mul` is first read: `law` stands in for
+    `mul`, and that read composes the table, drops the law and makes the
+    object a `GroupTable`.  No other attribute is reassigned after
+    construction.
     `structure` holds the results of the `structure_memo` functions for this
     object.  Equality is the group's identity: the same order, generating
     set and generator rows, which determine the table (`inv`, `labels` and
@@ -497,7 +493,7 @@ def _table_from_elements(elements, combine, label=str, index=None):
     labels = _Labels(elements, label)
     if n > COMPACT_ROWS_ABOVE:
         from .elementlaw import law_table
-        return law_table(elements, index, combine, labels, _row_packer(n))
+        return law_table(elements, index, combine, labels)
 
     def generator(g):
         x = elements[g]
@@ -505,7 +501,7 @@ def _table_from_elements(elements, combine, label=str, index=None):
 
     rows = [None] * n
     rows[0] = tuple(range(n))
-    inv = _inverses(n, rows, _compose_rows(rows, generator, None))
+    inv = _inverses(n, rows, _compose_rows(rows, generator, _composer))
     return GroupTable(n, tuple(rows), inv, labels)
 
 
@@ -518,14 +514,14 @@ def _inverses(n, rows, steps):
     return tuple(inv)
 
 
-def _compose_rows(rows, generator, pack):
+def _compose_rows(rows, generator, composer):
     """Fill in the None entries of `rows`, whose entry 0 is the identity's
-    row, for a table whose rows `pack` packs (None for tuple rows).  Each
-    element not reached by the generators so far becomes the next one,
-    `generator(g)` gives its row and `_composer` its composer; a
-    breadth-first search then composes row(a*s) = times_s(row(a)) for
-    every element it reaches.  Returns the steps (c, a, s), c = a*s, in
-    the order the rows were filled, with (g, None, None) for a generator.
+    row.  Each element not reached by the generators so far becomes the
+    next one, `generator(g)` gives its row and `composer` makes that row's
+    composer, row(a) -> row(a) o row(g); a breadth-first search then
+    composes row(a*s) = times_s(row(a)) for every element it reaches.
+    Returns the steps (c, a, s), c = a*s, in the order the rows were
+    filled, with (g, None, None) for a generator.
     """
     reached = [0]
     steps = []
@@ -534,7 +530,7 @@ def _compose_rows(rows, generator, pack):
         if rows[g] is not None:
             continue
         rows[g] = generator(g)
-        gens.append((g, _composer(rows[g], pack)))
+        gens.append((g, composer(rows[g])))
         steps.append((g, None, None))
         reached.append(g)
         frontier = reached[:]
@@ -553,69 +549,12 @@ def _compose_rows(rows, generator, pack):
     return steps
 
 
-def _composer(row, pack):
-    """row(a) -> row(a) o row, for a generator's row of a table whose rows
-    `pack` packs (None for tuple rows): on packed rows `_sliced` if `row`
-    has at most n/32 runs, else an `itemgetter` over it and the pack; on
-    tuple rows the `itemgetter`.
-
-    Measured on single rows (Python 3.11.7, 2 vCPUs, runs of equal length):
-    an `array('H')` row gathers and packs in about 21 ns an entry, while
-    its slices cost about 0.09 us a run and copy each entry twice, so
-    slices win up to about n/5 runs at n = 2000, 8192 and 20480; at n/32
-    runs they take a seventh of the gather's time.  On a tuple row
-    `itemgetter` takes about 7 ns an entry and concatenated slices beat it
-    only below 5 runs, by 1-3%, so tuple rows are not sliced.
-    """
-    gather = itemgetter(*row)
-    if not pack:
-        return gather
-    return _sliced(row, len(row) // 32) or (lambda r: pack(gather(r)))
-
-
-def _sliced(row, most):
-    """r -> r o row for `array('H')` rows r and `row` (a permutation of its
-    indices): a copy of `row`, overwritten run by run with one extended
-    slice of r per maximal arithmetic run of `row`, or None if `row` has
-    more than `most` runs.  The copy holds no spare capacity and makes no
-    int object per entry; each entry is copied twice, whatever the runs."""
-    runs = []  # (positions in row, the slice of r they read)
-    n = len(row)
-    i = 0
-    while i < n:
-        if len(runs) == most:
-            return None
-        start = row[i]
-        step = row[i + 1] - start if i + 1 < n else 1
-        j = i + 1
-        while j < n and row[j] - row[j - 1] == step:
-            j += 1
-        stop = start + step * (j - i)
-        # a run falling to 0 stops past the front: -1 would mean the end
-        runs.append((slice(i, j), slice(start, stop if stop >= 0 else None,
-                                        step)))
-        i = j
-
-    def compose(r):
-        out = row[:]
-        for into, read in runs:
-            out[into] = r[read]
-        return out
-    return compose
-
-
-def _row_packer(n):
-    """row -> the same n entries as an `array('H')`.  One `struct` pack is
-    several times faster than `array('H', row)`; the slice copy drops the
-    over-allocation that building an array from bytes leaves."""
-    from array import array
-    from struct import Struct
-
-    to_bytes = Struct(f"{n}H").pack
-
-    def pack(row):
-        return array("H", to_bytes(*row))[:]
-    return pack
+def _composer(row):
+    """row(a) -> row(a) o row for tuple rows: an `itemgetter` over `row`.
+    It takes about 7 ns an entry, and concatenated slices beat it only
+    below 5 runs, by 1-3% (Python 3.11.7, 2 vCPUs), so tuple rows are not
+    sliced."""
+    return itemgetter(*row)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ representatives in G to the commutator of the phi-images' representatives
 in H.  When a witness exists the fiber counts of the (n+1)-fold commutator
 word scale by (|G|/|H|)^(n+1) along psi.
 """
-from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction

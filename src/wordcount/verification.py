@@ -5,7 +5,6 @@ FAIL, or FLAGGED.  FLAGGED is reserved for the two formula-audit items
 whose published displays disagree with the mass-consistent recomputation;
 they never affect the exit code.
 """
-from __future__ import annotations
 
 import functools
 import itertools

@@ -12,7 +12,6 @@ u^-1 v^-1 u v.  Integers are ASCII digits, an exponent with an optional
 as MAX_EXPONENT.  Words are stored freely reduced; variables must be the
 contiguous range x1..xn so the arity is unambiguous.
 """
-from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache

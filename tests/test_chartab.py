@@ -204,9 +204,13 @@ def test_load_rejects_negated_character():
     lines = chartab.dump_table(character_table(G)).splitlines()
     # -chi for the degree-2 character keeps both orthogonality relations,
     # sum chi(1)^2 = |G| and the linear-character count; only its degree
-    # -2 gives it away
-    lines[-1] = ",".join(":".join(str(-int(c)) for c in v.split(":"))
-                         for v in lines[-1].split(","))
+    # -2 gives it away.  The coefficients are multiplicities of the powers
+    # of zeta, and -zeta^j is the sum of the other e - 1 powers, so -v has
+    # the multiplicities sum(v) - v_i, all of them non-negative.
+    def negated(chunk):
+        coeffs = list(map(int, chunk.split(":")))
+        return ":".join(str(sum(coeffs) - c) for c in coeffs)
+    lines[-1] = ",".join(map(negated, lines[-1].split(",")))
     with pytest.raises(InternalInconsistency, match="degree -2"):
         chartab.load_table(G, "\n".join(lines))
 

@@ -612,7 +612,12 @@ def _swap_columns(text):
     ("symmetric(3)", lambda t: ""),
     ("symmetric(3)", lambda t: t.replace("2:0:0", "3:0:0", 1)),
     ("cyclic(5)", _swap_columns),
-], ids=["truncated", "empty", "tampered", "swapped"])
+    # int() reads each of these coefficients as the 2 it replaces
+    *[("dihedral(8)", lambda t, digits=digits: t.replace(
+        ",0:0:2:0,", f",0:0:{digits}:0,", 1))
+      for digits in ("+2", "0_2", " 2", "\u0662")],
+], ids=["truncated", "empty", "tampered", "swapped", "sign", "underscore",
+        "space", "non-ascii-digit"])
 def test_corrupt_cache_file_is_a_miss(tmp_path, monkeypatch, capsys, spec,
                                       corrupt):
     monkeypatch.setenv(fileio.CACHE_ENV, str(tmp_path))

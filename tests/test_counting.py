@@ -262,13 +262,11 @@ def test_reduced_counts_equal_the_full_fold_on_the_catalog(spec, G):
                 full_fold(G, word, domains), (str(word), domains)
 
 
-def test_long_transversal_is_a_packed_array():
-    # Past groups.COMPACT_ROWS_ABOVE elements the transversal is stored like
-    # the table's rows.
+def test_counts_past_the_tuple_row_threshold_are_the_full_fold():
+    # dihedral(1032) keeps its element law until the fold reads `mul`
     G = groups.parse_builtin_spec("dihedral(1032)")
-    central = counting.central_elements(G)
-    assert len(central) == 2
-    assert counting._transversal(G, range(G.order), central).typecode == "H"
+    assert G.order > groups.COMPACT_ROWS_ABOVE
+    assert len(counting.central_elements(G)) == 2
     for text in ("x1^2", "x1 x2^3 x1^-1"):
         word = words.parse(text)
         spec = DomainSpec((None,) + (groups.commutator_subgroup(G),) *
@@ -304,6 +302,20 @@ def test_counting_never_reads_the_structure_center():
     names |= {alias.name for node in ast.walk(tree)
               if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert not names & {"center", "centralizer_of_subgroup_mod"}
+
+
+def test_counting_and_groups_hold_no_packed_row_code():
+    # the 2-byte rows are made, sliced and composed in `elementlaw` only
+    for module in (counting, groups):
+        tree = ast.parse(inspect.getsource(module))
+        imported = {alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.Import) for alias in node.names}
+        imported |= {node.module for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom)}
+        assert not imported & {"array", "struct"}, module.__name__
+    names = {node.attr for node in ast.walk(ast.parse(
+        inspect.getsource(counting))) if isinstance(node, ast.Attribute)}
+    assert "COMPACT_ROWS_ABOVE" not in names
 
 
 def test_budget_counts_the_reduced_assignments():

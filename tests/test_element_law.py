@@ -25,9 +25,9 @@ def composed(monkeypatch):
     sizes = []
     compose = groups._compose_rows
 
-    def recording(rows, generator, pack):
+    def recording(rows, generator, composer):
         sizes.append(len(rows))
-        return compose(rows, generator, pack)
+        return compose(rows, generator, composer)
     monkeypatch.setattr(groups, "_compose_rows", recording)
     return sizes
 
@@ -36,12 +36,12 @@ def composed(monkeypatch):
 def composers(monkeypatch):
     """The generator rows a composer is made for while the test runs."""
     rows = []
-    make = groups._composer
+    make = elementlaw._composer
 
-    def recording(row, pack):
+    def recording(row):
         rows.append(row)
-        return make(row, pack)
-    monkeypatch.setattr(groups, "_composer", recording)
+        return make(row)
+    monkeypatch.setattr(elementlaw, "_composer", recording)
     return rows
 
 

@@ -17,8 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wordcount import (chartab, counting, fileio, formulas, groups,
-                       isoclinism, verification, words)
+from wordcount import (chartab, counting, elementlaw, fileio, formulas,
+                       groups, isoclinism, verification, words)
 from wordcount.errors import PredicateFailed
 
 # Isoclinic at n = 1, with scaling factors 1 and 4.
@@ -61,7 +61,7 @@ def test_compact_table_is_the_tuple_table(spec, monkeypatch):
     # tuple rows are always gathered, and test_builtins_match_references
     # checks the gather against one group-law call per entry
     composers, composed = [], []
-    make = groups._sliced
+    make = elementlaw._sliced
 
     def recording(row, most):
         compose = make(row, most)
@@ -73,7 +73,7 @@ def test_compact_table_is_the_tuple_table(spec, monkeypatch):
             composed.append(row)
             return compose(r)
         return counted
-    monkeypatch.setattr(groups, "_sliced", recording)
+    monkeypatch.setattr(elementlaw, "_sliced", recording)
     G = groups.parse_builtin_spec(spec)
     assert composers == []  # the law composes no row: the table does
     G.mul
@@ -100,12 +100,12 @@ def test_dihedral_rows_are_composed_from_slices(monkeypatch):
     # reflection is its own) are packed, with the group: the table's 1,997
     # other rows are slices of packed rows
     packed = []
-    packer = groups._row_packer
+    packer = elementlaw._row_packer
 
     def counting_packer(n):
         pack = packer(n)
         return lambda row: packed.append(row) or pack(row)
-    monkeypatch.setattr(groups, "_row_packer", counting_packer)
+    monkeypatch.setattr(elementlaw, "_row_packer", counting_packer)
     G = groups.builtin("dihedral", 2000)
     assert len(packed) == 5
     assert all(type(row) is array for row in G.mul)
@@ -142,8 +142,8 @@ def test_sliced_composition_is_the_gather(case, data):
     row, pieces = case
     n = len(row)
     row = array("H", row)
-    assert groups._sliced(row, 0) is None
-    compose = groups._sliced(row, pieces)  # no more runs than pieces
+    assert elementlaw._sliced(row, 0) is None
+    compose = elementlaw._sliced(row, pieces)  # no more runs than pieces
     assert compose is not None
     # any row of distinct entries tells a wrong index from the right one,
     # so a seeded shuffle serves as well as a permutation drawn entry by
@@ -158,7 +158,7 @@ def test_sliced_composition_is_the_gather(case, data):
 def test_tuple_rows_are_gathered():
     # D512's generator rows are 2 and 4 runs, but its rows are tuples
     G = groups.builtin("dihedral", 512)
-    assert all(type(groups._composer(G.mul[s], None)) is itemgetter
+    assert all(type(groups._composer(G.mul[s])) is itemgetter
                for s in G.generating_set())
 
 

@@ -77,6 +77,7 @@ PROBES = {
     "import": "import wordcount\n",
     "import-each": "".join(f"import wordcount.{name}\n" for name in MODULES),
     "import-chartab": "import wordcount.chartab\n",
+    "import-cli": "import wordcount.cli\n",
     "public-names": (
         "import importlib, wordcount\n"
         "for name in wordcount.__all__:\n"
@@ -189,6 +190,12 @@ def test_every_module_imports(loaded):
     assert "verification" in MODULES
     assert loaded["import-each"].status == 0
     assert package_modules(loaded["import-each"].modules) == set(MODULES)
+
+
+def test_import_cli_loads_no_future(loaded):
+    # no module carries an annotation, so none needs `__future__`
+    assert loaded["import-cli"].status == 0
+    assert "__future__" not in loaded["import-cli"].modules
 
 
 def test_chartab_loads_no_formula_or_counting_module(loaded):
