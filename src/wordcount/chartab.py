@@ -393,7 +393,7 @@ def class_mult_coefficients(G, classes, i):
     (x, y) in C_i x C_c with x*y = rep(C_m).  It reads the |C_i| members
     of class i against each class representative."""
     class_of, mul, k = classes.class_of, G.mul, classes.num_classes
-    inverses = [G.inv[x] for x, c in enumerate(class_of) if c == i]
+    inverses = [G.inv[x] for x in classes.members[i]]
     # y = x^-1 z for each x in C_i, counted under the key m k + class(y);
     # keys arrive in rising m, so each a[c] does too
     counts = Counter([m * k + class_of[mul[x_inv][z]]
@@ -567,11 +567,13 @@ def _abelian_half(G, classes, e, linear):
     n = G.order
     if n % 2 or 2 * sum([s for s in classes.sizes if s <= 2]) < n:
         return None
-    class_of, mul = classes.class_of, G.mul
+    mul = G.mul
     for row in linear:
         if set(row) == {0, e // 2}:
-            members, gens = groups._closure_indices(
-                G, [g for g in range(n) if not row[class_of[g]]])
+            # sorted, the closure picks fewer generators for `_induced_rows`
+            members, gens = groups._closure_indices(G, sorted(
+                [g for c, l in enumerate(row) if not l
+                 for g in classes.members[c]]))
             if all(mul[a][b] == mul[b][a] for a in gens for b in gens):
                 return members, gens
     return None
@@ -1029,7 +1031,9 @@ def inner_product(table, phi, psi):
     sum_j |C_j| phi(g_j) T_O(j) / (|O| |G|).  For a nonlinear psi, T_O is
     the integer row of `orbit_sums`; for a linear psi = zeta_e^l,
     T_O(j) / |O| = Tr(zeta_e^l_j) / phi(e), read off `_field_traces`.  Any
-    other pair goes through the sparse kernel."""
+    other pair goes through the sparse kernel.  Values are rational only:
+    an irrational <phi, psi>, which a phi that is not Galois-stable can
+    have, raises NonIntegral ("character sum is not rational")."""
     if isinstance(psi, int) and not isinstance(phi, int):
         phi = _class_values(table, phi)
         if _stable(table, phi):

@@ -33,7 +33,9 @@ rational classes, center, derived subgroup, central series, normal
 subgroups, the character table, the hash), or on the group and a level
 (the isoclinism commutator table), is computed once per group object and
 arguments by `structure_memo` and shared by every caller, so callers must
-not mutate it.  Z(G), each Z_i and normality are read off the classes.
+not mutate it.  Z(G), each Z_i, normality and normal closures are read
+off the classes, which keep their members: a normal closure is the
+subgroup the classes meeting its seed generate.
 """
 
 import itertools
@@ -240,11 +242,12 @@ class Subgroup:
 
 
 class ConjugacyData(namedtuple("ConjugacyData",
-                               "class_of reps sizes inverse_class")):
+                               "class_of reps sizes inverse_class members")):
     """Conjugacy class partition: identity class first, then by (size, min).
 
     `class_of` maps element -> class index, `reps` class index ->
-    representative element; `sizes` and `inverse_class` are per class.
+    representative element; `sizes`, `inverse_class` and `members` (the
+    class's elements in rising order, `reps` first) are per class.
     """
 
     __slots__ = ()
@@ -876,10 +879,10 @@ def conjugacy_classes(G):
     # conj[i][x] = (s^-1 x) s for the i-th generator s
     conj = [itemgetter(*G.row(G.inv[s]))(right_multiple(G, s))
             for s in G.generating_set()]
-    class_of = [-1] * n
-    classes = []
+    seen = set()
+    classes = []  # found in rising order of their least element
     for a in range(n):
-        if class_of[a] != -1:
+        if a in seen:
             continue
         orbit = {a}
         frontier = [a]
@@ -890,18 +893,19 @@ def conjugacy_classes(G):
                 if y not in orbit:
                     orbit.add(y)
                     frontier.append(y)
-        classes.append(sorted(orbit))
-        for x in orbit:
-            class_of[x] = -2  # visited, renumbered below
-    # deterministic order: identity class first, then (size, min element)
-    classes.sort(key=lambda c: (0 not in c, len(c), c[0]))
+        seen |= orbit
+        classes.append(tuple(sorted(orbit)))
+    # a stable sort: by (size, least element), so the identity class first
+    classes.sort(key=len)
+    class_of = [0] * n
     for idx, cls in enumerate(classes):
         for x in cls:
             class_of[x] = idx
     reps = tuple(cls[0] for cls in classes)
     sizes = tuple(len(cls) for cls in classes)
     inverse_class = tuple(class_of[G.inv[rep]] for rep in reps)
-    return ConjugacyData(tuple(class_of), reps, sizes, inverse_class)
+    return ConjugacyData(tuple(class_of), reps, sizes, inverse_class,
+                         tuple(classes))
 
 
 @structure_memo
@@ -946,25 +950,18 @@ def centralizer_of_subgroup_mod(G, lower):
     classes = conjugacy_classes(G)
     passes = [all(G.commutator(r, s) in lset for s in gens)
               for r in classes.reps]
-    return Subgroup(G, tuple(g for g, c in enumerate(classes.class_of)
-                             if passes[c]))
+    return Subgroup(G, tuple(sorted([g for c, m in enumerate(classes.members)
+                                    if passes[c] for g in m])))
 
 
 def _normal_closure(G, seed):
-    """Members of the smallest normal subgroup containing `seed`.
-
-    A subgroup is normal once its generators' conjugates by the generating
-    set of G lie in it, so conjugates outside it join the generators until
-    none is left.
-    """
-    gens_G = G.generating_set()
-    members, gens = _closure_indices(G, seed)
-    while True:
-        new = [y for x in gens for s in gens_G
-               if (y := G.conjugate(x, s)) not in members]
-        if not new:
-            return members
-        members, gens = _closure_indices(G, gens + new)
+    """Members of the smallest normal subgroup containing `seed`: the
+    subgroup the classes meeting `seed` generate, which a union of classes
+    makes normal."""
+    classes = conjugacy_classes(G)
+    met = dict.fromkeys(classes.class_of[x] for x in seed)
+    return _closure_indices(G, [x for c in met
+                                for x in classes.members[c]])[0]
 
 
 def commutator_of(G, A):
@@ -1098,12 +1095,8 @@ def is_camina_pair(G, H):
 def normal_subgroups(G):
     """All normal subgroups, as joins of the normal closures of the
     nontrivial conjugacy classes, each join taken by `subgroup_closure`."""
-    class_of = conjugacy_classes(G).class_of
-    by_class = {}
-    for a in range(1, G.order):
-        by_class.setdefault(class_of[a], []).append(a)
     atoms = dict.fromkeys(subgroup_closure(G, c).members
-                          for c in by_class.values())
+                          for c in conjugacy_classes(G).members[1:])
     found = {(0,): trivial_subgroup(G)}
     todo = [(0,)]
     while todo:

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wordcount import chartab, counting, formulas, groups, verification, words
-from wordcount.errors import (NotMeasurePreserving, NotNormal,
+from wordcount.errors import (NonIntegral, NotMeasurePreserving, NotNormal,
                               PredicateFailed, WordcountError)
 from wordcount.formulas import CaminaInvariants, GroupClassReport
 
@@ -133,6 +133,45 @@ def test_mixed_domain_matches_brute_on_q8():
     combined = formulas.bracket_word(w1, w2)
     spec = counting.DomainSpec((Z, Z, None))
     assert got == counting.zeta_element_counts(Q8, combined, spec)
+
+
+def _c7_by_c9():
+    """C7 x| C9 (order 63, 15 classes): a 7-cycle on 0..6, and x -> 2x mod 7
+    on 0..6 together with a 9-cycle on 7..15."""
+    a = (*range(1, 7), 0, *range(7, 16))
+    b = (*[2 * x % 7 for x in range(7)], *range(8, 16), 7)
+    return groups.from_permutation_generators(16, [a, b])
+
+
+def test_mixed_domain_counts_that_are_not_galois_stable():
+    # on a real group, fiber counts that are not constant on rational
+    # classes: the mixed formula takes its per-character cyclotomic sums
+    G = _c7_by_c9()
+    table = _table(G)
+    assert (G.order, table.num_characters) == (63, 15)
+    w1, x1 = words.parse("x2 x1 x2^2 x1^-4"), words.parse("x1")
+    zeta = counting.zeta_brute(G, w1, classes=table.classes)
+    weights = [s * v for s, v in zip(table.classes.sizes, zeta.values)]
+    assert not chartab.galois_stable(table, weights)
+    H = groups.whole_subgroup(G)
+    assert formulas.zeta_mixed_theorem21(G, H, w1, x1, table) == \
+        counting.zeta_element_counts(G, formulas.bracket_word(w1, x1),
+                                     counting.DomainSpec((H, H, None)))
+    # <zeta, chi> is irrational on four of the six degree-3 characters, and
+    # inner_product returns rational values only
+    linear, rational, refused = set(), [], 0
+    for r, d in enumerate(table.degrees):
+        try:
+            value = chartab.inner_product(table, zeta, r)
+        except NonIntegral as exc:
+            assert d == 3 and str(exc) == "character sum is not rational"
+            refused += 1
+            continue
+        if d == 1:
+            linear.add(value)
+        else:
+            rational.append(value)
+    assert (linear, rational, refused) == ({0, 63}, [21, 21], 4)
 
 
 def test_mixed_domain_preconditions():

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wordcount import groups
+from wordcount import elementlaw, groups, verification
 from wordcount.cli import main
 from wordcount.errors import (BadSubgroup, NotAGroup, NotNormal,
                               OrderLimitExceeded, UnknownFamily,
@@ -126,6 +126,76 @@ def test_conjugacy_classes_ordering():
     for m in range(classes.num_classes):
         rep = classes.reps[m]
         assert classes.class_of[S3.inv[rep]] == classes.inverse_class[m]
+
+
+def _assert_members_partition_class_of(G):
+    classes = groups.conjugacy_classes(G)
+    by_class = [[] for _ in classes.reps]
+    for g, c in enumerate(classes.class_of):
+        by_class[c].append(g)
+    assert classes.members == tuple(map(tuple, by_class))
+    assert tuple(m[0] for m in classes.members) == classes.reps
+    assert tuple(map(len, classes.members)) == classes.sizes
+
+
+CATALOG = verification.catalog()
+CATALOG_IDS = [spec for spec, _ in CATALOG]
+
+
+@pytest.mark.parametrize("spec, G", CATALOG, ids=CATALOG_IDS)
+def test_class_members_are_the_partition_class_of_describes(spec, G):
+    _assert_members_partition_class_of(G)
+
+
+def test_class_members_of_a_group_without_its_table():
+    G = groups.builtin("dihedral", 2000)
+    groups.conjugacy_classes(G)
+    assert isinstance(G, elementlaw.LawTable) and G.law is not None
+    _assert_members_partition_class_of(G)
+    assert G.law is not None
+
+
+def _fixpoint_normal_closure(G, seed):
+    """The normal closure as a fixpoint: conjugates of the generators by
+    G's generating set join the generators until none is new."""
+    mul, inv, gens_G = G.mul, G.inv, G.generating_set()
+    members, gens = groups._closure_indices(G, seed)
+    while True:
+        new = [y for x in gens for s in gens_G
+               if (y := mul[mul[inv[s]][x]][s]) not in members]
+        if not new:
+            return members
+        members, gens = groups._closure_indices(G, gens + new)
+
+
+@pytest.mark.parametrize("spec, G", CATALOG, ids=CATALOG_IDS)
+def test_normal_closure_is_the_fixpoint(spec, G, monkeypatch):
+    # commutator seeds: [a, b] for a in a generating set of each term of
+    # the lower central series and b in G's, and one class representative
+    # at a time
+    gens_G = G.generating_set()
+    seeds = [[G.commutator(a, b)
+              for a in groups._closure_indices(G, A.members)[1]
+              for b in gens_G]
+             for A in groups.lower_central_series(G)]
+    seeds += [[r] for r in groups.conjugacy_classes(G).reps]
+    want = [_fixpoint_normal_closure(G, seed) for seed in seeds]
+    closures = []
+    closure = groups._closure_indices
+
+    def counted(H, seed):
+        closures.append(seed)
+        return closure(H, seed)
+
+    def refuse(*args):
+        raise AssertionError("a normal closure conjugated an element")
+
+    monkeypatch.setattr(groups, "_closure_indices", counted)
+    monkeypatch.setattr(groups.GroupTable, "conjugate", refuse)
+    for seed, members in zip(seeds, want):
+        del closures[:]
+        assert groups._normal_closure(G, seed) == members
+        assert len(closures) == 1
 
 
 def test_central_series_and_nilpotency():

@@ -26,7 +26,8 @@ def _witness():
 # (class, keyword fields, one field changed, hashable)
 RECORDS = [
     (groups.ConjugacyData,
-     dict(class_of=(0, 1, 1), reps=(0, 1), sizes=(1, 2), inverse_class=(0, 1)),
+     dict(class_of=(0, 1, 1), reps=(0, 1), sizes=(1, 2), inverse_class=(0, 1),
+          members=((0,), (1, 2))),
      dict(sizes=(1, 3)), True),
     (formulas.CaminaInvariants,
      dict(order=8, derived_order=2, center_order=2, z2_order=8),
