@@ -14,12 +14,14 @@ builds no class matrix.  A class of size |G'| is a whole coset of G', every
 nonlinear character vanishes on it, and its class matrix is 0 on the span,
 so it takes no split step.  Discrete-Fourier multiplicity counts lift each
 value to an exact cyclotomic integer.  The table is then verified exactly:
-the linear rows as a group of the roots zeta_e^l, each stored as that one
-term, and the row orthogonality relations of every pair with a nonlinear
-row, all the linear rows at once through sums over the cosets of G'.  They
-imply the column relations: the table is square, so X D X* = |G| I (D the
-diagonal of class sizes) gives X* X = |G| D^-1.  A failure of a computed
-table is a bug, not a data condition.
+the linear rows as |G:G'| distinct homomorphisms G -> mu_e, each value
+stored as the one term zeta_e^l and each row checked on G's products with
+its generators, so they are Irr(G/G') and orthogonal; and the row
+orthogonality relations of every pair with a nonlinear row, all the linear
+rows at once through sums over the cosets of G'.  They imply the column
+relations: the table is square, so X D X* = |G| I (D the diagonal of class
+sizes) gives X* X = |G| D^-1.  A failure of a computed table is a bug, not
+a data condition.
 
 Induced rows.  If G has an abelian subgroup A of index 2, each nonlinear
 character is Ind_A^G lambda of degree 2 (Clifford theory), one per pair
@@ -811,13 +813,16 @@ def integer_class_sum(sizes, a, b):
 
 
 def _verify_table(G, table):
-    """Degrees, Galois closure, the linear rows, row orthogonality and the
-    linear-character count, exactly.
+    """Degrees, Galois closure, the linear rows as homomorphisms of G and
+    row orthogonality, exactly.
 
     The rows of a character table are distinct and closed under the power
     maps pi_u (sigma_u chi = chi o pi_u), and by Brauer's permutation lemma
     their orbits number the rational classes, so a table whose rows are not
-    is refused.  The linear rows are checked by `_verify_linear_rows`.
+    is refused.  `_verify_linear_rows` checks that the linear rows are
+    |G:G'| distinct homomorphisms G -> mu_e, read through G's multiplication,
+    so they are Irr(G/G') and orthogonal, and a table whose linear columns
+    are permuted against G's classes is refused.
     <chi o pi_u, psi o pi_u> = <chi, psi> (pi_u is a size-preserving
     bijection on classes), so pairing each nonlinear orbit representative
     with every row covers every pair with a nonlinear row.  It pairs with
@@ -846,7 +851,7 @@ def _verify_table(G, table):
             f"{sum(is_rep)} Galois orbits of characters but {rational} "
             "rational classes")
 
-    linear, cosets = _verify_linear_rows(table)
+    linear, cosets = _verify_linear_rows(G, table)
     nonlinear = [r for r in range(k) if not table.linear_mask[r]]
     int_rows = {}
     for r in nonlinear:
@@ -883,9 +888,6 @@ def _verify_table(G, table):
                 continue  # <r, s> is the conjugate of <s, r>, checked
             if not holds(r, s, n if r == s else 0):
                 fail(r, s)
-    dG = groups.commutator_subgroup(G)
-    if len(linear) != n // dG.order:
-        raise InternalInconsistency("linear character count != |G : G'|")
 
 
 def _coset_sums_vanish(e, sizes, cosets, ints, terms):
@@ -908,24 +910,27 @@ def _coset_sums_vanish(e, sizes, cosets, ints, terms):
     return all(cyclotomic.vanishes(e, acc) for acc in totals.values())
 
 
-def _verify_linear_rows(table):
-    """The linear rows as an orthogonal group Lambda of roots of unity.
-    Returns their exponent rows {r: l}, lambda_r(g_j) = zeta_e^l[j], and per
-    class j the index of its column (l[j] over the rows) among the distinct
+def _verify_linear_rows(G, table):
+    """The linear rows as Irr(G/G'), the homomorphisms G -> mu_e.  Returns
+    their exponent rows {r: l}, lambda_r(g_j) = zeta_e^l[j], and per class j
+    the index of its column (l[j] over the rows) among the distinct
     columns, in order of first appearance: its coset of G'.
 
     Each value must be the one term zeta_e^l, as `_compute_table` writes it
     and the cache text keeps it (another form of a root of unity is
-    refused).  The rows must be distinct and equal to the group they
-    generate, grown by one greedily chosen row, a coset at a time.  Then a
-    column is a homomorphism c: Lambda -> Z/e, and sum_j |C_j| zeta^l[j] =
-    sum_c W(c) zeta^c(l), W(c) the size of c's classes.  By Fourier
-    inversion on the dual of Lambda, that is 0 for every l != 0 exactly
-    when W is constant: |Lambda| columns, each of |G| / |Lambda| elements.
-    <lambda, mu> is that sum for lambda mu^-1, over |G|, so then every pair
-    of linear rows is orthogonal.  Otherwise some row's sum is not 0, so
-    `_covers_evenly` fails on it; the first such row is named."""
-    e, sizes = table.exponent, table.classes.sizes
+    refused).  Each row must be a homomorphism G -> Z/e, l(x s) = l(x) +
+    l(s) for every element x and generator s.  Both sides read l at the
+    classes of x and x s, so each generator is checked once per distinct
+    pair of those classes, as read off `groups.right_multiple`.  Distinct
+    homomorphisms to mu_e number at most |G:G'|, so |G:G'| distinct rows
+    are all of them: Irr(G/G'), which is orthogonal."""
+    e, class_of = table.exponent, table.classes.class_of
+    checks = []  # per generator s: its class, and the pairs' two gathers
+    for s in G.generating_set():
+        pairs = dict.fromkeys(zip(class_of, itemgetter(
+            *groups.right_multiple(G, s))(class_of)))
+        checks.append((class_of[s], itemgetter(*[a for a, _ in pairs]),
+                       itemgetter(*[b for _, b in pairs])))
     linear = {r: row for r, row in enumerate(table.exponent_rows)
               if row is not None}
     for r, row in linear.items():
@@ -933,46 +938,23 @@ def _verify_linear_rows(table):
             raise InternalInconsistency(
                 f"linear character {r} is not a root of unity at class "
                 f"{row.index(None)}")
+        take = itemgetter(*row)
+        for c, before, after in checks:
+            # l(x) + l(s) is the row shifted by l(s) mod e, at x's class
+            l = row[c]
+            shifted = take(tuple(range(l, e)) + tuple(range(l)))
+            if after(row) != before(shifted):
+                raise InternalInconsistency(
+                    f"linear character {r} is not a homomorphism")
     exps = list(linear.values())
-    found, span = set(exps), {(0,) * len(sizes)}
-    for row in exps:
-        step, grown = row, set(span)
-        while step not in span and len(grown) <= len(found):
-            grown.update(tuple([(a + b) % e for a, b in zip(h, step)])
-                         for h in span)
-            step = tuple([(a + b) % e for a, b in zip(step, row)])
-        span = grown
-    if len(found) != len(exps) or span != found:
+    index = G.order // groups.commutator_subgroup(G).order
+    if len(set(exps)) != len(exps) or len(exps) != index:
         raise InternalInconsistency(
-            "linear characters repeat or are not closed under products")
+            "linear characters repeat or do not number |G : G'|")
     column_of = {}
     cosets = [column_of.setdefault(column, len(column_of))
               for column in zip(*exps)]
-    weights = [0] * len(column_of)
-    for c, size in zip(cosets, sizes):
-        weights[c] += size
-    if len(weights) != len(exps) or len(set(weights)) != 1:
-        trivial = next(r for r, row in linear.items() if not any(row))
-        r = next(r for r, row in linear.items()
-                 if r != trivial and not _covers_evenly(e, sizes, row))
-        raise InternalInconsistency(
-            f"row orthogonality fails for characters "
-            f"{min(r, trivial)},{max(r, trivial)}")
     return linear, cosets
-
-
-def _covers_evenly(e, sizes, row):
-    """True iff the exponents of the row cover a subgroup of Z/e, each with
-    the same total class size, as a linear character's do (its fibers are
-    the cosets of its kernel).  Then sum_j |C_j| zeta_e^row[j] = 0 unless
-    the subgroup is 0."""
-    weights = [0] * e
-    for size, l in zip(sizes, row):
-        weights[l] += size
-    image = [l for l, w in enumerate(weights) if w]
-    # range(0, e, step) has len(image) items only when the step divides e
-    return image == list(range(0, e, e // len(image))) and \
-        len({weights[l] for l in image}) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -265,7 +265,7 @@ def test_verify_rejects_a_perturbation_shared_by_a_galois_orbit(spec):
 
 def test_verify_checks_orbit_representatives_against_every_row(monkeypatch):
     # D200: 53 characters, 4 linear, and the 49 nonlinear ones in 7 Galois
-    # orbits.  The linear rows are checked as a group of roots of unity, and
+    # orbits.  The linear rows are checked as homomorphisms of G, and
     # each orbit representative pairs with all 4 of them through one pass
     # of coset sums, so 7 * 49 - 7 * 6 / 2 = 322 inner products instead of
     # 53 * 54 / 2 = 1431; the one rational nonlinear row pairs with itself
@@ -502,33 +502,29 @@ def _with_linear_values(table, change):
 def test_linear_check_refuses_a_moved_exponent():
     # S4's linear rows are the trivial one and the sign, and its classes
     # are all rational, so no power map sees a move.  Sign -1 -> 1 on the
-    # transpositions leaves {1, sign'} a group, whose sum is not 0; sign
-    # -1 -> zeta_12^7 leaves no group.
+    # transpositions leaves {1, sign'} a group of functions, and sign
+    # -1 -> zeta_12^7 leaves none; in both sign' is no homomorphism of S4.
     from wordcount.errors import InternalInconsistency
     G = groups.builtin("symmetric", 4)
     table = character_table(G)
     e = table.exponent
     sign = next(r for r, lin in enumerate(table.linear_mask)
                 if lin and any(v != 1 for v in table.values[r]))
-    trivial = 1 - sign
     j = next(j for j, v in enumerate(table.values[sign]) if v == -1)
-    for moved, match in [
-            (Cyclotomic.root(e, 0), "row orthogonality fails for characters "
-                                    f"{min(sign, trivial)},{max(sign, trivial)}"),
-            (Cyclotomic.root(e, e // 2 + 1),
-             "linear characters repeat or are not closed under "
-             "products")]:
+    for moved in [Cyclotomic.root(e, 0), Cyclotomic.root(e, e // 2 + 1)]:
         bad = _with_linear_values(
             table, lambda r, c, v: moved if (r, c) == (sign, j) else v)
-        with pytest.raises(InternalInconsistency, match=f"^{match}$"):
+        with pytest.raises(InternalInconsistency,
+                           match=f"^linear character {sign} is not a "
+                                 "homomorphism$"):
             chartab._verify_table(G, bad)
 
 
 def test_linear_check_refuses_rows_not_closed_under_products():
     # EA(2,3): eight classes of size 1, the linear rows the eight +-1
     # homomorphisms.  Replace one by a +-1 row that also sums to 0 but is no
-    # homomorphism: the rows stay distinct, hold the trivial one and leave
-    # the power maps alone, but are no longer a group.
+    # homomorphism: the rows stay distinct, |G:G'| in number, hold the
+    # trivial one and leave the power maps alone, and the new row is named.
     from wordcount.errors import InternalInconsistency
     G = groups.builtin("elementary_abelian", 2, 3)
     table = character_table(G)
@@ -543,8 +539,8 @@ def test_linear_check_refuses_rows_not_closed_under_products():
         table, lambda s, c, v: Cyclotomic.root(2, int(fake[c] < 0))
         if s == r else v)
     with pytest.raises(InternalInconsistency,
-                       match="^linear characters repeat or are not closed "
-                             "under products$"):
+                       match=f"^linear character {r} is not a "
+                             "homomorphism$"):
         chartab._verify_table(G, bad)
 
 
@@ -555,8 +551,9 @@ def test_linear_check_refuses_a_zero_sum_row_with_uneven_fibers():
     # fibers of 0, 1, 2, 3 weigh 3, 1, 3, 1, so sum zeta^v = 0, but 2v sums
     # to 4.  The rows <v, mu> are a group Z/4 x Z/2 of odd functions
     # (v(g^-1) = -v(g)), so they are closed under the power map g -> g^3
-    # and fall into 6 orbits, as the rational classes do.  v comes first,
-    # and it is named, not the first row whose sum is not 0.
+    # and fall into 6 orbits, as the rational classes do.  v follows the
+    # trivial row and is no homomorphism, so it is named, not the first row
+    # whose sum is not 0.
     from wordcount import cyclotomic
     from wordcount.errors import InternalInconsistency
     G = groups.parse_builtin_spec("direct_product(cyclic(4),cyclic(2))")
@@ -588,8 +585,56 @@ def test_linear_check_refuses_a_zero_sum_row_with_uneven_fibers():
         tuple(tuple(Cyclotomic.root(e, l) for l in row) for row in order),
         (1,) * 8)
     with pytest.raises(InternalInconsistency,
-                       match="^row orthogonality fails for characters 0,1$"):
+                       match="^linear character 1 is not a homomorphism$"):
         chartab._verify_table(G, bad)
+
+
+@pytest.mark.parametrize("spec, a, b", [
+    ("cyclic(5)", 1, 4), ("heisenberg(3)", 3, 4),
+    ("direct_product(quaternion(8),cyclic(3))", 1, 2)])
+def test_linear_check_refuses_columns_swapped_against_the_classes(spec, a,
+                                                                   b):
+    # Two classes of one size swapped in every row keep the degrees, the
+    # power maps' orbits and every orthogonality relation, and the linear
+    # rows stay a group of roots of unity; only G's multiplication shows
+    # that one of them is no longer a homomorphism.
+    from wordcount.errors import InternalInconsistency
+    G = groups.parse_builtin_spec(spec)
+    table = character_table(G)
+    assert table.classes.sizes[a] == table.classes.sizes[b]
+    values = [list(row) for row in table.values]
+    for row in values:
+        row[a], row[b] = row[b], row[a]
+    bad = chartab.CharacterTable(
+        G, table.classes, table.exponent,
+        tuple(tuple(row) for row in values), table.degrees)
+    assert set(bad.values) != set(table.values)
+    assert bad.galois_orbits is not None
+    with pytest.raises(InternalInconsistency,
+                       match=r"^linear character \d+ is not a "
+                             "homomorphism$") as info:
+        chartab._verify_table(G, bad)
+    r = int(str(info.value).split()[2])
+    e, class_of = table.exponent, table.classes.class_of
+    l = [bad.exponent_rows[r][class_of[x]] for x in range(G.order)]
+    assert any((l[x] + l[y] - l[G.product(x, y)]) % e
+               for x in range(G.order) for y in range(G.order))
+
+
+def test_linear_check_counts_the_rows_against_the_derived_subgroup(
+        monkeypatch):
+    # Distinct homomorphisms are all of Irr(G/G') only when they number
+    # |G:G'|: S3's two linear rows pass against its own G' = A3, and are
+    # refused against a derived subgroup of another order.
+    from wordcount.errors import InternalInconsistency
+    G = groups.builtin("symmetric", 3)
+    table = character_table(G)
+    chartab._verify_table(G, table)
+    monkeypatch.setattr(groups, "commutator_subgroup", groups.trivial_subgroup)
+    with pytest.raises(InternalInconsistency,
+                       match="^linear characters repeat or do not number "
+                             r"\|G : G'\|$"):
+        chartab._verify_table(G, table)
 
 
 @pytest.mark.parametrize("value", [0, 2, Cyclotomic.root(12, 1) + 1])
@@ -652,7 +697,8 @@ def test_linear_check_refuses_another_form_of_a_root_of_unity(
 def test_linear_rows_and_stable_pairings_make_no_cyclotomic_sum(monkeypatch):
     # Building and checking an abelian table, <zeta^{w_n}, chi> and the
     # mixed formula on (G, G') are integer sums: the linear rows are
-    # checked as a group, and Galois-stable input pairs with the orbit rows.
+    # checked as homomorphisms of G, and Galois-stable input pairs with the
+    # orbit rows.
     from wordcount import cyclotomic, verification
     catalog = [G for _, G in verification.catalog()]
     tables = {G: character_table(G) for G in catalog}
