@@ -24,6 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
+from . import groups
 from .errors import InternalInconsistency, NonIntegral
 
 
@@ -32,16 +33,10 @@ def cyclotomic_polynomial(e):
     """Coefficients (low to high) of the e-th cyclotomic polynomial."""
     # Phi_e = prod over squarefree s | e of (x^(e/s) - 1)^mu(s): multiply by
     # the factors with mu(s) = 1, then divide out those with mu(s) = -1.
-    # up and down hold e/s for those s over the primes of e found so far.
-    up, down, rest, p = [e], [], e, 2
-    while rest > 1:
-        if p * p > rest:
-            p = rest
-        if rest % p == 0:
-            up, down = up + [d // p for d in down], down + [d // p for d in up]
-            while rest % p == 0:
-                rest //= p
-        p += 1
+    # up and down hold e/s for those s over the primes of e taken so far.
+    up, down = [e], []
+    for p in groups._prime_factors(e):
+        up, down = up + [d // p for d in down], down + [d // p for d in up]
     poly = [1]
     for d in up:
         poly = [a - b for a, b in zip([0] * d + poly, poly + [0] * d)]

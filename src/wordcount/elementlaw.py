@@ -2,9 +2,10 @@
 table is built, and the 2-byte rows that table is made of.
 
 Such a group is a `LawTable`: it keeps its element law (the element list,
-its index and `combine`), `inv`, and the packed rows of the identity, its
-greedy generators and their inverses.  That is all classes, Z(G),
-power maps and one-letter counts read.  The first read of `mul` composes
+its index and `combine`), `inv`, its greedy generators and the packed rows
+of the identity, the generators and their inverses.  That is all classes,
+Z(G), power maps (`GroupTable.power` over the law's `product`) and
+one-letter counts read.  The first read of `mul` composes
 the table from those generator rows as the eager build does
 (`groups._compose_rows`), drops the law and makes the object a plain
 `GroupTable`.  `groups._table_from_elements` imports this module only for
@@ -27,16 +28,16 @@ from . import groups
 
 class LawTable(groups.GroupTable):
     """A `GroupTable` whose `mul` is unset while it keeps its law, and
-    whose `row`, `product` and `power` read the law.  A class with
-    `__getattr__` loses the interpreter's fast attribute reads (`power`
-    took twice as long), so the built table is a plain `GroupTable`."""
+    whose `row` and `product` read the law, so `GroupTable.power` does
+    too.  A class with `__getattr__` loses the interpreter's fast
+    attribute reads (`power` took twice as long), so the built table is a
+    plain `GroupTable`."""
 
     __slots__ = ()
 
     def __getattr__(self, name):
         if name != "mul":
             raise AttributeError(name)
-        self.generating_set()  # recorded by the law, memoized before it goes
         self.mul = self.law.table()
         self.law = None
         self.__class__ = groups.GroupTable
@@ -50,15 +51,10 @@ class LawTable(groups.GroupTable):
     def product(self, a, b):
         return self.law.product(a, b)
 
-    def power(self, a, k):
-        if k < 0:
-            a, k = self.inv[a], -k
-        return self.law.power(a, k)
-
 
 def law_table(elements, index, combine, labels):
     law = ElementLaw(elements, index, combine)
-    return LawTable(len(elements), None, law.inv, labels, law)
+    return LawTable(len(elements), None, law.inv, labels, law, law.gens)
 
 
 class ElementLaw:
@@ -126,17 +122,6 @@ class ElementLaw:
         """a*b: one `combine` call."""
         elements = self.elements
         return self.index[self.combine(elements[a], elements[b])]
-
-    def power(self, a, k):
-        """a^k for k >= 0 by squaring, about 2 log2(k) products."""
-        result = 0
-        while k:
-            if k & 1:
-                result = self.product(result, a) if result else a
-            k >>= 1
-            if k:
-                a = self.product(a, a)
-        return result
 
     def table(self):
         """The rows of the table, composed by `groups._compose_rows` from

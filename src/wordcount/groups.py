@@ -15,9 +15,11 @@ Every table, Cayley input and quotients included, is built by
 composes the table from the rows of a small generating set
 (`_compose_rows`): only those rows call the law, every other row is a
 composition of rows already built, which assumes only that the law is
-associative.  Rows here are tuples, each composition an `itemgetter` over
-a generator's row (`_composer`).  Every constructor refuses an order above
-DEFAULT_ORDER_CAP before it builds a table.
+associative.  The group keeps that generating set, which
+`GroupTable.generating_set` returns.  Rows here are tuples, each
+composition an `itemgetter` over a generator's row (`_composer`).  Every
+constructor refuses an order above DEFAULT_ORDER_CAP before it builds a
+table.
 
 Above COMPACT_ROWS_ABOVE elements a group keeps its element law
 (`elementlaw`: the element list, its index and `combine`) with only the
@@ -113,16 +115,17 @@ class GroupTable:
     `elementlaw.LawTable` until `mul` is first read: `law` stands in for
     `mul`, and that read composes the table, drops the law and makes the
     object a `GroupTable`.  No other attribute is reassigned after
-    construction.
+    construction.  `gens` is the greedy generating set the build found, or
+    None for a table made outside `_table_from_elements`.
     `structure` holds the results of the `structure_memo` functions for this
     object.  Equality is the group's identity: the same order, generating
     set and generator rows, which determine the table (`inv`, `labels` and
     `structure` take no part).
     """
 
-    __slots__ = ("order", "mul", "inv", "labels", "structure", "law")
+    __slots__ = ("order", "mul", "inv", "labels", "structure", "law", "gens")
 
-    def __init__(self, order, mul, inv, labels=None, law=None):
+    def __init__(self, order, mul, inv, labels=None, law=None, gens=None):
         self.order = order
         if mul is not None:
             self.mul = mul
@@ -130,6 +133,7 @@ class GroupTable:
         self.labels = labels
         self.structure = {}
         self.law = law
+        self.gens = gens
 
     def __repr__(self):
         return f"GroupTable(order={self.order})"
@@ -142,14 +146,17 @@ class GroupTable:
         return self.mul[a][b]
 
     def power(self, a, k):
+        """a^k by squaring over `product`, which a `LawTable` reads off its
+        law: at most 2 log2(|k| + 1) products, none with the identity."""
         if k < 0:
             a, k = self.inv[a], -k
         result = 0
         while k:
             if k & 1:
-                result = self.mul[result][a]
-            a = self.mul[a][a]
+                result = self.product(result, a) if result else a
             k >>= 1
+            if k:
+                a = self.product(a, a)
         return result
 
     def conjugate(self, g, x):
@@ -182,10 +189,11 @@ class GroupTable:
         """A greedy generating set: each element, in index order, that the
         ones before it do not generate.  Each one at least doubles the
         subgroup generated, so there are at most log2(order) of them.  A
-        group that keeps its law recorded them when it was built."""
-        if self.law is not None:
-            return self.law.gens
-        return tuple(_closure_indices(self, range(self.order))[1])
+        group built by `_table_from_elements` found them while it was
+        built; only a table made otherwise is searched."""
+        if self.gens is None:
+            return tuple(_closure_indices(self, range(self.order))[1])
+        return self.gens
 
     def __eq__(self, other):
         if self is other:
@@ -482,13 +490,13 @@ def _table_from_elements(elements, combine, label=str, index=None):
     already built, row(a*s) = row(a) o row(s), which assumes only that
     `combine` is associative (`_compose_rows`).  The inverses follow the
     same steps, inv(a*s) = inv(s) * inv(a), once each generator's is read
-    off its row.  Rows are tuples, gathered by an `itemgetter` over the
-    generator's row.
+    off its row, and the group keeps the generators as its generating set.
+    Rows are tuples, gathered by an `itemgetter` over the generator's row.
 
     Above COMPACT_ROWS_ABOVE elements the group keeps its element law
-    instead (`elementlaw`) and composes its table on the first read of
-    `mul`.  `index`, each element's position, is built here unless the
-    caller has it.
+    instead (`elementlaw`), which finds the same generators, and composes
+    its table on the first read of `mul`.  `index`, each element's
+    position, is built here unless the caller has it.
     """
     if index is None:
         index = {e: i for i, e in enumerate(elements)}
@@ -504,8 +512,10 @@ def _table_from_elements(elements, combine, label=str, index=None):
 
     rows = [None] * n
     rows[0] = tuple(range(n))
-    inv = _inverses(n, rows, _compose_rows(rows, generator, _composer))
-    return GroupTable(n, tuple(rows), inv, labels)
+    steps = _compose_rows(rows, generator, _composer)
+    gens = tuple([c for c, a, _ in steps if a is None])
+    return GroupTable(n, tuple(rows), _inverses(n, rows, steps), labels,
+                      gens=gens)
 
 
 def _inverses(n, rows, steps):
@@ -591,17 +601,7 @@ def _dihedral(order):
     if order < 4 or order % 2:
         raise UnsupportedParameter("dihedral order must be even and >= 4")
     refuse_oversize(order)
-    m = order // 2
-    elements = [(i, s) for s in (0, 1) for i in range(m)]
-
-    def combine(a, b):
-        i, s = a
-        j, t = b
-        # (r^i s^s)(r^j s^t): s r^j = r^-j s
-        return ((i + (j if s == 0 else -j)) % m, s ^ t)
-
-    return _table_from_elements(elements, combine,
-                                lambda e: f"r{e[0]}" + ("s" if e[1] else ""))
+    return _cyclic_by_two(order, 0, "r", "s")
 
 
 def _quaternion(order):
@@ -609,18 +609,25 @@ def _quaternion(order):
     if order < 8 or order & (order - 1):
         raise UnsupportedParameter("quaternion order must be a power of 2, >= 8")
     refuse_oversize(order)
+    return _cyclic_by_two(order, order // 4, "a", "b")
+
+
+def _cyclic_by_two(order, square, a, b):
+    """<a, b> with a of order m = order/2, b a^i = a^-i b and b^2 =
+    a^square: the elements a^i, then a^i b, i = 0..m-1, labelled with the
+    letters `a` and `b`."""
     m = order // 2
     elements = [(i, s) for s in (0, 1) for i in range(m)]
 
     def combine(x, y):
         i, s = x
         j, t = y
-        j = j if s == 0 else (-j) % m
-        k = (i + j + (m // 2 if s and t else 0)) % m
-        return (k, s ^ t)
+        if s:  # b a^j = a^-j b, and b b = a^square
+            return ((i - j + square * t) % m, 1 - t)
+        return ((i + j) % m, t)
 
     return _table_from_elements(elements, combine,
-                                lambda e: f"a{e[0]}" + ("b" if e[1] else ""))
+                                lambda e: f"{a}{e[0]}" + (b if e[1] else ""))
 
 
 def _symmetric(n):
