@@ -9,7 +9,10 @@ have more digits than the order cap, 20480; `cayley <n>` above the cap is
 refused before any row is read.
 
 Only `cached_character_table` needs the table engine, so it imports
-`chartab` itself and reading a group file does not load it.
+`chartab` itself and reading a group file does not load it.  A cache file
+is named by `cache_key`, the group's order and identity hash; its text is
+`chartab.dump_table`'s, and every load is verified against the group, so
+a file another group wrote under the same name is a miss.
 """
 
 import os
@@ -118,22 +121,11 @@ def cached_character_table(G):
 
 
 def cache_key(G):
-    """The sha256 hex digest of repr((G.order, G.mul)) with every row a
-    tuple, fed to the hash row by row: the same name whether rows are
-    stored as tuples or arrays, without building the whole text."""
-    import hashlib
-
-    n = G.order
-    names = list(map(str, range(n)))
-    comma = "," if n == 1 else ""  # the repr of a 1-tuple: (1, ((0,),))
-    digest = hashlib.sha256(f"({n}, (".encode())
-    sep = ""
-    for row in G.mul:
-        digest.update(
-            f"{sep}({', '.join(map(names.__getitem__, row))}{comma})".encode())
-        sep = ", "
-    digest.update(f"{comma}))".encode())
-    return digest.hexdigest()
+    """The order and `hash(G)`, the group's identity, in 16 hex digits.
+    It reads only the generators' rows, never `mul`, and hashes only ints,
+    so `PYTHONHASHSEED` does not change it.  Two groups that share a name
+    cost each other a recomputation, since every load is verified."""
+    return f"{G.order}-{hash(G) % 2**64:016x}"
 
 
 def _write_atomic(path, text):

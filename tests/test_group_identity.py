@@ -3,7 +3,11 @@
 A subgroup or class function over a separately built but equal table is
 accepted everywhere; one over any other table raises MismatchedGroup.
 """
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +16,7 @@ from wordcount.chartab import ClassFunction
 from wordcount.counting import DomainSpec
 from wordcount.errors import MismatchedGroup
 
+ROOT = Path(__file__).resolve().parent.parent
 X = words.parse("x1")
 
 # every function that takes a subgroup of G, called on (G, H)
@@ -90,17 +95,56 @@ def test_different_tables_are_different_groups():
     assert S3 != S3.mul and S3 != "symmetric(3)"
 
 
-def test_cache_file_names_are_unchanged(tmp_path, monkeypatch):
-    # pinned: sha256 of repr((order, mul)), so existing caches stay valid
+# pinned: the order and hash(G) as 64 hex bits; hash(G) hashes only ints
+# and tuples, so the name is the same under every PYTHONHASHSEED
+CACHE_NAMES = {"cyclic(3)": "3-40089ed819ed54b9",
+               "quaternion(8)": "8-5b7efff1109a12b4"}
+
+
+def test_cache_file_names_are_the_order_and_identity_hash(tmp_path,
+                                                          monkeypatch):
     monkeypatch.setenv(fileio.CACHE_ENV, str(tmp_path))
-    names = {"cyclic(3)": "ab1715b61dfa33ae79732bcc4910785f"
-                          "a499c269f693e27127397a80e31591f5",
-             "quaternion(8)": "7f9f2d7b58292920f7a1c6693f5500ab"
-                              "88d649784af4d483c98c6ce7850366de"}
-    for spec in names:
+    for spec in CACHE_NAMES:
         fileio.cached_character_table(groups.parse_builtin_spec(spec))
     assert sorted(p.name for p in tmp_path.iterdir()) == \
-        sorted(f"{name}.chartab" for name in names.values())
+        sorted(f"{name}.chartab" for name in CACHE_NAMES.values())
+
+
+def test_one_cache_name_for_every_construction_of_a_group():
+    G = groups.builtin("symmetric", 3)
+    relabelled = groups.GroupTable(G.order, G.mul, G.inv,
+                                   tuple(f"s{a}" for a in range(G.order)))
+    names = {fileio.cache_key(H) for H in
+             (G, groups.from_cayley_table(G.mul), relabelled)}
+    assert names == {f"6-{hash(G) % 2**64:016x}"}
+    assert fileio.cache_key(groups.builtin("cyclic", 6)) not in names
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_cache_names_do_not_depend_on_the_hash_seed(seed):
+    code = ("from wordcount import fileio, groups\n"
+            f"for spec in {sorted(CACHE_NAMES)!r}:\n"
+            "    print(fileio.cache_key(groups.parse_builtin_spec(spec)))\n")
+    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.split() == [CACHE_NAMES[s] for s in sorted(CACHE_NAMES)]
+
+
+def test_groups_that_share_a_cache_name_each_get_their_table(tmp_path,
+                                                             monkeypatch):
+    # a name collision costs a recomputation, never a wrong table
+    monkeypatch.setenv(fileio.CACHE_ENV, str(tmp_path))
+    monkeypatch.setattr(fileio, "cache_key", lambda G: "shared")
+    S3, C6 = groups.builtin("symmetric", 3), groups.builtin("cyclic", 6)
+    for G in (S3, C6, S3):
+        table = chartab.character_table(G)
+        assert fileio.cached_character_table(G) == table
+        # the file holds the last table asked for
+        assert (tmp_path / "shared.chartab").read_text(encoding="utf-8") \
+            == table.text
+    assert [p.name for p in tmp_path.iterdir()] == ["shared.chartab"]
 
 
 def test_class_function_prefix_is_not_equal():

@@ -192,6 +192,13 @@ def test_every_module_imports(loaded):
     assert package_modules(loaded["import-each"].modules) == set(MODULES)
 
 
+@pytest.mark.parametrize("name", ["chartab", "group-file"])
+def test_cache_and_group_files_load_no_openssl(loaded, name):
+    # a cache file is named by hash(G), not a digest
+    assert loaded[name].status == 0, loaded[name].stderr
+    assert not loaded[name].modules & {"hashlib", "_hashlib"}
+
+
 def test_import_cli_loads_no_future(loaded):
     # no module carries an annotation, so none needs `__future__`
     assert loaded["import-cli"].status == 0
