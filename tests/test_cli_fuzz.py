@@ -10,8 +10,8 @@ entry swapped or replaced, a header number changed, or a byte that is not
 UTF-8.  Each command line runs through `cli.main` in process.  Whatever the
 input, the exit code is 0, 1 or 2, no exception escapes, and an error is
 one stderr line; the one exit 1 without it is `isoclinic`'s `not isoclinic`
-answer on stdout.  Groups have order at most 24 and `--budget` is at most
-10^4, so each command line is cheap.
+answer on stdout.  Groups have order at most 24, or are refused before they
+are built, and `--budget` is at most 10^4, so each command line is cheap.
 """
 import contextlib
 import io
@@ -20,6 +20,7 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -36,12 +37,22 @@ VALID_LEAF = st.sampled_from([
     "dihedral(18)", "quaternion(8)", "quaternion(16)", "symmetric(3)",
     "symmetric(4)", "agl1(4)", "agl1(5)", "heisenberg(2)",
     "extraspecial_plus(2)", "extraspecial_minus(2)",
-    "elementary_abelian(2,4)", "elementary_abelian(3,2)"])
-LEAF = mostly(VALID_LEAF, st.builds(
+    "elementary_abelian(2,4)", "elementary_abelian(3,2)",
+    "metacyclic(1,1,0,0)", "metacyclic(7,3,2,0)", "metacyclic(8,2,3,0)",
+    "metacyclic(6,2,5,3)", "metacyclic(4,4,3,2)"])
+# metacyclic parameters that break each condition in turn (m >= 1, n >= 1,
+# r < m, s < m, r^n = 1, s(r - 1) = 0 mod m), and an order over the cap
+REFUSED_METACYCLIC = [
+    "metacyclic(0,2,0,0)", "metacyclic(5,0,1,0)", "metacyclic(7,3,7,0)",
+    "metacyclic(7,3,2,9)", "metacyclic(7,2,2,0)", "metacyclic(8,2,3,1)",
+    "metacyclic(20000,2,19999,0)"]
+REFUSED = st.sampled_from(REFUSED_METACYCLIC)
+LEAF = mostly(VALID_LEAF, st.one_of(REFUSED, st.builds(
     "{}({})".format,
     st.sampled_from(["cyclic", "dihedral", "quaternion", "symmetric", "agl1",
-                     "heisenberg", "elementary_abelian", "nonesuch"]),
-    st.sampled_from(["0", "3", "5", "6", "2,2", "2,1,1", ""])))
+                     "heisenberg", "elementary_abelian", "metacyclic",
+                     "nonesuch"]),
+    st.sampled_from(["0", "3", "5", "6", "2,2", "2,1,1", "3,2,2,1", ""]))))
 PRODUCT = st.builds(
     "direct_product({},{})".format,
     st.sampled_from(["cyclic(1)", "cyclic(3)", "cyclic(4)",
@@ -201,6 +212,13 @@ def _run(argv, directory):
     finally:
         os.chdir(cwd)
     return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("spec", REFUSED_METACYCLIC)
+def test_refused_metacyclic_specs_are_one_line(spec, tmp_path):
+    code, out, err = _run(["info", "--group", f"builtin:{spec}"], tmp_path)
+    assert (code, out) == (1 if "20000" in spec else 2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)

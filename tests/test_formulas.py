@@ -143,10 +143,14 @@ def _c7_by_c9():
     return groups.from_permutation_generators(16, [a, b])
 
 
-def test_mixed_domain_counts_that_are_not_galois_stable():
+@pytest.mark.parametrize("build", [
+    _c7_by_c9,
+    lambda: groups.parse_builtin_spec("metacyclic(7,9,2,0)"),
+], ids=["permutations", "metacyclic"])
+def test_mixed_domain_counts_that_are_not_galois_stable(build):
     # on a real group, fiber counts that are not constant on rational
     # classes: the mixed formula takes its per-character cyclotomic sums
-    G = _c7_by_c9()
+    G = build()
     table = _table(G)
     assert (G.order, table.num_characters) == (63, 15)
     w1, x1 = words.parse("x2 x1 x2^2 x1^-4"), words.parse("x1")
@@ -172,6 +176,42 @@ def test_mixed_domain_counts_that_are_not_galois_stable():
         else:
             rational.append(value)
     assert (linear, rational, refused) == ({0, 63}, [21, 21], 4)
+
+
+def _multiplicities(spec, word):
+    """<zeta_brute, chi> for each character chi of the group, or None where
+    it is not rational."""
+    G = groups.parse_builtin_spec(spec)
+    table = _table(G)
+    zeta = counting.zeta_brute(G, words.parse(word), classes=table.classes)
+    values = []
+    for r in range(table.num_characters):
+        try:
+            values.append(chartab.inner_product(table, zeta, r))
+        except NonIntegral:
+            values.append(None)
+    return values
+
+
+@pytest.mark.parametrize("word", [
+    "[x2 x1 x2^2 x1^-4, x3]", "[x1^2 x2^3, x3]", "[[x1,x2] x1^2, x3]",
+    "[x1 x2 x1^-2, x3]"])
+@pytest.mark.parametrize("spec", [
+    "metacyclic(7,9,2,0)", "metacyclic(13,4,5,0)", "agl1(7)", "symmetric(4)"])
+def test_brute_counts_of_brackets_are_characters(spec, word):
+    # the paper's theorem, with no character-theoretic evaluator in the
+    # loop: each character occurs in the brute count a natural number of
+    # times
+    for value in _multiplicities(spec, word):
+        assert value is not None and value >= 0 and value.denominator == 1
+
+
+def test_brute_counts_of_other_words_need_not_be_characters():
+    # the controls: the check above can fail, irrationally or negatively
+    assert _multiplicities("metacyclic(7,9,2,0)",
+                           "x2 x1 x2^2 x1^-4").count(None) == 4
+    assert -4 in _multiplicities("symmetric(4)", "x2 x1 x2^2 x1^-4")
+    assert -1 in _multiplicities("quaternion(8)", "x1^2")
 
 
 def test_mixed_domain_preconditions():

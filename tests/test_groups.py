@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -46,6 +49,15 @@ def test_builtin_parameter_validation():
         groups.builtin("sporadic", 1)
     with pytest.raises(UnsupportedParameter):
         groups.builtin("agl1", 6)
+
+
+def test_readme_names_every_builtin_family():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("Groups come from `builtin:NAME(args)` specs",
+                           1)[1].split("A group also comes from", 1)[0]
+    named = re.findall(r"^- `([a-z0-9_]+)\(", section, re.M)
+    assert named == list(dict.fromkeys(named))
+    assert sorted(named) == sorted([*groups._FAMILIES, "direct_product"])
 
 
 def test_parse_builtin_spec():
