@@ -13,15 +13,10 @@ sparse class-sum matrices, so a group with at most one nonlinear character
 builds no class matrix.  A class of size |G'| is a whole coset of G', every
 nonlinear character vanishes on it, and its class matrix is 0 on the span,
 so it takes no split step.  Discrete-Fourier multiplicity counts lift each
-value to an exact cyclotomic integer.  The table is then verified exactly:
-the linear rows as |G:G'| distinct homomorphisms G -> mu_e, each value
-stored as the one term zeta_e^l and each row checked on G's products with
-its generators, so they are Irr(G/G') and orthogonal; and the row
-orthogonality relations of every pair with a nonlinear row, all the linear
-rows at once through sums over the cosets of G'.  They imply the column
-relations: the table is square, so X D X* = |G| I (D the diagonal of class
-sizes) gives X* X = |G| D^-1.  A failure of a computed table is a bug, not
-a data condition.
+value to an exact cyclotomic integer.  The table is then verified exactly
+(`_verify_table`): the linear rows as homomorphisms of G, and the
+nonlinear rows as central characters of G's class algebra, so the rows
+are Irr(G).  A failure of a computed table is a bug, not a data condition.
 
 Induced rows.  If G has an abelian subgroup A of index 2, each nonlinear
 character is Ind_A^G lambda of degree 2 (Clifford theory), one per pair
@@ -44,17 +39,13 @@ where pi_u maps the class of g to the class of g^u.  By Brauer's
 permutation lemma the orbits of Irr(G) under these maps are as many as
 the rational classes (which the code checks).  So one nonlinear character
 per orbit is lifted, and the rest of its orbit reads the same values
-through pi_u.  pi_u is a bijection that keeps class sizes, so
-<chi o pi_u, psi o pi_u> = <chi, psi>: once the rows are known to be
-distinct and closed under every pi_u, checking each nonlinear orbit
-representative against every row checks every pair with a nonlinear row.
+through pi_u; the check reads one row per orbit and its Galois conjugates.
 
 Rational character sums.  A table shares one value object per distinct
 value, and each value keeps its nonzero terms and reduced form, so both
-are computed once per distinct value.  Two rows of rational integers pair
-in the orthogonality check by an integer dot product; every other pair goes
-through the Hermitian sparse kernel in `cyclotomic`, which conjugates its
-second operand itself.  A sum that is rational on each character is
+are computed once per distinct value.  Character sums go through the
+Hermitian sparse kernel in `cyclotomic`, which conjugates its second
+operand itself.  A sum that is rational on each character is
 constant on Galois orbits, so it is summed over the orbits: `orbit_sums`
 holds, per nonlinear orbit, the integer rows of sum chi(g_j) and
 sum |chi(g_j)|^2 over the orbit, which the w_n recursion reads, and so do
@@ -409,12 +400,11 @@ def class_mult_coefficients(G, classes, i):
 
 
 # Most classes a table is computed for.  D1000 (k = 253) and D2000
-# (k = 503) have induced rows: computing and verifying take about 1 s and
-# 4-6 s CPU on a 2-vCPU Xeon host with Python 3.11, most of it the exact
-# check.  Dixon's split, which a group without an abelian subgroup of
-# index 2 takes, grows about as k^3 when few characters are linear.  The
-# refusal's estimate scales as k^3 the 35 s D2000 took by the split on the
-# slower host the benchmark was tuned on; at the bound it reads 37 s.
+# (k = 503) have induced rows and take about 0.2 s and 0.7 s CPU to compute
+# and verify (2-vCPU Xeon, Python 3.11).  Dixon's split, which a group
+# without an abelian subgroup of index 2 takes, grows about as k^3 when few
+# characters are linear; the refusal's estimate scales as k^3 the 35 s D2000
+# took by the split on a slower host, and at the bound reads 37 s.
 MAX_TABLE_CLASSES = 512
 
 
@@ -432,10 +422,10 @@ def character_table(G):
 
 @groups.structure_memo
 def _galois_maps(G):
-    """The power maps pi_u (class c -> the class of g_c^u) for units u
-    that generate (Z/e)^*, less repeats and the identity, so none when
-    every rational class is one class.  Each pi_u is a size-preserving
-    bijection of the classes, and pi_uv = pi_u o pi_v."""
+    """(u, pi_u) for units u that generate (Z/e)^*, pi_u the power map
+    (class c -> the class of g_c^u), less repeated and identity maps, so
+    none when every rational class is one class.  Each pi_u is a
+    size-preserving bijection of the classes, and pi_uv = pi_u o pi_v."""
     rational = groups.rational_classes(G)
     k = groups.conjugacy_classes(G).num_classes
     if len(rational) == k:
@@ -455,8 +445,8 @@ def _galois_maps(G):
             step = step * u % e
         reached = grown
         pi = tuple(powers[a * u % len(powers)] for powers, a in where)
-        if pi != tuple(range(k)) and pi not in maps:
-            maps.append(pi)
+        if pi != tuple(range(k)) and pi not in [p for _, p in maps]:
+            maps.append((u, pi))
     return tuple(maps)
 
 
@@ -476,7 +466,7 @@ def _orbits(maps, keys):
         while frontier:
             s = frontier.pop()
             perm = orbit[s][1]
-            for pi in maps:
+            for _, pi in maps:
                 t = index.get(tuple([keys[s][c] for c in pi]))
                 if t is None:
                     return None
@@ -814,27 +804,24 @@ def integer_class_sum(sizes, a, b):
 
 def _verify_table(G, table):
     """Degrees, Galois closure, the linear rows as homomorphisms of G and
-    row orthogonality, exactly.
+    each nonlinear row as a central character, exactly.
 
-    The rows of a character table are distinct and closed under the power
-    maps pi_u (sigma_u chi = chi o pi_u), and by Brauer's permutation lemma
-    their orbits number the rational classes, so a table whose rows are not
-    is refused.  `_verify_linear_rows` checks that the linear rows are
-    |G:G'| distinct homomorphisms G -> mu_e, read through G's multiplication,
-    so they are Irr(G/G') and orthogonal, and a table whose linear columns
-    are permuted against G's classes is refused.
-    <chi o pi_u, psi o pi_u> = <chi, psi> (pi_u is a size-preserving
-    bijection on classes), so pairing each nonlinear orbit representative
-    with every row covers every pair with a nonlinear row.  It pairs with
-    all the linear rows at once through coset sums: group the classes by
-    their column of linear exponents; if sum_{j in c} |C_j| chi(g_j) = 0 for
-    each group c, then <chi, lambda> = 0 for every linear lambda, which is
-    constant on c.  Two nonlinear rows of rational integers pair by an
-    integer dot product, any other pair through the sparse kernel."""
-    n = G.order
-    k = table.num_characters
-    e = table.exponent
-    sizes = table.classes.sizes
+    Character rows are distinct, closed under the power maps pi_u and in
+    as many orbits as rational classes (Brauer); `_verify_linear_rows`
+    makes the linear rows Irr(G/G').  For chi in Irr(G), omega(K_b) =
+    |C_b| chi(g_b) / chi(1) is a homomorphism of the class algebra,
+    omega(K_a) omega(K_b) = sum_c a_abc omega(K_c), and these k are a basis
+    of joint eigenvectors of the class matrices.  S is the classes of the
+    generators, grown in class order until the rows' joint eigenvalues
+    over S are distinct.  Each nonlinear orbit representative chi must
+    have sigma_u chi = chi o pi_u for the units `_galois_maps` keeps (its
+    orbit is then its Galois conjugates, which keep its rational
+    relations), the relations for every a in S and class b, and
+    <chi, chi> = 1.  Each row then spans the line of one true central
+    character, equal to it as omega(K_1) = 1, so chi = (chi(1) / psi(1)) psi
+    and the norm gives chi = psi: the rows are Irr(G), and orthogonal."""
+    n, k, e = G.order, table.num_characters, table.exponent
+    classes, sizes = table.classes, table.classes.sizes
     if sum(d * d for d in table.degrees) != n:
         raise InternalInconsistency("sum of squared degrees != |G|")
     for d in table.degrees:
@@ -844,87 +831,105 @@ def _verify_table(G, table):
     if orbit is None:
         raise InternalInconsistency(
             "character rows are not closed under the power maps")
-    is_rep = [r == s for s, (r, _) in enumerate(orbit)]
+    reps = [r for r, (s, _) in enumerate(orbit) if r == s]
     rational = len(groups.rational_classes(G))
-    if sum(is_rep) != rational:
+    if len(reps) != rational:
         raise InternalInconsistency(
-            f"{sum(is_rep)} Galois orbits of characters but {rational} "
+            f"{len(reps)} Galois orbits of characters but {rational} "
             "rational classes")
+    _verify_linear_rows(G, table)
+    reps = [r for r in reps if not table.linear_mask[r]]
+    if not reps:
+        return
 
-    linear, cosets = _verify_linear_rows(G, table)
-    nonlinear = [r for r in range(k) if not table.linear_mask[r]]
-    int_rows = {}
-    for r in nonlinear:
-        red = [v.reduced() for v in table.values[r]]
-        int_rows[r] = None if any(any(x[1:]) for x in red) else \
-            [x[0] for x in red]
+    def eigenvalues(a):  # per row chi(g_a) / chi(1), in lowest terms
+        out = []
+        for row, d in zip(table.values, table.degrees):
+            v = row[a].reduced()
+            g = 1 if d == 1 else math.gcd(d, *v)
+            out.append((d // g, v if g == 1 else tuple([x // g for x in v])))
+        return out
 
-    def holds(r, s, want):
-        a, b = int_rows[r], int_rows.get(s)
-        if a is not None and b is not None:
-            return integer_class_sum(sizes, a, b) == want
-        try:
-            return cyclotomic.rational_sum(e, zip(
-                sizes, table.sparse_rows[r], table.sparse_rows[s])) == want
-        except NonIntegral:
-            return False
+    S = list(dict.fromkeys([classes.class_of[s] for s in G.generating_set()]))
+    joint = [eigenvalues(a) for a in S]
+    grow = (c for c in range(1, k) if c not in S)
+    while len(set(zip(*joint))) < k:
+        c = next(grow, None)
+        if c is None:
+            raise InternalInconsistency("central characters of rows repeat")
+        S.append(c)
+        joint.append(eigenvalues(c))
+    mult = [class_mult_coefficients(G, classes, a) for a in S]
+    for r in reps:
+        d, values = table.degrees[r], table.values[r]
+        red = [v.reduced() for v in values]
+        if any(any(x[1:]) for x in red):
+            terms = table.sparse_rows[r]
+            f, w = e, [[(j, size * x) for j, x in t]
+                       for size, t in zip(sizes, terms)]
+            try:
+                norm = cyclotomic.rational_sum(e, zip(sizes, terms, terms))
+            except NonIntegral:
+                norm = None
+        else:  # rational integers: relate in ints
+            ints = [x[0] for x in red]
+            f, w = 1, list(map(mul, sizes, ints))
+            norm = integer_class_sum(sizes, ints, ints)
+        for u, pi in _galois_maps(G):  # a rational row is its own conjugate
+            if not ([ints[c] for c in pi] == ints if f == 1 else
+                    all(map(_is_conjugate, repeat(e), repeat(u), values,
+                            [values[c] for c in pi]))):
+                raise InternalInconsistency(
+                    f"sigma_{u} of character {r} is not its power map")
+        for a, row_a in zip(S, mult):
+            for b, pairs in enumerate(row_a):
+                if not _relation_holds(f, d, w, a, b, pairs):
+                    raise InternalInconsistency(
+                        f"character {r} fails the class algebra relation "
+                        f"at classes {a},{b}")
+        if norm != n:
+            raise InternalInconsistency(f"character {r} has norm other than 1")
 
-    def fail(r, s):
-        raise InternalInconsistency(
-            f"row orthogonality fails for characters {min(r, s)},{max(r, s)}")
 
-    # The callers guarantee a square table (k characters, k classes), so
-    # the row relations imply the column relations; see the module docstring.
-    for r in nonlinear:
-        if not is_rep[r]:
-            continue
-        if not _coset_sums_vanish(e, sizes, cosets, int_rows[r],
-                                  table.sparse_rows[r]):
-            # The columns are distinct characters of the group Lambda, and
-            # so linearly independent: some <chi, lambda> is not 0.
-            fail(r, next(s for s in linear if not holds(r, s, 0)))
-        for s in nonlinear:
-            if s < r and is_rep[s]:
-                continue  # <r, s> is the conjugate of <s, r>, checked
-            if not holds(r, s, n if r == s else 0):
-                fail(r, s)
+def _relation_holds(f, d, w, a, b, pairs):
+    """W_a W_b = d sum_c a_abc W_c, a central character relation times
+    chi(1)^2 (d = chi(1), W_c = |C_c| chi(g_c)): in ints for f = 1, else on
+    terms in Z[zeta_f], reduced mod Phi_f only if not 0 as they stand."""
+    if f == 1:
+        return w[a] * w[b] == d * sum([m * w[c] for c, m in pairs])
+    acc = [0] * f
+    for i, x in w[a]:
+        for j, y in w[b]:
+            acc[(i + j) % f] += x * y
+    for c, m in pairs:
+        for j, y in w[c]:
+            acc[j] -= d * m * y
+    return not any(acc) or cyclotomic.vanishes(f, acc)
 
 
-def _coset_sums_vanish(e, sizes, cosets, ints, terms):
-    """True iff sum_{j in c} |C_j| chi(g_j) = 0 for each group c of classes
-    (cosets[j] is class j's): in integers for a rational row (`ints`), else
-    from its kernel terms, one sum per group that chi meets."""
-    if ints is not None:
-        totals = dict.fromkeys(cosets, 0)
-        for c, size, v in zip(cosets, sizes, ints):
-            totals[c] += size * v
-        return not any(totals.values())
-    totals = {}
-    for c, size, t in zip(cosets, sizes, terms):
-        if t:
-            acc = totals.get(c)
-            if acc is None:
-                acc = totals[c] = [0] * e
-            for i, x in t:
-                acc[i] += size * x
-    return all(cyclotomic.vanishes(e, acc) for acc in totals.values())
+def _is_conjugate(e, u, v, w):
+    """True iff sigma_u (zeta_e^j -> zeta_e^(j u)) sends the value v to w."""
+    image = sorted([(j * u % e, x) for j, x in v.terms])
+    if image == list(w.terms):
+        return True
+    coeffs = [0] * e
+    for j, x in image:
+        coeffs[j] += x
+    return Cyclotomic(e, tuple(coeffs)) == w
 
 
 def _verify_linear_rows(G, table):
-    """The linear rows as Irr(G/G'), the homomorphisms G -> mu_e.  Returns
-    their exponent rows {r: l}, lambda_r(g_j) = zeta_e^l[j], and per class j
-    the index of its column (l[j] over the rows) among the distinct
-    columns, in order of first appearance: its coset of G'.
-
-    Each value must be the one term zeta_e^l, as `_compute_table` writes it
-    and the cache text keeps it (another form of a root of unity is
-    refused).  Each row must be a homomorphism G -> Z/e, l(x s) = l(x) +
-    l(s) for every element x and generator s.  Both sides read l at the
-    classes of x and x s, so each generator is checked once per distinct
-    pair of those classes, as read off `groups.right_multiple`.  Distinct
+    """The linear rows as Irr(G/G'), the homomorphisms G -> mu_e: each
+    value must be the one term zeta_e^l, as `_compute_table` writes it and
+    the cache text keeps it (another form of a root of unity is refused),
+    and each exponent row l a homomorphism G -> Z/e, l(x s) = l(x) + l(s)
+    for every element x and generator s.  Both sides read l at the classes
+    of x and x s, so each generator is checked once per distinct pair of
+    those classes, as read off `groups.right_multiple`.  Distinct
     homomorphisms to mu_e number at most |G:G'|, so |G:G'| distinct rows
-    are all of them: Irr(G/G'), which is orthogonal."""
+    are all of them."""
     e, class_of = table.exponent, table.classes.class_of
+    cycle = tuple(range(e)) * 2  # cycle[l:l + e] adds l mod e
     checks = []  # per generator s: its class, and the pairs' two gathers
     for s in G.generating_set():
         pairs = dict.fromkeys(zip(class_of, itemgetter(
@@ -942,19 +947,14 @@ def _verify_linear_rows(G, table):
         for c, before, after in checks:
             # l(x) + l(s) is the row shifted by l(s) mod e, at x's class
             l = row[c]
-            shifted = take(tuple(range(l, e)) + tuple(range(l)))
+            shifted = take(cycle[l:l + e])
             if after(row) != before(shifted):
                 raise InternalInconsistency(
                     f"linear character {r} is not a homomorphism")
-    exps = list(linear.values())
     index = G.order // groups.commutator_subgroup(G).order
-    if len(set(exps)) != len(exps) or len(exps) != index:
+    if len(set(linear.values())) != len(linear) or len(linear) != index:
         raise InternalInconsistency(
             "linear characters repeat or do not number |G : G'|")
-    column_of = {}
-    cosets = [column_of.setdefault(column, len(column_of))
-              for column in zip(*exps)]
-    return linear, cosets
 
 
 # ---------------------------------------------------------------------------

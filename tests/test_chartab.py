@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from test_group_reference import ref_first_refusal
 from wordcount import chartab, formulas, groups, verification, words
 from wordcount.chartab import ClassFunction, character_table
 from wordcount.cyclotomic import Cyclotomic
@@ -163,18 +164,19 @@ def test_verify_rejects_one_perturbed_entry(spec):
     for r, j, delta in cases:
         bad = _perturbed(table, r, j, delta)
         if bad.galois_orbits is None:
-            match = "^character rows are not closed under the power maps$"
+            message = "character rows are not closed under the power maps"
         elif table.linear_mask[r]:
-            # the linear rows are checked as roots of unity, not by pairs
-            match = f"^linear character {r} is not a root of unity at " \
-                f"class {j}$"
+            # the linear rows are checked as roots of unity
+            message = f"linear character {r} is not a root of unity at " \
+                f"class {j}"
         else:
-            match = "row orthogonality"
-        with pytest.raises(InternalInconsistency, match=match):
+            message = ref_first_refusal(bad)
+        with pytest.raises(InternalInconsistency) as info:
             chartab._verify_table(G, bad)
-        # For a square table the column relations follow from the row
-        # relations, so the column check can never fire first; check that
-        # it catches the same entry through the same kernel.
+        assert str(info.value) == message
+        # A table that passes is Irr(G), so both orthogonality relations
+        # hold and no column check can fire first; check that the column
+        # relation catches the same entry through the sparse kernel.
         rows = bad.sparse_rows
         got = cyclotomic.product_sum(
             e, [(1, rows[s][j], rows[s][j]) for s in range(k)])
@@ -237,8 +239,9 @@ def test_load_rejects_columns_swapped_off_the_power_maps():
 def test_verify_rejects_a_perturbation_shared_by_a_galois_orbit(spec):
     # Adding 1 at class j to an orbit representative, and at the class
     # carried to j to every other row of its orbit, keeps the rows closed
-    # under the power maps, so only the representatives are checked.  A
-    # linear orbit leaves the roots of unity instead.
+    # under the power maps, so only the representatives are checked: the
+    # moved rows are no longer its Galois conjugates, or it fails a
+    # relation.  A linear orbit leaves the roots of unity instead.
     from wordcount.errors import InternalInconsistency
     G = groups.parse_builtin_spec(spec)
     table = character_table(G)
@@ -257,60 +260,53 @@ def test_verify_rejects_a_perturbation_shared_by_a_galois_orbit(spec):
         G, table.classes, table.exponent,
         tuple(tuple(row) for row in values), table.degrees)
     assert chartab._orbits(maps, bad.sparse_rows) is not None
-    match = ("^linear character %d is not a root of unity" % r
-             if table.linear_mask[r] else "row orthogonality")
-    with pytest.raises(InternalInconsistency, match=match):
+    with pytest.raises(InternalInconsistency) as info:
         chartab._verify_table(G, bad)
+    if table.linear_mask[r]:
+        assert str(info.value).startswith(
+            f"linear character {r} is not a root of unity at class ")
+    else:
+        assert str(info.value) == ref_first_refusal(bad)
 
 
 def test_verify_checks_orbit_representatives_against_every_row(monkeypatch):
     # D200: 53 characters, 4 linear, and the 49 nonlinear ones in 7 Galois
-    # orbits.  The linear rows are checked as homomorphisms of G, and
-    # each orbit representative pairs with all 4 of them through one pass
-    # of coset sums, so 7 * 49 - 7 * 6 / 2 = 322 inner products instead of
-    # 53 * 54 / 2 = 1431; the one rational nonlinear row pairs with itself
-    # through the integer kernel, 1 of the 322
+    # orbits.  The linear rows are checked as homomorphisms of G.  Its
+    # generators lie in 2 classes, whose joint eigenvalues tell all 53 rows
+    # apart, so S is those 2 classes and 2 class-matrix rows are built.
+    # Each orbit representative is checked in 2 * 53 relations, 742 in
+    # all, of which 294 need a reduction mod Phi_100, and against its 2
+    # Galois maps: value by value for the 6 irrational ones, 6 * 106 = 636
+    # values, and in ints for the rational one, which also takes its norm
+    # in ints; the other 6 norms go through the sparse kernel.
     from wordcount import cyclotomic
     G = groups.builtin("dihedral", 200)
     table = character_table(G)
     calls = Counter()
 
-    def counted(name, fn):
-        return lambda *args: calls.update([name]) or fn(*args)
+    def counted(module, name):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args: calls.update([name]) or fn(*args))
 
-    monkeypatch.setattr(cyclotomic, "rational_sum",
-                        counted("cyclotomic", cyclotomic.rational_sum))
-    monkeypatch.setattr(chartab, "integer_class_sum",
-                        counted("integer", chartab.integer_class_sum))
-    monkeypatch.setattr(chartab, "_coset_sums_vanish",
-                        counted("cosets", chartab._coset_sums_vanish))
+    for name in ("class_mult_coefficients", "_is_conjugate",
+                 "_relation_holds", "integer_class_sum"):
+        counted(chartab, name)
+    counted(cyclotomic, "rational_sum")
+    counted(cyclotomic, "vanishes")
     chartab._verify_table(G, table)
-    assert calls == {"cyclotomic": 321, "integer": 1, "cosets": 7}
-
-
-def _first_failing_pair(table):
-    """The first pair with a nonlinear row whose inner product the sparse
-    kernel finds wrong, for a table whose rows are each their own Galois
-    orbit: each nonlinear r against every s, less the nonlinear s < r."""
-    from wordcount import cyclotomic
-    e, n, k = table.exponent, table.group.order, table.num_characters
-    rows = table.sparse_rows
-    nonlinear = [r for r in range(k) if not table.linear_mask[r]]
-    for r in nonlinear:
-        for s in range(k):
-            if s in nonlinear and s < r:
-                continue
-            products = zip(table.classes.sizes, rows[r], rows[s])
-            if cyclotomic.rational_sum(e, products) != (n if r == s else 0):
-                return min(r, s), max(r, s)
-    return None
+    assert len(chartab._galois_maps(G)) == 2
+    assert calls == {"class_mult_coefficients": 2, "_is_conjugate": 636,
+                     "_relation_holds": 742, "vanishes": 294,
+                     "rational_sum": 6, "integer_class_sum": 1}
 
 
 @pytest.mark.parametrize("spec", ["symmetric(4)", "quaternion(8)",
                                   "dihedral(8)", "extraspecial_plus(2)"])
 def test_verify_rejects_a_perturbed_rational_table(spec):
-    # Every row is rational, so every pair goes through the integer kernel;
-    # the failure names the same pair the sparse kernel would.  A linear
+    # Every row is rational, so every relation is checked in ints; the
+    # refusal is the one the reference check, over exact values and the
+    # dense class multiplication coefficients, names first.  A linear
     # entry moved by 1 is 0 or 2, which the linear check refuses.
     from wordcount.errors import InternalInconsistency
     G = groups.parse_builtin_spec(spec)
@@ -325,10 +321,107 @@ def test_verify_rejects_a_perturbed_rational_table(spec):
             assert str(info.value) == \
                 f"linear character {r} is not a root of unity at class {j}"
             continue
-        pair = _first_failing_pair(bad)
-        assert pair is not None
-        assert str(info.value) == \
-            "row orthogonality fails for characters %d,%d" % pair
+        assert str(info.value) == ref_first_refusal(bad)
+
+
+def test_no_column_swap_of_a_catalog_table_is_accepted():
+    # The swap census: in each catalog table, the values of two equal-size
+    # non-identity classes swapped in every row.  All 2,254 swaps that
+    # change the table are refused, among them the 9 between rotation
+    # classes of dihedral(14), (18), (20) and (24), which move nonlinear
+    # values only, where the linear rows agree.
+    from wordcount.errors import InternalInconsistency, NonIntegral
+    changed, accepted = 0, []
+    for spec, G in verification.catalog():
+        table = character_table(G)
+        sizes, k = table.classes.sizes, table.num_characters
+        for a in range(1, k):
+            for b in range(a + 1, k):
+                if sizes[a] != sizes[b]:
+                    continue
+                rows = []
+                for row in table.values:
+                    row = list(row)
+                    row[a], row[b] = row[b], row[a]
+                    rows.append(tuple(row))
+                if set(rows) == set(table.values):
+                    continue
+                changed += 1
+                try:
+                    chartab._checked_table(G, table.classes, table.exponent,
+                                           rows)
+                except (InternalInconsistency, NonIntegral):
+                    continue
+                accepted.append((spec, a, b))
+    assert (changed, accepted) == (2254, [])
+
+
+def test_verify_refuses_rows_scaled_off_norm_one():
+    # D8 x S3, whose classes are all rational: psi of degree 2 doubled and
+    # the degree-4 phi = theta_D8 x theta_S3, whose values are all even,
+    # halved.  Their central characters are psi's and phi's, so every
+    # relation and joint eigenvalue holds; the degrees swap, so the sum of
+    # their squares holds too.  Only <2 psi, 2 psi> = 4 and
+    # <phi / 2, phi / 2> = 1/4 give them away.
+    from wordcount.errors import InternalInconsistency
+    G = groups.parse_builtin_spec("direct_product(dihedral(8),symmetric(3))")
+    table = character_table(G)
+    e = table.exponent
+    assert chartab._galois_maps(G) == ()
+    ints = [[v.to_rational() for v in row] for row in table.values]
+    psi = table.degrees.index(2)
+    phi = table.degrees.index(4)
+    assert table.degrees.count(4) == 1 and all(x % 2 == 0 for x in ints[phi])
+    rows = list(table.values)
+    for r, scale in [(psi, Fraction(2)), (phi, Fraction(1, 2))]:
+        rows[r] = tuple(Cyclotomic.from_rational(e, int(x * scale))
+                        for x in ints[r])
+    with pytest.raises(InternalInconsistency,
+                       match=r"^character \d+ has norm other than 1$") as info:
+        chartab._checked_table(G, table.classes, e, rows)
+    rows.sort(key=lambda row: [v.reduced() for v in row])  # as checked
+    bad = chartab.CharacterTable(G, table.classes, e, tuple(rows),
+                                 tuple(row[0].to_rational() for row in rows))
+    assert ref_first_refusal(bad) == str(info.value)
+
+
+def test_verify_refuses_a_row_repeated_in_another_form():
+    # S4's second character of degree 3 replaced by the first, with its
+    # value at the identity written 3 + 1 + zeta^4 + zeta^8 (zeta of order
+    # 12): the rows are distinct as written, closed under the (no) power
+    # maps, of the right degrees, and each a character, but two of them
+    # have one central character.
+    from wordcount.errors import InternalInconsistency
+    G = groups.builtin("symmetric", 4)
+    table = character_table(G)
+    e = table.exponent
+    first, second = [r for r, d in enumerate(table.degrees) if d == 3]
+    one = table.values[first][0]
+    coeffs = list(one.coeffs)
+    for j in (0, e // 3, 2 * e // 3):
+        coeffs[j] += 1
+    rows = list(table.values)
+    rows[second] = (Cyclotomic(e, tuple(coeffs)),) + rows[first][1:]
+    assert rows[second] == rows[first]
+    assert rows[second][0].terms != rows[first][0].terms
+    with pytest.raises(InternalInconsistency,
+                       match="^central characters of rows repeat$"):
+        chartab._checked_table(G, table.classes, e, rows)
+
+
+@pytest.mark.parametrize("spec", ["extraspecial_minus(3)", "tower-32",
+                                  "symmetric(6)"])
+def test_generator_classes_need_not_tell_the_characters_apart(spec):
+    # On these groups two characters have the same central character on
+    # the classes of the generators, so the check reads further classes.
+    G = dict(verification.catalog()).get(spec) or \
+        groups.parse_builtin_spec(spec)
+    table = character_table(G)
+    gens = {table.classes.class_of[s] for s in G.generating_set()}
+    joint = {tuple(tuple(Fraction(x, d) for x in row[a].reduced())
+                   for a in sorted(gens))
+             for row, d in zip(table.values, table.degrees)}
+    assert len(joint) < table.num_characters
 
 
 @pytest.mark.parametrize("spec", ["cyclic(5)", "dihedral(20)", "agl1(8)",
@@ -409,17 +502,23 @@ def test_galois_orbits_must_number_the_rational_classes(monkeypatch):
 def test_at_most_one_nonlinear_character_needs_no_class_matrix(spec,
                                                                 monkeypatch):
     # k - |G:G'| <= 1: the linear characters and the one-dimensional
-    # kernel they leave give every central character
+    # kernel they leave give every central character, so Dixon's split
+    # builds no class matrix (the exact check after it reads a few)
     G = groups.parse_builtin_spec(spec)
     classes = groups.conjugacy_classes(G)
     expected = chartab.dump_table(chartab._compute_table(G, classes))
+    split = chartab._nonlinear_rows
 
     def refuse(G, classes, i):
         raise AssertionError("class matrices built")
 
-    monkeypatch.setattr(chartab, "class_mult_coefficients", refuse)
+    def guarded_split(*args):
+        with monkeypatch.context() as patch:
+            patch.setattr(chartab, "class_mult_coefficients", refuse)
+            return split(*args)
+
+    monkeypatch.setattr(chartab, "_nonlinear_rows", guarded_split)
     table = chartab._compute_table(G, classes)
-    chartab._verify_table(G, table)
     assert chartab.dump_table(table) == expected
     S4 = groups.builtin("symmetric", 4)
     with pytest.raises(AssertionError, match="class matrices built"):
@@ -842,8 +941,10 @@ def test_nonlinear_characters_vanish_on_classes_of_size_derived():
 
 def test_no_split_step_reads_a_class_of_size_derived(monkeypatch):
     # Every nonlinear character vanishes on such a class, so its class
-    # matrix is 0 on the nonlinear span: the split never reads it.
+    # matrix is 0 on the nonlinear span: the split never reads it (the
+    # exact check after it may).
     build = chartab.class_mult_coefficients
+    split = chartab._nonlinear_rows
     guarded = []
 
     def class_mult(G, classes, i):
@@ -853,9 +954,14 @@ def test_no_split_step_reads_a_class_of_size_derived(monkeypatch):
         guarded.append(len(vanishing))
         return build(G, classes, i)
 
+    def guarded_split(*args):
+        with monkeypatch.context() as patch:
+            patch.setattr(chartab, "class_mult_coefficients", class_mult)
+            return split(*args)
+
     expected = [chartab.dump_table(character_table(G))
                 for G in _engine_groups()]
-    monkeypatch.setattr(chartab, "class_mult_coefficients", class_mult)
+    monkeypatch.setattr(chartab, "_nonlinear_rows", guarded_split)
     for G, text in zip(_engine_groups(), expected):
         table = chartab._compute_table(G, groups.conjugacy_classes(G))
         assert chartab.dump_table(table) == text

@@ -598,7 +598,10 @@ def _swap_columns(text, a=1, b=2):
     """Cache text with the values of classes a and b swapped in every row.
     On C5, whose classes have size 1, the table stays orthogonal; classes
     1 and 2 leave it not closed under the power maps, and classes 1 and 4
-    keep it closed but leave a linear row that is no homomorphism."""
+    keep it closed but leave a linear row that is no homomorphism.  On
+    D20, classes 2 and 4 are rotation classes where every linear row
+    agrees: only nonlinear values move, and a relation of the class
+    algebra fails."""
     lines = text.splitlines()
     k = int(lines[0].rsplit("=", 1)[1])
     for i in range(1 + k, len(lines)):
@@ -614,12 +617,14 @@ def _swap_columns(text, a=1, b=2):
     ("symmetric(3)", lambda t: t.replace("2:0:0", "3:0:0", 1)),
     ("cyclic(5)", _swap_columns),
     ("cyclic(5)", lambda t: _swap_columns(t, 1, 4)),
+    ("dihedral(20)", lambda t: _swap_columns(t, 2, 4)),
     # int() reads each of these coefficients as the 2 it replaces
     *[("dihedral(8)", lambda t, digits=digits: t.replace(
         ",0:0:2:0,", f",0:0:{digits}:0,", 1))
       for digits in ("+2", "0_2", " 2", "\u0662")],
 ], ids=["truncated", "empty", "tampered", "swapped", "swapped-linear",
-        "sign", "underscore", "space", "non-ascii-digit"])
+        "swapped-nonlinear", "sign", "underscore", "space",
+        "non-ascii-digit"])
 def test_corrupt_cache_file_is_a_miss(tmp_path, monkeypatch, capsys, spec,
                                       corrupt):
     monkeypatch.setenv(fileio.CACHE_ENV, str(tmp_path))

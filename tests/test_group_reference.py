@@ -869,6 +869,68 @@ def ref_first_failing_pair(table):
 
 
 @functools.cache
+def _ref_class_mult_memo(G):
+    return ref_class_mult(G, groups.conjugacy_classes(G))
+
+
+def ref_first_refusal(table):
+    """The class-algebra check of the nonlinear rows, one value at a time
+    against the dense class multiplication coefficients: the message of
+    its first refusal, or None.  The table must pass the degree,
+    Galois-orbit and linear-row checks.  S is the classes of the
+    generators, then the other non-identity classes in order, as far as
+    needed to tell the rows' central characters apart on S."""
+    G, classes = table.group, table.classes
+    k, e, sizes = table.num_characters, table.exponent, classes.sizes
+
+    def value(r, c):  # a rational value as a Fraction, for speed
+        v, red = table.values[r][c], table.values[r][c].reduced()
+        return v if any(red[1:]) else Fraction(red[0])
+
+    def omega(r, c):
+        return value(r, c) * Fraction(sizes[c], table.degrees[r])
+
+    S = []
+    for s in G.generating_set():
+        if classes.class_of[s] not in S:
+            S.append(classes.class_of[s])
+    rest = [c for c in range(1, k) if c not in S]
+    while len({tuple(omega(r, a) for a in S) for r in range(k)}) < k:
+        if not rest:
+            return "central characters of rows repeat"
+        S.append(rest.pop(0))
+    a = _ref_class_mult_memo(G)
+    for r, (rep, _) in enumerate(table.galois_orbits):
+        if r != rep or table.linear_mask[r]:
+            continue
+        row = table.values[r]
+        for u, _ in chartab._galois_maps(G):
+            pi = [classes.class_of[G.power(g, u)] for g in classes.reps]
+            for c in range(k):
+                image = [0] * e
+                for j, x in enumerate(row[c].coeffs):
+                    image[j * u % e] += x
+                if Cyclotomic(e, tuple(image)) != row[pi[c]]:
+                    return f"sigma_{u} of character {r} is not its power map"
+        # omega(K_c) times chi(1), in ints for a rational row
+        d, values = table.degrees[r], [value(r, c) for c in range(k)]
+        if all(isinstance(v, Fraction) and v.denominator == 1
+               for v in values):
+            values = [int(v) for v in values]
+        w = [size * v for size, v in zip(sizes, values)]
+        for x in S:
+            for b in range(k):
+                total = sum(m * w[c] for c, m in enumerate(a[x][b]) if m)
+                if w[x] * w[b] != d * total:
+                    return (f"character {r} fails the class algebra "
+                            f"relation at classes {x},{b}")
+        norm = sum(size * v * v.conjugate() for v, size in zip(values, sizes))
+        if norm != G.order:
+            return f"character {r} has norm other than 1"
+    return None
+
+
+@functools.cache
 def _session_plan(seed):
     """The groups of the benchmark's catalog session for a seed."""
     # workloads.py imports oracle.py by name from its own directory, and
@@ -942,18 +1004,17 @@ def _shifted(table, r, moves):
         tuple(tuple(row) for row in values), table.degrees)
 
 
-@pytest.mark.parametrize("spec, later", [
-    ("symmetric(4)", False), ("dihedral(12)", False), ("quaternion(8)", True),
-    ("extraspecial_plus(2)", True),
-    ("direct_product(symmetric(3),symmetric(3))", True),
-    ("direct_product(quaternion(8),elementary_abelian(2,2))", True)])
-def test_coset_sums_name_the_pair_the_per_row_check_names(spec, later):
+@pytest.mark.parametrize("spec", [
+    "symmetric(4)", "dihedral(12)", "quaternion(8)", "extraspecial_plus(2)",
+    "direct_product(symmetric(3),symmetric(3))",
+    "direct_product(quaternion(8),elementary_abelian(2,2))"])
+def test_class_algebra_check_names_the_refusal_the_reference_names(spec):
     # Every class is rational, so a table moved at a few values stays
-    # closed under the (no) power maps and reaches the row pairs.  Each
-    # nonlinear row is moved by +-1 at one class, which breaks its pair with
-    # the first linear row, and by +1 and -1 at two classes of one size,
-    # which breaks a pair with the first linear row that differs on them.
-    # `later`: some move names a linear row after the first.
+    # closed under the (no) power maps and reaches the nonlinear rows.
+    # Each nonlinear row is moved by +-1 at one class, and by +1 and -1 at
+    # two classes of one size.  The refusal is the one the reference
+    # names, and the relations refused sit at more than one pair of
+    # classes.
     from wordcount.errors import InternalInconsistency
     G = groups.parse_builtin_spec(spec)
     table = chartab.character_table(G)
@@ -962,18 +1023,19 @@ def test_coset_sums_name_the_pair_the_per_row_check_names(spec, later):
     moves = [[(j, delta)] for j in range(k) for delta in (1, -1)]
     moves += [[(a, 1), (b, -1)] for a in range(k) for b in range(a + 1, k)
               if sizes[a] == sizes[b]]
-    linear = {r for r in range(k) if table.linear_mask[r]}
     named = set()
-    for r in set(range(k)) - linear:
+    for r in range(k):
+        if table.linear_mask[r]:
+            continue
         for move in moves:
             bad = _shifted(table, r, move)
             with pytest.raises(InternalInconsistency) as info:
                 chartab._verify_table(G, bad)
-            pair = ref_first_failing_pair(bad)
-            assert str(info.value) == \
-                "row orthogonality fails for characters %d,%d" % pair
-            named.add(pair[0])
-    assert (len(named & linear) > 1) == later
+            message = str(info.value)
+            assert message == ref_first_refusal(bad)
+            if "relation" in message:
+                named.add(message.rsplit(" ", 1)[1])
+    assert len(named) > 1
 
 
 @pytest.mark.parametrize("spec", [spec for spec, _ in verification.catalog()]
