@@ -31,8 +31,8 @@ elements, so a group whose classes of size at most 2 hold fewer than
 sizes alone.  The check below is the same for both paths.
 
 Computed and cached rows alike become a table through `_checked_table`,
-the one constructor: it sorts the rows, reads the degrees off the identity
-class and runs that check, so a cache file loads equal to the computed table.
+the one constructor: it sorts the rows and runs that check, so a cache file
+loads equal to the computed table.  A table keeps only its group and rows.
 
 Galois orbits.  For u prime to the exponent, sigma_u chi = chi o pi_u,
 where pi_u maps the class of g to the class of g^u.  By Brauer's
@@ -91,31 +91,28 @@ class GaloisOrbit(namedtuple("GaloisOrbit", "size traces norms")):
 
 
 class CharacterTable:
-    """Values are character x class; equal tables agree in every field.
+    """Values are character x class; equal tables have equal groups and
+    values, which fix the classes, exponent and degrees (chi(1) as read).
 
     No `__slots__`: the `cached_property` rows live in the instance dict.
     """
 
-    def __init__(self, group, classes, exponent, values, degrees):
+    def __init__(self, group, values):
         self.group = group
-        self.classes = classes
-        self.exponent = exponent
         self.values = values  # k x k of Cyclotomic
-        self.degrees = degrees
-        self.linear_mask = tuple(d == 1 for d in degrees)
+        self.classes = groups.conjugacy_classes(group)
+        self.exponent = group.exponent()
+        self.degrees = tuple([row[0].reduced()[0] for row in values])
+        self.linear_mask = tuple(d == 1 for d in self.degrees)
         self.last_stable_input = None  # (values, galois_stable), see _stable
-
-    def _fields(self):
-        return (self.group, self.classes, self.exponent, self.values,
-                self.degrees)
 
     def __eq__(self, other):
         if not isinstance(other, CharacterTable):
             return NotImplemented
-        return self._fields() == other._fields()
+        return self.group == other.group and self.values == other.values
 
     def __hash__(self):
-        return hash(self._fields())
+        return hash((self.group, self.values))
 
     @property
     def num_characters(self):
@@ -547,7 +544,7 @@ def _compute_table(G, classes):
         half = _abelian_half(G, classes, e, linear)
         rows += (_nonlinear_rows(G, classes, e, linear) if half is None
                  else _induced_rows(G, classes, e, linear, *half))
-    return _checked_table(G, classes, e, rows)
+    return _checked_table(G, rows)
 
 
 def _abelian_half(G, classes, e, linear):
@@ -618,16 +615,12 @@ def _induced_rows(G, classes, e, linear, members, gens):
     return [tuple([interned[pair] for pair in pairs]) for pairs in induced]
 
 
-def _checked_table(G, classes, e, rows):
-    """The verified CharacterTable of the value rows, sorted by their reduced
-    values (the identity's is (chi(1), 0, ...), so by degree first), with
-    the degrees read off the identity class."""
-    rows = tuple(sorted(rows, key=lambda row: [v.reduced() for v in row]))
-    ones = [row[0].reduced() for row in rows]
-    if any(any(one[1:]) for one in ones):
-        raise InternalInconsistency("a character is irrational at 1")
-    table = CharacterTable(G, classes, e, rows, tuple(o[0] for o in ones))
-    _verify_table(G, table)
+def _checked_table(G, rows):
+    """The verified CharacterTable of G with the value rows, sorted by their
+    reduced values (the identity's is (chi(1), 0, ...), so by degree first)."""
+    table = CharacterTable(G, tuple(sorted(
+        rows, key=lambda row: [v.reduced() for v in row])))
+    _verify_table(table)
     return table
 
 
@@ -802,9 +795,9 @@ def integer_class_sum(sizes, a, b):
     return sum(map(mul, sizes, map(mul, a, b)))
 
 
-def _verify_table(G, table):
-    """Degrees, Galois closure, the linear rows as homomorphisms of G and
-    each nonlinear row as a central character, exactly.
+def _verify_table(table):
+    """Rational degrees, Galois closure, the linear rows as homomorphisms of
+    G = table.group and each nonlinear row as a central character, exactly.
 
     Character rows are distinct, closed under the power maps pi_u and in
     as many orbits as rational classes (Brauer); `_verify_linear_rows`
@@ -820,8 +813,11 @@ def _verify_table(G, table):
     <chi, chi> = 1.  Each row then spans the line of one true central
     character, equal to it as omega(K_1) = 1, so chi = (chi(1) / psi(1)) psi
     and the norm gives chi = psi: the rows are Irr(G), and orthogonal."""
+    G = table.group
     n, k, e = G.order, table.num_characters, table.exponent
     classes, sizes = table.classes, table.classes.sizes
+    if any(any(row[0].reduced()[1:]) for row in table.values):
+        raise InternalInconsistency("a character is irrational at 1")
     if sum(d * d for d in table.degrees) != n:
         raise InternalInconsistency("sum of squared degrees != |G|")
     for d in table.degrees:
@@ -837,7 +833,7 @@ def _verify_table(G, table):
         raise InternalInconsistency(
             f"{len(reps)} Galois orbits of characters but {rational} "
             "rational classes")
-    _verify_linear_rows(G, table)
+    _verify_linear_rows(table)
     reps = [r for r in reps if not table.linear_mask[r]]
     if not reps:
         return
@@ -918,7 +914,7 @@ def _is_conjugate(e, u, v, w):
     return Cyclotomic(e, tuple(coeffs)) == w
 
 
-def _verify_linear_rows(G, table):
+def _verify_linear_rows(table):
     """The linear rows as Irr(G/G'), the homomorphisms G -> mu_e: each
     value must be the one term zeta_e^l, as `_compute_table` writes it and
     the cache text keeps it (another form of a root of unity is refused),
@@ -928,7 +924,7 @@ def _verify_linear_rows(G, table):
     those classes, as read off `groups.right_multiple`.  Distinct
     homomorphisms to mu_e number at most |G:G'|, so |G:G'| distinct rows
     are all of them."""
-    e, class_of = table.exponent, table.classes.class_of
+    G, e, class_of = table.group, table.exponent, table.classes.class_of
     cycle = tuple(range(e)) * 2  # cycle[l:l + e] adds l mod e
     checks = []  # per generator s: its class, and the pairs' two gathers
     for s in G.generating_set():
@@ -1105,4 +1101,4 @@ def load_table(G, text):
                                lambda message: ParseError(message, lineno))
             parsed[chunk] = Cyclotomic(e, tuple(coeffs))
         values.append(tuple([parsed[chunk] for chunk in chunks]))
-    return _checked_table(G, classes, e, values)
+    return _checked_table(G, values)

@@ -252,17 +252,18 @@ def _count_assignments(G, word, member_lists, counts):
 
 
 def zeta_brute(G, word, budget=DEFAULT_BUDGET, classes=None):
-    """Exact fiber counts over whole-group domains, asserted constant on
-    conjugacy classes and returned as a ClassFunction."""
+    """Exact fiber counts over whole-group domains, asserted constant on G's
+    conjugacy classes (`classes`, if given) and returned as a ClassFunction."""
+    if classes is not None and classes != groups.conjugacy_classes(G):
+        raise MismatchedGroup("classes belong to a different group")
     counts = zeta_element_counts(G, word, budget=budget)
-    if classes is None:
-        classes = groups.conjugacy_classes(G)
+    classes = groups.conjugacy_classes(G)
     values = tuple(counts[rep] for rep in classes.reps)
     for g in range(G.order):
         if counts[g] != values[classes.class_of[g]]:
             raise InternalInconsistency(
                 "fiber counts are not constant on conjugacy classes")
-    return ClassFunction(G, classes, values)
+    return ClassFunction(G, values)
 
 
 def is_measure_preserving(G, word, budget=DEFAULT_BUDGET):

@@ -70,7 +70,7 @@ def zeta_w2_frobenius(G, table):
     return zeta_wn_char(G, table, 2)
 
 
-def _as_integer_class_function(G, table, numerators, den, n):
+def _as_integer_class_function(G, numerators, den, n):
     """The class function numerators / den, checked to be natural numbers
     of total mass |G|^n."""
     ints = []
@@ -80,7 +80,7 @@ def _as_integer_class_function(G, table, numerators, den, n):
             raise InternalInconsistency(
                 f"fiber count {Fraction(num, den)} is not a natural number")
         ints.append(q)
-    cf = ClassFunction(G, table.classes, tuple(ints))
+    cf = ClassFunction(G, tuple(ints))
     if cf.total_mass() != G.order ** n:
         raise InternalInconsistency("character-path counts fail total mass")
     return cf
@@ -150,7 +150,7 @@ def zeta_wn_char(G, table, n):
         k = len(chain) + 2
         numerators, den = _orbit_combination(table, G.order ** (k - 1), [
             _orbit_coefficient(G, table, r, k) for r in table.orbit_sums])
-        chain.append(_as_integer_class_function(G, table, numerators, den, k))
+        chain.append(_as_integer_class_function(G, numerators, den, k))
     return chain[n - 2]
 
 
@@ -205,6 +205,7 @@ def zeta_mixed_theorem21(G, H, w1, w2, table=None):
             f"word {w2} is not measure preserving on this group")
     if table is None:
         table = chartab.character_table(G)
+    _require_table_of(G, table)
 
     m = w1.arity + w2.arity
     zeta1 = counting.zeta_element_counts(
@@ -292,6 +293,7 @@ def classify(G, table=None):
     if table is None:
         from . import chartab
         table = chartab.character_table(G)
+    _require_table_of(G, table)
     z = groups.center(G)
     derived = groups.commutator_subgroup(G)
     is_camina = _is_camina_group(G)
@@ -344,9 +346,8 @@ def _regions(inv, n, inner_order, family, vals):
 def _assemble(G, inner, regions, n):
     """The ClassFunction taking each region's value on its classes."""
     derived = groups.commutator_subgroup(G)
-    classes = groups.conjugacy_classes(G)
     vals = []
-    for g in classes.reps:
+    for g in groups.conjugacy_classes(G).reps:
         if g == 0:
             vals.append(regions["identity"])
         elif g in inner:
@@ -355,7 +356,7 @@ def _assemble(G, inner, regions, n):
             vals.append(regions["derived_rest"])
         else:
             vals.append(0)
-    cf = ClassFunction(G, classes, tuple(vals))
+    cf = ClassFunction(G, tuple(vals))
     if cf.total_mass() != G.order ** n:
         raise InternalInconsistency("region class function fails total mass")
     return cf

@@ -274,13 +274,13 @@ class RationalClass(namedtuple("RationalClass", "first powers generators")):
 
 
 class ClassFunction:
-    """Exact rational values, one per conjugacy class."""
+    """Exact rational values, one per conjugacy class of the group."""
 
     __slots__ = ("group", "classes", "values")
 
-    def __init__(self, group, classes, values):
+    def __init__(self, group, values):
         self.group = group
-        self.classes = classes
+        self.classes = conjugacy_classes(group)
         self.values = values  # Fractions or ints
 
     def __repr__(self):

@@ -61,7 +61,7 @@ def test_zeta_paths_that_disagree_exit_1_with_one_line(monkeypatch, capsys):
 
     def off_by_one(G, table, n):
         zeta = exact(G, table, n)
-        return groups.ClassFunction(zeta.group, zeta.classes,
+        return groups.ClassFunction(zeta.group,
                                     tuple(v + 1 for v in zeta.values))
 
     monkeypatch.setattr(formulas, "zeta_wn_char", off_by_one)

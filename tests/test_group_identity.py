@@ -1,7 +1,8 @@
 """One rule for "same group": equal order and multiplication table.
 
-A subgroup or class function over a separately built but equal table is
-accepted everywhere; one over any other table raises MismatchedGroup.
+A subgroup, class function, character table or set of classes over a
+separately built but equal table is accepted everywhere; one over any
+other table raises MismatchedGroup.
 """
 import os
 import subprocess
@@ -149,14 +150,12 @@ def test_groups_that_share_a_cache_name_each_get_their_table(tmp_path,
 
 def test_class_function_prefix_is_not_equal():
     S3 = groups.builtin("symmetric", 3)
-    classes = groups.conjugacy_classes(S3)
-    full = ClassFunction(S3, classes, (18, 9, 0))
-    assert full != ClassFunction(S3, classes, (18, 9))
-    as_fractions = ClassFunction(S3, classes, tuple(map(Fraction, (18, 9, 0))))
+    full = ClassFunction(S3, (18, 9, 0))
+    assert full != ClassFunction(S3, (18, 9))
+    as_fractions = ClassFunction(S3, tuple(map(Fraction, (18, 9, 0))))
     assert full == as_fractions and hash(full) == hash(as_fractions)
     again = groups.builtin("symmetric", 3)
-    assert full == ClassFunction(again, groups.conjugacy_classes(again),
-                                 (18, 9, 0))
+    assert full == ClassFunction(again, (18, 9, 0))
 
 
 def test_character_table_of_another_group_is_refused():
@@ -176,6 +175,84 @@ def test_character_table_of_another_group_is_refused():
             formulas.c_wn(C6, table, 2, n)
     assert formulas.zeta_wn_char(C6, chartab.character_table(C6), 3).values \
         == (216, 0, 0, 0, 0, 0)
+
+
+def _table(K):
+    return chartab.character_table(K)
+
+
+def _order_three(K):
+    """The subgroup of K that its first element of order 3 generates."""
+    return groups.subgroup_closure(K, [next(
+        g for g in range(K.order) if K.element_order(g) == 3)])
+
+
+# every public entry point that takes G with an object derived from a
+# group, called on (G, K) with the object derived from K: a table, classes,
+# a class function or a subgroup
+TAKES_DERIVED = {
+    "table-zeta_wn_char": lambda G, K: formulas.zeta_wn_char(G, _table(K), 3),
+    "table-c_wn": lambda G, K: formulas.c_wn(G, _table(K), 0, 3),
+    "table-zeta_w2_frobenius": lambda G, K: formulas.zeta_w2_frobenius(
+        G, _table(K)),
+    "table-classify": lambda G, K: formulas.classify(G, _table(K)),
+    "table-zeta_mixed_theorem21": lambda G, K: formulas.zeta_mixed_theorem21(
+        G, groups.commutator_subgroup(G), X, X, _table(K)),
+    "classes-zeta_brute": lambda G, K: counting.zeta_brute(
+        G, words.wn(2), classes=groups.conjugacy_classes(K)),
+    "class-function-inner_product": lambda G, K: chartab.inner_product(
+        _table(G), counting.zeta_brute(K, words.wn(2)), 0),
+    **{f"subgroup-{name}": lambda G, K, call=TAKES_SUBGROUP[name]: call(
+        G, _order_three(K)) for name in (
+            "inner_product_on", "DomainSpec", "is_camina_pair", "quotient")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAKES_DERIVED))
+def test_object_of_another_group_is_refused(name):
+    # README's contract: an object derived from an equal group is accepted,
+    # and one derived from another group of the same order is refused
+    call = TAKES_DERIVED[name]
+    S3, S3_again = groups.builtin("symmetric", 3), \
+        groups.builtin("symmetric", 3)
+    assert call(S3, S3_again) == call(S3, S3)
+    with pytest.raises(MismatchedGroup):
+        call(S3, groups.builtin("cyclic", 6))
+
+
+def test_classify_refuses_another_groups_table():
+    # C6's table would report S3's degrees as {1}
+    S3, C6 = groups.builtin("symmetric", 3), groups.builtin("cyclic", 6)
+    assert formulas.classify(S3, chartab.character_table(S3)).cd == {1, 2}
+    with pytest.raises(MismatchedGroup,
+                       match="character table belongs to a different group"):
+        formulas.classify(S3, chartab.character_table(C6))
+
+
+def test_mixed_formula_refuses_another_groups_table():
+    # C6's table would count [x1, x1] over (S3, A3) as [18, 0, 0, 0, 0, 0]
+    S3, C6 = groups.builtin("symmetric", 3), groups.builtin("cyclic", 6)
+    A3 = groups.commutator_subgroup(S3)
+    assert formulas.zeta_mixed_theorem21(
+        S3, A3, X, X, chartab.character_table(S3)) == [12, 0, 0, 3, 3, 0]
+    with pytest.raises(MismatchedGroup,
+                       match="character table belongs to a different group"):
+        formulas.zeta_mixed_theorem21(S3, A3, X, X,
+                                      chartab.character_table(C6))
+
+
+@pytest.mark.parametrize("other", ["cyclic(6)", "dihedral(8)"])
+def test_brute_counts_refuse_another_groups_classes(other):
+    # C6's classes would read a six-class count of S3, and D8's would be
+    # reported as a fault of the counts
+    S3 = groups.builtin("symmetric", 3)
+    classes = groups.conjugacy_classes(groups.parse_builtin_spec(other))
+    with pytest.raises(MismatchedGroup,
+                       match="classes belong to a different group"):
+        counting.zeta_brute(S3, words.wn(2), classes=classes)
+    assert counting.zeta_brute(
+        S3, words.wn(2), classes=groups.conjugacy_classes(S3)).values == \
+        (18, 9, 0)
 
 
 def test_character_table_of_an_equal_group_is_accepted():

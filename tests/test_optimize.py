@@ -22,7 +22,7 @@ exact = formulas.zeta_wn_char
 
 def off_by_one(G, table, n):
     zeta = exact(G, table, n)
-    return groups.ClassFunction(zeta.group, zeta.classes,
+    return groups.ClassFunction(zeta.group,
                                 tuple(v + 1 for v in zeta.values))
 
 formulas.zeta_wn_char = off_by_one

@@ -92,14 +92,11 @@ def test_subgroup():
 
 
 def test_class_function():
-    classes = groups.conjugacy_classes(S3)
-    f = groups.ClassFunction(S3, classes, (1, 0, -1))
-    same = groups.ClassFunction(group=S3_AGAIN,
-                                classes=groups.conjugacy_classes(S3_AGAIN),
-                                values=(1, 0, -1))
+    f = groups.ClassFunction(S3, (1, 0, -1))
+    same = groups.ClassFunction(group=S3_AGAIN, values=(1, 0, -1))
     assert f == same and hash(f) == hash(same)
-    assert f != groups.ClassFunction(S3, classes, (1, 0, 1))
-    assert f != groups.ClassFunction(C6, classes, (1, 0, -1))
+    assert f != groups.ClassFunction(S3, (1, 0, 1))
+    assert f != groups.ClassFunction(C6, (1, 0, -1))
     with pytest.raises(AttributeError):
         f.extra = 1
 
@@ -121,9 +118,7 @@ def test_character_table():
     again = chartab.character_table(S3_AGAIN)
     assert table is not again
     assert table == again and hash(table) == hash(again)
-    fields = dict(group=table.group, classes=table.classes,
-                  exponent=table.exponent, values=table.values,
-                  degrees=table.degrees)
+    fields = dict(group=table.group, values=table.values)
     assert chartab.CharacterTable(**fields) == table
     swapped = dict(fields, values=table.values[::-1])
     assert chartab.CharacterTable(*swapped.values()) != table

@@ -186,7 +186,7 @@ def test_sweep_fails_exactly_where_a_wrong_closed_form_joins(monkeypatch):
 
     def off_by_one(G, n):
         zeta = right(G, n)
-        return groups.ClassFunction(zeta.group, zeta.classes,
+        return groups.ClassFunction(zeta.group,
                                     tuple(v + 1 for v in zeta.values))
 
     monkeypatch.setattr(formulas, "closed_form_zeta", off_by_one)
@@ -302,10 +302,10 @@ def test_a_table_that_fails_its_check_fails_every_char_line(monkeypatch,
     Q8 = _fresh_catalog(monkeypatch)["quaternion(8)"]
     verify_table = chartab._verify_table
 
-    def broken(G, table):
-        if G is Q8:
+    def broken(table):
+        if table.group is Q8:
             raise InternalInconsistency("rows are not orthogonal")
-        verify_table(G, table)
+        verify_table(table)
 
     monkeypatch.setattr(chartab, "_verify_table", broken)
     assert main(["verify", "--suite", "all"]) == 1
