@@ -39,23 +39,24 @@ where pi_u maps the class of g to the class of g^u.  By Brauer's
 permutation lemma the orbits of Irr(G) under these maps are as many as
 the rational classes (which the code checks).  So one nonlinear character
 per orbit is lifted, and the rest of its orbit reads the same values
-through pi_u; the check reads one row per orbit and its Galois conjugates.
+through pi_u; the check compares one row per orbit with its Galois
+conjugates term by term, as `galois_orbits` compares rows.
 
 Rational character sums.  A table shares one value object per distinct
 value, and each value keeps its nonzero terms and reduced form, so both
 are computed once per distinct value.  Character sums go through the
 Hermitian sparse kernel in `cyclotomic`, which conjugates its second
-operand itself.  A sum that is rational on each character is
-constant on Galois orbits, so it is summed over the orbits: `orbit_sums`
-holds, per nonlinear orbit, the integer rows of sum chi(g_j) and
-sum |chi(g_j)|^2 over the orbit, which the w_n recursion reads, and so do
-`inner_product` and the mixed-domain formula for Galois-stable input
-(rational and constant on rational classes); other input to those two goes
-through the kernel.  The linear characters Lambda = Irr(G/G') are one
-group and sum in closed form: sum_lambda |lambda(g)|^2 = |Lambda| and
-sum_lambda lambda(g) = |Lambda| [g in G'] (`linear_sum`), so a sum whose
-terms are |G|^(k-1) on every linear character contributes |G|^k / |G'| on
-G' and 0 off it.
+operand itself.  A sum that is rational on each character is constant on
+Galois orbits, so it is summed over the orbits: `orbit_sums` holds, per
+nonlinear orbit, the integer rows of sum chi(g_j) and sum |chi(g_j)|^2
+over the orbit, which the w_n recursion reads, and so do `inner_product`,
+which pairs a ClassFunction of G with a character, and the mixed-domain
+formula, for Galois-stable input (rational and constant on rational
+classes); other input to those two goes through the kernel.  The linear
+characters Lambda = Irr(G/G') are one group and sum in closed form:
+sum_lambda |lambda(g)|^2 = |Lambda| and sum_lambda lambda(g) =
+|Lambda| [g in G'] (`linear_sum`), so a sum whose terms are |G|^(k-1) on
+every linear character contributes |G|^k / |G'| on G' and 0 off it.
 """
 
 import math
@@ -904,14 +905,9 @@ def _relation_holds(f, d, w, a, b, pairs):
 
 
 def _is_conjugate(e, u, v, w):
-    """True iff sigma_u (zeta_e^j -> zeta_e^(j u)) sends the value v to w."""
-    image = sorted([(j * u % e, x) for j, x in v.terms])
-    if image == list(w.terms):
-        return True
-    coeffs = [0] * e
-    for j, x in image:
-        coeffs[j] += x
-    return Cyclotomic(e, tuple(coeffs)) == w
+    """True iff sigma_u (zeta_e^j -> zeta_e^(j u)) sends the stored terms of
+    the value v to those of w, as `galois_orbits` compares rows."""
+    return sorted([(j * u % e, x) for j, x in v.terms]) == list(w.terms)
 
 
 def _verify_linear_rows(table):
@@ -958,17 +954,14 @@ def _verify_linear_rows(table):
 
 
 def _class_values(table, phi):
-    """The values of a ClassFunction or per-class value sequence."""
-    if isinstance(phi, ClassFunction):
-        if phi.group != table.group:
-            raise MismatchedGroup("class function belongs to a different group")
-        return phi.values
-    return tuple(phi)
+    """phi's values; phi must be a ClassFunction of the table's group."""
+    if not isinstance(phi, ClassFunction) or phi.group != table.group:
+        raise MismatchedGroup("not a class function of the table's group")
+    return phi.values
 
 
 def _class_terms(table, phi):
-    """Per-class kernel terms of a character index, ClassFunction or
-    per-class value sequence."""
+    """Per-class kernel terms of a character index or a ClassFunction."""
     if isinstance(phi, int):
         return table.sparse_rows[phi]
     e = table.exponent
@@ -994,49 +987,51 @@ def _stable(table, values):
     if last is not None and last[0] is values:
         return last[1]
     stable = galois_stable(table, values)
-    if type(values) is tuple:
-        table.last_stable_input = (values, stable)
+    table.last_stable_input = (values, stable)
     return stable
 
 
 def inner_product(table, phi, psi):
-    """Exact <phi, psi> over the whole group.
+    """Exact <phi, psi> over the whole group, phi a character index or a
+    ClassFunction of the table's group and psi a character index; any
+    other phi or psi raises MismatchedGroup.
 
     For a Galois-stable phi (`galois_stable`, decided once per input by
-    `_stable`) and a character index psi, <phi, chi> is the same for every
-    chi in the Galois orbit O of chi_psi (sigma_u chi = chi o pi_u and
-    phi o pi_u = phi), so it is the orbit mean
-    sum_j |C_j| phi(g_j) T_O(j) / (|O| |G|).  For a nonlinear psi, T_O is
-    the integer row of `orbit_sums`; for a linear psi = zeta_e^l,
-    T_O(j) / |O| = Tr(zeta_e^l_j) / phi(e), read off `_field_traces`.  Any
-    other pair goes through the sparse kernel.  Values are rational only:
-    an irrational <phi, psi>, which a phi that is not Galois-stable can
-    have, raises NonIntegral ("character sum is not rational")."""
-    if isinstance(psi, int) and not isinstance(phi, int):
-        phi = _class_values(table, phi)
-        if _stable(table, phi):
-            sizes, n = table.classes.sizes, table.group.order
-            exps = table.exponent_rows[psi]
-            if exps is not None:
-                tr = _field_traces(table.exponent)
-                total = integer_class_sum(sizes, phi,
-                                          map(tr.__getitem__, exps))
-                return Fraction(total, tr[0] * n)
-            orbit = table.orbit_sums[table.galois_orbits[psi][0]]
-            total = integer_class_sum(sizes, phi, orbit.traces)
-            return Fraction(total, orbit.size * n)
-    a = _class_terms(table, phi)
-    b = _class_terms(table, psi)
+    `_stable`), <phi, chi> is the same for every chi in the Galois orbit O
+    of chi_psi (sigma_u chi = chi o pi_u and phi o pi_u = phi), so it is
+    the orbit mean sum_j |C_j| phi(g_j) T_O(j) / (|O| |G|).  For a
+    nonlinear psi, T_O is the integer row of `orbit_sums`; for a linear
+    psi = zeta_e^l, T_O(j) / |O| = Tr(zeta_e^l_j) / phi(e), read off
+    `_field_traces`.  Any other pair goes through the sparse kernel.
+    Values are rational only: an irrational <phi, psi>, which a phi that is
+    not Galois-stable can have, raises NonIntegral ("character sum is not
+    rational")."""
+    if not isinstance(psi, int):
+        raise MismatchedGroup("psi is not a character index")
+    if not isinstance(phi, int) and _stable(table, _class_values(table, phi)):
+        sizes, n = table.classes.sizes, table.group.order
+        exps = table.exponent_rows[psi]
+        if exps is not None:
+            tr = _field_traces(table.exponent)
+            total = integer_class_sum(sizes, phi.values,
+                                      map(tr.__getitem__, exps))
+            return Fraction(total, tr[0] * n)
+        orbit = table.orbit_sums[table.galois_orbits[psi][0]]
+        total = integer_class_sum(sizes, phi.values, orbit.traces)
+        return Fraction(total, orbit.size * n)
+    a, b = _class_terms(table, phi), table.sparse_rows[psi]
     total = cyclotomic.rational_sum(table.exponent,
                                     zip(table.classes.sizes, a, b))
     return total / table.group.order
 
 
 def inner_product_on(table, H, phi, psi):
-    """Exact <phi, psi>_H, summing over the elements of the subgroup H."""
+    """Exact <phi, psi>_H, summing over the elements of the subgroup H; phi
+    and psi are read as by `inner_product`."""
     groups.require_subgroup_of(table.group, H)
-    a = _class_terms(table, phi)
-    b = _class_terms(table, psi)
+    if not isinstance(psi, int):
+        raise MismatchedGroup("psi is not a character index")
+    a, b = _class_terms(table, phi), table.sparse_rows[psi]
     per_class = Counter(table.classes.class_of[g] for g in H.members)
     total = cyclotomic.rational_sum(
         table.exponent, ((c, a[j], b[j]) for j, c in per_class.items()))

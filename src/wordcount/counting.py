@@ -266,19 +266,19 @@ def zeta_brute(G, word, budget=DEFAULT_BUDGET, classes=None):
     return ClassFunction(G, values)
 
 
-def is_measure_preserving(G, word, budget=DEFAULT_BUDGET):
+def is_measure_preserving(G, word):
     """True iff every fiber has size |G|^(arity-1)."""
-    counts = zeta_element_counts(G, word, budget=budget)
+    counts = zeta_element_counts(G, word)
     expected = G.order ** (word.arity - 1)
     return all(c == expected for c in counts)
 
 
-def nilpotency_degree(G, n, budget=DEFAULT_BUDGET):
+def nilpotency_degree(G, n):
     """Probability that a random left-normed n-fold commutator is trivial."""
     from fractions import Fraction
 
     from .words import wn
 
-    zeta = zeta_brute(G, wn(n), budget=budget)
+    zeta = zeta_brute(G, wn(n))
     return Fraction(zeta.values[0], G.order ** n)
 

@@ -52,9 +52,9 @@ class LawTable(groups.GroupTable):
         return self.law.product(a, b)
 
 
-def law_table(elements, index, combine, labels):
+def law_table(elements, index, combine, label):
     law = ElementLaw(elements, index, combine)
-    return LawTable(len(elements), None, law.inv, labels, law, law.gens)
+    return LawTable(len(elements), None, law.inv, law.gens, label, law)
 
 
 class ElementLaw:

@@ -184,8 +184,10 @@ def has_lone_letter(word):
     return any(occurrences[v] == 1 and e in (1, -1) for v, e in word.letters)
 
 
-def zeta_mixed_theorem21(G, H, w1, w2, table=None):
-    """Counts for [w1(vars in H), w2(vars in G)] via the character formula.
+def zeta_mixed_theorem21(G, H, w1, w2, table):
+    """Counts for [w1(vars in H), w2(vars in G)] via the character formula
+    over `table`, G's character table (another group's raises
+    MismatchedGroup).
 
     Returns a per-element integer list over G.  Requires H normal and w2
     measure preserving with respect to G, which `has_lone_letter` settles
@@ -203,8 +205,6 @@ def zeta_mixed_theorem21(G, H, w1, w2, table=None):
     if not has_lone_letter(w2) and not counting.is_measure_preserving(G, w2):
         raise NotMeasurePreserving(
             f"word {w2} is not measure preserving on this group")
-    if table is None:
-        table = chartab.character_table(G)
     _require_table_of(G, table)
 
     m = w1.arity + w2.arity

@@ -16,10 +16,11 @@ composes the table from the rows of a small generating set
 (`_compose_rows`): only those rows call the law, every other row is a
 composition of rows already built, which assumes only that the law is
 associative.  The group keeps that generating set, which
-`GroupTable.generating_set` returns.  Rows here are tuples, each
-composition an `itemgetter` over a generator's row (`_composer`).  Every
-constructor refuses an order above DEFAULT_ORDER_CAP before it builds a
-table.
+`GroupTable.generating_set` returns, and a label function, `G.label(a)`,
+which formats an element's label only when a command prints it.  Rows
+here are tuples, each composition an `itemgetter` over a generator's row
+(`_composer`).  Every constructor refuses an order above DEFAULT_ORDER_CAP
+before it builds a table.
 
 Above COMPACT_ROWS_ABOVE elements a group keeps its element law
 (`elementlaw`: the element list, its index and `combine`) with only the
@@ -30,20 +31,19 @@ table is composed by `_compose_rows` on the first read of `mul`, of the
 inverses, y*s being inv[row(s^-1)[inv[y]]] (`right_multiple`), and
 `center` only the classes; the rest read `mul`, and build the table.
 
-Structure that depends on the group alone (the generating set, classes,
-rational classes, center, derived subgroup, central series, normal
-subgroups, the character table, the hash), or on the group and a level
-(the isoclinism commutator table), is computed once per group object and
-arguments by `structure_memo` and shared by every caller, so callers must
-not mutate it.  Z(G), each Z_i, normality and normal closures are read
-off the classes, which keep their members: a normal closure is the
-subgroup the classes meeting its seed generate.
+Structure that depends on the group alone (classes, rational classes,
+center, derived subgroup, central series, normal subgroups, the character
+table, the hash), or on the group and a level (the isoclinism commutator
+table), is computed once per group object and arguments by
+`structure_memo` and shared by every caller, so callers must not mutate
+it.  Z(G), each Z_i, normality and normal closures are read off the
+classes, which keep their members: a normal closure is the subgroup the
+classes meeting its seed generate.
 """
 
 import itertools
 import math
 from collections import namedtuple
-from collections.abc import Sequence
 from functools import wraps
 from operator import itemgetter
 
@@ -83,29 +83,6 @@ def structure_memo(fn):
     return memo
 
 
-class _Labels(Sequence):
-    """The labels of a table's elements, each `label(element)` formatted when
-    it is read, so a group formats only the labels a command prints.  Equal
-    to the tuple of them all."""
-
-    __slots__ = ("elements", "label")
-
-    def __init__(self, elements, label):
-        self.elements = elements
-        self.label = label
-
-    def __len__(self):
-        return len(self.elements)
-
-    def __getitem__(self, a):
-        return self.label(self.elements[a])
-
-    def __eq__(self, other):
-        if isinstance(other, (tuple, _Labels)):
-            return tuple(self) == tuple(other)
-        return NotImplemented
-
-
 class GroupTable:
     """A finite group given by its multiplication table.
 
@@ -115,25 +92,25 @@ class GroupTable:
     `elementlaw.LawTable` until `mul` is first read: `law` stands in for
     `mul`, and that read composes the table, drops the law and makes the
     object a `GroupTable`.  No other attribute is reassigned after
-    construction.  `gens` is the greedy generating set the build found, or
-    None for a table made outside `_table_from_elements`.
+    construction.  `gens` is the greedy generating set the build found;
+    `label(a)` formats a's label (`str` of a for a table built elsewhere).
     `structure` holds the results of the `structure_memo` functions for this
     object.  Equality is the group's identity: the same order, generating
-    set and generator rows, which determine the table (`inv`, `labels` and
+    set and generator rows, which determine the table (`inv`, `label` and
     `structure` take no part).
     """
 
-    __slots__ = ("order", "mul", "inv", "labels", "structure", "law", "gens")
+    __slots__ = ("order", "mul", "inv", "gens", "label", "structure", "law")
 
-    def __init__(self, order, mul, inv, labels=None, law=None, gens=None):
+    def __init__(self, order, mul, inv, gens, label=str, law=None):
         self.order = order
         if mul is not None:
             self.mul = mul
         self.inv = inv
-        self.labels = labels
+        self.gens = gens
+        self.label = label
         self.structure = {}
         self.law = law
-        self.gens = gens
 
     def __repr__(self):
         return f"GroupTable(order={self.order})"
@@ -179,20 +156,11 @@ class GroupTable:
         rational class."""
         return math.lcm(*(len(rc.powers) for rc in rational_classes(self)))
 
-    def label(self, a):
-        if self.labels is not None:
-            return self.labels[a]
-        return str(a)
-
-    @structure_memo
     def generating_set(self):
-        """A greedy generating set: each element, in index order, that the
-        ones before it do not generate.  Each one at least doubles the
-        subgroup generated, so there are at most log2(order) of them.  A
-        group built by `_table_from_elements` found them while it was
-        built; only a table made otherwise is searched."""
-        if self.gens is None:
-            return tuple(_closure_indices(self, range(self.order))[1])
+        """The greedy generating set the build found: each element, in
+        index order, that the ones before it do not generate.  Each one at
+        least doubles the subgroup generated, so there are at most
+        log2(order) of them."""
         return self.gens
 
     def __eq__(self, other):
@@ -274,14 +242,18 @@ class RationalClass(namedtuple("RationalClass", "first powers generators")):
 
 
 class ClassFunction:
-    """Exact rational values, one per conjugacy class of the group."""
+    """Exact rational values, one per conjugacy class of the group, kept as
+    a tuple; any other number of values raises MismatchedGroup."""
 
     __slots__ = ("group", "classes", "values")
 
     def __init__(self, group, values):
         self.group = group
         self.classes = conjugacy_classes(group)
-        self.values = values  # Fractions or ints
+        self.values = tuple(values)  # Fractions or ints
+        if len(self.values) != self.classes.num_classes:
+            raise MismatchedGroup(f"{len(self.values)} values for "
+                                  f"{self.classes.num_classes} classes")
 
     def __repr__(self):
         return f"ClassFunction(values={self.values!r})"
@@ -501,10 +473,13 @@ def _table_from_elements(elements, combine, label=str, index=None):
     if index is None:
         index = {e: i for i, e in enumerate(elements)}
     n = len(elements)
-    labels = _Labels(elements, label)
+
+    def label_of(a):
+        return label(elements[a])
+
     if n > COMPACT_ROWS_ABOVE:
         from .elementlaw import law_table
-        return law_table(elements, index, combine, labels)
+        return law_table(elements, index, combine, label_of)
 
     def generator(g):
         x = elements[g]
@@ -514,8 +489,8 @@ def _table_from_elements(elements, combine, label=str, index=None):
     rows[0] = tuple(range(n))
     steps = _compose_rows(rows, generator, _composer)
     gens = tuple([c for c, a, _ in steps if a is None])
-    return GroupTable(n, tuple(rows), _inverses(n, rows, steps), labels,
-                      gens=gens)
+    return GroupTable(n, tuple(rows), _inverses(n, rows, steps), gens,
+                      label_of)
 
 
 def _inverses(n, rows, steps):

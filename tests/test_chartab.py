@@ -131,6 +131,37 @@ def test_inner_product_accepts_class_functions():
             Fraction(6, table.degrees[r])
 
 
+def test_inner_products_take_a_class_function_or_an_index():
+    from wordcount.errors import MismatchedGroup
+    S3 = groups.builtin("symmetric", 3)
+    table = character_table(S3)
+    A3 = groups.commutator_subgroup(S3)
+    chi = ClassFunction(S3, table.values[2])
+    assert chartab.inner_product(table, chi, 2) == 1
+    assert chartab.inner_product_on(table, A3, chi, 2) == 2
+    # a bare value sequence pairs nothing, whatever its length, and psi is
+    # a character index
+    for phi, psi in [(table.values[2], 2), ([6, 0], 0), ((18, 9, 0), 0),
+                     (0, chi), (chi, chi), (2, table.values[2])]:
+        with pytest.raises(MismatchedGroup):
+            chartab.inner_product(table, phi, psi)
+        with pytest.raises(MismatchedGroup):
+            chartab.inner_product_on(table, A3, phi, psi)
+
+
+def test_conjugates_are_compared_on_their_stored_terms():
+    # as galois_orbits compares rows: sigma_3 sends dihedral(10)'s
+    # z^4 + z^6 to z^2 + z^8, and -1 - z^4 - z^6, the same number in
+    # another coefficient form, is not that value
+    table = character_table(groups.builtin("dihedral", 10))
+    v, w = table.values[2][1], table.values[2][2]
+    assert (v.terms, w.terms) == (((4, 1), (6, 1)), ((2, 1), (8, 1)))
+    other = Cyclotomic(10, (-1, 0, 0, 0, -1, 0, -1, 0, 0, 0))
+    assert other == w
+    assert chartab._is_conjugate(10, 3, v, w)
+    assert not chartab._is_conjugate(10, 3, v, other)
+
+
 def test_trivial_group_table():
     G = groups.builtin("cyclic", 1)
     one = Cyclotomic.from_rational(1, 1)

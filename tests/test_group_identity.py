@@ -27,7 +27,7 @@ TAKES_SUBGROUP = {
     "inner_product_on": lambda G, H: chartab.inner_product_on(
         chartab.character_table(G), H, 2, 2),
     "zeta_mixed_theorem21": lambda G, H: formulas.zeta_mixed_theorem21(
-        G, H, X, X),
+        G, H, X, X, chartab.character_table(G)),
     "DomainSpec": lambda G, H: counting.zeta_element_counts(
         G, words.wn(2), DomainSpec((H, None))),
 }
@@ -74,9 +74,9 @@ def test_class_function_of_another_group_is_refused():
 def test_groups_that_differ_only_in_labels_are_one_group(tmp_path,
                                                          monkeypatch):
     G = groups.builtin("symmetric", 3)
-    H = groups.GroupTable(G.order, G.mul, G.inv,
-                          tuple(f"s{a}" for a in range(G.order)))
-    assert H.labels != G.labels
+    H = groups.GroupTable(G.order, G.mul, G.inv, G.generating_set(),
+                          "s{}".format)
+    assert all(H.label(a) != G.label(a) for a in range(G.order))
     assert H == G and hash(H) == hash(G) and len({G, H}) == 1
     monkeypatch.setenv(fileio.CACHE_ENV, str(tmp_path))
     table = fileio.cached_character_table(G)
@@ -114,7 +114,7 @@ def test_cache_file_names_are_the_order_and_identity_hash(tmp_path,
 def test_one_cache_name_for_every_construction_of_a_group():
     G = groups.builtin("symmetric", 3)
     relabelled = groups.GroupTable(G.order, G.mul, G.inv,
-                                   tuple(f"s{a}" for a in range(G.order)))
+                                   G.generating_set(), "s{}".format)
     names = {fileio.cache_key(H) for H in
              (G, groups.from_cayley_table(G.mul), relabelled)}
     assert names == {f"6-{hash(G) % 2**64:016x}"}
@@ -148,10 +148,11 @@ def test_groups_that_share_a_cache_name_each_get_their_table(tmp_path,
     assert [p.name for p in tmp_path.iterdir()] == ["shared.chartab"]
 
 
-def test_class_function_prefix_is_not_equal():
+def test_class_function_prefix_is_refused():
     S3 = groups.builtin("symmetric", 3)
     full = ClassFunction(S3, (18, 9, 0))
-    assert full != ClassFunction(S3, (18, 9))
+    with pytest.raises(MismatchedGroup, match="2 values for 3 classes"):
+        ClassFunction(S3, (18, 9))
     as_fractions = ClassFunction(S3, tuple(map(Fraction, (18, 9, 0))))
     assert full == as_fractions and hash(full) == hash(as_fractions)
     again = groups.builtin("symmetric", 3)

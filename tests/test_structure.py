@@ -5,8 +5,7 @@ from wordcount import chartab, counting, groups, words
 from wordcount.cli import main
 
 # (module, name) of every function memoized on the group object
-STRUCTURE = [(groups.GroupTable, "generating_set"),
-             (groups, "conjugacy_classes"), (groups, "center"),
+STRUCTURE = [(groups, "conjugacy_classes"), (groups, "center"),
              (groups, "commutator_subgroup"),
              (groups, "upper_central_series"),
              (groups, "lower_central_series"), (groups, "nilpotency_class"),

@@ -16,6 +16,7 @@ from wordcount.cyclotomic import Cyclotomic
 S3 = groups.builtin("symmetric", 3)
 S3_AGAIN = groups.builtin("symmetric", 3)
 C6 = groups.builtin("cyclic", 6)
+C3 = groups.builtin("cyclic", 3)
 
 
 def _witness():
@@ -68,10 +69,11 @@ def test_word_prints_its_letters():
 
 
 def test_group_table():
-    G = groups.GroupTable(order=S3.order, mul=S3.mul, inv=S3.inv)
-    assert G.labels is None and G.structure == {}
-    H = groups.GroupTable(S3.order, S3.mul, S3.inv, ("a",) * 6)
-    assert H.labels == ("a",) * 6 and H.label(5) == "a"
+    G = groups.GroupTable(order=S3.order, mul=S3.mul, inv=S3.inv,
+                          gens=S3.gens)
+    assert G.label(5) == "5" and G.structure == {}
+    H = groups.GroupTable(S3.order, S3.mul, S3.inv, S3.gens, lambda a: "a")
+    assert H.label(5) == "a"
     assert G == H == S3 and hash(G) == hash(H) == hash(S3)
     assert G.structure is not H.structure
     assert G != C6 and S3 != C6
@@ -96,9 +98,20 @@ def test_class_function():
     same = groups.ClassFunction(group=S3_AGAIN, values=(1, 0, -1))
     assert f == same and hash(f) == hash(same)
     assert f != groups.ClassFunction(S3, (1, 0, 1))
-    assert f != groups.ClassFunction(C6, (1, 0, -1))
+    assert f != groups.ClassFunction(C3, (1, 0, -1))
     with pytest.raises(AttributeError):
         f.extra = 1
+
+
+def test_a_class_function_holds_one_value_per_class():
+    from wordcount.errors import MismatchedGroup
+    for values in [(6, 0), (), (6, 0, 0, 0)]:
+        with pytest.raises(MismatchedGroup,
+                           match=f"{len(values)} values for 3 classes"):
+            groups.ClassFunction(S3, values)
+    f = groups.ClassFunction(S3, [18, 9, 0])
+    assert type(f.values) is tuple and f.values == (18, 9, 0)
+    assert f.total_mass() == 36
 
 
 def test_cyclotomic():
